@@ -57,8 +57,8 @@ pub(crate) fn execute(
         out_vars.extend(&fresh);
         let acc_shared_cols: Vec<usize> = shared.iter().map(|&v| acc.col_of(v).unwrap()).collect();
         // Per-row probe work is independent; fan it out over contiguous
-        // blocks of accumulator rows (fragments merge in block order, then
-        // the same sort_dedup as the sequential path).
+        // blocks of accumulator rows (fragments merge in block order into
+        // the canonical relation of the sequential path).
         let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
             let mut part = Relation::new(out_vars.clone());
             let mut buf: Vec<Value> = Vec::new();
@@ -79,14 +79,7 @@ pub(crate) fn execute(
             }
             part
         });
-        let mut next = Relation::new(out_vars);
-        for part in &parts {
-            for row in part.rows() {
-                next.push_row(row);
-            }
-        }
-        next.sort_dedup();
-        acc = next;
+        acc = crate::par::merge(parts);
     }
 
     // Expand to all variables and verify FDs / UDF predicates, fanned out
@@ -111,14 +104,7 @@ pub(crate) fn execute(
         }
         part
     });
-    let mut out = Relation::new(all);
-    for part in &parts {
-        for row in part.rows() {
-            out.push_row(row);
-        }
-    }
-    out.sort_dedup();
-    Ok((out, stats))
+    Ok((crate::par::merge(parts), stats))
 }
 
 #[cfg(test)]

@@ -127,9 +127,9 @@ pub(crate) fn execute(
         // Per-row work is independent (shared tries are read-only), so the
         // level fans out over contiguous blocks of Q_{i-1} rows through
         // the shared sub-range entry point: fragments come back in block
-        // order and are re-canonicalized by the same `sort_dedup` the
-        // sequential path runs, so output and counters are identical at
-        // any parallelism.
+        // order and merge into the canonical relation the sequential path
+        // produces, so output and counters are identical at any
+        // parallelism.
         let parts = crate::par::for_blocks(par, q_prev.len(), None, &mut stats, |rows, stats| {
             let mut part = Relation::new(out_vars.clone());
             let mut vals = vec![0 as Value; nv];
@@ -212,14 +212,7 @@ pub(crate) fn execute(
             }
             part
         });
-        let mut q_i = Relation::new(out_vars.clone());
-        for part in &parts {
-            for row in part.rows() {
-                q_i.push_row(row);
-            }
-        }
-        q_i.sort_dedup();
-        q_prev = q_i;
+        q_prev = crate::par::merge(parts);
     }
 
     // Final answer: reorder columns to ascending variable id (a one-shot

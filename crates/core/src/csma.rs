@@ -333,15 +333,14 @@ fn join_into(
     };
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();
-    let mut result = Relation::new(out_vars.clone());
     let key_vars: Vec<u32> = guard.vars()[..prefix_len].to_vec();
     let ta_key_cols: Vec<usize> = key_vars
         .iter()
         .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
         .collect();
     // Per-row probe-and-extend work is independent; fan it out over
-    // contiguous blocks of T(A) rows (fragments merge in block order, then
-    // the same sort_dedup as the sequential path).
+    // contiguous blocks of T(A) rows (fragments merge in block order into
+    // the canonical relation of the sequential path).
     let parts = crate::par::for_blocks(ctx.par, ta.len(), None, stats, |rows, stats| {
         let mut part = Relation::new(out_vars.clone());
         let mut vals = vec![0 as Value; ctx.nv];
@@ -384,13 +383,7 @@ fn join_into(
         }
         part
     });
-    for part in &parts {
-        for row in part.rows() {
-            result.push_row(row);
-        }
-    }
-    result.sort_dedup();
-    result
+    crate::par::merge(parts)
 }
 
 #[cfg(test)]

@@ -209,14 +209,7 @@ pub(crate) fn execute(
                     part
                 },
             );
-            let mut out = Relation::new(all);
-            for part in &parts {
-                for row in part.rows() {
-                    out.push_row(row);
-                }
-            }
-            out.sort_dedup();
-            return Ok((out, stats));
+            return Ok((crate::par::merge(parts), stats));
         }
     }
 
@@ -278,11 +271,12 @@ fn search(
 ) {
     if depth == ctx.order.len() {
         // All atom variables bound; expand UDF-only variables and verify.
+        // Expansion writes only slots of variables outside `bound`, which
+        // the search never reads, so it runs in place on `vals`.
         let mut b = *bound;
-        let mut v = vals.to_vec();
-        if ctx.ex.expand_tuple(&mut b, &mut v, ctx.target, stats) && ctx.ex.verify_fds(b, &v, stats)
+        if ctx.ex.expand_tuple(&mut b, vals, ctx.target, stats) && ctx.ex.verify_fds(b, vals, stats)
         {
-            out.push_row(&v);
+            out.push_row(vals);
             stats.output_tuples += 1;
         }
         return;

@@ -73,14 +73,7 @@ pub(crate) fn execute(
         }
         part
     });
-    let mut out = Relation::new(all);
-    for part in &parts {
-        for row in part.rows() {
-            out.push_row(row);
-        }
-    }
-    out.sort_dedup();
-    Ok((out, stats))
+    Ok((crate::par::merge(parts), stats))
 }
 
 #[cfg(test)]

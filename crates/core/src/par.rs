@@ -7,8 +7,13 @@
 //! total work. The contract here makes that fan-out *observationally
 //! sequential*:
 //!
-//! - sub-results are concatenated **in range order** and the caller
-//!   re-canonicalizes (`sort_dedup`), so output bytes are identical;
+//! - sub-results are concatenated **in range order** by `merge` — one
+//!   block copy per fragment, no per-row work — into the canonical
+//!   (sorted, duplicate-free) relation the sequential run produces, so
+//!   output bytes are identical. Fragments that are sorted and ascend
+//!   across seams (Generic-Join's under its default variable order: it
+//!   enumerates in lexicographic order) are canonical as concatenated;
+//!   only rows that really arrive out of order are sorted;
 //! - each task counts into a fresh [`Stats`] and the fragments are merged
 //!   in range order, so deterministic counter totals are identical
 //!   (every per-item counter bump happens exactly once, in some task);
@@ -247,14 +252,17 @@ pub(crate) fn semijoin_reduce_verified(
         }
         reduced
     });
-    let mut reduced = Relation::new(out.vars().to_vec());
-    for part in &parts {
-        for row in part.rows() {
-            reduced.push_row(row);
-        }
-    }
-    reduced.sort_dedup();
-    reduced
+    merge(parts)
+}
+
+/// The merge step of every fan-out: the fragments [`for_blocks`] returned,
+/// concatenated in range order ([`Relation::concat`]) and canonicalized.
+/// Fragment sortedness is tracked by the relations themselves, so ordered
+/// fragments cost one block copy each and nothing else.
+pub(crate) fn merge(parts: Vec<Relation>) -> Relation {
+    let mut out = Relation::concat(parts);
+    out.sort_dedup();
+    out
 }
 
 #[cfg(test)]

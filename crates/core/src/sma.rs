@@ -193,22 +193,17 @@ pub(crate) fn execute(
         // prefixes against T(X)'s Z-trie, no key materialization.
         let tx_z = atom_trie(&pool, xi, &z_vars, &mut stats);
         let zlen = z_vars.len();
-        let mut meet_flat: Vec<Value> = Vec::new();
-        let mut meet_count = 0usize;
+        let mut t_meet = Relation::new(z_vars.clone());
         for &r in &heavy_rows {
             let row = ty.row(r);
             let prefix = &row[..zlen];
             stats.probes += 1;
             if tx_z.contains(prefix) {
                 stats.intermediate_tuples += 1;
-                meet_flat.extend_from_slice(prefix);
-                meet_count += 1;
+                t_meet.push_row(prefix);
             }
         }
-        let t_meet = Relation::from_sorted_unique_rows(
-            z_vars.clone(),
-            (0..meet_count).map(|k| &meet_flat[k * zlen..(k + 1) * zlen]),
-        );
+        debug_assert!(t_meet.is_sorted(), "heavy prefixes ascend and are distinct");
 
         // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first,
         // so its own sorted data is the probe target — descend per Z value
@@ -220,8 +215,8 @@ pub(crate) fn execute(
             .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
             .collect();
         // Per-row probe-and-extend work is independent; fan it out over
-        // contiguous blocks of T(X) rows (fragments merge in block order,
-        // then the same sort_dedup as the sequential path).
+        // contiguous blocks of T(X) rows (fragments merge in block order
+        // into the canonical relation of the sequential path).
         let parts = crate::par::for_blocks(par, tx.len(), None, &mut stats, |rows, stats| {
             let mut part = Relation::new(out_vars.clone());
             let mut vals = vec![0 as Value; nv];
@@ -263,13 +258,7 @@ pub(crate) fn execute(
             }
             part
         });
-        let mut t_join = Relation::new(out_vars.clone());
-        for part in &parts {
-            for row in part.rows() {
-                t_join.push_row(row);
-            }
-        }
-        t_join.sort_dedup();
+        let t_join = crate::par::merge(parts);
 
         pool.push(Entry {
             elem: z,

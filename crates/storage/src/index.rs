@@ -358,22 +358,15 @@ impl TrieIndex {
     where
         I: IntoIterator<Item = Range<usize>>,
     {
-        let a = self.arity();
-        if a == 0 {
-            let n: usize = ranges.into_iter().map(|r| r.len()).sum();
-            return Relation::from_sorted_unique_rows(
-                self.vars.clone(),
-                (0..n).map(|_| &[] as &[Value]),
-            );
-        }
-        let mut flat: Vec<Value> = Vec::new();
+        let mut out = Relation::new(self.vars.clone());
         for r in ranges {
             let mut w = self.walk(r);
             while let Some(row) = w.next() {
-                flat.extend_from_slice(row);
+                out.push_row(row);
             }
         }
-        Relation::from_sorted_unique_rows(self.vars.clone(), flat.chunks_exact(a))
+        debug_assert!(out.is_sorted(), "trie rows ascend and are distinct");
+        out
     }
 
     /// Exact heap footprint of the level arrays, in bytes — what the

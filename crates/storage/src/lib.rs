@@ -4,13 +4,14 @@
 //!
 //! - [`Relation`]: sorted row-major relations whose column order doubles as
 //!   a trie index (prefix ranges via binary search), with projection,
-//!   semijoin, degree counting, and partitioning primitives — versioned,
-//!   with in-place sorted-merge tuple deltas ([`Relation::apply_delta`])
-//!   for incremental maintenance;
+//!   semijoin, degree counting, and partitioning primitives — order-aware
+//!   (sortedness tracked per append and per [`Relation::concat`] seam, so
+//!   rows produced in order are never sorted again), versioned, with
+//!   in-place sorted-merge tuple deltas ([`Relation::apply_delta`]) for
+//!   incremental maintenance;
 //! - [`RelationStats`]: exact per-prefix degree/branch/skew statistics
-//!   ([`Relation::stats`]), accumulated inside the sort and delta-merge
-//!   passes themselves, feeding the data-dependent cost model in
-//!   `fdjoin_core::cost`;
+//!   ([`Relation::stats`]), computed on first request per content snapshot,
+//!   feeding the data-dependent cost model in `fdjoin_core::cost`;
 //! - [`TrieIndex`] / [`Probe`] / [`IndexSet`]: the shared access-path
 //!   layer — cached per-`(relation, column order)` trie indexes navigated
 //!   by a zero-allocation narrowing cursor, keyed by content version so

@@ -1,12 +1,13 @@
 //! Row-major relations with sort-order (trie-equivalent) prefix indexes.
 
 use crate::index::{Probe, TrieIndex};
-use crate::stats::{RelationStats, StatsAcc};
+use crate::stats::RelationStats;
 use crate::Value;
 use fdjoin_lattice::VarSet;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 /// Source of relation content versions. Monotonic and *global*, so a
 /// version is a unique content-snapshot id: two relations carry the same
@@ -16,6 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 /// order)` and share them soundly across databases, clones, and threads.
 static VERSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// "No version assigned yet" (the counter starts handing out at 1).
+const UNASSIGNED: u64 = 0;
+
 pub(crate) fn next_version() -> u64 {
     VERSION_COUNTER.fetch_add(1, AtomicOrdering::Relaxed) + 1
 }
@@ -23,38 +27,68 @@ pub(crate) fn next_version() -> u64 {
 /// A relation instance: a bag of fixed-arity rows over named variables.
 ///
 /// Rows are stored contiguously (`data[row * arity + col]`). The column
-/// order doubles as the index order: after [`Relation::sort_dedup`], prefix
-/// lookups by binary search give exactly the trie navigation that
-/// LeapFrog-TrieJoin-style algorithms need, without pointer chasing.
+/// order doubles as the index order: on a sorted relation
+/// ([`Relation::is_sorted`]), prefix lookups by binary search give exactly
+/// the trie navigation that LeapFrog-TrieJoin-style algorithms need,
+/// without pointer chasing.
 ///
-/// Relations are *versioned*: [`Relation::version`] takes a fresh,
-/// globally unique value on every content mutation ([`Relation::push_row`],
+/// Relations are *order-aware*: every append compares the new row against
+/// the previous one, so a relation filled in strictly increasing order —
+/// what Generic-Join, a trie walk or a filtered scan of a sorted relation
+/// produce — knows it is sorted and duplicate-free, and
+/// [`Relation::sort_dedup`] on it costs nothing.
+///
+/// Relations are *versioned*: [`Relation::version`] is a globally unique
+/// content-snapshot id that changes with every content mutation
+/// ([`Relation::push_row`], [`Relation::concat`],
 /// [`Relation::apply_delta`]), so incremental-maintenance layers detect
 /// drift — and index caches key content — without diffing rows. The
 /// version is bookkeeping, not content — equality compares rows only.
 ///
-/// Sorted relations also carry exact per-prefix degree/skew statistics
-/// ([`Relation::stats`]), accumulated inside the same passes that sort and
-/// merge the data; the cost model in `fdjoin_core::cost` plans from them.
-#[derive(Clone, Debug)]
+/// Sorted relations also offer exact per-prefix degree/skew statistics
+/// ([`Relation::stats`]), computed on first request; the cost model in
+/// `fdjoin_core::cost` plans from them.
+#[derive(Debug)]
 pub struct Relation {
     vars: Vec<u32>,
     data: Vec<Value>,
+    /// Rows are strictly increasing (sorted and duplicate-free). Exact:
+    /// maintained by one compare per appended row and per concatenation
+    /// seam, never assumed.
     sorted: bool,
-    version: u64,
-    /// Invariant: `Some` iff `sorted` (statistics describe the stored rows
-    /// exactly; any unsorted mutation clears them).
-    stats: Option<RelationStats>,
+    /// Content version, or [`UNASSIGNED`] until someone asks: mutations
+    /// only reset it (a plain store to this relation's own field), and
+    /// [`Relation::version`] draws from the global counter on demand.
+    version: AtomicU64,
+    /// Statistics of the stored rows, filled by the first
+    /// [`Relation::stats`] call on a sorted relation and dropped by every
+    /// mutation.
+    stats: OnceLock<RelationStats>,
 }
 
+impl Clone for Relation {
+    /// The clone shares this relation's version (assigning one first if
+    /// none was observed yet) until either side mutates.
+    fn clone(&self) -> Relation {
+        Relation {
+            vars: self.vars.clone(),
+            data: self.data.clone(),
+            sorted: self.sorted,
+            version: AtomicU64::new(self.version()),
+            stats: self.stats.clone(),
+        }
+    }
+}
+
+/// Structural equality minus the bookkeeping (version, cached statistics):
+/// schema and stored row sequence. Sortedness is a function of the row
+/// sequence (strictly increasing or not), so sorted relations compare by
+/// row set no matter how they were produced — a relation appended in order
+/// equals its [`Relation::sort_dedup`]ed twin — while a relation holding
+/// rows out of order or twice differs from its canonical form.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        // Structural equality minus the version counter: schema, raw row
-        // storage, and sortedness — exactly the old derived semantics, so
-        // two sorted+deduplicated relations compare by row set no matter
-        // how many deltas produced them, while an unsorted relation still
-        // differs from its sorted twin (as it always has).
-        self.vars == other.vars && self.data == other.data && self.sorted == other.sorted
+        self.vars == other.vars && self.data == other.data
     }
 }
 
@@ -88,53 +122,18 @@ impl Relation {
             );
             seen = seen.insert(v);
         }
-        let arity = vars.len();
         Relation {
             vars,
             data: Vec::new(),
             sorted: true,
-            version: next_version(),
-            stats: Some(StatsAcc::new(arity).finish()),
+            version: AtomicU64::new(UNASSIGNED),
+            stats: OnceLock::new(),
         }
     }
 
-    /// Create from rows that are already lexicographically sorted and
-    /// duplicate-free (e.g. a walk over [`TrieIndex`] rows or a filtered
-    /// subsequence of a sorted relation). Skips the sort a
-    /// [`Relation::sort_dedup`] would pay; the precondition is checked in
-    /// debug builds.
-    pub fn from_sorted_unique_rows<'r>(
-        vars: Vec<u32>,
-        rows: impl IntoIterator<Item = &'r [Value]>,
-    ) -> Relation {
-        let arity = vars.len();
-        let mut acc = StatsAcc::new(arity);
-        let mut data: Vec<Value> = Vec::new();
-        for (n, row) in rows.into_iter().enumerate() {
-            assert_eq!(row.len(), arity, "row arity mismatch");
-            if arity == 0 {
-                debug_assert!(n == 0, "a nullary relation has at most one row");
-                data.push(1);
-                acc.push(row);
-            } else {
-                debug_assert!(
-                    n == 0 || data[(n - 1) * arity..n * arity] < *row,
-                    "rows must be strictly increasing"
-                );
-                data.extend_from_slice(row);
-                acc.push(row);
-            }
-        }
-        Relation {
-            vars,
-            data,
-            sorted: true,
-            version: next_version(),
-            stats: Some(acc.finish()),
-        }
-    }
-
-    /// Create from explicit rows.
+    /// Create from explicit rows. Rows given in strictly increasing order
+    /// (a walk over [`TrieIndex`] rows, a filtered subsequence of a sorted
+    /// relation) yield a sorted relation with no sort ever run.
     pub fn from_rows<R: AsRef<[Value]>>(
         vars: Vec<u32>,
         rows: impl IntoIterator<Item = R>,
@@ -144,6 +143,53 @@ impl Relation {
             rel.push_row(r.as_ref());
         }
         rel
+    }
+
+    /// Concatenate fragments of one schema in the order given — the merge
+    /// step of a range-partitioned computation. The rows are block-copied
+    /// into one buffer allocated at exactly the total size; one compare per
+    /// seam carries sortedness across, so fragments that are sorted and
+    /// cover increasing ranges concatenate into a relation that is
+    /// [`Relation::is_sorted`] without a sort. When at most the first
+    /// fragment has rows it is returned as is (nothing is copied, and its
+    /// version stands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or the fragments' schemas differ.
+    pub fn concat(parts: Vec<Relation>) -> Relation {
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().expect("concat needs at least one fragment");
+        let rest = parts.as_slice();
+        let extra: usize = rest.iter().map(|p| p.data.len()).sum();
+        if extra == 0 {
+            return out;
+        }
+        let a = out.arity();
+        // A fresh exact-size buffer, not the first fragment grown in place:
+        // fragments are typically filled by worker threads, and handing
+        // each back to its allocator arena whole keeps resident memory
+        // flat over thousands of merges (growing the first one did not).
+        let mut data = Vec::with_capacity(out.data.len() + extra);
+        data.extend_from_slice(&out.data);
+        out.data = data;
+        for part in rest {
+            assert_eq!(part.vars, out.vars, "concat: fragment schema mismatch");
+            let seam_ok = out.data.is_empty()
+                || part.data.is_empty()
+                || out.data[out.data.len() - a..] < part.data[..a];
+            out.sorted &= part.sorted && seam_ok;
+            out.data.extend_from_slice(&part.data);
+        }
+        out.touch();
+        out
+    }
+
+    /// Every content mutation ends here: cached statistics and the observed
+    /// version describe the old rows. Touches only this relation's fields.
+    fn touch(&mut self) {
+        self.stats.take();
+        *self.version.get_mut() = UNASSIGNED;
     }
 
     /// Column variables in storage order.
@@ -177,39 +223,64 @@ impl Relation {
         self.len() == 0
     }
 
-    /// Append a row (marks the relation unsorted).
+    /// Append a row. One compare against the previous row keeps
+    /// [`Relation::is_sorted`] exact: the relation stays sorted iff the new
+    /// row is strictly greater. Touches no shared state.
     pub fn push_row(&mut self, row: &[Value]) {
-        assert_eq!(row.len(), self.arity(), "row arity mismatch");
-        if self.vars.is_empty() {
-            // Zero-arity: store a sentinel so `len` counts rows.
+        let a = self.arity();
+        assert_eq!(row.len(), a, "row arity mismatch");
+        if a == 0 {
+            // Zero-arity: store a sentinel so `len` counts rows; a second
+            // `()` is a duplicate.
+            self.sorted &= self.data.is_empty();
             self.data.push(1);
         } else {
+            let n = self.data.len();
+            self.sorted = self.sorted && (n == 0 || self.data[n - a..] < *row);
             self.data.extend_from_slice(row);
         }
-        self.sorted = false;
-        self.stats = None;
-        self.version = next_version();
+        self.touch();
     }
 
     /// Exact degree/skew statistics of this relation, per prefix length of
     /// the column (sort) order. `Some` exactly when the relation is sorted
-    /// ([`Relation::is_sorted`]); [`Relation::sort_dedup`] and
-    /// [`Relation::apply_delta`] keep them current as part of their own
-    /// passes over the data.
+    /// ([`Relation::is_sorted`]). Computed by the first call after a
+    /// mutation ([`RelationStats::of`], one pass) and cached; relations
+    /// nobody plans from — intermediates, outputs — never pay for them.
     pub fn stats(&self) -> Option<&RelationStats> {
-        debug_assert_eq!(self.sorted, self.stats.is_some());
-        self.stats.as_ref()
+        self.sorted
+            .then(|| self.stats.get_or_init(|| RelationStats::of(self)))
     }
 
-    /// Content version: a globally unique snapshot id, refreshed on every
-    /// mutation that can change the row set ([`Relation::push_row`],
-    /// [`Relation::apply_delta`]). Monotonic over time, and — because the
-    /// counter is global — equal versions imply equal content (clones share
-    /// a version exactly until either side mutates), which is what makes
-    /// version-keyed index caching ([`crate::IndexSet`]) sound across
-    /// databases and threads.
+    /// Content version: a globally unique snapshot id. Equal versions imply
+    /// equal rows — clones share a version exactly until either side
+    /// mutates — and any mutation that can change the row set
+    /// ([`Relation::push_row`], [`Relation::concat`],
+    /// [`Relation::apply_delta`]) is followed by a version never reported
+    /// before, which is what makes version-keyed index caching
+    /// ([`crate::IndexSet`]) sound across databases and threads.
+    ///
+    /// The id is drawn from the global counter by the first call after a
+    /// mutation, not by the mutation, so appending rows costs no shared
+    /// write. Concurrent first calls on a shared relation agree on one
+    /// value.
     pub fn version(&self) -> u64 {
-        self.version
+        // Relaxed: the version publishes no data — whoever shares `&self`
+        // across threads already synchronised the rows.
+        let seen = self.version.load(AtomicOrdering::Relaxed);
+        if seen != UNASSIGNED {
+            return seen;
+        }
+        let fresh = next_version();
+        match self.version.compare_exchange(
+            UNASSIGNED,
+            fresh,
+            AtomicOrdering::Relaxed,
+            AtomicOrdering::Relaxed,
+        ) {
+            Ok(_) => fresh,
+            Err(winner) => winner,
+        }
     }
 
     /// Apply a tuple delta in place: remove `deletes`, then add `inserts`
@@ -219,8 +290,7 @@ impl Relation {
     /// The relation is left sorted + deduplicated, the merge is linear in
     /// `len + |delta| log |delta|`, and the returned [`DeltaApplied`]
     /// counts only *actual* changes — deleting an absent row or inserting
-    /// a present one is a no-op. The version is bumped iff something
-    /// changed.
+    /// a present one is a no-op. The version changes iff something did.
     pub fn apply_delta<I, D>(&mut self, inserts: I, deletes: D) -> DeltaApplied
     where
         I: IntoIterator,
@@ -245,12 +315,7 @@ impl Relation {
                 if present {
                     self.data.push(1);
                 }
-                let mut acc = StatsAcc::new(0);
-                if present {
-                    acc.push(&[]);
-                }
-                self.stats = Some(acc.finish());
-                self.version = next_version();
+                self.touch();
             }
             return applied;
         }
@@ -271,11 +336,8 @@ impl Relation {
         // Merge the two sorted row sequences; deletes filter the existing
         // side only (an inserted row survives its own deletion). The
         // delete cursor `k` advances monotonically alongside the existing
-        // rows, keeping the whole merge genuinely linear. Surviving rows
-        // stream through the statistics accumulator as they are emitted, so
-        // the post-delta [`Relation::stats`] are exact at no extra pass.
+        // rows, keeping the whole merge genuinely linear.
         let mut applied = DeltaApplied::default();
-        let mut acc = StatsAcc::new(a);
         let mut data = Vec::with_capacity(self.data.len() + ins.data.len());
         let (n, m) = (self.len(), ins.len());
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
@@ -296,31 +358,26 @@ impl Relation {
                     if k < del.len() && del.row(k) == row {
                         applied.removed += 1;
                     } else {
-                        acc.push(row);
                         data.extend_from_slice(row);
                     }
                     i += 1;
                 }
                 Ordering::Greater => {
-                    acc.push(ins.row(j));
                     data.extend_from_slice(ins.row(j));
                     applied.added += 1;
                     j += 1;
                 }
                 Ordering::Equal => {
                     // Already present (and, if also deleted, re-inserted).
-                    acc.push(self.row(i));
                     data.extend_from_slice(self.row(i));
                     i += 1;
                     j += 1;
                 }
             }
         }
-        self.data = data;
-        self.sorted = true;
-        self.stats = Some(acc.finish());
         if applied.changed() > 0 {
-            self.version = next_version();
+            self.data = data;
+            self.touch();
         }
         applied
     }
@@ -350,56 +407,42 @@ impl Relation {
         self.vars.iter().position(|&w| w == v)
     }
 
-    /// Sort rows lexicographically and remove duplicates.
+    /// Sort rows lexicographically and remove duplicates. Free on a
+    /// relation that is already [`Relation::is_sorted`] — only rows that
+    /// really are out of order or repeated pay the sort. The row *set* is
+    /// unchanged, and so is the version.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an unsorted relation holds 2³² rows or more (the sort
+    /// permutation is `u32`).
     pub fn sort_dedup(&mut self) {
+        if self.sorted {
+            return;
+        }
         let a = self.arity();
         if a == 0 {
-            // A zero-arity relation is {} or {()}.
-            let nonempty = !self.data.is_empty();
-            self.data.clear();
-            if nonempty {
-                self.data.push(1);
+            // Unsorted and zero-arity: several `()`, of which one stays.
+            self.data.truncate(1);
+        } else {
+            let mut order = identity_permutation(self.len());
+            let data = &self.data;
+            let row = |i: u32| &data[i as usize * a..(i as usize + 1) * a];
+            order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+            order.dedup_by(|i, kept| row(*i) == row(*kept));
+            let mut new_data = Vec::with_capacity(order.len() * a);
+            for &i in &order {
+                new_data.extend_from_slice(row(i));
             }
-            self.sorted = true;
-            let mut acc = StatsAcc::new(0);
-            if nonempty {
-                acc.push(&[]);
-            }
-            self.stats = Some(acc.finish());
-            return;
+            self.data = new_data;
         }
-        if self.sorted {
-            // Defensive: re-establish the stats invariant if it was ever
-            // broken (no known path does this).
-            if self.stats.is_none() {
-                self.stats = Some(RelationStats::of(self));
-            }
-            return;
-        }
-        let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let data = &self.data;
-        order.sort_unstable_by(|&i, &j| {
-            data[i as usize * a..(i as usize + 1) * a]
-                .cmp(&data[j as usize * a..(j as usize + 1) * a])
-        });
-        let mut acc = StatsAcc::new(a);
-        let mut new_data = Vec::with_capacity(self.data.len());
-        let mut last: Option<&[Value]> = None;
-        for &i in &order {
-            let row = &self.data[i as usize * a..(i as usize + 1) * a];
-            if last != Some(row) {
-                acc.push(row);
-                new_data.extend_from_slice(row);
-            }
-            last = Some(row);
-        }
-        self.data = new_data;
         self.sorted = true;
-        self.stats = Some(acc.finish());
     }
 
-    /// Whether the relation is known sorted + deduplicated.
+    /// Whether the rows are strictly increasing — sorted and duplicate-free.
+    /// Exact, not a hint: appends and [`Relation::concat`] track it by
+    /// comparing neighbours, [`Relation::sort_dedup`] and
+    /// [`Relation::apply_delta`] establish it.
     pub fn is_sorted(&self) -> bool {
         self.sorted
     }
@@ -574,6 +617,14 @@ impl Relation {
     }
 }
 
+/// `0..n` as the `u32` row ids [`Relation::sort_dedup`] permutes.
+fn identity_permutation(n: usize) -> Vec<u32> {
+    let n = u32::try_from(n).unwrap_or_else(|_| {
+        panic!("sort_dedup: {n} rows do not fit the u32 sort permutation (limit 2^32 - 1)")
+    });
+    (0..n).collect()
+}
+
 enum RowIter<'a> {
     Chunks(std::slice::ChunksExact<'a, Value>),
     Nullary(usize),
@@ -652,6 +703,15 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r.row(0), &[1, 10]);
         assert_eq!(r.row(3), &[3, 30]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "do not fit the u32 sort permutation")]
+    fn sort_permutation_refuses_to_wrap() {
+        // 2^32 rows used to wrap `n as u32` to an empty permutation and
+        // drop every row; the check fires before anything is allocated.
+        identity_permutation(1 << 32);
     }
 
     #[test]

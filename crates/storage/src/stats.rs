@@ -1,4 +1,4 @@
-//! Per-relation degree/skew statistics, maintained alongside the data.
+//! Per-relation degree/skew statistics, computed from the data on demand.
 //!
 //! The source paper's central lever over cardinality-only (AGM/GLVV) bounds
 //! is *degree* information: how many tuples share a prefix, how many
@@ -17,14 +17,13 @@
 //!   data; the indicator `fdjoin_core::cost` uses for data-dependent
 //!   planning tie-breaks.
 //!
-//! Statistics are *exact*, not sampled, and are kept current by the storage
-//! layer itself: [`Relation::sort_dedup`](crate::Relation::sort_dedup)
-//! accumulates them while deduplicating, and
-//! [`Relation::apply_delta`](crate::Relation::apply_delta) re-accumulates
-//! them inside the same linear merge walk that applies the delta — no extra
-//! pass over the data, and no drift between deltas and statistics (the
-//! differential property tests in `tests/proptest_stats.rs` assert
-//! exactness under random insert/delete sequences).
+//! Statistics are *exact*, not sampled, and *lazy*:
+//! [`Relation::stats`](crate::Relation::stats) computes them in one pass
+//! ([`RelationStats::of`]) the first time a sorted relation is asked, caches
+//! them, and every mutation drops the cache — so they can never drift from
+//! the rows (the differential property tests in `tests/proptest_stats.rs`
+//! assert exactness under random insert/delete sequences), and relations
+//! nobody plans from (intermediates, join outputs) never pay for them.
 
 use crate::Value;
 
@@ -47,10 +46,8 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Compute from scratch over a sorted + deduplicated relation. This is
-    /// the reference implementation the incremental maintenance in
-    /// [`Relation::apply_delta`](crate::Relation::apply_delta) is tested
-    /// against; normal callers read
+    /// Compute from scratch over a sorted + deduplicated relation: one
+    /// pass, no allocation per row. Normal callers read the cached
     /// [`Relation::stats`](crate::Relation::stats) instead.
     ///
     /// # Panics
@@ -149,12 +146,10 @@ impl RelationStats {
     }
 }
 
-/// Streaming accumulator: feed rows in strictly increasing order (sorted,
-/// deduplicated) and `finish`. Used by `Relation::sort_dedup`'s dedup loop
-/// and fused into `Relation::apply_delta`'s merge walk, so statistics ride
-/// the passes the storage layer already makes.
+/// Streaming accumulator behind [`RelationStats::of`]: feed rows in
+/// strictly increasing order (sorted, deduplicated) and `finish`.
 #[derive(Debug)]
-pub(crate) struct StatsAcc {
+struct StatsAcc {
     arity: usize,
     n: u64,
     last: Vec<Value>,
@@ -168,7 +163,7 @@ pub(crate) struct StatsAcc {
 }
 
 impl StatsAcc {
-    pub(crate) fn new(arity: usize) -> StatsAcc {
+    fn new(arity: usize) -> StatsAcc {
         StatsAcc {
             arity,
             n: 0,
@@ -181,7 +176,7 @@ impl StatsAcc {
         }
     }
 
-    pub(crate) fn push(&mut self, row: &[Value]) {
+    fn push(&mut self, row: &[Value]) {
         debug_assert_eq!(row.len(), self.arity);
         let a = self.arity;
         if self.n == 0 {
@@ -228,7 +223,7 @@ impl StatsAcc {
         self.n += 1;
     }
 
-    pub(crate) fn finish(mut self) -> RelationStats {
+    fn finish(mut self) -> RelationStats {
         if self.n > 0 {
             for k in 0..self.arity {
                 self.max_degree[k] = self.max_degree[k].max(self.run[k]);

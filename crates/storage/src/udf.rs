@@ -7,7 +7,6 @@
 
 use crate::Value;
 use fdjoin_lattice::VarSet;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A user-defined function: receives the argument values ordered by
@@ -17,7 +16,10 @@ pub type UdfFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 /// Registry of UDFs keyed by `(argument variables, output variable)`.
 #[derive(Clone, Default)]
 pub struct UdfRegistry {
-    map: HashMap<(VarSet, u32), UdfFn>,
+    /// Sorted by `(out, args)`: the functions computing one output are one
+    /// contiguous run, and every lookup order is a function of the
+    /// registered keys alone — never of a hash seed.
+    entries: Vec<((u32, VarSet), UdfFn)>,
     version: u64,
 }
 
@@ -33,7 +35,11 @@ impl UdfRegistry {
     where
         F: Fn(&[Value]) -> Value + Send + Sync + 'static,
     {
-        self.map.insert((args, out), Arc::new(f));
+        let f: UdfFn = Arc::new(f);
+        match self.position(args, out) {
+            Ok(i) => self.entries[i].1 = f,
+            Err(i) => self.entries.insert(i, ((out, args), f)),
+        }
         self.version = crate::relation::next_version();
     }
 
@@ -45,18 +51,26 @@ impl UdfRegistry {
         self.version
     }
 
-    /// Look up a UDF.
-    pub fn get(&self, args: VarSet, out: u32) -> Option<&UdfFn> {
-        self.map.get(&(args, out))
+    fn position(&self, args: VarSet, out: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&(out, args), |(k, _)| *k)
     }
 
-    /// Find any registered UDF whose arguments are a subset of `available`
-    /// and whose output is `out`; returns the argument set and function.
+    /// Look up a UDF.
+    pub fn get(&self, args: VarSet, out: u32) -> Option<&UdfFn> {
+        self.position(args, out).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Find the registered UDF for `out` whose arguments are a subset of
+    /// `available`; returns the argument set and function. When several
+    /// apply, the one with the least argument set (in [`VarSet`] order)
+    /// wins — the same one in every registry holding the same keys.
     pub fn find_applicable(&self, available: VarSet, out: u32) -> Option<(VarSet, &UdfFn)> {
-        self.map
+        let first = self.entries.partition_point(|((o, _), _)| *o < out);
+        self.entries[first..]
             .iter()
-            .find(|((args, o), _)| *o == out && args.is_subset(available))
-            .map(|((args, _), f)| (*args, f))
+            .take_while(|((o, _), _)| *o == out)
+            .find(|((_, args), _)| args.is_subset(available))
+            .map(|((_, args), f)| (*args, f))
     }
 
     /// Evaluate `out = f(args)` for a tuple given as `(var, value)` pairs
@@ -73,18 +87,18 @@ impl UdfRegistry {
 
     /// Number of registered functions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 
 impl std::fmt::Debug for UdfRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "UdfRegistry({} fns)", self.map.len())
+        write!(f, "UdfRegistry({} fns)", self.entries.len())
     }
 }
 
@@ -122,5 +136,31 @@ mod tests {
             .is_some());
         assert!(reg.find_applicable(VarSet::from_vars([0, 3]), 2).is_none());
         assert!(reg.find_applicable(VarSet::from_vars([0, 1]), 5).is_none());
+    }
+
+    #[test]
+    fn find_applicable_is_a_function_of_the_keys() {
+        // Two functions compute var 4 and both apply; whichever order they
+        // were registered in, the least argument set ({0} < {1,2} as
+        // bitmasks) is the one chosen.
+        let (small, large) = (VarSet::from_vars([0]), VarSet::from_vars([1, 2]));
+        for flip in [false, true] {
+            let mut reg = UdfRegistry::new();
+            let mut keys = [(small, 10), (large, 20)];
+            if flip {
+                keys.reverse();
+            }
+            for (args, tag) in keys {
+                reg.register(args, 4, move |_| tag);
+                reg.register(args, 5, move |_| tag + 1);
+            }
+            let (args, f) = reg.find_applicable(VarSet::full(4), 4).unwrap();
+            assert_eq!((args, f(&[])), (small, 10));
+            assert_eq!(reg.len(), 4);
+            // Re-registering a key replaces its function in place.
+            reg.register(small, 4, |_| 99);
+            assert_eq!(reg.len(), 4);
+            assert_eq!(reg.eval(small, 4, &[(0, 7)]), Some(99));
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! Differential testing of the statistics layer: the `RelationStats`
-//! maintained incrementally through `apply_delta`'s merge walk must stay
-//! *exactly* equal to a from-scratch recomputation — and to brute-force
-//! counts over the rows — under arbitrary random insert/delete sequences.
+//! Differential testing of the statistics layer: the `RelationStats` a
+//! relation caches and drops across `apply_delta` calls must stay *exactly*
+//! equal to a from-scratch recomputation — and to brute-force counts over
+//! the rows — under arbitrary random insert/delete sequences.
 
 use fdjoin_storage::{Relation, RelationStats, Value};
 use proptest::prelude::*;

@@ -70,7 +70,7 @@
 //! same [`core::JoinResult`] and fails with the same [`core::JoinError`].
 //!
 //! Auto-selection is not only bound-driven but *data*-driven: storage
-//! maintains exact per-prefix degree/skew statistics
+//! measures exact per-prefix degree/skew statistics
 //! ([`storage::RelationStats`]) and [`core::cost`] turns them into branch
 //! estimates that break ties the worst-case bounds cannot — two databases
 //! with identical size profiles can (correctly) run different algorithms,

@@ -118,3 +118,29 @@ fn expansion_idempotent_on_closed_relations() {
     let twice = ex.expand_relation(&once, &mut stats);
     assert_eq!(once, twice);
 }
+
+/// Which UDF expands a tuple is a function of the registered keys, not of
+/// the registry instance: on the Fig. 9 worst case (69 UDFs, several of
+/// them applicable to most tuples) `UdfRegistry::find_applicable` used to
+/// return whichever entry a per-instance hash seed put first, and
+/// Generic-Join's `expansions` differed from one database build to the next.
+#[test]
+fn udf_choice_is_the_same_in_every_registry_instance() {
+    use fdjoin::bigint::rat;
+    use fdjoin::core::{Algorithm, Engine, ExecOptions};
+    let q = fdjoin::query::examples::fig9_query();
+    let opts = ExecOptions::new().algorithm(Algorithm::GenericJoin);
+    let runs: Vec<_> = (0..8)
+        .map(|_| {
+            let db = fdjoin::instances::normal_worst_case(&q, &vec![rat(4, 1); 3], &rat(6, 1))
+                .expect("integral");
+            assert!(db.udfs.len() > 60, "{} UDFs", db.udfs.len());
+            let r = Engine::new().execute(&q, &db, &opts).unwrap();
+            (r.stats.deterministic(), r.output)
+        })
+        .collect();
+    assert!(runs[0].0.expansions > 0);
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run, &runs[0], "instance {i} ran differently");
+    }
+}

@@ -4,12 +4,14 @@
 //! byte-identical output, identical [`Stats::deterministic`] totals, and —
 //! under [`Algorithm::Auto`] — the same [`AutoDecision`] as the sequential
 //! run. Outputs are sorted + deduplicated relations, so `Relation`
-//! equality *is* the byte comparison.
+//! equality *is* the byte comparison — and every output must say so itself:
+//! `is_sorted()`, with lazy statistics equal to the from-scratch ones, however
+//! many fragments it was merged from.
 
 use fdjoin::core::{Algorithm, Engine, ExecOptions, JoinError, JoinResult};
 use fdjoin::instances::random_instance;
 use fdjoin::query::{examples, Query};
-use fdjoin::storage::Database;
+use fdjoin::storage::{Database, RelationStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,6 +63,17 @@ fn check_algorithm(q: &Query, db: &Database, alg: Algorithm, seed: u64) -> bool 
                     par.output,
                     seq.output,
                     "{alg} on {} at parallelism {p} changed the output (seed {seed})",
+                    q.display_body()
+                );
+                assert!(
+                    par.output.is_sorted(),
+                    "{alg} on {} at parallelism {p} returned unordered output (seed {seed})",
+                    q.display_body()
+                );
+                assert_eq!(
+                    par.output.stats(),
+                    Some(&RelationStats::of(&par.output)),
+                    "{alg} on {} at parallelism {p}: output statistics (seed {seed})",
                     q.display_body()
                 );
                 assert_eq!(
