@@ -3,15 +3,14 @@
 //! Three levels:
 //!
 //! - **kernel** (hand-timed, runs first, writes `BENCH_probe.json` at the
-//!   repo root) — the PR-6 layout ablation: the same seek and descend
-//!   workloads driven against (a) the row-major strided layout the engine
-//!   used through PR 5 (a sorted projection probed through the flat
-//!   `Relation::probe` representation — binary search with an
-//!   arity-strided access pattern) and (b) the columnar level-trie
-//!   (`TrieIndex::probe` — contiguous per-level value arrays with the
-//!   gallop + branch-free bisect + SIMD-tail `lower_bound` kernel). The
-//!   acceptance bar is ≥1.5× seek-kernel throughput for the columnar
-//!   layout at n = 16384.
+//!   repo root) — cold seek and full-depth descend workloads against the
+//!   columnar level-trie (`TrieIndex::probe` — contiguous per-level value
+//!   arrays with the gallop + branch-free bisect + SIMD-tail `lower_bound`
+//!   kernel), plus its build time and resident bytes. Through PR 12 this
+//!   also measured the row-major strided layout (a sorted projection
+//!   probed through the flat `Relation::probe` representation, since
+//!   deleted); the recorded ratios — columnar 1.63× on seeks, 1.38× on
+//!   descends at n = 16384 — live in CHANGES.md and ARCHITECTURE.md.
 //! - `storage/*` (criterion shim) — cached trie + zero-allocation probes
 //!   vs the seed-era per-solve `project` + allocated-key `prefix_range`.
 //! - `engine/*` (criterion shim) — end-to-end cache warmth, parallel
@@ -25,7 +24,7 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use fdjoin_core::{Algorithm, Engine, ExecOptions, Observer};
 use fdjoin_instances::bounded_degree_triangle;
 use fdjoin_query::examples;
-use fdjoin_storage::{Probe, Relation, TrieIndex, Value};
+use fdjoin_storage::{Relation, TrieIndex, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -50,10 +49,10 @@ fn workload(n: usize, keys: usize) -> (Relation, Vec<[Value; 2]>) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel ablation: row-major strided vs columnar level-trie.
+// Kernel series: the columnar level-trie.
 // ---------------------------------------------------------------------------
 
-/// One layout's numbers over the shared kernel workloads.
+/// The layout's numbers over the kernel workloads.
 struct KernelSeries {
     build_ns: u128,
     resident_bytes: usize,
@@ -89,11 +88,10 @@ fn time_ops<F: FnMut() -> usize>(mut pass: F, window: Duration) -> f64 {
 /// over *sorted* targets advances one or two gallop steps per seek and
 /// measures cursor overhead, not the search kernel; the criterion group
 /// below keeps that variant.)
-fn seek_pass<'a, M: Fn() -> Probe<'a>>(mk: M, targets: &[Value]) -> usize {
+fn seek_pass(ix: &TrieIndex, targets: &[Value]) -> usize {
     let mut hits = 0usize;
     for &t in targets {
-        let mut probe = mk();
-        if probe.seek(t).is_some() {
+        if ix.probe().seek(t).is_some() {
             hits += 1;
         }
     }
@@ -104,11 +102,11 @@ fn seek_pass<'a, M: Fn() -> Probe<'a>>(mk: M, targets: &[Value]) -> usize {
 /// The descend workload: full-depth point probes (one fresh cursor per
 /// key), half drawn from real rows, half random — the Generic-Join /
 /// expansion access pattern.
-fn descend_pass<'a, M: Fn() -> Probe<'a>>(mk: M, keys: &[[Value; 3]]) -> usize {
+fn descend_pass(ix: &TrieIndex, keys: &[[Value; 3]]) -> usize {
     let mut hits = 0usize;
     for k in keys {
-        let mut p = mk();
-        if k.iter().all(|&v| p.descend(v)) {
+        let mut p = ix.probe();
+        if p.descend_all(k) {
             hits += p.len();
         }
     }
@@ -116,7 +114,7 @@ fn descend_pass<'a, M: Fn() -> Probe<'a>>(mk: M, keys: &[[Value; 3]]) -> usize {
     keys.len()
 }
 
-fn kernel_ablation(fast: bool) -> (KernelSeries, KernelSeries, usize, usize) {
+fn kernel_ablation(fast: bool) -> (KernelSeries, usize, usize) {
     let n = 1 << 14;
     let n_keys = 4096usize;
     let window = if fast {
@@ -125,7 +123,7 @@ fn kernel_ablation(fast: bool) -> (KernelSeries, KernelSeries, usize, usize) {
         Duration::from_millis(500)
     };
     // Column 2 (domain 0..n) first: the root level is wide, so the seek
-    // kernel runs over the largest array either layout offers.
+    // kernel runs over the largest array the layout offers.
     let order = [2u32, 0, 1];
     let (rel, _) = workload(n, 0);
     let mut rng = StdRng::seed_from_u64(7);
@@ -145,29 +143,7 @@ fn kernel_ablation(fast: bool) -> (KernelSeries, KernelSeries, usize, usize) {
         })
         .collect();
 
-    // Row-major baseline: the PR-5 layout — a sorted projection probed
-    // through the flat strided representation.
     let build_reps = if fast { 3 } else { 10 };
-    let rm_build_ns = (0..build_reps)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(rel.project(&order));
-            t.elapsed().as_nanos()
-        })
-        .min()
-        .unwrap();
-    let proj = rel.project(&order);
-    let rm_resident = proj.len() * proj.vars().len() * std::mem::size_of::<Value>();
-    let rm_seek = time_ops(|| seek_pass(|| proj.probe(), &seek_targets), window);
-    let rm_descend = time_ops(|| descend_pass(|| proj.probe(), &descend_keys), window);
-    let row_major = KernelSeries {
-        build_ns: rm_build_ns,
-        resident_bytes: rm_resident,
-        seek_ops_per_sec: rm_seek,
-        descend_ops_per_sec: rm_descend,
-    };
-
-    // Columnar level-trie.
     let col_build_ns = (0..build_reps)
         .map(|_| {
             let t = Instant::now();
@@ -177,16 +153,13 @@ fn kernel_ablation(fast: bool) -> (KernelSeries, KernelSeries, usize, usize) {
         .min()
         .unwrap();
     let ix = TrieIndex::build(&rel, &order);
-    let col_seek = time_ops(|| seek_pass(|| ix.probe(), &seek_targets), window);
-    let col_descend = time_ops(|| descend_pass(|| ix.probe(), &descend_keys), window);
     let columnar = KernelSeries {
         build_ns: col_build_ns,
         resident_bytes: ix.heap_bytes(),
-        seek_ops_per_sec: col_seek,
-        descend_ops_per_sec: col_descend,
+        seek_ops_per_sec: time_ops(|| seek_pass(&ix, &seek_targets), window),
+        descend_ops_per_sec: time_ops(|| descend_pass(&ix, &descend_keys), window),
     };
-
-    (row_major, columnar, n, n_keys)
+    (columnar, n, n_keys)
 }
 
 fn series_json(s: &KernelSeries) -> String {
@@ -197,17 +170,8 @@ fn series_json(s: &KernelSeries) -> String {
 }
 
 fn run_kernel_ablation(fast: bool) {
-    let (row_major, columnar, n, n_keys) = kernel_ablation(fast);
-    let seek_speedup = columnar.seek_ops_per_sec / row_major.seek_ops_per_sec;
-    let descend_speedup = columnar.descend_ops_per_sec / row_major.descend_ops_per_sec;
-    println!("kernel ablation (n = {n}, {n_keys} keys, fast = {fast})");
-    println!(
-        "  row_major: build {:>9} ns  resident {:>8} B  seek {:>12.0} ops/s  descend {:>12.0} ops/s",
-        row_major.build_ns,
-        row_major.resident_bytes,
-        row_major.seek_ops_per_sec,
-        row_major.descend_ops_per_sec
-    );
+    let (columnar, n, n_keys) = kernel_ablation(fast);
+    println!("kernel series (n = {n}, {n_keys} keys, fast = {fast})");
     println!(
         "  columnar:  build {:>9} ns  resident {:>8} B  seek {:>12.0} ops/s  descend {:>12.0} ops/s",
         columnar.build_ns,
@@ -215,13 +179,10 @@ fn run_kernel_ablation(fast: bool) {
         columnar.seek_ops_per_sec,
         columnar.descend_ops_per_sec
     );
-    println!("  seek speedup {seek_speedup:.2}x, descend speedup {descend_speedup:.2}x");
 
     let json = format!(
         "{{\"bench\":\"probe_ablation\",\"n\":{n},\"keys\":{n_keys},\"fast\":{fast},\
-         \"row_major\":{},\"columnar\":{},\
-         \"seek_speedup\":{seek_speedup:.3},\"descend_speedup\":{descend_speedup:.3}}}\n",
-        series_json(&row_major),
+         \"columnar\":{}}}\n",
         series_json(&columnar),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_probe.json");

@@ -961,11 +961,14 @@ impl PreparedQuery {
                 })
             }
             Algorithm::GenericJoin => {
-                let cfg = crate::generic_join::GjConfig {
-                    bind_fds: opts.bind_fds,
-                    var_order: opts.var_order.clone(),
-                };
-                let (output, stats) = crate::generic_join::execute(q, db, &cfg, &paths, &par)?;
+                let (output, stats) = crate::generic_join::execute(
+                    q,
+                    db,
+                    opts.var_order.as_deref(),
+                    opts.bind_fds,
+                    &paths,
+                    &par,
+                )?;
                 Ok(JoinResult {
                     output,
                     stats,

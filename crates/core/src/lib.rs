@@ -28,7 +28,9 @@
 //! All algorithms share the [`Expander`] (the Sec. 2 expansion procedure)
 //! and report deterministic work counters ([`Stats`]) so experiments can
 //! verify asymptotic *shapes* without wall-clock noise. Results come back
-//! as one [`JoinResult`]; failures as one [`JoinError`].
+//! as one [`JoinResult`]; failures as one [`JoinError`]. Generic-Join's
+//! search is the resumable [`descent`] loop, which
+//! `fdjoin_stream::ResultStream` runs one answer at a time.
 //!
 //! Every probe an algorithm issues goes through the shared access-path
 //! layer ([`AccessPaths`] over `fdjoin_storage::IndexSet`): trie indexes
@@ -49,6 +51,7 @@ mod binary_join;
 mod chain_algo;
 pub mod cost;
 mod csma;
+pub mod descent;
 pub mod engine;
 mod expand;
 mod generic_join;

@@ -33,7 +33,7 @@ use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::Relation;
+use fdjoin_storage::{Relation, Value};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -219,7 +219,7 @@ where
 }
 
 /// The shared final pass of SMA and CSMA: semijoin-reduce `out` against
-/// every input relation (one trie-shaped membership descent per input) and
+/// every input relation (one sorted-order membership lookup per input) and
 /// verify FDs, fanning the per-row checks out over sub-range blocks. Rows
 /// survive into the returned relation exactly as in the sequential loop;
 /// `output_tuples`/`probes` are counted per surviving/checked row inside
@@ -234,13 +234,14 @@ pub(crate) fn semijoin_reduce_verified(
 ) -> Relation {
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Relation::new(out.vars().to_vec());
+        // One key buffer for every membership lookup of the block.
+        let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
             for rel in inputs {
-                // Membership by descending the input's own trie shape — no
-                // per-row key vector.
                 stats.probes += 1;
-                let mut probe = rel.probe();
-                if rel.is_empty() || !rel.vars().iter().all(|&v| probe.descend(row[v as usize])) {
+                key.clear();
+                key.extend(rel.vars().iter().map(|&v| row[v as usize]));
+                if !rel.contains_row(&key) {
                     continue 'rows;
                 }
             }

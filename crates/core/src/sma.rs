@@ -206,8 +206,7 @@ pub(crate) fn execute(
         debug_assert!(t_meet.is_sorted(), "heavy prefixes ascend and are distinct");
 
         // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first,
-        // so its own sorted data is the probe target — descend per Z value
-        // out of the T(X) row, no key buffer.
+        // so its own sorted data answers the Z-prefix lookup per T(X) row.
         let tx = pool[xi].rel.clone();
         let out_vars: Vec<u32> = join_set.iter().collect();
         let tx_z_cols: Vec<usize> = z_vars
@@ -221,14 +220,13 @@ pub(crate) fn execute(
             let mut part = Relation::new(out_vars.clone());
             let mut vals = vec![0 as Value; nv];
             let mut buf = vec![0 as Value; out_vars.len()];
+            let mut key = vec![0 as Value; tx_z_cols.len()];
             for row in rows.map(|ri| tx.row(ri)) {
                 stats.probes += 1;
-                let mut probe = light.probe();
-                if !tx_z_cols.iter().all(|&c| probe.descend(row[c])) {
-                    continue;
+                for (slot, &c) in key.iter_mut().zip(&tx_z_cols) {
+                    *slot = row[c];
                 }
-                let range = probe.range();
-                'ext: for r in range {
+                'ext: for r in light.prefix_range(&key) {
                     let ext = light.row(r);
                     for (&v, &x) in tx.vars().iter().zip(row) {
                         vals[v as usize] = x;

@@ -21,17 +21,19 @@
 //!   so the layout is both smaller than the repeated-prefix row-major
 //!   projection and cache-dense: a level-ℓ search touches one contiguous
 //!   `&[Value]` run instead of a strided walk over full rows.
-//! - [`Probe`] — a cheap, `Copy`, zero-allocation cursor navigating
-//!   node-id ranges over those arrays (or a sorted [`Relation`]'s
-//!   row-major data via [`Relation::probe`] — both representations answer
-//!   the same API): [`Probe::descend`] narrows to the subtrie matching one
-//!   more column value, [`Probe::seek`] gallops forward *inside the
-//!   already-narrowed node range* to the next value `≥ v` at the current
-//!   level — the leapfrog primitive — and [`Probe::enter`] steps into the
-//!   current value's subtrie. Because each node's children are adjacent in
+//! - [`Probe`] — a cheap, `Copy`, zero-allocation cursor: the index plus
+//!   a plain position ([`ProbeSnapshot`]: depth and node-id range). Each
+//!   navigation op exists once, on the position:
+//!   [`Probe::descend`] narrows to the subtrie matching one more column
+//!   value, [`Probe::seek`] gallops forward *inside the already-narrowed
+//!   node range* to the next value `≥ v` at the current level — the
+//!   leapfrog primitive — and [`Probe::enter`] steps into the current
+//!   value's subtrie. Because each node's children are adjacent in
 //!   `values[ℓ]`, [`Probe::next_value`] is a constant-time increment, and
 //!   the bound searches run a branch-free, SIMD-friendly kernel over the
-//!   contiguous level array (see `lower_bound`).
+//!   contiguous level array (see `lower_bound`). Searches that suspend
+//!   (`fdjoin_core::descent`) keep bare positions and navigate them in
+//!   place.
 //! - [`IndexSet`] — a concurrent (sharded `RwLock`) cache of
 //!   [`TrieIndex`]es keyed by [`IndexKey`]: relation name, content
 //!   [`Relation::version`], and column order. Because versions are
@@ -50,7 +52,7 @@
 //! per row (an odometer over the `starts` arrays), or [`TrieIndex::row`]
 //! for random access to a single row.
 
-use crate::relation::Relation;
+use crate::relation::{identity_permutation, Relation};
 use crate::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -99,6 +101,14 @@ struct LevelBuilder {
     last: Vec<Value>,
 }
 
+/// A level's node count as the `u32` child offset the `starts` arrays
+/// store.
+fn node_offset(nodes: usize) -> u32 {
+    u32::try_from(nodes).unwrap_or_else(|_| {
+        panic!("trie level of {nodes} nodes does not fit the u32 child offsets (limit 2^32 - 1)")
+    })
+}
+
 impl LevelBuilder {
     fn new(vars: Vec<u32>) -> LevelBuilder {
         let arity = vars.len();
@@ -132,8 +142,7 @@ impl LevelBuilder {
         // *before* any of them are appended to level `l+1`.
         for (l, &v) in row.iter().enumerate().take(a).skip(d) {
             if l + 1 < a {
-                debug_assert!(self.values[l + 1].len() <= u32::MAX as usize);
-                self.starts[l].push(self.values[l + 1].len() as u32);
+                self.starts[l].push(node_offset(self.values[l + 1].len()));
             }
             self.values[l].push(v);
         }
@@ -144,7 +153,7 @@ impl LevelBuilder {
 
     fn finish(mut self) -> TrieIndex {
         for l in 0..self.starts.len() {
-            let sentinel = self.values[l + 1].len() as u32;
+            let sentinel = node_offset(self.values[l + 1].len());
             self.starts[l].push(sentinel);
         }
         TrieIndex {
@@ -194,7 +203,7 @@ impl TrieIndex {
             keys.extend(cols.iter().map(|&c| row[c]));
         }
         let key = |i: u32| &keys[i as usize * arity..(i as usize + 1) * arity];
-        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut perm = identity_permutation(n);
         perm.sort_unstable_by(|&i, &j| key(i).cmp(key(j)));
         let mut prev: Option<&[Value]> = None;
         for &p in &perm {
@@ -250,6 +259,21 @@ impl TrieIndex {
         node
     }
 
+    /// The position spanning the children of node `node` at `level`, one
+    /// level down. Below the last level the node id is the row id.
+    #[inline]
+    fn children(&self, level: usize, node: usize) -> ProbeSnapshot {
+        let (lo, hi) = match self.starts.get(level) {
+            Some(starts) => (starts[node] as usize, starts[node + 1] as usize),
+            None => (node, node + 1),
+        };
+        ProbeSnapshot {
+            depth: level + 1,
+            lo,
+            hi,
+        }
+    }
+
     /// Random access to one projected row (rows are in lexicographic
     /// order of the index order). Reconstitutes the row from the level
     /// arrays — O(arity · log) — so bulk iteration should use
@@ -294,24 +318,22 @@ impl TrieIndex {
     /// A cursor positioned at the trie root: depth 0, spanning every
     /// root child (node ids at level 0).
     pub fn probe(&self) -> Probe<'_> {
-        Probe {
-            repr: Repr::Trie(self),
+        self.resume(ProbeSnapshot {
             depth: 0,
             lo: 0,
             hi: self.n_nodes(0),
-        }
+        })
     }
 
     /// The row range matching `prefix` — same contract as
     /// [`Relation::prefix_range`], answered by descending the trie.
     pub fn prefix_range(&self, prefix: &[Value]) -> Range<usize> {
         let mut p = self.probe();
-        for &v in prefix {
-            if !p.descend(v) {
-                return 0..0;
-            }
+        if p.descend_all(prefix) {
+            p.range()
+        } else {
+            0..0
         }
-        p.range()
     }
 
     /// Membership test for a full projected row.
@@ -431,10 +453,8 @@ impl TrieIndex {
         );
         debug_assert!(snap.lo <= snap.hi, "snapshot range inverted");
         Probe {
-            repr: Repr::Trie(self),
-            depth: snap.depth,
-            lo: snap.lo,
-            hi: snap.hi,
+            ix: self,
+            pos: snap,
         }
     }
 }
@@ -666,211 +686,172 @@ fn lower_bound(s: &[Value], from: usize, hi: usize, v: Value) -> usize {
     base + 1 + count_lt(&s[base + 1..base + len], v)
 }
 
-/// Strided variant for row-major data (a sorted [`Relation`]'s row store,
-/// reached via [`Relation::probe`]): same gallop + branch-free bisect,
-/// reading `data[row * arity + depth]`.
-fn lower_bound_strided(
-    data: &[Value],
-    arity: usize,
-    depth: usize,
-    from: usize,
-    hi: usize,
-    v: Value,
-) -> usize {
-    let at = |row: usize| data[row * arity + depth];
-    if from >= hi || at(from) >= v {
-        return from;
-    }
-    let (mut prev, mut step) = (from, 1usize);
-    let mut end = hi;
-    loop {
-        let probe = match prev.checked_add(step) {
-            Some(p) if p < hi => p,
-            _ => break,
-        };
-        if at(probe) >= v {
-            end = probe;
-            break;
-        }
-        prev = probe;
-        step <<= 1;
-    }
-    let mut base = prev;
-    let mut len = end - prev;
-    while len > 1 {
-        let half = len / 2;
-        let quarter = (len - half) / 2;
-        if quarter > 0 {
-            prefetch_value(data, (base + quarter) * arity + depth);
-            prefetch_value(data, (base + half + quarter) * arity + depth);
-        }
-        base += if at(base + half) < v { half } else { 0 };
-        len -= half;
-    }
-    base + 1
-}
-
-fn upper_bound_strided(
-    data: &[Value],
-    arity: usize,
-    depth: usize,
-    from: usize,
-    hi: usize,
-    v: Value,
-) -> usize {
-    match v.checked_add(1) {
-        Some(next) => lower_bound_strided(data, arity, depth, from, hi, next),
-        None => hi,
-    }
-}
-
-/// A paused [`Probe`] position as plain data: the cursor's depth and
+/// A [`Probe`]'s position as plain data: the cursor's depth and
 /// **node-id** range at that depth, detached from the index's lifetime.
 ///
-/// `Probe` borrows its index, so a suspended search (e.g. a paused result
-/// stream) cannot hold live probes alongside the owning
-/// `Arc<`[`TrieIndex`]`>`s. A snapshot is the three word-sized fields that
-/// identify the position; [`TrieIndex::resume`] turns it back into a live
-/// cursor in O(1). The coordinates are trie-node ids at `depth` (row ids
-/// exactly at the leaf level); snapshots are only meaningful against an
-/// index with the same content they were taken from.
+/// Every navigation op is written once, here, against the pair
+/// `(&TrieIndex, &mut ProbeSnapshot)`; [`Probe`] is that pair bundled. A
+/// search that must outlive a borrow of its indexes (a paused result
+/// stream, the per-depth cursor levels of `fdjoin_core::descent`) stores
+/// positions and navigates them in place, passing the owning index to each
+/// call. The coordinates are trie-node ids at `depth` (row ids exactly at
+/// the leaf level); a position is only meaningful against an index with
+/// the content it was taken from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeSnapshot {
-    /// How many leading columns the paused cursor had bound.
+    /// How many leading columns the cursor has bound.
     pub depth: usize,
-    /// Start of the paused node range at `depth`.
+    /// Start of the node range at `depth`.
     pub lo: usize,
-    /// End (exclusive) of the paused node range at `depth`.
+    /// End (exclusive) of the node range at `depth`.
     pub hi: usize,
 }
 
-/// The data a [`Probe`] navigates: the columnar level-trie arrays of a
-/// [`TrieIndex`], or a sorted relation's row-major store (the
-/// [`Relation::probe`] path, where node ids and row ids coincide at every
-/// depth).
-#[derive(Clone, Copy)]
-enum Repr<'a> {
-    Flat { data: &'a [Value], arity: usize },
-    Trie(&'a TrieIndex),
+impl ProbeSnapshot {
+    /// Whether the node range is empty.
+    pub fn is_empty(&self) -> bool {
+        self.lo >= self.hi
+    }
+
+    /// The current **row** range of `ix`, however deep the cursor is: the
+    /// node range translated through the `starts` offset chain.
+    pub fn range(&self, ix: &TrieIndex) -> Range<usize> {
+        ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.hi)
+    }
+
+    /// Number of rows in the current range.
+    pub fn len(&self, ix: &TrieIndex) -> usize {
+        self.range(ix).len()
+    }
+
+    /// The value at the current depth of the first node in range — the
+    /// smallest un-visited value at this trie level.
+    pub fn current(&self, ix: &TrieIndex) -> Option<Value> {
+        if self.is_empty() || self.depth >= ix.arity() {
+            return None;
+        }
+        Some(ix.values[self.depth][self.lo])
+    }
+
+    /// Leapfrog: advance the range start to the first value `≥ v` at the
+    /// current level and return it. The cursor only moves forward, so a
+    /// sorted sequence of seeks over one level is amortized linear in the
+    /// range.
+    pub fn seek(&mut self, ix: &TrieIndex, v: Value) -> Option<Value> {
+        debug_assert!(self.depth < ix.arity());
+        self.lo = lower_bound(&ix.values[self.depth], self.lo, self.hi, v);
+        self.current(ix)
+    }
+
+    /// Skip past the current value and return the next distinct value at
+    /// this level, if any — O(1): one node per distinct value, adjacent in
+    /// the level array.
+    pub fn next_value(&mut self, ix: &TrieIndex) -> Option<Value> {
+        self.current(ix)?;
+        self.lo += 1;
+        self.current(ix)
+    }
+
+    /// The subrange of **rows** carrying the current value at this level.
+    pub fn group(&self, ix: &TrieIndex) -> Range<usize> {
+        let start = ix.first_row(self.depth, self.lo);
+        match self.current(ix) {
+            None => start..start,
+            Some(_) => start..ix.first_row(self.depth, self.lo + 1),
+        }
+    }
+
+    /// Narrow the range to the subtrie whose next column equals `v` and
+    /// move one level down. Returns `false` (leaving the position
+    /// unchanged) when no row matches.
+    pub fn descend(&mut self, ix: &TrieIndex, v: Value) -> bool {
+        debug_assert!(self.depth < ix.arity(), "descend below the leaf level");
+        let level = &ix.values[self.depth];
+        let node = lower_bound(level, self.lo, self.hi, v);
+        if node >= self.hi || level[node] != v {
+            return false;
+        }
+        *self = ix.children(self.depth, node);
+        // The next read at the child level is almost always its first
+        // cell; warm it while the caller is still deciding.
+        if let Some(child_level) = ix.values.get(self.depth) {
+            prefetch_value(child_level, self.lo);
+        }
+        true
+    }
+
+    /// Step into the current value's subtrie: a child position over
+    /// exactly the nodes below [`ProbeSnapshot::current`], one level
+    /// deeper (empty when there is no current value).
+    pub fn enter(&self, ix: &TrieIndex) -> ProbeSnapshot {
+        match self.current(ix) {
+            Some(_) => ix.children(self.depth, self.lo),
+            None => ProbeSnapshot {
+                depth: self.depth + 1,
+                lo: 0,
+                hi: 0,
+            },
+        }
+    }
 }
 
-/// A zero-allocation trie cursor: a current depth and a node range that
-/// only ever narrows.
+/// A zero-allocation trie cursor: a [`TrieIndex`] and a plain position
+/// ([`ProbeSnapshot`]) — a current depth and a node range that only ever
+/// narrows. Every method delegates to the position's op of the same name.
 ///
-/// Over a [`TrieIndex`] the cursor holds a **node-id** range at its
-/// current level; the level arrays keep each node's children contiguous,
-/// so every search ([`Probe::descend`], the [`Probe::seek`] leapfrog)
-/// runs the branch-free `lower_bound` kernel over one dense `&[Value]`
-/// run, and [`Probe::next_value`] is a constant-time increment. Row-range
-/// views ([`Probe::range`], [`Probe::group`], [`Probe::len`]) translate
-/// through the `starts` offset chain, so callers keep speaking row ids.
+/// The cursor holds a **node-id** range at its current level; the level
+/// arrays keep each node's children contiguous, so every search
+/// ([`Probe::descend`], the [`Probe::seek`] leapfrog) runs the branch-free
+/// `lower_bound` kernel over one dense `&[Value]` run, and
+/// [`Probe::next_value`] is a constant-time increment. Row-range views
+/// ([`Probe::range`], [`Probe::group`], [`Probe::len`]) translate through
+/// the `starts` offset chain, so callers keep speaking row ids.
 ///
 /// `Probe` is `Copy` (a reference and three word-sized fields), so
-/// backtracking search keeps per-level snapshots by value instead of
+/// backtracking search keeps per-level copies by value instead of
 /// re-deriving ranges with global binary searches. All searches gallop
 /// from the current position before bisecting, so a run of nearby probes
 /// costs `O(log gap)`, not `O(log n)`.
 #[derive(Clone, Copy)]
 pub struct Probe<'a> {
-    repr: Repr<'a>,
-    depth: usize,
-    lo: usize,
-    hi: usize,
+    ix: &'a TrieIndex,
+    pos: ProbeSnapshot,
 }
 
 impl fmt::Debug for Probe<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Probe")
-            .field("depth", &self.depth)
-            .field("nodes", &(self.lo..self.hi))
+            .field("depth", &self.pos.depth)
+            .field("nodes", &(self.pos.lo..self.pos.hi))
             .field("rows", &self.range())
             .finish()
     }
 }
 
 impl<'a> Probe<'a> {
-    pub(crate) fn over(data: &'a [Value], arity: usize, rows: usize) -> Probe<'a> {
-        Probe {
-            repr: Repr::Flat { data, arity },
-            depth: 0,
-            lo: 0,
-            hi: rows,
-        }
-    }
-
-    #[inline]
-    fn arity(&self) -> usize {
-        match self.repr {
-            Repr::Flat { arity, .. } => arity,
-            Repr::Trie(ix) => ix.arity(),
-        }
-    }
-
     /// Current depth: how many leading columns are bound.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.pos.depth
     }
 
-    /// The current **row** range (indices into the underlying
-    /// index/relation), however deep the cursor is.
+    /// See [`ProbeSnapshot::range`].
     pub fn range(&self) -> Range<usize> {
-        match self.repr {
-            Repr::Flat { .. } => self.lo..self.hi,
-            Repr::Trie(ix) => ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.hi),
-        }
+        self.pos.range(self.ix)
     }
 
-    /// Number of rows in the current range.
+    /// See [`ProbeSnapshot::len`].
     pub fn len(&self) -> usize {
-        let r = self.range();
-        r.end - r.start
+        self.pos.len(self.ix)
     }
 
-    /// Whether the current range is empty.
+    /// See [`ProbeSnapshot::is_empty`].
     pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
+        self.pos.is_empty()
     }
 
-    /// Narrow the range to the subtrie whose next column equals `v` and
-    /// move one level down. Returns `false` (leaving the cursor
-    /// unchanged) when no row matches.
+    /// See [`ProbeSnapshot::descend`].
     pub fn descend(&mut self, v: Value) -> bool {
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                debug_assert!(self.depth < arity, "descend below the leaf level");
-                let lo = lower_bound_strided(data, arity, self.depth, self.lo, self.hi, v);
-                if lo >= self.hi || data[lo * arity + self.depth] != v {
-                    return false;
-                }
-                self.hi = upper_bound_strided(data, arity, self.depth, lo, self.hi, v);
-                self.lo = lo;
-                self.depth += 1;
-                // The next read at the child level is almost always its
-                // first cell; warm it while the caller is still deciding.
-                prefetch_value(data, self.lo * arity + self.depth);
-                true
-            }
-            Repr::Trie(ix) => {
-                let arity = ix.arity();
-                debug_assert!(self.depth < arity, "descend below the leaf level");
-                let level = &ix.values[self.depth];
-                let i = lower_bound(level, self.lo, self.hi, v);
-                if i >= self.hi || level[i] != v {
-                    return false;
-                }
-                if self.depth + 1 < arity {
-                    self.lo = ix.starts[self.depth][i] as usize;
-                    self.hi = ix.starts[self.depth][i + 1] as usize;
-                    prefetch_value(&ix.values[self.depth + 1], self.lo);
-                } else {
-                    // Leaf level: the node id is the row id.
-                    self.lo = i;
-                    self.hi = i + 1;
-                }
-                self.depth += 1;
-                true
-            }
-        }
+        self.pos.descend(self.ix, v)
     }
 
     /// [`Probe::descend`] through each value of `key` in turn.
@@ -878,119 +859,37 @@ impl<'a> Probe<'a> {
         key.iter().all(|&v| self.descend(v))
     }
 
-    /// The value at the current depth of the first node in range — i.e.
-    /// the smallest un-visited value at this trie level.
+    /// See [`ProbeSnapshot::current`].
     pub fn current(&self) -> Option<Value> {
-        if self.is_empty() || self.depth >= self.arity() {
-            return None;
-        }
-        Some(match self.repr {
-            Repr::Flat { data, arity } => data[self.lo * arity + self.depth],
-            Repr::Trie(ix) => ix.values[self.depth][self.lo],
-        })
+        self.pos.current(self.ix)
     }
 
-    /// Leapfrog: advance the range start to the first value `≥ v` at the
-    /// current level and return it. The cursor only moves forward, so a
-    /// sorted sequence of seeks over one level is amortized linear in the
-    /// range.
+    /// See [`ProbeSnapshot::seek`].
     pub fn seek(&mut self, v: Value) -> Option<Value> {
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                debug_assert!(self.depth < arity);
-                self.lo = lower_bound_strided(data, arity, self.depth, self.lo, self.hi, v);
-            }
-            Repr::Trie(ix) => {
-                debug_assert!(self.depth < ix.arity());
-                self.lo = lower_bound(&ix.values[self.depth], self.lo, self.hi, v);
-            }
-        }
-        self.current()
+        self.pos.seek(self.ix, v)
     }
 
-    /// Skip past the current value and return the next distinct value at
-    /// this level, if any. Over the columnar layout this is O(1): one
-    /// node per distinct value, adjacent in the level array.
+    /// See [`ProbeSnapshot::next_value`].
     pub fn next_value(&mut self) -> Option<Value> {
-        let cur = self.current()?;
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                self.lo = upper_bound_strided(data, arity, self.depth, self.lo, self.hi, cur);
-            }
-            Repr::Trie(_) => {
-                self.lo += 1;
-            }
-        }
-        self.current()
+        self.pos.next_value(self.ix)
     }
 
-    /// The subrange of **rows** carrying the current value at this level.
+    /// See [`ProbeSnapshot::group`].
     pub fn group(&self) -> Range<usize> {
-        match self.repr {
-            Repr::Flat { data, arity } => match self.current() {
-                None => self.lo..self.lo,
-                Some(v) => {
-                    self.lo..upper_bound_strided(data, arity, self.depth, self.lo, self.hi, v)
-                }
-            },
-            Repr::Trie(ix) => {
-                if self.current().is_none() {
-                    let r = ix.first_row(self.depth, self.lo);
-                    return r..r;
-                }
-                ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.lo + 1)
-            }
-        }
+        self.pos.group(self.ix)
     }
 
-    /// Save this cursor's position as plain data (node coordinates),
-    /// detached from the index lifetime; [`TrieIndex::resume`] restores
-    /// it in O(1).
+    /// This cursor's position as plain data; [`TrieIndex::resume`]
+    /// restores it in O(1).
     pub fn snapshot(&self) -> ProbeSnapshot {
-        ProbeSnapshot {
-            depth: self.depth,
-            lo: self.lo,
-            hi: self.hi,
-        }
+        self.pos
     }
 
-    /// Step into the current value's subtrie: a child cursor over exactly
-    /// the nodes below [`Probe::current`], one level deeper.
+    /// See [`ProbeSnapshot::enter`].
     pub fn enter(&self) -> Probe<'a> {
-        match self.repr {
-            Repr::Flat { .. } => {
-                let g = self.group();
-                Probe {
-                    repr: self.repr,
-                    depth: self.depth + 1,
-                    lo: g.start,
-                    hi: g.end,
-                }
-            }
-            Repr::Trie(ix) => {
-                if self.current().is_none() {
-                    return Probe {
-                        repr: self.repr,
-                        depth: self.depth + 1,
-                        lo: 0,
-                        hi: 0,
-                    };
-                }
-                let (lo, hi) = if self.depth + 1 < ix.arity() {
-                    (
-                        ix.starts[self.depth][self.lo] as usize,
-                        ix.starts[self.depth][self.lo + 1] as usize,
-                    )
-                } else {
-                    (self.lo, self.lo + 1)
-                };
-                Probe {
-                    repr: self.repr,
-                    depth: self.depth + 1,
-                    lo,
-                    hi,
-                }
-            }
+        Probe {
+            ix: self.ix,
+            pos: self.pos.enter(self.ix),
         }
     }
 }
@@ -1420,6 +1319,16 @@ mod tests {
         assert_eq!(ix.starts[1], vec![0, 2, 3, 4, 5]);
         assert_eq!(ix.values[2], vec![100, 101, 100, 100, 107]);
         assert_eq!(ix.len(), 5);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not fit the u32 child offsets")]
+    fn node_offsets_refuse_to_wrap() {
+        // A level of 2^32 nodes used to wrap `len() as u32` to offset 0 in
+        // release builds; the conversion is checked without allocating one.
+        assert_eq!(node_offset(u32::MAX as usize), u32::MAX);
+        node_offset(1 << 32);
     }
 
     #[test]

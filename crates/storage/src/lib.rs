@@ -14,12 +14,10 @@
 //!   feeding the data-dependent cost model in `fdjoin_core::cost`;
 //! - [`TrieIndex`] / [`Probe`] / [`IndexSet`]: the shared access-path
 //!   layer — cached per-`(relation, column order)` trie indexes navigated
-//!   by a zero-allocation narrowing cursor, keyed by content version so
-//!   repeated executions, batches, and delta joins reuse them (see the
-//!   [`index`-module docs](IndexSet));
-//! - [`HashIndex`]: hash-keyed secondary indexes. No algorithm uses them
-//!   since the trie layer landed; they remain as the candidate access
-//!   path for non-prefix lookups (see the ROADMAP follow-on);
+//!   by a zero-allocation narrowing cursor ([`Probe`] = an index plus a
+//!   plain [`ProbeSnapshot`] position, the one cursor representation),
+//!   keyed by content version so repeated executions, batches, and delta
+//!   joins reuse them (see the [`index`-module docs](IndexSet));
 //! - [`UdfRegistry`]: user-defined functions backing unguarded FDs
 //!   (Sec. 1.1 of the paper);
 //! - [`Database`]: a named collection of relation instances.
@@ -39,7 +37,7 @@ pub use index::{
     balanced_ranges, IndexKey, IndexKind, IndexSet, IndexSetStats, Probe, ProbeSnapshot, RowWalk,
     TrieIndex,
 };
-pub use relation::{DeltaApplied, HashIndex, Relation};
+pub use relation::{DeltaApplied, Relation};
 pub use stats::RelationStats;
 pub use udf::{UdfFn, UdfRegistry};
 

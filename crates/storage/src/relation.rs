@@ -1,6 +1,6 @@
 //! Row-major relations with sort-order (trie-equivalent) prefix indexes.
 
-use crate::index::{Probe, TrieIndex};
+use crate::index::TrieIndex;
 use crate::stats::RelationStats;
 use crate::Value;
 use fdjoin_lattice::VarSet;
@@ -488,22 +488,10 @@ impl Relation {
         r.end - r.start
     }
 
-    /// A zero-allocation trie cursor over this relation's own sorted data
-    /// (natural column order) — the same [`Probe`] a [`TrieIndex`] yields,
-    /// without building one. Requires the relation to be sorted.
-    pub fn probe(&self) -> Probe<'_> {
-        debug_assert!(self.sorted, "probe requires a sorted relation");
-        Probe::over(&self.data, self.arity(), self.len())
-    }
-
-    /// Membership test (requires sorted), answered by descending the
-    /// relation's own trie shape level by level.
+    /// Membership test (requires sorted).
     pub fn contains_row(&self, row: &[Value]) -> bool {
         debug_assert_eq!(row.len(), self.arity());
-        if self.arity() == 0 {
-            return !self.is_empty();
-        }
-        self.probe().descend_all(row)
+        !self.prefix_range(row).is_empty()
     }
 
     /// Project onto the given columns (in the given order), sorted + deduped.
@@ -617,10 +605,11 @@ impl Relation {
     }
 }
 
-/// `0..n` as the `u32` row ids [`Relation::sort_dedup`] permutes.
-fn identity_permutation(n: usize) -> Vec<u32> {
+/// `0..n` as the `u32` row ids [`Relation::sort_dedup`] and
+/// [`TrieIndex::build`] permute.
+pub(crate) fn identity_permutation(n: usize) -> Vec<u32> {
     let n = u32::try_from(n).unwrap_or_else(|_| {
-        panic!("sort_dedup: {n} rows do not fit the u32 sort permutation (limit 2^32 - 1)")
+        panic!("{n} rows do not fit the u32 sort permutation (limit 2^32 - 1)")
     });
     (0..n).collect()
 }
@@ -644,46 +633,6 @@ impl<'a> Iterator for RowIter<'a> {
                 }
             }
         }
-    }
-}
-
-/// A hash index on an arbitrary subset of columns, for lookups that don't
-/// match the relation's sort order.
-#[derive(Clone, Debug)]
-pub struct HashIndex {
-    key_cols: Vec<usize>,
-    map: std::collections::HashMap<Box<[Value]>, Vec<u32>>,
-}
-
-impl HashIndex {
-    /// Build an index keyed on the given variables.
-    pub fn build(rel: &Relation, key_vars: &[u32]) -> HashIndex {
-        let key_cols: Vec<usize> = key_vars
-            .iter()
-            .map(|&v| rel.col_of(v).expect("index variable not in relation"))
-            .collect();
-        let mut map: std::collections::HashMap<Box<[Value]>, Vec<u32>> =
-            std::collections::HashMap::new();
-        let mut key = vec![0 as Value; key_cols.len()];
-        for (i, row) in rel.rows().enumerate() {
-            for (slot, &c) in key.iter_mut().zip(&key_cols) {
-                *slot = row[c];
-            }
-            map.entry(key.clone().into_boxed_slice())
-                .or_default()
-                .push(i as u32);
-        }
-        HashIndex { key_cols, map }
-    }
-
-    /// Row indices matching a key.
-    pub fn get(&self, key: &[Value]) -> &[u32] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Column positions of the key within the indexed relation.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
     }
 }
 
@@ -785,15 +734,6 @@ mod tests {
         let empty = Relation::new(vec![]);
         assert!(empty.is_empty());
         assert!(!empty.contains_row(&[]));
-    }
-
-    #[test]
-    fn hash_index_lookups() {
-        let r = rel3();
-        let ix = HashIndex::build(&r, &[1]);
-        assert_eq!(ix.get(&[10]).len(), 2);
-        assert_eq!(ix.get(&[30]).len(), 1);
-        assert_eq!(ix.get(&[77]).len(), 0);
     }
 
     #[test]

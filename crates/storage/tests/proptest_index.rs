@@ -1,6 +1,7 @@
 //! Property tests for the access-path layer: `TrieIndex`/`Probe` answers
 //! must agree with the seed-era primitives (`Relation::project` +
-//! `Relation::prefix_range`) on random relations and column orders, and the
+//! `Relation::prefix_range`) and with a linear-scan cursor model on random
+//! relations and column orders, and the
 //! `IndexSet` cache must be transparent (a hit returns exactly what a fresh
 //! build would).
 
@@ -121,11 +122,6 @@ proptest! {
         rel.sort_dedup();
         let model: BTreeSet<Vec<Value>> = rows.iter().cloned().collect();
         prop_assert_eq!(rel.contains_row(&probe_row), model.contains(&probe_row));
-        let mut p = rel.probe();
-        prop_assert_eq!(
-            probe_row.iter().all(|&v| p.descend(v)),
-            model.contains(&probe_row)
-        );
     }
 
     #[test]
@@ -154,9 +150,9 @@ proptest! {
 }
 
 /// One cursor operation of the differential suite: applied in lockstep to
-/// a columnar-trie probe and to a flat-projection probe over identical
-/// content, after which every observable (depth, current value, row range,
-/// group) must agree.
+/// a trie probe and to the [`Scan`] model over identical content, after
+/// which every observable (depth, current value, row range, group) must
+/// agree.
 #[derive(Debug, Clone)]
 enum Op {
     Descend(Value),
@@ -176,10 +172,58 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Reference cursor: the probe ops by linear scan over the sorted
+/// projection's rows, in row coordinates — independent of the level arrays
+/// and of the gallop/bisect/SIMD search kernel. Rows `lo..hi` always share
+/// their first `depth` columns, so they are sorted by column `depth`.
+struct Scan<'a> {
+    rows: Vec<&'a [Value]>,
+    arity: usize,
+    depth: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Scan<'_> {
+    /// First row of `lo..hi` whose value at `depth` is not `below`, or `hi`.
+    fn first(&self, below: impl Fn(Value) -> bool) -> usize {
+        let at = |i: &usize| !below(self.rows[*i][self.depth]);
+        (self.lo..self.hi).find(at).unwrap_or(self.hi)
+    }
+    fn current(&self) -> Option<Value> {
+        (self.lo < self.hi && self.depth < self.arity).then(|| self.rows[self.lo][self.depth])
+    }
+    fn seek(&mut self, v: Value) -> Option<Value> {
+        self.lo = self.first(|x| x < v);
+        self.current()
+    }
+    fn group(&self) -> std::ops::Range<usize> {
+        let end = self.current().map_or(self.lo, |c| self.first(|x| x <= c));
+        self.lo..end
+    }
+    fn next_value(&mut self) -> Option<Value> {
+        self.lo = self.group().end;
+        self.current()
+    }
+    fn enter(&mut self) {
+        self.hi = self.group().end;
+        self.depth += 1;
+    }
+    fn descend(&mut self, v: Value) -> bool {
+        let at = self.first(|x| x < v);
+        let found = at < self.hi && self.rows[at][self.depth] == v;
+        if found {
+            self.lo = at;
+            self.enter();
+        }
+        found
+    }
+}
+
 proptest! {
-    /// Differential suite: the columnar level-trie probe and the seed-era
-    /// flat sorted-projection probe answer every cursor-op sequence
-    /// identically — same descend/seek outcomes, same visited values, same
+    /// Differential suite: the columnar level-trie probe and the
+    /// linear-scan model answer every cursor-op sequence identically —
+    /// same descend/seek outcomes, same visited values, same
     /// row-coordinate ranges and groups. The projection's rows coincide
     /// with the index's rows, so row ranges are directly comparable.
     #[test]
@@ -194,7 +238,13 @@ proptest! {
         let ix = TrieIndex::build(&rel, &order);
         let proj = rel.project(&order);
         let mut t = ix.probe();
-        let mut f = proj.probe();
+        let mut f = Scan {
+            rows: proj.rows().collect(),
+            arity: order.len(),
+            depth: 0,
+            lo: 0,
+            hi: proj.len(),
+        };
         for op in ops {
             match op {
                 Op::Descend(v) => {
@@ -223,16 +273,16 @@ proptest! {
                         continue;
                     }
                     t = t.enter();
-                    f = f.enter();
+                    f.enter();
                 }
                 Op::SnapshotResume => {
                     t = ix.resume(t.snapshot());
                 }
             }
-            prop_assert_eq!(t.depth(), f.depth());
+            prop_assert_eq!(t.depth(), f.depth);
             prop_assert_eq!(t.current(), f.current());
-            prop_assert_eq!(t.range(), f.range(), "row ranges diverge");
-            prop_assert_eq!(t.len(), f.len());
+            prop_assert_eq!(t.range(), f.lo..f.hi, "row ranges diverge");
+            prop_assert_eq!(t.len(), f.hi - f.lo);
             prop_assert_eq!(t.group(), f.group(), "groups diverge");
         }
     }

@@ -1,7 +1,7 @@
 //! Model-based property tests: `Relation` operations against a
 //! `BTreeSet<Vec<Value>>` reference model.
 
-use fdjoin_storage::{HashIndex, Relation, Value};
+use fdjoin_storage::{Relation, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -86,16 +86,6 @@ proptest! {
         let groups = rel.group_ranges(1);
         let total: usize = groups.iter().map(|g| g.len()).sum();
         prop_assert_eq!(total, rel.len());
-    }
-
-    #[test]
-    fn hash_index_agrees_with_scan(rows in rows_strategy(3), key in 0u64..6) {
-        let mut rel = Relation::from_rows(vec![0, 1, 2], rows);
-        rel.sort_dedup();
-        let ix = HashIndex::build(&rel, &[1]);
-        let via_index = ix.get(&[key]).len();
-        let via_scan = rel.rows().filter(|r| r[1] == key).count();
-        prop_assert_eq!(via_index, via_scan);
     }
 
     #[test]

@@ -1,25 +1,23 @@
 //! Cursor-based result streaming: enumerate join answers one tuple at a
 //! time, on demand, without ever materializing the full output.
 //!
-//! Every materializing execution in `fdjoin_core` runs the same shape of
-//! computation — a Generic-Join-style descent over the shared trie access
-//! paths (`fdjoin_storage::TrieIndex` + [`Probe`](fdjoin_storage::Probe)
-//! cursors), FD-expanding and verifying each full binding. [`ResultStream`]
-//! is that descent turned inside out: instead of a recursive search pushing
-//! rows into a `Relation`, the cursor levels of the search live *in the
-//! stream* as plain-data [`ProbeSnapshot`]s, and every
-//! [`ResultStream::next_row`] call resumes the descent exactly where the
-//! previous row suspended it. Between calls the stream holds no borrows of
-//! its indexes' interiors — only `(depth, lo, hi)` positions — so it can be
-//! paused indefinitely, shipped across threads, or serialized as a
+//! [`ResultStream`] is `fdjoin_core`'s Generic-Join search
+//! ([`fdjoin_core::descent`]: a leapfrog descent over the shared trie
+//! access paths, FD-expanding and verifying each full binding) stopped
+//! after every answer. The search loop is resumable by construction — its
+//! [`Position`] is plain data, a `(depth, lo, hi)` cursor per atom per
+//! depth plus the partial binding — so every [`ResultStream::next_row`]
+//! call runs that same loop until it emits one row and returns. Between
+//! calls the stream holds no borrows of its indexes' interiors, so it can
+//! be paused indefinitely, shipped across threads, or detached as a
 //! [`StreamCheckpoint`] and reattached to an equal-content database later.
 //!
-//! The enumeration visits the same leaves in the same order as
-//! `Algorithm::GenericJoin` and meters the same deterministic
-//! [`Stats`] — a fully drained stream performs *exactly* the work of the
-//! materializing run (plus the streaming counters
-//! [`Stats::rows_streamed`] / [`Stats::stream_pauses`]). The pruning entry
-//! points stop early and therefore do strictly less:
+//! Because the stream and `Algorithm::GenericJoin` run one function, the
+//! enumeration visits the same leaves in the same order and meters the
+//! same deterministic [`Stats`] — a fully drained stream performs
+//! *exactly* the work of the materializing run (plus the streaming
+//! counters [`Stats::rows_streamed`] / [`Stats::stream_pauses`]). The
+//! pruning entry points stop early and therefore do strictly less:
 //!
 //! - [`ResultStream::exists`] — suspend after the first answer;
 //! - [`ResultStream::limit`] — materialize only a `k`-prefix;
@@ -52,19 +50,12 @@
 //! assert_eq!(stream.stats().rows_streamed, 2);
 //! ```
 
-use fdjoin_core::{Expander, JoinError, PreparedQuery, Stats};
-use fdjoin_lattice::VarSet;
+use fdjoin_core::descent::{Descent, Position};
+use fdjoin_core::{JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::{Database, ProbeSnapshot, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, Relation, Value};
 use std::fmt;
-use std::sync::Arc;
-
-/// One atom's access path: its cached trie (columns in global binding
-/// order) — the object the per-depth snapshots address into.
-struct AtomState {
-    idx: Arc<TrieIndex>,
-    ordered_vars: Vec<u32>,
-}
+use std::ops::ControlFlow;
 
 /// A suspended-and-resumable cursor over the answers of a prepared query.
 ///
@@ -76,34 +67,14 @@ struct AtomState {
 /// detaching the position entirely.
 pub struct ResultStream<'a> {
     prepared: &'a PreparedQuery,
-    ex: Expander<'a>,
-    atoms: Vec<AtomState>,
-    /// Search variables in binding order (ascending id, atom vars only;
-    /// UDF-only variables are filled by expansion at the leaves).
-    order: Vec<u32>,
-    /// Atoms participating at each search depth.
-    at_depth: Vec<Vec<usize>>,
-    /// `prefix_bound[d]` = the variables of `order[..d]` — the bound set is
-    /// a pure function of depth, so it is never stored in the cursor state.
-    prefix_bound: Vec<VarSet>,
-    target: VarSet,
+    /// The search set-up: binding order (ascending variable id) and tries.
+    descent: Descent<'a>,
+    /// The suspended search position.
+    pos: Position,
     /// Content versions of each atom's relation at open time, stamped into
     /// checkpoints so a resume against drifted data is rejected.
     versions: Vec<u64>,
     udf_version: u64,
-    // --- the suspended search position (all plain data) ---
-    /// `levels[d][ai]` is atom `ai`'s cursor with its variables among
-    /// `order[..d]` descended. Depth `d+1` is always rewritten from depth
-    /// `d`, so backtracking needs no undo. The lead cursor at the current
-    /// depth is *pre-advanced* past the candidate it last descended into,
-    /// so resuming is nothing but continuing the leapfrog loop.
-    levels: Vec<Vec<ProbeSnapshot>>,
-    /// The leapfrog lead (smallest-range participating atom) per depth.
-    lead: Vec<usize>,
-    vals: Vec<Value>,
-    depth: usize,
-    done: bool,
-    row_buf: Vec<Value>,
     stats: Stats,
     /// The prepared query's tracing handle: each delivered row is a
     /// `stream_advance` span (no-op when the engine has no observer).
@@ -121,223 +92,34 @@ impl<'a> ResultStream<'a> {
         let mut stats = Stats::default();
         let paths = prepared.access_paths(db)?;
         let q = prepared.query();
-        let ex = Expander::new(q, db, &paths, &mut stats)?;
-        let nv = q.n_vars();
-        let atom_vars: VarSet = q
-            .atoms()
-            .iter()
-            .fold(VarSet::EMPTY, |s, a| s.union(a.var_set()));
-        let order: Vec<u32> = (0..nv as u32).filter(|&v| atom_vars.contains(v)).collect();
-        let rank: Vec<usize> = {
-            let mut r = vec![usize::MAX; nv];
-            for (i, &v) in order.iter().enumerate() {
-                r[v as usize] = i;
-            }
-            r
-        };
-        let mut atoms: Vec<AtomState> = Vec::with_capacity(q.atoms().len());
-        let mut versions: Vec<u64> = Vec::with_capacity(q.atoms().len());
+        let descent = Descent::open(q, db, &paths, None, false, &mut stats)?;
+        let mut versions = Vec::with_capacity(q.atoms().len());
         for a in q.atoms() {
-            let rel = db.relation(&a.name)?;
-            versions.push(rel.version());
-            let mut ordered: Vec<u32> = a.vars.clone();
-            ordered.sort_by_key(|&v| rank[v as usize]);
-            atoms.push(AtomState {
-                idx: paths.base(&a.name, rel, &ordered, &mut stats),
-                ordered_vars: ordered,
-            });
-        }
-        let at_depth: Vec<Vec<usize>> = order
-            .iter()
-            .map(|&v| {
-                (0..atoms.len())
-                    .filter(|&ai| atoms[ai].ordered_vars.contains(&v))
-                    .collect()
-            })
-            .collect();
-        let mut prefix_bound: Vec<VarSet> = Vec::with_capacity(order.len() + 1);
-        prefix_bound.push(VarSet::EMPTY);
-        for &v in &order {
-            let last = *prefix_bound.last().unwrap();
-            prefix_bound.push(last.insert(v));
-        }
-        let levels: Vec<Vec<ProbeSnapshot>> = (0..=order.len())
-            .map(|_| atoms.iter().map(|a| a.idx.probe().snapshot()).collect())
-            .collect();
-        let mut lead = vec![0usize; order.len()];
-        if !order.is_empty() {
-            lead[0] = at_depth[0]
-                .iter()
-                .copied()
-                .min_by_key(|&ai| atoms[ai].idx.len())
-                .expect("search variables occur in some atom");
+            versions.push(db.relation(&a.name)?.version());
         }
         Ok(ResultStream {
             prepared,
-            ex,
-            atoms,
-            order,
-            at_depth,
-            prefix_bound,
-            target: VarSet::full(nv as u32),
+            pos: descent.start(),
+            descent,
             versions,
             udf_version: db.udfs.version(),
-            levels,
-            lead,
-            vals: vec![0 as Value; nv],
-            depth: 0,
-            done: false,
-            row_buf: Vec::new(),
             stats,
             obs: prepared.observer().clone(),
         })
     }
 
-    /// Advance the suspended descent to the next answer, leaving it in
-    /// `row_buf`. This is the whole state machine: reconstruct live probes
-    /// from the current depth's snapshots, leapfrog to the next candidate,
-    /// narrow into its subtrie, and either emit (at the leaf) or descend.
-    /// Exactly mirrors `fdjoin_core`'s Generic-Join recursion — same visit
-    /// order, same [`Stats`] accounting — with the call stack replaced by
-    /// `levels`/`lead`/`depth`.
+    /// Advance the suspended search to the next answer, leaving it in the
+    /// position's binding: the Generic-Join loop, stopped at its first
+    /// emitted row.
     fn advance(&mut self) -> bool {
-        if self.done {
-            return false;
-        }
-        if self.order.is_empty() {
-            // No atom variables to search (nullary atoms only): at most one
-            // answer, produced entirely by expansion from the empty prefix.
-            self.done = true;
-            let mut b = VarSet::EMPTY;
-            let mut v = self.vals.clone();
-            if self
-                .ex
-                .expand_tuple(&mut b, &mut v, self.target, &mut self.stats)
-                && self.ex.verify_fds(b, &v, &mut self.stats)
-            {
-                self.stats.output_tuples += 1;
-                self.row_buf = v;
-                return true;
-            }
-            return false;
-        }
-        // Disjoint field borrows: probes borrow `atoms` (shared) while the
-        // cursor state and counters are mutated alongside.
-        let ResultStream {
-            ex,
-            atoms,
-            order,
-            at_depth,
-            prefix_bound,
-            target,
-            levels,
-            lead,
-            vals,
-            depth,
-            done,
-            row_buf,
-            stats,
-            ..
-        } = self;
-        let atoms: &[AtomState] = atoms;
-        'outer: loop {
-            let d = *depth;
-            let participating = &at_depth[d];
-            let li = lead[d];
-            // The lead cursor is live across the whole leapfrog at this
-            // depth; everyone else is resumed per seek from its snapshot.
-            let mut lp = atoms[li].idx.resume(levels[d][li]);
-            while let Some(candidate) = lp.current() {
-                let mut ok = true;
-                let mut overshoot: Option<Value> = None;
-                for &ai in participating.iter() {
-                    if ai == li {
-                        continue;
-                    }
-                    stats.probes += 1;
-                    // Forward-only seek; the moved position persists in the
-                    // snapshot so each cursor sweeps its range at most once
-                    // over the whole level — across pauses too.
-                    let mut p = atoms[ai].idx.resume(levels[d][ai]);
-                    let res = p.seek(candidate);
-                    levels[d][ai] = p.snapshot();
-                    match res {
-                        Some(w) if w == candidate => {}
-                        other => {
-                            ok = false;
-                            overshoot = other;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    // Narrow every participating cursor into the candidate's
-                    // subtrie at depth d+1 (all are positioned at the
-                    // candidate, so these descends are cheap).
-                    let (cur, rest) = levels.split_at_mut(d + 1);
-                    let next = &mut rest[0];
-                    next.copy_from_slice(&cur[d]);
-                    for &ai in participating.iter() {
-                        stats.probes += 1;
-                        let mut p = atoms[ai].idx.resume(next[ai]);
-                        let descended = p.descend(candidate);
-                        debug_assert!(descended, "all cursors verified to contain candidate");
-                        next[ai] = p.snapshot();
-                    }
-                    vals[order[d] as usize] = candidate;
-                    // Pre-advance the lead past this candidate *before*
-                    // descending: when the search later backtracks to this
-                    // depth — possibly in a different `next_row` call, or
-                    // after a checkpoint round-trip — continuing the loop
-                    // is all it takes.
-                    lp.next_value();
-                    cur[d][li] = lp.snapshot();
-                    if d + 1 == order.len() {
-                        // Leaf: all atom variables bound. Expand UDF-only
-                        // variables, verify the FDs, emit on success. The
-                        // depth stays put — dead leaves keep leapfrogging.
-                        let mut b = prefix_bound[order.len()];
-                        let mut v = vals.clone();
-                        if ex.expand_tuple(&mut b, &mut v, *target, stats)
-                            && ex.verify_fds(b, &v, stats)
-                        {
-                            stats.output_tuples += 1;
-                            *row_buf = v;
-                            return true;
-                        }
-                    } else {
-                        // Tie-break by matching *row* count (snapshots hold
-                        // node coordinates, whose width is the distinct-value
-                        // count) so the choice — and the deterministic stats —
-                        // agree with the materialized Generic-Join driver.
-                        lead[d + 1] = at_depth[d + 1]
-                            .iter()
-                            .copied()
-                            .min_by_key(|&ai| atoms[ai].idx.resume(next[ai]).len())
-                            .expect("search variables occur in some atom");
-                        *depth = d + 1;
-                        continue 'outer;
-                    }
-                } else {
-                    match overshoot {
-                        // Leapfrog: jump the lead straight to the overshot
-                        // value — the next possible intersection member.
-                        Some(w) => {
-                            lp.seek(w);
-                        }
-                        // An atom ran out entirely: this depth is exhausted.
-                        None => break,
-                    }
-                }
-            }
-            // Depth d exhausted: backtrack (or finish at the root).
-            levels[d][li] = lp.snapshot();
-            if d == 0 {
-                *done = true;
-                return false;
-            }
-            *depth = d - 1;
-        }
+        self.descent
+            .run(
+                &mut self.pos,
+                0,
+                &mut self.stats,
+                |_| ControlFlow::Break(()),
+            )
+            .is_break()
     }
 
     /// The next answer, or `None` when the enumeration is exhausted. Each
@@ -364,7 +146,7 @@ impl<'a> ResultStream<'a> {
         if got {
             self.stats.rows_streamed += 1;
             self.stats.stream_pauses += 1;
-            Some(&self.row_buf)
+            Some(self.pos.vals())
         } else {
             None
         }
@@ -406,7 +188,7 @@ impl<'a> ResultStream<'a> {
     /// does strictly less deterministic work than any materializing
     /// execution.
     pub fn limit(&mut self, k: usize) -> Relation {
-        let mut out = Relation::new((0..self.vals.len() as u32).collect());
+        let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
         for _ in 0..k {
             match self.next_row() {
                 Some(row) => out.push_row(row),
@@ -419,7 +201,7 @@ impl<'a> ResultStream<'a> {
     /// Drain the stream into a relation equal to the materialized
     /// `JoinResult::output` of the same query (sorted, deduplicated).
     pub fn collect_rows(&mut self) -> Relation {
-        let mut out = Relation::new((0..self.vals.len() as u32).collect());
+        let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
         while let Some(row) = self.next_row() {
             out.push_row(row);
         }
@@ -436,7 +218,7 @@ impl<'a> ResultStream<'a> {
 
     /// Whether the enumeration has been exhausted.
     pub fn is_exhausted(&self) -> bool {
-        self.done
+        self.pos.is_done()
     }
 
     /// The Carmeli–Kröll enumeration class of the underlying query: whether
@@ -452,11 +234,7 @@ impl<'a> ResultStream<'a> {
     /// same rows.
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
-            levels: self.levels.clone(),
-            lead: self.lead.clone(),
-            vals: self.vals.clone(),
-            depth: self.depth,
-            done: self.done,
+            pos: self.pos.clone(),
             versions: self.versions.clone(),
             udf_version: self.udf_version,
             stats: self.stats,
@@ -476,14 +254,7 @@ impl<'a> ResultStream<'a> {
         ck: &StreamCheckpoint,
     ) -> Result<ResultStream<'a>, StreamError> {
         let mut s = ResultStream::open(prepared, db)?;
-        if ck.versions.len() != s.versions.len()
-            || ck.levels.len() != s.levels.len()
-            || ck.levels.iter().any(|row| row.len() != s.atoms.len())
-            || ck.lead.len() != s.lead.len()
-            || ck.vals.len() != s.vals.len()
-            || ck.lead.iter().any(|&ai| ai >= s.atoms.len())
-            || ck.depth >= ck.levels.len()
-        {
+        if ck.versions.len() != s.versions.len() || !s.descent.admits(&ck.pos) {
             return Err(StreamError::Join(JoinError::InvalidOptions(
                 "checkpoint shape does not match the prepared query".into(),
             )));
@@ -507,11 +278,7 @@ impl<'a> ResultStream<'a> {
         s.stats = ck.stats;
         s.stats.index_builds += reopened.index_builds;
         s.stats.index_hits += reopened.index_hits;
-        s.levels = ck.levels.clone();
-        s.lead = ck.lead.clone();
-        s.vals = ck.vals.clone();
-        s.depth = ck.depth;
-        s.done = ck.done;
+        s.pos = ck.pos.clone();
         Ok(s)
     }
 }
@@ -519,24 +286,20 @@ impl<'a> ResultStream<'a> {
 impl fmt::Debug for ResultStream<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResultStream")
-            .field("depth", &self.depth)
-            .field("done", &self.done)
+            .field("depth", &self.pos.depth())
+            .field("done", &self.pos.is_done())
             .field("rows_streamed", &self.stats.rows_streamed)
             .finish()
     }
 }
 
-/// A suspended [`ResultStream`] position as plain data: the per-depth
-/// cursor snapshots, the partial binding, and the content versions they are
-/// valid against. Detached from every lifetime — hold it as long as you
-/// like, then [`ResultStream::resume`].
+/// A suspended [`ResultStream`] as plain data: the search [`Position`]
+/// (per-depth cursors and the partial binding), the content versions it is
+/// valid against, and the work counters so far. Detached from every
+/// lifetime — hold it as long as you like, then [`ResultStream::resume`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamCheckpoint {
-    levels: Vec<Vec<ProbeSnapshot>>,
-    lead: Vec<usize>,
-    vals: Vec<Value>,
-    depth: usize,
-    done: bool,
+    pos: Position,
     versions: Vec<u64>,
     udf_version: u64,
     stats: Stats,
@@ -594,6 +357,7 @@ impl From<JoinError> for StreamError {
 mod tests {
     use super::*;
     use fdjoin_core::{Algorithm, Engine, ExecOptions};
+    use fdjoin_lattice::VarSet;
 
     fn triangle_db() -> Database {
         let mut db = Database::new();

@@ -5,8 +5,9 @@
 //! deterministic work than materializing the full answer.
 
 use fdjoin_core::{Algorithm, Engine, ExecOptions, JoinError, PreparedQuery};
+use fdjoin_lattice::VarSet;
 use fdjoin_query::{examples, Query};
-use fdjoin_storage::{Database, Value};
+use fdjoin_storage::{Database, Relation, Value};
 use fdjoin_stream::ResultStream;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -170,6 +171,46 @@ fn checkpoint_survives_fresh_index_builds_at_every_boundary() {
             "deterministic work must be pause-invariant (pause at {pause_after})"
         );
     }
+}
+
+/// A query with a UDF-only variable (`z` of `fig5_udf_product` occurs in no
+/// atom, so the search never binds it — expansion fills it in place at each
+/// leaf): detaching and reattaching the position after *every* row must
+/// neither disturb the rows nor the work, and the drained stream must have
+/// done exactly the Generic-Join run's deterministic work.
+#[test]
+fn udf_only_variable_survives_a_checkpoint_after_every_row() {
+    let q = examples::fig5_udf_product();
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0], [[1], [2], [3], [4]]));
+    db.insert("S", Relation::from_rows(vec![1], [[10], [20], [30]]));
+    db.udfs
+        .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]);
+    let prepared = Engine::new().prepare(&q);
+
+    let mut undisturbed = ResultStream::open(&prepared, &db).expect("open");
+    let rows = drain(&mut undisturbed);
+    assert_eq!(rows.len(), 12);
+    assert!(rows.iter().all(|r| r[2] == r[0] + r[1]), "z = x + y");
+
+    let mut stream = ResultStream::open(&prepared, &db).expect("open");
+    let mut paged = Vec::new();
+    while let Some(row) = stream.next_row() {
+        paged.push(row.to_vec());
+        let ck = stream.checkpoint();
+        stream = ResultStream::resume(&prepared, &db, &ck).expect("resume");
+    }
+    assert_eq!(paged, rows);
+    let mut stats = stream.stats().deterministic();
+    assert_eq!(stats, undisturbed.stats().deterministic());
+
+    let gj = prepared
+        .execute(&db, &ExecOptions::new().algorithm(Algorithm::GenericJoin))
+        .expect("materialize");
+    assert_eq!(gj.output.rows().collect::<Vec<_>>(), rows);
+    stats.rows_streamed = 0;
+    stats.stream_pauses = 0;
+    assert_eq!(stats, gj.stats.deterministic());
 }
 
 proptest! {
