@@ -4,10 +4,11 @@
 //! columns first) from the access-path layer, probed with zero per-tuple
 //! key allocation.
 
+use crate::engine::JoinError;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation, Value};
+use fdjoin_storage::{Database, Relation, Value};
 
 /// Evaluate `q` with pairwise joins in the given atom order (default:
 /// body order), then expansion + FD verification. Output columns are all
@@ -18,7 +19,7 @@ pub(crate) fn execute(
     atom_order: Option<&[usize]>,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), JoinError> {
     let mut stats = Stats::default();
     let ex = Expander::new(q, db, paths, &mut stats)?;
     let default_order: Vec<usize> = (0..q.atoms().len()).collect();
@@ -85,19 +86,17 @@ pub(crate) fn execute(
     // Expand to all variables and verify FDs / UDF predicates, fanned out
     // over blocks of accumulator rows like the join loops above.
     let nv = q.n_vars();
-    let target = VarSet::full(nv as u32);
+    let program = ex.compile_fused(acc.var_set(), VarSet::full(nv as u32))?;
     let all: Vec<u32> = (0..nv as u32).collect();
     let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
         let mut part = Relation::new(all.clone());
         let mut vals = vec![0 as Value; nv];
+        let mut args = Vec::new();
         for row in rows.map(|ri| acc.row(ri)) {
             for (&v, &x) in acc.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            let mut bound = acc.var_set();
-            if ex.expand_tuple(&mut bound, &mut vals, target, stats)
-                && ex.verify_fds(bound, &vals, stats)
-            {
+            if program.run(&mut vals, &mut args, stats) {
                 part.push_row(&vals);
                 stats.output_tuples += 1;
             }

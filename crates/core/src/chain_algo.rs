@@ -11,6 +11,8 @@
 //! Planning (chain search) lives in the [`crate::engine`]; this module is
 //! the execution kernel, entered with a pre-computed [`ChainBound`].
 
+use crate::engine::JoinError;
+use crate::expand::{assemble, project};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::ChainBound;
@@ -42,7 +44,7 @@ pub(crate) fn execute(
     use_argmin: bool,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), JoinError> {
     let lat = &pres.lattice;
     let chain = &bound.chain;
     let k = chain.steps();
@@ -69,7 +71,7 @@ pub(crate) fn execute(
     // Step 1: expand inputs to their closures.
     let mut expanded: Vec<Relation> = Vec::with_capacity(q.atoms().len());
     for a in q.atoms() {
-        expanded.push(ex.expand_relation(db.relation(&a.name)?, &mut stats));
+        expanded.push(ex.expand_relation(db.relation(&a.name)?, &mut stats)?);
     }
 
     // Acquire the trie index of Π_{R_j ∧ C_i}(R_j⁺) for every covering
@@ -124,6 +126,20 @@ pub(crate) fn execute(
             })
             .collect();
 
+        // One program per covering atom: the candidate's bound set is
+        // C_{i-1} ∪ vars(Π_{R_j ∧ C_i}), and j varies with the per-tuple
+        // argmin. Each expands to the closure C_i (goodness, Eq. 11,
+        // guarantees C_{i-1} ∨ (R_j ∧ C_i) = C_i) and verifies FDs within.
+        let prev_set = level_sets[i - 1];
+        let programs = covering
+            .iter()
+            .map(|&j| {
+                let (p, _) = proj[i][j].as_ref().unwrap();
+                let p_set = VarSet::from_vars(p.vars().iter().copied());
+                ex.compile_fused(prev_set.union(p_set), target)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
         // Per-row work is independent (shared tries are read-only), so the
         // level fans out over contiguous blocks of Q_{i-1} rows through
         // the shared sub-range entry point: fragments come back in block
@@ -133,6 +149,7 @@ pub(crate) fn execute(
         let parts = crate::par::for_blocks(par, q_prev.len(), None, &mut stats, |rows, stats| {
             let mut part = Relation::new(out_vars.clone());
             let mut vals = vec![0 as Value; nv];
+            let mut args = Vec::new();
             let mut buf = vec![0 as Value; out_vars.len()];
             for t in rows.map(|ti| q_prev.row(ti)) {
                 // j* = argmin_j |t ⋈ Π_{R_j ∧ C_i}(R_j)| — per-tuple choice
@@ -162,30 +179,10 @@ pub(crate) fn execute(
 
                 let mut matches = p_star.walk(range);
                 'ext: while let Some(ext) = matches.next() {
-                    // Assemble candidate over C_{i-1} ∪ (R_{j*} ∧ C_i).
-                    for (&v, &x) in q_prev.vars().iter().zip(t) {
-                        vals[v as usize] = x;
-                    }
-                    let mut bound_set = level_sets[i - 1];
-                    let mut consistent = true;
-                    for (&v, &x) in p_star.vars().iter().zip(ext) {
-                        if bound_set.contains(v) {
-                            if vals[v as usize] != x {
-                                consistent = false;
-                                break;
-                            }
-                        } else {
-                            vals[v as usize] = x;
-                            bound_set = bound_set.insert(v);
-                        }
-                    }
-                    if !consistent {
-                        continue;
-                    }
-                    // Expand to the closure C_i (goodness Eq. 11 guarantees
-                    // C_{i-1} ∨ (R_{j*} ∧ C_i) = C_i) and verify FDs within.
-                    if !ex.expand_tuple(&mut bound_set, &mut vals, target, stats)
-                        || !ex.verify_fds(target, &vals, stats)
+                    // Candidate over C_{i-1} ∪ (R_{j*} ∧ C_i), expanded to
+                    // C_i and FD-verified.
+                    if !assemble(&mut vals, q_prev.vars(), prev_set, t, p_star.vars(), ext)
+                        || !programs[ci_star].run(&mut vals, &mut args, stats)
                     {
                         continue;
                     }
@@ -203,9 +200,7 @@ pub(crate) fn execute(
                             continue 'ext;
                         }
                     }
-                    for (slot, &v) in buf.iter_mut().zip(&out_vars) {
-                        *slot = vals[v as usize];
-                    }
+                    project(&vals, &out_vars, &mut buf);
                     part.push_row(&buf);
                     stats.intermediate_tuples += 1;
                 }

@@ -18,13 +18,14 @@
 //! CLLP budget governs its *running time*).
 
 use crate::engine::{JoinError, UserDegreeBound};
+use crate::expand::{assemble, project};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::cllp::{solve_cllp, DegreePair};
 use fdjoin_bounds::csm::{csm_sequence, CsmRule, CsmSequence};
 use fdjoin_lattice::{ElemId, VarSet};
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, Relation, TrieIndex, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -123,7 +124,7 @@ pub(crate) fn execute(
     mut stats: Stats,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), JoinError> {
     let lat = &pres.lattice;
 
     // Guard tries from their specs, served by the access-path cache
@@ -179,17 +180,16 @@ pub(crate) fn execute(
         guard_map,
         &mut out,
         &mut stats,
-    );
+    )?;
 
     // Soundness pass: dedup, semijoin with every input, verify all FDs.
     out.sort_dedup();
-    let full = VarSet::full(nv as u32);
     let inputs: Vec<&Relation> = q
         .atoms()
         .iter()
         .map(|a| db.relation(&a.name))
         .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, ex, full, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(&inputs, ex, &out, par, &mut stats);
 
     Ok((reduced, stats))
 }
@@ -209,7 +209,7 @@ fn exec(
     mut guard_map: HashMap<(ElemId, ElemId), Arc<TrieIndex>>,
     out: &mut Relation,
     stats: &mut Stats,
-) {
+) -> Result<(), JoinError> {
     let lat = ctx.lat;
     let Some((rule, rest)) = rules.split_first() else {
         // Emit T(1̂), realigned to ascending variable order via a one-shot
@@ -223,7 +223,7 @@ fn exec(
                 stats.intermediate_tuples += 1;
             }
         }
-        return;
+        return Ok(());
     };
     match *rule {
         CsmRule::Cd { x, y } => {
@@ -240,8 +240,7 @@ fn exec(
                 tables.insert(y, sorted.to_relation());
                 tables.insert(x, Relation::new(x_vars));
                 guard_map.insert((x, y), sorted);
-                exec(ctx, rest, tables, guard_map, out, stats);
-                return;
+                return exec(ctx, rest, tables, guard_map, out, stats);
             }
             // Bucket groups by ⌊log₂ degree⌋ (Lemma 5.35).
             let mut buckets: HashMap<u32, Vec<std::ops::Range<usize>>> = HashMap::new();
@@ -263,8 +262,9 @@ fn exec(
                 tables2.insert(x, TrieIndex::build(&bucket, &x_vars).to_relation());
                 guards2.insert((x, y), Arc::new(TrieIndex::build(&bucket, bucket.vars())));
                 tables2.insert(y, bucket);
-                exec(ctx, rest, tables2, guards2, out, stats);
+                exec(ctx, rest, tables2, guards2, out, stats)?;
             }
+            Ok(())
         }
         CsmRule::Cc { pair } => {
             let p = &ctx.pairs[pair];
@@ -275,9 +275,9 @@ fn exec(
             let lo_len = lat.set_of(p.lo).unwrap().len() as usize;
             // Guards are stored with their conditioning attributes (Λlo)
             // first, so the pair's prefix is already the probe prefix.
-            let result = join_into(ctx, &tables, p.lo, &guard, lo_len, p.hi, stats);
+            let result = join_into(ctx, &tables, p.lo, &guard, lo_len, p.hi, stats)?;
             tables.insert(p.hi, result);
-            exec(ctx, rest, tables, guard_map, out, stats);
+            exec(ctx, rest, tables, guard_map, out, stats)
         }
         CsmRule::Sm { a, b } => {
             let m = lat.meet(a, b);
@@ -307,9 +307,9 @@ fn exec(
                 }
             };
             let join = lat.join(a, b);
-            let result = join_into(ctx, &tables, a, &guard, m_vars.len(), join, stats);
+            let result = join_into(ctx, &tables, a, &guard, m_vars.len(), join, stats)?;
             tables.insert(join, result);
-            exec(ctx, rest, tables, guard_map, out, stats);
+            exec(ctx, rest, tables, guard_map, out, stats)
         }
     }
 }
@@ -325,7 +325,7 @@ fn join_into(
     prefix_len: usize,
     target: ElemId,
     stats: &mut Stats,
-) -> Relation {
+) -> Result<Relation, JoinError> {
     let lat = ctx.lat;
     let ta = match tables.get(&a) {
         Some(t) => t.clone(),
@@ -338,12 +338,18 @@ fn join_into(
         .iter()
         .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
         .collect();
+    // Every candidate binds vars(T(a)) ∪ vars(guard): one program per call.
+    let guard_set = VarSet::from_vars(guard.vars().iter().copied());
+    let program = ctx
+        .ex
+        .compile_fused(ta.var_set().union(guard_set), target_set)?;
     // Per-row probe-and-extend work is independent; fan it out over
     // contiguous blocks of T(A) rows (fragments merge in block order into
     // the canonical relation of the sequential path).
     let parts = crate::par::for_blocks(ctx.par, ta.len(), None, stats, |rows, stats| {
         let mut part = Relation::new(out_vars.clone());
         let mut vals = vec![0 as Value; ctx.nv];
+        let mut args = Vec::new();
         let mut buf = vec![0 as Value; out_vars.len()];
         for row in rows.map(|ri| ta.row(ri)) {
             stats.probes += 1;
@@ -352,38 +358,20 @@ fn join_into(
                 continue;
             }
             let mut matches = guard.walk(probe.range());
-            'ext: while let Some(ext) = matches.next() {
-                for (&v, &x) in ta.vars().iter().zip(row) {
-                    vals[v as usize] = x;
-                }
-                let mut bound = ta.var_set();
-                for (&v, &x) in guard.vars().iter().zip(ext) {
-                    if bound.contains(v) {
-                        if vals[v as usize] != x {
-                            continue 'ext;
-                        }
-                    } else {
-                        vals[v as usize] = x;
-                        bound = bound.insert(v);
-                    }
-                }
-                if !ctx
-                    .ex
-                    .expand_tuple(&mut bound, &mut vals, target_set, stats)
-                    || !ctx.ex.verify_fds(target_set, &vals, stats)
+            while let Some(ext) = matches.next() {
+                if !assemble(&mut vals, ta.vars(), ta.var_set(), row, guard.vars(), ext)
+                    || !program.run(&mut vals, &mut args, stats)
                 {
                     continue;
                 }
-                for (slot, &v) in buf.iter_mut().zip(&out_vars) {
-                    *slot = vals[v as usize];
-                }
+                project(&vals, &out_vars, &mut buf);
                 part.push_row(&buf);
                 stats.intermediate_tuples += 1;
             }
         }
         part
     });
-    crate::par::merge(parts)
+    Ok(crate::par::merge(parts))
 }
 
 #[cfg(test)]

@@ -27,20 +27,23 @@
 //! computing it the moment the bound prefix functionally determines it),
 //! the depths whose variable is determined are known up front —
 //! the bound set is a function of the depth alone — so the flag is computed
-//! once per depth here, not per visited node. This helps constant factors
-//! but provably not the worst-case exponent on the paper's Fig. 1 instance.
+//! once per depth here, not per visited node — and so is the expansion
+//! [`Program`] that computes it, next to the one every leaf runs. This
+//! helps constant factors but provably not the worst-case exponent on the
+//! paper's Fig. 1 instance.
 
+use crate::engine::JoinError;
+use crate::expand::Program;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, ProbeSnapshot, TrieIndex, Value};
+use fdjoin_storage::{Database, ProbeSnapshot, TrieIndex, Value};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The set-up of the descent over one `(query, database)` pair; immutable
 /// once opened, shared by every [`Position`] that runs over it.
-pub struct Descent<'a> {
-    ex: Expander<'a>,
+pub struct Descent {
     /// One trie per atom, columns ordered by the binding order.
     tries: Vec<Arc<TrieIndex>>,
     /// The variables the search binds, in binding order: those occurring in
@@ -48,13 +51,15 @@ pub struct Descent<'a> {
     order: Vec<u32>,
     /// Atoms participating at each depth.
     at_depth: Vec<Vec<usize>>,
-    /// `prefix_bound[d]` = the variables of `order[..d]`: the bound set is
-    /// a function of the depth, so positions never store it.
-    prefix_bound: Vec<VarSet>,
-    /// Whether `order[d]` is computed from `prefix_bound[d]` by the FDs
-    /// instead of intersected (all `false` without `bind_fds`).
-    fd_determined: Vec<bool>,
-    target: VarSet,
+    /// Where `order[d]` is computed from `order[..d]` by the FDs instead of
+    /// intersected, the program that computes it (all `None` without
+    /// `bind_fds`). The bound set is a function of the depth, so positions
+    /// never store it.
+    determine: Vec<Option<Program>>,
+    /// What every leaf runs: expand the UDF-only variables from the atom
+    /// variables, then verify all FDs.
+    leaf: Program,
+    n_vars: usize,
 }
 
 /// Where one run of a [`Descent`] stands, as plain data: detached from
@@ -94,19 +99,21 @@ impl Position {
     }
 }
 
-impl<'a> Descent<'a> {
+impl Descent {
     /// Set the search up: acquire the FD-guard tries and one trie per atom
     /// from the access-path cache (metered into `stats`), in the binding
-    /// order `var_order` (default: ascending variable id). Fails if an
-    /// atom's relation is absent from the database.
+    /// order `var_order` (default: ascending variable id), and compile the
+    /// expansion programs. Fails if an atom's relation is absent from the
+    /// database, or a variable the search must compute has no derivation
+    /// through guards and registered UDFs.
     pub fn open(
-        q: &'a Query,
-        db: &'a Database,
+        q: &Query,
+        db: &Database,
         paths: &AccessPaths<'_>,
         var_order: Option<&[u32]>,
         bind_fds: bool,
         stats: &mut Stats,
-    ) -> Result<Descent<'a>, MissingRelation> {
+    ) -> Result<Descent, JoinError> {
         let ex = Expander::new(q, db, paths, stats)?;
         let nv = q.n_vars();
         let atom_vars = q
@@ -140,25 +147,29 @@ impl<'a> Descent<'a> {
         for &v in &order {
             prefix_bound.push(prefix_bound[prefix_bound.len() - 1].insert(v));
         }
-        let fd_determined = order
+        let determine = order
             .iter()
-            .zip(&prefix_bound)
-            .map(|(&v, &bound)| bind_fds && q.closure(bound).contains(v))
-            .collect();
+            .zip(prefix_bound.windows(2))
+            .map(|(&v, bound)| {
+                (bind_fds && q.closure(bound[0]).contains(v))
+                    .then(|| ex.compile_expand(bound[0], bound[1]))
+                    .transpose()
+            })
+            .collect::<Result<_, _>>()?;
+        let leaf = ex.compile_fused(prefix_bound[order.len()], VarSet::full(nv as u32))?;
         Ok(Descent {
-            ex,
             tries,
             order,
             at_depth,
-            prefix_bound,
-            fd_determined,
-            target: VarSet::full(nv as u32),
+            determine,
+            leaf,
+            n_vars: nv,
         })
     }
 
-    /// Number of query variables: the width of every emitted answer.
-    fn n_vars(&self) -> usize {
-        self.target.len() as usize
+    /// Whether `order[d]` is FD-determined (computed, not intersected).
+    fn fd_determined(&self, d: usize) -> bool {
+        self.determine[d].is_some()
     }
 
     /// A position before the first answer: every cursor at its trie's root.
@@ -167,7 +178,7 @@ impl<'a> Descent<'a> {
         let mut pos = Position {
             levels: vec![root; self.order.len() + 1],
             lead: vec![0; self.order.len()],
-            vals: vec![0; self.n_vars()],
+            vals: vec![0; self.n_vars],
             depth: 0,
             done: false,
         };
@@ -185,7 +196,7 @@ impl<'a> Descent<'a> {
             && pos.levels.iter().all(|l| l.len() == self.tries.len())
             && pos.lead.len() == n
             && pos.lead.iter().all(|&ai| ai < self.tries.len())
-            && pos.vals.len() == self.n_vars()
+            && pos.vals.len() == self.n_vars
             && pos.depth <= n
     }
 
@@ -194,7 +205,7 @@ impl<'a> Descent<'a> {
     /// with the fewest matching rows.
     fn arrive(&self, pos: &mut Position, d: usize) {
         pos.depth = d;
-        if d < self.order.len() && !self.fd_determined[d] {
+        if d < self.order.len() && !self.fd_determined(d) {
             pos.lead[d] = *self.at_depth[d]
                 .iter()
                 .min_by_key(|&&ai| pos.levels[d][ai].len(&self.tries[ai]))
@@ -208,7 +219,7 @@ impl<'a> Descent<'a> {
     fn backtrack(&self, pos: &mut Position, floor: usize) {
         while pos.depth > floor {
             pos.depth -= 1;
-            if !self.fd_determined[pos.depth] {
+            if !self.fd_determined(pos.depth) {
                 return;
             }
         }
@@ -279,6 +290,7 @@ impl<'a> Descent<'a> {
         mut emit: impl FnMut(&[Value]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = self.order.len();
+        let mut args = Vec::new();
         while !pos.done {
             let d = pos.depth;
             if d == n {
@@ -288,28 +300,21 @@ impl<'a> Descent<'a> {
                 // FDs in place (expansion writes only unbound slots, which
                 // the search never reads).
                 self.backtrack(pos, floor);
-                let mut bound = self.prefix_bound[n];
-                if self
-                    .ex
-                    .expand_tuple(&mut bound, &mut pos.vals, self.target, stats)
-                    && self.ex.verify_fds(bound, &pos.vals, stats)
-                {
+                if self.leaf.run(&mut pos.vals, &mut args, stats) {
                     stats.output_tuples += 1;
                     emit(&pos.vals)?;
                 }
                 continue;
             }
-            let value = if self.fd_determined[d] {
+            let value = match &self.determine[d] {
                 // Footnote 1: compute the single candidate.
-                let mut bound = self.prefix_bound[d];
-                self.ex
-                    .expand_tuple(&mut bound, &mut pos.vals, self.prefix_bound[d + 1], stats)
-                    .then(|| pos.vals[self.order[d] as usize])
-            } else {
-                self.leapfrog(&mut pos.levels[d], d, pos.lead[d], stats)
+                Some(program) => program
+                    .run(&mut pos.vals, &mut args, stats)
+                    .then(|| pos.vals[self.order[d] as usize]),
+                None => self.leapfrog(&mut pos.levels[d], d, pos.lead[d], stats),
             };
             if value.is_some_and(|v| self.narrow(pos, d, v, stats)) {
-                if !self.fd_determined[d] {
+                if !self.fd_determined(d) {
                     let lead = pos.lead[d];
                     pos.levels[d][lead].next_value(&self.tries[lead]);
                 }
@@ -326,7 +331,7 @@ impl<'a> Descent<'a> {
     /// search variable, nor when the first one is FD-determined (a single
     /// computed value: nothing to split).
     pub(crate) fn splits_at_root(&self) -> bool {
-        self.fd_determined.first() == Some(&false)
+        self.determine.first().is_some_and(Option::is_none)
     }
 
     /// Depth 0 of the search alone, for fanning out: the values of the
@@ -388,7 +393,7 @@ mod tests {
 
     /// Drain `descent`, stopping the run after every `pause_every`-th row
     /// (0 = never) and continuing from the saved position.
-    fn drain(descent: &Descent<'_>, pause_every: usize) -> (Vec<Vec<Value>>, Stats) {
+    fn drain(descent: &Descent, pause_every: usize) -> (Vec<Vec<Value>>, Stats) {
         let (mut rows, mut stats) = (Vec::new(), Stats::default());
         let mut pos = descent.start();
         while !pos.is_done() {
@@ -404,22 +409,59 @@ mod tests {
         (rows, stats)
     }
 
+    /// `Q(x,y,w,z) :- R(x), S(y), T(w)` with `z = x + y` in no atom and
+    /// `w = 10·z`: under `bind_fds` the last depth is computed by a
+    /// two-step program through the UDF-only `z`; without, `z` is filled
+    /// (and `w` checked) by the leaf program.
+    fn udf_only_db() -> (Query, Database) {
+        let mut b = Query::builder();
+        let (x, y, w, z) = (b.var("x"), b.var("y"), b.var("w"), b.var("z"));
+        b.atom("R", &[x]).atom("S", &[y]).atom("T", &[w]);
+        b.fd(&[x, y], &[z]).fd(&[z], &[w]);
+        let mut db = Database::new();
+        db.insert("R", Relation::from_rows(vec![0], [[1], [2], [3]]));
+        db.insert("S", Relation::from_rows(vec![1], [[10], [20]]));
+        db.insert(
+            "T",
+            Relation::from_rows(vec![2], [[110], [130], [210], [999]]),
+        );
+        db.udfs
+            .register(VarSet::from_vars([x, y]), z, |v| v[0] + v[1]);
+        db.udfs.register(VarSet::singleton(z), w, |v| v[0] * 10);
+        (b.build(), db)
+    }
+
     #[test]
     fn pausing_is_invisible_with_and_without_fd_binding() {
-        let (q, db) = composite_key_db();
-        let set = IndexSet::new();
-        let paths = AccessPaths::new(&set, &q, &db).unwrap();
-        let expect = vec![vec![1, 10, 100], vec![1, 20, 120], vec![2, 20, 220]];
-        for bind_fds in [false, true] {
-            let descent =
-                Descent::open(&q, &db, &paths, None, bind_fds, &mut Stats::default()).unwrap();
-            assert_eq!(descent.fd_determined, [false, false, bind_fds]);
-            let (rows, stats) = drain(&descent, 0);
-            assert_eq!(rows, expect, "bind_fds {bind_fds}");
-            for pause_every in 1..=3 {
-                let (paused_rows, paused_stats) = drain(&descent, pause_every);
-                assert_eq!(paused_rows, expect, "bind_fds {bind_fds}");
-                assert_eq!(paused_stats, stats, "bind_fds {bind_fds}");
+        let cases = [
+            (
+                composite_key_db(),
+                vec![vec![1, 10, 100], vec![1, 20, 120], vec![2, 20, 220]],
+            ),
+            (
+                udf_only_db(),
+                vec![
+                    vec![1, 10, 110, 11],
+                    vec![1, 20, 210, 21],
+                    vec![3, 10, 130, 13],
+                ],
+            ),
+        ];
+        for ((q, db), expect) in cases {
+            let set = IndexSet::new();
+            let paths = AccessPaths::new(&set, &q, &db).unwrap();
+            for bind_fds in [false, true] {
+                let descent =
+                    Descent::open(&q, &db, &paths, None, bind_fds, &mut Stats::default()).unwrap();
+                let determined: Vec<bool> = (0..3).map(|d| descent.fd_determined(d)).collect();
+                assert_eq!(determined, [false, false, bind_fds]);
+                let (rows, stats) = drain(&descent, 0);
+                assert_eq!(rows, expect, "bind_fds {bind_fds}");
+                for pause_every in 1..=3 {
+                    let (paused_rows, paused_stats) = drain(&descent, pause_every);
+                    assert_eq!(paused_rows, expect, "bind_fds {bind_fds}");
+                    assert_eq!(paused_stats, stats, "bind_fds {bind_fds}");
+                }
             }
         }
     }

@@ -148,7 +148,7 @@ impl PreparedQuery {
             let mut expanded_lens = Vec::with_capacity(q.atoms().len());
             for a in q.atoms() {
                 expanded_lens.push(
-                    ex.expand_relation(db.relation(&a.name)?, &mut scratch)
+                    ex.expand_relation(db.relation(&a.name)?, &mut scratch)?
                         .len() as u64,
                 );
             }

@@ -52,6 +52,7 @@ use fdjoin_bounds::chain::{best_chain_bound, chain_bound, Chain, ChainBound};
 use fdjoin_bounds::csm::CsmSequence;
 use fdjoin_bounds::llp::{solve_llp, LlpSolution};
 use fdjoin_bounds::smproof::SmProof;
+use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, Registry, SpanKind};
 use fdjoin_query::{EnumerationClass, LatticePresentation, Query};
 use fdjoin_storage::{Database, IndexSet, MissingRelation, Relation};
@@ -267,6 +268,16 @@ impl ExecOptions {
 pub enum JoinError {
     /// A query atom references a relation absent from the database.
     MissingRelation(String),
+    /// Expansion cannot reach `target`: some FD needed on the way from
+    /// `from` (everything guards and registered UDFs can derive) has
+    /// neither a guard relation nor a registered UDF. Found when the
+    /// expansion programs are compiled, before any tuple is touched.
+    MissingUdf {
+        /// The variables that can be derived.
+        from: VarSet,
+        /// The variables the algorithm needs.
+        target: VarSet,
+    },
     /// No candidate chain has a finite chain bound (isolated vertices in
     /// every chain hypergraph) — or a user-supplied chain is not good.
     NoGoodChain,
@@ -300,6 +311,12 @@ impl fmt::Display for JoinError {
             JoinError::MissingRelation(name) => {
                 write!(f, "relation {name:?} not in database")
             }
+            JoinError::MissingUdf { from, target } => write!(
+                f,
+                "cannot expand tuples from {from} to {target}: an FD on the derivation \
+                 path has neither a guard relation nor a registered UDF — register UDFs \
+                 for all unguarded FDs"
+            ),
             JoinError::NoGoodChain => {
                 write!(
                     f,
@@ -944,7 +961,7 @@ impl PreparedQuery {
                 let ex = crate::Expander::new(q, db, &paths, &mut stats)?;
                 let mut expanded: Vec<Relation> = Vec::with_capacity(q.atoms().len());
                 for a in q.atoms() {
-                    expanded.push(ex.expand_relation(db.relation(&a.name)?, &mut stats));
+                    expanded.push(ex.expand_relation(db.relation(&a.name)?, &mut stats)?);
                 }
                 let expanded_lens: Vec<u64> = expanded.iter().map(|r| r.len() as u64).collect();
                 let plan = self.csma_plan(&expanded_lens, &opts.degree_bounds)?;

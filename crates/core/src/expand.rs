@@ -1,37 +1,197 @@
-//! The Expansion procedure (Sec. 2).
+//! The Expansion procedure (Sec. 2), compiled.
 //!
-//! Given a relation over attributes `X`, expansion fills in the attributes
-//! of the closure `X⁺` by repeatedly applying FDs `U → v`: a guarded FD
-//! looks the value up in a trie index of its guard relation (order
-//! `U`-then-`v`, served by the shared access-path cache); an unguarded FD
-//! calls its UDF. Tuples whose guarded lookups find no match are dangling
-//! and dropped; tuples whose computed value contradicts an already-bound
-//! attribute are inconsistent and dropped.
+//! Given a tuple over attributes `X`, expansion fills in the attributes of
+//! the closure `X⁺` by repeatedly applying FDs `U → v`: a guarded FD looks
+//! the value up in a trie index of its guard relation (order `U`-then-`v`,
+//! served by the shared access-path cache); an unguarded FD calls its UDF.
+//! Tuples whose guarded lookups find no match are dangling and dropped;
+//! tuples whose computed value contradicts an already-bound attribute are
+//! inconsistent and dropped.
 //!
-//! The hot loops here ([`Expander::step`], [`Expander::verify_fds`]) are
-//! allocation-free: guard lookups descend the trie one bound value at a
-//! time straight out of the tuple buffer (no key vector), and UDF argument
-//! lists live in a stack buffer.
+//! Which FD fires next, through which guard or UDF, depends only on the
+//! *set* of bound attributes, never on a value. So nothing is decided per
+//! tuple: a call site asks its [`Expander`] once, outside its loop, for a
+//! [`Program`] — the straight-line op sequence for the bound set it will
+//! present — and runs that on every tuple. Three kinds are compiled:
+//!
+//! - an **expand schedule** ([`Expander::compile_expand`]) for a
+//!   `(bound, target)` pair: guard entries in order, binding the first
+//!   applicable unbound right-hand side or checking an already-bound one
+//!   that lies in `target`; then the unguarded FDs in query order through
+//!   the registry's least applicable UDF; restart after each bind; stop
+//!   once `target` is covered. A schedule that gets stuck is a
+//!   [`JoinError::MissingUdf`], known before the first tuple;
+//! - a **verify list** ([`Expander::compile_verify`]) for a bound set:
+//!   every guard entry inside it plus every *distinct* `(args, v)` UDF the
+//!   unguarded FDs inside it resolve to. Lattice-derived queries carry one
+//!   FD per pair of lattice elements, so many FDs resolve to one function:
+//!   a full Fig. 9 tuple has 207 applicable `(FD, v)` pairs and 27 distinct
+//!   checks, a Fig. 4 tuple 96 and 12;
+//! - the **fused** program ([`Expander::compile_fused`]) for the common
+//!   expand-then-verify call sites: the verify part omits every check the
+//!   expand part already made — in particular the ones it *bound* from,
+//!   which hold trivially (UDFs are functions, Sec. 1.1; a guard bind and
+//!   its check read the same trie slot).
+//!
+//! Ops carry what they need resolved — the guard trie and its lhs slots,
+//! the UDF and its argument slots — so [`Program::run`] takes no lock,
+//! hashes nothing and tests no subset; UDF arguments are gathered into a
+//! scratch buffer the caller owns. Programs hold this database's functions
+//! and guard tries: they live and die with the [`Expander`] that compiled
+//! them and are never cached across databases.
 
+use crate::engine::JoinError;
 use crate::{AccessPaths, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Value};
 use std::sync::Arc;
 
-/// Precomputed expansion machinery for a query + database.
+/// Where an op's value comes from.
+#[derive(Clone)]
+enum Source {
+    /// The guard relation indexed inputs-then-`v`: the unique extension of
+    /// the input values is the first value below them.
+    Guard(Arc<TrieIndex>),
+    /// A registered function of the input values.
+    Udf(UdfFn),
+}
+
+/// One step of a [`Program`]: evaluate a guard lookup or a UDF on the
+/// `inputs` slots, then either bind slot `v` to the result or require that
+/// it already holds it.
+#[derive(Clone)]
+struct Op {
+    source: Source,
+    inputs: Arc<[u32]>,
+    v: u32,
+    bind: bool,
+}
+
+/// What one op of a [`Program`] evaluates, for tests and diagnostics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct OpKey {
+    /// A guard-relation lookup (`true`) or a UDF application (`false`).
+    pub guarded: bool,
+    /// The variables read: the guard entry's lhs, or the UDF's arguments.
+    pub inputs: VarSet,
+    /// The variable bound or checked.
+    pub out: u32,
+    /// Whether the op binds `out` (`true`) or checks it (`false`).
+    pub binds: bool,
+}
+
+/// A compiled expansion: the ops one call site runs on each of its tuples,
+/// in order, until one fails. Built by an [`Expander`] for a fixed bound
+/// set; meaningful only on tuples with exactly that set bound.
+pub struct Program {
+    ops: Vec<Op>,
+}
+
+impl Program {
+    /// Run the program on `vals` (values by variable id): bind ops write
+    /// their slot, check ops compare it. `false` as soon as a guard lookup
+    /// dangles or a check disagrees — the tuple is to be dropped, and
+    /// `vals` is unspecified on the slots the program binds. `args` is
+    /// scratch for UDF argument lists, owned by the caller so a loop
+    /// allocates it once. Counts one [`Stats::probes`] per guard lookup and
+    /// one [`Stats::expansions`] per UDF application actually executed.
+    #[inline]
+    pub fn run(&self, vals: &mut [Value], args: &mut Vec<Value>, stats: &mut Stats) -> bool {
+        for op in &self.ops {
+            let found = match &op.source {
+                Source::Guard(ix) => {
+                    // Descend through the bound input values straight out
+                    // of the tuple (no key materialization).
+                    stats.probes += 1;
+                    let mut probe = ix.probe();
+                    if !op.inputs.iter().all(|&u| probe.descend(vals[u as usize])) {
+                        return false; // dangling
+                    }
+                    match probe.current() {
+                        Some(found) => found,
+                        None => return false,
+                    }
+                }
+                Source::Udf(f) => {
+                    stats.expansions += 1;
+                    args.clear();
+                    args.extend(op.inputs.iter().map(|&u| vals[u as usize]));
+                    f(args)
+                }
+            };
+            if op.bind {
+                vals[op.v as usize] = found;
+            } else if vals[op.v as usize] != found {
+                return false; // violates the FD
+            }
+        }
+        true
+    }
+
+    /// Number of ops — the guard lookups plus UDF applications one
+    /// surviving tuple costs.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the program does nothing (FD-free queries: every tuple
+    /// survives untouched).
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// What each op evaluates, in execution order.
+    pub fn op_keys(&self) -> impl Iterator<Item = OpKey> + '_ {
+        self.ops.iter().map(|op| OpKey {
+            guarded: matches!(op.source, Source::Guard(_)),
+            inputs: VarSet::from_vars(op.inputs.iter().copied()),
+            out: op.v,
+            binds: op.bind,
+        })
+    }
+}
+
+/// The checks a program under construction already contains, by index
+/// into [`Expander::guards`] and [`Expander::udfs`].
+struct Emitted {
+    guards: Vec<bool>,
+    udfs: Vec<bool>,
+}
+
+/// Expansion machinery for a query + database: the resolved guard entries
+/// and UDFs, and the compiler from bound sets to [`Program`]s.
 pub struct Expander<'a> {
     query: &'a Query,
     db: &'a Database,
-    /// For each guarded FD: `(lhs, one rhs var, trie index of the guard on
-    /// lhs-then-var column order)`.
-    guards: Vec<(VarSet, u32, Arc<TrieIndex>)>,
+    /// One `(lhs, check op)` per guarded FD and right-hand-side variable,
+    /// in FD order.
+    guards: Vec<(VarSet, Op)>,
+    /// The unguarded FDs `(lhs, rhs)`, in query order.
+    unguarded: Vec<(VarSet, VarSet)>,
+    /// One `(args, check op)` per distinct UDF the unguarded FDs verify
+    /// with.
+    udfs: Vec<(VarSet, Op)>,
+    /// For each unguarded `(FD, v ∈ rhs)` in query order whose `lhs`
+    /// resolves to a registered UDF: `(lhs, index into udfs)`.
+    udf_checks: Vec<(VarSet, usize)>,
+}
+
+/// The op checking `v` against `source` evaluated on `inputs`.
+fn check_op(source: Source, inputs: VarSet, v: u32) -> Op {
+    Op {
+        source,
+        inputs: inputs.iter().collect(),
+        v,
+        bind: false,
+    }
 }
 
 impl<'a> Expander<'a> {
     /// Build the expander, acquiring guard indexes from the access-path
-    /// cache (each is built at most once per guard-relation version).
-    /// Fails if a guard atom's relation is absent from the database.
+    /// cache (each is built at most once per guard-relation version) and
+    /// resolving each unguarded FD to the UDF that verifies it. Fails if a
+    /// guard atom's relation is absent from the database.
     pub fn new(
         query: &'a Query,
         db: &'a Database,
@@ -39,179 +199,221 @@ impl<'a> Expander<'a> {
         stats: &mut Stats,
     ) -> Result<Expander<'a>, MissingRelation> {
         let mut guards = Vec::new();
+        let mut unguarded = Vec::new();
+        let mut udfs: Vec<(VarSet, Op)> = Vec::new();
+        let mut udf_checks = Vec::new();
         for fd in query.fds.fds() {
-            if let Some(j) = query.guard_of(fd) {
-                let atom = &query.atoms()[j];
-                let rel = db.relation(&atom.name)?;
-                for v in fd.rhs.minus(fd.lhs).iter() {
-                    let mut cols: Vec<u32> = fd.lhs.iter().collect();
-                    cols.push(v);
-                    guards.push((fd.lhs, v, paths.base(&atom.name, rel, &cols, stats)));
+            let Some(j) = query.guard_of(fd) else {
+                unguarded.push((fd.lhs, fd.rhs));
+                for v in fd.rhs.iter() {
+                    let Some((args, f)) = db.udfs.find_applicable(fd.lhs, v) else {
+                        continue;
+                    };
+                    let known = udfs.iter().position(|(a, op)| (*a, op.v) == (args, v));
+                    let i = known.unwrap_or_else(|| {
+                        udfs.push((args, check_op(Source::Udf(Arc::clone(f)), args, v)));
+                        udfs.len() - 1
+                    });
+                    udf_checks.push((fd.lhs, i));
                 }
+                continue;
+            };
+            let atom = &query.atoms()[j];
+            let rel = db.relation(&atom.name)?;
+            for v in fd.rhs.minus(fd.lhs).iter() {
+                let mut cols: Vec<u32> = fd.lhs.iter().collect();
+                cols.push(v);
+                let ix = paths.base(&atom.name, rel, &cols, stats);
+                guards.push((fd.lhs, check_op(Source::Guard(ix), fd.lhs, v)));
             }
         }
-        Ok(Expander { query, db, guards })
+        Ok(Expander {
+            query,
+            db,
+            guards,
+            unguarded,
+            udfs,
+            udf_checks,
+        })
     }
 
-    /// Attempt to bind one more variable of `bound`/`vals`; returns
-    /// `Ok(true)` if progress was made, `Ok(false)` if no FD applies, and
-    /// `Err(())` if the tuple is dangling or inconsistent.
-    fn step(
-        &self,
-        bound: &mut VarSet,
-        vals: &mut [Value],
-        target: VarSet,
-        stats: &mut Stats,
-    ) -> Result<bool, ()> {
-        // Guarded FDs first (cheap index lookups).
-        for (lhs, v, ix) in &self.guards {
-            if !lhs.is_subset(*bound) {
-                continue;
-            }
-            let already = bound.contains(*v);
-            if already && !target.contains(*v) {
-                continue;
-            }
-            // Look up the unique extension: descend the guard trie through
-            // the bound lhs values (no key materialization).
-            stats.probes += 1;
-            let mut probe = ix.probe();
-            if !lhs.iter().all(|u| probe.descend(vals[u as usize])) || probe.is_empty() {
-                return Err(()); // dangling
-            }
-            let found = probe.current().expect("guard trie extends past its lhs");
-            if already {
-                if vals[*v as usize] != found {
-                    return Err(()); // violates the FD
-                }
-            } else {
-                vals[*v as usize] = found;
-                *bound = bound.insert(*v);
-                return Ok(true);
-            }
+    fn nothing_emitted(&self) -> Emitted {
+        Emitted {
+            guards: vec![false; self.guards.len()],
+            udfs: vec![false; self.udfs.len()],
         }
-        // Unguarded FDs via UDFs.
-        for fd in self.query.fds.fds() {
-            if self.query.guard_of(fd).is_some() || !fd.lhs.is_subset(*bound) {
-                continue;
-            }
-            for v in fd.rhs.iter() {
-                let already = bound.contains(v);
-                if already {
+    }
+
+    /// Append the expand schedule from `bound` up to `target`: the ops the
+    /// Sec. 2 fixpoint takes on any tuple with `bound` bound.
+    fn push_expand(
+        &self,
+        mut bound: VarSet,
+        target: VarSet,
+        ops: &mut Vec<Op>,
+        done: &mut Emitted,
+    ) -> Result<(), JoinError> {
+        'steps: while !target.is_subset(bound) {
+            // Guarded FDs first (cheap index lookups).
+            for (gi, (lhs, check)) in self.guards.iter().enumerate() {
+                if !lhs.is_subset(bound) {
                     continue;
                 }
-                if let Some((args, f)) = self.db.udfs.find_applicable(*bound, v) {
-                    stats.expansions += 1;
-                    vals[v as usize] = call_udf(f, args, vals);
-                    *bound = bound.insert(v);
-                    return Ok(true);
+                let bind = !bound.contains(check.v);
+                if bind || (target.contains(check.v) && !done.guards[gi]) {
+                    done.guards[gi] = true;
+                    ops.push(Op {
+                        bind,
+                        ..check.clone()
+                    });
+                }
+                if bind {
+                    bound = bound.insert(check.v);
+                    continue 'steps;
                 }
             }
-        }
-        Ok(false)
-    }
-
-    /// Expand a single tuple given as (bound variable set, values indexed by
-    /// variable id) up to `target ⊆ bound⁺`. Returns `false` if the tuple is
-    /// dangling/inconsistent. Also *verifies* FDs whose variables are all
-    /// bound.
-    pub fn expand_tuple(
-        &self,
-        bound: &mut VarSet,
-        vals: &mut [Value],
-        target: VarSet,
-        stats: &mut Stats,
-    ) -> bool {
-        while !target.is_subset(*bound) {
-            match self.step(bound, vals, target, stats) {
-                Err(()) => return false,
-                Ok(true) => {}
-                Ok(false) => panic!(
-                    "cannot expand tuple from {bound} to {target}: an FD on the \
-                     derivation path has neither a guard relation nor a registered \
-                     UDF — register UDFs for all unguarded FDs"
-                ),
-            }
-        }
-        true
-    }
-
-    /// Verify every FD whose variables are within `bound` (guarded lookups
-    /// must match; UDFs must reproduce the bound value). Used as the final
-    /// soundness filter.
-    pub fn verify_fds(&self, bound: VarSet, vals: &[Value], stats: &mut Stats) -> bool {
-        for (lhs, v, ix) in &self.guards {
-            if lhs.is_subset(bound) && bound.contains(*v) {
-                stats.probes += 1;
-                let mut probe = ix.probe();
-                if !lhs.iter().all(|u| probe.descend(vals[u as usize]))
-                    || probe.current() != Some(vals[*v as usize])
-                {
-                    return false;
-                }
-            }
-        }
-        for fd in self.query.fds.fds() {
-            if self.query.guard_of(fd).is_some() || !fd.lhs.is_subset(bound) {
-                continue;
-            }
-            for v in fd.rhs.iter() {
-                if !bound.contains(v) {
+            // Unguarded FDs via UDFs.
+            for &(lhs, rhs) in &self.unguarded {
+                if !lhs.is_subset(bound) {
                     continue;
                 }
-                if let Some((args, f)) = self.db.udfs.find_applicable(fd.lhs, v) {
-                    stats.expansions += 1;
-                    if call_udf(f, args, vals) != vals[v as usize] {
-                        return false;
+                for v in rhs.minus(bound).iter() {
+                    let Some((args, f)) = self.db.udfs.find_applicable(bound, v) else {
+                        continue;
+                    };
+                    let known = self.udfs.iter().position(|(a, op)| (*a, op.v) == (args, v));
+                    if let Some(i) = known {
+                        done.udfs[i] = true;
                     }
+                    ops.push(Op {
+                        bind: true,
+                        ..check_op(Source::Udf(Arc::clone(f)), args, v)
+                    });
+                    bound = bound.insert(v);
+                    continue 'steps;
                 }
             }
+            return Err(JoinError::MissingUdf {
+                from: bound,
+                target,
+            });
         }
-        true
+        Ok(())
+    }
+
+    /// Append the verify list of `bound`, less what `done` already covers.
+    fn push_verify(&self, bound: VarSet, ops: &mut Vec<Op>, done: &mut Emitted) {
+        for (gi, (lhs, check)) in self.guards.iter().enumerate() {
+            if lhs.is_subset(bound) && bound.contains(check.v) && !done.guards[gi] {
+                done.guards[gi] = true;
+                ops.push(check.clone());
+            }
+        }
+        for &(lhs, i) in &self.udf_checks {
+            let check = &self.udfs[i].1;
+            if lhs.is_subset(bound) && bound.contains(check.v) && !done.udfs[i] {
+                done.udfs[i] = true;
+                ops.push(check.clone());
+            }
+        }
+    }
+
+    /// The expand schedule for tuples with `bound` bound: fill the slots of
+    /// `target` (and whatever else fires on the way), checking the guard
+    /// entries of already-bound `target` variables as it goes.
+    /// [`JoinError::MissingUdf`] if `target` cannot be derived — an FD on
+    /// the way has neither a guard relation nor a registered UDF.
+    pub fn compile_expand(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
+        let mut ops = Vec::new();
+        self.push_expand(bound, target, &mut ops, &mut self.nothing_emitted())?;
+        Ok(Program { ops })
+    }
+
+    /// The verify list for tuples with `bound` bound: every FD whose
+    /// variables are within `bound` must hold (guarded lookups must match;
+    /// UDFs must reproduce the bound value), each distinct check once. The
+    /// final soundness filter.
+    pub fn compile_verify(&self, bound: VarSet) -> Program {
+        let mut ops = Vec::new();
+        self.push_verify(bound, &mut ops, &mut self.nothing_emitted());
+        Program { ops }
+    }
+
+    /// Expand from `bound` to `target`, then verify every FD within
+    /// `target`, as one program: the verify part skips the checks the
+    /// expand part made or bound from.
+    pub fn compile_fused(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
+        let (mut ops, mut done) = (Vec::new(), self.nothing_emitted());
+        self.push_expand(bound, target, &mut ops, &mut done)?;
+        self.push_verify(target, &mut ops, &mut done);
+        Ok(Program { ops })
     }
 
     /// Expand a whole relation to the closure of its variable set
     /// (the `R ↦ R⁺` step used by all algorithms). The output column order
     /// is the input columns followed by the new variables in ascending id.
-    pub fn expand_relation(&self, rel: &Relation, stats: &mut Stats) -> Relation {
+    pub fn expand_relation(
+        &self,
+        rel: &Relation,
+        stats: &mut Stats,
+    ) -> Result<Relation, JoinError> {
         let src_vars = rel.var_set();
         let target = self.query.closure(src_vars);
+        let program = self.compile_expand(src_vars, target)?;
         let mut out_vars: Vec<u32> = rel.vars().to_vec();
         out_vars.extend(target.minus(src_vars).iter());
         let mut out = Relation::new(out_vars.clone());
-        let nv = self.query.n_vars();
-        let mut vals = vec![0 as Value; nv];
+        let mut vals = vec![0 as Value; self.query.n_vars()];
+        let mut args = Vec::new();
         let mut buf = vec![0 as Value; out_vars.len()];
         for row in rel.rows() {
             for (&v, &x) in rel.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            let mut bound = src_vars;
-            if self.expand_tuple(&mut bound, &mut vals, target, stats) {
-                for (slot, &v) in buf.iter_mut().zip(&out_vars) {
-                    *slot = vals[v as usize];
-                }
+            if program.run(&mut vals, &mut args, stats) {
+                project(&vals, &out_vars, &mut buf);
                 out.push_row(&buf);
                 stats.intermediate_tuples += 1;
             }
         }
         out.sort_dedup();
-        out
+        Ok(out)
     }
 }
 
-/// Apply a UDF to arguments gathered from `vals` into a stack buffer —
-/// variable ids are bounded by `VarSet`'s 64-bit width, so no heap
-/// allocation is ever needed per application.
+/// Assemble a join candidate in `vals` (values by variable id): `row` over
+/// `row_vars` (the set `row_set`), then `ext` over `ext_vars`, which must
+/// agree with `row` wherever the two overlap. `false` if they do not. The
+/// candidate's bound set is `row_set ∪ ext_vars` — a property of the call
+/// site, which is what its [`Program`] was compiled for.
 #[inline]
-fn call_udf(f: &fdjoin_storage::UdfFn, args: VarSet, vals: &[Value]) -> Value {
-    let mut argbuf = [0 as Value; 64];
-    let mut n = 0usize;
-    for u in args.iter() {
-        argbuf[n] = vals[u as usize];
-        n += 1;
+pub(crate) fn assemble(
+    vals: &mut [Value],
+    row_vars: &[u32],
+    row_set: VarSet,
+    row: &[Value],
+    ext_vars: &[u32],
+    ext: &[Value],
+) -> bool {
+    for (&v, &x) in row_vars.iter().zip(row) {
+        vals[v as usize] = x;
     }
-    f(&argbuf[..n])
+    for (&v, &x) in ext_vars.iter().zip(ext) {
+        if !row_set.contains(v) {
+            vals[v as usize] = x;
+        } else if vals[v as usize] != x {
+            return false;
+        }
+    }
+    true
+}
+
+/// Project `vals` (values by variable id) onto `vars`, into `buf`.
+#[inline]
+pub(crate) fn project(vals: &[Value], vars: &[u32], buf: &mut [Value]) {
+    for (slot, &v) in buf.iter_mut().zip(vars) {
+        *slot = vals[v as usize];
+    }
 }
 
 #[cfg(test)]
@@ -252,7 +454,7 @@ mod tests {
         let ex = expander(&q, &db, &set, &mut stats);
         // Tuple over {x,z}: closure adds u (= x), then... {x,z,u}+ = xzu.
         let rel = Relation::from_rows(vec![0, 2], [[7, 5]]);
-        let expanded = ex.expand_relation(&rel, &mut stats);
+        let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
         assert_eq!(expanded.len(), 1);
         assert_eq!(expanded.vars(), &[0, 2, 3]);
         assert_eq!(expanded.row(0), &[7, 5, 7]); // u = x = 7.
@@ -265,12 +467,11 @@ mod tests {
         let set = IndexSet::new();
         let mut stats = Stats::default();
         let ex = expander(&q, &db, &set, &mut stats);
-        // Tuple over {x,y,z,u} where u ≠ f(x,z): verify_fds must reject.
-        let bound = VarSet::from_vars([0, 1, 2, 3]);
-        let good = [7, 2, 5, 7];
-        let bad = [7, 2, 5, 8];
-        assert!(ex.verify_fds(bound, &good, &mut stats));
-        assert!(!ex.verify_fds(bound, &bad, &mut stats));
+        // Tuple over {x,y,z,u} where u ≠ f(x,z): the verify list must reject.
+        let verify = ex.compile_verify(VarSet::from_vars([0, 1, 2, 3]));
+        let mut args = Vec::new();
+        assert!(verify.run(&mut [7, 2, 5, 7], &mut args, &mut stats));
+        assert!(!verify.run(&mut [7, 2, 5, 8], &mut args, &mut stats));
     }
 
     #[test]
@@ -289,7 +490,7 @@ mod tests {
         let ex = expander(&q, &db, &set, &mut stats);
         assert_eq!(stats.index_builds, 1, "one guard index built");
         let rel = Relation::from_rows(vec![0, 1], [[1, 10], [2, 10], [3, 10]]);
-        let expanded = ex.expand_relation(&rel, &mut stats);
+        let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
         // (3,10) is dangling — no z in T.
         assert_eq!(expanded.len(), 2);
         assert!(expanded.contains_row(&[1, 10, 100]));
@@ -308,7 +509,7 @@ mod tests {
         let mut stats = Stats::default();
         let ex = expander(&q, &db, &set, &mut stats);
         let rel = Relation::from_rows(vec![0, 1], [[1, 2], [9, 9]]);
-        let expanded = ex.expand_relation(&rel, &mut stats);
+        let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
         // {x,y} is closed: nothing added, nothing removed.
         assert_eq!(expanded.len(), 2);
         assert_eq!(expanded.vars(), &[0, 1]);

@@ -13,7 +13,7 @@
 use crate::descent::Descent;
 use crate::{AccessPaths, Stats};
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation};
+use fdjoin_storage::{Database, Relation};
 use std::ops::ControlFlow;
 
 /// Evaluate `q` on `db` with Generic-Join, binding variables in `var_order`
@@ -27,7 +27,7 @@ pub(crate) fn execute(
     bind_fds: bool,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), crate::engine::JoinError> {
     let mut stats = Stats::default();
     let descent = Descent::open(q, db, paths, var_order, bind_fds, &mut stats)?;
     let all: Vec<u32> = (0..q.n_vars() as u32).collect();

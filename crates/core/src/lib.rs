@@ -25,8 +25,8 @@
 //!    [`generic_join`], [`binary_join`], [`naive_join`] — thin shims over
 //!    the engine.
 //!
-//! All algorithms share the [`Expander`] (the Sec. 2 expansion procedure)
-//! and report deterministic work counters ([`Stats`]) so experiments can
+//! All algorithms share the [`Expander`] (the Sec. 2 expansion procedure,
+//! compiled once per call site into a straight-line [`Program`]) and report deterministic work counters ([`Stats`]) so experiments can
 //! verify asymptotic *shapes* without wall-clock noise. Results come back
 //! as one [`JoinResult`]; failures as one [`JoinError`]. Generic-Join's
 //! search is the resumable [`descent`] loop, which
@@ -68,7 +68,7 @@ pub use engine::{
     JoinResult, Parallelism, PlanCache, PlanCacheStats, PlanDetail, PrepStats, PreparedQuery,
     UserDegreeBound,
 };
-pub use expand::Expander;
+pub use expand::{Expander, OpKey, Program};
 pub use par::run_scoped;
 pub use stats::Stats;
 

@@ -3,10 +3,11 @@
 //! allocation-happy by design — it is the correctness oracle for the
 //! property tests, nothing more.
 
+use crate::engine::JoinError;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation, Value};
+use fdjoin_storage::{Database, Relation, Value};
 
 /// Evaluate `q` on `db` naively. Output columns are all query variables in
 /// ascending id order.
@@ -15,7 +16,7 @@ pub(crate) fn execute(
     db: &Database,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), JoinError> {
     let mut stats = Stats::default();
     let ex = Expander::new(q, db, paths, &mut stats)?;
     let nv = q.n_vars();
@@ -58,15 +59,19 @@ pub(crate) fn execute(
         stats.intermediate_tuples += partials.len() as u64;
     }
 
+    // Every partial went through every atom, so all bind the atom variables.
+    let atom_vars = q
+        .atoms()
+        .iter()
+        .fold(VarSet::EMPTY, |s, a| s.union(a.var_set()));
+    let program = ex.compile_fused(atom_vars, VarSet::full(nv as u32))?;
     let all: Vec<u32> = (0..nv as u32).collect();
-    let target = VarSet::full(nv as u32);
     let parts = crate::par::for_blocks(par, partials.len(), None, &mut stats, |range, stats| {
         let mut part = Relation::new(all.clone());
-        for (bound, vals) in &partials[range] {
-            let (mut bound, mut vals) = (*bound, vals.clone());
-            if ex.expand_tuple(&mut bound, &mut vals, target, stats)
-                && ex.verify_fds(bound, &vals, stats)
-            {
+        let mut args = Vec::new();
+        for (_, vals) in &partials[range] {
+            let mut vals = vals.clone();
+            if program.run(&mut vals, &mut args, stats) {
                 part.push_row(&vals);
                 stats.output_tuples += 1;
             }

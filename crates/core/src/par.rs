@@ -31,7 +31,6 @@
 
 use crate::stats::Stats;
 use crate::Expander;
-use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::{Relation, Value};
 use std::collections::VecDeque;
@@ -227,13 +226,17 @@ where
 pub(crate) fn semijoin_reduce_verified(
     inputs: &[&Relation],
     ex: &Expander<'_>,
-    full: VarSet,
     out: &Relation,
     par: &ParCtx,
     stats: &mut Stats,
 ) -> Relation {
+    // `out` is over all variables in ascending id: a row is its own value
+    // vector, and the verify list is the one for the full set.
+    let verify = ex.compile_verify(out.var_set());
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Relation::new(out.vars().to_vec());
+        let mut vals = vec![0 as Value; out.vars().len()];
+        let mut args = Vec::new();
         // One key buffer for every membership lookup of the block.
         let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
@@ -245,7 +248,8 @@ pub(crate) fn semijoin_reduce_verified(
                     continue 'rows;
                 }
             }
-            if !ex.verify_fds(full, row, stats) {
+            vals.copy_from_slice(row);
+            if !verify.run(&mut vals, &mut args, stats) {
                 continue;
             }
             reduced.push_row(row);

@@ -11,13 +11,14 @@
 //! `T(X ∧ Y)`. Lemma 5.24 keeps every temporary within `2^{h*(·)}`.
 
 use crate::engine::JoinError;
+use crate::expand::{assemble, project};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::llp::LlpSolution;
 use fdjoin_bounds::smproof::{scale_weights, search_good_sm_proof, SmProof};
 use fdjoin_bounds::LatticeFn;
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, Relation, TrieIndex, Value};
 
 /// The data-independent part of an SMA run: everything derived from the
 /// lattice presentation and the input *sizes* alone, reusable across
@@ -103,7 +104,7 @@ pub(crate) fn execute(
     sma: &SmaPlan,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), MissingRelation> {
+) -> Result<(Relation, Stats), JoinError> {
     let lat = &pres.lattice;
     let mut stats = Stats::default();
     let ex = Expander::new(q, db, paths, &mut stats)?;
@@ -120,7 +121,7 @@ pub(crate) fn execute(
     }
     let mut pool: Vec<Entry> = Vec::new();
     for &(j, m) in &sma.multiset {
-        let expanded = ex.expand_relation(db.relation(&q.atoms()[j].name)?, &mut stats);
+        let expanded = ex.expand_relation(db.relation(&q.atoms()[j].name)?, &mut stats)?;
         for _ in 0..m {
             pool.push(Entry {
                 elem: pres.inputs[j],
@@ -213,12 +214,16 @@ pub(crate) fn execute(
             .iter()
             .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
             .collect();
+        // Every candidate binds vars(T(X)) ∪ vars(T(Y)): one program expands
+        // it to Λ(X ∨ Y) and verifies the FDs within.
+        let program = ex.compile_fused(tx.var_set().union(light.var_set()), join_set)?;
         // Per-row probe-and-extend work is independent; fan it out over
         // contiguous blocks of T(X) rows (fragments merge in block order
         // into the canonical relation of the sequential path).
         let parts = crate::par::for_blocks(par, tx.len(), None, &mut stats, |rows, stats| {
             let mut part = Relation::new(out_vars.clone());
             let mut vals = vec![0 as Value; nv];
+            let mut args = Vec::new();
             let mut buf = vec![0 as Value; out_vars.len()];
             let mut key = vec![0 as Value; tx_z_cols.len()];
             for row in rows.map(|ri| tx.row(ri)) {
@@ -226,30 +231,14 @@ pub(crate) fn execute(
                 for (slot, &c) in key.iter_mut().zip(&tx_z_cols) {
                     *slot = row[c];
                 }
-                'ext: for r in light.prefix_range(&key) {
+                for r in light.prefix_range(&key) {
                     let ext = light.row(r);
-                    for (&v, &x) in tx.vars().iter().zip(row) {
-                        vals[v as usize] = x;
-                    }
-                    let mut bound = tx.var_set();
-                    for (&v, &x) in light.vars().iter().zip(ext) {
-                        if bound.contains(v) {
-                            if vals[v as usize] != x {
-                                continue 'ext;
-                            }
-                        } else {
-                            vals[v as usize] = x;
-                            bound = bound.insert(v);
-                        }
-                    }
-                    if !ex.expand_tuple(&mut bound, &mut vals, join_set, stats)
-                        || !ex.verify_fds(join_set, &vals, stats)
+                    if !assemble(&mut vals, tx.vars(), tx.var_set(), row, light.vars(), ext)
+                        || !program.run(&mut vals, &mut args, stats)
                     {
                         continue;
                     }
-                    for (slot, &v) in buf.iter_mut().zip(&out_vars) {
-                        *slot = vals[v as usize];
-                    }
+                    project(&vals, &out_vars, &mut buf);
                     part.push_row(&buf);
                     stats.intermediate_tuples += 1;
                 }
@@ -285,13 +274,12 @@ pub(crate) fn execute(
         }
     }
     out.sort_dedup();
-    let full = fdjoin_lattice::VarSet::full(nv as u32);
     let inputs: Vec<&Relation> = q
         .atoms()
         .iter()
         .map(|a| db.relation(&a.name))
         .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, full, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, &out, par, &mut stats);
 
     Ok((reduced, stats))
 }

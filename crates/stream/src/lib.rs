@@ -68,7 +68,7 @@ use std::ops::ControlFlow;
 pub struct ResultStream<'a> {
     prepared: &'a PreparedQuery,
     /// The search set-up: binding order (ascending variable id) and tries.
-    descent: Descent<'a>,
+    descent: Descent,
     /// The suspended search position.
     pos: Position,
     /// Content versions of each atom's relation at open time, stamped into
@@ -76,15 +76,18 @@ pub struct ResultStream<'a> {
     versions: Vec<u64>,
     udf_version: u64,
     stats: Stats,
-    /// The prepared query's tracing handle: each delivered row is a
-    /// `stream_advance` span (no-op when the engine has no observer).
+    /// The prepared query's tracing handle: each `next_row`, `limit` or
+    /// `collect_rows` call is one `stream_advance` span (no-op when the
+    /// engine has no observer).
     obs: Observer,
 }
 
 impl<'a> ResultStream<'a> {
     /// Open a cursor over `prepared`'s answers on `db`, positioned before
     /// the first row. Builds (or reuses from the engine-wide cache) one
-    /// trie per atom plus the FD-guard tries; no output is computed yet.
+    /// trie per atom plus the FD-guard tries and compiles the expansion
+    /// programs; no output is computed yet. A UDF-only variable without a
+    /// registered UDF is [`JoinError::MissingUdf`] here, not at a row.
     pub fn open(
         prepared: &'a PreparedQuery,
         db: &'a Database,
@@ -122,6 +125,40 @@ impl<'a> ResultStream<'a> {
             .is_break()
     }
 
+    /// [`ResultStream::advance`] plus the delivery counters, untraced: what
+    /// one delivered row costs inside a traced call.
+    fn deliver(&mut self) -> Option<&[Value]> {
+        if !self.advance() {
+            return None;
+        }
+        self.stats.rows_streamed += 1;
+        self.stats.stream_pauses += 1;
+        Some(self.pos.vals())
+    }
+
+    /// Deliver up to `k` rows into a fresh relation under one
+    /// `stream_advance` span for the whole call — a page is one unit of
+    /// work to whoever reads the trace, and a span per row would cost more
+    /// than the row.
+    fn page(&mut self, name: &'static str, k: usize) -> Relation {
+        let mut span = self
+            .obs
+            .is_enabled()
+            .then(|| self.obs.span(SpanKind::StreamAdvance, name));
+        let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
+        while out.len() < k {
+            match self.deliver() {
+                Some(row) => out.push_row(row),
+                None => break,
+            }
+        }
+        if let Some(span) = &mut span {
+            span.field("rows", out.len());
+            span.field("rows_streamed", self.stats.rows_streamed);
+        }
+        out
+    }
+
     /// The next answer, or `None` when the enumeration is exhausted. Each
     /// delivered row suspends the descent ([`Stats::stream_pauses`]) and
     /// counts into [`Stats::rows_streamed`]. Rows come out in lexicographic
@@ -133,23 +170,16 @@ impl<'a> ResultStream<'a> {
         // One span per delivered (or attempted) row: the descent work
         // between two suspensions. Gated so the disabled path costs one
         // branch per row.
-        let mut span = if self.obs.is_enabled() {
-            Some(self.obs.span(SpanKind::StreamAdvance, "next_row"))
-        } else {
-            None
-        };
-        let got = self.advance();
+        let mut span = self
+            .obs
+            .is_enabled()
+            .then(|| self.obs.span(SpanKind::StreamAdvance, "next_row"));
+        let got = self.deliver().is_some();
         if let Some(span) = &mut span {
             span.field("emitted", got);
-            span.field("rows_streamed", self.stats.rows_streamed + got as u64);
+            span.field("rows_streamed", self.stats.rows_streamed);
         }
-        if got {
-            self.stats.rows_streamed += 1;
-            self.stats.stream_pauses += 1;
-            Some(self.pos.vals())
-        } else {
-            None
-        }
+        got.then(|| self.pos.vals())
     }
 
     /// Whether at least one (more) answer exists, stopping the descent at
@@ -188,23 +218,13 @@ impl<'a> ResultStream<'a> {
     /// does strictly less deterministic work than any materializing
     /// execution.
     pub fn limit(&mut self, k: usize) -> Relation {
-        let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
-        for _ in 0..k {
-            match self.next_row() {
-                Some(row) => out.push_row(row),
-                None => break,
-            }
-        }
-        out
+        self.page("limit", k)
     }
 
     /// Drain the stream into a relation equal to the materialized
     /// `JoinResult::output` of the same query (sorted, deduplicated).
     pub fn collect_rows(&mut self) -> Relation {
-        let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
-        while let Some(row) = self.next_row() {
-            out.push_row(row);
-        }
+        let mut out = self.page("collect_rows", usize::MAX);
         out.sort_dedup();
         out
     }
