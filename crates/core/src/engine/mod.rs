@@ -250,13 +250,6 @@ impl ExecOptions {
         self
     }
 
-    /// Set the parallelism mode directly ([`Parallelism::Auto`] is the
-    /// default).
-    pub fn parallelism_mode(mut self, mode: Parallelism) -> Self {
-        self.parallelism = mode;
-        self
-    }
-
     /// The configured parallelism mode.
     pub fn parallelism_setting(&self) -> Parallelism {
         self.parallelism
@@ -303,6 +296,10 @@ pub enum JoinError {
         /// `log₂` of the budget it was compared against.
         budget_log: Box<Rational>,
     },
+    /// The execution panicked on a serving-layer worker (e.g. inside a
+    /// registered UDF); the payload is the panic message. Only this
+    /// execution is lost: the worker and its pool keep serving.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for JoinError {
@@ -336,6 +333,7 @@ impl fmt::Display for JoinError {
                 "admission rejected: estimated log₂ output {estimate_log_max} exceeds \
                  budget log₂ {budget_log}"
             ),
+            JoinError::WorkerPanicked(msg) => write!(f, "execution panicked on a worker: {msg}"),
         }
     }
 }
@@ -770,7 +768,7 @@ impl PreparedQuery {
         Ok(crate::cost::estimate_join(&self.query, db)?)
     }
 
-    /// Resolve [`ExecOptions::parallelism_setting`] into a concrete
+    /// Resolve [`ExecOptions::parallelism`] into a concrete
     /// per-solve fan-out context. [`Parallelism::Auto`] splits to one task
     /// per available core only when the measured branch estimate clears
     /// [`ExecOptions::AUTO_SPLIT_LOG2`] — below that, fan-out overhead
@@ -789,13 +787,15 @@ impl PreparedQuery {
                 let cores = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                match self.estimate(db) {
-                    Ok(est)
-                        if cores >= 2 && est.log_max.to_f64() >= ExecOptions::AUTO_SPLIT_LOG2 =>
-                    {
-                        cores
-                    }
-                    _ => 1,
+                // Core count first: a one-core host cannot use the estimate.
+                if cores >= 2
+                    && self
+                        .estimate(db)
+                        .is_ok_and(|est| est.log_max.to_f64() >= ExecOptions::AUTO_SPLIT_LOG2)
+                {
+                    cores
+                } else {
+                    1
                 }
             }
         };

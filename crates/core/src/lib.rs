@@ -26,11 +26,12 @@
 //!    the engine.
 //!
 //! All algorithms share the [`Expander`] (the Sec. 2 expansion procedure,
-//! compiled once per call site into a straight-line [`Program`]) and report deterministic work counters ([`Stats`]) so experiments can
-//! verify asymptotic *shapes* without wall-clock noise. Results come back
-//! as one [`JoinResult`]; failures as one [`JoinError`]. Generic-Join's
-//! search is the resumable [`descent`] loop, which
-//! `fdjoin_stream::ResultStream` runs one answer at a time.
+//! compiled once per call site into a straight-line [`Program`]) and
+//! report deterministic work counters ([`Stats`]) so tests and the
+//! `benchmark/` harness can verify asymptotic *shapes* without wall-clock
+//! noise. Results come back as one [`JoinResult`]; failures as one
+//! [`JoinError`]. Generic-Join's search is the resumable [`descent`] loop,
+//! which `fdjoin_stream::ResultStream` runs one answer at a time.
 //!
 //! Every probe an algorithm issues goes through the shared access-path
 //! layer ([`AccessPaths`] over `fdjoin_storage::IndexSet`): trie indexes

@@ -1,7 +1,8 @@
 //! Work counters threaded through all algorithms.
 //!
-//! Wall-clock measurements are noisy at laptop scale; the experiments verify
-//! the paper's *asymptotic shapes* (who wins, what the exponent is) with
+//! Wall-clock measurements are noisy at laptop scale; the test suite
+//! (`tests/paper_claims.rs`) and the `benchmark/` harness verify the
+//! paper's *asymptotic shapes* (who wins, what the exponent is) with
 //! deterministic work counters instead.
 
 /// Operation counters. "Probes" are index lookups/binary searches; "scanned"

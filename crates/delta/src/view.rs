@@ -70,16 +70,6 @@ impl DeltaOptions {
     pub fn exec_options(&self) -> &ExecOptions {
         &self.exec
     }
-
-    /// The configured recompute threshold.
-    pub fn recompute_threshold(&self) -> f64 {
-        self.max_delta_fraction
-    }
-
-    /// Whether per-delta plan specialization is enabled.
-    pub fn specializes_deltas(&self) -> bool {
-        self.specialize_deltas
-    }
 }
 
 /// A materialized join result kept current under [`DeltaBatch`] updates.

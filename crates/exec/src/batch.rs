@@ -14,7 +14,7 @@
 //! `execute` loop: executions share only the prepared query's plan caches,
 //! whose contents do not depend on scheduling.
 
-use crate::pool::Pool;
+use crate::pool::{contain_panic, unreported, Pool};
 use fdjoin_core::run_scoped;
 use fdjoin_core::{ExecOptions, JoinError, JoinResult, PreparedQuery};
 use fdjoin_obs::{Observer, Span, SpanKind};
@@ -266,12 +266,12 @@ impl Executor {
                 let mut job_span =
                     obs.span_with_parent(SpanKind::Batch, batch_label(&prepared), parent);
                 job_span.field("db_index", i);
-                let r = match &admission {
+                let r = contain_panic(|| match &admission {
                     Some(a) => a
                         .check(&prepared, &dbs[i])
                         .and_then(|()| prepared.execute(&dbs[i], &opts)),
                     None => prepared.execute(&dbs[i], &opts),
-                };
+                });
                 match &r {
                     Ok(jr) => job_span.field("rows", jr.output.len()),
                     Err(e) => job_span.field("error", e.to_string()),
@@ -327,20 +327,19 @@ impl BatchHandle {
         self.n == 0
     }
 
-    /// Block until every database has been executed.
+    /// Block until every database has been executed. An execution that
+    /// panicked on its worker reports [`JoinError::WorkerPanicked`] in its
+    /// slot; the others are unaffected.
     pub fn wait(self) -> BatchResult {
         let mut slots: Vec<Option<Result<JoinResult, JoinError>>> =
             (0..self.n).map(|_| None).collect();
-        for _ in 0..self.n {
-            let (i, r) = self
-                .rx
-                .recv()
-                .expect("a batch job panicked before reporting its result");
+        // Ends early only when every job's sender is gone.
+        for (i, r) in self.rx.iter().take(self.n) {
             slots[i] = Some(r);
         }
         let results = slots
             .into_iter()
-            .map(|s| s.expect("every database reported"))
+            .map(|s| s.unwrap_or_else(|| Err(unreported())))
             .collect();
         let batch = BatchResult::collect(results, self.started.elapsed());
         if let Some(mut span) = self.span {

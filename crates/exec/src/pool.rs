@@ -7,15 +7,40 @@
 //! join execution dominates the lock cost by orders of magnitude).
 //!
 //! The pool is deliberately minimal: `spawn` and `Drop` (graceful
-//! shutdown). Batch orchestration, result collection, and statistics live
-//! in [`crate::Executor`].
+//! shutdown), plus the panic containment every result-reporting job wraps
+//! its work in. Batch orchestration, result collection, and statistics
+//! live in [`crate::Executor`].
 
+use fdjoin_core::JoinError;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send>;
+
+/// Run one execution on a worker, turning a panic inside it (a registered
+/// UDF, say) into the typed error its handle reports. Spans opened inside
+/// `work` close as the unwind drops them.
+pub(crate) fn contain_panic<T>(
+    work: impl FnOnce() -> Result<T, JoinError>,
+) -> Result<T, JoinError> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(JoinError::WorkerPanicked(message))
+    })
+}
+
+/// What a handle reports for an execution whose job ended without sending
+/// a result (it panicked outside [`contain_panic`]).
+pub(crate) fn unreported() -> JoinError {
+    JoinError::WorkerPanicked("the job ended without reporting a result".to_string())
+}
 
 pub(crate) struct Pool {
     inner: Arc<PoolInner>,
@@ -93,9 +118,11 @@ fn worker_loop(inner: &PoolInner, me: usize) {
     loop {
         if let Some(job) = find_job(inner, me) {
             // A panicking job must not kill the worker — the pool would
-            // silently shrink for every later batch. The panic surfaces to
-            // the submitter as the job's result channel going dead.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            // silently shrink for every later batch. Batch and stream jobs
+            // report their own panics ([`contain_panic`]); anything that
+            // still unwinds to here surfaces to the submitter as the job's
+            // result channel going dead.
+            let _ = catch_unwind(AssertUnwindSafe(job));
             continue;
         }
         if inner.shutdown.load(Ordering::Acquire) {

@@ -19,6 +19,7 @@
 //! pool.
 
 use crate::batch::Executor;
+use crate::pool::{contain_panic, unreported};
 use fdjoin_bigint::Rational;
 use fdjoin_core::{EnumerationClass, JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};
@@ -159,11 +160,10 @@ pub struct StreamHandle {
 }
 
 impl StreamHandle {
-    /// Block until the stream ends (exhaustion, budget, or rejection).
+    /// Block until the stream ends (exhaustion, budget, rejection, or
+    /// [`JoinError::WorkerPanicked`] when the drive panicked on its worker).
     pub fn wait(self) -> Result<StreamOutcome, JoinError> {
-        self.rx
-            .recv()
-            .expect("a stream job panicked before reporting its result")
+        self.rx.recv().unwrap_or_else(|_| Err(unreported()))
     }
 }
 
@@ -249,7 +249,7 @@ impl Executor {
         // delivery ends — it covers the whole stream's lifetime.
         let mut span = span;
         self.spawn(move || {
-            let r = run_stream(&prepared, &db, &budget, started, &obs2, parent);
+            let r = contain_panic(|| run_stream(&prepared, &db, &budget, started, &obs2, parent));
             match &r {
                 Ok(o) => {
                     span.field("rows", o.rows.len());

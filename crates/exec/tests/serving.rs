@@ -2,9 +2,9 @@
 //! `PlanCache`, batch execution equivalence, and concurrency stress.
 
 use fdjoin_core::{
-    naive_join, Algorithm, Engine, ExecOptions, JoinResult, PlanCache, PreparedQuery,
+    naive_join, Algorithm, Engine, ExecOptions, JoinError, JoinResult, PlanCache, PreparedQuery,
 };
-use fdjoin_exec::{ExecuteBatch, Executor};
+use fdjoin_exec::{ExecuteBatch, Executor, StreamBudget};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{examples, Query};
 use fdjoin_storage::{Database, Relation};
@@ -359,6 +359,45 @@ fn executor_submit_collects_per_database_results() {
     // The pool survives its first batch: submit another.
     let batch2 = exec.submit(&prepared, &dbs, &ExecOptions::new()).wait();
     assert_eq!(batch2.stats.succeeded, 5);
+}
+
+/// A UDF that panics on a pool worker fails *its* execution with a typed
+/// error — batch slot or stream handle — and neither the waiting thread
+/// nor the pool goes down with it.
+#[test]
+fn panicking_udf_is_a_typed_error_on_the_waiter() {
+    let (q, good) = fig1();
+    let (_, mut bad) = fig1();
+    bad.udfs.register(VarSet::from_vars([0, 2]), 3, |_| -> u64 {
+        panic!("udf exploded")
+    });
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let dbs = Arc::new(vec![good.clone(), bad.clone()]);
+    let expected = naive_join(&q, &good).unwrap().output;
+
+    // One worker: the thread that caught the panic serves everything after.
+    let exec = Executor::with_threads(1);
+    let batch = exec.submit(&prepared, &dbs, &opts(Algorithm::Chain)).wait();
+    assert_eq!(batch.results[0].as_ref().unwrap().output, expected);
+    assert!(
+        matches!(&batch.results[1], Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
+        "{:?}",
+        batch.results[1]
+    );
+    assert_eq!((batch.stats.succeeded, batch.stats.failed), (1, 1));
+
+    let streamed = exec
+        .submit_stream(&prepared, &Arc::new(bad), StreamBudget::new())
+        .wait();
+    assert!(
+        matches!(streamed, Err(JoinError::WorkerPanicked(_))),
+        "{streamed:?}"
+    );
+
+    let next = exec
+        .submit(&prepared, &Arc::new(vec![good]), &opts(Algorithm::Chain))
+        .wait();
+    assert_eq!(next.results[0].as_ref().unwrap().output, expected);
 }
 
 /// Stress: many databases × several algorithms × repeated rounds, wide

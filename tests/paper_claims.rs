@@ -1,13 +1,18 @@
 //! End-to-end verification of the paper's quantitative claims, one test per
-//! experiment row of `EXPERIMENTS.md` (small-scale versions; the bench
-//! harness runs the full sweeps).
+//! figure, example or equation, on instances small enough for the tier-1
+//! gate. `cargo test --test paper_claims` is where the claims are checked;
+//! the `benchmark/` harness tracks the same exponents at scale
+//! (`core.work_exponent`, `core.baseline_work_exponent`).
 
 use fdjoin::bigint::{rat, Rational};
 use fdjoin::bounds::chain::best_chain_bound;
 use fdjoin::bounds::llp::solve_llp;
 use fdjoin::bounds::normal::is_normal_lattice;
 use fdjoin::bounds::smproof::{search_good_sm_proof, search_sm_proof};
-use fdjoin::core::{chain_join, csma_join, generic_join, naive_join};
+use fdjoin::core::{
+    chain_join, csma_join, generic_join, naive_join, Algorithm, Engine, ExecOptions,
+    UserDegreeBound,
+};
 use fdjoin::query::examples;
 
 /// E1: the Fig. 1 UDF query — GLVV = N^{3/2}; chain algorithm does
@@ -44,6 +49,73 @@ fn e1_tight_instance_attains_bound() {
         let db = fdjoin::instances::fig1_tight(s);
         let ca = chain_join(&q, &db).unwrap();
         assert_eq!(ca.output.len() as u64, s * s * s);
+    }
+}
+
+/// A1: the per-tuple argmin is the "crucial fact" of Sec. 5.1 that carries
+/// Theorem 5.7 — on the adversarial instance the Chain Algorithm's work is
+/// linear with it and near-quadratic with a fixed covering atom per level.
+#[test]
+fn a1_argmin_carries_theorem_5_7() {
+    let prepared = Engine::new().prepare(&examples::fig1_udf());
+    let exponent = |alg: Algorithm| {
+        let run = |n: u64| {
+            let db = fdjoin::instances::fig1_adversarial(n);
+            prepared
+                .execute(&db, &ExecOptions::new().algorithm(alg))
+                .unwrap()
+        };
+        let (small, large) = (run(64), run(256));
+        let exp = (large.stats.work() as f64 / small.stats.work() as f64).log2() / 2.0;
+        (exp, large.output)
+    };
+    let (with, out_with) = exponent(Algorithm::Chain);
+    let (without, out_without) = exponent(Algorithm::ChainNoArgmin);
+    assert_eq!(out_with, out_without);
+    assert!(with < 1.25, "argmin work exponent ~1, got {with:.2}");
+    assert!(
+        without > 1.6,
+        "fixed-atom work exponent ~2, got {without:.2}"
+    );
+}
+
+/// E2: Eq. (2) through the engine — a user degree bound `d` on `R(x → y)`
+/// reaches the conditional LLP, whose optimum tracks
+/// `min(3/2·log N, log N + log d)`, and the output respects it.
+#[test]
+fn e2_degree_bound_tracks_eq2_through_the_engine() {
+    let q = examples::triangle();
+    let prepared = Engine::new().prepare(&q);
+    for (n, degrees) in [
+        (256u64, [1u64, 2, 4, 16, 64, 256]),
+        (512, [1, 2, 8, 32, 128, 512]),
+    ] {
+        for d in degrees {
+            let db = fdjoin::instances::bounded_degree_triangle(n, d);
+            for name in ["R", "S", "T"] {
+                assert_eq!(db.relation(name).unwrap().len() as u64, n);
+            }
+            let real_d = db.relation("R").unwrap().max_degree(1) as u64;
+            let opts =
+                ExecOptions::new()
+                    .algorithm(Algorithm::Csma)
+                    .degree_bound(UserDegreeBound {
+                        atom: 0,
+                        on: vec![q.var_id("x").unwrap()],
+                        max_degree: real_d,
+                    });
+            let out = prepared.execute(&db, &opts).unwrap();
+            let bound = out.predicted_log_bound.as_ref().unwrap().to_f64();
+            let log_n = (n as f64).log2();
+            let eq2 = (1.5 * log_n).min(log_n + (real_d as f64).log2());
+            // Logs are rounded up to 16 fractional bits before the LP.
+            assert!(
+                eq2 <= bound && bound <= eq2 + 3.0 / 65536.0,
+                "N = {n}, d = {real_d}: CLLP bound {bound}, Eq. (2) {eq2}"
+            );
+            assert!(out.output.len() as f64 <= bound.exp2());
+            assert_eq!(out.output, naive_join(&q, &db).unwrap().output);
+        }
     }
 }
 
