@@ -20,8 +20,3 @@ pub use rational::Rational;
 pub fn rat(p: i64, q: i64) -> Rational {
     Rational::from_frac(BigInt::from(p), BigInt::from(q))
 }
-
-/// Convenience: construct an integer [`Rational`].
-pub fn rint(p: i64) -> Rational {
-    Rational::from(BigInt::from(p))
-}

@@ -118,11 +118,6 @@ pub fn solve_llp(lat: &Lattice, inputs: &[ElemId], log_sizes: &[Rational]) -> Ll
     }
 }
 
-/// `log₂` of the GLVV bound (Proposition 3.4): the LLP optimum.
-pub fn glvv_log_bound(lat: &Lattice, inputs: &[ElemId], log_sizes: &[Rational]) -> Rational {
-    solve_llp(lat, inputs, log_sizes).value
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,12 @@
 //! Traditional left-deep binary join plans — the "query plan" baseline
 //! whose intermediate results blow up to `Ω(N²)` on the paper's motivating
 //! instances (Sec. 1.1). Build sides are cached trie indexes (shared
-//! columns first) from the access-path layer, probed with zero per-tuple
-//! key allocation.
+//! columns first) from the access-path layer; each pairwise join is one
+//! [`extend`](crate::extend) step with the build side as its only side and
+//! the empty program.
 
 use crate::engine::JoinError;
+use crate::extend::{extend, Side};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
@@ -24,6 +26,7 @@ pub(crate) fn execute(
     let ex = Expander::new(q, db, paths, &mut stats)?;
     let default_order: Vec<usize> = (0..q.atoms().len()).collect();
     let order: &[usize] = atom_order.unwrap_or(&default_order);
+    let nv = q.n_vars();
 
     // Left-deep: acc ⋈ atom ⋈ atom ⋈ …
     let mut acc = match order.first() {
@@ -56,36 +59,18 @@ pub(crate) fn execute(
         let index = paths.base(&atom.name, rel, &build_order, &mut stats);
         let mut out_vars: Vec<u32> = acc.vars().to_vec();
         out_vars.extend(&fresh);
-        let acc_shared_cols: Vec<usize> = shared.iter().map(|&v| acc.col_of(v).unwrap()).collect();
-        // Per-row probe work is independent; fan it out over contiguous
-        // blocks of accumulator rows (fragments merge in block order into
-        // the canonical relation of the sequential path).
-        let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
-            let mut buf: Vec<Value> = Vec::new();
-            for row in rows.map(|ri| acc.row(ri)) {
-                stats.probes += 1;
-                let mut probe = index.probe();
-                if !acc_shared_cols.iter().all(|&c| probe.descend(row[c])) {
-                    continue;
-                }
-                let mut matches = index.walk(probe.range());
-                while let Some(ext) = matches.next() {
-                    buf.clear();
-                    buf.extend_from_slice(row);
-                    buf.extend_from_slice(&ext[shared.len()..]);
-                    part.push_row(&buf);
-                    stats.intermediate_tuples += 1;
-                }
-            }
-            part
-        });
-        acc = crate::par::merge(parts);
+        // The empty program: FDs are not verified between joins — the
+        // unbounded intermediates are the point of this baseline.
+        let side = Side {
+            trie: &index,
+            key_cols: shared.iter().map(|&v| acc.col_of(v).unwrap()).collect(),
+            program: ex.compile_fused(VarSet::EMPTY, VarSet::EMPTY)?,
+        };
+        acc = extend(par, &acc, &[side], false, &out_vars, nv, &mut stats);
     }
 
     // Expand to all variables and verify FDs / UDF predicates, fanned out
-    // over blocks of accumulator rows like the join loops above.
-    let nv = q.n_vars();
+    // over blocks of accumulator rows like the join steps above.
     let program = ex.compile_fused(acc.var_set(), VarSet::full(nv as u32))?;
     let all: Vec<u32> = (0..nv as u32).collect();
     let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {

@@ -6,19 +6,21 @@
 //! `j* = argmin_j |t ⋈ Π_{R_j ∧ C_i}(R_j)|` — the choice *depends on `t`* —
 //! iterates that smallest extension set, expands each candidate to the
 //! closure `C_i` via FDs, and verifies it against every other covering
-//! relation.
+//! relation. That step is the general case of the shared
+//! [`extend`](crate::extend) kernel: this driver hands it one side per
+//! covering relation and the argmin switch.
 //!
 //! Planning (chain search) lives in the [`crate::engine`]; this module is
-//! the execution kernel, entered with a pre-computed [`ChainBound`].
+//! the chain driver, entered with a pre-computed [`ChainBound`].
 
 use crate::engine::JoinError;
-use crate::expand::{assemble, project};
+use crate::extend::{extend, Side};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::ChainBound;
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex};
 use std::sync::Arc;
 
 /// `log₂ |R_j|` (dyadic upper approximation) for each atom.
@@ -77,12 +79,11 @@ pub(crate) fn execute(
     // Acquire the trie index of Π_{R_j ∧ C_i}(R_j⁺) for every covering
     // (i, j) from the access-path cache, in chain-level column order so
     // Q_{i-1}'s shared part is a prefix.
-    // proj[i][j] = Some((index, prefix_len onto R_j ∧ C_{i-1})).
-    type Proj = Option<(Arc<TrieIndex>, usize)>;
-    let mut proj: Vec<Vec<Proj>> = vec![vec![]; k + 1];
+    // proj[i] = (index, prefix_len onto R_j ∧ C_{i-1}) per covering j.
+    let mut proj: Vec<Vec<(Arc<TrieIndex>, usize)>> = vec![vec![]; k + 1];
     for (i, slot) in proj.iter_mut().enumerate().skip(1) {
         *slot = (0..q.atoms().len())
-            .map(|j| {
+            .filter_map(|j| {
                 let rj = pres.inputs[j];
                 let mij = lat.meet(rj, chain.elems[i]);
                 let mij_prev = lat.meet(rj, chain.elems[i - 1]);
@@ -104,110 +105,31 @@ pub(crate) fn execute(
     let mut q_prev = Relation::nullary_unit();
     for i in 1..=k {
         let out_vars = col_order(level_sets[i]);
-        let target = level_sets[i];
-        let covering: Vec<usize> = (0..q.atoms().len())
-            .filter(|&j| proj[i][j].is_some())
-            .collect();
+        // One side per covering atom: its key columns are the positions in
+        // Q_{i-1} of the shared prefix variables, and its program is
+        // compiled for the candidate's bound set C_{i-1} ∪ vars(Π_{R_j ∧
+        // C_i}) — j varies with the per-tuple argmin. Each expands to the
+        // closure C_i (goodness, Eq. 11, guarantees C_{i-1} ∨ (R_j ∧ C_i)
+        // = C_i) and verifies FDs within.
+        let sides = proj[i]
+            .iter()
+            .map(|(p, plen)| {
+                let p_set = VarSet::from_vars(p.vars().iter().copied());
+                Ok(Side {
+                    trie: p,
+                    key_cols: p.vars()[..*plen]
+                        .iter()
+                        .map(|&v| q_prev.col_of(v).expect("prefix vars bound at i-1"))
+                        .collect(),
+                    program: ex.compile_fused(level_sets[i - 1].union(p_set), level_sets[i])?,
+                })
+            })
+            .collect::<Result<Vec<_>, JoinError>>()?;
         debug_assert!(
-            !covering.is_empty(),
+            !sides.is_empty(),
             "finite chain bound implies every step covered"
         );
-
-        // Precompute, per covering atom, the positions in q_prev of its
-        // shared prefix variables.
-        let prev_positions: Vec<Vec<usize>> = covering
-            .iter()
-            .map(|&j| {
-                let (p, plen) = proj[i][j].as_ref().unwrap();
-                p.vars()[..*plen]
-                    .iter()
-                    .map(|&v| q_prev.col_of(v).expect("prefix vars bound at i-1"))
-                    .collect()
-            })
-            .collect();
-
-        // One program per covering atom: the candidate's bound set is
-        // C_{i-1} ∪ vars(Π_{R_j ∧ C_i}), and j varies with the per-tuple
-        // argmin. Each expands to the closure C_i (goodness, Eq. 11,
-        // guarantees C_{i-1} ∨ (R_j ∧ C_i) = C_i) and verifies FDs within.
-        let prev_set = level_sets[i - 1];
-        let programs = covering
-            .iter()
-            .map(|&j| {
-                let (p, _) = proj[i][j].as_ref().unwrap();
-                let p_set = VarSet::from_vars(p.vars().iter().copied());
-                ex.compile_fused(prev_set.union(p_set), target)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // Per-row work is independent (shared tries are read-only), so the
-        // level fans out over contiguous blocks of Q_{i-1} rows through
-        // the shared sub-range entry point: fragments come back in block
-        // order and merge into the canonical relation the sequential path
-        // produces, so output and counters are identical at any
-        // parallelism.
-        let parts = crate::par::for_blocks(par, q_prev.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
-            let mut vals = vec![0 as Value; nv];
-            let mut args = Vec::new();
-            let mut buf = vec![0 as Value; out_vars.len()];
-            for t in rows.map(|ti| q_prev.row(ti)) {
-                // j* = argmin_j |t ⋈ Π_{R_j ∧ C_i}(R_j)| — per-tuple choice
-                // (or, for the A1 ablation, just the first covering atom).
-                // Each lookup descends the projection trie through the shared
-                // prefix values straight out of `t` (no key vector).
-                let mut best: Option<(usize, std::ops::Range<usize>)> = None;
-                for (ci, &j) in covering.iter().enumerate() {
-                    let (p, _) = proj[i][j].as_ref().unwrap();
-                    stats.probes += 1;
-                    let mut probe = p.probe();
-                    let hit = prev_positions[ci].iter().all(|&c| probe.descend(t[c]));
-                    let range = if hit { probe.range() } else { 0..0 };
-                    if best.as_ref().is_none_or(|(_, r)| range.len() < r.len()) {
-                        best = Some((ci, range));
-                    }
-                    if !use_argmin {
-                        break;
-                    }
-                }
-                let (ci_star, range) = best.expect("some covering atom");
-                if range.is_empty() {
-                    continue;
-                }
-                let j_star = covering[ci_star];
-                let (p_star, _) = proj[i][j_star].as_ref().unwrap();
-
-                let mut matches = p_star.walk(range);
-                'ext: while let Some(ext) = matches.next() {
-                    // Candidate over C_{i-1} ∪ (R_{j*} ∧ C_i), expanded to
-                    // C_i and FD-verified.
-                    if !assemble(&mut vals, q_prev.vars(), prev_set, t, p_star.vars(), ext)
-                        || !programs[ci_star].run(&mut vals, &mut args, stats)
-                    {
-                        continue;
-                    }
-                    // Verify against every other covering relation: the
-                    // projection onto R_j ∧ C_i must contain the candidate
-                    // (one trie membership descent per relation).
-                    for &j in &covering {
-                        if j == j_star {
-                            continue;
-                        }
-                        let (p, _) = proj[i][j].as_ref().unwrap();
-                        stats.probes += 1;
-                        let mut probe = p.probe();
-                        if !p.vars().iter().all(|&v| probe.descend(vals[v as usize])) {
-                            continue 'ext;
-                        }
-                    }
-                    project(&vals, &out_vars, &mut buf);
-                    part.push_row(&buf);
-                    stats.intermediate_tuples += 1;
-                }
-            }
-            part
-        });
-        q_prev = crate::par::merge(parts);
+        q_prev = extend(par, &q_prev, &sides, use_argmin, &out_vars, nv, &mut stats);
     }
 
     // Final answer: reorder columns to ascending variable id (a one-shot

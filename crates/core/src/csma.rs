@@ -13,19 +13,22 @@
 //! - **SM** `h(A) + h(B|A∧B) → h(A∨B)`: join `T(A)` with the guard of the
 //!   conditional term and expand to `Λ(A∨B)`.
 //!
+//! Both joins are one [`extend`](crate::extend) step with the guard as its
+//! only side.
+//!
 //! The answer is the union over all branches of `T(1̂)`, semijoin-reduced
 //! and FD-verified (making the implementation sound unconditionally; the
 //! CLLP budget governs its *running time*).
 
 use crate::engine::{JoinError, UserDegreeBound};
-use crate::expand::{assemble, project};
+use crate::extend::{extend, Side};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::cllp::{solve_cllp, DegreePair};
 use fdjoin_bounds::csm::{csm_sequence, CsmRule, CsmSequence};
 use fdjoin_lattice::{ElemId, VarSet};
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, Relation, TrieIndex};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -315,8 +318,8 @@ fn exec(
 }
 
 /// Join `T(a)` with `guard` on the guard's first `prefix_len` columns,
-/// expanding each result to `Λ(target)` and verifying FDs. Probes descend
-/// the guard trie one `T(a)` column value at a time — no key vector.
+/// expanding each result to `Λ(target)` and verifying FDs: one
+/// [`extend`] step with the guard as its only side.
 fn join_into(
     ctx: &Ctx<'_>,
     tables: &HashMap<ElemId, Relation>,
@@ -333,45 +336,27 @@ fn join_into(
     };
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();
-    let key_vars: Vec<u32> = guard.vars()[..prefix_len].to_vec();
-    let ta_key_cols: Vec<usize> = key_vars
-        .iter()
-        .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
-        .collect();
     // Every candidate binds vars(T(a)) ∪ vars(guard): one program per call.
     let guard_set = VarSet::from_vars(guard.vars().iter().copied());
-    let program = ctx
-        .ex
-        .compile_fused(ta.var_set().union(guard_set), target_set)?;
-    // Per-row probe-and-extend work is independent; fan it out over
-    // contiguous blocks of T(A) rows (fragments merge in block order into
-    // the canonical relation of the sequential path).
-    let parts = crate::par::for_blocks(ctx.par, ta.len(), None, stats, |rows, stats| {
-        let mut part = Relation::new(out_vars.clone());
-        let mut vals = vec![0 as Value; ctx.nv];
-        let mut args = Vec::new();
-        let mut buf = vec![0 as Value; out_vars.len()];
-        for row in rows.map(|ri| ta.row(ri)) {
-            stats.probes += 1;
-            let mut probe = guard.probe();
-            if !ta_key_cols.iter().all(|&c| probe.descend(row[c])) {
-                continue;
-            }
-            let mut matches = guard.walk(probe.range());
-            while let Some(ext) = matches.next() {
-                if !assemble(&mut vals, ta.vars(), ta.var_set(), row, guard.vars(), ext)
-                    || !program.run(&mut vals, &mut args, stats)
-                {
-                    continue;
-                }
-                project(&vals, &out_vars, &mut buf);
-                part.push_row(&buf);
-                stats.intermediate_tuples += 1;
-            }
-        }
-        part
-    });
-    Ok(crate::par::merge(parts))
+    let side = Side {
+        trie: guard,
+        key_cols: guard.vars()[..prefix_len]
+            .iter()
+            .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
+            .collect(),
+        program: ctx
+            .ex
+            .compile_fused(ta.var_set().union(guard_set), target_set)?,
+    };
+    Ok(extend(
+        ctx.par,
+        &ta,
+        &[side],
+        false,
+        &out_vars,
+        ctx.nv,
+        stats,
+    ))
 }
 
 #[cfg(test)]

@@ -249,11 +249,6 @@ impl ExecOptions {
         self.parallelism = Parallelism::Fixed(tasks);
         self
     }
-
-    /// The configured parallelism mode.
-    pub fn parallelism_setting(&self) -> Parallelism {
-        self.parallelism
-    }
 }
 
 /// Why a join could not be executed.

@@ -55,6 +55,7 @@ mod csma;
 pub mod descent;
 pub mod engine;
 mod expand;
+mod extend;
 mod generic_join;
 mod naive;
 pub mod par;

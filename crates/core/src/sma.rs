@@ -7,18 +7,19 @@
 //!
 //! Execution ([`execute`]): run each elementary compression as an
 //! *SM-join*: the light part of `T(Y)` (prefix degree `≤ 2^{h*(Y)−h*(Z)}`)
-//! joins with `T(X)` into `T(X ∨ Y)`; the heavy prefixes become
+//! joins with `T(X)` into `T(X ∨ Y)` — one [`extend`](crate::extend)
+//! step with the light part as its only side; the heavy prefixes become
 //! `T(X ∧ Y)`. Lemma 5.24 keeps every temporary within `2^{h*(·)}`.
 
 use crate::engine::JoinError;
-use crate::expand::{assemble, project};
+use crate::extend::{extend, Side};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::llp::LlpSolution;
 use fdjoin_bounds::smproof::{scale_weights, search_good_sm_proof, SmProof};
 use fdjoin_bounds::LatticeFn;
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, Relation, TrieIndex};
 
 /// The data-independent part of an SMA run: everything derived from the
 /// lattice presentation and the input *sizes* alone, reusable across
@@ -206,46 +207,23 @@ pub(crate) fn execute(
         }
         debug_assert!(t_meet.is_sorted(), "heavy prefixes ascend and are distinct");
 
-        // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first,
-        // so its own sorted data answers the Z-prefix lookup per T(X) row.
-        let tx = pool[xi].rel.clone();
+        // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first
+        // and sorted, so its one-shot trie (like every step temporary's)
+        // is a linear pass and Z is the probe prefix.
+        let tx = &pool[xi].rel;
         let out_vars: Vec<u32> = join_set.iter().collect();
-        let tx_z_cols: Vec<usize> = z_vars
-            .iter()
-            .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
-            .collect();
-        // Every candidate binds vars(T(X)) ∪ vars(T(Y)): one program expands
-        // it to Λ(X ∨ Y) and verifies the FDs within.
-        let program = ex.compile_fused(tx.var_set().union(light.var_set()), join_set)?;
-        // Per-row probe-and-extend work is independent; fan it out over
-        // contiguous blocks of T(X) rows (fragments merge in block order
-        // into the canonical relation of the sequential path).
-        let parts = crate::par::for_blocks(par, tx.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
-            let mut vals = vec![0 as Value; nv];
-            let mut args = Vec::new();
-            let mut buf = vec![0 as Value; out_vars.len()];
-            let mut key = vec![0 as Value; tx_z_cols.len()];
-            for row in rows.map(|ri| tx.row(ri)) {
-                stats.probes += 1;
-                for (slot, &c) in key.iter_mut().zip(&tx_z_cols) {
-                    *slot = row[c];
-                }
-                for r in light.prefix_range(&key) {
-                    let ext = light.row(r);
-                    if !assemble(&mut vals, tx.vars(), tx.var_set(), row, light.vars(), ext)
-                        || !program.run(&mut vals, &mut args, stats)
-                    {
-                        continue;
-                    }
-                    project(&vals, &out_vars, &mut buf);
-                    part.push_row(&buf);
-                    stats.intermediate_tuples += 1;
-                }
-            }
-            part
-        });
-        let t_join = crate::par::merge(parts);
+        let light_trie = TrieIndex::build(&light, light.vars());
+        let side = Side {
+            trie: &light_trie,
+            key_cols: z_vars
+                .iter()
+                .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
+                .collect(),
+            // Every candidate binds vars(T(X)) ∪ vars(T(Y)): one program
+            // expands it to Λ(X ∨ Y) and verifies the FDs within.
+            program: ex.compile_fused(tx.var_set().union(light.var_set()), join_set)?,
+        };
+        let t_join = extend(par, tx, &[side], false, &out_vars, nv, &mut stats);
 
         pool.push(Entry {
             elem: z,

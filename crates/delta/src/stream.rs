@@ -18,7 +18,10 @@ pub trait SubmitDeltas {
     /// The stream stops at the first failing batch (later batches would
     /// observe a stale output); the handle returns the view alongside the
     /// per-batch outcomes, so a caller can
-    /// [`refresh`](MaterializedView::refresh) and resubmit.
+    /// [`refresh`](MaterializedView::refresh) and resubmit. A batch that
+    /// panics on its worker (a registered UDF, say) takes the view down
+    /// with it: the handle then reports [`JoinError::WorkerPanicked`] and
+    /// the pool keeps serving.
     fn submit_deltas(&self, view: MaterializedView, deltas: Vec<DeltaBatch>) -> DeltaStreamHandle;
 }
 
@@ -54,8 +57,14 @@ impl DeltaStreamHandle {
     /// Block until the stream drains (or stops on an error); returns the
     /// maintained view and the per-batch outcomes in submission order
     /// (shorter than the submitted list iff a batch failed).
-    pub fn wait(self) -> (MaterializedView, Vec<Result<DeltaStats, JoinError>>) {
-        self.rx.recv().expect("a delta stream job panicked")
+    /// [`JoinError::WorkerPanicked`] if the job panicked on its worker: it
+    /// owned the view, so there is nothing to hand back.
+    pub fn wait(self) -> Result<(MaterializedView, Vec<Result<DeltaStats, JoinError>>), JoinError> {
+        self.rx.recv().map_err(|_| {
+            JoinError::WorkerPanicked(
+                "the delta stream job ended without reporting a result".to_string(),
+            )
+        })
     }
 }
 

@@ -8,6 +8,7 @@ use fdjoin_delta::{
 };
 use fdjoin_exec::Executor;
 use fdjoin_instances::random_instance;
+use fdjoin_lattice::VarSet;
 use fdjoin_query::examples;
 use fdjoin_storage::{Database, Relation};
 use rand::rngs::StdRng;
@@ -212,7 +213,7 @@ fn streams_absorb_updates_concurrently() {
         handles.push(exec.submit_deltas(view, deltas));
     }
     for (tenant, handle) in handles.into_iter().enumerate() {
-        let (view, results) = handle.wait();
+        let (view, results) = handle.wait().unwrap();
         assert_eq!(results.len(), 6);
         for r in &results {
             r.as_ref().unwrap();
@@ -227,6 +228,46 @@ fn streams_absorb_updates_concurrently() {
                 .contains_row(&[t * 50 + k, t * 50 + k + 1, t * 50 + k + 2]));
         }
     }
+}
+
+/// A UDF that panics while a delta stream applies on a pool worker is a
+/// typed error on the waiter — the job owned the view, so none comes back —
+/// and the worker that caught it serves the next stream.
+#[test]
+fn panicking_delta_stream_is_a_typed_error_on_the_waiter() {
+    // R(x), S(y), z = f(x, y) by UDF — which gives up on the x a later
+    // delta inserts.
+    let q = examples::fig5_udf_product();
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0], [[1], [2]]));
+    db.insert("S", Relation::from_rows(vec![1], [[10], [20]]));
+    db.udfs.register(VarSet::from_vars([0, 1]), 2, |v| {
+        assert_ne!(v[0], 666, "udf exploded");
+        v[0] * 1000 + v[1]
+    });
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let fresh_view = || {
+        prepared
+            .materialize(db.clone(), DeltaOptions::new().max_delta_fraction(1.0))
+            .unwrap()
+    };
+
+    let exec = Executor::with_threads(1);
+    let poisoned = DeltaBatch::new().insert("R", [666]);
+    let outcome = exec.submit_deltas(fresh_view(), vec![poisoned]).wait();
+    assert!(
+        matches!(outcome, Err(JoinError::WorkerPanicked(_))),
+        "{:?}",
+        outcome.map(|(_, results)| results)
+    );
+
+    let benign = DeltaBatch::new().insert("R", [3]).insert("S", [30]);
+    let (view, results) = exec
+        .submit_deltas(fresh_view(), vec![benign])
+        .wait()
+        .unwrap();
+    results[0].as_ref().unwrap();
+    assert_consistent(&view, "stream after a panicked one");
 }
 
 #[test]

@@ -281,11 +281,6 @@ impl Lattice {
         elems.into_iter().fold(self.bottom, |a, b| self.join(a, b))
     }
 
-    /// Meet of an arbitrary collection (meet of `∅` is `1̂`).
-    pub fn meet_all<I: IntoIterator<Item = ElemId>>(&self, elems: I) -> ElemId {
-        elems.into_iter().fold(self.top, |a, b| self.meet(a, b))
-    }
-
     /// The closed-set label of an element, if this lattice was built from
     /// closed sets.
     pub fn set_of(&self, e: ElemId) -> Option<VarSet> {
@@ -308,11 +303,6 @@ impl Lattice {
     /// Human-readable element name.
     pub fn name(&self, e: ElemId) -> &str {
         &self.names[e]
-    }
-
-    /// Rename an element (useful when presenting abstract lattices).
-    pub fn set_name(&mut self, e: ElemId, name: impl Into<String>) {
-        self.names[e] = name.into();
     }
 
     /// Elements covering `a` (upper covers in the Hasse diagram).

@@ -95,11 +95,6 @@ impl VarSet {
         self != other && self.is_subset(other)
     }
 
-    /// Whether the two sets intersect.
-    pub fn intersects(self, other: VarSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Iterate over member variable indices in increasing order.
     pub fn iter(self) -> impl Iterator<Item = u32> {
         let mut bits = self.0;

@@ -62,11 +62,6 @@ impl FdSet {
         self.fds.is_empty()
     }
 
-    /// Whether every FD is simple.
-    pub fn all_simple(&self) -> bool {
-        self.fds.iter().all(Fd::is_simple)
-    }
-
     /// The closure `X⁺`: smallest superset of `x` closed under all FDs
     /// (standard fixpoint; Sec. 2 "Closure").
     pub fn closure(&self, x: VarSet) -> VarSet {
@@ -116,19 +111,6 @@ impl FdSet {
     /// Logical implication test: does this FD set imply `lhs → rhs`?
     pub fn implies(&self, fd: Fd) -> bool {
         fd.rhs.is_subset(self.closure(fd.lhs))
-    }
-
-    /// Restrict each FD to a universe (dropping FDs mentioning outside
-    /// variables).
-    pub fn restrict(&self, universe: VarSet) -> FdSet {
-        FdSet {
-            fds: self
-                .fds
-                .iter()
-                .copied()
-                .filter(|fd| fd.lhs.union(fd.rhs).is_subset(universe))
-                .collect(),
-        }
     }
 }
 

@@ -149,14 +149,6 @@ impl Query {
         }
     }
 
-    /// Variables that are *redundant* in the sense of Sec. 3.1 (functionally
-    /// equivalent to a set not containing them).
-    pub fn redundant_vars(&self) -> Vec<u32> {
-        (0..self.n_vars() as u32)
-            .filter(|&v| self.fds.is_redundant(v))
-            .collect()
-    }
-
     /// Pretty-print the query body.
     pub fn display_body(&self) -> String {
         let mut parts: Vec<String> = self

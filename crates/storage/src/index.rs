@@ -588,22 +588,11 @@ fn prefetch_value(s: &[Value], i: usize) {
 }
 
 /// Number of elements of `s` strictly less than `v`, counted without a
-/// single branch on element values: every compare becomes a flag add, so
-/// the chunked loop vectorizes instead of mispredicting at the boundary.
+/// single branch on element values: every compare becomes a flag add, and
+/// the fixed-width chunks give the autovectorizer a clean reduction shape
+/// instead of a mispredict at the boundary.
 #[inline]
 fn count_lt(s: &[Value], v: Value) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: the required target feature was just detected.
-        return unsafe { count_lt_sse42(s, v) };
-    }
-    count_lt_portable(s, v)
-}
-
-/// Portable branch-free fallback; the fixed-width chunks give the
-/// autovectorizer a clean reduction shape.
-#[inline]
-fn count_lt_portable(s: &[Value], v: Value) -> usize {
     let mut n = 0usize;
     let mut chunks = s.chunks_exact(8);
     for c in &mut chunks {
@@ -614,34 +603,6 @@ fn count_lt_portable(s: &[Value], v: Value) -> usize {
         .iter()
         .map(|&x| usize::from(x < v))
         .sum::<usize>()
-}
-
-/// SSE4.2 path: two u64 lanes per step, biased into signed space so
-/// `_mm_cmpgt_epi64` answers unsigned `<`, accumulated by subtracting the
-/// all-ones compare masks.
-///
-/// # Safety
-/// Caller must ensure SSE4.2 is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn count_lt_sse42(s: &[Value], v: Value) -> usize {
-    use std::arch::x86_64::*;
-    // SAFETY: loads are unaligned (`loadu`) and stay within `s`.
-    unsafe {
-        let bias = _mm_set1_epi64x(i64::MIN);
-        let pivot = _mm_xor_si128(_mm_set1_epi64x(v as i64), bias);
-        let mut acc = _mm_setzero_si128();
-        let chunks = s.chunks_exact(2);
-        let rem = chunks.remainder();
-        for c in chunks {
-            let x = _mm_loadu_si128(c.as_ptr() as *const __m128i);
-            let lt = _mm_cmpgt_epi64(pivot, _mm_xor_si128(x, bias));
-            acc = _mm_sub_epi64(acc, lt);
-        }
-        let mut lanes = [0u64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
-        (lanes[0] + lanes[1]) as usize + rem.iter().filter(|&&x| x < v).count()
-    }
 }
 
 /// First position in `s[from..hi]` whose value is `>= v`, assuming that
@@ -1408,12 +1369,6 @@ mod tests {
         for v in [0u64, 1, 50, 99, 100, u64::MAX] {
             let want = s.iter().filter(|&&x| x < v).count();
             assert_eq!(count_lt(&s, v), want, "v {v}");
-            assert_eq!(count_lt_portable(&s, v), want, "portable v {v}");
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("sse4.2") {
-                // SAFETY: feature just detected.
-                assert_eq!(unsafe { count_lt_sse42(&s, v) }, want, "sse v {v}");
-            }
         }
     }
 
