@@ -1,15 +1,24 @@
-//! Arbitrary-precision signed integers and exact rationals.
+//! Exact rationals on machine words, with arbitrary-precision spill.
 //!
 //! The `fdjoin` planner solves linear programs (the lattice LP, its dual,
 //! fractional edge covers, …) **exactly**: the dual vertices are rational
 //! vectors whose exact values drive algorithm construction (SM-proof
-//! multiplicities, heavy/light thresholds). This crate provides the minimal
-//! exact-arithmetic substrate: [`BigInt`] and [`Rational`].
+//! multiplicities, heavy/light thresholds). A cold request is almost entirely
+//! that arithmetic — some ten thousand rational operations — so its speed is
+//! the planner's speed.
 //!
-//! The implementation favours simplicity and correctness over raw speed —
-//! these numbers appear only in the (data-independent) planning phase, never
-//! in per-tuple work.
+//! [`Rational`] therefore keeps every value in lowest terms with a positive
+//! denominator, and holds it as an `i64 / i64` pair whenever both parts fit;
+//! `+ − × ÷` and comparison on two such values run on machine words (`i128`
+//! widening, checked operations, a binary gcd) and allocate nothing. The
+//! lattice LPs have 0/±1 coefficients and dyadic right-hand sides, so in
+//! practice that is every operation. [`BigInt`] is the spill: an operation
+//! whose result leaves 64 bits is redone over `BigInt`s, and its result comes
+//! back as a word pair as soon as it fits again. Which form a value is in is
+//! a function of the value alone and is not observable from outside.
 
+#[cfg(test)]
+mod differential;
 mod int;
 mod rational;
 
@@ -18,5 +27,5 @@ pub use rational::Rational;
 
 /// Convenience: construct a [`Rational`] from an integer pair `p / q`.
 pub fn rat(p: i64, q: i64) -> Rational {
-    Rational::from_frac(BigInt::from(p), BigInt::from(q))
+    Rational::from_words(p, q)
 }

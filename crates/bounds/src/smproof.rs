@@ -1,7 +1,7 @@
 //! Submodularity proof sequences (Sec. 5.2): search, verification, and the
 //! goodness labeling of Definition 5.26.
 
-use fdjoin_bigint::{BigInt, Rational};
+use fdjoin_bigint::Rational;
 use fdjoin_lattice::{ElemId, Lattice};
 use std::collections::HashSet;
 
@@ -57,23 +57,29 @@ pub struct SmProof {
 /// Scale rational weights `w_j` to integers `q_j = w_j · d` with the least
 /// common denominator `d`.
 pub fn scale_weights(weights: &[Rational]) -> (Vec<u64>, u64) {
-    let mut d = BigInt::one();
-    for w in weights {
-        let den = w.denom();
-        let g = d.gcd(den);
-        d = &(&d * den) / &g;
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
     }
-    let d_u = d.to_u64().expect("common denominator fits in u64");
+    let den = |w: &Rational| w.denom_u64().expect("weight denominator fits in u64");
+    let d = weights.iter().map(den).fold(1u64, |d, den| {
+        (d / gcd(d, den))
+            .checked_mul(den)
+            .expect("common denominator fits in u64")
+    });
     let q: Vec<u64> = weights
         .iter()
         .map(|w| {
-            let scaled = &(w.numer() * &d) / w.denom();
-            scaled
-                .to_u64()
+            w.numer_i64()
+                .and_then(|n| u64::try_from(n).ok())
+                .and_then(|n| n.checked_mul(d / den(w)))
                 .expect("scaled weight is a non-negative integer")
         })
         .collect();
-    (q, d_u)
+    (q, d)
 }
 
 /// Search for an SM-proof sequence transforming the multiset

@@ -269,7 +269,7 @@ fn degree_threshold(theta: &Rational) -> u64 {
     if theta.is_negative() {
         return 0;
     }
-    if theta.denom().to_u64().is_some_and(|d| d <= 64) {
+    if theta.denom_u64().is_some_and(|d| d <= 64) {
         return theta.exp2_floor().to_u64().unwrap_or(u64::MAX);
     }
     let f = theta.to_f64();

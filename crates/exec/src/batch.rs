@@ -127,7 +127,12 @@ impl ExecuteBatch for PreparedQuery {
         threads: usize,
     ) -> BatchResult {
         let started = Instant::now();
-        let results = run_scoped(dbs.len(), threads, |i| self.execute(&dbs[i], opts));
+        // Contained per task: a panic that unwound through `thread::scope`
+        // would resurface at the caller and take every other database's
+        // finished result with it.
+        let results = run_scoped(dbs.len(), threads, |i| {
+            contain_panic(|| self.execute(&dbs[i], opts))
+        });
         BatchResult::collect(results, started.elapsed())
     }
 }

@@ -86,6 +86,7 @@ mod streaming;
 
 pub use batch::{BatchHandle, BatchResult, BatchStats, ExecuteBatch, Executor};
 pub use fdjoin_core::run_scoped;
+pub use pool::contain_panic;
 pub use streaming::{Admission, StreamBudget, StreamEnd, StreamHandle, StreamOutcome};
 // The cache types live in `fdjoin_core` (they are wired into
 // `Engine::prepare` and relabel crate-private plan structures); this crate

@@ -400,6 +400,36 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
     assert_eq!(next.results[0].as_ref().unwrap().output, expected);
 }
 
+/// The scoped fan-out contains the same panic: `execute_batch` reports it in
+/// the panicking database's slot instead of re-throwing it at the caller
+/// (which would discard the other databases' finished results).
+#[test]
+fn execute_batch_contains_a_panicking_udf() {
+    let (q, good) = fig1();
+    let (_, mut bad) = fig1();
+    bad.udfs.register(VarSet::from_vars([0, 2]), 3, |_| -> u64 {
+        panic!("udf exploded")
+    });
+    let prepared = Engine::new().prepare(&q);
+    let options = opts(Algorithm::Chain);
+    let dbs = vec![good.clone(), bad, good.clone()];
+
+    let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        prepared.execute_batch_with(&dbs, &options, 2)
+    }))
+    .expect("execute_batch does not unwind into its caller");
+
+    let expected = prepared.execute(&good, &options).unwrap().output;
+    assert_eq!(batch.results[0].as_ref().unwrap().output, expected);
+    assert!(
+        matches!(&batch.results[1], Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
+        "{:?}",
+        batch.results[1]
+    );
+    assert_eq!(batch.results[2].as_ref().unwrap().output, expected);
+    assert_eq!((batch.stats.succeeded, batch.stats.failed), (2, 1));
+}
+
 /// Stress: many databases × several algorithms × repeated rounds, wide
 /// worker counts, one shared `PreparedQuery` — results must stay
 /// bit-identical to serial execution every time.

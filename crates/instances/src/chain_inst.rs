@@ -36,7 +36,7 @@ pub fn chain_worst_case(q: &Query, chain: &Chain, log_sizes: &[Rational]) -> Opt
         if !g.is_integer() || g.is_negative() {
             return None;
         }
-        widths.push(g.numer().to_u64()? as u32);
+        widths.push(u32::try_from(g.numer_i64()?).ok()?);
     }
     let total: u32 = widths.iter().sum();
     if total > 40 {

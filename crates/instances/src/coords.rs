@@ -91,9 +91,9 @@ pub fn strictly_normal_coefficients(
         if !a.is_integer() {
             return None;
         }
-        let v = a.numer().to_u64()?;
+        let v = u32::try_from(a.numer_i64()?).ok()?;
         if v > 0 {
-            out.push((coatoms[i], v as u32));
+            out.push((coatoms[i], v));
         }
     }
     Some(out)

@@ -9,15 +9,12 @@
 //!   from closed-set families or abstract Hasse diagrams;
 //! - structural predicates: distributivity, modularity, `M3`/`N5` sublattice
 //!   detection (Proposition 4.10), Möbius functions (Eq. 10);
-//! - [`Embedding`]: join-preserving maps and Galois adjoints (Sec. 3.4),
-//!   the mechanism behind quasi-product instances;
 //! - [`canonical_fingerprint`]: canonical labeling of lattice presentations
 //!   (the isomorphism-respecting cache key behind cross-query plan reuse);
 //! - [`build`]: the paper's concrete lattices (Boolean algebras, `M3`, `N5`,
 //!   Figures 4, 7, 8, 9).
 
 mod canon;
-mod embed;
 mod lattice;
 mod props;
 mod varset;
@@ -25,6 +22,5 @@ mod varset;
 pub mod build;
 
 pub use canon::{canonical_fingerprint, PresentationFingerprint};
-pub use embed::{is_embedding, Embedding};
 pub use lattice::{ElemId, Lattice, LatticeError};
 pub use varset::VarSet;

@@ -7,10 +7,13 @@
 //!
 //! This crate implements a dense two-phase primal simplex with Bland's
 //! pivoting rule (guaranteeing termination under degeneracy, which these
-//! highly symmetric lattice LPs produce constantly) over
-//! [`fdjoin_bigint::Rational`]. Both primal and dual solutions are returned;
-//! the dual values are extracted from the final tableau via the initial
-//! identity columns (`y = c_B B^{-1}`).
+//! highly symmetric lattice LPs produce constantly) over word-sized exact
+//! rationals with spill: a tableau entry is a 24-byte
+//! [`fdjoin_bigint::Rational`] that the pivot updates in place, and the
+//! arbitrary-precision form appears only if a pivot leaves 64 bits — the
+//! solver never names it. Both primal and dual solutions are returned; the
+//! dual values are extracted from the final tableau via the initial identity
+//! columns (`y = c_B B^{-1}`).
 
 use fdjoin_bigint::Rational;
 use std::fmt;
@@ -358,15 +361,15 @@ impl Simplex {
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let p = self.rows[row][col].clone();
-        let inv = p.recip();
-        for x in self.rows[row].iter_mut() {
+        let inv = self.rows[row][col].recip();
+        // The pivot row leaves the tableau while the other rows read it.
+        let mut pivot_row = std::mem::take(&mut self.rows[row]);
+        for x in pivot_row.iter_mut() {
             if !x.is_zero() {
-                *x = &*x * &inv;
+                *x *= &inv;
             }
         }
-        self.rhs[row] = &self.rhs[row] * &inv;
-        let pivot_row = self.rows[row].clone();
+        self.rhs[row] *= &inv;
         let pivot_rhs = self.rhs[row].clone();
         for r in 0..self.rows.len() {
             if r == row {
@@ -376,14 +379,14 @@ impl Simplex {
             if factor.is_zero() {
                 continue;
             }
-            for (j, p) in pivot_row.iter().enumerate() {
+            for (x, p) in self.rows[r].iter_mut().zip(&pivot_row) {
                 if !p.is_zero() {
-                    let delta = &factor * p;
-                    self.rows[r][j] -= &delta;
+                    *x -= &(&factor * p);
                 }
             }
             self.rhs[r] -= &(&factor * &pivot_rhs);
         }
+        self.rows[row] = pivot_row;
         self.basis[row] = col;
     }
 }
@@ -518,6 +521,65 @@ mod tests {
         lp.add_constraint(vec![(0, r(1, 1)), (0, r(1, 1))], Cmp::Le, r(4, 1));
         let sol = solve(&lp).unwrap();
         assert_eq!(sol.value, r(2, 1));
+    }
+
+    /// A whole simplex run past 64 bits: a 6×6 Hilbert block with a
+    /// dominant diagonal (so the optimum is the vertex where all six rows
+    /// are tight, six pivots away) against right-hand sides that are
+    /// distinct primes just under 2^61. The optimality certificate must hold
+    /// exactly — primal and dual feasible, equal objectives — although the
+    /// vertex itself does not fit machine words.
+    #[test]
+    fn pivots_past_64_bits_keep_the_certificate_exact() {
+        const PRIMES: [i64; 6] = [
+            2305843009213693951,
+            2305843009213693921,
+            2305843009213693907,
+            2305843009213693723,
+            2305843009213693693,
+            2305843009213693669,
+        ];
+        let n = PRIMES.len();
+        let hilbert = |i: usize, j: usize| {
+            if i == j {
+                r(2, 1)
+            } else {
+                r(1, (i + j + 1) as i64)
+            }
+        };
+        let mut lp = Lp::new(Sense::Max, n);
+        for j in 0..n {
+            lp.set_objective(j, r(1, 1));
+        }
+        for (i, &p) in PRIMES.iter().enumerate() {
+            let row = (0..n).map(|j| (j, hilbert(i, j))).collect();
+            lp.add_constraint(row, Cmp::Le, r(p, 1));
+        }
+        let sol = solve(&lp).unwrap();
+
+        // Primal feasible.
+        for (i, &p) in PRIMES.iter().enumerate() {
+            let lhs: Rational = (0..n).map(|j| &hilbert(i, j) * &sol.primal[j]).sum();
+            assert!(lhs <= r(p, 1), "row {i}: {lhs}");
+        }
+        assert!(sol.primal.iter().all(|x| !x.is_negative()));
+        let primal_value: Rational = sol.primal.iter().sum();
+        assert_eq!(primal_value, sol.value);
+        // Dual feasible, and strong duality holds exactly.
+        assert!(sol.dual.iter().all(|y| !y.is_negative()));
+        for j in 0..n {
+            let lhs: Rational = (0..n).map(|i| &sol.dual[i] * &hilbert(i, j)).sum();
+            assert!(lhs >= r(1, 1), "column {j}: {lhs}");
+        }
+        let dual_value: Rational = (0..n).map(|i| &sol.dual[i] * &r(PRIMES[i], 1)).sum();
+        assert_eq!(dual_value, sol.value);
+        // Every row is tight, and no coordinate fits machine words.
+        assert!(sol.dual.iter().all(Rational::is_positive), "{:?}", sol.dual);
+        assert!(
+            sol.primal.iter().all(|x| x.numer_i64().is_none()),
+            "{:?}",
+            sol.primal
+        );
     }
 
     #[test]
