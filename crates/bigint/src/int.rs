@@ -47,7 +47,7 @@ impl BigInt {
     }
 
     /// The sign as `-1`, `0`, or `1`.
-    pub fn signum(&self) -> i8 {
+    pub(crate) fn signum(&self) -> i8 {
         self.sign
     }
 
@@ -81,7 +81,7 @@ impl BigInt {
     }
 
     /// `2^k`.
-    pub fn pow2(k: u64) -> BigInt {
+    pub(crate) fn pow2(k: u64) -> BigInt {
         let limbs = (k / BASE_BITS as u64) as usize;
         let mut mag = vec![0u32; limbs + 1];
         mag[limbs] = 1u32 << (k % BASE_BITS as u64);
@@ -356,7 +356,7 @@ impl BigInt {
     }
 
     /// Checked conversion to `i128`; `None` on overflow.
-    pub fn to_i128(&self) -> Option<i128> {
+    pub(crate) fn to_i128(&self) -> Option<i128> {
         if self.bits() > 127 {
             return None;
         }

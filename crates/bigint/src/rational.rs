@@ -121,7 +121,7 @@ impl Rational {
     }
 
     /// Construct `num / den`, normalizing sign and reducing. Panics if `den == 0`.
-    pub fn from_frac(num: BigInt, den: BigInt) -> Self {
+    pub(crate) fn from_frac(num: BigInt, den: BigInt) -> Self {
         match (word(&num), word(&den)) {
             (Some(n), Some(d)) => Rational::from_words(n, d),
             _ => Rational::normalize(num, den),
@@ -239,7 +239,7 @@ impl Rational {
     }
 
     /// Sign as `-1`, `0`, `1`.
-    pub fn signum(&self) -> i8 {
+    pub(crate) fn signum(&self) -> i8 {
         match &self.0 {
             Small(n, _) => match n.cmp(&0) {
                 Ordering::Less => -1,
@@ -329,22 +329,8 @@ impl Rational {
         BigInt::pow2(p).nth_root(q)
     }
 
-    /// `ceil(2^self)`; exact under the same conditions as [`Self::exp2_floor`].
-    pub fn exp2_ceil(&self) -> BigInt {
-        if self.is_negative() {
-            return BigInt::one();
-        }
-        let fl = self.exp2_floor();
-        // 2^self is an integer iff self is a non-negative integer.
-        if self.is_integer() {
-            fl
-        } else {
-            &fl + &BigInt::one()
-        }
-    }
-
     /// Exact `log2(n)` if `n` is a power of two, else `None`.
-    pub fn log2_exact(n: u64) -> Option<Rational> {
+    pub(crate) fn log2_exact(n: u64) -> Option<Rational> {
         if n == 0 || !n.is_power_of_two() {
             return None;
         }
@@ -576,17 +562,14 @@ mod tests {
 
     #[test]
     fn exp2_floor_exact_cases() {
-        // 2^(3/2) = 2.828..., floor 2; ceil 3.
+        // 2^(3/2) = 2.828..., floor 2.
         assert_eq!(rat(3, 2).exp2_floor(), BigInt::from(2i64));
-        assert_eq!(rat(3, 2).exp2_ceil(), BigInt::from(3i64));
         // 2^4 = 16.
         assert_eq!(rat(4, 1).exp2_floor(), BigInt::from(16i64));
-        assert_eq!(rat(4, 1).exp2_ceil(), BigInt::from(16i64));
         // 2^(10/3) = 10.07..., floor 10.
         assert_eq!(rat(10, 3).exp2_floor(), BigInt::from(10i64));
         // Negative exponent: value in (0,1).
         assert_eq!(rat(-3, 2).exp2_floor(), BigInt::zero());
-        assert_eq!(rat(-3, 2).exp2_ceil(), BigInt::one());
         // Large: 2^(30/2) = 2^15.
         assert_eq!(rat(30, 2).exp2_floor(), BigInt::from(1i64 << 15));
     }

@@ -1,7 +1,7 @@
 //! The AGM bound (Theorem 2.1) and the closure-query bound `AGM(Q⁺)`
 //! (Sec. 2 "Closure").
 
-use fdjoin_bigint::{BigInt, Rational};
+use fdjoin_bigint::Rational;
 use fdjoin_query::{EdgeCover, Query};
 
 /// `log₂ AGM(Q, (N_j))` with the optimal fractional edge cover, or `None`
@@ -14,11 +14,6 @@ pub fn agm_log_bound(q: &Query, log_sizes: &[Rational]) -> Option<EdgeCover> {
 /// output bound for `(Q, FD)` and tight when all FDs are simple keys.
 pub fn agm_closure_log_bound(q: &Query, log_sizes: &[Rational]) -> Option<EdgeCover> {
     agm_log_bound(&q.closure_query(), log_sizes)
-}
-
-/// Convert a log₂ bound to a concrete tuple-count bound `⌊2^b⌋`.
-pub fn bound_tuples(log_bound: &Rational) -> BigInt {
-    log_bound.exp2_floor()
 }
 
 #[cfg(test)]
@@ -74,11 +69,5 @@ mod tests {
         let closed = agm_closure_log_bound(&q, &logs).unwrap().value;
         assert_eq!(plain, rat(100, 1));
         assert_eq!(closed, rat(100, 1)); // no improvement — GLVV needed.
-    }
-
-    #[test]
-    fn bound_tuples_rounds_down() {
-        assert_eq!(bound_tuples(&rat(3, 1)).to_u64(), Some(8));
-        assert_eq!(bound_tuples(&rat(3, 2)).to_u64(), Some(2));
     }
 }

@@ -39,7 +39,7 @@ impl Chain {
 
     /// Goodness for an element (Eq. 11): for all steps `i` covered by `x`,
     /// `C_{i-1} ∨ (x ∧ C_i) = C_i`.
-    pub fn good_for(&self, lat: &Lattice, x: ElemId) -> bool {
+    pub(crate) fn good_for(&self, lat: &Lattice, x: ElemId) -> bool {
         (1..=self.steps()).all(|i| {
             !self.covers(lat, x, i)
                 || lat.join(self.elems[i - 1], lat.meet(x, self.elems[i])) == self.elems[i]
@@ -47,12 +47,12 @@ impl Chain {
     }
 
     /// Goodness for all inputs.
-    pub fn good_for_all(&self, lat: &Lattice, inputs: &[ElemId]) -> bool {
+    pub(crate) fn good_for_all(&self, lat: &Lattice, inputs: &[ElemId]) -> bool {
         inputs.iter().all(|&r| self.good_for(lat, r))
     }
 
     /// Goodness for *every* lattice element (hypothesis of Theorem 5.14).
-    pub fn good_for_lattice(&self, lat: &Lattice) -> bool {
+    pub(crate) fn good_for_lattice(&self, lat: &Lattice) -> bool {
         lat.elems().all(|x| self.good_for(lat, x))
     }
 
@@ -179,7 +179,7 @@ pub fn cor59_chain(lat: &Lattice, inputs: &[ElemId]) -> Chain {
 
 /// The Corollary 5.11 dual construction: meet meet-irreducibles downward
 /// from `1̂`, picking each so the meet with the current element is maximal.
-pub fn cor511_chain(lat: &Lattice) -> Chain {
+pub(crate) fn cor511_chain(lat: &Lattice) -> Chain {
     let mset = lat.meet_irreducibles();
     let mut used = vec![false; mset.len()];
     let mut rev = vec![lat.top()];

@@ -32,32 +32,17 @@ pub fn coatomic_hypergraph(lat: &Lattice, inputs: &[ElemId]) -> Hypergraph {
     h
 }
 
-/// The atomic hypergraph (Sec. 4.2 remark): vertices are atoms; the edge of
-/// `R_j` contains the atoms below `R_j`. In a Boolean algebra it is
-/// isomorphic to the co-atomic one; in general it is not.
-pub fn atomic_hypergraph(lat: &Lattice, inputs: &[ElemId]) -> Hypergraph {
-    let atoms = lat.atoms();
-    let mut h = Hypergraph::new(atoms.len());
-    h.vertices = atoms.iter().map(|&a| lat.name(a).to_string()).collect();
-    for (j, &r) in inputs.iter().enumerate() {
-        let verts: Vec<usize> = atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| lat.leq(a, r))
-            .map(|(i, _)| i)
-            .collect();
-        h.add_edge(format!("e{j}"), verts);
-    }
-    h
-}
-
 /// Does output inequality (7) with the given weights hold for **all**
 /// non-negative submodular functions on `lat`?
 ///
 /// Checked by the LP `max h(1̂)` s.t. `h` submodular, `Σ w_j h(R_j) ≤ 1`:
 /// the inequality holds iff the optimum is `≤ 1` (scale-invariance), and
 /// fails in particular when the LP is unbounded.
-pub fn output_inequality_holds(lat: &Lattice, inputs: &[ElemId], weights: &[Rational]) -> bool {
+pub(crate) fn output_inequality_holds(
+    lat: &Lattice,
+    inputs: &[ElemId],
+    weights: &[Rational],
+) -> bool {
     let bottom = lat.bottom();
     let var_of: Vec<Option<usize>> = {
         let mut v = vec![None; lat.len()];
@@ -137,7 +122,7 @@ fn solve_square(mut a: Vec<Vec<Rational>>, mut b: Vec<Rational>) -> Option<Vec<R
 /// polytope of a hypergraph) by brute force over active-constraint subsets.
 ///
 /// Sizes here are tiny (≤ 8 edges), so `C(rows, m)` exact solves are cheap.
-pub fn edge_cover_polytope_vertices(h: &Hypergraph) -> Vec<Vec<Rational>> {
+pub(crate) fn edge_cover_polytope_vertices(h: &Hypergraph) -> Vec<Vec<Rational>> {
     let m = h.edges.len();
     let k = h.vertices.len();
     // Rows: k coverage rows (A w ≥ 1) then m non-negativity rows.
@@ -230,26 +215,6 @@ mod tests {
 
     fn named(lat: &Lattice, s: &str) -> ElemId {
         lat.elems().find(|&e| lat.name(e) == s).unwrap()
-    }
-
-    #[test]
-    fn boolean_atomic_and_coatomic_isomorphic() {
-        // In 2^X both hypergraphs have the same edge sizes (x ↦ X−{x}).
-        let lat = build::boolean(3);
-        let vs = |v: &[u32]| fdjoin_lattice::VarSet::from_vars(v.iter().copied());
-        let inputs = vec![
-            lat.elem_of_set(vs(&[0, 1])).unwrap(),
-            lat.elem_of_set(vs(&[1, 2])).unwrap(),
-            lat.elem_of_set(vs(&[0, 2])).unwrap(),
-        ];
-        let hco = coatomic_hypergraph(&lat, &inputs);
-        let ha = atomic_hypergraph(&lat, &inputs);
-        let mut co_sizes: Vec<usize> = hco.edges.iter().map(|e| e.len()).collect();
-        let mut a_sizes: Vec<usize> = ha.edges.iter().map(|e| e.len()).collect();
-        co_sizes.sort_unstable();
-        a_sizes.sort_unstable();
-        assert_eq!(co_sizes, a_sizes);
-        assert_eq!(hco.rho_star().unwrap(), rat(3, 2));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl LatticeFn {
     }
 
     /// Monotone on the lattice order?
-    pub fn is_monotone(&self, lat: &Lattice) -> bool {
+    pub(crate) fn is_monotone(&self, lat: &Lattice) -> bool {
         for x in lat.elems() {
             for y in lat.elems() {
                 if lat.leq(x, y) && self.values[x] > self.values[y] {
@@ -122,7 +122,7 @@ impl LatticeFn {
     ///
     /// When `h` is an entropy, `-g(X)` is the multivariate conditional
     /// mutual information `I(1̂ − X | X)` (CMI).
-    pub fn mobius_inverse(&self, lat: &Lattice) -> LatticeFn {
+    pub(crate) fn mobius_inverse(&self, lat: &Lattice) -> LatticeFn {
         let mut g = LatticeFn::zero(lat);
         for x in lat.elems() {
             let row = lat.mobius_row(x);
@@ -138,21 +138,6 @@ impl LatticeFn {
         g
     }
 
-    /// Reconstruct `h` from its Möbius inverse: `h(X) = Σ_{Y ≥ X} g(Y)`.
-    pub fn from_mobius_inverse(lat: &Lattice, g: &LatticeFn) -> LatticeFn {
-        let mut h = LatticeFn::zero(lat);
-        for x in lat.elems() {
-            let mut acc = Rational::zero();
-            for y in lat.elems() {
-                if lat.leq(x, y) {
-                    acc += &g.values[y];
-                }
-            }
-            h.values[x] = acc;
-        }
-        h
-    }
-
     /// Normality test (Lemma 4.2 / Sec. 4): `h` is a *normal* submodular
     /// function iff its Möbius inverse satisfies `g(Z) ≤ 0` for all
     /// `Z ≺ 1̂` and `h(0̂) = 0` (which encodes
@@ -165,19 +150,6 @@ impl LatticeFn {
         lat.elems()
             .filter(|&z| z != lat.top())
             .all(|z| !g.values[z].is_positive())
-    }
-
-    /// *Strictly* normal: additionally `g(Z) = 0` for every `Z ≺ 1̂` that is
-    /// not a co-atom.
-    pub fn is_strictly_normal(&self, lat: &Lattice) -> bool {
-        if !self.is_normal(lat) {
-            return false;
-        }
-        let g = self.mobius_inverse(lat);
-        let coatoms = lat.coatoms();
-        lat.elems()
-            .filter(|&z| z != lat.top() && !coatoms.contains(&z))
-            .all(|z| g.values[z].is_zero())
     }
 
     /// Decompose a normal polymatroid into a non-negative combination of
@@ -250,9 +222,13 @@ mod tests {
             let below = lat.elems().filter(|&y| lat.lt(y, x)).count() as i64;
             h.set(x, rat(below, 1));
         }
+        // Eq. 10 read backwards: h(X) = Σ_{Y ≥ X} g(Y).
         let g = h.mobius_inverse(&lat);
-        let h2 = LatticeFn::from_mobius_inverse(&lat, &g);
-        assert_eq!(h, h2);
+        for x in lat.elems() {
+            let above = lat.elems().filter(|&y| lat.leq(x, y));
+            let sum: Rational = above.map(|y| g.get(y).clone()).sum();
+            assert_eq!(&sum, h.get(x));
+        }
     }
 
     #[test]
@@ -298,7 +274,6 @@ mod tests {
         }
         assert!(h.is_polymatroid(&lat));
         assert!(h.is_normal(&lat));
-        assert!(h.is_strictly_normal(&lat));
         // Decomposition: coefficients live on co-atoms only.
         let decomp = h.normal_decomposition(&lat).unwrap();
         let coatoms = lat.coatoms();

@@ -11,17 +11,17 @@
 //! - **base** indexes ([`AccessPaths::base`]) over database relations,
 //!   keyed by the relation's globally unique
 //!   [`fdjoin_storage::Relation::version`] — Expander guard lookups,
-//!   Generic-Join atom tries, binary-join build sides, and the final
-//!   semijoin-reduction membership probes all live here;
-//! - **expanded** indexes ([`AccessPaths::expanded`]) over the FD-expanded
-//!   atom relations `R_j⁺` that chain/SMA/CSMA iterate, keyed by an
-//!   interned signature over every input of the expansion: a per-query
-//!   token (expansion is query-dependent — two queries with different FDs
-//!   expand the same relation differently, so their derived entries must
-//!   never alias in the engine-wide cache), the atom's own version, every
-//!   guard relation's version, and the UDF-registry version. A delta that
-//!   touches one relation therefore invalidates only the expanded indexes
-//!   whose derivation actually read it; everything else keeps hitting.
+//!   Generic-Join atom tries and binary-join build sides all live here;
+//! - **expanded** indexes over the FD-expanded atom relations `R_j⁺` that
+//!   chain/SMA/CSMA iterate, handed out by `Expander::input_trie` (the
+//!   expander owns the relations they index) and keyed by every input of
+//!   the expansion: a per-query token (expansion is query-dependent — two
+//!   queries with different FDs expand the same relation differently, so
+//!   their derived entries must never alias in the engine-wide cache), the
+//!   atom's own version, every guard relation's version, and the
+//!   UDF-registry version. A delta that touches one relation therefore
+//!   invalidates only the expanded indexes whose derivation actually read
+//!   it; everything else keeps hitting.
 
 use crate::Stats;
 use fdjoin_obs::{Observer, SpanKind};
@@ -34,8 +34,8 @@ use std::time::Instant;
 /// Source of per-query expansion tokens (see [`AccessPaths::new`]).
 static TOKEN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Allocate a fresh expansion token — one per `PreparedQuery`, folded into
-/// every derived-index signature so query-dependent expansions never alias
+/// Allocate a fresh expansion token — one per `PreparedQuery`, leading
+/// every derived-index key so query-dependent expansions never alias
 /// across queries sharing one engine-wide [`IndexSet`].
 pub(crate) fn next_token() -> u64 {
     TOKEN_COUNTER.fetch_add(1, Ordering::Relaxed) + 1
@@ -43,14 +43,16 @@ pub(crate) fn next_token() -> u64 {
 
 /// Per-execution handle over the prepared query's [`IndexSet`].
 ///
-/// Construction walks the query once to stamp each atom's expansion
-/// signature; acquisitions afterwards are cache lookups plus (on a miss) a
+/// Construction walks the query once to collect what each atom's expansion
+/// reads; acquisitions afterwards are cache lookups plus (on a miss) a
 /// single index build that every later execution, batch worker, and delta
 /// join then shares.
 pub struct AccessPaths<'a> {
     set: &'a IndexSet,
-    /// Interned expansion signature per atom (see module docs).
-    atom_sigs: Vec<u64>,
+    query: &'a Query,
+    /// Per atom, the versions its expansion reads (see module docs): the
+    /// content stamp of its derived-index keys.
+    atom_inputs: Vec<Arc<[u64]>>,
     /// Tracing handle: cache *misses* emit an `index_build` span (hits are
     /// deliberately silent — they are counted, not traced). Disabled by
     /// default; `PreparedQuery` attaches its engine's observer.
@@ -58,23 +60,22 @@ pub struct AccessPaths<'a> {
 }
 
 impl<'a> AccessPaths<'a> {
-    /// Bind `set` to one `(query, database)` execution. `query_token` is
-    /// the owning `PreparedQuery`'s unique expansion token (callers
-    /// outside the engine may pass any fixed value consistently, or
-    /// allocate one via a single prepared query).
+    /// Bind `set` to one `(query, database)` execution under a fresh
+    /// expansion token: derived indexes built through this handle are
+    /// never served to another one, whatever query that one binds.
     pub fn new(
         set: &'a IndexSet,
-        q: &Query,
+        q: &'a Query,
         db: &Database,
     ) -> Result<AccessPaths<'a>, MissingRelation> {
-        AccessPaths::with_token(set, q, db, 0)
+        AccessPaths::with_token(set, q, db, next_token())
     }
 
     /// [`AccessPaths::new`] with an explicit per-query expansion token
     /// (what `PreparedQuery::execute` uses over the engine-wide cache).
-    pub fn with_token(
+    pub(crate) fn with_token(
         set: &'a IndexSet,
-        q: &Query,
+        q: &'a Query,
         db: &Database,
         query_token: u64,
     ) -> Result<AccessPaths<'a>, MissingRelation> {
@@ -87,19 +88,16 @@ impl<'a> AccessPaths<'a> {
             }
         }
         let udf_version = db.udfs.version();
-        let mut inputs = Vec::with_capacity(guard_versions.len() + 3);
-        let mut atom_sigs = Vec::with_capacity(q.atoms().len());
+        let mut atom_inputs = Vec::with_capacity(q.atoms().len());
         for a in q.atoms() {
-            inputs.clear();
-            inputs.push(query_token);
-            inputs.push(db.relation(&a.name)?.version());
-            inputs.extend_from_slice(&guard_versions);
-            inputs.push(udf_version);
-            atom_sigs.push(set.signature(&inputs));
+            let head = [query_token, db.relation(&a.name)?.version()];
+            let inputs = head.into_iter().chain(guard_versions.iter().copied());
+            atom_inputs.push(inputs.chain([udf_version]).collect());
         }
         Ok(AccessPaths {
             set,
-            atom_sigs,
+            query: q,
+            atom_inputs,
             obs: Observer::disabled(),
         })
     }
@@ -107,7 +105,7 @@ impl<'a> AccessPaths<'a> {
     /// Attach an observer: every index *build* this handle performs from
     /// now on is traced as an `index_build` span keyed by relation, order,
     /// and content version.
-    pub fn with_observer(mut self, obs: Observer) -> Self {
+    pub(crate) fn with_observer(mut self, obs: Observer) -> Self {
         self.obs = obs;
         self
     }
@@ -135,25 +133,27 @@ impl<'a> AccessPaths<'a> {
         ix
     }
 
-    /// The trie index of atom `atom`'s *expanded* relation (`rel`, as just
-    /// materialized by the caller) for `order`, keyed by the atom's
-    /// expansion signature — reused until a delta touches something the
-    /// expansion reads.
-    pub fn expanded(
+    /// The trie index of atom `atom`'s *expanded* relation for `order`,
+    /// keyed by what the atom's expansion reads — reused until a delta
+    /// touches any of it. `build` runs on a miss only and must index the
+    /// expansion of that atom over this handle's database
+    /// (`Expander::input_trie` is the one caller).
+    pub(crate) fn expanded(
         &self,
         atom: usize,
-        name: &str,
-        rel: &Relation,
         order: &[u32],
         stats: &mut Stats,
+        build: impl FnOnce() -> TrieIndex,
     ) -> Arc<TrieIndex> {
         let started = self.obs.is_enabled().then(Instant::now);
-        let sig = self.atom_sigs[atom];
-        let key = IndexKey::derived(name, sig, order.to_vec());
-        let (ix, built) = self.set.get_or_build(key, || TrieIndex::build(rel, order));
+        let name = &self.query.atoms()[atom].name;
+        let inputs = &self.atom_inputs[atom];
+        let key = IndexKey::derived(name, Arc::clone(inputs), order.to_vec());
+        let (ix, built) = self.set.get_or_build(key, build);
         self.meter(built, stats);
         if built {
-            self.trace_build(started, name, "derived", sig, order, ix.len());
+            // `inputs[1]` is the atom relation's own version.
+            self.trace_build(started, name, "derived", inputs[1], order, ix.len());
         }
         ix
     }
@@ -186,5 +186,55 @@ impl<'a> AccessPaths<'a> {
         } else {
             stats.index_hits += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{log_sizes_of, naive_join};
+    use crate::{csma, par::ParCtx};
+
+    /// CSMA over a handle made by [`AccessPaths::new`] on `set`.
+    fn csma_through(set: &IndexSet, q: &Query, db: &Database) -> (Relation, Stats) {
+        let paths = AccessPaths::new(set, q, db).unwrap();
+        let pres = q.lattice_presentation();
+        let (out, stats, _) = csma::execute(q, db, &pres, &paths, &ParCtx::sequential(), |lens| {
+            csma::plan(q, &pres, &log_sizes_of(lens), &[])
+        })
+        .unwrap();
+        (out, stats)
+    }
+
+    /// Two queries over the same three relations whose expansions read the
+    /// same versions (guards `G` and `S`, no UDFs) but differ: `keyed`
+    /// declares `x → y`, so its `R⁺` keeps one `y` per `x`; `wide` declares
+    /// `y → x` and keeps every row. Bound one after the other to one
+    /// `IndexSet`, the second must not be served the first's `R⁺` tries.
+    #[test]
+    fn handles_from_new_never_share_derived_tries() {
+        let query = |g_lhs: u32, g_rhs: u32| {
+            let mut b = Query::builder();
+            let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+            b.atom("G", &[x, y]).atom("R", &[x, y]).atom("S", &[y, z]);
+            b.fd(&[g_lhs], &[g_rhs]).fd(&[y], &[z]);
+            b.build()
+        };
+        let (keyed, wide) = (query(0, 1), query(1, 0));
+        let mut db = Database::new();
+        db.insert("G", Relation::from_rows(vec![0, 1], [[1, 10], [1, 11]]));
+        db.insert("R", Relation::from_rows(vec![0, 1], [[1, 10], [1, 11]]));
+        db.insert("S", Relation::from_rows(vec![1, 2], [[10, 5], [11, 6]]));
+
+        let set = IndexSet::new();
+        let (first, _) = csma_through(&set, &keyed, &db);
+        assert_eq!(first, naive_join(&keyed, &db).unwrap().output);
+        assert_eq!(first.len(), 1, "x → y read first-match: (1, 10, 5) only");
+        let (second, stats) = csma_through(&set, &wide, &db);
+        assert_eq!(second, naive_join(&wide, &db).unwrap().output);
+        assert_eq!(second.len(), 2);
+        // Only S's guard trie, a base index in the order both queries ask
+        // for, is shared; every derived trie was built afresh.
+        assert_eq!(stats.index_hits, 1);
     }
 }

@@ -70,35 +70,24 @@ pub(crate) fn execute(
         vars
     };
 
-    // Step 1: expand inputs to their closures.
-    let mut expanded: Vec<Relation> = Vec::with_capacity(q.atoms().len());
-    for a in q.atoms() {
-        expanded.push(ex.expand_relation(db.relation(&a.name)?, &mut stats)?);
-    }
-
     // Acquire the trie index of Π_{R_j ∧ C_i}(R_j⁺) for every covering
-    // (i, j) from the access-path cache, in chain-level column order so
-    // Q_{i-1}'s shared part is a prefix.
+    // (i, j) from the expander (step 1, "expand inputs to their closures",
+    // happens behind it), in chain-level column order so Q_{i-1}'s shared
+    // part is a prefix.
     // proj[i] = (index, prefix_len onto R_j ∧ C_{i-1}) per covering j.
     let mut proj: Vec<Vec<(Arc<TrieIndex>, usize)>> = vec![vec![]; k + 1];
     for (i, slot) in proj.iter_mut().enumerate().skip(1) {
-        *slot = (0..q.atoms().len())
-            .filter_map(|j| {
-                let rj = pres.inputs[j];
-                let mij = lat.meet(rj, chain.elems[i]);
-                let mij_prev = lat.meet(rj, chain.elems[i - 1]);
-                if mij == mij_prev {
-                    return None;
-                }
-                let vars = col_order(lat.set_of(mij).unwrap());
-                let prefix_len = lat.set_of(mij_prev).unwrap().len() as usize;
-                let name = &q.atoms()[j].name;
-                Some((
-                    paths.expanded(j, name, &expanded[j], &vars, &mut stats),
-                    prefix_len,
-                ))
-            })
-            .collect();
+        for j in 0..q.atoms().len() {
+            let rj = pres.inputs[j];
+            let mij = lat.meet(rj, chain.elems[i]);
+            let mij_prev = lat.meet(rj, chain.elems[i - 1]);
+            if mij == mij_prev {
+                continue;
+            }
+            let vars = col_order(lat.set_of(mij).unwrap());
+            let prefix_len = lat.set_of(mij_prev).unwrap().len() as usize;
+            slot.push((ex.input_trie(j, &vars, &mut stats)?, prefix_len));
+        }
     }
 
     let nv = q.n_vars();

@@ -94,7 +94,7 @@ pub fn estimate_join(q: &Query, db: &Database) -> Result<JoinEstimate, MissingRe
 /// variables in the given order (variables absent from every atom are
 /// FD-derived and contribute no branching; extra or missing variables in
 /// `order` are ignored / appended nothing).
-pub fn estimate_join_order(
+pub(crate) fn estimate_join_order(
     q: &Query,
     db: &Database,
     order: &[u32],

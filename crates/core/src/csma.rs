@@ -113,22 +113,21 @@ pub(crate) fn plan(
     })
 }
 
-/// Execute a pre-computed [`CsmaPlan`]. `expanded[j]` must be atom `j`'s
-/// expanded relation (the sizes the plan was built for); `stats` carries the
-/// expansion counters already accumulated while producing them.
-#[allow(clippy::too_many_arguments)] // mirror of the engine's Csma arm
+/// Run CSMA: expand the inputs, ask `plan_for` for the [`CsmaPlan`] of
+/// their size profile (CSMA is planned on `|R_j⁺|`, known only here), and
+/// execute it. The plan is handed back for the caller's result record.
 pub(crate) fn execute(
     q: &Query,
     db: &Database,
     pres: &LatticePresentation,
-    csma: &CsmaPlan,
-    expanded: &[Relation],
-    ex: &Expander<'_>,
-    mut stats: Stats,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
-) -> Result<(Relation, Stats), JoinError> {
+    plan_for: impl FnOnce(&[u64]) -> Result<CsmaPlan, JoinError>,
+) -> Result<(Relation, Stats, CsmaPlan), JoinError> {
     let lat = &pres.lattice;
+    let mut stats = Stats::default();
+    let ex = Expander::new(q, db, paths, &mut stats)?;
+    let csma = plan_for(&ex.input_lens(&mut stats)?)?;
 
     // Guard tries from their specs, served by the access-path cache
     // (conditioning attributes first — the orders the probes below need).
@@ -136,20 +135,19 @@ pub(crate) fn execute(
         .guards
         .iter()
         .map(|g| {
-            let name = &q.atoms()[g.atom].name;
-            let order: Vec<u32> = match &g.order {
-                None => expanded[g.atom].vars().to_vec(),
-                Some(order) => order.clone(),
+            let order = match &g.order {
+                None => ex.input(g.atom, &mut stats)?.vars(),
+                Some(order) => order,
             };
-            paths.expanded(g.atom, name, &expanded[g.atom], &order, &mut stats)
+            ex.input_trie(g.atom, order, &mut stats)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     // Initial branch state.
     let mut tables: HashMap<ElemId, Relation> = HashMap::new();
     tables.insert(lat.bottom(), Relation::nullary_unit());
-    for (j, rel) in expanded.iter().enumerate() {
-        let e = pres.inputs[j];
+    for (j, &e) in pres.inputs.iter().enumerate() {
+        let rel = ex.input(j, &mut stats)?;
         match tables.get(&e) {
             None => {
                 tables.insert(e, rel.clone());
@@ -172,7 +170,7 @@ pub(crate) fn execute(
     let ctx = Ctx {
         lat,
         pairs: &csma.pairs,
-        ex,
+        ex: &ex,
         nv,
         par,
     };
@@ -192,9 +190,9 @@ pub(crate) fn execute(
         .iter()
         .map(|a| db.relation(&a.name))
         .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, ex, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, &out, par, &mut stats);
 
-    Ok((reduced, stats))
+    Ok((reduced, stats, csma))
 }
 
 struct Ctx<'a> {

@@ -6,7 +6,8 @@
 //! optimum, CLLP value) against a *measured* price (the degree-statistics
 //! branch estimate, `fdjoin_core::cost`); `Algorithm::Auto` records the
 //! comparison on an [`AutoDecision`], and the Carmeli–Kröll enumeration
-//! class says whether streaming delivery is constant-delay. EXPLAIN
+//! class says whether constant-delay delivery is attainable for the query
+//! (the stream does not exploit it yet). EXPLAIN
 //! renders all of that for one `(prepared query, database)` pair *without*
 //! executing; EXPLAIN ANALYZE additionally runs the query once under a
 //! private [`Observer`] and appends the observed counters, timings, and
@@ -145,14 +146,7 @@ impl PreparedQuery {
             let paths = AccessPaths::with_token(&self.indexes, q, db, self.token)?;
             let mut scratch = Stats::default();
             let ex = crate::Expander::new(q, db, &paths, &mut scratch)?;
-            let mut expanded_lens = Vec::with_capacity(q.atoms().len());
-            for a in q.atoms() {
-                expanded_lens.push(
-                    ex.expand_relation(db.relation(&a.name)?, &mut scratch)?
-                        .len() as u64,
-                );
-            }
-            self.csma_plan(&expanded_lens, &[])
+            self.csma_plan(&ex.input_lens(&mut scratch)?, &[])
                 .ok()
                 .map(|p| p.log_bound.to_f64())
         };

@@ -204,7 +204,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
 
     /// Get the cached value or compute-and-insert it under the shard write
     /// lock (re-checked, so `f` runs at most once per key across threads).
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, f: F) -> V {
+    pub(crate) fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, f: F) -> V {
         let mut map = self.shard(key).write().unwrap();
         if let Some(hit) = map.get(key) {
             return hit.clone();

@@ -164,7 +164,7 @@ impl Relabel {
 
     /// Relabel a fallible plan, passing errors through (plan *absence* —
     /// no good chain, no good proof — is itself isomorphism-invariant).
-    pub fn sma_result(
+    pub(crate) fn sma_result(
         &self,
         r: &Result<sma::SmaPlan, JoinError>,
     ) -> Result<sma::SmaPlan, JoinError> {
@@ -172,7 +172,7 @@ impl Relabel {
     }
 
     /// See [`Relabel::sma_result`].
-    pub fn csma_result(
+    pub(crate) fn csma_result(
         &self,
         r: &Result<csma::CsmaPlan, JoinError>,
     ) -> Result<csma::CsmaPlan, JoinError> {

@@ -240,7 +240,7 @@ impl SharedHandle {
     /// (canonical input element, size), minimized over all canonical
     /// labelings. Ties within a key are interchangeable — planning sees
     /// only the (element, size) pair.
-    pub fn canon_key(&self, lens: &[u64]) -> KeyedProfile {
+    pub(crate) fn canon_key(&self, lens: &[u64]) -> KeyedProfile {
         let mut best: Option<KeyedProfile> = None;
         for (v, variant) in self.variants.iter().enumerate() {
             let mut idx: Vec<usize> = (0..lens.len()).collect();
@@ -266,7 +266,7 @@ impl SharedHandle {
     }
 
     /// The relabeling carrying local plans into canonical coordinates.
-    pub fn relabel_to_canon(&self, kp: &KeyedProfile) -> Relabel {
+    pub(crate) fn relabel_to_canon(&self, kp: &KeyedProfile) -> Relabel {
         Relabel {
             elem: self.variants[kp.variant].to_canon.clone(),
             slot: kp.slot.clone(),
@@ -274,7 +274,7 @@ impl SharedHandle {
     }
 
     /// The relabeling carrying canonical plans into local coordinates.
-    pub fn relabel_to_local(&self, kp: &KeyedProfile) -> Relabel {
+    pub(crate) fn relabel_to_local(&self, kp: &KeyedProfile) -> Relabel {
         let mut inv_slot = vec![0usize; kp.slot.len()];
         for (j, &s) in kp.slot.iter().enumerate() {
             inv_slot[s] = j;

@@ -45,7 +45,7 @@ use crate::{AccessPaths, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
 use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Where an op's value comes from.
 #[derive(Clone)]
@@ -160,10 +160,14 @@ struct Emitted {
 }
 
 /// Expansion machinery for a query + database: the resolved guard entries
-/// and UDFs, and the compiler from bound sets to [`Program`]s.
+/// and UDFs, the compiler from bound sets to [`Program`]s, and the expanded
+/// inputs `R_j⁺` of this execution with their cached tries.
 pub struct Expander<'a> {
     query: &'a Query,
     db: &'a Database,
+    paths: &'a AccessPaths<'a>,
+    /// `R_j⁺` per atom, expanded on first request ([`Expander::input`]).
+    inputs: Vec<OnceLock<Relation>>,
     /// One `(lhs, check op)` per guarded FD and right-hand-side variable,
     /// in FD order.
     guards: Vec<(VarSet, Op)>,
@@ -195,7 +199,7 @@ impl<'a> Expander<'a> {
     pub fn new(
         query: &'a Query,
         db: &'a Database,
-        paths: &AccessPaths<'_>,
+        paths: &'a AccessPaths<'a>,
         stats: &mut Stats,
     ) -> Result<Expander<'a>, MissingRelation> {
         let mut guards = Vec::new();
@@ -230,6 +234,8 @@ impl<'a> Expander<'a> {
         Ok(Expander {
             query,
             db,
+            paths,
+            inputs: query.atoms().iter().map(|_| OnceLock::new()).collect(),
             guards,
             unguarded,
             udfs,
@@ -349,9 +355,46 @@ impl<'a> Expander<'a> {
         Ok(Program { ops })
     }
 
+    /// Atom `j`'s expanded relation `R_j⁺` — step 1 of every bound-driven
+    /// algorithm (Algorithm 1 line 1, Algorithm 2, Sec. 5.3.3). Expanded by
+    /// the first call of an execution and counted into that call's `stats`;
+    /// later calls return the same relation and count nothing.
+    pub(crate) fn input(&self, j: usize, stats: &mut Stats) -> Result<&Relation, JoinError> {
+        if let Some(rel) = self.inputs[j].get() {
+            return Ok(rel);
+        }
+        let base = self.db.relation(&self.query.atoms()[j].name)?;
+        let expanded = self.expand_relation(base, stats)?;
+        Ok(self.inputs[j].get_or_init(|| expanded))
+    }
+
+    /// `|R_j⁺|` for every atom, in atom order: the size profile CSMA plans
+    /// are keyed and priced by.
+    pub(crate) fn input_lens(&self, stats: &mut Stats) -> Result<Vec<u64>, JoinError> {
+        (0..self.inputs.len())
+            .map(|j| Ok(self.input(j, stats)?.len() as u64))
+            .collect()
+    }
+
+    /// The trie of `R_j⁺` in column order `order`, from the access-path
+    /// cache: built at most once per `(order, everything the expansion of
+    /// atom j reads)`, shared by later executions until a delta touches
+    /// one of those inputs.
+    pub(crate) fn input_trie(
+        &self,
+        j: usize,
+        order: &[u32],
+        stats: &mut Stats,
+    ) -> Result<Arc<TrieIndex>, JoinError> {
+        let rel = self.input(j, stats)?;
+        Ok(self
+            .paths
+            .expanded(j, order, stats, || TrieIndex::build(rel, order)))
+    }
+
     /// Expand a whole relation to the closure of its variable set
-    /// (the `R ↦ R⁺` step used by all algorithms). The output column order
-    /// is the input columns followed by the new variables in ascending id.
+    /// (`R ↦ R⁺`). The output column order is the input columns followed by
+    /// the new variables in ascending id.
     pub fn expand_relation(
         &self,
         rel: &Relation,
@@ -436,22 +479,13 @@ mod tests {
         (q, db)
     }
 
-    fn expander<'a>(
-        q: &'a Query,
-        db: &'a Database,
-        set: &IndexSet,
-        stats: &mut Stats,
-    ) -> Expander<'a> {
-        let paths = AccessPaths::new(set, q, db).unwrap();
-        Expander::new(q, db, &paths, stats).unwrap()
-    }
-
     #[test]
     fn expand_via_udf() {
         let (q, db) = fig1_db();
         let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
         let mut stats = Stats::default();
-        let ex = expander(&q, &db, &set, &mut stats);
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         // Tuple over {x,z}: closure adds u (= x), then... {x,z,u}+ = xzu.
         let rel = Relation::from_rows(vec![0, 2], [[7, 5]]);
         let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
@@ -462,11 +496,35 @@ mod tests {
     }
 
     #[test]
+    fn input_is_expanded_once_per_execution() {
+        let (q, db) = fig1_db();
+        let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
+        let mut stats = Stats::default();
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
+        // T(z,u): {z,u} is closed, so T⁺ = T and each row counts once.
+        let first = ex.input(2, &mut stats).unwrap();
+        assert_eq!(first, db.relation("T").unwrap());
+        let after_first = stats;
+        assert_eq!(after_first.intermediate_tuples, 2);
+        let second = ex.input(2, &mut stats).unwrap();
+        assert!(std::ptr::eq(first, second), "the same relation, not a copy");
+        assert_eq!(stats, after_first, "the second request counts nothing");
+        // Its tries come from the cache under one key per order.
+        let a = ex.input_trie(2, &[3, 2], &mut stats).unwrap();
+        let b = ex.input_trie(2, &[3, 2], &mut stats).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((stats.index_builds, stats.index_hits), (1, 1));
+        assert_eq!(stats.deterministic(), after_first.deterministic());
+    }
+
+    #[test]
     fn expand_checks_consistency() {
         let (q, db) = fig1_db();
         let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
         let mut stats = Stats::default();
-        let ex = expander(&q, &db, &set, &mut stats);
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         // Tuple over {x,y,z,u} where u ≠ f(x,z): the verify list must reject.
         let verify = ex.compile_verify(VarSet::from_vars([0, 1, 2, 3]));
         let mut args = Vec::new();
@@ -486,8 +544,9 @@ mod tests {
             Relation::from_rows(vec![0, 1, 2], [[1, 10, 100], [2, 10, 200]]),
         );
         let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
         let mut stats = Stats::default();
-        let ex = expander(&q, &db, &set, &mut stats);
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         assert_eq!(stats.index_builds, 1, "one guard index built");
         let rel = Relation::from_rows(vec![0, 1], [[1, 10], [2, 10], [3, 10]]);
         let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
@@ -497,7 +556,7 @@ mod tests {
         assert!(expanded.contains_row(&[2, 10, 200]));
         // A second expander over the same database hits the cached index.
         let mut stats2 = Stats::default();
-        let _ex2 = expander(&q, &db, &set, &mut stats2);
+        let _ex2 = Expander::new(&q, &db, &paths, &mut stats2).unwrap();
         assert_eq!(stats2.index_builds, 0);
         assert_eq!(stats2.index_hits, 1);
     }
@@ -506,8 +565,9 @@ mod tests {
     fn expansion_of_closed_set_is_identity_with_semijoin_semantics() {
         let (q, db) = fig1_db();
         let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
         let mut stats = Stats::default();
-        let ex = expander(&q, &db, &set, &mut stats);
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         let rel = Relation::from_rows(vec![0, 1], [[1, 2], [9, 9]]);
         let expanded = ex.expand_relation(&rel, &mut stats).unwrap();
         // {x,y} is closed: nothing added, nothing removed.

@@ -80,4 +80,4 @@ pub use fdjoin_query::EnumerationClass;
 
 // Re-exported so `Engine::observe` / `PreparedQuery::observer` callers can
 // construct and drain observers without a direct `fdjoin_obs` dependency.
-pub use fdjoin_obs::{ObsConfig, Observer};
+pub use fdjoin_obs::Observer;

@@ -20,6 +20,8 @@ use fdjoin_bounds::smproof::{scale_weights, search_good_sm_proof, SmProof};
 use fdjoin_bounds::LatticeFn;
 use fdjoin_query::{LatticePresentation, Query};
 use fdjoin_storage::{Database, Relation, TrieIndex};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The data-independent part of an SMA run: everything derived from the
 /// lattice presentation and the input *sizes* alone, reusable across
@@ -111,31 +113,31 @@ pub(crate) fn execute(
     let ex = Expander::new(q, db, paths, &mut stats)?;
 
     // Temporary-table pool: one entry per multiset copy. Entries seeded
-    // from an atom remember it (`atom: Some(j)`), so their trie indexes
-    // come from the access-path cache; step temporaries (`atom: None`)
-    // build one-shot tries.
-    struct Entry {
+    // from an atom borrow its R_j⁺ from the expander and remember the atom
+    // (`atom: Some(j)`), so their trie indexes come from the access-path
+    // cache; step temporaries (`atom: None`) are owned and build one-shot
+    // tries.
+    struct Entry<'e> {
         elem: usize,
-        rel: Relation,
+        rel: Cow<'e, Relation>,
         atom: Option<usize>,
         consumed: bool,
     }
-    let mut pool: Vec<Entry> = Vec::new();
+    let mut pool: Vec<Entry<'_>> = Vec::new();
     for &(j, m) in &sma.multiset {
-        let expanded = ex.expand_relation(db.relation(&q.atoms()[j].name)?, &mut stats)?;
+        let expanded = ex.input(j, &mut stats)?;
         for _ in 0..m {
             pool.push(Entry {
                 elem: pres.inputs[j],
-                rel: expanded.clone(),
+                rel: Cow::Borrowed(expanded),
                 atom: Some(j),
                 consumed: false,
             });
         }
     }
-    let atom_trie = |pool: &[Entry], i: usize, order: &[u32], stats: &mut Stats| match pool[i].atom
-    {
-        Some(j) => paths.expanded(j, &q.atoms()[j].name, &pool[i].rel, order, stats),
-        None => std::sync::Arc::new(TrieIndex::build(&pool[i].rel, order)),
+    let trie_of = |e: &Entry<'_>, order: &[u32], stats: &mut Stats| match e.atom {
+        Some(j) => ex.input_trie(j, order, stats),
+        None => Ok(Arc::new(TrieIndex::build(&e.rel, order))),
     };
 
     let h: &LatticeFn = &sma.h;
@@ -170,7 +172,7 @@ pub(crate) fn execute(
                     .copied()
                     .filter(|v| !z_vars.contains(v)),
             );
-            atom_trie(&pool, yi, &order, &mut stats)
+            trie_of(&pool[yi], &order, &mut stats)?
         };
         let theta = h.get(step.y) - h.get(z);
         let threshold = degree_threshold(&theta);
@@ -193,7 +195,7 @@ pub(crate) fn execute(
 
         // T(X ∧ Y) = Π_Z(T(X)) ∩ Π_Z(T(Y)) ∩ Heavy(Z): probe the heavy
         // prefixes against T(X)'s Z-trie, no key materialization.
-        let tx_z = atom_trie(&pool, xi, &z_vars, &mut stats);
+        let tx_z = trie_of(&pool[xi], &z_vars, &mut stats)?;
         let zlen = z_vars.len();
         let mut t_meet = Relation::new(z_vars.clone());
         for &r in &heavy_rows {
@@ -210,7 +212,7 @@ pub(crate) fn execute(
         // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first
         // and sorted, so its one-shot trie (like every step temporary's)
         // is a linear pass and Z is the probe prefix.
-        let tx = &pool[xi].rel;
+        let tx: &Relation = &pool[xi].rel;
         let out_vars: Vec<u32> = join_set.iter().collect();
         let light_trie = TrieIndex::build(&light, light.vars());
         let side = Side {
@@ -227,13 +229,13 @@ pub(crate) fn execute(
 
         pool.push(Entry {
             elem: z,
-            rel: t_meet,
+            rel: Cow::Owned(t_meet),
             atom: None,
             consumed: false,
         });
         pool.push(Entry {
             elem: join,
-            rel: t_join,
+            rel: Cow::Owned(t_join),
             atom: None,
             consumed: false,
         });

@@ -67,7 +67,7 @@ impl DeltaOptions {
     }
 
     /// The configured execution options.
-    pub fn exec_options(&self) -> &ExecOptions {
+    pub(crate) fn exec_options(&self) -> &ExecOptions {
         &self.exec
     }
 }
@@ -182,35 +182,27 @@ impl MaterializedView {
             }
             return Ok(bs);
         }
-        // The threshold compares *effective* delta rows aimed at the
-        // query's atoms (distinct inserts of absent rows, distinct deletes
-        // of present rows not re-inserted in the same batch) against the
-        // query's size profile — the tuples the join actually reads.
-        // No-op and duplicate rows (e.g. an at-least-once client replaying
-        // an applied batch) and rows against auxiliary relations cost no
-        // join work and count toward neither side; deduping + membership
-        // costs |delta| log(|delta| + len), negligible next to the
-        // recompute it can avoid.
-        let mut atom_rows = 0usize;
-        for (name, d) in delta.relations() {
-            if self.prepared.query().atom_index(name).is_none() {
-                continue;
-            }
-            let rel = self.db.relation(name).expect("validated");
-            let ins = sorted_delta_rows(rel.vars(), &d.inserts);
-            let dels = sorted_delta_rows(rel.vars(), &d.deletes);
-            atom_rows += ins.rows().filter(|r| !rel.contains_row(r)).count();
-            atom_rows += dels
-                .rows()
-                .filter(|r| rel.contains_row(r) && !ins.contains_row(r))
-                .count();
-        }
+        // Normalise the batch once; the threshold and every phase below
+        // read the same (Δ⁺, Δ⁻) pairs. The threshold compares the
+        // *effective* rows aimed at the query's atoms against the query's
+        // size profile — the tuples the join actually reads. No-op and
+        // duplicate rows (e.g. an at-least-once client replaying an applied
+        // batch) and rows against auxiliary relations cost no join work and
+        // count toward neither side; deduping + membership costs
+        // |delta| log(|delta| + len), negligible next to the recompute it
+        // can avoid.
+        let net = self.net_deltas(delta);
+        let atom_rows: usize = net
+            .iter()
+            .filter(|d| self.prepared.query().atom_index(d.name).is_some())
+            .map(|d| d.plus.len() + d.minus.len())
+            .sum();
         let total: u64 = self.prepared.size_profile(&self.db)?.iter().sum();
         let result = if (atom_rows as f64) > self.opts.max_delta_fraction * total as f64 {
-            self.apply_all(delta, &mut bs);
+            self.apply_all(&net, &mut bs);
             self.full_execute(&mut bs)
         } else {
-            self.incremental(delta, &mut bs)
+            self.incremental(net, &mut bs)
         };
         // Merge even on error: relations may already have absorbed rows,
         // and the cumulative counters must reflect that (see the error
@@ -262,14 +254,34 @@ impl MaterializedView {
         Ok(())
     }
 
+    /// Each relation's share of `delta`, normalised against the stored
+    /// rows, in name order.
+    fn net_deltas<'d>(&self, delta: &'d DeltaBatch) -> Vec<NetDelta<'d>> {
+        delta
+            .relations()
+            .map(|(name, d)| {
+                let rel = self.db.relation(name).expect("validated");
+                let ins = sorted_delta_rows(rel.vars(), &d.inserts);
+                let dels = sorted_delta_rows(rel.vars(), &d.deletes);
+                let absent = |i: &usize| !rel.contains_row(ins.row(*i));
+                let doomed = |i: &usize| {
+                    let row = dels.row(*i);
+                    rel.contains_row(row) && !ins.contains_row(row)
+                };
+                NetDelta {
+                    name,
+                    plus: ins.select_rows((0..ins.len()).filter(absent)),
+                    minus: dels.select_rows((0..dels.len()).filter(doomed)),
+                }
+            })
+            .collect()
+    }
+
     /// Apply the whole batch to the stored relations (fallback path).
-    fn apply_all(&mut self, delta: &DeltaBatch, bs: &mut DeltaStats) {
-        for (name, d) in delta.relations() {
-            let rel = self.db.relation_mut(name).expect("validated above");
-            let applied = rel.apply_delta(
-                d.inserts.iter().map(Vec::as_slice),
-                d.deletes.iter().map(Vec::as_slice),
-            );
+    fn apply_all(&mut self, net: &[NetDelta<'_>], bs: &mut DeltaStats) {
+        for d in net {
+            let rel = self.db.relation_mut(d.name).expect("validated above");
+            let applied = rel.apply_delta(d.plus.rows(), d.minus.rows());
             bs.inserts_applied += applied.added as u64;
             bs.deletes_applied += applied.removed as u64;
         }
@@ -297,35 +309,28 @@ impl MaterializedView {
 
     /// The incremental path: deletions in place, one delta join per
     /// updated query relation, then revalidate + union.
-    fn incremental(&mut self, delta: &DeltaBatch, bs: &mut DeltaStats) -> Result<(), JoinError> {
+    fn incremental(
+        &mut self,
+        net: Vec<NetDelta<'_>>,
+        bs: &mut DeltaStats,
+    ) -> Result<(), JoinError> {
         // Phase 1: deletions, all relations. Only deletions landing on the
         // query's own atoms can invalidate materialized tuples; deletions
-        // on other relations need no revalidation pass.
+        // on other relations need no revalidation pass. Δ⁻ excludes rows
+        // re-inserted by the same batch (batch-atomic semantics, matching
+        // `Relation::apply_delta`: such a row stays present throughout), so
+        // the counters agree with the fallback path and no spurious
+        // revalidation is paid.
         let mut atom_deletes = 0u64;
-        for (name, d) in delta.relations() {
-            if d.deletes.is_empty() {
+        for d in &net {
+            if d.minus.is_empty() {
                 continue;
             }
-            // Batch-atomic semantics, matching `Relation::apply_delta`: a
-            // row both deleted and re-inserted stays present throughout,
-            // so its deletion is skipped here — the counters agree with
-            // the fallback path and no spurious revalidation is paid.
-            let vars = self.db.relation(name).expect("validated").vars().to_vec();
-            let ins = sorted_delta_rows(&vars, &d.inserts);
-            let effective: Vec<&[Value]> = d
-                .deletes
-                .iter()
-                .filter(|r| !ins.contains_row(r))
-                .map(Vec::as_slice)
-                .collect();
-            if effective.is_empty() {
-                continue;
-            }
-            let rel = self.db.relation_mut(name).expect("validated");
+            let rel = self.db.relation_mut(d.name).expect("validated");
             let none: [&[Value]; 0] = [];
-            let applied = rel.apply_delta(none, effective);
+            let applied = rel.apply_delta(none, d.minus.rows());
             bs.deletes_applied += applied.removed as u64;
-            if self.prepared.query().atom_index(name).is_some() {
+            if self.prepared.query().atom_index(d.name).is_some() {
                 atom_deletes += applied.removed as u64;
             }
         }
@@ -336,18 +341,10 @@ impl MaterializedView {
         // and one full recompute restores the invariant.
         let mut additions: Vec<Relation> = Vec::new();
         let mut refused = false;
-        for (name, d) in delta.relations() {
-            if d.inserts.is_empty() {
-                continue;
-            }
-            let current = self.db.relation(name).expect("validated");
-            let mut fresh = Relation::new(current.vars().to_vec());
-            for row in &d.inserts {
-                if !current.contains_row(row) {
-                    fresh.push_row(row);
-                }
-            }
-            fresh.sort_dedup();
+        for NetDelta {
+            name, plus: fresh, ..
+        } in net
+        {
             bs.inserts_applied += fresh.len() as u64;
             if fresh.is_empty() {
                 continue;
@@ -466,6 +463,17 @@ impl MaterializedView {
         self.output = next;
         Ok(())
     }
+}
+
+/// One relation's share of a [`DeltaBatch`], normalised against the rows
+/// stored when the batch arrived. Both halves are sorted and duplicate-free.
+struct NetDelta<'d> {
+    name: &'d str,
+    /// Δ⁺: the inserted rows not stored yet.
+    plus: Relation,
+    /// Δ⁻: the deleted rows that are stored and that the same batch does
+    /// not insert again.
+    minus: Relation,
 }
 
 /// The delta rows as a sorted + deduplicated relation over `vars`, for

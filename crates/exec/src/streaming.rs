@@ -131,8 +131,9 @@ pub struct StreamOutcome {
     pub stats: Stats,
     /// Why delivery stopped.
     pub end: StreamEnd,
-    /// The query's Carmeli–Kröll enumeration class: whether the per-row
-    /// delay was guaranteed constant.
+    /// The Carmeli–Kröll class of the *query*; `ResultStream` does not
+    /// exploit it yet, so it does not bound the per-row delay of this
+    /// delivery (see [`EnumerationClass`]).
     pub enumeration: EnumerationClass,
     /// Wall-clock time from submission to the end of delivery.
     pub wall: Duration,

@@ -47,7 +47,7 @@ impl CoordScheme {
 
     /// The bit mask of coordinates visible to an element `e` (those `Z`
     /// with `e ≰ Z`).
-    pub fn mask_of(&self, lat: &Lattice, e: ElemId) -> u64 {
+    pub(crate) fn mask_of(&self, lat: &Lattice, e: ElemId) -> u64 {
         let mut mask = 0u64;
         for &(z, off, width) in &self.fields {
             if !lat.leq(e, z) {
@@ -62,7 +62,7 @@ impl CoordScheme {
 /// polymatroid: maximize `Σ a_i` over co-atom step coefficients subject to
 /// `Σ {a_i : R_j ≰ Z_i} ≤ n_j` (the LP from Theorem 4.9's proof). Returns
 /// the coefficients if the optimum matches `target` and is integral.
-pub fn strictly_normal_coefficients(
+pub(crate) fn strictly_normal_coefficients(
     lat: &Lattice,
     inputs: &[ElemId],
     log_sizes: &[Rational],
@@ -162,7 +162,7 @@ pub fn materialize(
 
 /// Register a UDF for each unguarded FD `lhs → v`, reconstructing `v`'s
 /// packed value from the coordinates embedded in the `lhs` values.
-pub fn register_coordinate_udfs(
+pub(crate) fn register_coordinate_udfs(
     q: &Query,
     pres: &LatticePresentation,
     scheme: &CoordScheme,

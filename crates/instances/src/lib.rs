@@ -14,6 +14,6 @@ pub mod random;
 pub mod special;
 
 pub use chain_inst::chain_worst_case;
-pub use coords::{materialize, normal_worst_case, strictly_normal_coefficients, CoordScheme};
+pub use coords::{materialize, normal_worst_case, CoordScheme};
 pub use random::random_instance;
 pub use special::{bounded_degree_triangle, fig1_adversarial, fig1_tight, m3_parity};

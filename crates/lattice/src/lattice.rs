@@ -306,7 +306,7 @@ impl Lattice {
     }
 
     /// Elements covering `a` (upper covers in the Hasse diagram).
-    pub fn upper_covers(&self, a: ElemId) -> Vec<ElemId> {
+    pub(crate) fn upper_covers(&self, a: ElemId) -> Vec<ElemId> {
         (0..self.n)
             .filter(|&b| self.lt(a, b) && !(0..self.n).any(|c| self.lt(a, c) && self.lt(c, b)))
             .collect()

@@ -79,7 +79,7 @@ impl Lattice {
     }
 
     /// Find an `M3` sublattice whose pairwise join equals the given element.
-    pub fn find_m3_with_join(&self, t: ElemId) -> Option<(ElemId, ElemId, ElemId, ElemId)> {
+    pub(crate) fn find_m3_with_join(&self, t: ElemId) -> Option<(ElemId, ElemId, ElemId, ElemId)> {
         let n = self.len();
         for x in 0..n {
             for y in (x + 1)..n {

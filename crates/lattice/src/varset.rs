@@ -90,11 +90,6 @@ impl VarSet {
         self.0 & !other.0 == 0
     }
 
-    /// Proper subset test.
-    pub fn is_proper_subset(self, other: VarSet) -> bool {
-        self != other && self.is_subset(other)
-    }
-
     /// Iterate over member variable indices in increasing order.
     pub fn iter(self) -> impl Iterator<Item = u32> {
         let mut bits = self.0;
@@ -171,8 +166,6 @@ mod tests {
         assert!(VarSet::singleton(2).is_subset(a));
         assert!(!a.is_subset(b));
         assert!(VarSet::EMPTY.is_subset(a));
-        assert!(VarSet::EMPTY.is_proper_subset(a));
-        assert!(!a.is_proper_subset(a));
     }
 
     #[test]

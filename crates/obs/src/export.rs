@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Escape a string for inclusion inside a JSON string literal (quotes not
 /// included). Hand-rolled: the stack is std-only by design.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

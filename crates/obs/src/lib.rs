@@ -62,7 +62,7 @@ mod metrics;
 mod span;
 
 pub use export::{
-    export_jsonl, json_escape, render_text_tree, validate_json, validate_jsonl, validate_prometheus,
+    export_jsonl, render_text_tree, validate_json, validate_jsonl, validate_prometheus,
 };
 pub use metrics::{Histogram, Registry, HISTOGRAM_BUCKETS};
-pub use span::{FieldValue, ObsConfig, Observer, Span, SpanKind, SpanRecord};
+pub use span::{FieldValue, Observer, Span, SpanKind, SpanRecord};

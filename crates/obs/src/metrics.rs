@@ -70,7 +70,7 @@ impl Histogram {
 
     /// The inclusive upper bound of bucket `i`, as Prometheus renders it
     /// (`le="..."`); the last bucket is unbounded.
-    pub fn bucket_upper_bound(i: usize) -> Option<u64> {
+    pub(crate) fn bucket_upper_bound(i: usize) -> Option<u64> {
         match i {
             0 => Some(0),
             _ if i < HISTOGRAM_BUCKETS - 1 => {
@@ -186,16 +186,6 @@ impl Registry {
     /// Set the gauge named `name{labels}` to `v` (last write wins).
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: u64) {
         self.gauge(name, labels).store(v, Ordering::Relaxed);
-    }
-
-    /// Current value of a gauge (0 if never set).
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = (name.to_string(), render_labels(labels));
-        self.gauges
-            .read()
-            .unwrap()
-            .get(&key)
-            .map_or(0, |g| g.load(Ordering::Relaxed))
     }
 
     /// The histogram named `name{labels}`, created empty on first use.
@@ -463,10 +453,9 @@ mod tests {
     #[test]
     fn gauges_are_last_write_wins() {
         let r = Registry::new();
-        assert_eq!(r.gauge_value("fdjoin_index_resident_bytes", &[]), 0);
+        assert!(!r.to_prometheus().contains("fdjoin_index_resident_bytes"));
         r.set_gauge("fdjoin_index_resident_bytes", &[], 4096);
         r.set_gauge("fdjoin_index_resident_bytes", &[], 1024);
-        assert_eq!(r.gauge_value("fdjoin_index_resident_bytes", &[]), 1024);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE fdjoin_index_resident_bytes gauge\n"));
         assert!(text.contains("fdjoin_index_resident_bytes 1024\n"));

@@ -183,28 +183,14 @@ impl SpanRecord {
     }
 }
 
-/// Recorder configuration. The defaults suit tests and examples; a fleet
-/// deployment mostly tunes [`ObsConfig::max_spans`].
-#[derive(Clone, Debug)]
-pub struct ObsConfig {
-    /// Capacity of the central span ring. When full, the *oldest* spans
-    /// are dropped (counted in [`Observer::dropped_spans`]); tracing
-    /// keeps the recent past, like a flight recorder.
-    pub max_spans: usize,
-    /// Per-thread buffer length that forces a drain into the ring even
-    /// while spans are still open (bounds worst-case buffering on threads
-    /// with very deep/long trees).
-    pub buffer_spans: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            max_spans: 65_536,
-            buffer_spans: 64,
-        }
-    }
-}
+/// Capacity of the central span ring. When full, the *oldest* spans are
+/// dropped (counted in [`Observer::dropped_spans`]); tracing keeps the
+/// recent past, like a flight recorder.
+const MAX_SPANS: usize = 65_536;
+/// Per-thread buffer length that forces a drain into the ring even while
+/// spans are still open (bounds worst-case buffering on threads with very
+/// deep/long trees).
+const BUFFER_SPANS: usize = 64;
 
 /// Monotonic source of observer identities (thread-local buffers are keyed
 /// by them so two observers never mix their spans).
@@ -256,7 +242,8 @@ pub(crate) struct ObsCore {
     epoch: Instant,
     next_span: AtomicU64,
     ring: Mutex<Ring>,
-    cfg: ObsConfig,
+    max_spans: usize,
+    buffer_spans: usize,
     registry: Arc<Registry>,
 }
 
@@ -268,7 +255,7 @@ impl ObsCore {
     fn flush_locked(&self, buf: &mut Vec<SpanRecord>) {
         let mut ring = self.ring.lock().unwrap();
         for rec in buf.drain(..) {
-            if ring.spans.len() >= self.cfg.max_spans {
+            if ring.spans.len() >= self.max_spans {
                 ring.spans.pop_front();
                 ring.dropped += 1;
             }
@@ -295,8 +282,9 @@ impl Observer {
         Observer { core: None }
     }
 
-    /// An enabled recorder with its own span ring and metrics registry.
-    pub fn new(cfg: ObsConfig) -> Observer {
+    /// An enabled recorder with its own span ring (of `max_spans`, fed by
+    /// per-thread buffers of `buffer_spans`) and metrics registry.
+    fn with_limits(max_spans: usize, buffer_spans: usize) -> Observer {
         Observer {
             core: Some(Arc::new(ObsCore {
                 id: OBSERVER_IDS.fetch_add(1, Ordering::Relaxed),
@@ -306,15 +294,16 @@ impl Observer {
                     spans: VecDeque::new(),
                     dropped: 0,
                 }),
-                cfg,
+                max_spans,
+                buffer_spans,
                 registry: Arc::new(Registry::new()),
             })),
         }
     }
 
-    /// An enabled recorder with default configuration.
+    /// An enabled recorder.
     pub fn enabled() -> Observer {
-        Observer::new(ObsConfig::default())
+        Observer::with_limits(MAX_SPANS, BUFFER_SPANS)
     }
 
     /// Whether this handle records anything.
@@ -533,7 +522,7 @@ impl Drop for Span {
                 t.stack.remove(i);
             }
             t.buf.push(rec);
-            if t.stack.is_empty() || t.buf.len() >= core.cfg.buffer_spans {
+            if t.stack.is_empty() || t.buf.len() >= core.buffer_spans {
                 core.flush_locked(&mut t.buf);
             }
         });
@@ -607,10 +596,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let obs = Observer::new(ObsConfig {
-            max_spans: 4,
-            buffer_spans: 1,
-        });
+        let obs = Observer::with_limits(4, 1);
         for i in 0..10 {
             obs.span(SpanKind::Solve, format!("s{i}")).finish();
         }

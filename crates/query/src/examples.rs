@@ -1,7 +1,8 @@
 //! The paper's running example queries, ready to use in tests, examples,
 //! and benchmarks. Each constructor documents the section/figure it is from.
 
-use crate::{query_from_lattice, Query};
+use crate::query::query_from_lattice;
+use crate::Query;
 use fdjoin_lattice::build;
 
 /// The triangle query `Q(x,y,z) :- R(x,y), S(y,z), T(z,x)` with no FDs

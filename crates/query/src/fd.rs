@@ -37,11 +37,6 @@ impl FdSet {
         FdSet::default()
     }
 
-    /// Build from a list.
-    pub fn from_fds(fds: Vec<Fd>) -> FdSet {
-        FdSet { fds }
-    }
-
     /// Add an FD.
     pub fn push(&mut self, fd: Fd) {
         self.fds.push(fd);
@@ -81,14 +76,14 @@ impl FdSet {
     }
 
     /// Whether `x` is closed.
-    pub fn is_closed(&self, x: VarSet) -> bool {
+    pub(crate) fn is_closed(&self, x: VarSet) -> bool {
         self.closure(x) == x
     }
 
     /// Enumerate all closed subsets of `universe` (the elements of the FD
     /// lattice, Definition 3.1). Exponential in `|universe|`; queries here
     /// have at most a dozen variables.
-    pub fn closed_sets(&self, universe: VarSet) -> Vec<VarSet> {
+    pub(crate) fn closed_sets(&self, universe: VarSet) -> Vec<VarSet> {
         assert!(
             universe.len() <= 22,
             "closed-set enumeration limited to 22 variables"
@@ -99,13 +94,6 @@ impl FdSet {
             .collect();
         out.sort_by_key(|s| (s.len(), s.0));
         out
-    }
-
-    /// A variable `x` is *redundant* (Sec. 3.1) if `Y ↔ x` for some `Y`
-    /// not containing `x`; equivalently `x ∈ (x⁺ \ {x})⁺`.
-    pub fn is_redundant(&self, x: u32) -> bool {
-        let without = self.closure(VarSet::singleton(x)).remove(x);
-        self.closure(without).contains(x)
     }
 
     /// Logical implication test: does this FD set imply `lhs → rhs`?
@@ -122,10 +110,14 @@ mod tests {
         VarSet::from_vars(vars.iter().copied())
     }
 
+    fn fd_set(fds: Vec<Fd>) -> FdSet {
+        FdSet { fds }
+    }
+
     #[test]
     fn closure_fixpoint() {
         // x -> y, y -> z.
-        let fds = FdSet::from_fds(vec![
+        let fds = fd_set(vec![
             Fd::new(vs(&[0]), vs(&[1])),
             Fd::new(vs(&[1]), vs(&[2])),
         ]);
@@ -139,7 +131,7 @@ mod tests {
     #[test]
     fn closed_sets_of_fig1_fds() {
         // Variables x=0, y=1, z=2, u=3; FDs xz -> u, yu -> x.
-        let fds = FdSet::from_fds(vec![
+        let fds = fd_set(vec![
             Fd::new(vs(&[0, 2]), vs(&[3])),
             Fd::new(vs(&[1, 3]), vs(&[0])),
         ]);
@@ -158,26 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn redundancy_detection() {
-        // x <-> y: y is redundant (and so is x).
-        let fds = FdSet::from_fds(vec![
-            Fd::new(vs(&[0]), vs(&[1])),
-            Fd::new(vs(&[1]), vs(&[0])),
-        ]);
-        assert!(fds.is_redundant(0));
-        assert!(fds.is_redundant(1));
-        // Plain x -> y: neither is redundant (y <- x but not y -> x).
-        let fds2 = FdSet::from_fds(vec![Fd::new(vs(&[0]), vs(&[1]))]);
-        assert!(!fds2.is_redundant(0));
-        assert!(!fds2.is_redundant(1));
-        // xz -> u with u -> ... nothing: u NOT redundant (u+ \ u = ∅).
-        let fds3 = FdSet::from_fds(vec![Fd::new(vs(&[0, 2]), vs(&[3]))]);
-        assert!(!fds3.is_redundant(3));
-    }
-
-    #[test]
     fn implication() {
-        let fds = FdSet::from_fds(vec![
+        let fds = fd_set(vec![
             Fd::new(vs(&[0]), vs(&[1])),
             Fd::new(vs(&[1]), vs(&[2])),
         ]);

@@ -89,12 +89,6 @@ impl Hypergraph {
         }
     }
 
-    /// Unweighted `ρ*`: all log-sizes 1.
-    pub fn rho_star(&self) -> Option<Rational> {
-        let ones = vec![Rational::one(); self.edges.len()];
-        self.fractional_edge_cover(&ones).map(|c| c.value)
-    }
-
     /// Whether the hypergraph is **α-acyclic**, by GYO reduction: repeat
     /// (a) delete vertices occurring in exactly one edge and (b) delete
     /// edges contained in another edge, until neither applies; the
@@ -105,7 +99,7 @@ impl Hypergraph {
     /// the free-connex condition of constant-delay enumeration dichotomies
     /// (Bagan–Durand–Grandjean; Carmeli–Kröll for the FD-extended form
     /// decided by [`crate::Query::enumeration_class`]).
-    pub fn is_acyclic(&self) -> bool {
+    pub(crate) fn is_acyclic(&self) -> bool {
         let mut edges: Vec<Vec<usize>> = self.edges.clone();
         loop {
             let mut changed = false;
@@ -136,22 +130,6 @@ impl Hypergraph {
             }
         }
     }
-
-    /// Solve the *weighted fractional vertex packing* LP directly:
-    /// `max Σ_i v_i` s.t. `Σ_{i ∈ e_j} v_i ≤ n_j` for every edge.
-    pub fn fractional_vertex_packing(&self, log_sizes: &[Rational]) -> (Rational, Vec<Rational>) {
-        let mut lp = Lp::new(Sense::Max, self.vertices.len());
-        for v in 0..self.vertices.len() {
-            lp.set_objective(v, Rational::one());
-        }
-        for (j, e) in self.edges.iter().enumerate() {
-            let coeffs: Vec<(usize, Rational)> = e.iter().map(|&v| (v, Rational::one())).collect();
-            lp.add_constraint(coeffs, Cmp::Le, log_sizes[j].clone());
-        }
-        let sol =
-            solve(&lp).expect("packing LP is feasible (0) and bounded when no isolated vertex");
-        (sol.value, sol.primal)
-    }
 }
 
 #[cfg(test)]
@@ -167,9 +145,15 @@ mod tests {
         h
     }
 
+    /// Unweighted `ρ*`: all log-sizes 1.
+    fn rho_star(h: &Hypergraph) -> Option<Rational> {
+        let ones = vec![Rational::one(); h.edges.len()];
+        h.fractional_edge_cover(&ones).map(|c| c.value)
+    }
+
     #[test]
     fn triangle_rho_star() {
-        assert_eq!(triangle().rho_star().unwrap(), rat(3, 2));
+        assert_eq!(rho_star(&triangle()).unwrap(), rat(3, 2));
     }
 
     #[test]
@@ -188,8 +172,6 @@ mod tests {
         let h = triangle();
         let logs = [rat(3, 1), rat(4, 1), rat(5, 1)];
         let cover = h.fractional_edge_cover(&logs).unwrap();
-        let (pack_val, _) = h.fractional_vertex_packing(&logs);
-        assert_eq!(cover.value, pack_val);
         // Dual of the cover LP is a feasible packing with the same value.
         let total: Rational = cover.packing.iter().sum();
         assert_eq!(total, cover.value);
@@ -201,14 +183,14 @@ mod tests {
         h.add_edge("R", vec![0, 1]);
         assert_eq!(h.isolated_vertices(), vec![2]);
         assert!(h.fractional_edge_cover(&[rat(1, 1)]).is_none());
-        assert!(h.rho_star().is_none());
+        assert!(rho_star(&h).is_none());
     }
 
     #[test]
     fn single_edge_cover() {
         let mut h = Hypergraph::new(2);
         h.add_edge("R", vec![0, 1]);
-        assert_eq!(h.rho_star().unwrap(), rat(1, 1));
+        assert_eq!(rho_star(&h).unwrap(), rat(1, 1));
     }
 
     #[test]

@@ -17,4 +17,4 @@ pub mod examples;
 pub use enumeration::EnumerationClass;
 pub use fd::{Fd, FdSet};
 pub use hypergraph::{EdgeCover, Hypergraph};
-pub use query::{query_from_lattice, Atom, LatticePresentation, Query, QueryBuilder};
+pub use query::{Atom, LatticePresentation, Query, QueryBuilder};

@@ -56,11 +56,6 @@ impl Query {
         &self.var_names[v as usize]
     }
 
-    /// All variable names.
-    pub fn var_names(&self) -> &[String] {
-        &self.var_names
-    }
-
     /// Variable id by name.
     pub fn var_id(&self, name: &str) -> Option<u32> {
         self.var_names
@@ -234,7 +229,7 @@ impl QueryBuilder {
 ///
 /// Returns the query plus the mapping from lattice join-irreducibles to
 /// variable ids.
-pub fn query_from_lattice(lat: &Lattice, inputs: &[ElemId]) -> (Query, Vec<(ElemId, u32)>) {
+pub(crate) fn query_from_lattice(lat: &Lattice, inputs: &[ElemId]) -> (Query, Vec<(ElemId, u32)>) {
     let irr = lat.join_irreducibles();
     assert!(irr.len() <= 64, "too many join-irreducibles");
     let mut b = Query::builder();

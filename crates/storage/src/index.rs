@@ -406,12 +406,6 @@ impl TrieIndex {
             + self.vars.len() * std::mem::size_of::<u32>()
     }
 
-    /// Approximate heap footprint in bytes (alias of
-    /// [`TrieIndex::heap_bytes`], kept for cache observability callers).
-    pub fn memory_bytes(&self) -> usize {
-        self.heap_bytes()
-    }
-
     /// Split the rows into at most `parts` contiguous sub-ranges on
     /// first-column (root child) boundaries, balanced by measured child
     /// counts — the split points a parallel solve fans out over. The
@@ -855,36 +849,34 @@ impl<'a> Probe<'a> {
     }
 }
 
-/// What kind of content an [`IndexKey`] version stamp describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The content snapshot an [`IndexKey`] is stamped with.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum IndexKind {
-    /// A database relation; `version` is its [`Relation::version`].
-    Base,
-    /// A derived relation (e.g. an FD-expanded atom); `version` is a
-    /// caller-computed signature over everything the derivation reads.
-    Derived,
+    /// A database relation, by its [`Relation::version`].
+    Base(u64),
+    /// A derived relation (e.g. an FD-expanded atom), by the versions of
+    /// everything its derivation read, in an order the deriving layer
+    /// fixes. Shared by refcount: one vector stamps every order of one
+    /// derivation.
+    Derived(Arc<[u64]>),
 }
 
-/// Cache key for one [`TrieIndex`]: which relation, which content version,
-/// which column order.
+/// Cache key for one [`TrieIndex`]: which relation, which content, which
+/// column order.
 ///
 /// Soundness rests on [`Relation::version`] being a globally unique content
-/// snapshot id: equal `(kind, version)` implies identical rows, so entries
-/// can be shared across databases, clones, threads, and delta batches
-/// without comparing data. [`IndexKind::Derived`] keys carry a
-/// caller-computed signature instead (hashing every input version of the
-/// derivation), kept in a separate key space so signatures can never
-/// collide with raw versions.
+/// snapshot id: equal versions imply identical rows, so entries can be
+/// shared across databases, clones, threads, and delta batches without
+/// comparing data. An [`IndexKind::Derived`] key carries every version its
+/// derivation read, so equal keys mean equal inputs by construction; the
+/// two kinds are separate key spaces and never collide.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct IndexKey {
     /// Relation (or derivation source) name, for observability and
     /// stale-entry eviction.
     pub name: String,
-    /// Base version vs. derived signature (separate key spaces).
+    /// The content snapshot, base or derived.
     pub kind: IndexKind,
-    /// Content snapshot: [`Relation::version`] for [`IndexKind::Base`],
-    /// the derivation signature for [`IndexKind::Derived`].
-    pub version: u64,
     /// The indexed column order.
     pub order: Vec<u32>,
 }
@@ -894,39 +886,38 @@ impl IndexKey {
     pub fn base(name: impl Into<String>, rel: &Relation, order: Vec<u32>) -> IndexKey {
         IndexKey {
             name: name.into(),
-            kind: IndexKind::Base,
-            version: rel.version(),
+            kind: IndexKind::Base(rel.version()),
             order,
         }
     }
 
-    /// Key for an index over a derived relation, stamped with a signature
-    /// the caller computed over the derivation's inputs.
-    pub fn derived(name: impl Into<String>, signature: u64, order: Vec<u32>) -> IndexKey {
+    /// Key for an index over a derived relation, stamped with the versions
+    /// of everything the derivation read.
+    pub fn derived(name: impl Into<String>, inputs: Arc<[u64]>, order: Vec<u32>) -> IndexKey {
         IndexKey {
             name: name.into(),
-            kind: IndexKind::Derived,
-            version: signature,
+            kind: IndexKind::Derived(inputs),
             order,
         }
     }
 
-    /// Hash of the version-independent part — shard selector, and the
+    /// Hash of the content-independent part — shard selector, and the
     /// identity under which stale versions are evicted.
     fn slot_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.name.hash(&mut h);
-        self.kind.hash(&mut h);
+        std::mem::discriminant(&self.kind).hash(&mut h);
         self.order.hash(&mut h);
         h.finish()
     }
 
-    /// Whether `other` indexes the same `(name, kind, order)` at a
-    /// different content version — i.e. is a version sibling of `self`.
+    /// Whether `other` indexes the same `(name, base-or-derived, order)`
+    /// slot at a different content snapshot — i.e. is a version sibling of
+    /// `self`.
     fn sibling_of(&self, other: &IndexKey) -> bool {
-        self.version != other.version
+        self.kind != other.kind
+            && std::mem::discriminant(&self.kind) == std::mem::discriminant(&other.kind)
             && self.name == other.name
-            && self.kind == other.kind
             && self.order == other.order
     }
 }
@@ -966,7 +957,7 @@ pub(crate) const SHARDS: usize = 8;
 /// thrashing.
 const MAX_VERSIONS_PER_SLOT: usize = 16;
 
-/// Default resident-byte budget across all shards. Eviction is accounted
+/// Resident-byte budget across all shards. Eviction is accounted
 /// in [`TrieIndex::heap_bytes`], so the bound tracks actual memory: many
 /// small indexes coexist where few huge ones would thrash.
 const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
@@ -1025,8 +1016,6 @@ pub struct IndexSet {
     shards: Vec<RwLock<Shard>>,
     /// Per-shard slice of the construction-time byte budget.
     shard_byte_budget: usize,
-    /// Interned derivation signatures: input-version vectors → unique ids.
-    signatures: RwLock<SigTable>,
     tick: AtomicU64,
     builds: AtomicU64,
     hits: AtomicU64,
@@ -1039,66 +1028,23 @@ impl Default for IndexSet {
     }
 }
 
-/// Bound on one generation of the interned-signature table.
-const MAX_SIGNATURES: usize = 1024;
-
-/// Two-generation interning table: when `current` fills, it becomes
-/// `previous` and only entries untouched for a whole generation are
-/// dropped (their derived indexes then rebuild lazily, one by one) — no
-/// all-at-once rebuild storm, which a full `clear()` would cause.
-#[derive(Debug, Default)]
-struct SigTable {
-    current: HashMap<Vec<u64>, u64>,
-    previous: HashMap<Vec<u64>, u64>,
-}
-
 impl IndexSet {
-    /// An empty cache with the default byte budget.
+    /// An empty cache.
     pub fn new() -> IndexSet {
         IndexSet::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
     /// An empty cache bounding resident indexes to roughly `total_bytes`
     /// of [`TrieIndex::heap_bytes`] (split evenly across shards).
-    pub fn with_byte_budget(total_bytes: usize) -> IndexSet {
+    fn with_byte_budget(total_bytes: usize) -> IndexSet {
         IndexSet {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             shard_byte_budget: (total_bytes / SHARDS).max(1),
-            signatures: RwLock::new(SigTable::default()),
             tick: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Intern a derivation's input versions into one signature for
-    /// [`IndexKey::derived`]. Interning (rather than hashing) makes equal
-    /// signatures *exactly* equivalent to equal inputs — no collision can
-    /// ever alias two database states — while the same inputs keep mapping
-    /// to the same signature for the life of this set, so derived indexes
-    /// survive across executions. The table is generational: recently used
-    /// mappings survive a capacity turnover, stale ones lapse (costing
-    /// their indexes a lazy rebuild, never correctness).
-    pub fn signature(&self, inputs: &[u64]) -> u64 {
-        if let Some(&sig) = self.signatures.read().unwrap().current.get(inputs) {
-            return sig;
-        }
-        let mut table = self.signatures.write().unwrap();
-        if let Some(&sig) = table.current.get(inputs) {
-            return sig;
-        }
-        // Promote from the previous generation, or mint a fresh id.
-        let sig = table
-            .previous
-            .get(inputs)
-            .copied()
-            .unwrap_or_else(crate::relation::next_version);
-        if table.current.len() >= MAX_SIGNATURES {
-            table.previous = std::mem::take(&mut table.current);
-        }
-        table.current.insert(inputs.to_vec(), sig);
-        sig
     }
 
     fn shard(&self, key: &IndexKey) -> &RwLock<Shard> {
@@ -1197,10 +1143,10 @@ impl IndexSet {
         self.len() == 0
     }
 
-    /// Number of resident indexes for `name` at content stamp `version`
-    /// (any column order, base or derived) — the access-path reuse an
-    /// execution binding this relation version can expect before it runs.
-    /// `fdjoin_core`'s EXPLAIN surfaces it per atom.
+    /// Number of resident base indexes for `name` at content `version`
+    /// (any column order) — the access-path reuse an execution binding
+    /// this relation version can expect before it runs. `fdjoin_core`'s
+    /// EXPLAIN surfaces it per atom.
     pub fn cached_for(&self, name: &str, version: u64) -> usize {
         self.shards
             .iter()
@@ -1209,7 +1155,7 @@ impl IndexSet {
                     .unwrap()
                     .map
                     .keys()
-                    .filter(|k| k.version == version && k.name == name)
+                    .filter(|k| k.kind == IndexKind::Base(version) && k.name == name)
                     .count()
             })
             .sum()
@@ -1305,7 +1251,6 @@ mod tests {
             ix.heap_bytes(),
             row_major
         );
-        assert_eq!(ix.memory_bytes(), ix.heap_bytes());
     }
 
     #[test]
@@ -1583,7 +1528,7 @@ mod tests {
         let r = rel();
         set.index_of("R", &r, &[0, 1]);
         set.index_of("R", &r, &[1, 0]);
-        let key = IndexKey::derived("R", r.version(), vec![0, 1]);
+        let key = IndexKey::derived("R", [r.version()].into(), vec![0, 1]);
         set.get_or_build(key, || TrieIndex::build(&r, &[0, 1]));
         assert_eq!(set.len(), 3);
         assert_eq!(set.stats().builds, 3);

@@ -512,16 +512,6 @@ impl Relation {
         out
     }
 
-    /// Reorder columns to `new_order` (a permutation of `vars`), then sort.
-    pub fn reorder(&self, new_order: &[u32]) -> Relation {
-        assert_eq!(
-            new_order.len(),
-            self.arity(),
-            "reorder must be a permutation"
-        );
-        self.project(new_order)
-    }
-
     /// Keep rows whose projection onto the shared variables appears in
     /// `other` (semijoin reduction `self ⋉ other`). The filter runs through
     /// the access-path layer: a [`TrieIndex`] of `other` on the shared

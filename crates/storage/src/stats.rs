@@ -10,9 +10,9 @@
 //!   at depth `len`);
 //! - `max_degree(len)` / `avg_degree(len)` — rows per distinct prefix, the
 //!   measured analogue of a declared degree bound;
-//! - `max_branch(from)` / `avg_branch(from)` — distinct `(from+1)`-prefixes
-//!   per `from`-prefix, i.e. the trie fan-out at depth `from`: the branch
-//!   counts a join's variable-binding loop will actually see;
+//! - `max_branch(from)` — distinct `(from+1)`-prefixes per `from`-prefix,
+//!   i.e. the trie fan-out at depth `from`: the branch counts a join's
+//!   variable-binding loop will actually see;
 //! - `skew(len)` — `max_degree / avg_degree`, 1.0 for perfectly uniform
 //!   data; the indicator `fdjoin_core::cost` uses for data-dependent
 //!   planning tie-breaks.
@@ -97,7 +97,7 @@ impl RelationStats {
 
     /// Mean number of rows per distinct prefix of length `len`
     /// (`cardinality / distinct`); 0.0 for an empty relation.
-    pub fn avg_degree(&self, len: usize) -> f64 {
+    pub(crate) fn avg_degree(&self, len: usize) -> f64 {
         let d = self.distinct_prefixes(len);
         if d == 0 {
             0.0
@@ -111,17 +111,6 @@ impl RelationStats {
     /// `(from+1)`-prefixes below one `from`-prefix.
     pub fn max_branch(&self, from: usize) -> u64 {
         self.max_branch[from]
-    }
-
-    /// Mean trie fan-out from depth `from`
-    /// (`distinct(from+1) / distinct(from)`); 0.0 for an empty relation.
-    pub fn avg_branch(&self, from: usize) -> f64 {
-        let d = self.distinct_prefixes(from);
-        if d == 0 {
-            0.0
-        } else {
-            self.distinct_prefixes(from + 1) as f64 / d as f64
-        }
     }
 
     /// Skew of the degree distribution at prefix length `len`:
@@ -281,7 +270,6 @@ mod tests {
         assert_eq!(s.max_branch(1), 2);
         // Depth 2 → 3: (1,10) has {100, 101}.
         assert_eq!(s.max_branch(2), 2);
-        assert!((s.avg_branch(0) - 3.0).abs() < 1e-9);
     }
 
     #[test]

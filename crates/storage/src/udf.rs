@@ -46,7 +46,7 @@ impl UdfRegistry {
     /// Registry version: a globally unique stamp refreshed on every
     /// [`UdfRegistry::register`], with the same clone-shares-until-mutated
     /// semantics as [`crate::Relation::version`]. Derivations whose output
-    /// depends on UDFs (FD expansion) fold it into their cache signatures.
+    /// depends on UDFs (FD expansion) carry it in their cache keys.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -71,18 +71,6 @@ impl UdfRegistry {
             .take_while(|((o, _), _)| *o == out)
             .find(|((_, args), _)| args.is_subset(available))
             .map(|((_, args), f)| (*args, f))
-    }
-
-    /// Evaluate `out = f(args)` for a tuple given as `(var, value)` pairs
-    /// covering at least `args`.
-    pub fn eval(&self, args: VarSet, out: u32, bindings: &[(u32, Value)]) -> Option<Value> {
-        let f = self.get(args, out)?;
-        let mut argv: Vec<Value> = Vec::with_capacity(args.len() as usize);
-        for v in args.iter() {
-            let (_, val) = bindings.iter().find(|(w, _)| *w == v)?;
-            argv.push(*val);
-        }
-        Some(f(&argv))
     }
 
     /// Number of registered functions.
@@ -111,9 +99,8 @@ mod tests {
         let mut reg = UdfRegistry::new();
         let args = VarSet::from_vars([0, 2]);
         reg.register(args, 3, |v| v[0] + v[1]);
-        let out = reg.eval(args, 3, &[(2, 10), (0, 1)]);
-        assert_eq!(out, Some(11));
-        assert!(reg.eval(args, 4, &[(0, 1), (2, 10)]).is_none());
+        assert_eq!(reg.get(args, 3).unwrap()(&[1, 10]), 11);
+        assert!(reg.get(args, 4).is_none());
     }
 
     #[test]
@@ -121,9 +108,11 @@ mod tests {
         let mut reg = UdfRegistry::new();
         let args = VarSet::from_vars([5, 1]);
         reg.register(args, 7, |v| v[0] * 100 + v[1]);
-        // var 1 comes first regardless of binding order.
-        let out = reg.eval(args, 7, &[(5, 2), (1, 3)]);
-        assert_eq!(out, Some(302));
+        // Callers gather arguments by iterating the returned argument
+        // set: var 1 comes first, whatever order it was written in.
+        let (found, f) = reg.find_applicable(VarSet::full(6), 7).unwrap();
+        assert_eq!(found.iter().collect::<Vec<_>>(), [1, 5]);
+        assert_eq!(f(&[3, 2]), 302);
     }
 
     #[test]
@@ -160,7 +149,7 @@ mod tests {
             // Re-registering a key replaces its function in place.
             reg.register(small, 4, |_| 99);
             assert_eq!(reg.len(), 4);
-            assert_eq!(reg.eval(small, 4, &[(0, 7)]), Some(99));
+            assert_eq!(reg.get(small, 4).unwrap()(&[7]), 99);
         }
     }
 }

@@ -159,6 +159,49 @@ fn delta_batches_rebuild_only_what_changed() {
     assert_eq!(view.output(), &fresh.output);
 }
 
+/// A derived trie's key is what its expansion read — the atom's own
+/// version plus every guard relation's — so a delta to a plain atom
+/// rebuilds that atom's `R_j⁺` tries only, while a delta to the guard
+/// relation rebuilds every atom's: `R(x,y), S(y,z), T(z,u)` with `y → z`
+/// guarded by `S`.
+#[test]
+fn guard_delta_rebuilds_exactly_the_tries_that_read_it() {
+    let q = examples::simple_fd_path();
+    let mut db = Database::new();
+    db.insert(
+        "R",
+        Relation::from_rows(vec![0, 1], [[1, 1], [2, 1], [3, 2]]),
+    );
+    db.insert("S", Relation::from_rows(vec![1, 2], [[1, 5], [2, 6]]));
+    db.insert("T", Relation::from_rows(vec![2, 3], [[5, 9], [6, 8]]));
+    let prepared = Engine::new().prepare(&q);
+    let opts = ExecOptions::new().algorithm(Algorithm::Chain);
+    // Index builds of one execution over `db` with `name` grown by `row`,
+    // in a `PrepStats::since` window; everything else stays warm.
+    let builds_after_touching = |name: &str, row: [u64; 2]| {
+        let mut touched = db.clone();
+        touched
+            .relation_mut(name)
+            .unwrap()
+            .apply_delta([row], [] as [&[u64]; 0]);
+        let before = prepared.prep_stats();
+        prepared.execute(&touched, &opts).unwrap();
+        prepared.prep_stats().since(&before).index_builds
+    };
+
+    let cold = prepared.execute(&db, &opts).unwrap().stats.index_builds;
+    let r = builds_after_touching("R", [4, 2]);
+    let t = builds_after_touching("T", [6, 7]);
+    let s = builds_after_touching("S", [3, 7]);
+    assert!(r > 0 && t > 0, "a touched atom rebuilds its own tries");
+    // The guard's version is in every atom's key: all of it rebuilds —
+    // S's base guard trie and every derived trie.
+    assert_eq!(s, cold, "touching the guard rebuilds everything");
+    // R's and T's deltas rebuilt disjoint derived tries and nothing of S:
+    // what is left of a cold run is S's guard trie plus S⁺'s own.
+    assert!(r + t + 2 <= cold, "R: {r}, T: {t}, cold: {cold}");
+}
+
 /// The cache is engine-wide: a second `PreparedQuery` (same or different
 /// query text) probing the same relation versions reuses the base tries
 /// the first one built — while query-dependent *expanded* tries never

@@ -1,0 +1,76 @@
+//! Counter identity: the deterministic work of the three bound-driven
+//! algorithms, pinned as literals.
+//!
+//! Chain, SMA and CSMA all open with "replace each input by its expansion
+//! `R_j⁺`" (Sec. 2). Who owns that step may move — it has, into
+//! `Expander::input` — but what it counts may not: a restructuring of the
+//! expansion preamble, of the derived-trie keys or of the extend kernel must
+//! reproduce these strings character for character. The literals were
+//! printed by the commit *before* the `Expander` took ownership of the
+//! expanded inputs (`94a3087`, one private expand-inputs loop per driver).
+
+use fdjoin::bigint::rat;
+use fdjoin::core::{Algorithm, Engine, ExecOptions};
+use fdjoin::instances::{fig1_adversarial, normal_worst_case};
+use fdjoin::query::{examples, Query};
+use fdjoin::storage::Database;
+
+/// `Stats::deterministic()` of one cold single-task execution, rendered
+/// (or the planning error, for a query the algorithm does not apply to).
+fn counters(q: &Query, db: &Database, alg: Algorithm) -> String {
+    let opts = ExecOptions::new().algorithm(alg).parallelism(1);
+    match Engine::new().prepare(q).execute(db, &opts) {
+        Ok(r) => format!("rows={} {}", r.output.len(), r.stats.deterministic()),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+#[test]
+fn bound_driven_algorithms_count_the_pinned_work() {
+    let fig1 = (examples::fig1_udf(), fig1_adversarial(1 << 10));
+    let fig9_query = examples::fig9_query();
+    let fig9_db = normal_worst_case(&fig9_query, &vec![rat(6, 1); 3], &rat(9, 1))
+        .expect("even exponent gives integral coefficients");
+    let fig9 = (fig9_query, fig9_db);
+    let cases: [(&str, &(Query, Database), Algorithm, &str); 6] = [
+        (
+            "fig1/chain",
+            &fig1,
+            Algorithm::Chain,
+            "rows=1534 work=16881 probes=6141 intermediate=6138 output=1534 expansions=3068 branches=0 index=0b/0h",
+        ),
+        (
+            "fig1/sma",
+            &fig1,
+            Algorithm::Sma,
+            "rows=1534 work=18414 probes=6140 intermediate=4604 output=1534 expansions=6136 branches=2 index=0b/0h",
+        ),
+        (
+            "fig1/csma",
+            &fig1,
+            Algorithm::Csma,
+            "rows=1534 work=2894836 probes=788992 intermediate=1053690 output=1534 expansions=1050620 branches=2 index=0b/0h",
+        ),
+        (
+            "fig9/chain",
+            &fig9,
+            Algorithm::Chain,
+            "rows=512 work=91593 probes=25671 intermediate=834 output=512 expansions=64576 branches=0 index=0b/0h",
+        ),
+        (
+            "fig9/sma",
+            &fig9,
+            Algorithm::Sma,
+            "error: no good SM-proof sequence exists; fall back to CSMA",
+        ),
+        (
+            "fig9/csma",
+            &fig9,
+            Algorithm::Csma,
+            "rows=512 work=39249 probes=8401 intermediate=1536 output=512 expansions=28800 branches=5 index=0b/0h",
+        ),
+    ];
+    for (name, (q, db), alg, expect) in cases {
+        assert_eq!(counters(q, db, alg), expect, "{name}");
+    }
+}

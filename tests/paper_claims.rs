@@ -13,6 +13,7 @@ use fdjoin::core::{
     chain_join, csma_join, generic_join, naive_join, Algorithm, Engine, ExecOptions,
     UserDegreeBound,
 };
+use fdjoin::lattice::build::order_ideals;
 use fdjoin::query::examples;
 
 /// E1: the Fig. 1 UDF query — GLVV = N^{3/2}; chain algorithm does
@@ -154,6 +155,15 @@ fn e5_simple_fds_chain_equals_llp() {
     let q = examples::simple_fd_path();
     let pres = q.lattice_presentation();
     assert!(pres.lattice.is_distributive());
+    // Proposition 3.2, concretely: every FD is simple, and the closed sets
+    // are the order ideals of the FD poset (`y → z` puts z below y).
+    assert!(q.fds.fds().iter().all(|fd| fd.is_simple()));
+    let ideals = order_ideals(4, &[(2, 1)]);
+    assert_eq!(pres.lattice.len(), ideals.len());
+    for e in ideals.elems() {
+        let ideal = ideals.set_of(e).unwrap();
+        assert!(pres.lattice.elem_of_set(ideal).is_some(), "{ideal:?}");
+    }
     for logs in [[4i64, 4, 4], [2, 6, 3]] {
         let lr: Vec<Rational> = logs.iter().map(|&v| rat(v, 1)).collect();
         let llp = solve_llp(&pres.lattice, &pres.inputs, &lr).value;
