@@ -243,17 +243,21 @@ pub fn delta_plan(
 
 /// Greedy Δ-first atom order: start at the changed atom, then repeatedly
 /// take the atom sharing the most variables with those already bound
-/// (avoiding Cartesian blowups), breaking ties toward smaller relations.
+/// (avoiding Cartesian blowups), breaking ties toward atoms whose shared
+/// variables lead their relation's stored column order — the binary join
+/// then probes the trie in the order the relation is stored in, which is
+/// resident already (and carried across deltas) instead of a second order
+/// sorted from scratch — and then toward smaller relations.
 fn delta_first_atom_order(
     q: &Query,
     db: &Database,
     changed: usize,
 ) -> Result<Vec<usize>, MissingRelation> {
-    let lens: Vec<u64> = q
+    let rels: Vec<&Relation> = q
         .atoms()
         .iter()
-        .map(|a| Ok(db.relation(&a.name)?.len() as u64))
-        .collect::<Result<_, MissingRelation>>()?;
+        .map(|a| db.relation(&a.name))
+        .collect::<Result<_, _>>()?;
     let n = q.atoms().len();
     let mut order = vec![changed];
     let mut bound = q.atoms()[changed].var_set();
@@ -264,8 +268,11 @@ fn delta_first_atom_order(
             .filter(|&i| !used[i])
             .min_by_key(|&i| {
                 let shared = q.atoms()[i].var_set().intersect(bound).len();
-                // Most shared vars first, then smaller relation, then index.
-                (std::cmp::Reverse(shared), lens[i], i)
+                let stored = rels[i].vars().iter().take(shared as usize);
+                let leads = stored.copied().all(|v| bound.contains(v));
+                // Most shared vars first, then stored-order probes, then
+                // smaller relation, then index.
+                (std::cmp::Reverse(shared), !leads, rels[i].len(), i)
             })
             .expect("an unused atom remains");
         used[next] = true;
@@ -352,6 +359,22 @@ mod tests {
         // Δ⁺ as large as the base relations: nothing to gain.
         let db = triangle_db(&grid(8), &grid(8), &grid(8));
         assert_eq!(delta_plan(&q, &db, 0).unwrap(), None);
+    }
+
+    #[test]
+    fn equal_sizes_prefer_stored_order_probes() {
+        // All three relations equally large, as after a delta is applied.
+        // From ΔS(y,z), R(x,y) and T(z,x) share one variable each, but only
+        // T is stored with its shared variable first; R would need a [y, x]
+        // trie sorted from scratch.
+        let q = examples::triangle();
+        let db = triangle_db(&grid(4), &grid(4), &grid(4));
+        assert_eq!(delta_first_atom_order(&q, &db, 1).unwrap(), vec![1, 2, 0]);
+        assert_eq!(delta_first_atom_order(&q, &db, 0).unwrap(), vec![0, 1, 2]);
+        assert_eq!(delta_first_atom_order(&q, &db, 2).unwrap(), vec![2, 0, 1]);
+        // A stored-order match outranks size: a smaller R still goes last.
+        let db = triangle_db(&grid(3), &grid(4), &grid(4));
+        assert_eq!(delta_first_atom_order(&q, &db, 1).unwrap(), vec![1, 2, 0]);
     }
 
     #[test]

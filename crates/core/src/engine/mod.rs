@@ -256,6 +256,20 @@ impl ExecOptions {
 pub enum JoinError {
     /// A query atom references a relation absent from the database.
     MissingRelation(String),
+    /// A query atom's variables differ from those of the relation it
+    /// names: every atom must name a relation stored over exactly the
+    /// atom's variable set (in any column order). A self-join — two atoms
+    /// naming one relation over different variables, which `Query`
+    /// excludes (Eq. 3) — reports this too. Found before any index is
+    /// built or tuple touched.
+    SchemaMismatch {
+        /// The relation's name.
+        relation: String,
+        /// The atom's variables, in atom order.
+        atom_vars: Vec<u32>,
+        /// The stored relation's variables, in column order.
+        relation_vars: Vec<u32>,
+    },
     /// Expansion cannot reach `target`: some FD needed on the way from
     /// `from` (everything guards and registered UDFs can derive) has
     /// neither a guard relation nor a registered UDF. Found when the
@@ -303,6 +317,15 @@ impl fmt::Display for JoinError {
             JoinError::MissingRelation(name) => {
                 write!(f, "relation {name:?} not in database")
             }
+            JoinError::SchemaMismatch {
+                relation,
+                atom_vars,
+                relation_vars,
+            } => write!(
+                f,
+                "relation {relation:?} is stored over variables {relation_vars:?}, \
+                 but its atom binds {atom_vars:?}"
+            ),
             JoinError::MissingUdf { from, target } => write!(
                 f,
                 "cannot expand tuples from {from} to {target}: an FD on the derivation \
@@ -745,6 +768,7 @@ impl PreparedQuery {
     /// [`PrepStats::since`] window while [`PrepStats::stream_cursors`]
     /// grows).
     pub fn access_paths<'q>(&'q self, db: &Database) -> Result<AccessPaths<'q>, JoinError> {
+        self.size_profile(db)?;
         PrepCounters::bump(&self.counters.stream_cursors);
         Ok(
             AccessPaths::with_token(&self.indexes, &self.query, db, self.token)?
@@ -808,11 +832,27 @@ impl PreparedQuery {
     /// from applied deltas) costs a per-profile re-plan but never touches
     /// the shared [`PlanCache`] shape entry, which is keyed by presentation
     /// isomorphism alone.
+    ///
+    /// This is also the up-front validation every entry point shares
+    /// (execution, [`PreparedQuery::access_paths`] and hence result
+    /// streams, EXPLAIN): a missing relation is
+    /// [`JoinError::MissingRelation`], and a relation stored over other
+    /// variables than its atom's is [`JoinError::SchemaMismatch`].
     pub fn size_profile(&self, db: &Database) -> Result<Vec<u64>, JoinError> {
         self.query
             .atoms()
             .iter()
-            .map(|a| Ok(db.relation(&a.name)?.len() as u64))
+            .map(|a| {
+                let rel = db.relation(&a.name)?;
+                if rel.var_set() != a.var_set() {
+                    return Err(JoinError::SchemaMismatch {
+                        relation: a.name.clone(),
+                        atom_vars: a.vars.clone(),
+                        relation_vars: rel.vars().to_vec(),
+                    });
+                }
+                Ok(rel.len() as u64)
+            })
             .collect()
     }
 
@@ -892,11 +932,8 @@ impl PreparedQuery {
     ) -> Result<JoinResult, JoinError> {
         let q = &self.query;
         // Validate the database up front so every algorithm shares the
-        // non-panicking MissingRelation path.
-        let mut raw_lens: Vec<u64> = Vec::with_capacity(q.atoms().len());
-        for a in q.atoms() {
-            raw_lens.push(db.relation(&a.name)?.len() as u64);
-        }
+        // non-panicking MissingRelation / SchemaMismatch paths.
+        let raw_lens = self.size_profile(db)?;
         self.validate(opts)?;
         // Bind this (query, database) pair to the shared access-path
         // cache: every probe below goes through trie indexes keyed by

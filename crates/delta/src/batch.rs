@@ -32,7 +32,7 @@ impl RelationDelta {
 /// [`MaterializedView::apply_delta`](crate::MaterializedView::apply_delta).
 ///
 /// Relations are keyed by name in a `BTreeMap`, so iteration (and hence
-/// the order of the per-relation insert passes) is deterministic.
+/// the order of the per-relation `Δ⁺` joins) is deterministic.
 ///
 /// ```
 /// use fdjoin_delta::DeltaBatch;

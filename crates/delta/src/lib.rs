@@ -33,23 +33,28 @@
 //! For a full conjunctive query (output over *all* variables, no
 //! self-joins) a tuple `t` is in the answer iff every atom's projection of
 //! `t` is present in that atom's relation and the FDs/UDFs are consistent
-//! — membership is per-tuple checkable. `apply_delta` exploits this in
-//! three phases:
+//! — membership is per-tuple checkable. `apply_delta` normalises the batch
+//! per relation into its net inserts `Δ⁺` (rows not stored yet) and net
+//! deletes `Δ⁻` (stored rows the batch does not re-insert), then:
 //!
-//! 1. **deletions** are applied to every named relation in place
-//!    ([`Relation::apply_delta`](fdjoin_storage::Relation::apply_delta));
-//! 2. **insert passes**, one per updated relation in name order: the
-//!    relation is swapped for just its *new* rows `Δ⁺`, the prepared query
-//!    executes against that substituted database (relations earlier in the
-//!    order already include their inserts, later ones do not — the
-//!    standard semi-naive telescoping, so every genuinely new output tuple
-//!    is produced by exactly the pass of some relation it uses an inserted
-//!    row from), and the relation is swapped back with `Δ⁺` merged in;
-//! 3. **revalidation**: if anything was deleted, surviving output tuples
-//!    are those whose atom projections all remain present; the survivors
-//!    plus the insert passes' outputs, deduplicated, are the new answer.
+//! 1. **apply once**: every named relation absorbs its `Δ⁺`/`Δ⁻` in one
+//!    [`Relation::apply_delta`](fdjoin_storage::Relation::apply_delta),
+//!    which costs the delta, not the relation, and carries the relation's
+//!    statistics and trie indexes to the new version;
+//! 2. **Δ⁺ joins on the final versions**, one per updated query relation in
+//!    name order: the relation is swapped for just its `Δ⁺`, the prepared
+//!    query executes against that substituted database — every *other*
+//!    relation at its final version — and the final version is swapped
+//!    back. Every new answer uses some inserted row, so the pass of that
+//!    row's relation produces it; an answer using inserts of several
+//!    relations comes out of several passes, and the union is
+//!    sort-deduplicated;
+//! 3. **revalidation against `Δ⁻`**: every old answer's projections were
+//!    all present before the batch, so it survives iff none of them is in
+//!    its relation's `Δ⁻` — a lookup in the batch, not in the relation. The
+//!    survivors plus the `Δ⁺` joins' outputs are the new answer.
 //!
-//! Each insert pass runs through the same `PreparedQuery`, so its
+//! Each `Δ⁺` join runs through the same `PreparedQuery`, so its
 //! per-size-profile plan caches and the cross-query `PlanCache` absorb the
 //! planning: a stream of same-shaped deltas plans once and then replays
 //! cached plans ([`DeltaStats::plans_reused`]). When a batch is too large
@@ -61,8 +66,8 @@
 //!
 //! A 1-tuple delta rarely wants the view's full plan: a chain climb or an
 //! SMA/CSMA partitioning pass inspects the base relations wholesale, while
-//! the delta's few tuples could seed a tiny left-deep join. Each insert
-//! pass therefore consults the data-dependent cost model
+//! the delta's few tuples could seed a tiny left-deep join. Each `Δ⁺`
+//! join therefore consults the data-dependent cost model
 //! (`fdjoin_core::cost::delta_plan`, priced from the measured
 //! [`RelationStats`](fdjoin_storage::RelationStats)): when the Δ-first
 //! branch estimate beats a scan of the base relations, the pass runs a

@@ -87,10 +87,11 @@ impl DeltaOptions {
 /// are detected up front: the view — database *and* output — is
 /// untouched and the batch was not absorbed; fix the batch and resubmit.
 /// Errors surfacing mid-maintenance (an algorithm failing on a delta or
-/// full profile) leave the database partially or fully updated with a
-/// stale output — the cumulative [`MaterializedView::stats`] still count
-/// whatever rows were applied; call [`MaterializedView::refresh`] to
-/// re-establish the invariant before reading the view again.
+/// full profile) leave the database *fully* updated — the batch reaches
+/// every relation before any join runs — with a stale output; the
+/// cumulative [`MaterializedView::stats`] count the applied rows. Call
+/// [`MaterializedView::refresh`] to re-establish the invariant before
+/// reading the view again.
 pub struct MaterializedView {
     prepared: Arc<PreparedQuery>,
     opts: DeltaOptions,
@@ -202,7 +203,7 @@ impl MaterializedView {
             self.apply_all(&net, &mut bs);
             self.full_execute(&mut bs)
         } else {
-            self.incremental(net, &mut bs)
+            self.incremental(&net, &mut bs)
         };
         // Merge even on error: relations may already have absorbed rows,
         // and the cumulative counters must reflect that (see the error
@@ -277,7 +278,8 @@ impl MaterializedView {
             .collect()
     }
 
-    /// Apply the whole batch to the stored relations (fallback path).
+    /// Apply the whole batch to the stored relations — the one place a
+    /// batch reaches them, on the incremental and the fallback path alike.
     fn apply_all(&mut self, net: &[NetDelta<'_>], bs: &mut DeltaStats) {
         for d in net {
             let rel = self.db.relation_mut(d.name).expect("validated above");
@@ -307,144 +309,113 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// The incremental path: deletions in place, one delta join per
-    /// updated query relation, then revalidate + union.
-    fn incremental(
-        &mut self,
-        net: Vec<NetDelta<'_>>,
-        bs: &mut DeltaStats,
-    ) -> Result<(), JoinError> {
-        // Phase 1: deletions, all relations. Only deletions landing on the
-        // query's own atoms can invalidate materialized tuples; deletions
-        // on other relations need no revalidation pass. Δ⁻ excludes rows
-        // re-inserted by the same batch (batch-atomic semantics, matching
-        // `Relation::apply_delta`: such a row stays present throughout), so
-        // the counters agree with the fallback path and no spurious
-        // revalidation is paid.
-        let mut atom_deletes = 0u64;
-        for d in &net {
-            if d.minus.is_empty() {
-                continue;
-            }
-            let rel = self.db.relation_mut(d.name).expect("validated");
-            let none: [&[Value]; 0] = [];
-            let applied = rel.apply_delta(none, d.minus.rows());
-            bs.deletes_applied += applied.removed as u64;
-            if self.prepared.query().atom_index(d.name).is_some() {
-                atom_deletes += applied.removed as u64;
-            }
-        }
+    /// The incremental path: the batch applied once, one Δ⁺ join per
+    /// updated query relation against the final versions, then survivors
+    /// revalidated against Δ⁻ and unioned with the joins' outputs.
+    fn incremental(&mut self, net: &[NetDelta<'_>], bs: &mut DeltaStats) -> Result<(), JoinError> {
+        self.apply_all(net, bs);
+        let prepared = Arc::clone(&self.prepared);
+        let q = prepared.query();
 
-        // Phase 2: insert passes, in name order. `refused` flips when a
-        // pinned algorithm declines a delta profile (e.g. no good chain at
-        // those sizes); the remaining inserts are then applied directly
-        // and one full recompute restores the invariant.
+        // Δ⁺ passes, in name order: each substitutes its relation's net
+        // inserts for the relation and joins them against every other
+        // relation's *final* version. Every new output tuple uses some
+        // inserted row, so the pass of that row's relation produces it;
+        // tuples using inserts of several relations come out of several
+        // passes and the sort-dedup below keeps one.
         let mut additions: Vec<Relation> = Vec::new();
-        let mut refused = false;
-        for NetDelta {
-            name, plus: fresh, ..
-        } in net
-        {
-            bs.inserts_applied += fresh.len() as u64;
-            if fresh.is_empty() {
+        for d in net {
+            let Some(ai) = q.atom_index(d.name).filter(|_| !d.plus.is_empty()) else {
                 continue;
-            }
-            let atom_index = self.prepared.query().atom_index(name);
-            if let (Some(ai), false) = (atom_index, refused) {
-                // Substitute Δ⁺ for the relation, join, swap back merged.
-                let saved = self.db.replace(name, fresh.clone()).expect("validated");
-                // Ask the cost model whether this delta profile wants a
-                // Δ-first specialized plan instead of the view's own
-                // algorithm — only for plain-Auto views (an explicitly
-                // pinned algorithm or a pinning option is always honored)
-                // that have not opted out of data-dependent decisions via
-                // `ExecOptions::cost_tiebreak(false)`.
-                let exec = self.opts.exec_options();
-                let specialized = if self.opts.specialize_deltas
-                    && exec.is_plain_auto()
-                    && exec.cost_tiebreak_enabled()
-                {
-                    fdjoin_core::cost::delta_plan(self.prepared.query(), &self.db, ai)
-                        .ok()
-                        .flatten()
-                } else {
-                    None
-                };
-                let exec_opts = match &specialized {
-                    Some(plan) => self
-                        .opts
-                        .exec_options()
-                        .clone()
-                        .algorithm(plan.algorithm)
-                        .atom_order(plan.atom_order.clone()),
-                    None => self.opts.exec_options().clone(),
-                };
-                let before = self.prepared.prep_stats();
-                let run = self.prepared.execute(&self.db, &exec_opts);
-                let solves = self.prepared.prep_stats().since(&before).solves();
-                let mut merged = saved;
-                let none: [&[Value]; 0] = [];
-                merged.apply_delta(fresh.rows(), none);
-                self.db.replace(name, merged);
-                match run {
-                    Ok(r) => {
-                        bs.delta_joins += 1;
-                        if specialized.is_some() {
-                            bs.specialized_deltas += 1;
-                        }
-                        self.delta_algorithms.push(r.algorithm_used);
-                        bs.join_work += r.stats.work();
-                        bs.planning_solves += solves;
-                        // A specialized Δ-first binary join needs no plans
-                        // at all, so it neither solves nor *reuses* — only
-                        // unspecialized runs evidence plan-cache reuse.
-                        if solves == 0 && specialized.is_none() {
-                            bs.plans_reused += 1;
-                        }
-                        additions.push(r.output);
-                    }
-                    Err(
-                        JoinError::NoGoodChain | JoinError::NoGoodProof | JoinError::NoCsmSequence,
-                    ) => refused = true,
-                    Err(e) => return Err(e),
-                }
+            };
+            let applied = self.db.replace(d.name, d.plus.clone()).expect("validated");
+            // Ask the cost model whether this delta profile wants a
+            // Δ-first specialized plan instead of the view's own
+            // algorithm — only for plain-Auto views (an explicitly
+            // pinned algorithm or a pinning option is always honored)
+            // that have not opted out of data-dependent decisions via
+            // `ExecOptions::cost_tiebreak(false)`.
+            let exec = self.opts.exec_options();
+            let specialized = if self.opts.specialize_deltas
+                && exec.is_plain_auto()
+                && exec.cost_tiebreak_enabled()
+            {
+                fdjoin_core::cost::delta_plan(q, &self.db, ai)
+                    .ok()
+                    .flatten()
             } else {
-                let rel = self.db.relation_mut(name).expect("validated");
-                let none: [&[Value]; 0] = [];
-                rel.apply_delta(fresh.rows(), none);
+                None
+            };
+            let exec_opts = match &specialized {
+                Some(plan) => exec
+                    .clone()
+                    .algorithm(plan.algorithm)
+                    .atom_order(plan.atom_order.clone()),
+                None => exec.clone(),
+            };
+            let before = prepared.prep_stats();
+            let run = prepared.execute(&self.db, &exec_opts);
+            let solves = prepared.prep_stats().since(&before).solves();
+            self.db.replace(d.name, applied);
+            match run {
+                Ok(r) => {
+                    bs.delta_joins += 1;
+                    if specialized.is_some() {
+                        bs.specialized_deltas += 1;
+                    }
+                    self.delta_algorithms.push(r.algorithm_used);
+                    bs.join_work += r.stats.work();
+                    bs.planning_solves += solves;
+                    // A specialized Δ-first binary join needs no plans
+                    // at all, so it neither solves nor *reuses* — only
+                    // unspecialized runs evidence plan-cache reuse.
+                    if solves == 0 && specialized.is_none() {
+                        bs.plans_reused += 1;
+                    }
+                    additions.push(r.output);
+                }
+                // A pinned algorithm declined a delta profile (e.g. no
+                // good chain at those sizes): the database is already
+                // final, so one full recompute restores the invariant.
+                Err(JoinError::NoGoodChain | JoinError::NoGoodProof | JoinError::NoCsmSequence) => {
+                    return self.full_execute(bs);
+                }
+                Err(e) => return Err(e),
             }
-        }
-        if refused {
-            return self.full_execute(bs);
         }
 
-        // Phase 3: survivors + additions. A tuple survives iff every
-        // atom's projection is still stored — per-tuple membership is a
-        // complete check because the output covers all variables and the
-        // FD/UDF constraints it satisfied are data-independent.
-        let nv = self.prepared.query().n_vars();
+        // Survivors: every old output tuple's atom projections were stored
+        // before the batch, so it survives iff none of them is in its
+        // relation's net Δ⁻ — a lookup in the batch, not in the relation.
+        // The check is complete because the output covers all variables
+        // and the FD/UDF constraints it satisfied are data-independent.
+        let minus: Vec<(&[u32], Option<&Relation>)> = q
+            .atoms()
+            .iter()
+            .map(|a| {
+                let d = net.iter().find(|d| d.name == a.name);
+                let rel = self.db.relation(&a.name).expect("validated");
+                (rel.vars(), d.map(|d| &d.minus).filter(|m| !m.is_empty()))
+            })
+            .collect();
+        let nv = q.n_vars();
         let old_len = self.output.len() as u64;
         let mut next = Relation::new((0..nv as u32).collect());
         let mut survivors = 0u64;
-        if atom_deletes == 0 {
+        if minus.iter().all(|(_, m)| m.is_none()) {
             survivors = old_len;
             std::mem::swap(&mut next, &mut self.output);
         } else {
-            let rels: Vec<&Relation> = self
-                .prepared
-                .query()
-                .atoms()
-                .iter()
-                .map(|a| self.db.relation(&a.name).expect("validated"))
-                .collect();
             let mut key: Vec<Value> = Vec::new();
             for row in self.output.rows() {
                 bs.revalidated += 1;
-                let keep = rels.iter().all(|rel| {
-                    key.clear();
-                    key.extend(rel.vars().iter().map(|&v| row[v as usize]));
+                let keep = minus.iter().all(|(vars, minus)| {
                     bs.join_work += 1;
-                    rel.contains_row(&key)
+                    minus.is_none_or(|m| {
+                        key.clear();
+                        key.extend(vars.iter().map(|&v| row[v as usize]));
+                        !m.contains_row(&key)
+                    })
                 });
                 if keep {
                     next.push_row(row);

@@ -74,6 +74,55 @@ fn inserts_and_deletes_maintain_the_output() {
     assert_eq!(total.deletes_applied, 2);
 }
 
+/// The triangle `(1, 2, 3)` plus a few edges that close nothing.
+fn one_triangle_db() -> Database {
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0, 1], [[1, 2], [7, 8]]));
+    db.insert("S", Relation::from_rows(vec![1, 2], [[2, 3], [8, 9]]));
+    db.insert("T", Relation::from_rows(vec![2, 0], [[3, 1], [9, 6]]));
+    db
+}
+
+#[test]
+fn a_triangle_closed_by_two_inserts_is_added_once() {
+    let q = examples::triangle();
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let opts = DeltaOptions::new().max_delta_fraction(1.0);
+    let mut view = prepared.materialize(one_triangle_db(), opts).unwrap();
+    // R(1,5) and S(5,3) with the stored T(3,1) close (1,5,3): both Δ⁺
+    // joins run against final versions, so both produce it.
+    let delta = DeltaBatch::new().insert("R", [1, 5]).insert("S", [5, 3]);
+    let bs = view.apply_delta(&delta).unwrap();
+    assert_consistent(&view, "two inserts, one triangle");
+    assert_eq!(bs.delta_joins, 2);
+    assert_eq!(
+        bs.tuples_added, 1,
+        "the doubly produced triangle counts once"
+    );
+    assert_eq!(view.output().len(), 2);
+    assert!(view.output().contains_row(&[1, 5, 3]));
+}
+
+#[test]
+fn a_row_deleted_and_reinserted_in_one_batch_keeps_its_tuples() {
+    let q = examples::triangle();
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let opts = DeltaOptions::new().max_delta_fraction(1.0);
+    let mut view = prepared.materialize(one_triangle_db(), opts).unwrap();
+    // R(1,2) leaves and comes back; S(8,9) really leaves, so the batch
+    // revalidates the materialization.
+    let delta = DeltaBatch::new()
+        .delete("R", [1, 2])
+        .insert("R", [1, 2])
+        .delete("S", [8, 9]);
+    let bs = view.apply_delta(&delta).unwrap();
+    assert_consistent(&view, "delete + re-insert");
+    assert!(view.output().contains_row(&[1, 2, 3]));
+    assert_eq!((bs.inserts_applied, bs.deletes_applied), (0, 1));
+    assert_eq!((bs.tuples_added, bs.tuples_removed), (0, 0));
+    assert_eq!(bs.revalidated, 1);
+}
+
 #[test]
 fn delta_sequences_work_with_fds_and_udfs() {
     // fig1 has two unguarded FDs (UDF-backed); composite_key a guarded one.

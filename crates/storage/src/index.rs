@@ -39,12 +39,14 @@
 //!   [`Relation::version`], and column order. Because versions are
 //!   globally unique content snapshots (see [`Relation::version`]), a hit
 //!   is always sound — across repeated executions, batch drivers, worker
-//!   threads, and delta batches — and a version bump (e.g.
-//!   [`Relation::apply_delta`]) simply misses, rebuilding only the touched
-//!   relation's entries. Superseded versions stop being touched and age
-//!   out LRU-wise under a per-slot version cap and a per-shard **byte
-//!   budget** ([`TrieIndex::heap_bytes`]-accounted, so eviction pressure
-//!   tracks actual resident memory, not entry counts). Build/hit counters
+//!   threads, and delta batches — and a version bump misses. A bump by
+//!   [`Relation::apply_delta`] misses cheaply: the successor's full-arity
+//!   tries are derived from the predecessor's resident ones (untouched root
+//!   subtries block-copied, touched ones re-pushed) and replace them.
+//!   Every other superseded version stops being touched and ages out
+//!   LRU-wise under a per-slot version cap and a per-shard **byte budget**
+//!   ([`TrieIndex::heap_bytes`]-accounted, so eviction pressure tracks
+//!   actual resident memory, not entry counts). Build/hit counters
 //!   ([`IndexSet::stats`]) make reuse observable and testable.
 //!
 //! Row access over the columnar layout goes through [`RowWalk`], a lending
@@ -109,6 +111,12 @@ fn node_offset(nodes: usize) -> u32 {
     })
 }
 
+/// The first column where two equal-width rows differ (their width if
+/// they are equal).
+fn first_difference(x: &[Value], y: &[Value]) -> usize {
+    x.iter().zip(y).take_while(|(a, b)| a == b).count()
+}
+
 impl LevelBuilder {
     fn new(vars: Vec<u32>) -> LevelBuilder {
         let arity = vars.len();
@@ -121,6 +129,23 @@ impl LevelBuilder {
         }
     }
 
+    /// A builder whose level arrays are allocated at exactly `nodes[l]`
+    /// entries (plus the `starts` sentinels), for a caller that knows the
+    /// final shape.
+    fn with_capacity(vars: Vec<u32>, nodes: &[usize]) -> LevelBuilder {
+        let a = nodes.len();
+        LevelBuilder {
+            vars,
+            values: nodes.iter().map(|&n| Vec::with_capacity(n)).collect(),
+            starts: nodes[..a.saturating_sub(1)]
+                .iter()
+                .map(|&n| Vec::with_capacity(n + 1))
+                .collect(),
+            rows: 0,
+            last: Vec::with_capacity(a),
+        }
+    }
+
     /// Append one projected row (must be strictly greater than the
     /// previous one in lexicographic order).
     fn push(&mut self, row: &[Value]) {
@@ -129,12 +154,7 @@ impl LevelBuilder {
         let d = if self.rows == 0 {
             0
         } else {
-            let d = self
-                .last
-                .iter()
-                .zip(row)
-                .position(|(x, y)| x != y)
-                .unwrap_or(a);
+            let d = first_difference(&self.last, row);
             debug_assert!(d < a, "duplicate or unsorted row pushed");
             d
         };
@@ -149,6 +169,30 @@ impl LevelBuilder {
         self.last.clear();
         self.last.extend_from_slice(row);
         self.rows += 1;
+    }
+
+    /// Append root subtries `roots` of `ix` wholesale: per level one block
+    /// copy of the node values, and the child offsets shifted from where
+    /// they sat in `ix` to where their children land here. The roots must
+    /// all be greater than every root pushed so far.
+    fn copy_roots(&mut self, ix: &TrieIndex, roots: Range<usize>) {
+        if roots.is_empty() {
+            return;
+        }
+        let a = self.values.len();
+        let (mut lo, mut hi) = (roots.start, roots.end);
+        for l in 0..a {
+            self.values[l].extend_from_slice(&ix.values[l][lo..hi]);
+            if l + 1 < a {
+                let (from, to) = (ix.starts[l][lo], node_offset(self.values[l + 1].len()));
+                let shifted = ix.starts[l][lo..hi].iter().map(|&s| s - from + to);
+                self.starts[l].extend(shifted);
+                (lo, hi) = (from as usize, ix.starts[l][hi] as usize);
+            }
+        }
+        // `lo..hi` now spans the copied leaves, i.e. rows.
+        self.rows += hi - lo;
+        self.last = ix.row(hi - 1);
     }
 
     fn finish(mut self) -> TrieIndex {
@@ -214,6 +258,83 @@ impl TrieIndex {
             b.push(k);
             prev = Some(k);
         }
+        b.finish()
+    }
+
+    /// This index with `plus` added and `minus` removed — `plus` and
+    /// `minus` hold rows in this index's column order, sorted, `plus`
+    /// disjoint from the indexed rows and `minus` contained in them — equal
+    /// to [`TrieIndex::build`] over the changed relation. Root subtries no
+    /// delta row falls in are copied wholesale ([`LevelBuilder::copy_roots`]);
+    /// only the touched root groups are re-pushed row by row, into level
+    /// arrays reserved at exactly their final sizes.
+    pub(crate) fn apply_delta(&self, plus: &Relation, minus: &Relation) -> TrieIndex {
+        let a = self.arity();
+        debug_assert!(a > 0 && plus.vars() == self.vars && minus.vars() == self.vars);
+        // The touched root groups, ascending: each one's position among
+        // this index's roots, whether its root value is already there, and
+        // its rows after the delta.
+        let roots = &self.values[0];
+        let mut groups: Vec<(usize, bool, Vec<Value>)> = Vec::new();
+        let first = |rel: &Relation, i: usize| (i < rel.len()).then(|| rel.row(i)[0]);
+        let (mut i, mut k) = (0, 0);
+        while let Some(v) = [first(plus, i), first(minus, k)]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            let (add, drop) = (plus.prefix_range(&[v]), minus.prefix_range(&[v]));
+            (i, k) = (add.end, drop.end);
+            let root = lower_bound(roots, 0, roots.len(), v);
+            let present = roots.get(root) == Some(&v);
+            let old = if present {
+                self.first_row(0, root)..self.first_row(0, root + 1)
+            } else {
+                0..0
+            };
+            let mut rows = Vec::with_capacity((old.len() + add.len() - drop.len()) * a);
+            let (mut w, mut add, mut drop) = (self.walk(old), add.peekable(), drop.peekable());
+            while let Some(row) = w.next() {
+                while let Some(j) = add.next_if(|&j| plus.row(j) < row) {
+                    rows.extend_from_slice(plus.row(j));
+                }
+                if drop.next_if(|&j| minus.row(j) == row).is_none() {
+                    rows.extend_from_slice(row);
+                }
+            }
+            add.for_each(|j| rows.extend_from_slice(plus.row(j)));
+            groups.push((root, present, rows));
+        }
+        // Exact level sizes: this index's, minus the touched groups' old
+        // nodes, plus their new ones.
+        let mut nodes: Vec<usize> = self.values.iter().map(Vec::len).collect();
+        for (root, present, rows) in &groups {
+            if *present {
+                let (mut lo, mut hi) = (*root, root + 1);
+                for (l, n) in nodes.iter_mut().enumerate() {
+                    *n -= hi - lo;
+                    if l + 1 < a {
+                        (lo, hi) = (self.starts[l][lo] as usize, self.starts[l][hi] as usize);
+                    }
+                }
+            }
+            // Each row opens one node per level from its first difference
+            // with the previous row on (every level for the group's first).
+            let mut prev: Option<&[Value]> = None;
+            for row in rows.chunks_exact(a) {
+                let d = prev.map_or(0, |p| first_difference(p, row));
+                nodes[d..].iter_mut().for_each(|n| *n += 1);
+                prev = Some(row);
+            }
+        }
+        let mut b = LevelBuilder::with_capacity(self.vars.clone(), &nodes);
+        let mut copied = 0;
+        for (root, present, rows) in &groups {
+            b.copy_roots(self, copied..*root);
+            rows.chunks_exact(a).for_each(|row| b.push(row));
+            copied = root + usize::from(*present);
+        }
+        b.copy_roots(self, copied..roots.len());
         b.finish()
     }
 
@@ -925,11 +1046,14 @@ impl IndexKey {
 /// Cumulative [`IndexSet`] counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexSetStats {
-    /// Indexes built (cache misses that materialized a [`TrieIndex`]).
+    /// Indexes built (cache misses that materialized a [`TrieIndex`],
+    /// from scratch or derived from a predecessor).
     pub builds: u64,
     /// Lookups served from an already-built index.
     pub hits: u64,
-    /// Stale entries evicted when their relation's version moved on.
+    /// Entries aged out by the per-slot version cap or the byte budget. A
+    /// predecessor replaced by the successor derived from it
+    /// ([`IndexSet::index_of`]) is not counted.
     pub evictions: u64,
 }
 
@@ -999,8 +1123,10 @@ impl Shard {
 /// path, and on a miss the build runs *outside* any lock (re-checked on
 /// insert, so a racing duplicate build is possible but harmless — never a
 /// blocked shard). Version bumps invalidate by construction — the new
-/// version is a different key, so it misses and rebuilds — while
-/// superseded versions age out LRU-wise under a per-slot version cap
+/// version is a different key, so it misses — and a relation fresh from
+/// [`Relation::apply_delta`] derives its successor index from the
+/// resident predecessor, which it replaces ([`IndexSet::index_of`]).
+/// Other superseded versions age out LRU-wise under a per-slot version cap
 /// (`MAX_VERSIONS_PER_SLOT`) and a per-shard **byte budget**: each shard
 /// tracks the [`TrieIndex::heap_bytes`] of its residents and evicts
 /// least-recently-used entries until a new index fits (a sole oversized
@@ -1071,19 +1197,47 @@ impl IndexSet {
         key: IndexKey,
         build: impl FnOnce() -> TrieIndex,
     ) -> (Arc<TrieIndex>, bool) {
+        self.fetch(key, None, |_| build())
+    }
+
+    /// [`IndexSet::get_or_build`] whose miss may start from a predecessor:
+    /// the resident base index of the same slot at content version `from`.
+    /// `make` receives it when resident, and the index it returns *replaces*
+    /// that entry — a successor is not a sibling, so the predecessor is
+    /// neither left to age out nor counted as an eviction.
+    fn fetch(
+        &self,
+        key: IndexKey,
+        from: Option<u64>,
+        make: impl FnOnce(Option<&TrieIndex>) -> TrieIndex,
+    ) -> (Arc<TrieIndex>, bool) {
         let shard = self.shard(&key);
-        if let Some(hit) = shard.read().unwrap().map.get(&key) {
-            self.touch(hit);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(&hit.ix), false);
-        }
-        let ix = Arc::new(build());
+        let predecessor = {
+            let guard = shard.read().unwrap();
+            if let Some(hit) = guard.map.get(&key) {
+                self.touch(hit);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (Arc::clone(&hit.ix), false);
+            }
+            from.and_then(|v| {
+                let pred = IndexKey {
+                    kind: IndexKind::Base(v),
+                    ..key.clone()
+                };
+                let ix = Arc::clone(&guard.map.get(&pred)?.ix);
+                Some((pred, ix))
+            })
+        };
+        let ix = Arc::new(make(predecessor.as_ref().map(|(_, ix)| &**ix)));
         let mut guard = shard.write().unwrap();
         if let Some(hit) = guard.map.get(&key) {
             // Raced with another builder; their copy wins, ours is dropped.
             self.touch(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(&hit.ix), false);
+        }
+        if let Some((pred, _)) = &predecessor {
+            guard.remove(pred);
         }
         // Age out version siblings past the per-slot cap (superseded
         // versions stop being touched and are the ones that leave).
@@ -1122,11 +1276,23 @@ impl IndexSet {
         (ix, true)
     }
 
-    /// Convenience for database relations: index `rel` under
-    /// `(name, rel.version(), order)`.
+    /// Index database relation `rel` under `(name, rel.version(), order)`.
+    ///
+    /// On a miss for a full-arity order of a relation whose last mutation
+    /// was a [`Relation::apply_delta`], the index is *derived* from the
+    /// predecessor version's resident entry in the same order
+    /// (`TrieIndex::apply_delta`: untouched root subtries block-copied,
+    /// touched ones re-pushed) and replaces it; the result equals
+    /// [`TrieIndex::build`]. Projection orders, relations with no lineage
+    /// and evicted predecessors build from scratch.
     pub fn index_of(&self, name: &str, rel: &Relation, order: &[u32]) -> (Arc<TrieIndex>, bool) {
-        self.get_or_build(IndexKey::base(name, rel, order.to_vec()), || {
-            TrieIndex::build(rel, order)
+        let key = IndexKey::base(name, rel, order.to_vec());
+        let lineage = rel.lineage().filter(|_| order.len() == rel.arity());
+        self.fetch(key, lineage.map(|l| l.from), |pred| match (pred, lineage) {
+            (Some(pred), Some(l)) => {
+                pred.apply_delta(&l.plus.project(order), &l.minus.project(order))
+            }
+            _ => TrieIndex::build(rel, order),
         })
     }
 
@@ -1181,6 +1347,7 @@ impl IndexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rel() -> Relation {
         let mut r = Relation::from_rows(
@@ -1496,7 +1663,9 @@ mod tests {
         let set = IndexSet::with_byte_budget(per * SHARDS + SHARDS);
         for i in 0..4u64 {
             set.index_of("R", &r, &[0, 1]);
-            r.apply_delta([[1000 + i, 1000 + i]], [] as [&[Value]; 0]);
+            // An append, not a delta: a delta's successor would replace its
+            // predecessor instead of competing with it for the budget.
+            r.push_row(&[1000 + i, 1000 + i]);
         }
         assert_eq!(set.stats().builds, 4);
         assert!(
@@ -1520,6 +1689,107 @@ mod tests {
             "previous survivor evicted to admit the new one"
         );
         assert_eq!(set.stats().hits, tracked_before);
+    }
+
+    /// Every order of `vars`.
+    fn permutations(vars: &[u32]) -> Vec<Vec<u32>> {
+        if vars.is_empty() {
+            return vec![Vec::new()];
+        }
+        (0..vars.len())
+            .flat_map(|i| {
+                let mut rest = vars.to_vec();
+                let first = rest.remove(i);
+                permutations(&rest).into_iter().map(move |mut p| {
+                    p.insert(0, first);
+                    p
+                })
+            })
+            .collect()
+    }
+
+    fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
+        proptest::collection::vec(proptest::collection::vec(0u64..5, 3), 0..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A carried trie is the trie of the changed relation, in every
+        /// full-arity order, with its level arrays allocated at exactly
+        /// their final sizes — deletes of absent rows and rows deleted and
+        /// re-inserted in one batch included.
+        #[test]
+        fn carried_trie_equals_a_fresh_build(
+            arity in 1usize..4,
+            rows in rows_strategy(40),
+            inserts in rows_strategy(8),
+            deletes in rows_strategy(8),
+            reinserted in proptest::collection::vec(0usize..8, 0..4),
+        ) {
+            let cut = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
+                rows.into_iter().map(|r| r[..arity].to_vec()).collect()
+            };
+            let (rows, inserts, mut deletes) = (cut(rows), cut(inserts), cut(deletes));
+            deletes.extend(reinserted.iter().filter_map(|&i| inserts.get(i).cloned()));
+            let vars: Vec<u32> = (0..arity as u32).collect();
+            let mut rel = Relation::from_rows(vars.clone(), rows);
+            rel.sort_dedup();
+            let orders = permutations(&vars);
+            let before: Vec<TrieIndex> = orders.iter().map(|o| TrieIndex::build(&rel, o)).collect();
+            rel.apply_delta(&inserts, &deletes);
+            let Some(l) = rel.lineage() else {
+                return Ok(()); // nothing changed
+            };
+            for (order, old) in orders.iter().zip(&before) {
+                let carried = old.apply_delta(&l.plus.project(order), &l.minus.project(order));
+                prop_assert_eq!(&carried, &TrieIndex::build(&rel, order), "order {:?}", order);
+                let exact = |v: &Vec<Vec<Value>>| v.iter().all(|l| l.capacity() == l.len());
+                prop_assert!(exact(&carried.values), "values over-allocated");
+                prop_assert!(carried.starts.iter().all(|l| l.capacity() == l.len()), "starts over-allocated");
+            }
+        }
+    }
+
+    #[test]
+    fn index_set_derives_the_successor_from_its_predecessor() {
+        let set = IndexSet::new();
+        let mut r = Relation::from_rows(vec![0, 1], (0..64u64).map(|i| [i / 4, i]));
+        let (before, _) = set.index_of("R", &r, &[1, 0]);
+        let v0 = r.version();
+        r.apply_delta([[3u64, 100], [99, 1]], [[0u64, 0]]);
+        let evictions = set.stats().evictions;
+        let (after, built) = set.index_of("R", &r, &[1, 0]);
+        assert!(built, "a new version misses once");
+        assert_eq!(*after, TrieIndex::build(&r, &[1, 0]));
+        assert_ne!(*after, *before);
+        assert_eq!(set.cached_for("R", v0), 0, "the predecessor is gone");
+        assert_eq!(set.len(), 1, "replaced, not kept as a sibling");
+        assert_eq!(
+            set.stats().evictions,
+            evictions,
+            "a replacement is no eviction"
+        );
+        assert!(!set.index_of("R", &r, &[1, 0]).1, "the successor hits");
+    }
+
+    #[test]
+    fn evicted_predecessor_falls_back_to_a_build() {
+        let mut r = Relation::from_rows(vec![0, 1], (0..512u64).map(|i| [i, i]));
+        let per = TrieIndex::build(&r, &[0, 1]).heap_bytes();
+        // Per-shard budget ≈ one such index: a sibling version evicts r's.
+        let set = IndexSet::with_byte_budget(per * SHARDS + SHARDS);
+        set.index_of("R", &r, &[0, 1]);
+        let v0 = r.version();
+        let mut sibling = r.clone();
+        sibling.push_row(&[1000, 1000]);
+        set.index_of("R", &sibling, &[0, 1]);
+        assert_eq!(set.cached_for("R", v0), 0, "predecessor evicted");
+        r.apply_delta([[2000u64, 2000]], [[0u64, 0]]);
+        assert_eq!(r.lineage().map(|l| l.from), Some(v0));
+        let (ix, built) = set.index_of("R", &r, &[0, 1]);
+        assert!(built);
+        assert_eq!(*ix, TrieIndex::build(&r, &[0, 1]));
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //!   semijoin, degree counting, and partitioning primitives — order-aware
 //!   (sortedness tracked per append and per [`Relation::concat`] seam, so
 //!   rows produced in order are never sorted again), versioned, with
-//!   in-place sorted-merge tuple deltas ([`Relation::apply_delta`]) for
+//!   delta-sized tuple deltas ([`Relation::apply_delta`]: binary-searched
+//!   splices that carry statistics and tries to the next version) for
 //!   incremental maintenance;
 //! - [`RelationStats`]: exact per-prefix degree/branch/skew statistics
-//!   ([`Relation::stats`]), computed on first request per content snapshot,
-//!   feeding the data-dependent cost model in `fdjoin_core::cost`;
+//!   ([`Relation::stats`]), computed on first request per content snapshot
+//!   and carried across deltas, feeding the data-dependent cost model in
+//!   `fdjoin_core::cost`;
 //! - [`TrieIndex`] / [`Probe`] / [`IndexSet`]: the shared access-path
 //!   layer — cached per-`(relation, column order)` trie indexes navigated
 //!   by a zero-allocation narrowing cursor ([`Probe`] = an index plus a

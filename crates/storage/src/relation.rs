@@ -7,7 +7,7 @@ use fdjoin_lattice::VarSet;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Source of relation content versions. Monotonic and *global*, so a
 /// version is a unique content-snapshot id: two relations carry the same
@@ -46,8 +46,9 @@ pub(crate) fn next_version() -> u64 {
 /// version is bookkeeping, not content — equality compares rows only.
 ///
 /// Sorted relations also offer exact per-prefix degree/skew statistics
-/// ([`Relation::stats`]), computed on first request; the cost model in
-/// `fdjoin_core::cost` plans from them.
+/// ([`Relation::stats`]), computed on first request and carried across
+/// [`Relation::apply_delta`]; the cost model in `fdjoin_core::cost` plans
+/// from them.
 #[derive(Debug)]
 pub struct Relation {
     vars: Vec<u32>,
@@ -61,9 +62,26 @@ pub struct Relation {
     /// [`Relation::version`] draws from the global counter on demand.
     version: AtomicU64,
     /// Statistics of the stored rows, filled by the first
-    /// [`Relation::stats`] call on a sorted relation and dropped by every
-    /// mutation.
+    /// [`Relation::stats`] call on a sorted relation, updated by
+    /// [`Relation::apply_delta`] and dropped by every other mutation.
     stats: OnceLock<RelationStats>,
+    /// How these rows derive from an earlier version, when the last
+    /// mutation was an [`Relation::apply_delta`]; cleared by every other.
+    lineage: Option<Arc<Lineage>>,
+}
+
+/// What one [`Relation::apply_delta`] changed: the version it started from
+/// and the net rows it added and removed (sorted, in the relation's column
+/// order). The access-path layer derives the successor's tries from the
+/// predecessor's with it ([`crate::IndexSet::index_of`]).
+#[derive(Debug)]
+pub(crate) struct Lineage {
+    /// The predecessor's [`Relation::version`].
+    pub(crate) from: u64,
+    /// Rows absent from the predecessor and present now.
+    pub(crate) plus: Relation,
+    /// Rows present in the predecessor and absent now.
+    pub(crate) minus: Relation,
 }
 
 impl Clone for Relation {
@@ -76,6 +94,7 @@ impl Clone for Relation {
             sorted: self.sorted,
             version: AtomicU64::new(self.version()),
             stats: self.stats.clone(),
+            lineage: self.lineage.clone(),
         }
     }
 }
@@ -128,6 +147,7 @@ impl Relation {
             sorted: true,
             version: AtomicU64::new(UNASSIGNED),
             stats: OnceLock::new(),
+            lineage: None,
         }
     }
 
@@ -185,11 +205,19 @@ impl Relation {
         out
     }
 
-    /// Every content mutation ends here: cached statistics and the observed
-    /// version describe the old rows. Touches only this relation's fields.
+    /// Every content mutation ends here: cached statistics, the observed
+    /// version and the lineage describe the old rows. Touches only this
+    /// relation's fields.
     fn touch(&mut self) {
         self.stats.take();
         *self.version.get_mut() = UNASSIGNED;
+        self.lineage = None;
+    }
+
+    /// How this version derives from its predecessor, if the last mutation
+    /// was an [`Relation::apply_delta`] that changed something.
+    pub(crate) fn lineage(&self) -> Option<&Lineage> {
+        self.lineage.as_deref()
     }
 
     /// Column variables in storage order.
@@ -245,8 +273,10 @@ impl Relation {
     /// Exact degree/skew statistics of this relation, per prefix length of
     /// the column (sort) order. `Some` exactly when the relation is sorted
     /// ([`Relation::is_sorted`]). Computed by the first call after a
-    /// mutation ([`RelationStats::of`], one pass) and cached; relations
-    /// nobody plans from — intermediates, outputs — never pay for them.
+    /// mutation ([`RelationStats::of`], one pass) and cached; a cached set
+    /// is carried across [`Relation::apply_delta`] by recounting only the
+    /// touched prefix groups. Relations nobody plans from — intermediates,
+    /// outputs — never pay for them.
     pub fn stats(&self) -> Option<&RelationStats> {
         self.sorted
             .then(|| self.stats.get_or_init(|| RelationStats::of(self)))
@@ -287,10 +317,21 @@ impl Relation {
     /// (a row both deleted and inserted in the same delta is present
     /// afterwards). Rows must be in this relation's column order.
     ///
-    /// The relation is left sorted + deduplicated, the merge is linear in
-    /// `len + |delta| log |delta|`, and the returned [`DeltaApplied`]
-    /// counts only *actual* changes — deleting an absent row or inserting
-    /// a present one is a no-op. The version changes iff something did.
+    /// The cost is the delta's plus one copy of the rows: each key of the
+    /// sorted union of inserts and deletes is located by binary search from
+    /// the previous key's position, and every untouched run of stored rows
+    /// moves with one block copy into a buffer of exactly the new size —
+    /// `O(|delta| log len)` compares and a memcpy, never a per-row merge.
+    /// Cached [`Relation::stats`] are carried to the new rows by recounting
+    /// only the prefix groups the delta touched, and the relation records
+    /// its lineage — the predecessor version and the net rows added and
+    /// removed — from which [`crate::IndexSet::index_of`] derives the
+    /// successor's tries instead of rebuilding them.
+    ///
+    /// The relation is left sorted + deduplicated, and the returned
+    /// [`DeltaApplied`] counts only *actual* changes — deleting an absent
+    /// row or inserting a present one is a no-op. The version changes iff
+    /// something did; a no-op keeps version, statistics and lineage.
     pub fn apply_delta<I, D>(&mut self, inserts: I, deletes: D) -> DeltaApplied
     where
         I: IntoIterator,
@@ -319,66 +360,95 @@ impl Relation {
             }
             return applied;
         }
-        let mut del = Relation::new(self.vars.clone());
-        for r in deletes {
-            del.push_row(r.as_ref());
-        }
-        del.sort_dedup();
-        let mut ins = Relation::new(self.vars.clone());
-        for r in inserts {
-            ins.push_row(r.as_ref());
-        }
+        let mut ins = Relation::from_rows(self.vars.clone(), inserts);
         ins.sort_dedup();
-        if del.is_empty() && ins.is_empty() {
+        let mut del = Relation::from_rows(self.vars.clone(), deletes);
+        del.sort_dedup();
+
+        // Walk the sorted union of both key lists, locating each key in the
+        // stored rows by binary search from the previous key's position. An
+        // edit is `(position, Some(i))` to insert `ins.row(i)` before the
+        // stored row at `position`, or `(position, None)` to drop that row;
+        // an inserted row survives its own deletion.
+        let n = self.len();
+        let mut edits: Vec<(usize, Option<usize>)> = Vec::new();
+        let (mut i, mut k, mut at) = (0usize, 0usize, 0usize);
+        while i < ins.len() || k < del.len() {
+            let ord = if k == del.len() {
+                Ordering::Less
+            } else if i == ins.len() {
+                Ordering::Greater
+            } else {
+                ins.row(i).cmp(del.row(k))
+            };
+            let key = if ord == Ordering::Greater {
+                del.row(k)
+            } else {
+                ins.row(i)
+            };
+            at = self.partition_rows(at, n, |row| row < key);
+            let present = at < n && self.row(at) == key;
+            if ord == Ordering::Greater {
+                if present {
+                    edits.push((at, None));
+                }
+                k += 1;
+            } else {
+                if !present {
+                    edits.push((at, Some(i)));
+                }
+                i += 1;
+                k += usize::from(ord == Ordering::Equal);
+            }
+        }
+        if edits.is_empty() {
             return DeltaApplied::default();
         }
 
-        // Merge the two sorted row sequences; deletes filter the existing
-        // side only (an inserted row survives its own deletion). The
-        // delete cursor `k` advances monotonically alongside the existing
-        // rows, keeping the whole merge genuinely linear.
-        let mut applied = DeltaApplied::default();
-        let mut data = Vec::with_capacity(self.data.len() + ins.data.len());
-        let (n, m) = (self.len(), ins.len());
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < n || j < m {
-            let ord = if i == n {
-                Ordering::Greater
-            } else if j == m {
-                Ordering::Less
-            } else {
-                self.row(i).cmp(ins.row(j))
-            };
-            match ord {
-                Ordering::Less => {
-                    let row = self.row(i);
-                    while k < del.len() && del.row(k) < row {
-                        k += 1;
-                    }
-                    if k < del.len() && del.row(k) == row {
-                        applied.removed += 1;
-                    } else {
-                        data.extend_from_slice(row);
-                    }
-                    i += 1;
+        // Splice: untouched runs move by block copy, edits in between.
+        let added = edits.iter().filter(|e| e.1.is_some()).count();
+        let applied = DeltaApplied {
+            added,
+            removed: edits.len() - added,
+        };
+        let mut data = Vec::with_capacity((n + applied.added - applied.removed) * a);
+        let mut plus = Relation::new(self.vars.clone());
+        let mut minus = Relation::new(self.vars.clone());
+        let mut copied = 0;
+        for &(at, insert) in &edits {
+            data.extend_from_slice(&self.data[copied * a..at * a]);
+            copied = at;
+            match insert {
+                Some(i) => {
+                    data.extend_from_slice(ins.row(i));
+                    plus.push_row(ins.row(i));
                 }
-                Ordering::Greater => {
-                    data.extend_from_slice(ins.row(j));
-                    applied.added += 1;
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    // Already present (and, if also deleted, re-inserted).
-                    data.extend_from_slice(self.row(i));
-                    i += 1;
-                    j += 1;
+                None => {
+                    minus.push_row(self.row(at));
+                    copied = at + 1;
                 }
             }
         }
-        if applied.changed() > 0 {
-            self.data = data;
-            self.touch();
+        data.extend_from_slice(&self.data[copied * a..]);
+
+        let from = self.version();
+        let stats = self.stats.take();
+        let old = Relation {
+            data: std::mem::replace(&mut self.data, data),
+            ..Relation::new(self.vars.clone())
+        };
+        self.touch();
+        if let Some(stats) = stats {
+            // The touched rows in ascending order: the edits' keys.
+            let touched: Vec<&[Value]> = edits
+                .iter()
+                .map(|&(at, insert)| insert.map_or_else(|| old.row(at), |i| ins.row(i)))
+                .collect();
+            if let Some(carried) = stats.carried(&old, self, &touched) {
+                let _ = self.stats.set(carried);
+            }
         }
+        self.lineage = Some(Arc::new(Lineage { from, plus, minus }));
         applied
     }
 
@@ -456,30 +526,45 @@ impl Relation {
             return 0..self.len();
         }
         debug_assert!(prefix.len() <= a);
-        let n = self.len();
-        let cmp_at = |i: usize| -> Ordering { self.row(i)[..prefix.len()].cmp(prefix) };
-        // Lower bound.
-        let (mut lo, mut hi) = (0usize, n);
+        let (n, p) = (self.len(), prefix.len());
+        let start = self.partition_rows(0, n, |row| row[..p] < *prefix);
+        start..self.partition_rows(start, n, |row| row[..p] <= *prefix)
+    }
+
+    /// The first row index in `lo..hi` whose row fails `pred`, for a `pred`
+    /// that holds on a prefix of that range — a bisection over the sorted
+    /// rows.
+    fn partition_rows(
+        &self,
+        mut lo: usize,
+        mut hi: usize,
+        pred: impl Fn(&[Value]) -> bool,
+    ) -> usize {
         while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cmp_at(mid) == Ordering::Less {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.row(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        let start = lo;
-        // Upper bound.
-        let (mut lo, mut hi) = (start, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cmp_at(mid) == Ordering::Greater {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
+        lo
+    }
+
+    /// Number of distinct `(prefix.len() + 1)`-prefixes extending `prefix`
+    /// — the trie fan-out below it (requires sorted, `prefix.len() <
+    /// arity`). One bisection per child, so it costs the fan-out, not the
+    /// rows under it.
+    pub(crate) fn fan_out(&self, prefix: &[Value]) -> usize {
+        let Range { mut start, end } = self.prefix_range(prefix);
+        let p = prefix.len() + 1;
+        let mut kids = 0;
+        while start < end {
+            kids += 1;
+            let child = &self.row(start)[..p];
+            start = self.partition_rows(start, end, |row| row[..p] <= *child);
         }
-        start..lo
+        kids
     }
 
     /// Number of rows matching a prefix (the *degree* of the prefix value).
@@ -793,6 +878,62 @@ mod tests {
         let applied = r.apply_delta([[1u64, 10]], [[9u64, 9]]); // both no-ops
         assert_eq!(applied, DeltaApplied::default());
         assert_eq!(r.version(), v0, "no content change, no version bump");
+    }
+
+    #[test]
+    fn apply_delta_records_its_lineage() {
+        let mut r = rel3(); // {(1,10),(1,11),(2,10),(3,30)}
+        assert!(r.lineage().is_none());
+        let v0 = r.version();
+        // (1,10) is present and (7,7) absent: neither is net.
+        r.apply_delta([[0u64, 5], [1, 10], [9, 9]], [[1u64, 11], [7, 7]]);
+        let l = r.lineage().expect("a delta that changed rows");
+        assert_eq!(l.from, v0);
+        assert_eq!(l.plus, Relation::from_rows(vec![0, 1], [[0, 5], [9, 9]]));
+        assert_eq!(l.minus, Relation::from_rows(vec![0, 1], [[1, 11]]));
+        // A clone shares version and lineage.
+        assert_eq!(r.clone().lineage().map(|l| l.from), Some(v0));
+
+        // A no-op delta keeps version and lineage.
+        let v1 = r.version();
+        r.apply_delta([[0u64, 5]], [[8u64, 8]]);
+        assert_eq!(r.version(), v1);
+        assert_eq!(r.lineage().map(|l| l.from), Some(v0));
+    }
+
+    #[test]
+    fn every_other_mutation_clears_the_lineage() {
+        let with_lineage = || {
+            let mut r = rel3();
+            r.apply_delta([[5u64, 50]], [[1u64, 10]]);
+            assert!(r.lineage().is_some());
+            r
+        };
+        let mut r = with_lineage();
+        r.push_row(&[9, 90]);
+        assert!(r.lineage().is_none(), "push_row");
+
+        let r = Relation::concat(vec![
+            with_lineage(),
+            Relation::from_rows(vec![0, 1], [[9, 9]]),
+        ]);
+        assert!(r.lineage().is_none(), "concat");
+
+        // Out of order, then canonicalized: the append already cleared it.
+        let mut r = with_lineage();
+        r.push_row(&[0, 0]);
+        assert!(!r.is_sorted());
+        r.sort_dedup();
+        assert!(r.lineage().is_none(), "unsorted, then sort_dedup");
+    }
+
+    #[test]
+    fn apply_delta_carries_cached_stats() {
+        let mut r = rel3();
+        r.stats().expect("sorted");
+        r.apply_delta([[1u64, 12], [4, 40]], [[2u64, 10]]);
+        assert!(r.stats.get().is_some(), "carried, not dropped");
+        assert_eq!(r.stats(), Some(&RelationStats::of(&r)));
     }
 
     #[test]

@@ -19,13 +19,20 @@
 //!
 //! Statistics are *exact*, not sampled, and *lazy*:
 //! [`Relation::stats`](crate::Relation::stats) computes them in one pass
-//! ([`RelationStats::of`]) the first time a sorted relation is asked, caches
-//! them, and every mutation drops the cache — so they can never drift from
-//! the rows (the differential property tests in `tests/proptest_stats.rs`
-//! assert exactness under random insert/delete sequences), and relations
-//! nobody plans from (intermediates, join outputs) never pay for them.
+//! ([`RelationStats::of`]) the first time a sorted relation is asked and
+//! caches them, so relations nobody plans from (intermediates, join
+//! outputs) never pay for them. A cached set follows
+//! [`Relation::apply_delta`](crate::Relation::apply_delta) to the next
+//! version: only the prefix groups the delta touched are recounted, and
+//! per-level counts of the groups sitting at each maximum keep a shrinking
+//! maximum exact — only when every group at a maximum was touched and all
+//! of them shrank does the next read recompute from scratch. Every other
+//! mutation drops the cache. Either way they never drift from the rows: the
+//! differential property tests in `tests/proptest_stats.rs` assert carried
+//! statistics `==` [`RelationStats::of`] under random insert/delete
+//! sequences, skewed ones included.
 
-use crate::Value;
+use crate::{Relation, Value};
 
 /// Exact degree/skew statistics of one sorted, deduplicated relation.
 ///
@@ -43,6 +50,12 @@ pub struct RelationStats {
     /// `max_branch[k]` = max distinct `(k+1)`-prefixes within one
     /// `k`-prefix group (`k = 0` means the whole relation).
     max_branch: Vec<u64>,
+    /// `at_max_degree[k]` = number of `(k+1)`-prefix groups whose degree
+    /// is `max_degree[k]` — what lets a delta shrink one of them exactly.
+    at_max_degree: Vec<u64>,
+    /// `at_max_branch[k]` = number of `k`-prefix groups whose fan-out is
+    /// `max_branch[k]`.
+    at_max_branch: Vec<u64>,
 }
 
 impl RelationStats {
@@ -55,7 +68,7 @@ impl RelationStats {
     /// Panics if the relation is not sorted ([`Relation::is_sorted`]).
     ///
     /// [`Relation::is_sorted`]: crate::Relation::is_sorted
-    pub fn of(rel: &crate::Relation) -> RelationStats {
+    pub fn of(rel: &Relation) -> RelationStats {
         assert!(
             rel.is_sorted(),
             "RelationStats::of requires a sorted relation"
@@ -65,6 +78,49 @@ impl RelationStats {
             acc.push(row);
         }
         acc.finish()
+    }
+
+    /// These statistics carried from `old` to `new`, the same relation
+    /// before and after a delta whose changed rows are `touched` (ascending;
+    /// each present in exactly one of the two). Only the prefix groups the
+    /// touched rows fall in are recounted, by bisection in `old` and `new`.
+    /// `None` when some level's maximum cannot be known without a scan: every
+    /// group at it was touched and all of them shrank.
+    pub(crate) fn carried(
+        &self,
+        old: &Relation,
+        new: &Relation,
+        touched: &[&[Value]],
+    ) -> Option<RelationStats> {
+        let mut s = self.clone();
+        s.cardinality = new.len() as u64;
+        let mut changes: Vec<(u64, u64)> = Vec::new();
+        for k in 0..self.arity() {
+            // Degree: the touched (k+1)-prefix groups, before and after.
+            changes.clear();
+            changes.extend(
+                distinct_prefixes(touched, k + 1)
+                    .map(|p| (old.prefix_count(p) as u64, new.prefix_count(p) as u64)),
+            );
+            let born = changes.iter().filter(|c| c.0 == 0).count() as u64;
+            let gone = changes.iter().filter(|c| c.1 == 0).count() as u64;
+            s.distinct[k] = s.distinct[k] + born - gone;
+            carry_max(&mut s.max_degree[k], &mut s.at_max_degree[k], &changes)?;
+            // Fan-out from depth k: the root's is the distinct count just
+            // carried; deeper, the touched k-prefix groups.
+            if k == 0 {
+                s.max_branch[0] = s.distinct[0];
+                s.at_max_branch[0] = u64::from(s.cardinality > 0);
+            } else {
+                changes.clear();
+                changes.extend(
+                    distinct_prefixes(touched, k)
+                        .map(|p| (old.fan_out(p) as u64, new.fan_out(p) as u64)),
+                );
+                carry_max(&mut s.max_branch[k], &mut s.at_max_branch[k], &changes)?;
+            }
+        }
+        Some(s)
     }
 
     /// Number of rows.
@@ -135,6 +191,48 @@ impl RelationStats {
     }
 }
 
+/// The distinct length-`len` prefixes of ascending `rows`, in order.
+fn distinct_prefixes<'r>(rows: &'r [&[Value]], len: usize) -> impl Iterator<Item = &'r [Value]> {
+    let mut last: Option<&[Value]> = None;
+    rows.iter().filter_map(move |row| {
+        let p = &row[..len];
+        (last != Some(p)).then(|| {
+            last = Some(p);
+            p
+        })
+    })
+}
+
+/// Move one level's maximum and its at-max group count across a delta,
+/// given each touched group's `(before, after)` size (0 = no such group).
+/// Untouched groups keep their sizes, so the new maximum is exact unless
+/// every group at the old one was touched and all of them fell below it.
+fn carry_max(max: &mut u64, at_max: &mut u64, changes: &[(u64, u64)]) -> Option<()> {
+    let left = changes.iter().filter(|c| c.0 > 0 && c.0 == *max).count() as u64;
+    let kept = *at_max - left;
+    let top = changes.iter().map(|c| c.1).max().unwrap_or(0);
+    let at_top = changes.iter().filter(|c| c.1 > 0 && c.1 == top).count() as u64;
+    if top > *max {
+        (*max, *at_max) = (top, at_top);
+    } else if top == *max {
+        *at_max = kept + at_top;
+    } else if kept > 0 {
+        *at_max = kept;
+    } else {
+        return None;
+    }
+    Some(())
+}
+
+/// Record one closed group of size `v` against a level's running maximum.
+fn bump(max: &mut u64, at_max: &mut u64, v: u64) {
+    if v > *max {
+        (*max, *at_max) = (v, 1);
+    } else if v == *max {
+        *at_max += 1;
+    }
+}
+
 /// Streaming accumulator behind [`RelationStats::of`]: feed rows in
 /// strictly increasing order (sorted, deduplicated) and `finish`.
 #[derive(Debug)]
@@ -149,6 +247,8 @@ struct StatsAcc {
     distinct: Vec<u64>,
     max_degree: Vec<u64>,
     max_branch: Vec<u64>,
+    at_max_degree: Vec<u64>,
+    at_max_branch: Vec<u64>,
 }
 
 impl StatsAcc {
@@ -162,6 +262,8 @@ impl StatsAcc {
             distinct: vec![0; arity],
             max_degree: vec![0; arity],
             max_branch: vec![0; arity],
+            at_max_degree: vec![0; arity],
+            at_max_branch: vec![0; arity],
         }
     }
 
@@ -192,7 +294,11 @@ impl StatsAcc {
             // The (k+1)-prefix changed iff the first difference is inside it.
             if d < k + 1 {
                 self.distinct[k] += 1;
-                self.max_degree[k] = self.max_degree[k].max(self.run[k]);
+                bump(
+                    &mut self.max_degree[k],
+                    &mut self.at_max_degree[k],
+                    self.run[k],
+                );
                 self.run[k] = 1;
             } else {
                 self.run[k] += 1;
@@ -200,7 +306,11 @@ impl StatsAcc {
             if d < k + 1 {
                 if d < k {
                     // The enclosing k-prefix group also closed.
-                    self.max_branch[k] = self.max_branch[k].max(self.kids[k]);
+                    bump(
+                        &mut self.max_branch[k],
+                        &mut self.at_max_branch[k],
+                        self.kids[k],
+                    );
                     self.kids[k] = 1;
                 } else {
                     self.kids[k] += 1;
@@ -215,8 +325,16 @@ impl StatsAcc {
     fn finish(mut self) -> RelationStats {
         if self.n > 0 {
             for k in 0..self.arity {
-                self.max_degree[k] = self.max_degree[k].max(self.run[k]);
-                self.max_branch[k] = self.max_branch[k].max(self.kids[k]);
+                bump(
+                    &mut self.max_degree[k],
+                    &mut self.at_max_degree[k],
+                    self.run[k],
+                );
+                bump(
+                    &mut self.max_branch[k],
+                    &mut self.at_max_branch[k],
+                    self.kids[k],
+                );
             }
         }
         RelationStats {
@@ -224,6 +342,8 @@ impl StatsAcc {
             distinct: self.distinct,
             max_degree: self.max_degree,
             max_branch: self.max_branch,
+            at_max_degree: self.at_max_degree,
+            at_max_branch: self.at_max_branch,
         }
     }
 }
@@ -231,7 +351,6 @@ impl StatsAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Relation;
 
     fn rel() -> Relation {
         let mut r = Relation::from_rows(
@@ -294,6 +413,56 @@ mod tests {
         assert_eq!(s.max_degree(1), 9);
         assert!((s.skew(1) - 3.0).abs() < 1e-9);
         assert!((s.max_skew() - 3.0).abs() < 1e-9);
+    }
+
+    /// `old` with `deletes` removed and `inserts` added, and the touched
+    /// rows in ascending order.
+    fn after(
+        old: &Relation,
+        inserts: &[[Value; 2]],
+        deletes: &[[Value; 2]],
+    ) -> (Relation, Vec<Vec<Value>>) {
+        let mut new = old.clone();
+        new.apply_delta(inserts, deletes);
+        let mut touched: Vec<Vec<Value>> =
+            inserts.iter().chain(deletes).map(|r| r.to_vec()).collect();
+        touched.sort();
+        (new, touched)
+    }
+
+    #[test]
+    fn carried_stats_count_groups_at_each_max() {
+        // x=1 has 3 rows, x=2 has 3, x=3 has 1: two groups at the max.
+        let old = Relation::from_rows(
+            vec![0, 1],
+            [[1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3], [3, 1]],
+        );
+        let stats = RelationStats::of(&old);
+        assert_eq!((stats.max_degree(1), stats.at_max_degree[0]), (3, 2));
+        // Shrinking one of them leaves the other at the max: exact.
+        let (new, touched) = after(&old, &[[3, 2]], &[[1, 3]]);
+        let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
+        let carried = stats
+            .carried(&old, &new, &touched)
+            .expect("another group holds the max");
+        assert_eq!(carried, RelationStats::of(&new));
+        assert_eq!((carried.max_degree(1), carried.at_max_degree[0]), (3, 1));
+    }
+
+    #[test]
+    fn sole_max_group_shrinking_falls_back_to_a_recount() {
+        // x=1 is the only group at the max (3); deleting from it leaves the
+        // new max among untouched groups, which a carry cannot see.
+        let old = Relation::from_rows(vec![0, 1], [[1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [3, 1]]);
+        let stats = RelationStats::of(&old);
+        let (new, touched) = after(&old, &[], &[[1, 3]]);
+        let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
+        assert_eq!(stats.carried(&old, &new, &touched), None);
+        // Through the relation, the dropped cache recounts on next read.
+        let mut rel = old.clone();
+        rel.stats();
+        rel.apply_delta([] as [&[Value]; 0], [[1u64, 3]]);
+        assert_eq!(rel.stats(), Some(&RelationStats::of(&new)));
     }
 
     #[test]

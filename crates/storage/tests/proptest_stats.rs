@@ -1,13 +1,35 @@
 //! Differential testing of the statistics layer: the `RelationStats` a
-//! relation caches and drops across `apply_delta` calls must stay *exactly*
-//! equal to a from-scratch recomputation — and to brute-force counts over
-//! the rows — under arbitrary random insert/delete sequences.
+//! relation caches and carries across `apply_delta` calls must stay
+//! *exactly* equal to a from-scratch recomputation — and to brute-force
+//! counts over the rows — under arbitrary random insert/delete sequences,
+//! including skewed ones whose deltas keep shrinking the sole group at a
+//! maximum (the case a carry cannot settle and recounts instead).
 
 use fdjoin_storage::{Relation, RelationStats, Value};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn rows_strategy(arity: usize, max: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
     proptest::collection::vec(proptest::collection::vec(0u64..5, arity), 0..max)
+}
+
+/// Rows where the hub prefix `x = 0` holds most of the mass (x is drawn
+/// from `0..8` and folded onto 0 below 5), so deltas keep landing in the
+/// one group at the maximum degree and branch.
+fn skewed_rows(max: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
+    proptest::collection::vec((0u64..8, 0u64..4, 0u64..4), 0..max).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(x, y, z)| vec![if x < 5 { 0 } else { x }, y, z])
+            .collect()
+    })
+}
+
+/// Whether some level's maximum degree or fan-out went down — exactly when
+/// a carry must fall back to a recount: the old maximum's groups all shrank.
+fn some_max_fell(old: &RelationStats, new: &RelationStats) -> bool {
+    (1..=old.arity()).any(|len| new.max_degree(len) < old.max_degree(len))
+        || (0..old.arity()).any(|from| new.max_branch(from) < old.max_branch(from))
 }
 
 /// Brute-force statistics straight off the `Relation` group primitives.
@@ -91,6 +113,22 @@ proptest! {
     }
 
     #[test]
+    fn stats_stay_exact_under_skewed_deltas(
+        initial in skewed_rows(40),
+        deltas in proptest::collection::vec((skewed_rows(6), skewed_rows(10)), 1..8),
+    ) {
+        let mut rel = Relation::from_rows(vec![0, 1, 2], initial);
+        rel.sort_dedup();
+        for (inserts, deletes) in deltas {
+            rel.stats();
+            rel.apply_delta(inserts, deletes);
+            let maintained = rel.stats().expect("sorted after apply_delta").clone();
+            prop_assert_eq!(&maintained, &RelationStats::of(&rel));
+            brute_check(&rel, &maintained);
+        }
+    }
+
+    #[test]
     fn sort_path_and_delta_path_agree(rows in rows_strategy(2, 30)) {
         // Loading rows via push_row + sort_dedup and via apply_delta
         // inserts must produce identical statistics.
@@ -115,4 +153,39 @@ proptest! {
             prop_assert!(s.skew(len) >= 1.0 - 1e-9);
         }
     }
+}
+
+/// Deterministic companion of `stats_stay_exact_under_skewed_deltas`: a
+/// hub relation churned by deltas aimed mostly at the hub. The recount
+/// fallback provably runs (some maximum falls), and the statistics read
+/// after every delta — carried or recounted — equal a from-scratch pass.
+#[test]
+fn skewed_deltas_exercise_the_recount() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let draw = |rng: &mut StdRng| -> Vec<Value> {
+        let x = if rng.gen_range(0..4) == 0 {
+            rng.gen_range(1..16)
+        } else {
+            0
+        };
+        vec![x, rng.gen_range(0..6), rng.gen_range(0..6)]
+    };
+    let mut rel = Relation::from_rows(vec![0, 1, 2], (0..200).map(|_| draw(&mut rng)));
+    rel.sort_dedup();
+    let mut recounts = 0;
+    for _ in 0..300 {
+        let before = rel.stats().expect("sorted").clone();
+        let inserts: Vec<Vec<Value>> = (0..rng.gen_range(0..4)).map(|_| draw(&mut rng)).collect();
+        let deletes: Vec<Vec<Value>> = (0..rng.gen_range(0..4).min(rel.len()))
+            .map(|_| rel.row(rng.gen_range(0..rel.len())).to_vec())
+            .collect();
+        rel.apply_delta(&inserts, &deletes);
+        let after = rel.stats().expect("sorted").clone();
+        assert_eq!(after, RelationStats::of(&rel));
+        recounts += usize::from(some_max_fell(&before, &after));
+    }
+    assert!(
+        recounts > 0,
+        "no delta shrank a maximum; the recount never ran"
+    );
 }

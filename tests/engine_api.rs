@@ -5,10 +5,13 @@ use fdjoin::core::{
     binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, naive_join, sma_join,
     Algorithm, AutoReason, Engine, ExecOptions, JoinError, JoinResult, UserDegreeBound,
 };
+use fdjoin::delta::{ApplyDelta, DeltaOptions};
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::{Database, Relation};
+use fdjoin::stream::ResultStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn triangle_db() -> Database {
     let mut db = Database::new();
@@ -537,6 +540,54 @@ fn missing_relation_is_a_join_error_everywhere() {
             matches!(err, JoinError::MissingRelation(ref name) if name == "S"),
             "{alg}: expected MissingRelation(S), got {err:?}"
         );
+    }
+}
+
+#[test]
+fn schema_mismatch_is_a_join_error_everywhere() {
+    // The triangle with R stored over (x, z) instead of (x, y).
+    let triangle = examples::triangle();
+    let mut skewed_r = triangle_db();
+    skewed_r.insert("R", Relation::from_rows(vec![0, 2], [[1, 3]]));
+    // A self-join E(x,y), E(y,z): `Query::build` accepts it, but no stored
+    // relation is over both atoms' variables.
+    let mut b = Query::builder();
+    let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+    b.atom("E", &[x, y]).atom("E", &[y, z]);
+    let self_join = b.build();
+    let mut edges = Database::new();
+    edges.insert("E", Relation::from_rows(vec![0, 1], [[1, 2], [2, 3]]));
+
+    let mismatch =
+        |relation: &str, atom_vars: Vec<u32>, relation_vars: Vec<u32>| JoinError::SchemaMismatch {
+            relation: relation.to_string(),
+            atom_vars,
+            relation_vars,
+        };
+    for (q, db, expect) in [
+        (&triangle, &skewed_r, mismatch("R", vec![0, 1], vec![0, 2])),
+        (&self_join, &edges, mismatch("E", vec![1, 2], vec![0, 1])),
+    ] {
+        let prepared = Arc::new(Engine::new().prepare(q));
+        for alg in [
+            Algorithm::Auto,
+            Algorithm::Chain,
+            Algorithm::Sma,
+            Algorithm::Csma,
+            Algorithm::GenericJoin,
+            Algorithm::BinaryJoin,
+            Algorithm::Naive,
+        ] {
+            let got = prepared.execute(db, &ExecOptions::new().algorithm(alg));
+            assert_eq!(got.err(), Some(expect.clone()), "execute with {alg}");
+        }
+        assert_eq!(
+            ResultStream::open(&prepared, db).err(),
+            Some(expect.clone())
+        );
+        let view = prepared.materialize(db.clone(), DeltaOptions::new());
+        assert_eq!(view.err(), Some(expect.clone()));
+        assert!(expect.to_string().contains("stored over variables"));
     }
 }
 
