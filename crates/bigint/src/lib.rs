@@ -17,6 +17,8 @@
 //! back as a word pair as soon as it fits again. Which form a value is in is
 //! a function of the value alone and is not observable from outside.
 
+#![forbid(unsafe_code)]
+
 #[cfg(test)]
 mod differential;
 mod int;

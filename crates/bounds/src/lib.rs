@@ -72,6 +72,8 @@
 //! assert_eq!(chain.log_bound, llp.value);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agm;
 pub mod chain;
 pub mod cllp;

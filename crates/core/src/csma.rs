@@ -29,6 +29,7 @@ use fdjoin_bounds::csm::{csm_sequence, CsmRule, CsmSequence};
 use fdjoin_lattice::{ElemId, VarSet};
 use fdjoin_query::{LatticePresentation, Query};
 use fdjoin_storage::{Database, Relation, TrieIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -144,18 +145,18 @@ pub(crate) fn execute(
         .collect::<Result<_, _>>()?;
 
     // Initial branch state.
-    let mut tables: HashMap<ElemId, Relation> = HashMap::new();
-    tables.insert(lat.bottom(), Relation::nullary_unit());
+    let mut tables = Tables::new();
+    tables.insert(lat.bottom(), Cow::Owned(Relation::nullary_unit()));
     for (j, &e) in pres.inputs.iter().enumerate() {
         let rel = ex.input(j, &mut stats)?;
         match tables.get(&e) {
             None => {
-                tables.insert(e, rel.clone());
+                tables.insert(e, Cow::Borrowed(rel));
             }
             Some(existing) => {
                 // Two atoms with the same closure: intersect.
                 let merged = existing.semijoin(rel);
-                tables.insert(e, merged);
+                tables.insert(e, Cow::Owned(merged));
             }
         }
     }
@@ -195,6 +196,11 @@ pub(crate) fn execute(
     Ok((reduced, stats, csma))
 }
 
+/// Each lattice element's table in one branch. Tables still equal to an
+/// expanded input borrow it, so the per-bucket copies of a branch's state
+/// copy only what the branch derived.
+type Tables<'a> = HashMap<ElemId, Cow<'a, Relation>>;
+
 struct Ctx<'a> {
     lat: &'a fdjoin_lattice::Lattice,
     pairs: &'a [DegreePair],
@@ -206,7 +212,7 @@ struct Ctx<'a> {
 fn exec(
     ctx: &Ctx<'_>,
     rules: &[CsmRule],
-    mut tables: HashMap<ElemId, Relation>,
+    mut tables: Tables<'_>,
     mut guard_map: HashMap<(ElemId, ElemId), Arc<TrieIndex>>,
     out: &mut Relation,
     stats: &mut Stats,
@@ -228,18 +234,17 @@ fn exec(
     };
     match *rule {
         CsmRule::Cd { x, y } => {
-            let t = tables
-                .get(&y)
-                .cloned()
-                .unwrap_or_else(|| Relation::new(lat.set_of(y).unwrap().iter().collect()));
+            let t = tables.get(&y).cloned().unwrap_or_else(|| {
+                Cow::Owned(Relation::new(lat.set_of(y).unwrap().iter().collect()))
+            });
             let x_vars: Vec<u32> = lat.set_of(x).unwrap().iter().collect();
             let mut order = x_vars.clone();
             order.extend(t.vars().iter().copied().filter(|v| !x_vars.contains(v)));
             let sorted = Arc::new(TrieIndex::build(&t, &order));
             if sorted.is_empty() {
                 // Single empty branch.
-                tables.insert(y, sorted.to_relation());
-                tables.insert(x, Relation::new(x_vars));
+                tables.insert(y, Cow::Owned(sorted.to_relation()));
+                tables.insert(x, Cow::Owned(Relation::new(x_vars)));
                 guard_map.insert((x, y), sorted);
                 return exec(ctx, rest, tables, guard_map, out, stats);
             }
@@ -260,9 +265,12 @@ fn exec(
                 stats.branches += 1;
                 let mut tables2 = tables.clone();
                 let mut guards2 = guard_map.clone();
-                tables2.insert(x, TrieIndex::build(&bucket, &x_vars).to_relation());
+                tables2.insert(
+                    x,
+                    Cow::Owned(TrieIndex::build(&bucket, &x_vars).to_relation()),
+                );
                 guards2.insert((x, y), Arc::new(TrieIndex::build(&bucket, bucket.vars())));
-                tables2.insert(y, bucket);
+                tables2.insert(y, Cow::Owned(bucket));
                 exec(ctx, rest, tables2, guards2, out, stats)?;
             }
             Ok(())
@@ -277,17 +285,16 @@ fn exec(
             // Guards are stored with their conditioning attributes (Λlo)
             // first, so the pair's prefix is already the probe prefix.
             let result = join_into(ctx, &tables, p.lo, &guard, lo_len, p.hi, stats)?;
-            tables.insert(p.hi, result);
+            tables.insert(p.hi, Cow::Owned(result));
             exec(ctx, rest, tables, guard_map, out, stats)
         }
         CsmRule::Sm { a, b } => {
             let m = lat.meet(a, b);
             let m_vars: Vec<u32> = lat.set_of(m).unwrap().iter().collect();
             let from_tables = || {
-                let t = tables
-                    .get(&b)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::new(lat.set_of(b).unwrap().iter().collect()));
+                let t = tables.get(&b).cloned().unwrap_or_else(|| {
+                    Cow::Owned(Relation::new(lat.set_of(b).unwrap().iter().collect()))
+                });
                 let mut order = m_vars.clone();
                 order.extend(t.vars().iter().copied().filter(|v| !m_vars.contains(v)));
                 Arc::new(TrieIndex::build(&t, &order))
@@ -309,7 +316,7 @@ fn exec(
             };
             let join = lat.join(a, b);
             let result = join_into(ctx, &tables, a, &guard, m_vars.len(), join, stats)?;
-            tables.insert(join, result);
+            tables.insert(join, Cow::Owned(result));
             exec(ctx, rest, tables, guard_map, out, stats)
         }
     }
@@ -320,7 +327,7 @@ fn exec(
 /// [`extend`] step with the guard as its only side.
 fn join_into(
     ctx: &Ctx<'_>,
-    tables: &HashMap<ElemId, Relation>,
+    tables: &Tables<'_>,
     a: ElemId,
     guard: &TrieIndex,
     prefix_len: usize,
@@ -329,8 +336,8 @@ fn join_into(
 ) -> Result<Relation, JoinError> {
     let lat = ctx.lat;
     let ta = match tables.get(&a) {
-        Some(t) => t.clone(),
-        None => Relation::new(lat.set_of(a).unwrap().iter().collect()),
+        Some(t) => Cow::Borrowed(&**t),
+        None => Cow::Owned(Relation::new(lat.set_of(a).unwrap().iter().collect())),
     };
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();

@@ -45,6 +45,7 @@ use crate::{AccessPaths, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
 use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Value};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Where an op's value comes from.
@@ -166,8 +167,9 @@ pub struct Expander<'a> {
     query: &'a Query,
     db: &'a Database,
     paths: &'a AccessPaths<'a>,
-    /// `R_j⁺` per atom, expanded on first request ([`Expander::input`]).
-    inputs: Vec<OnceLock<Relation>>,
+    /// `R_j⁺` per atom, expanded on first request ([`Expander::input`]);
+    /// borrowed from the database where the expansion is the identity.
+    inputs: Vec<OnceLock<Cow<'a, Relation>>>,
     /// One `(lhs, check op)` per guarded FD and right-hand-side variable,
     /// in FD order.
     guards: Vec<(VarSet, Op)>,
@@ -359,12 +361,22 @@ impl<'a> Expander<'a> {
     /// algorithm (Algorithm 1 line 1, Algorithm 2, Sec. 5.3.3). Expanded by
     /// the first call of an execution and counted into that call's `stats`;
     /// later calls return the same relation and count nothing.
+    ///
+    /// An atom whose variable set is closed and whose relation is sorted is
+    /// its own expansion: the empty program keeps every row, and the sort
+    /// changes nothing. It is lent out as is, and counted as the copy would
+    /// have been — one [`Stats::intermediate_tuples`] per row.
     pub(crate) fn input(&self, j: usize, stats: &mut Stats) -> Result<&Relation, JoinError> {
         if let Some(rel) = self.inputs[j].get() {
             return Ok(rel);
         }
         let base = self.db.relation(&self.query.atoms()[j].name)?;
-        let expanded = self.expand_relation(base, stats)?;
+        let expanded = if base.is_sorted() && self.query.closure(base.var_set()) == base.var_set() {
+            stats.intermediate_tuples += base.len() as u64;
+            Cow::Borrowed(base)
+        } else {
+            Cow::Owned(self.expand_relation(base, stats)?)
+        };
         Ok(self.inputs[j].get_or_init(|| expanded))
     }
 
@@ -504,7 +516,10 @@ mod tests {
         let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         // T(z,u): {z,u} is closed, so T⁺ = T and each row counts once.
         let first = ex.input(2, &mut stats).unwrap();
-        assert_eq!(first, db.relation("T").unwrap());
+        assert!(
+            std::ptr::eq(first, db.relation("T").unwrap()),
+            "a closed, sorted atom is lent, not copied"
+        );
         let after_first = stats;
         assert_eq!(after_first.intermediate_tuples, 2);
         let second = ex.input(2, &mut stats).unwrap();
@@ -516,6 +531,40 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((stats.index_builds, stats.index_hits), (1, 1));
         assert_eq!(stats.deterministic(), after_first.deterministic());
+    }
+
+    #[test]
+    fn only_closed_sorted_atoms_are_lent() {
+        // R(x,y), S(y,z), T(z,u) with y → z guarded in S: {x,y}⁺ = {x,y,z}.
+        let q = fdjoin_query::examples::simple_fd_path();
+        let mut db = Database::new();
+        db.insert(
+            "R",
+            Relation::from_rows(vec![0, 1], [[1, 1], [2, 1], [3, 2]]),
+        );
+        db.insert("S", Relation::from_rows(vec![1, 2], [[1, 5], [2, 6]]));
+        // Closed but appended to out of order: expanded, which sorts it.
+        db.insert("T", Relation::from_rows(vec![2, 3], [[6, 8]]));
+        db.relation_mut("T").unwrap().push_row(&[5, 9]);
+        let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
+        let mut stats = Stats::default();
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
+        let before = stats;
+        let r = ex.input(0, &mut stats).unwrap();
+        assert!(!std::ptr::eq(r, db.relation("R").unwrap()));
+        assert_eq!(r.vars(), &[0, 1, 2]);
+        assert_eq!(r.len(), 3);
+        assert_eq!(stats.probes - before.probes, 3, "one guard lookup per row");
+        let s = ex.input(1, &mut stats).unwrap();
+        assert!(std::ptr::eq(s, db.relation("S").unwrap()));
+        let t = ex.input(2, &mut stats).unwrap();
+        assert!(!std::ptr::eq(t, db.relation("T").unwrap()));
+        assert!(t.is_sorted());
+        assert_eq!(
+            stats.intermediate_tuples - before.intermediate_tuples,
+            3 + 2 + 2
+        );
     }
 
     #[test]

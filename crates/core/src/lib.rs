@@ -47,6 +47,8 @@
 //! [`AutoDecision`]) and that `fdjoin_delta` uses to pick
 //! delta-specialized plans.
 
+#![forbid(unsafe_code)]
+
 mod access;
 mod binary_join;
 mod chain_algo;

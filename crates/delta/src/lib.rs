@@ -112,6 +112,8 @@
 //! assert_eq!(stats.full_recomputes, 0, "maintained, not recomputed");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod stats;
 mod stream;

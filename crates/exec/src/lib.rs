@@ -80,6 +80,8 @@
 //! assert_eq!(prepared.prep_stats().chain_searches, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod pool;
 mod streaming;

@@ -8,6 +8,8 @@
 //!   and tight instances, degree-bounded triangles);
 //! - [`random`]: random instances that satisfy all FDs by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod chain_inst;
 pub mod coords;
 pub mod random;

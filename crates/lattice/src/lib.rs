@@ -14,6 +14,8 @@
 //! - [`build`]: the paper's concrete lattices (Boolean algebras, `M3`, `N5`,
 //!   Figures 4, 7, 8, 9).
 
+#![forbid(unsafe_code)]
+
 mod canon;
 mod lattice;
 mod props;

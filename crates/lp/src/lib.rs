@@ -15,6 +15,8 @@
 //! dual values are extracted from the final tableau via the initial identity
 //! columns (`y = c_B B^{-1}`).
 
+#![forbid(unsafe_code)]
+
 use fdjoin_bigint::Rational;
 use std::fmt;
 

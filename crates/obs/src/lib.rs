@@ -57,6 +57,8 @@
 //! assert!(obs.metrics().to_prometheus().contains("fdjoin_executions_total"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod export;
 mod metrics;
 mod span;

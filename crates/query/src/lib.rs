@@ -7,6 +7,8 @@
 //! which lets us turn the paper's abstract lattices (Figs. 4, 7, 8, 9) into
 //! runnable queries.
 
+#![forbid(unsafe_code)]
+
 mod enumeration;
 mod fd;
 mod hypergraph;

@@ -12,6 +12,8 @@
 //! per-test seed (reproducible across runs), there is **no shrinking**, and
 //! failure reports carry the case index instead of a minimized input.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Deterministic SplitMix64 case generator.

@@ -7,6 +7,8 @@
 //! and statistically fine for test-instance generation (it is NOT
 //! cryptographic, and the streams differ from upstream `rand`).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Low-level source of random 64-bit words.

@@ -685,23 +685,6 @@ pub fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
 /// data-dependent loads of further halving.
 const LINEAR_SPAN: usize = 32;
 
-/// Hint the cache to pull in `s[i]`. No-op on non-x86_64 targets and out
-/// of bounds; on x86_64 a miss costs nothing (the hint is speculative)
-/// and a hit hides bisect latency on large levels.
-#[inline(always)]
-#[allow(unused_variables)]
-fn prefetch_value(s: &[Value], i: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if i < s.len() {
-        // SAFETY: the pointer is inside `s`'s allocation; prefetch has no
-        // memory effects either way.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(s.as_ptr().add(i) as *const i8, _MM_HINT_T0);
-        }
-    }
-}
-
 /// Number of elements of `s` strictly less than `v`, counted without a
 /// single branch on element values: every compare becomes a flag add, and
 /// the fixed-width chunks give the autovectorizer a clean reduction shape
@@ -722,9 +705,8 @@ fn count_lt(s: &[Value], v: Value) -> usize {
 
 /// First position in `s[from..hi]` whose value is `>= v`, assuming that
 /// subrange is sorted: gallop from `from`, branch-free bisect (the range
-/// update compiles to a conditional move, never a mispredicted jump, with
-/// both possible next midpoints prefetched one iteration ahead) down to
-/// `LINEAR_SPAN`, then the branch-free chunked `count_lt` sweep over
+/// update compiles to a conditional move, never a mispredicted jump) down
+/// to `LINEAR_SPAN`, then the branch-free chunked `count_lt` sweep over
 /// the short contiguous tail.
 fn lower_bound(s: &[Value], from: usize, hi: usize, v: Value) -> usize {
     debug_assert!(from <= hi && hi <= s.len());
@@ -751,11 +733,6 @@ fn lower_bound(s: &[Value], from: usize, hi: usize, v: Value) -> usize {
     let mut len = end - prev;
     while len > LINEAR_SPAN {
         let half = len / 2;
-        let quarter = (len - half) / 2;
-        if quarter > 0 {
-            prefetch_value(s, base + quarter);
-            prefetch_value(s, base + half + quarter);
-        }
         base += if s[base + half] < v { half } else { 0 };
         len -= half;
     }
@@ -848,11 +825,6 @@ impl ProbeSnapshot {
             return false;
         }
         *self = ix.children(self.depth, node);
-        // The next read at the child level is almost always its first
-        // cell; warm it while the caller is still deciding.
-        if let Some(child_level) = ix.values.get(self.depth) {
-            prefetch_value(child_level, self.lo);
-        }
         true
     }
 

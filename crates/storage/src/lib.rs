@@ -28,6 +28,8 @@
 //! per tuple — all per-tuple work is binary searches and slice writes into
 //! reused buffers, per the perf-book guidance.
 
+#![forbid(unsafe_code)]
+
 mod database;
 mod index;
 mod relation;

@@ -51,6 +51,8 @@
 //! assert_eq!(stream.stats().rows_streamed, 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fdjoin_core::descent::{Descent, Position};
 use fdjoin_core::{JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};

@@ -197,6 +197,8 @@
 //! | [`obs`] | observability: structured spans, metrics registry, JSONL/Prometheus export |
 //! | [`instances`] | worst-case and random instance generators |
 
+#![forbid(unsafe_code)]
+
 pub use fdjoin_bigint as bigint;
 pub use fdjoin_bounds as bounds;
 pub use fdjoin_core as core;

@@ -74,3 +74,27 @@ fn bound_driven_algorithms_count_the_pinned_work() {
         assert_eq!(counters(q, db, alg), expect, "{name}");
     }
 }
+
+/// A warm execution — plans and tries cached by the first — counts exactly
+/// what the cold one did. Serving checks every request's counters against
+/// the first run's, so work skipped only when a cache is warm (say, not
+/// expanding `R_j⁺` because every trie over it hits) would break it.
+#[test]
+fn warm_executions_repeat_the_cold_counters() {
+    let q = examples::fig1_udf();
+    let db = fig1_adversarial(1 << 8);
+    for alg in [Algorithm::Chain, Algorithm::Sma, Algorithm::Csma] {
+        let opts = ExecOptions::new().algorithm(alg).parallelism(1);
+        let prepared = Engine::new().prepare(&q);
+        let cold = prepared.execute(&db, &opts).unwrap();
+        let warm = prepared.execute(&db, &opts).unwrap();
+        assert!(cold.stats.index_builds > 0, "{alg:?}: the first run builds");
+        assert_eq!(warm.stats.index_builds, 0, "{alg:?}: the second only hits");
+        assert_eq!(
+            warm.stats.deterministic(),
+            cold.stats.deterministic(),
+            "{alg:?}"
+        );
+        assert_eq!(warm.output, cold.output, "{alg:?}");
+    }
+}
