@@ -39,6 +39,7 @@
 //!       index_build R [312.0us] kind=base ...
 //! ```
 
+use super::plan::PlanKey;
 use super::{AutoDecision, ExecOptions, JoinError, PreparedQuery};
 use crate::{AccessPaths, PrepStats, Stats};
 use fdjoin_obs::{render_text_tree, Observer};
@@ -68,7 +69,8 @@ pub struct Explain {
     pub distributive: bool,
     /// The Carmeli–Kröll enumeration class.
     pub enumeration: EnumerationClass,
-    /// Per-atom `(relation name, cardinality)` — the plan-cache key.
+    /// Per-atom `(relation name, cardinality)` — the sizes of the plan-cache
+    /// key (`PlanKey`) this execution's chain/LLP/SMA plans are cached under.
     pub profile: Vec<(String, u64)>,
     /// `log₂` of the best chain bound (`None`: no good chain).
     pub chain_log2: Option<f64>,
@@ -138,20 +140,21 @@ impl PreparedQuery {
         let q = &self.query;
         let opts = ExecOptions::new();
         let raw_lens = self.size_profile(db)?;
+        let key = PlanKey::new(raw_lens.clone());
         // Price every plan the planner might run (all land in the caches).
-        let chain_log2 = self.chain_plan(&raw_lens).map(|cb| cb.log_bound.to_f64());
-        let llp_log2 = self.llp_plan(&raw_lens).value.to_f64();
-        let sma_good_proof = self.sma_plan(&raw_lens).is_ok();
+        let chain_log2 = self.chain_plan(&key).map(|cb| cb.log_bound.to_f64());
+        let llp_log2 = self.llp_plan(&key).value.to_f64();
+        let sma_good_proof = self.sma_plan(&key).is_ok();
         let csma_log2 = {
             let paths = AccessPaths::with_token(&self.indexes, q, db, self.token)?;
             let mut scratch = Stats::default();
             let ex = crate::Expander::new(q, db, &paths, &mut scratch)?;
-            self.csma_plan(&ex.input_lens(&mut scratch)?, &[])
+            self.csma_plan(&PlanKey::new(ex.input_lens(&mut scratch)?))
                 .ok()
                 .map(|p| p.log_bound.to_f64())
         };
         let estimate = self.estimate(db)?;
-        let decision = self.choose(db, &raw_lens, &opts);
+        let decision = self.choose(db, &key, &opts);
         let mut profile = Vec::with_capacity(q.atoms().len());
         let mut index_reuse = Vec::with_capacity(q.atoms().len());
         for (a, &len) in q.atoms().iter().zip(&raw_lens) {

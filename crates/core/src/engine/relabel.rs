@@ -11,7 +11,6 @@
 //! `fdjoin_lattice::canonical_fingerprint`) and relabels on the way in and
 //! out.
 
-use crate::engine::JoinError;
 use crate::{csma, sma};
 use fdjoin_bounds::chain::{Chain, ChainBound};
 use fdjoin_bounds::csm::{CsmRule, CsmSequence};
@@ -160,22 +159,5 @@ impl Relabel {
             seq: CsmSequence { rules },
             log_bound: p.log_bound.clone(),
         }
-    }
-
-    /// Relabel a fallible plan, passing errors through (plan *absence* —
-    /// no good chain, no good proof — is itself isomorphism-invariant).
-    pub(crate) fn sma_result(
-        &self,
-        r: &Result<sma::SmaPlan, JoinError>,
-    ) -> Result<sma::SmaPlan, JoinError> {
-        r.as_ref().map(|p| self.sma(p)).map_err(Clone::clone)
-    }
-
-    /// See [`Relabel::sma_result`].
-    pub(crate) fn csma_result(
-        &self,
-        r: &Result<csma::CsmaPlan, JoinError>,
-    ) -> Result<csma::CsmaPlan, JoinError> {
-        r.as_ref().map(|p| self.csma(p)).map_err(Clone::clone)
     }
 }

@@ -19,12 +19,8 @@
 //! shape's per-size-profile plan maps are themselves bounded `Sharded`
 //! maps (random replacement past their cap).
 
-use super::prep::Sharded;
+use super::plan::Plans;
 use super::relabel::Relabel;
-use crate::engine::JoinError;
-use crate::{csma, sma};
-use fdjoin_bounds::chain::ChainBound;
-use fdjoin_bounds::llp::LlpSolution;
 use fdjoin_lattice::PresentationFingerprint;
 use std::collections::HashMap;
 use std::fmt;
@@ -39,23 +35,8 @@ pub(crate) type CanonKey = Vec<(u32, u64)>;
 /// All cached plans for one presentation shape, in canonical coordinates.
 #[derive(Debug)]
 pub(crate) struct ShapeEntry {
-    pub chain: Sharded<CanonKey, Option<ChainBound>>,
-    pub llp: Sharded<CanonKey, LlpSolution>,
-    pub sma: Sharded<CanonKey, Result<sma::SmaPlan, JoinError>>,
-    pub csma: Sharded<CanonKey, Result<csma::CsmaPlan, JoinError>>,
+    pub plans: Plans<CanonKey>,
     last_used: AtomicU64,
-}
-
-impl ShapeEntry {
-    fn new(stamp: u64) -> ShapeEntry {
-        ShapeEntry {
-            chain: Sharded::new(),
-            llp: Sharded::new(),
-            sma: Sharded::new(),
-            csma: Sharded::new(),
-            last_used: AtomicU64::new(stamp),
-        }
-    }
 }
 
 /// Aggregate counters for a [`PlanCache`].
@@ -164,7 +145,10 @@ impl PlanCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let entry = Arc::new(ShapeEntry::new(stamp));
+        let entry = Arc::new(ShapeEntry {
+            plans: Plans::default(),
+            last_used: AtomicU64::new(stamp),
+        });
         map.insert(fp.certificate().to_vec(), entry.clone());
         entry
     }

@@ -3,6 +3,7 @@
 
 use fdjoin_core::{
     naive_join, Algorithm, Engine, ExecOptions, JoinError, JoinResult, PlanCache, PreparedQuery,
+    UserDegreeBound,
 };
 use fdjoin_exec::{ExecuteBatch, Executor, StreamBudget};
 use fdjoin_lattice::VarSet;
@@ -138,6 +139,84 @@ fn isomorphic_queries_share_plans() {
     assert_eq!(d1.reason, d2.reason);
     assert_eq!(d1.chain_log_bound, d2.chain_log_bound);
     assert_eq!(d1.llp_log_bound, d2.llp_log_bound);
+}
+
+/// The triangle and a renamed twin (x,y,z ↦ ids 1,2,0, atoms reordered to
+/// T,R,S), each over the same tuples.
+fn triangle_pair() -> [(Query, Database); 2] {
+    let r = [[1, 2], [1, 3], [2, 3], [7, 8]];
+    let s = [[2, 3], [3, 1], [8, 9]];
+    let t = [[3, 1], [1, 1], [9, 7]];
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0, 1], r));
+    db.insert("S", Relation::from_rows(vec![1, 2], s));
+    db.insert("T", Relation::from_rows(vec![2, 0], t));
+
+    let mut b = Query::builder();
+    let (z, x, y) = (b.var("zz"), b.var("xx"), b.var("yy"));
+    b.atom("T2", &[z, x])
+        .atom("R2", &[x, y])
+        .atom("S2", &[y, z]);
+    let twin = b.build();
+    let mut twin_db = Database::new();
+    twin_db.insert("R2", Relation::from_rows(vec![1, 2], r));
+    twin_db.insert("S2", Relation::from_rows(vec![2, 0], s));
+    twin_db.insert("T2", Relation::from_rows(vec![0, 1], t));
+    [(examples::triangle(), db), (twin, twin_db)]
+}
+
+/// Plans pinned by a chain override or by user degree bounds are in one
+/// query's own coordinates: they never reach the shared tier — neither
+/// published nor rehydrated — so an isomorphic twin solves its own.
+#[test]
+fn pinned_plans_never_reach_the_shared_tier() {
+    let engine = Engine::with_plan_cache(Arc::new(PlanCache::new()));
+    for (i, (q, db)) in triangle_pair().into_iter().enumerate() {
+        let p = engine.prepare(&q);
+        // Unpinned plans first: the first query publishes them, the twin
+        // rehydrates them, and the chain they find becomes the override.
+        let best = p.execute(&db, &opts(Algorithm::Chain)).unwrap();
+        let chain = best.chain().unwrap().clone();
+        let atom = q
+            .atoms()
+            .iter()
+            .position(|a| a.name.starts_with('R'))
+            .unwrap();
+        let bound = UserDegreeBound {
+            atom,
+            on: vec![q.atoms()[atom].vars[0]],
+            max_degree: 2,
+        };
+        let pinned = [
+            opts(Algorithm::Chain).chain(chain),
+            opts(Algorithm::Csma).degree_bound(bound),
+        ];
+        let before = p.prep_stats();
+        for o in &pinned {
+            let r = p.execute(&db, o).unwrap();
+            assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
+        }
+        let first = p.prep_stats().since(&before);
+        assert_eq!(
+            first.shared_hits + first.shared_misses,
+            0,
+            "query {i}: pinned plans stay local: {first:?}"
+        );
+        // Query 1 is the twin: had query 0 published its pinned plans, the
+        // twin would have rehydrated them instead of solving.
+        assert_eq!(
+            (first.chain_searches, first.cllp_solves),
+            (1, 1),
+            "query {i}: {first:?}"
+        );
+        let after_first = p.prep_stats();
+        for o in &pinned {
+            p.execute(&db, o).unwrap();
+        }
+        let repeat = p.prep_stats().since(&after_first);
+        assert_eq!(repeat.solves(), 0, "query {i}: pinned plans cache locally");
+        assert_eq!(repeat.shared_hits + repeat.shared_misses, 0);
+    }
 }
 
 /// Plan sharing must never *change answers*: sweep every planned algorithm

@@ -21,7 +21,11 @@ use fdjoin_storage::{Database, Relation, Value};
 /// the LLP, checks condition (15) for the chain, and builds the product
 /// instance over chain increments. Returns `None` if the condition fails or
 /// the increments are not integral.
-pub fn chain_worst_case(q: &Query, chain: &Chain, log_sizes: &[Rational]) -> Option<Database> {
+pub(crate) fn chain_worst_case(
+    q: &Query,
+    chain: &Chain,
+    log_sizes: &[Rational],
+) -> Option<Database> {
     let pres = q.lattice_presentation();
     let lat = &pres.lattice;
     if !chain.tightness_condition(lat) {

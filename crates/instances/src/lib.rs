@@ -10,12 +10,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod chain_inst;
+// Theorem 5.14's chain worst case has no caller outside its own tests.
+#[cfg(test)]
+mod chain_inst;
 pub mod coords;
 pub mod random;
 pub mod special;
 
-pub use chain_inst::chain_worst_case;
 pub use coords::{materialize, normal_worst_case, CoordScheme};
 pub use random::random_instance;
 pub use special::{bounded_degree_triangle, fig1_adversarial, fig1_tight, m3_parity};

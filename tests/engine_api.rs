@@ -343,6 +343,111 @@ fn auto_decision_covers_every_rule_with_bounds_crate_values() {
     assert_eq!(seen, all, "every AutoReason variant exercised");
 }
 
+/// The full decision record, one row per `AutoReason`: the chosen
+/// algorithm, and exactly which of the compared bounds (chain, LLP) and
+/// measured estimates (avg, max) each rule leaves on record.
+#[test]
+fn auto_decision_record_is_exact_per_rule() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let db4 = fdjoin::instances::random_instance(&examples::fig4_query(), &mut rng, 10, 85);
+    let mut rng = StdRng::seed_from_u64(11);
+    let db9 = fdjoin::instances::random_instance(&examples::fig9_query(), &mut rng, 8, 85);
+    let triangle = examples::triangle();
+    let pres = triangle.lattice_presentation();
+    let chain = fdjoin::bounds::chain::cor59_chain(&pres.lattice, &pres.inputs);
+    let degree_bound = UserDegreeBound {
+        atom: 0,
+        on: vec![0],
+        max_degree: 2,
+    };
+    let worst_case = || ExecOptions::new().cost_tiebreak(false);
+    // (query, db, options, algorithm, reason, [chain, llp, est_avg, est_max] recorded)
+    let rows: [(
+        Query,
+        Database,
+        ExecOptions,
+        Algorithm,
+        AutoReason,
+        [bool; 4],
+    ); 7] = [
+        (
+            triangle.clone(),
+            triangle_db(),
+            ExecOptions::new().degree_bound(degree_bound),
+            Algorithm::Csma,
+            AutoReason::DegreeBoundsPinCsma,
+            [false, false, false, false],
+        ),
+        (
+            triangle.clone(),
+            triangle_db(),
+            ExecOptions::new().chain(chain),
+            Algorithm::Chain,
+            AutoReason::ChainOverridePinsChain,
+            [false, false, false, false],
+        ),
+        (
+            triangle,
+            triangle_db(),
+            ExecOptions::new(),
+            Algorithm::Chain,
+            AutoReason::DistributiveTightChain,
+            [true, false, false, false],
+        ),
+        // With the tie-break on: rule 2 fires before any estimate is taken.
+        (
+            examples::fig1_udf(),
+            fig1_db(),
+            ExecOptions::new(),
+            Algorithm::Chain,
+            AutoReason::ChainMatchesLlpOptimum,
+            [true, true, false, false],
+        ),
+        (
+            examples::fig4_query(),
+            db4.clone(),
+            ExecOptions::new(),
+            Algorithm::Chain,
+            AutoReason::EstimatedTightChain,
+            [true, true, true, true],
+        ),
+        (
+            examples::fig4_query(),
+            db4,
+            worst_case(),
+            Algorithm::Sma,
+            AutoReason::GoodSmProof,
+            [true, true, false, false],
+        ),
+        (
+            examples::fig9_query(),
+            db9,
+            worst_case(),
+            Algorithm::Csma,
+            AutoReason::CsmaFallback,
+            [true, true, false, false],
+        ),
+    ];
+    for (q, db, opts, algorithm, reason, recorded) in rows {
+        let prepared = Engine::new().prepare(&q);
+        let r = prepared.execute(&db, &opts).unwrap();
+        let d = r.auto.expect("Auto records a decision");
+        assert_eq!((d.algorithm, d.reason), (algorithm, reason));
+        assert_eq!(r.algorithm_used, algorithm);
+        assert_eq!(
+            [
+                d.chain_log_bound.is_some(),
+                d.llp_log_bound.is_some(),
+                d.estimate_log_avg.is_some(),
+                d.estimate_log_max.is_some(),
+            ],
+            recorded,
+            "{reason}"
+        );
+        assert_eq!(d.enumeration, prepared.enumeration_class());
+    }
+}
+
 #[test]
 fn auto_decision_reports_pinning_options() {
     let q = examples::triangle();
