@@ -76,12 +76,12 @@ pub(crate) fn execute(
     let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
         let mut part = Relation::new(all.clone());
         let mut vals = vec![0 as Value; nv];
-        let mut args = Vec::new();
+        let mut scratch = program.scratch();
         for row in rows.map(|ri| acc.row(ri)) {
             for (&v, &x) in acc.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            if program.run(&mut vals, &mut args, stats) {
+            if program.run(&mut vals, &mut scratch, stats) {
                 part.push_row(&vals);
                 stats.output_tuples += 1;
             }

@@ -33,7 +33,7 @@
 //! paper's Fig. 1 instance.
 
 use crate::engine::JoinError;
-use crate::expand::Program;
+use crate::expand::{Program, Scratch};
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
@@ -97,6 +97,18 @@ impl Position {
     pub fn is_done(&self) -> bool {
         self.done
     }
+}
+
+/// What a caller of [`Descent::run`] keeps from call to call besides its
+/// [`Position`]: the [`Scratch`] of each compiled program, so a leaf's guard
+/// lookups resume from the keys the previous leaf looked up. A cache, not
+/// part of where the search stands: a fresh one (after a checkpoint round
+/// trip, say) changes no answer and no counter.
+pub struct RunScratch {
+    /// Per depth, the scratch of its FD-determining program (`None` where
+    /// the depth is intersected).
+    determine: Vec<Option<Scratch>>,
+    leaf: Scratch,
 }
 
 impl Descent {
@@ -170,6 +182,18 @@ impl Descent {
     /// Whether `order[d]` is FD-determined (computed, not intersected).
     fn fd_determined(&self, d: usize) -> bool {
         self.determine[d].is_some()
+    }
+
+    /// Fresh scratch for running this descent's programs.
+    pub fn scratch(&self) -> RunScratch {
+        RunScratch {
+            determine: self
+                .determine
+                .iter()
+                .map(|p| p.as_ref().map(Program::scratch))
+                .collect(),
+            leaf: self.leaf.scratch(),
+        }
     }
 
     /// A position before the first answer: every cursor at its trie's root.
@@ -279,6 +303,8 @@ impl Descent {
     /// Continue the search from `pos`, calling `emit` with each answer
     /// (values by variable id, all query variables) in lexicographic order
     /// of the binding order, and never backtracking above depth `floor`.
+    /// `scratch` is this descent's [`Descent::scratch`], kept by the caller
+    /// across calls.
     /// Returns `Break` as soon as `emit` does — `pos` then stands right
     /// after that answer, ready for the next call — and `Continue` once
     /// everything below `floor` is enumerated ([`Position::is_done`]).
@@ -286,11 +312,11 @@ impl Descent {
         &self,
         pos: &mut Position,
         floor: usize,
+        scratch: &mut RunScratch,
         stats: &mut Stats,
         mut emit: impl FnMut(&[Value]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let n = self.order.len();
-        let mut args = Vec::new();
         while !pos.done {
             let d = pos.depth;
             if d == n {
@@ -300,7 +326,7 @@ impl Descent {
                 // FDs in place (expansion writes only unbound slots, which
                 // the search never reads).
                 self.backtrack(pos, floor);
-                if self.leaf.run(&mut pos.vals, &mut args, stats) {
+                if self.leaf.run(&mut pos.vals, &mut scratch.leaf, stats) {
                     stats.output_tuples += 1;
                     emit(&pos.vals)?;
                 }
@@ -308,9 +334,14 @@ impl Descent {
             }
             let value = match &self.determine[d] {
                 // Footnote 1: compute the single candidate.
-                Some(program) => program
-                    .run(&mut pos.vals, &mut args, stats)
-                    .then(|| pos.vals[self.order[d] as usize]),
+                Some(program) => {
+                    let scratch = scratch.determine[d]
+                        .as_mut()
+                        .expect("another descent's scratch");
+                    program
+                        .run(&mut pos.vals, scratch, stats)
+                        .then(|| pos.vals[self.order[d] as usize])
+                }
                 None => self.leapfrog(&mut pos.levels[d], d, pos.lead[d], stats),
             };
             if value.is_some_and(|v| self.narrow(pos, d, v, stats)) {
@@ -392,12 +423,17 @@ mod tests {
     }
 
     /// Drain `descent`, stopping the run after every `pause_every`-th row
-    /// (0 = never) and continuing from the saved position.
-    fn drain(descent: &Descent, pause_every: usize) -> (Vec<Vec<Value>>, Stats) {
+    /// (0 = never) and continuing from the saved position — with the
+    /// scratch kept across calls, or (`fresh`) a new one per call, which is
+    /// what a checkpoint round trip does.
+    fn drain(descent: &Descent, pause_every: usize, fresh: bool) -> (Vec<Vec<Value>>, Stats) {
         let (mut rows, mut stats) = (Vec::new(), Stats::default());
-        let mut pos = descent.start();
+        let (mut pos, mut scratch) = (descent.start(), descent.scratch());
         while !pos.is_done() {
-            let _ = descent.run(&mut pos, 0, &mut stats, |row| {
+            if fresh {
+                scratch = descent.scratch();
+            }
+            let _ = descent.run(&mut pos, 0, &mut scratch, &mut stats, |row| {
                 rows.push(row.to_vec());
                 if pause_every > 0 && rows.len() % pause_every == 0 {
                     ControlFlow::Break(())
@@ -455,12 +491,13 @@ mod tests {
                     Descent::open(&q, &db, &paths, None, bind_fds, &mut Stats::default()).unwrap();
                 let determined: Vec<bool> = (0..3).map(|d| descent.fd_determined(d)).collect();
                 assert_eq!(determined, [false, false, bind_fds]);
-                let (rows, stats) = drain(&descent, 0);
+                let (rows, stats) = drain(&descent, 0, false);
                 assert_eq!(rows, expect, "bind_fds {bind_fds}");
-                for pause_every in 1..=3 {
-                    let (paused_rows, paused_stats) = drain(&descent, pause_every);
-                    assert_eq!(paused_rows, expect, "bind_fds {bind_fds}");
-                    assert_eq!(paused_stats, stats, "bind_fds {bind_fds}");
+                for (pause_every, fresh) in (1..=3).flat_map(|p| [(p, false), (p, true)]) {
+                    let (paused_rows, paused_stats) = drain(&descent, pause_every, fresh);
+                    let ctx = format!("bind_fds {bind_fds}, pause {pause_every}, fresh {fresh}");
+                    assert_eq!(paused_rows, expect, "{ctx}");
+                    assert_eq!(paused_stats, stats, "{ctx}");
                 }
             }
         }

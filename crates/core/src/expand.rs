@@ -44,16 +44,19 @@ use crate::engine::JoinError;
 use crate::{AccessPaths, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Value};
+use fdjoin_storage::{Database, Finger, Found, MissingRelation, Relation, TrieIndex, UdfFn, Value};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Where an op's value comes from.
 #[derive(Clone)]
 enum Source {
     /// The guard relation indexed inputs-then-`v`: the unique extension of
-    /// the input values is the first value below them.
-    Guard(Arc<TrieIndex>),
+    /// the input values is the first value below them. The `usize` is the
+    /// op's finger in its program's [`Scratch`]: the number of guard ops
+    /// before it.
+    Guard(Arc<TrieIndex>, usize),
     /// A registered function of the input values.
     Udf(UdfFn),
 }
@@ -87,35 +90,71 @@ pub struct OpKey {
 /// set; meaningful only on tuples with exactly that set bound.
 pub struct Program {
     ops: Vec<Op>,
+    /// Tells this program's [`Scratch`] from every other program's.
+    id: u64,
 }
 
 impl Program {
+    /// Number the guard ops' fingers and give the program its identity.
+    fn new(mut ops: Vec<Op>) -> Program {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let mut guards = 0;
+        for op in &mut ops {
+            if let Source::Guard(_, finger) = &mut op.source {
+                *finger = guards;
+                guards += 1;
+            }
+        }
+        Program {
+            ops,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// What a caller keeps between runs of this program: a [`Finger`] per
+    /// guard lookup and the UDF argument buffer. Made once outside the
+    /// caller's loop; a fresh one changes no answer and no counter. A
+    /// program without guard lookups allocates nothing here.
+    pub fn scratch(&self) -> Scratch {
+        let fingers = self.ops.iter().filter_map(|op| match &op.source {
+            Source::Guard(ix, _) => Some(Finger::new(ix, op.inputs.iter().copied())),
+            Source::Udf(_) => None,
+        });
+        Scratch {
+            program: self.id,
+            args: Vec::new(),
+            fingers: fingers.collect(),
+        }
+    }
+
     /// Run the program on `vals` (values by variable id): bind ops write
     /// their slot, check ops compare it. `false` as soon as a guard lookup
     /// dangles or a check disagrees — the tuple is to be dropped, and
-    /// `vals` is unspecified on the slots the program binds. `args` is
-    /// scratch for UDF argument lists, owned by the caller so a loop
-    /// allocates it once. Counts one [`Stats::probes`] per guard lookup and
-    /// one [`Stats::expansions`] per UDF application actually executed.
+    /// `vals` is unspecified on the slots the program binds. `scratch` is
+    /// this program's [`Program::scratch`]: each guard lookup resumes from
+    /// the key it looked up last time. Counts one [`Stats::probes`] per
+    /// guard lookup and one [`Stats::expansions`] per UDF application
+    /// actually executed.
+    ///
+    /// # Panics
+    ///
+    /// If `scratch` was made by another program: its fingers point into
+    /// other tries.
     #[inline]
-    pub fn run(&self, vals: &mut [Value], args: &mut Vec<Value>, stats: &mut Stats) -> bool {
+    pub fn run(&self, vals: &mut [Value], scratch: &mut Scratch, stats: &mut Stats) -> bool {
+        assert_eq!(scratch.program, self.id, "another program's scratch");
         for op in &self.ops {
             let found = match &op.source {
-                Source::Guard(ix) => {
-                    // Descend through the bound input values straight out
-                    // of the tuple (no key materialization).
+                Source::Guard(ix, finger) => {
                     stats.probes += 1;
-                    let mut probe = ix.probe();
-                    if !op.inputs.iter().all(|&u| probe.descend(vals[u as usize])) {
-                        return false; // dangling
-                    }
-                    match probe.current() {
+                    match guard_lookup(ix, vals, &mut scratch.fingers[*finger]) {
                         Some(found) => found,
-                        None => return false,
+                        None => return false, // dangling
                     }
                 }
                 Source::Udf(f) => {
                     stats.expansions += 1;
+                    let args = &mut scratch.args;
                     args.clear();
                     args.extend(op.inputs.iter().map(|&u| vals[u as usize]));
                     f(args)
@@ -145,12 +184,35 @@ impl Program {
     /// What each op evaluates, in execution order.
     pub fn op_keys(&self) -> impl Iterator<Item = OpKey> + '_ {
         self.ops.iter().map(|op| OpKey {
-            guarded: matches!(op.source, Source::Guard(_)),
+            guarded: matches!(op.source, Source::Guard(..)),
             inputs: VarSet::from_vars(op.inputs.iter().copied()),
             out: op.v,
             binds: op.bind,
         })
     }
+}
+
+/// The value the guard trie `ix` (inputs, then the output) holds below the
+/// values of the op's input slots of `vals`, through the op's finger on
+/// them; `None` if they dangle. Out of line, so that [`Program::run`] stays
+/// small enough to inline into its callers' loops.
+#[inline(never)]
+fn guard_lookup(ix: &TrieIndex, vals: &[Value], finger: &mut Finger) -> Option<Value> {
+    if finger.seek(ix, vals) == Found::Miss {
+        return None;
+    }
+    finger.at().current(ix)
+}
+
+/// What one caller of a [`Program`] keeps from run to run; only
+/// [`Program::scratch`] makes one, and only that program runs with it.
+pub struct Scratch {
+    /// The `id` of the program that made it.
+    program: u64,
+    /// UDF argument lists.
+    args: Vec<Value>,
+    /// One finger per guard op, on its input slots, in op order.
+    fingers: Vec<Finger>,
 }
 
 /// The checks a program under construction already contains, by index
@@ -230,7 +292,7 @@ impl<'a> Expander<'a> {
                 let mut cols: Vec<u32> = fd.lhs.iter().collect();
                 cols.push(v);
                 let ix = paths.base(&atom.name, rel, &cols, stats);
-                guards.push((fd.lhs, check_op(Source::Guard(ix), fd.lhs, v)));
+                guards.push((fd.lhs, check_op(Source::Guard(ix, 0), fd.lhs, v)));
             }
         }
         Ok(Expander {
@@ -334,7 +396,7 @@ impl<'a> Expander<'a> {
     pub fn compile_expand(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
         let mut ops = Vec::new();
         self.push_expand(bound, target, &mut ops, &mut self.nothing_emitted())?;
-        Ok(Program { ops })
+        Ok(Program::new(ops))
     }
 
     /// The verify list for tuples with `bound` bound: every FD whose
@@ -344,7 +406,7 @@ impl<'a> Expander<'a> {
     pub fn compile_verify(&self, bound: VarSet) -> Program {
         let mut ops = Vec::new();
         self.push_verify(bound, &mut ops, &mut self.nothing_emitted());
-        Program { ops }
+        Program::new(ops)
     }
 
     /// Expand from `bound` to `target`, then verify every FD within
@@ -354,7 +416,7 @@ impl<'a> Expander<'a> {
         let (mut ops, mut done) = (Vec::new(), self.nothing_emitted());
         self.push_expand(bound, target, &mut ops, &mut done)?;
         self.push_verify(target, &mut ops, &mut done);
-        Ok(Program { ops })
+        Ok(Program::new(ops))
     }
 
     /// Atom `j`'s expanded relation `R_j⁺` — step 1 of every bound-driven
@@ -419,13 +481,13 @@ impl<'a> Expander<'a> {
         out_vars.extend(target.minus(src_vars).iter());
         let mut out = Relation::new(out_vars.clone());
         let mut vals = vec![0 as Value; self.query.n_vars()];
-        let mut args = Vec::new();
+        let mut scratch = program.scratch();
         let mut buf = vec![0 as Value; out_vars.len()];
         for row in rel.rows() {
             for (&v, &x) in rel.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            if program.run(&mut vals, &mut args, stats) {
+            if program.run(&mut vals, &mut scratch, stats) {
                 project(&vals, &out_vars, &mut buf);
                 out.push_row(&buf);
                 stats.intermediate_tuples += 1;
@@ -576,9 +638,9 @@ mod tests {
         let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
         // Tuple over {x,y,z,u} where u ≠ f(x,z): the verify list must reject.
         let verify = ex.compile_verify(VarSet::from_vars([0, 1, 2, 3]));
-        let mut args = Vec::new();
-        assert!(verify.run(&mut [7, 2, 5, 7], &mut args, &mut stats));
-        assert!(!verify.run(&mut [7, 2, 5, 8], &mut args, &mut stats));
+        let mut scratch = verify.scratch();
+        assert!(verify.run(&mut [7, 2, 5, 7], &mut scratch, &mut stats));
+        assert!(!verify.run(&mut [7, 2, 5, 8], &mut scratch, &mut stats));
     }
 
     #[test]
@@ -608,6 +670,35 @@ mod tests {
         let _ex2 = Expander::new(&q, &db, &paths, &mut stats2).unwrap();
         assert_eq!(stats2.index_builds, 0);
         assert_eq!(stats2.index_hits, 1);
+    }
+
+    #[test]
+    fn a_scratch_runs_only_the_program_that_made_it() {
+        // T(x,y,z) guards xy→z.
+        let q = fdjoin_query::examples::composite_key();
+        let mut db = Database::new();
+        db.insert("R", Relation::from_rows(vec![0], [[1]]));
+        db.insert("S", Relation::from_rows(vec![1], [[10]]));
+        db.insert("T", Relation::from_rows(vec![0, 1, 2], [[1, 10, 100]]));
+        let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
+        let mut stats = Stats::default();
+        let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
+        let xyz = VarSet::from_vars([0, 1, 2]);
+        let program = ex.compile_verify(xyz);
+        assert_eq!(program.len(), 1, "one guard lookup");
+        let mut own = program.scratch();
+        assert!(program.run(&mut [1, 10, 100], &mut own, &mut stats));
+        // A twin with the same ops, and a program without any, are still
+        // other programs: running with their scratch fails loudly.
+        let twin = ex.compile_verify(xyz);
+        let empty = ex.compile_verify(VarSet::EMPTY);
+        for mut other in [twin.scratch(), empty.scratch()] {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                program.run(&mut [1, 10, 100], &mut other, &mut Stats::default())
+            }));
+            assert!(run.is_err(), "another program's scratch is refused");
+        }
     }
 
     #[test]

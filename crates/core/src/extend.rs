@@ -14,27 +14,26 @@
 //! Theorem 5.7's poly-log factor is the index lookup, and the loop pays it
 //! only where the left side's sort order has not already answered it:
 //!
-//! - each side keeps a [`Finger`] across left rows — the trie positions of
-//!   the last key, one per key depth. A row whose key repeats the last one
-//!   reuses its position; otherwise the search restarts at the first depth
-//!   where the keys differ, galloping forward from the last lower bound
-//!   when the key grew there (a sorted left side mostly does) and from that
-//!   depth's frame when it shrank (key columns that are not a prefix of the
-//!   left order go down between groups);
+//! - each side keeps a [`Finger`] on its key across left rows. A row whose
+//!   key repeats the last one reuses its position; otherwise the search
+//!   resumes at the first depth where the keys differ (a sorted left side
+//!   mostly gallops forward there; key columns that are not a prefix of the
+//!   left order go down between groups and restart that depth);
 //! - a candidate's membership in every *other* side starts at that side's
 //!   key position, since the key columns carry the left row's values: only
-//!   the non-key variables are descended, the first of them through a
-//!   finger of its own, and a side whose key is its whole arity passes;
+//!   the non-key variables are descended, the first through a memo of the
+//!   last one checked below the same key, and a side whose key is its
+//!   whole arity passes;
 //! - the picked range is walked depth-first from the key position
 //!   ([`Walk`]), so a left row allocates nothing and re-derives no path.
 //!
 //! None of this changes what is counted: one [`Stats::probes`] per side
 //! probed or checked, whatever the lookup cost.
 
-use crate::expand::{assemble, project, Program};
+use crate::expand::{assemble, project, Program, Scratch};
 use crate::par::{for_blocks, merge, ParCtx};
 use crate::Stats;
-use fdjoin_storage::{ProbeSnapshot, Relation, TrieIndex, Value};
+use fdjoin_storage::{Finger, Found, ProbeSnapshot, Relation, TrieIndex, Value};
 
 /// One right-hand side of an [`extend`] step.
 pub(crate) struct Side<'a> {
@@ -80,9 +79,8 @@ pub(crate) fn extend(
     let parts = for_blocks(par, left.len(), None, stats, |rows, stats| {
         let mut part = Relation::new(out_vars.to_vec());
         let mut vals = vec![0 as Value; nv];
-        let mut args = Vec::new();
         let mut buf = vec![0 as Value; out_vars.len()];
-        let mut fingers: Vec<Finger> = sides.iter().map(Finger::new).collect();
+        let mut fingers: Vec<SideFinger> = sides.iter().map(SideFinger::new).collect();
         let mut walk = Walk::default();
         let mut ext = vec![0 as Value; widest];
         for t in rows.map(|ri| left.row(ri)) {
@@ -106,10 +104,12 @@ pub(crate) fn extend(
             for (slot, &c) in ext.iter_mut().zip(&picked.key_cols) {
                 *slot = t[c];
             }
-            walk.reset(fingers[pick].at());
+            walk.reset(fingers[pick].key.at());
             'ext: while walk.next(ix, ext) {
                 if !assemble(&mut vals, left.vars(), left_set, t, ix.vars(), ext)
-                    || !picked.program.run(&mut vals, &mut args, stats)
+                    || !picked
+                        .program
+                        .run(&mut vals, &mut fingers[pick].program, stats)
                 {
                     continue;
                 }
@@ -132,114 +132,60 @@ pub(crate) fn extend(
     merge(parts)
 }
 
-/// A side's trie position for the key of the last left row it was placed
-/// at, kept from row to row so the next key's search starts where this
-/// one's left off.
-struct Finger {
-    /// The last key, valid up to depth `reached` (later values were never
-    /// searched for).
-    key: Vec<Value>,
-    /// `frames[d]`: the position below `key[..d]`, for `d ≤ reached`.
-    frames: Vec<ProbeSnapshot>,
-    /// `lbs[d]`: where the search for `key[d]` landed in `frames[d]`.
-    lbs: Vec<usize>,
-    /// How many key values were found: the key's depth on a hit, the depth
-    /// of the miss otherwise.
-    reached: usize,
-    /// Whether `key` holds a searched key yet.
-    primed: bool,
-    /// Rows below the key on a hit.
+/// A side's lookups, kept from left row to left row: a [`Finger`] on the
+/// left row's key, what is known below the position it last moved to, and
+/// the scratch of the side's program.
+struct SideFinger {
+    key: Finger,
+    /// Rows below the key position.
     matches: usize,
-    /// The membership finger on the first non-key variable, under the
-    /// current key: its last value, where that search landed, and the
-    /// position below it if found.
+    /// The membership check on the first non-key variable, below the key
+    /// position: its last value, where that search landed, and the position
+    /// below it if found.
     check: Option<(Value, usize, Option<ProbeSnapshot>)>,
+    program: Scratch,
 }
 
-impl Finger {
-    fn new(side: &Side<'_>) -> Finger {
-        let k = side.key_cols.len();
-        let mut frames = vec![ProbeSnapshot::default(); k + 1];
-        frames[0] = side.trie.probe().snapshot();
-        Finger {
-            key: vec![0; k],
-            frames,
-            lbs: vec![0; k],
-            reached: 0,
-            primed: false,
+impl SideFinger {
+    fn new(side: &Side<'_>) -> SideFinger {
+        SideFinger {
+            key: Finger::new(side.trie, side.key_cols.iter().map(|&c| c as u32)),
             matches: 0,
             check: None,
+            program: side.program.scratch(),
         }
     }
 
-    /// Place the finger at left row `t`'s key; the number of rows below it
-    /// (0 on a miss).
+    /// Place the key finger at left row `t`'s key; the number of rows below
+    /// it (0 on a miss).
     fn seek(&mut self, side: &Side<'_>, t: &[Value]) -> usize {
-        let (ix, cols) = (side.trie, &side.key_cols);
-        let k = cols.len();
-        let mut d = 0;
-        if self.primed {
-            // A key sharing the last one's values through the depth its
-            // search stopped at has the same answer: the same hit, or the
-            // same shallow miss.
-            let searched = k.min(self.reached + 1);
-            d = (0..searched)
-                .take_while(|&i| t[cols[i]] == self.key[i])
-                .count();
-            if d == searched {
-                return if self.reached == k { self.matches } else { 0 };
+        match self.key.seek(side.trie, t) {
+            Found::Miss => 0,
+            Found::Again => self.matches,
+            Found::Hit => {
+                (self.matches, self.check) = (self.key.at().len(side.trie), None);
+                self.matches
             }
         }
-        self.check = None;
-        // Only the first differing depth has a previous search in the same
-        // frame to resume from; deeper frames are new.
-        let mut resume = self.primed;
-        self.primed = true;
-        while d < k {
-            let v = t[cols[d]];
-            let mut pos = self.frames[d];
-            if resume && v > self.key[d] {
-                // Every node before the last key's lower bound is smaller
-                // than that key, so smaller than `v`.
-                pos.lo = self.lbs[d];
-            }
-            resume = false;
-            self.key[d] = v;
-            let found = pos.seek(ix, v) == Some(v);
-            self.lbs[d] = pos.lo;
-            if !found {
-                self.reached = d;
-                return 0;
-            }
-            self.frames[d + 1] = pos.enter(ix);
-            d += 1;
-        }
-        self.reached = k;
-        self.matches = self.frames[k].len(ix);
-        self.matches
-    }
-
-    /// The position below the key (meaningful after a hit).
-    fn at(&self) -> ProbeSnapshot {
-        self.frames[self.key.len()]
     }
 
     /// Whether the candidate in `vals` (values by variable id) is a row of
-    /// `side`, whose key — the left row's values — this finger was last
-    /// placed at.
+    /// `side`, whose key — the left row's values — the key finger was last
+    /// placed at: only the non-key values are looked up, below that key,
+    /// the first of them through the check memo.
     fn contains(&mut self, side: &Side<'_>, vals: &[Value]) -> bool {
-        let (ix, k) = (side.trie, self.key.len());
-        if self.reached < k {
+        if !self.key.is_hit() {
             return false;
         }
-        let Some((&first, rest)) = ix.vars()[k..].split_first() else {
+        let ix = side.trie;
+        let Some((&first, rest)) = ix.vars()[side.key_cols.len()..].split_first() else {
             return true; // the key is the whole row
         };
         let v = vals[first as usize];
         let below = match self.check {
             Some((last, _, below)) if last == v => below,
             check => {
-                let mut pos = self.frames[k];
+                let mut pos = self.key.at();
                 if let Some((last, lb, _)) = check {
                     if v > last {
                         pos.lo = lb;
@@ -341,7 +287,6 @@ mod tests {
         let probed = if argmin { sides } else { &sides[..1] };
         let mut out = Relation::new(out_vars.to_vec());
         let mut vals = vec![0 as Value; nv];
-        let mut args = Vec::new();
         let mut buf = vec![0 as Value; out_vars.len()];
         for t in left.rows() {
             let (mut pick, mut range) = (0, 0..0);
@@ -358,10 +303,11 @@ mod tests {
                 continue;
             }
             let picked = &sides[pick];
+            let mut scratch = picked.program.scratch();
             let mut matches = picked.trie.walk(range);
             'ext: while let Some(ext) = matches.next() {
                 if !assemble(&mut vals, left.vars(), left_set, t, picked.trie.vars(), ext)
-                    || !picked.program.run(&mut vals, &mut args, stats)
+                    || !picked.program.run(&mut vals, &mut scratch, stats)
                 {
                     continue;
                 }

@@ -46,10 +46,10 @@ pub(crate) fn execute(
             &mut stats,
             |range, stats| {
                 let mut part = Relation::new(all.clone());
-                let mut pos = descent.start();
+                let (mut pos, mut scratch) = (descent.start(), descent.scratch());
                 for &root in &roots[range] {
                     descent.bind_root(&mut pos, root, stats);
-                    let _ = descent.run(&mut pos, 1, stats, |row| {
+                    let _ = descent.run(&mut pos, 1, &mut scratch, stats, |row| {
                         part.push_row(row);
                         ControlFlow::Continue(())
                     });
@@ -61,7 +61,8 @@ pub(crate) fn execute(
     }
 
     let mut out = Relation::new(all);
-    let _ = descent.run(&mut descent.start(), 0, &mut stats, |row| {
+    let mut scratch = descent.scratch();
+    let _ = descent.run(&mut descent.start(), 0, &mut scratch, &mut stats, |row| {
         out.push_row(row);
         ControlFlow::Continue(())
     });

@@ -38,7 +38,10 @@
 //! per `(relation, column order)`, built once per relation version and
 //! navigated by zero-allocation narrowing cursors
 //! (`fdjoin_storage::Probe`), with build/hit counters surfaced in
-//! [`Stats`] and [`PrepStats`].
+//! [`Stats`] and [`PrepStats`]. Every keyed lookup into them — a join
+//! step's key and membership checks, a compiled guard lookup — goes
+//! through a `fdjoin_storage::Finger` kept across tuples, which resumes
+//! from the last key instead of the trie root.
 //!
 //! Beyond the worst-case bounds, the [`cost`] module prices plans from
 //! *measured* data: per-relation degree/skew statistics
@@ -72,7 +75,7 @@ pub use engine::{
     JoinResult, Parallelism, PlanCache, PlanCacheStats, PlanDetail, PrepStats, PreparedQuery,
     UserDegreeBound,
 };
-pub use expand::{Expander, OpKey, Program};
+pub use expand::{Expander, OpKey, Program, Scratch};
 pub use par::run_scoped;
 pub use stats::Stats;
 

@@ -68,10 +68,10 @@ pub(crate) fn execute(
     let all: Vec<u32> = (0..nv as u32).collect();
     let parts = crate::par::for_blocks(par, partials.len(), None, &mut stats, |range, stats| {
         let mut part = Relation::new(all.clone());
-        let mut args = Vec::new();
+        let mut scratch = program.scratch();
         for (_, vals) in &partials[range] {
             let mut vals = vals.clone();
-            if program.run(&mut vals, &mut args, stats) {
+            if program.run(&mut vals, &mut scratch, stats) {
                 part.push_row(&vals);
                 stats.output_tuples += 1;
             }

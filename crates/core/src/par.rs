@@ -236,7 +236,7 @@ pub(crate) fn semijoin_reduce_verified(
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Relation::new(out.vars().to_vec());
         let mut vals = vec![0 as Value; out.vars().len()];
-        let mut args = Vec::new();
+        let mut scratch = verify.scratch();
         // One key buffer for every membership lookup of the block.
         let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
@@ -249,7 +249,7 @@ pub(crate) fn semijoin_reduce_verified(
                 }
             }
             vals.copy_from_slice(row);
-            if !verify.run(&mut vals, &mut args, stats) {
+            if !verify.run(&mut vals, &mut scratch, stats) {
                 continue;
             }
             reduced.push_row(row);

@@ -19,7 +19,9 @@
 //!   by a zero-allocation narrowing cursor ([`Probe`] = an index plus a
 //!   plain [`ProbeSnapshot`] position, the one cursor representation),
 //!   keyed by content version so repeated executions, batches, and delta
-//!   joins reuse them (see the [`index`-module docs](IndexSet));
+//!   joins reuse them (see the [`index`-module docs](IndexSet)); a
+//!   [`Finger`] is the one keyed lookup into such a trie, resumed from the
+//!   last key's path instead of the root;
 //! - [`UdfRegistry`]: user-defined functions backing unguarded FDs
 //!   (Sec. 1.1 of the paper);
 //! - [`Database`]: a named collection of relation instances.
@@ -31,12 +33,14 @@
 #![forbid(unsafe_code)]
 
 mod database;
+mod finger;
 mod index;
 mod relation;
 mod stats;
 mod udf;
 
 pub use database::{Database, MissingRelation};
+pub use finger::{Finger, Found};
 pub use index::{
     balanced_ranges, IndexKey, IndexKind, IndexSet, IndexSetStats, Probe, ProbeSnapshot, RowWalk,
     TrieIndex,

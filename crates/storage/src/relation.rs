@@ -2,7 +2,7 @@
 
 use crate::index::TrieIndex;
 use crate::stats::RelationStats;
-use crate::Value;
+use crate::{Finger, Found, Value};
 use fdjoin_lattice::VarSet;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -600,7 +600,8 @@ impl Relation {
     /// Keep rows whose projection onto the shared variables appears in
     /// `other` (semijoin reduction `self ⋉ other`). The filter runs through
     /// the access-path layer: a [`TrieIndex`] of `other` on the shared
-    /// columns, probed with zero per-row key allocation.
+    /// columns, probed through one [`Finger`] with zero per-row key
+    /// allocation.
     pub fn semijoin(&self, other: &Relation) -> Relation {
         let shared: Vec<u32> = self
             .vars
@@ -616,11 +617,11 @@ impl Relation {
             };
         }
         let ix = TrieIndex::build(other, &shared);
-        let cols: Vec<usize> = shared.iter().map(|&v| self.col_of(v).unwrap()).collect();
+        let cols = shared.iter().map(|&v| self.col_of(v).unwrap() as u32);
         let mut out = Relation::new(self.vars.clone());
+        let mut finger = Finger::new(&ix, cols);
         for row in self.rows() {
-            let mut p = ix.probe();
-            if cols.iter().all(|&c| p.descend(row[c])) {
+            if finger.seek(&ix, row) != Found::Miss {
                 out.push_row(row);
             }
         }

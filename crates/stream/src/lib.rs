@@ -53,7 +53,7 @@
 
 #![forbid(unsafe_code)]
 
-use fdjoin_core::descent::{Descent, Position};
+use fdjoin_core::descent::{Descent, Position, RunScratch};
 use fdjoin_core::{JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::{Database, Relation, Value};
@@ -74,6 +74,9 @@ pub struct ResultStream<'a> {
     descent: Descent,
     /// The suspended search position.
     pos: Position,
+    /// The descent's program fingers, kept across rows so each leaf's
+    /// guard lookups resume from the previous leaf's keys.
+    scratch: RunScratch,
     /// Content versions of each atom's relation at open time, stamped into
     /// checkpoints so a resume against drifted data is rejected.
     versions: Vec<u64>,
@@ -106,6 +109,7 @@ impl<'a> ResultStream<'a> {
         Ok(ResultStream {
             prepared,
             pos: descent.start(),
+            scratch: descent.scratch(),
             descent,
             versions,
             udf_version: db.udfs.version(),
@@ -119,12 +123,9 @@ impl<'a> ResultStream<'a> {
     /// emitted row.
     fn advance(&mut self) -> bool {
         self.descent
-            .run(
-                &mut self.pos,
-                0,
-                &mut self.stats,
-                |_| ControlFlow::Break(()),
-            )
+            .run(&mut self.pos, 0, &mut self.scratch, &mut self.stats, |_| {
+                ControlFlow::Break(())
+            })
             .is_break()
     }
 

@@ -90,11 +90,11 @@ fn verify_fds_rejects_planted_violations() {
     let mut stats = Stats::default();
     let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
     let verify = ex.compile_verify(VarSet::full(4));
-    let mut args = Vec::new();
+    let mut scratch = verify.scratch();
     // Correct tuple.
-    assert!(verify.run(&mut [1, 10, 100, 7], &mut args, &mut stats));
+    assert!(verify.run(&mut [1, 10, 100, 7], &mut scratch, &mut stats));
     // z value contradicting y→z.
-    assert!(!verify.run(&mut [1, 10, 200, 7], &mut args, &mut stats));
+    assert!(!verify.run(&mut [1, 10, 200, 7], &mut scratch, &mut stats));
 }
 
 /// An unguarded FD without a registered UDF fails fast and typed: the stuck
@@ -523,7 +523,11 @@ mod compiled_vs_interpreted {
                 "{ctx}: {e:?}"
             );
         }
-        let mut args = Vec::new();
+        // Each program keeps its scratch across the tuples, so every guard
+        // lookup after the first resumes from the previous tuple's key.
+        let mut expand_scratch = expand.as_ref().map(Program::scratch);
+        let mut verify_scratch = verify.scratch();
+        let mut fused_scratch = fused.as_ref().map(Program::scratch);
         for _ in 0..24 {
             let tuple = random_tuple(rng, nv);
 
@@ -538,7 +542,8 @@ mod compiled_vs_interpreted {
                 Ok(p) => {
                     assert_ne!(outcome, Expanded::Stuck, "{ctx}: compiled, yet stuck");
                     let (mut vals, mut spent) = (tuple.clone(), Stats::default());
-                    let ok = p.run(&mut vals, &mut args, &mut spent);
+                    let scratch = expand_scratch.as_mut().unwrap();
+                    let ok = p.run(&mut vals, scratch, &mut spent);
                     assert_eq!(ok, outcome == Expanded::Reached, "{ctx}: expand accepts");
                     if ok {
                         for v in ref_bound.iter() {
@@ -556,7 +561,7 @@ mod compiled_vs_interpreted {
             cov.verify[holds as usize] += 1;
             let (mut vals, mut spent) = (tuple.clone(), Stats::default());
             assert_eq!(
-                verify.run(&mut vals, &mut args, &mut spent),
+                verify.run(&mut vals, &mut verify_scratch, &mut spent),
                 holds,
                 "{ctx}: verify"
             );
@@ -566,7 +571,9 @@ mod compiled_vs_interpreted {
             }
 
             // Fused: what every call site but two does back to back.
-            let Ok(p) = &fused else { continue };
+            let (Ok(p), Ok(scratch)) = (&fused, &mut fused_scratch) else {
+                continue;
+            };
             let (mut ref_vals, mut ref_bound, mut seen) =
                 (tuple.clone(), bound, Evaluated::default());
             let reached = it.expand_tuple(&mut ref_bound, &mut ref_vals, target, &mut seen)
@@ -575,7 +582,7 @@ mod compiled_vs_interpreted {
             cov.fused[reached as usize + survives as usize] += 1;
             let (mut vals, mut spent) = (tuple.clone(), Stats::default());
             assert_eq!(
-                p.run(&mut vals, &mut args, &mut spent),
+                p.run(&mut vals, scratch, &mut spent),
                 survives,
                 "{ctx}: fused"
             );
@@ -712,7 +719,7 @@ mod compiled_vs_interpreted {
 
             let verify = ex.compile_verify(all);
             let before = stats;
-            assert!(verify.run(&mut row, &mut Vec::new(), &mut stats));
+            assert!(verify.run(&mut row, &mut verify.scratch(), &mut stats));
             assert_eq!(
                 stats.expansions - before.expansions,
                 udf_checks,
