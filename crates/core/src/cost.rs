@@ -18,8 +18,8 @@
 //!   same `log₂`-[`Rational`] space as the chain/LLP bounds, so the
 //!   planner compares them directly.
 //! - [`delta_plan`] prices a delta join (one relation swapped for a small
-//!   Δ⁺) two ways — the default variable order vs. a Δ-first order — and
-//!   proposes a Δ-first [`Algorithm::BinaryJoin`] plan when the measured
+//!   Δ⁺) in a Δ-first order and proposes that order for a
+//!   [`BinaryJoin`](crate::Algorithm::BinaryJoin) run when the measured
 //!   degrees say seeding from the delta is cheaper than replaying the
 //!   view's full plan. `fdjoin_delta::MaterializedView` consults it for
 //!   every delta join.
@@ -39,7 +39,6 @@
 //! delta specialization — never correctness, which every algorithm
 //! guarantees unconditionally.
 
-use crate::engine::Algorithm;
 use fdjoin_bigint::Rational;
 use fdjoin_query::Query;
 use fdjoin_storage::{Database, MissingRelation, Relation};
@@ -171,19 +170,6 @@ fn atom_factor(rel: &Relation, p: usize, bound: fdjoin_lattice::VarSet) -> (u64,
     }
 }
 
-/// A delta-specialized execution plan proposed by [`delta_plan`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaPlan {
-    /// The algorithm to run the delta join with.
-    pub algorithm: Algorithm,
-    /// Δ-first atom order (a permutation of `0..q.atoms().len()`).
-    pub atom_order: Vec<usize>,
-    /// The estimate that priced this plan (Δ-first binding order).
-    pub estimate: JoinEstimate,
-    /// The estimate for the default binding order, for comparison.
-    pub baseline: JoinEstimate,
-}
-
 /// Decide whether a delta join — `q` over `db` where atom `changed`'s
 /// relation currently holds only the delta rows Δ⁺ — should run a
 /// Δ-specialized plan instead of the view's own algorithm.
@@ -193,16 +179,18 @@ pub struct DeltaPlan {
 /// at least on the order of the largest base relation, whatever the delta.
 /// A Δ-first left-deep plan's work tracks its intermediates instead, which
 /// the Δ-first branch estimate prices from the measured degrees. So:
-/// returns `Some` with a Δ-first [`Algorithm::BinaryJoin`] plan when that
-/// estimate is strictly below the largest *other* relation's cardinality
-/// (e.g. a 1-tuple delta, whose factors collapse to 1 for the delta atom's
-/// variables); `None` when the measured degrees price the delta like a
-/// full join (e.g. a delta comparable in size to the base relations).
+/// returns the Δ-first atom order (a permutation of `0..q.atoms().len()`
+/// led by `changed`) to run as a [`BinaryJoin`](crate::Algorithm::BinaryJoin)
+/// when that estimate is strictly below the largest *other* relation's
+/// cardinality (e.g. a 1-tuple delta, whose factors collapse to 1 for the
+/// delta atom's variables); `None` when the measured degrees price the
+/// delta like a full join (e.g. a delta comparable in size to the base
+/// relations).
 pub fn delta_plan(
     q: &Query,
     db: &Database,
     changed: usize,
-) -> Result<Option<DeltaPlan>, MissingRelation> {
+) -> Result<Option<Vec<usize>>, MissingRelation> {
     assert!(changed < q.atoms().len(), "changed atom out of range");
     let atom_order = delta_first_atom_order(q, db, changed)?;
     let mut var_order: Vec<u32> = Vec::with_capacity(q.n_vars());
@@ -226,19 +214,8 @@ pub fn delta_plan(
         .into_iter()
         .max()
         .unwrap_or(0);
-    if estimate.log_avg < Rational::log2_approx(largest_other.max(1), LOG2_FRAC_BITS) {
-        // The default-order estimate is observability for the plan we
-        // return; the common non-specializing path skips the extra walk.
-        let baseline = estimate_join(q, db)?;
-        Ok(Some(DeltaPlan {
-            algorithm: Algorithm::BinaryJoin,
-            atom_order,
-            estimate,
-            baseline,
-        }))
-    } else {
-        Ok(None)
-    }
+    let cheaper = estimate.log_avg < Rational::log2_approx(largest_other.max(1), LOG2_FRAC_BITS);
+    Ok(cheaper.then_some(atom_order))
 }
 
 /// Greedy Δ-first atom order: start at the changed atom, then repeatedly
@@ -344,13 +321,14 @@ mod tests {
         let q = examples::triangle();
         // R holds the 1-tuple Δ⁺; S, T are the full relations.
         let db = triangle_db(&[[1, 2]], &grid(8), &grid(8));
-        let plan = delta_plan(&q, &db, 0).unwrap().expect("specialize");
-        assert_eq!(plan.algorithm, Algorithm::BinaryJoin);
-        assert_eq!(plan.atom_order[0], 0, "delta atom leads");
-        assert_eq!(plan.atom_order.len(), 3);
-        // The Δ-seeded intermediates are priced below a scan of the base
-        // relations (64 rows): that is what justified specializing.
-        assert!(plan.estimate.log_avg < Rational::log2_approx(64, 16));
+        let order = delta_plan(&q, &db, 0).unwrap().expect("specialize");
+        assert_eq!(order[0], 0, "delta atom leads");
+        assert_eq!(order.len(), 3);
+        // The Δ-seeded intermediates (ΔR(x, y) binds x, y first) are
+        // priced below a scan of the base relations (64 rows): that is
+        // what justified specializing.
+        let estimate = estimate_join_order(&q, &db, &[0, 1, 2]).unwrap();
+        assert!(estimate.log_avg < Rational::log2_approx(64, 16));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use super::plan::PlanKey;
 use super::{
-    query_label, Algorithm, ExecOptions, JoinError, JoinResult, Parallelism, PlanDetail,
-    PreparedQuery,
+    query_label, Algorithm, ExecOptions, JoinError, JoinResult, LazyEstimate, Parallelism,
+    PlanDetail, PreparedQuery,
 };
 use crate::{chain_algo, csma, naive, sma, AccessPaths, Stats};
 use fdjoin_obs::{Observer, Registry, SpanKind};
@@ -21,7 +21,7 @@ impl PreparedQuery {
     /// between validation and here).
     fn resolve_parallelism(
         &self,
-        db: &Database,
+        estimate: &LazyEstimate,
         opts: &ExecOptions,
         obs: &Observer,
     ) -> crate::par::ParCtx {
@@ -33,8 +33,8 @@ impl PreparedQuery {
                     .unwrap_or(1);
                 // Core count first: a one-core host cannot use the estimate.
                 if cores >= 2
-                    && self
-                        .estimate(db)
+                    && estimate
+                        .get()
                         .is_ok_and(|est| est.log_max.to_f64() >= ExecOptions::AUTO_SPLIT_LOG2)
                 {
                     cores
@@ -60,12 +60,13 @@ impl PreparedQuery {
         opts: &ExecOptions,
         obs: &Observer,
     ) -> Result<JoinResult, JoinError> {
+        let estimate = LazyEstimate::new(self, db);
         if !obs.is_enabled() {
-            return self.execute_inner(db, opts, obs);
+            return self.execute_inner(db, opts, &estimate, obs);
         }
         let started = Instant::now();
         let mut span = obs.span(SpanKind::Solve, query_label(&self.query));
-        let result = self.execute_inner(db, opts, obs);
+        let result = self.execute_inner(db, opts, &estimate, obs);
         let m = obs.metrics();
         match &result {
             Ok(r) => {
@@ -78,7 +79,6 @@ impl PreparedQuery {
                 }
                 if let Some(auto) = &r.auto {
                     span.field("auto_reason", auto.reason.to_string());
-                    span.field("enumeration", auto.enumeration.to_string());
                     if let Some(b) = &auto.chain_log_bound {
                         span.field("chain_log_bound", b.to_f64());
                     }
@@ -98,8 +98,9 @@ impl PreparedQuery {
                     self.indexes.memory_bytes() as u64,
                 );
                 // The ROADMAP calibration loop: estimate vs. observed work,
-                // computed only when someone is listening.
-                if let Ok(est) = self.estimate(db) {
+                // computed (unless planning already did) only when someone
+                // is listening.
+                if let Ok(est) = estimate.get() {
                     let observed = (r.stats.work().max(1) as f64).log2();
                     m.record_estimate_error(est.log_max.to_f64() - observed);
                 }
@@ -116,6 +117,7 @@ impl PreparedQuery {
         &self,
         db: &Database,
         opts: &ExecOptions,
+        estimate: &LazyEstimate,
         obs: &Observer,
     ) -> Result<JoinResult, JoinError> {
         let q = &self.query;
@@ -132,7 +134,7 @@ impl PreparedQuery {
 
         let (algorithm, auto) = match opts.algorithm {
             Algorithm::Auto => {
-                let decision = self.choose(db, &key, opts);
+                let decision = self.choose(estimate, &key, opts);
                 (decision.algorithm, Some(decision))
             }
             explicit => (explicit, None),
@@ -142,7 +144,7 @@ impl PreparedQuery {
         // auto decision (so `AutoDecision` can never depend on the task
         // count) and while the `solve` span is the innermost open span (so
         // worker-side `solve_part` spans parent under it).
-        let par = self.resolve_parallelism(db, opts, obs);
+        let par = self.resolve_parallelism(estimate, opts, obs);
 
         let (output, stats, predicted_log_bound, plan) = match algorithm {
             Algorithm::Auto => unreachable!("choose() returns a concrete algorithm"),

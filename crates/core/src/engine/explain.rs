@@ -5,13 +5,11 @@
 //! The paper's planner compares *worst-case* prices (chain bound, LLP/GLVV
 //! optimum, CLLP value) against a *measured* price (the degree-statistics
 //! branch estimate, `fdjoin_core::cost`); `Algorithm::Auto` records the
-//! comparison on an [`AutoDecision`], and the Carmeli–Kröll enumeration
-//! class says whether constant-delay delivery is attainable for the query
-//! (the stream does not exploit it yet). EXPLAIN
-//! renders all of that for one `(prepared query, database)` pair *without*
-//! executing; EXPLAIN ANALYZE additionally runs the query once under a
-//! private [`Observer`] and appends the observed counters, timings, and
-//! the span tree of that execution.
+//! comparison on an [`AutoDecision`]. EXPLAIN renders all of that for one
+//! `(prepared query, database)` pair *without* executing; EXPLAIN ANALYZE
+//! additionally runs the query once under a private [`Observer`] and
+//! appends the observed counters, timings, and the span tree of that
+//! execution.
 //!
 //! Pricing every plan the planner might run costs real planning work (in
 //! particular the CSMA price needs the FD-expansion pass over the data,
@@ -24,7 +22,6 @@
 //! ```text
 //! EXPLAIN R⋈S⋈T: 3 atoms, 3 vars, 1 fds
 //!   lattice: 5 elements, distributive: no
-//!   enumeration: constant-delay-via-fds
 //!   profile: R=4000 S=4000 T=4000
 //!   bounds(log2): chain=17.93 llp=15.95 sma=none csma=15.95
 //!   estimate(log2): avg=11.55 max=13.00 skew-gap=1.45
@@ -40,10 +37,9 @@
 //! ```
 
 use super::plan::PlanKey;
-use super::{AutoDecision, ExecOptions, JoinError, PreparedQuery};
+use super::{AutoDecision, ExecOptions, JoinError, LazyEstimate, PreparedQuery};
 use crate::{AccessPaths, PrepStats, Stats};
 use fdjoin_obs::{render_text_tree, Observer};
-use fdjoin_query::EnumerationClass;
 use fdjoin_storage::Database;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -67,8 +63,6 @@ pub struct Explain {
     /// Whether the lattice is distributive (chain bound tight,
     /// Cor. 5.15).
     pub distributive: bool,
-    /// The Carmeli–Kröll enumeration class.
-    pub enumeration: EnumerationClass,
     /// Per-atom `(relation name, cardinality)` — the sizes of the plan-cache
     /// key (`PlanKey`) this execution's chain/LLP/SMA plans are cached under.
     pub profile: Vec<(String, u64)>,
@@ -118,10 +112,9 @@ pub struct ExplainAnalysis {
 
 impl PreparedQuery {
     /// Render the planner's view of this query over `db` without
-    /// executing: lattice shape, enumeration class, every worst-case bound
-    /// vs. the measured estimate, the `Auto` decision and its reason, and
-    /// the expected access-path index reuse. See the module docs for the
-    /// output grammar.
+    /// executing: lattice shape, every worst-case bound vs. the measured
+    /// estimate, the `Auto` decision and its reason, and the expected
+    /// access-path index reuse. See the module docs for the output grammar.
     pub fn explain(&self, db: &Database) -> Result<Explain, JoinError> {
         self.build_explain(db, false)
     }
@@ -153,8 +146,9 @@ impl PreparedQuery {
                 .ok()
                 .map(|p| p.log_bound.to_f64())
         };
-        let estimate = self.estimate(db)?;
-        let decision = self.choose(db, &key, &opts);
+        let lazy = LazyEstimate::new(self, db);
+        let estimate = lazy.get().map_err(Clone::clone)?;
+        let decision = self.choose(&lazy, &key, &opts);
         let mut profile = Vec::with_capacity(q.atoms().len());
         let mut index_reuse = Vec::with_capacity(q.atoms().len());
         for (a, &len) in q.atoms().iter().zip(&raw_lens) {
@@ -186,7 +180,6 @@ impl PreparedQuery {
             fds: q.fds.fds().len(),
             lattice_elems: self.pres.lattice.len(),
             distributive: self.pres.lattice.is_distributive(),
-            enumeration: self.enumeration,
             profile,
             chain_log2,
             llp_log2,
@@ -218,7 +211,6 @@ impl fmt::Display for Explain {
             self.lattice_elems,
             if self.distributive { "yes" } else { "no" }
         )?;
-        writeln!(f, "  enumeration: {}", self.enumeration)?;
         write!(f, "  profile:")?;
         for (name, len) in &self.profile {
             write!(f, " {name}={len}")?;

@@ -63,10 +63,12 @@ use plan::{PlanKey, Plans};
 use prep::PrepCounters;
 use shared::SharedHandle;
 
+use crate::cost::JoinEstimate;
 use crate::AccessPaths;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_query::{EnumerationClass, LatticePresentation, Query};
+use fdjoin_query::{LatticePresentation, Query};
 use fdjoin_storage::{Database, IndexSet};
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -153,7 +155,6 @@ impl Engine {
         let started = Instant::now();
         let mut span = self.obs.span(SpanKind::Prepare, query_label(q));
         let pres = q.lattice_presentation();
-        let enumeration = q.enumeration_class();
         let counters = PrepCounters::default();
         PrepCounters::bump(&counters.lattice_presentations);
         let shared = self.shared.as_ref().map(|cache| {
@@ -166,7 +167,6 @@ impl Engine {
             span.field("vars", q.n_vars());
             span.field("fds", q.fds.fds().len());
             span.field("lattice_elems", pres.lattice.len());
-            span.field("enumeration", enumeration.to_string());
             span.field("shared_cache", shared.is_some());
             let m = self.obs.metrics();
             m.add("fdjoin_prepares_total", &[], 1);
@@ -179,7 +179,6 @@ impl Engine {
         PreparedQuery {
             query: q.clone(),
             pres,
-            enumeration,
             counters,
             local: Plans::default(),
             shared,
@@ -233,9 +232,6 @@ impl Engine {
 pub struct PreparedQuery {
     query: Query,
     pres: LatticePresentation,
-    /// The Carmeli–Kröll enumeration class, a pure function of the query
-    /// (hypergraph + FDs) computed once at prepare time.
-    enumeration: EnumerationClass,
     counters: PrepCounters,
     local: Plans<PlanKey>,
     shared: Option<SharedHandle>,
@@ -291,17 +287,6 @@ impl PreparedQuery {
         &self.indexes
     }
 
-    /// The Carmeli–Kröll class of the *query*
-    /// ([`fdjoin_query::EnumerationClass`]), computed once at prepare time:
-    /// constant-delay enumeration attainable, attainable only thanks to the
-    /// FDs, or provably not. `ResultStream` does not exploit it yet: on
-    /// `simple_fd_path` (class `ConstantDelay`) it measures 649 / 2 569 /
-    /// 10 249 / 40 969 probes between consecutive rows at n = 2^8 … 2^14.
-    /// Also recorded on every [`AutoDecision`].
-    pub fn enumeration_class(&self) -> EnumerationClass {
-        self.enumeration
-    }
-
     /// The observability handle inherited from the preparing engine
     /// (disabled unless [`Engine::observe`] attached one). Downstream
     /// layers — `fdjoin_stream` cursors, `fdjoin_delta` views — emit their
@@ -336,7 +321,7 @@ impl PreparedQuery {
     /// decisions. Unlike the plans, estimates depend on the data (not just
     /// the size profile) and are recomputed per call; they cost one pass
     /// over the query's variables, not over the data.
-    pub fn estimate(&self, db: &Database) -> Result<crate::cost::JoinEstimate, JoinError> {
+    pub fn estimate(&self, db: &Database) -> Result<JoinEstimate, JoinError> {
         Ok(crate::cost::estimate_join(&self.query, db)?)
     }
 
@@ -375,6 +360,33 @@ impl PreparedQuery {
     /// are reused; see [`PrepStats`].
     pub fn execute(&self, db: &Database, opts: &ExecOptions) -> Result<JoinResult, JoinError> {
         self.execute_with(db, opts, &self.obs)
+    }
+}
+
+/// One execute's (or EXPLAIN's) [`PreparedQuery::estimate`], computed on
+/// first read and shared by every reader of that request: the Auto
+/// tie-break, [`Parallelism::Auto`] and the calibration metric. The
+/// estimate is a pure function of `(query, database)`, so reading it once
+/// decides exactly what reading it per reader would.
+struct LazyEstimate<'a> {
+    prepared: &'a PreparedQuery,
+    db: &'a Database,
+    value: OnceCell<Result<JoinEstimate, JoinError>>,
+}
+
+impl<'a> LazyEstimate<'a> {
+    fn new(prepared: &'a PreparedQuery, db: &'a Database) -> LazyEstimate<'a> {
+        LazyEstimate {
+            prepared,
+            db,
+            value: OnceCell::new(),
+        }
+    }
+
+    fn get(&self) -> Result<&JoinEstimate, &JoinError> {
+        self.value
+            .get_or_init(|| self.prepared.estimate(self.db))
+            .as_ref()
     }
 }
 

@@ -8,7 +8,6 @@ use fdjoin_bounds::chain::Chain;
 use fdjoin_bounds::csm::CsmSequence;
 use fdjoin_bounds::smproof::SmProof;
 use fdjoin_lattice::VarSet;
-use fdjoin_query::EnumerationClass;
 use fdjoin_storage::{MissingRelation, Relation};
 use std::fmt;
 
@@ -393,14 +392,6 @@ pub struct AutoDecision {
     /// equal to [`AutoDecision::estimate_log_avg`] on uniform data, larger
     /// under skew.
     pub estimate_log_max: Option<Rational>,
-    /// The Carmeli–Kröll class of the *query*
-    /// ([`fdjoin_query::EnumerationClass`]), computed once at prepare time:
-    /// whether constant-delay enumeration is attainable for it (possibly
-    /// only thanks to the FDs). `ResultStream` does not exploit it yet.
-    /// Data-independent — the same for every execution of the prepared
-    /// query — but recorded per decision so serving layers see it next to
-    /// the bounds they budget with.
-    pub enumeration: EnumerationClass,
 }
 
 /// The unified result of any engine execution.

@@ -5,14 +5,14 @@
 use super::prep::{PrepCounters, Sharded};
 use super::relabel::Relabel;
 use super::{
-    Algorithm, AutoDecision, AutoReason, ExecOptions, JoinError, PreparedQuery, UserDegreeBound,
+    Algorithm, AutoDecision, AutoReason, ExecOptions, JoinError, LazyEstimate, PreparedQuery,
+    UserDegreeBound,
 };
 use crate::{csma, sma};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::{best_chain_bound, chain_bound, Chain, ChainBound};
 use fdjoin_bounds::llp::{solve_llp, LlpSolution};
 use fdjoin_lattice::ElemId;
-use fdjoin_storage::Database;
 use std::sync::atomic::AtomicU64;
 
 /// The key every plan is cached under: the size profile it was solved for
@@ -163,8 +163,14 @@ impl PreparedQuery {
     /// The fired rule, the compared worst-case bounds, and (from rule 3 on)
     /// the measured estimates are recorded in the returned [`AutoDecision`],
     /// which starts out as rule 5 and gains each bound as it is learned.
-    /// `key` is the unpinned raw size profile.
-    pub(super) fn choose(&self, db: &Database, key: &PlanKey, opts: &ExecOptions) -> AutoDecision {
+    /// `key` is the unpinned raw size profile; `estimate` is the request's
+    /// one estimate of the database, read only if rule 3 is reached.
+    pub(super) fn choose(
+        &self,
+        estimate: &LazyEstimate,
+        key: &PlanKey,
+        opts: &ExecOptions,
+    ) -> AutoDecision {
         let mut d = AutoDecision {
             algorithm: Algorithm::Csma,
             reason: AutoReason::CsmaFallback,
@@ -172,7 +178,6 @@ impl PreparedQuery {
             llp_log_bound: None,
             estimate_log_avg: None,
             estimate_log_max: None,
-            enumeration: self.enumeration,
         };
         if !opts.degree_bounds.is_empty() {
             return d.fired(Algorithm::Csma, AutoReason::DegreeBoundsPinCsma);
@@ -196,15 +201,15 @@ impl PreparedQuery {
         // From here on the worst-case analysis alone cannot settle the
         // choice; consult the measured degree statistics (unless disabled).
         // The estimate depends on the *data*, not just the size profile, so
-        // it is computed per call, never cached with the plans.
+        // it is computed per request, never cached with the plans.
         if !opts.no_cost_tiebreak {
-            if let Ok(est) = crate::cost::estimate_join(&self.query, db) {
+            if let Ok(est) = estimate.get() {
                 let fits = chain.is_some()
                     && d.llp_log_bound
                         .as_ref()
                         .is_some_and(|llp| est.log_max <= *llp);
-                d.estimate_log_avg = Some(est.log_avg);
-                d.estimate_log_max = Some(est.log_max);
+                d.estimate_log_avg = Some(est.log_avg.clone());
+                d.estimate_log_max = Some(est.log_max.clone());
                 if fits {
                     return d.fired(Algorithm::Chain, AutoReason::EstimatedTightChain);
                 }

@@ -79,10 +79,6 @@ pub use expand::{Expander, OpKey, Program, Scratch};
 pub use par::run_scoped;
 pub use stats::Stats;
 
-// Re-exported so engine consumers can match on the enumeration class
-// recorded in [`AutoDecision`] without a direct `fdjoin_query` dependency.
-pub use fdjoin_query::EnumerationClass;
-
 // Re-exported so `Engine::observe` / `PreparedQuery::observer` callers can
 // construct and drain observers without a direct `fdjoin_obs` dependency.
 pub use fdjoin_obs::Observer;

@@ -73,10 +73,11 @@
 //! branch estimate beats a scan of the base relations, the pass runs a
 //! Δ-first binary plan instead — visible in
 //! [`DeltaStats::specialized_deltas`] and
-//! [`MaterializedView::delta_algorithms`]. Only plain-`Auto` views
-//! specialize ([`DeltaOptions::specialize_deltas`]); explicitly pinned
-//! algorithms are always honored, and answers never depend on the choice
-//! (the differential harness runs with specialization enabled).
+//! [`MaterializedView::delta_algorithms`]. Only views whose
+//! [`DeltaOptions::exec`] options are plain `Auto` with the cost tie-break
+//! on specialize; explicitly pinned algorithms are always honored, and
+//! answers never depend on the choice (the differential harness runs with
+//! specialization enabled).
 //!
 //! Deltas must preserve the query's FDs (as all storage mutations must);
 //! deleting rows always does, and inserts from the same data-generating

@@ -11,7 +11,6 @@ use std::sync::Arc;
 pub struct DeltaOptions {
     exec: ExecOptions,
     max_delta_fraction: f64,
-    specialize_deltas: bool,
 }
 
 impl Default for DeltaOptions {
@@ -19,38 +18,31 @@ impl Default for DeltaOptions {
         DeltaOptions {
             exec: ExecOptions::new(),
             max_delta_fraction: 0.25,
-            specialize_deltas: true,
         }
     }
 }
 
 impl DeltaOptions {
-    /// Defaults: `ExecOptions::new()` (auto algorithm selection), a 25%
-    /// recompute threshold, and cost-model delta specialization on.
+    /// Defaults: `ExecOptions::new()` (auto algorithm selection) and a 25%
+    /// recompute threshold.
     pub fn new() -> DeltaOptions {
         DeltaOptions::default()
     }
 
     /// The execution options used for the initial materialization, every
     /// delta join, and fallback recomputes.
-    pub fn exec(mut self, exec: ExecOptions) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Enable/disable per-delta plan specialization (default: enabled).
     ///
-    /// When enabled — and the view's execution options are plain
-    /// [`Algorithm::Auto`] with no pinning constraints — each delta join
+    /// They also decide per-delta plan specialization. When they are plain
+    /// [`Algorithm::Auto`] with no pinning constraints, each delta join
     /// asks the cost model (`fdjoin_core::cost::delta_plan`) whether a
     /// Δ-first binary plan is cheaper than the view's full plan at the
     /// delta profile, and runs it if so: a 1-tuple delta then pays for its
     /// few matches instead of a full chain/SMA/CSMA pass over the base
     /// relations. Views pinned to an explicit algorithm never specialize,
     /// and `ExecOptions::cost_tiebreak(false)` — the "decisions must be a
-    /// function of the size profile" switch — disables specialization too.
-    pub fn specialize_deltas(mut self, on: bool) -> Self {
-        self.specialize_deltas = on;
+    /// function of the size profile" switch — turns specialization off.
+    pub fn exec(mut self, exec: ExecOptions) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -148,7 +140,7 @@ impl MaterializedView {
 
     /// The algorithms the most recent batch's delta joins actually ran, in
     /// pass (relation-name) order — the observable record of per-delta
-    /// plan choices ([`DeltaOptions::specialize_deltas`]). Empty when the
+    /// plan choices ([`DeltaOptions::exec`]). Empty when the
     /// last batch took the fallback path or ran no delta joins.
     pub fn delta_algorithms(&self) -> &[Algorithm] {
         &self.delta_algorithms
@@ -336,10 +328,7 @@ impl MaterializedView {
             // that have not opted out of data-dependent decisions via
             // `ExecOptions::cost_tiebreak(false)`.
             let exec = self.opts.exec_options();
-            let specialized = if self.opts.specialize_deltas
-                && exec.is_plain_auto()
-                && exec.cost_tiebreak_enabled()
-            {
+            let specialized = if exec.is_plain_auto() && exec.cost_tiebreak_enabled() {
                 fdjoin_core::cost::delta_plan(q, &self.db, ai)
                     .ok()
                     .flatten()
@@ -347,10 +336,10 @@ impl MaterializedView {
                 None
             };
             let exec_opts = match &specialized {
-                Some(plan) => exec
+                Some(order) => exec
                     .clone()
-                    .algorithm(plan.algorithm)
-                    .atom_order(plan.atom_order.clone()),
+                    .algorithm(Algorithm::BinaryJoin)
+                    .atom_order(order.clone()),
                 None => exec.clone(),
             };
             let before = prepared.prep_stats();

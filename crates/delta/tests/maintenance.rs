@@ -190,15 +190,16 @@ fn stable_profiles_reuse_plans_with_zero_replanning() {
     let db = triangle_db(13, 40);
     let cache = Arc::new(PlanCache::new());
     let prepared = Arc::new(Engine::with_plan_cache(cache.clone()).prepare(&q));
-    // Specialization off: this test observes the *plan replay* machinery,
-    // and a Δ-specialized binary join would (correctly) need no plans at
-    // all — see tests/cost_model.rs for the specialized path.
+    // Specialization off (no data-dependent decisions): this test observes
+    // the *plan replay* machinery, and a Δ-specialized binary join would
+    // (correctly) need no plans at all — see tests/cost_model.rs for the
+    // specialized path.
     let mut view = prepared
         .materialize(
             db,
             DeltaOptions::new()
                 .max_delta_fraction(1.0)
-                .specialize_deltas(false),
+                .exec(ExecOptions::new().cost_tiebreak(false)),
         )
         .unwrap();
 

@@ -21,7 +21,7 @@
 use crate::batch::Executor;
 use crate::pool::{contain_panic, unreported};
 use fdjoin_bigint::Rational;
-use fdjoin_core::{EnumerationClass, JoinError, PreparedQuery, Stats};
+use fdjoin_core::{JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::{Database, Relation, Value};
 use fdjoin_stream::ResultStream;
@@ -44,7 +44,7 @@ pub struct StreamBudget {
     deadline: Option<Duration>,
     max_rows: Option<u64>,
     max_bytes: Option<u64>,
-    max_log_estimate: Option<Rational>,
+    admission: Option<Admission>,
 }
 
 impl StreamBudget {
@@ -81,7 +81,7 @@ impl StreamBudget {
     /// ([`fdjoin_core::cost::JoinEstimate::log_max`]) fits under this
     /// `log₂` bound.
     pub fn admit_below(mut self, log_max: Rational) -> Self {
-        self.max_log_estimate = Some(log_max);
+        self.admission = Some(Admission::below(log_max));
         self
     }
 }
@@ -131,24 +131,19 @@ pub struct StreamOutcome {
     pub stats: Stats,
     /// Why delivery stopped.
     pub end: StreamEnd,
-    /// The Carmeli–Kröll class of the *query*; `ResultStream` does not
-    /// exploit it yet, so it does not bound the per-row delay of this
-    /// delivery (see [`EnumerationClass`]).
-    pub enumeration: EnumerationClass,
     /// Wall-clock time from submission to the end of delivery.
     pub wall: Duration,
 }
 
 impl std::fmt::Display for StreamOutcome {
-    /// One line: rows delivered, why delivery stopped, the enumeration
-    /// class, wall time, and the work counters.
+    /// One line: rows delivered, why delivery stopped, wall time, and the
+    /// work counters.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "rows={} end={} enumeration={} wall={:.3}ms {}",
+            "rows={} end={} wall={:.3}ms {}",
             self.rows.len(),
             self.end,
-            self.enumeration,
             self.wall.as_secs_f64() * 1e3,
             self.stats,
         )
@@ -223,25 +218,10 @@ impl Executor {
         let mut span = obs.span_detached(SpanKind::Submit, "stream");
         let parent = span.id();
         let (tx, rx) = channel();
-        if let Some(cap) = &budget.max_log_estimate {
-            let admitted = match prepared.estimate(db) {
-                Ok(est) => {
-                    if est.log_max > *cap {
-                        Err(JoinError::Budget {
-                            estimate_log_max: Box::new(est.log_max),
-                            budget_log: Box::new(cap.clone()),
-                        })
-                    } else {
-                        Ok(())
-                    }
-                }
-                Err(e) => Err(e),
-            };
-            if let Err(e) = admitted {
-                span.field("error", e.to_string());
-                let _ = tx.send(Err(e));
-                return StreamHandle { rx };
-            }
+        if let Some(Err(e)) = budget.admission.as_ref().map(|a| a.check(prepared, db)) {
+            span.field("error", e.to_string());
+            let _ = tx.send(Err(e));
+            return StreamHandle { rx };
         }
         let prepared = Arc::clone(prepared);
         let db = Arc::clone(db);
@@ -328,14 +308,12 @@ fn run_stream(
         drive.field("end", end.name());
     }
     let stats = stream.stats();
-    let enumeration = stream.enumeration_class();
     drop(stream);
     drive.finish();
     Ok(StreamOutcome {
         rows,
         stats,
         end,
-        enumeration,
         wall: started.elapsed(),
     })
 }

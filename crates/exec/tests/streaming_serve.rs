@@ -40,7 +40,6 @@ fn uncapped_stream_matches_materialized_answer() {
     assert_eq!(outcome.rows.len(), materialized.output.len());
     assert_eq!(outcome.stats.rows_streamed, outcome.rows.len() as u64);
     assert_eq!(outcome.stats.stream_pauses, outcome.rows.len() as u64);
-    assert!(outcome.enumeration == prepared.enumeration_class());
 }
 
 /// Each cap produces its own ending: a row budget delivers exactly the

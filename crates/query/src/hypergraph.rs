@@ -88,48 +88,6 @@ impl Hypergraph {
             Err(LpError::Infeasible) | Err(LpError::Unbounded) => None,
         }
     }
-
-    /// Whether the hypergraph is **α-acyclic**, by GYO reduction: repeat
-    /// (a) delete vertices occurring in exactly one edge and (b) delete
-    /// edges contained in another edge, until neither applies; the
-    /// hypergraph is acyclic iff every edge has been emptied.
-    ///
-    /// For *full* conjunctive queries (every variable free — the only kind
-    /// this repo evaluates) α-acyclicity of the query hypergraph is exactly
-    /// the free-connex condition of constant-delay enumeration dichotomies
-    /// (Bagan–Durand–Grandjean; Carmeli–Kröll for the FD-extended form
-    /// decided by [`crate::Query::enumeration_class`]).
-    pub(crate) fn is_acyclic(&self) -> bool {
-        let mut edges: Vec<Vec<usize>> = self.edges.clone();
-        loop {
-            let mut changed = false;
-            // (a) Drop vertices occurring in exactly one edge (ear tips).
-            let mut occurrences = vec![0usize; self.vertices.len()];
-            for e in &edges {
-                for &v in e {
-                    occurrences[v] += 1;
-                }
-            }
-            for e in &mut edges {
-                let before = e.len();
-                e.retain(|&v| occurrences[v] > 1);
-                changed |= e.len() != before;
-            }
-            // (b) Drop edges contained in another edge (ears proper).
-            // Process one at a time so of two equal edges exactly one
-            // survives each pass.
-            let absorbed = (0..edges.len()).find(|&i| {
-                (0..edges.len()).any(|j| j != i && edges[i].iter().all(|v| edges[j].contains(v)))
-            });
-            if let Some(i) = absorbed {
-                edges.swap_remove(i);
-                changed = true;
-            }
-            if !changed {
-                return edges.iter().all(|e| e.is_empty());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,40 +149,5 @@ mod tests {
         let mut h = Hypergraph::new(2);
         h.add_edge("R", vec![0, 1]);
         assert_eq!(rho_star(&h).unwrap(), rat(1, 1));
-    }
-
-    #[test]
-    fn gyo_classifies_acyclicity() {
-        // The triangle is the canonical cyclic hypergraph.
-        assert!(!triangle().is_acyclic());
-        // A path is acyclic.
-        let mut path = Hypergraph::new(4);
-        path.add_edge("R", vec![0, 1]);
-        path.add_edge("S", vec![1, 2]);
-        path.add_edge("T", vec![2, 3]);
-        assert!(path.is_acyclic());
-        // A 4-cycle is cyclic even though it is Berge-/γ-cycle-free of
-        // length 3: GYO gets stuck with all four edges intact.
-        let mut cycle = Hypergraph::new(4);
-        cycle.add_edge("R", vec![0, 1]);
-        cycle.add_edge("S", vec![1, 2]);
-        cycle.add_edge("T", vec![2, 3]);
-        cycle.add_edge("K", vec![3, 0]);
-        assert!(!cycle.is_acyclic());
-        // A triangle absorbed by a covering 3-ary edge is acyclic (the
-        // classic α- vs. cyclomatic distinction).
-        let mut covered = triangle();
-        covered.add_edge("W", vec![0, 1, 2]);
-        assert!(covered.is_acyclic());
-        // Duplicate edges reduce (exactly one survives each pass).
-        let mut dup = Hypergraph::new(2);
-        dup.add_edge("A", vec![0, 1]);
-        dup.add_edge("B", vec![0, 1]);
-        assert!(dup.is_acyclic());
-        // Single edge and empty hypergraph are acyclic.
-        let mut single = Hypergraph::new(3);
-        single.add_edge("R", vec![0, 1, 2]);
-        assert!(single.is_acyclic());
-        assert!(Hypergraph::new(0).is_acyclic());
     }
 }

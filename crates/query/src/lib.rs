@@ -9,14 +9,12 @@
 
 #![forbid(unsafe_code)]
 
-mod enumeration;
 mod fd;
 mod hypergraph;
 mod query;
 
 pub mod examples;
 
-pub use enumeration::EnumerationClass;
 pub use fd::{Fd, FdSet};
 pub use hypergraph::{EdgeCover, Hypergraph};
 pub use query::{Atom, LatticePresentation, Query, QueryBuilder};

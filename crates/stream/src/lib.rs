@@ -24,13 +24,10 @@
 //! - [`ResultStream::offset`] — skip rows without delivering them;
 //! - [`ResultStream::count`] — drain without materializing rows.
 //!
-//! Whether constant *delay* between consecutive rows is attainable is a
-//! property of the query, decided by the Carmeli–Kröll dichotomy
-//! ([`fdjoin_query::EnumerationClass`], surfaced here as
-//! [`ResultStream::enumeration_class`]). This cursor does not exploit it
-//! yet: it runs the same descent for every class, and the gap between rows
-//! can grow with the data on constant-delay-class queries too (649 →
-//! 40 969 probes between rows from n = 2^8 to 2^14 on `simple_fd_path`).
+//! The stream promises no bound on the delay between consecutive rows:
+//! the gap is whatever the descent spends finding the next answer, which
+//! depends on the data (649 → 40 969 probes between rows from n = 2^8 to
+//! 2^14 on `simple_fd_path`, an acyclic query).
 //!
 //! ```
 //! use fdjoin_core::Engine;
@@ -55,7 +52,7 @@
 
 use fdjoin_core::descent::{Descent, Position, RunScratch};
 use fdjoin_core::{JoinError, PreparedQuery, Stats};
-use fdjoin_obs::{Observer, SpanKind};
+use fdjoin_obs::{Span, SpanKind};
 use fdjoin_storage::{Database, Relation, Value};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -82,10 +79,6 @@ pub struct ResultStream<'a> {
     versions: Vec<u64>,
     udf_version: u64,
     stats: Stats,
-    /// The prepared query's tracing handle: each `next_row`, `limit` or
-    /// `collect_rows` call is one `stream_advance` span (no-op when the
-    /// engine has no observer).
-    obs: Observer,
 }
 
 impl<'a> ResultStream<'a> {
@@ -114,7 +107,6 @@ impl<'a> ResultStream<'a> {
             versions,
             udf_version: db.udfs.version(),
             stats,
-            obs: prepared.observer().clone(),
         })
     }
 
@@ -140,15 +132,20 @@ impl<'a> ResultStream<'a> {
         Some(self.pos.vals())
     }
 
+    /// One `stream_advance` span through the prepared query's tracing
+    /// handle, or `None` (one branch) when the engine has no observer.
+    fn advance_span(&self, name: &'static str) -> Option<Span> {
+        let obs = self.prepared.observer();
+        obs.is_enabled()
+            .then(|| obs.span(SpanKind::StreamAdvance, name))
+    }
+
     /// Deliver up to `k` rows into a fresh relation under one
     /// `stream_advance` span for the whole call — a page is one unit of
     /// work to whoever reads the trace, and a span per row would cost more
     /// than the row.
     fn page(&mut self, name: &'static str, k: usize) -> Relation {
-        let mut span = self
-            .obs
-            .is_enabled()
-            .then(|| self.obs.span(SpanKind::StreamAdvance, name));
+        let mut span = self.advance_span(name);
         let mut out = Relation::new((0..self.pos.vals().len() as u32).collect());
         while out.len() < k {
             match self.deliver() {
@@ -174,10 +171,7 @@ impl<'a> ResultStream<'a> {
         // One span per delivered (or attempted) row: the descent work
         // between two suspensions. Gated so the disabled path costs one
         // branch per row.
-        let mut span = self
-            .obs
-            .is_enabled()
-            .then(|| self.obs.span(SpanKind::StreamAdvance, "next_row"));
+        let mut span = self.advance_span("next_row");
         let got = self.deliver().is_some();
         if let Some(span) = &mut span {
             span.field("emitted", got);
@@ -238,14 +232,6 @@ impl<'a> ResultStream<'a> {
     /// split, and the streaming counters.
     pub fn stats(&self) -> Stats {
         self.stats
-    }
-
-    /// The Carmeli–Kröll class of the *query*
-    /// ([`fdjoin_query::EnumerationClass`]); `ResultStream` does not
-    /// exploit it yet, so it says nothing about the delay between
-    /// consecutive [`ResultStream::next_row`] answers of this cursor.
-    pub fn enumeration_class(&self) -> fdjoin_query::EnumerationClass {
-        self.prepared.enumeration_class()
     }
 
     /// Detach the suspended search position as plain data. The checkpoint

@@ -92,7 +92,10 @@ fn main() {
         .materialize(db.clone(), DeltaOptions::new())
         .unwrap();
     let mut plain = prepared
-        .materialize(db, DeltaOptions::new().specialize_deltas(false))
+        .materialize(
+            db,
+            DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(false)),
+        )
         .unwrap();
     println!("triangle view: {} tuples materialized", view.output().len());
     for step in 0..4u64 {

@@ -26,21 +26,11 @@ fn main() {
     let db = Arc::new(fdjoin::instances::random_instance(&q, &mut rng, 120, 85));
     let prepared = Arc::new(Engine::new().prepare(&q));
 
-    // ---- enumeration class: is constant delay guaranteed? --------------
-    let class = prepared.enumeration_class();
     println!("query: {}", q.display_body());
-    println!("enumeration class: {class}");
-    for other in [examples::triangle(), examples::simple_fd_path()] {
-        println!(
-            "  (compare {} → {})",
-            other.display_body(),
-            other.enumeration_class()
-        );
-    }
 
     // ---- first rows, no materialization --------------------------------
     let mut stream = ResultStream::open(&prepared, &db).expect("open");
-    print!("\nfirst rows:");
+    print!("first rows:");
     for _ in 0..3 {
         match stream.next_row() {
             Some(row) => print!(" {row:?}"),
@@ -101,11 +91,10 @@ fn main() {
         .wait()
         .expect("admitted");
     println!(
-        "\nserved {} rows, ended by {:?} ({} µs, class {})",
+        "\nserved {} rows, ended by {:?} ({} µs)",
         outcome.rows.len(),
         outcome.end,
         outcome.wall.as_micros(),
-        outcome.enumeration
     );
     assert_eq!(outcome.end, StreamEnd::RowBudget);
 

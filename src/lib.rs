@@ -93,12 +93,12 @@
 //! `exists`/`count` prune the enumeration (strictly less
 //! [`core::Stats::deterministic`] work than a full run), checkpoints make
 //! a pagination cursor that survives the stream — and is rejected as stale
-//! if the underlying data changed — and [`query::EnumerationClass`]
-//! reports whether the per-row delay is provably constant
-//! (Carmeli–Kröll: (FD-extended) acyclicity). The serving layer wraps
-//! this as [`exec::Executor::submit_stream`] with deadline/row/byte
-//! budgets ([`exec::StreamBudget`]) and estimate-driven admission control;
-//! see `examples/streaming.rs` and `tests/streaming.rs`.
+//! if the underlying data changed. The delay between rows is whatever the
+//! descent spends reaching the next answer, which depends on the data; no
+//! constant-delay bound is promised. The serving layer wraps this as
+//! [`exec::Executor::submit_stream`] with deadline/row/byte budgets
+//! ([`exec::StreamBudget`]) and estimate-driven admission control; see
+//! `examples/streaming.rs`.
 //!
 //! ## Incremental maintenance
 //!
@@ -191,7 +191,7 @@
 //! | [`core`] | the `Engine` + Chain Algorithm, SMA, CSMA, and baselines |
 //! | [`core::engine`] | `Engine`, `PreparedQuery`, `Algorithm`, `ExecOptions`, `JoinResult`, `JoinError` |
 //! | [`core::cost`] | data-dependent branch estimates from measured degree/skew statistics |
-//! | [`stream`] | cursor-based result streaming, pagination checkpoints, enumeration classes |
+//! | [`stream`] | cursor-based result streaming, pruned aggregates, pagination checkpoints |
 //! | [`exec`] | serving layer: batch/concurrent drivers, budgeted streaming, shared plan cache |
 //! | [`delta`] | incremental maintenance: delta batches, materialized views, delta stats |
 //! | [`obs`] | observability: structured spans, metrics registry, JSONL/Prometheus export |

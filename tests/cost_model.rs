@@ -159,7 +159,10 @@ fn one_tuple_delta_stops_paying_for_the_full_plan() {
 
         let run = |on: bool| {
             let mut view = prepared
-                .materialize(db.clone(), DeltaOptions::new().specialize_deltas(on))
+                .materialize(
+                    db.clone(),
+                    DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(on)),
+                )
                 .unwrap();
             let bs = view
                 .apply_delta(&DeltaBatch::new().insert(&atom0, row.clone()))
@@ -196,8 +199,8 @@ fn one_tuple_delta_stops_paying_for_the_full_plan() {
 }
 
 /// `cost_tiebreak(false)` promises size-profile-deterministic selection;
-/// that covers the view's delta joins too, even though specialization has
-/// its own switch.
+/// that covers the view's delta joins too: it is the one switch that turns
+/// specialization off.
 #[test]
 fn profile_deterministic_options_disable_delta_specialization() {
     let q = examples::triangle();
@@ -279,7 +282,7 @@ fn specialized_views_track_naive_under_random_streams() {
             db,
             DeltaOptions::new()
                 .max_delta_fraction(1.0)
-                .specialize_deltas(false),
+                .exec(ExecOptions::new().cost_tiebreak(false)),
         )
         .unwrap();
     for step in 0..8 {
