@@ -280,7 +280,7 @@ impl PreparedQuery {
 
     /// The access-path cache backing this query's executions: trie indexes
     /// keyed by `(relation name, content version, column order)`, shared
-    /// engine-wide across queries, repeated executions, `execute_batch`
+    /// engine-wide across queries, repeated executions, `Executor` pool
     /// workers, and delta joins. Exposed for observability (entry count,
     /// memory, [`fdjoin_storage::IndexSetStats`]).
     pub fn index_set(&self) -> &Arc<IndexSet> {

@@ -63,7 +63,7 @@ mod expand;
 mod extend;
 mod generic_join;
 mod naive;
-pub mod par;
+mod par;
 mod sma;
 mod stats;
 
@@ -76,7 +76,6 @@ pub use engine::{
     UserDegreeBound,
 };
 pub use expand::{Expander, OpKey, Program, Scratch};
-pub use par::run_scoped;
 pub use stats::Stats;
 
 // Re-exported so `Engine::observe` / `PreparedQuery::observer` callers can

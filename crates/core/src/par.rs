@@ -20,92 +20,36 @@
 //! - `tasks == 1` (or fewer than two items) runs inline on the caller's
 //!   thread with the caller's `Stats` — the sequential path *is* the
 //!   parallel path with one block, not a separate code path;
+//! - each block runs on its own scoped thread (`std::thread::scope`, no
+//!   `'static` bound on the borrowed inputs), and the threads are joined
+//!   in block order. A block that panics — a registered UDF, say — has
+//!   its own payload resumed on the caller's thread (the lowest-indexed
+//!   one if several do), so the serving layer's panic containment reports
+//!   the block's message rather than a generic one;
 //! - each block is traced as a `solve_part` span explicitly parented to
 //!   the enclosing `solve` span ([`Observer::span_with_parent`]), so one
-//!   coherent span tree covers the whole solve regardless of which worker
-//!   thread ran which block.
-//!
-//! [`run_scoped`] (the scoped work-stealing primitive, re-exported by
-//! `fdjoin_exec`) lives here so algorithm drivers can fan out without a
-//! dependency cycle onto the serving crate.
+//!   coherent span tree covers the whole solve regardless of which thread
+//!   ran which block.
 
 use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::{Relation, Value};
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Mutex;
-
-/// Run a fixed set of index-addressed tasks over borrowed data with
-/// work-stealing, on scoped threads (no `'static` bound). `run(i)` is
-/// executed exactly once for every `i in 0..count`; results come back in
-/// index order.
-///
-/// This is the scoped fan-out primitive behind both batch serving
-/// (`fdjoin_exec::ExecuteBatch`) and intra-query sub-range solves
-/// (`for_blocks`); it is public (and re-exported as
-/// `fdjoin_exec::run_scoped`) so other serving drivers — e.g.
-/// `fdjoin_delta`'s multi-view delta application — can reuse it for
-/// borrowed workloads that a persistent pool's `'static` jobs cannot
-/// express.
-pub fn run_scoped<T, F>(count: usize, threads: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, count.max(1));
-    if count == 0 {
-        return Vec::new();
-    }
-    if threads == 1 {
-        return (0..count).map(run).collect();
-    }
-    // Round-robin the task indices onto per-worker deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..count).step_by(threads).collect()))
-        .collect();
-    let results: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for me in 0..threads {
-            let queues = &queues;
-            let results = &results;
-            let run = &run;
-            s.spawn(move || loop {
-                // Own front, then siblings' backs; a fixed task set spawns
-                // nothing, so an empty sweep means the batch is drained.
-                // The own-queue pop is bound first so its guard drops before
-                // any steal: chaining `.or_else` onto the locked pop would
-                // hold the own lock across the sibling locks — two workers
-                // stealing from each other would deadlock (ABBA).
-                let own = queues[me].lock().unwrap().pop_front();
-                let task = own.or_else(|| {
-                    (1..threads).find_map(|k| queues[(me + k) % threads].lock().unwrap().pop_back())
-                });
-                match task {
-                    Some(i) => *results[i].lock().unwrap() = Some(run(i)),
-                    None => return,
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every task ran"))
-        .collect()
-}
 
 /// Per-solve parallelism context, resolved once by the engine (from
 /// [`ExecOptions::parallelism`](crate::ExecOptions) and the estimate gate)
 /// and threaded through every algorithm driver.
 #[derive(Clone)]
 pub(crate) struct ParCtx {
-    /// Maximum number of concurrent sub-range tasks (1 = sequential).
+    /// Maximum number of sub-range blocks, one scoped thread each
+    /// (1 = sequential, on the caller's thread).
     pub tasks: usize,
     /// The solve's observer (clones share one recorder; disabled = no-op).
     obs: Observer,
     /// The enclosing `solve` span, captured on the coordinating thread so
-    /// `solve_part` spans emitted from workers join the same tree.
+    /// `solve_part` spans emitted from the block threads join the same
+    /// tree.
     parent: Option<u64>,
 }
 
@@ -170,9 +114,11 @@ pub(crate) fn balanced_blocks(
 }
 
 /// Fan `n` items out over at most `par.tasks` contiguous blocks (balanced
-/// by `weights` when given), running `work(range, stats)` per block, and
-/// merge deterministically: block results are returned in range order and
-/// per-block `Stats` are summed into `stats` in range order.
+/// by `weights` when given), running `work(range, stats)` per block on its
+/// own scoped thread, and merge deterministically: block results are
+/// returned in range order and per-block `Stats` are summed into `stats`
+/// in range order. If a block panics, the payload of the lowest-indexed
+/// panicking block is resumed once every block has finished.
 ///
 /// With one task (or fewer than two items) the single block runs inline on
 /// the caller's thread against the caller's `Stats` — by construction the
@@ -196,21 +142,33 @@ where
         return vec![work(0..n, stats)];
     }
     let total = blocks.len();
-    let parts = run_scoped(total, total, |i| {
-        let block = blocks[i].clone();
-        let mut span = par.obs.span_with_parent(
-            SpanKind::SolvePart,
-            format!("part {}/{total}", i + 1),
-            par.parent,
-        );
-        span.field("items", block.len());
-        let mut s = Stats::default();
-        let r = work(block, &mut s);
-        (r, s)
+    let work = &work;
+    let joined: Vec<std::thread::Result<(R, Stats)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, block)| {
+                scope.spawn(move || {
+                    let mut span = par.obs.span_with_parent(
+                        SpanKind::SolvePart,
+                        format!("part {}/{total}", i + 1),
+                        par.parent,
+                    );
+                    span.field("items", block.len());
+                    let mut s = Stats::default();
+                    let r = work(block, &mut s);
+                    (r, s)
+                })
+            })
+            .collect();
+        // Joined, every one: a panic left unjoined would make the scope
+        // re-panic with its own payload instead of the block's.
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    parts
+    joined
         .into_iter()
-        .map(|(r, s)| {
+        .map(|part| {
+            let (r, s) = part.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             stats.merge(&s);
             r
         })
@@ -323,5 +281,24 @@ mod tests {
         let flat: Vec<usize> = out.into_iter().flatten().collect();
         assert_eq!(flat, (0..10).collect::<Vec<_>>());
         assert_eq!(stats.probes, 10);
+    }
+
+    #[test]
+    fn a_panicking_block_keeps_its_own_message() {
+        let par = ParCtx::new(4, &Observer::disabled());
+        let caught = std::panic::catch_unwind(|| {
+            let mut stats = Stats::default();
+            for_blocks(&par, 4, None, &mut stats, |r, _| {
+                if r.start == 2 {
+                    panic!("block {} exploded", r.start);
+                }
+                r.len()
+            })
+        });
+        let payload = caught.expect_err("the block's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("block 2 exploded")
+        );
     }
 }

@@ -13,20 +13,17 @@
 //! - [`DeltaBatch`]: per-relation tuple inserts and deletes (deletes apply
 //!   first; a row deleted and inserted in one batch is present after);
 //! - [`MaterializedView`]: a [`PreparedQuery`](fdjoin_core::PreparedQuery)
-//!   plus its database and materialized output, maintained in place by
+//!   plus its database and materialized output, built by
+//!   [`MaterializedView::materialize`] and maintained in place by
 //!   [`MaterializedView::apply_delta`];
-//! - [`ApplyDelta`]: the extension trait putting `materialize` /
-//!   `apply_delta` on `PreparedQuery` itself;
 //! - [`DeltaStats`]: deterministic maintenance counters (tuples touched,
 //!   delta joins run, plans reused vs. newly solved, full-recompute
 //!   fallbacks) so the incremental-vs-recompute tradeoff is *observable*,
 //!   not just asserted;
 //! - serving-layer wiring: [`SubmitDeltas`] streams ordered batches into a
 //!   view on an [`Executor`](fdjoin_exec::Executor) (batches stay
-//!   sequential per view, distinct views absorb updates concurrently), and
-//!   [`apply_delta_batch`] fans one batch across many views on scoped
-//!   work-stealing workers — the delta analogue of
-//!   [`ExecuteBatch`](fdjoin_exec::ExecuteBatch).
+//!   sequential per view, distinct views absorb updates concurrently — one
+//!   `submit_deltas` per view fans one batch out across many views).
 //!
 //! # The delta rule
 //!
@@ -85,7 +82,7 @@
 //!
 //! ```
 //! use fdjoin_core::Engine;
-//! use fdjoin_delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+//! use fdjoin_delta::{DeltaBatch, DeltaOptions, MaterializedView};
 //! use fdjoin_storage::{Database, Relation};
 //! use std::sync::Arc;
 //!
@@ -99,7 +96,7 @@
 //! // The toy database is 3 tuples, so allow deltas up to its full size;
 //! // at realistic scale the default 25% threshold is the right guard.
 //! let opts = DeltaOptions::new().max_delta_fraction(1.0);
-//! let mut view = prepared.materialize(db, opts).unwrap();
+//! let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, opts).unwrap();
 //! assert_eq!(view.output().len(), 1);
 //!
 //! // Close a second triangle with two inserted edges.
@@ -122,5 +119,5 @@ mod view;
 
 pub use batch::{DeltaBatch, RelationDelta};
 pub use stats::DeltaStats;
-pub use stream::{apply_delta_batch, DeltaStreamHandle, SubmitDeltas};
-pub use view::{ApplyDelta, DeltaOptions, MaterializedView};
+pub use stream::{DeltaStreamHandle, SubmitDeltas};
+pub use view::{DeltaOptions, MaterializedView};

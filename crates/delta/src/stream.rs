@@ -2,9 +2,8 @@
 
 use crate::{DeltaBatch, DeltaStats, MaterializedView};
 use fdjoin_core::JoinError;
-use fdjoin_exec::{contain_panic, run_scoped, Executor};
+use fdjoin_exec::Executor;
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Mutex;
 
 /// Stream ordered delta batches into materialized views on an
 /// [`Executor`]'s persistent pool.
@@ -66,26 +65,4 @@ impl DeltaStreamHandle {
             )
         })
     }
-}
-
-/// Apply one delta batch to many views concurrently (scoped work-stealing
-/// workers, one task per view) — the delta analogue of
-/// `ExecuteBatch::execute_batch`, for fan-out workloads like "this update
-/// hits every tenant's view". Results come back in view order. A view whose
-/// maintenance panicked (a registered UDF, say) reports
-/// [`JoinError::WorkerPanicked`] in its slot and is left as any
-/// mid-maintenance error leaves it — `refresh` it before reading; the other
-/// views' results are unaffected.
-pub fn apply_delta_batch(
-    views: &mut [MaterializedView],
-    delta: &DeltaBatch,
-    threads: usize,
-) -> Vec<Result<DeltaStats, JoinError>> {
-    // Each task needs exclusive access to exactly one view; per-slot
-    // mutexes give `run_scoped`'s shared closure that exclusivity (each
-    // lock is taken exactly once, so there is no contention to speak of).
-    let slots: Vec<Mutex<&mut MaterializedView>> = views.iter_mut().map(Mutex::new).collect();
-    run_scoped(slots.len(), threads, |i| {
-        contain_panic(|| slots[i].lock().unwrap().apply_delta(delta))
-    })
 }

@@ -75,7 +75,7 @@ impl DeltaOptions {
 ///
 /// # Error contract
 ///
-/// Validation errors (unknown relation, arity mismatch, foreign view)
+/// Validation errors (unknown relation, arity mismatch)
 /// are detected up front: the view — database *and* output — is
 /// untouched and the batch was not absorbed; fix the batch and resubmit.
 /// Errors surfacing mid-maintenance (an algorithm failing on a delta or
@@ -98,8 +98,9 @@ pub struct MaterializedView {
 
 impl MaterializedView {
     /// Execute the prepared query over `db` and keep the result
-    /// maintained. Equivalent to
-    /// [`ApplyDelta::materialize`](crate::ApplyDelta::materialize).
+    /// maintained. The view holds `prepared` for its whole life: every
+    /// later [`MaterializedView::apply_delta`] and
+    /// [`MaterializedView::refresh`] runs through it.
     pub fn materialize(
         prepared: Arc<PreparedQuery>,
         db: fdjoin_storage::Database,
@@ -477,47 +478,4 @@ fn diff_counts(old: &Relation, new: &Relation) -> (u64, u64) {
         }
     }
     (added, removed)
-}
-
-/// The [`PreparedQuery`] extension trait: incremental maintenance as a
-/// method of the prepared query itself, mirroring how
-/// `fdjoin_exec::ExecuteBatch` adds batch execution.
-pub trait ApplyDelta {
-    /// Materialize the query over `db` into a maintainable view.
-    fn materialize(
-        self: &Arc<Self>,
-        db: fdjoin_storage::Database,
-        opts: DeltaOptions,
-    ) -> Result<MaterializedView, JoinError>;
-
-    /// Absorb one delta batch into a view previously materialized from
-    /// *this* prepared query.
-    fn apply_delta(
-        &self,
-        view: &mut MaterializedView,
-        delta: &DeltaBatch,
-    ) -> Result<DeltaStats, JoinError>;
-}
-
-impl ApplyDelta for PreparedQuery {
-    fn materialize(
-        self: &Arc<Self>,
-        db: fdjoin_storage::Database,
-        opts: DeltaOptions,
-    ) -> Result<MaterializedView, JoinError> {
-        MaterializedView::materialize(self.clone(), db, opts)
-    }
-
-    fn apply_delta(
-        &self,
-        view: &mut MaterializedView,
-        delta: &DeltaBatch,
-    ) -> Result<DeltaStats, JoinError> {
-        if !std::ptr::eq(Arc::as_ptr(&view.prepared), self) {
-            return Err(JoinError::InvalidOptions(
-                "view was materialized from a different PreparedQuery".to_string(),
-            ));
-        }
-        view.apply_delta(delta)
-    }
 }

@@ -3,9 +3,7 @@
 //! and the error contract.
 
 use fdjoin_core::{naive_join, Algorithm, Engine, ExecOptions, JoinError, PlanCache};
-use fdjoin_delta::{
-    apply_delta_batch, ApplyDelta, DeltaBatch, DeltaOptions, MaterializedView, SubmitDeltas,
-};
+use fdjoin_delta::{DeltaBatch, DeltaOptions, MaterializedView, SubmitDeltas};
 use fdjoin_exec::Executor;
 use fdjoin_instances::random_instance;
 use fdjoin_lattice::VarSet;
@@ -32,9 +30,12 @@ fn inserts_and_deletes_maintain_the_output() {
     let q = examples::triangle();
     let db = triangle_db(5, 30);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared
-        .materialize(db.clone(), DeltaOptions::new().max_delta_fraction(1.0))
-        .unwrap();
+    let mut view = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db.clone(),
+        DeltaOptions::new().max_delta_fraction(1.0),
+    )
+    .unwrap();
     assert_consistent(&view, "materialize");
 
     // Insert edges that close new triangles, delete an existing R edge.
@@ -88,7 +89,8 @@ fn a_triangle_closed_by_two_inserts_is_added_once() {
     let q = examples::triangle();
     let prepared = Arc::new(Engine::new().prepare(&q));
     let opts = DeltaOptions::new().max_delta_fraction(1.0);
-    let mut view = prepared.materialize(one_triangle_db(), opts).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), one_triangle_db(), opts).unwrap();
     // R(1,5) and S(5,3) with the stored T(3,1) close (1,5,3): both Δ⁺
     // joins run against final versions, so both produce it.
     let delta = DeltaBatch::new().insert("R", [1, 5]).insert("S", [5, 3]);
@@ -108,7 +110,8 @@ fn a_row_deleted_and_reinserted_in_one_batch_keeps_its_tuples() {
     let q = examples::triangle();
     let prepared = Arc::new(Engine::new().prepare(&q));
     let opts = DeltaOptions::new().max_delta_fraction(1.0);
-    let mut view = prepared.materialize(one_triangle_db(), opts).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), one_triangle_db(), opts).unwrap();
     // R(1,2) leaves and comes back; S(8,9) really leaves, so the batch
     // revalidates the materialization.
     let delta = DeltaBatch::new()
@@ -133,9 +136,12 @@ fn delta_sequences_work_with_fds_and_udfs() {
         let mut rng2 = StdRng::seed_from_u64(978);
         let pool = random_instance(&q, &mut rng2, 24, 80);
         let prepared = Arc::new(Engine::new().prepare(&q));
-        let mut view = prepared
-            .materialize(db, DeltaOptions::new().max_delta_fraction(1.0))
-            .unwrap();
+        let mut view = MaterializedView::materialize(
+            Arc::clone(&prepared),
+            db,
+            DeltaOptions::new().max_delta_fraction(1.0),
+        )
+        .unwrap();
         assert_consistent(&view, "materialize");
         let mut rng3 = StdRng::seed_from_u64(3);
         for step in 0..4 {
@@ -164,7 +170,8 @@ fn oversized_deltas_fall_back_to_recompute() {
     let db = triangle_db(9, 20);
     let prepared = Arc::new(Engine::new().prepare(&q));
     // Default threshold: 25%.
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
     let mut delta = DeltaBatch::new();
     for k in 0..40u64 {
         delta.push_insert("R", [1000 + k, 2000 + k]);
@@ -194,14 +201,14 @@ fn stable_profiles_reuse_plans_with_zero_replanning() {
     // the *plan replay* machinery, and a Δ-specialized binary join would
     // (correctly) need no plans at all — see tests/cost_model.rs for the
     // specialized path.
-    let mut view = prepared
-        .materialize(
-            db,
-            DeltaOptions::new()
-                .max_delta_fraction(1.0)
-                .exec(ExecOptions::new().cost_tiebreak(false)),
-        )
-        .unwrap();
+    let mut view = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db,
+        DeltaOptions::new()
+            .max_delta_fraction(1.0)
+            .exec(ExecOptions::new().cost_tiebreak(false)),
+    )
+    .unwrap();
 
     // Size-stable deltas: each batch inserts one R row and deletes another,
     // so every delta join sees the same (1, |S|, |T|) profile.
@@ -246,12 +253,12 @@ fn streams_absorb_updates_concurrently() {
 
     let mut handles = Vec::new();
     for tenant in 0..4u64 {
-        let view = prepared
-            .materialize(
-                triangle_db(100 + tenant, 25),
-                DeltaOptions::new().max_delta_fraction(1.0),
-            )
-            .unwrap();
+        let view = MaterializedView::materialize(
+            Arc::clone(&prepared),
+            triangle_db(100 + tenant, 25),
+            DeltaOptions::new().max_delta_fraction(1.0),
+        )
+        .unwrap();
         let deltas: Vec<DeltaBatch> = (0..6)
             .map(|k| {
                 DeltaBatch::new()
@@ -297,9 +304,12 @@ fn panicking_delta_stream_is_a_typed_error_on_the_waiter() {
     });
     let prepared = Arc::new(Engine::new().prepare(&q));
     let fresh_view = || {
-        prepared
-            .materialize(db.clone(), DeltaOptions::new().max_delta_fraction(1.0))
-            .unwrap()
+        MaterializedView::materialize(
+            Arc::clone(&prepared),
+            db.clone(),
+            DeltaOptions::new().max_delta_fraction(1.0),
+        )
+        .unwrap()
     };
 
     let exec = Executor::with_threads(1);
@@ -320,31 +330,35 @@ fn panicking_delta_stream_is_a_typed_error_on_the_waiter() {
     assert_consistent(&view, "stream after a panicked one");
 }
 
+/// One batch hits every view: one `submit_deltas` per view on a shared
+/// pool, so the views absorb it concurrently.
 #[test]
 fn one_delta_fans_out_across_views() {
     let q = examples::triangle();
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut views: Vec<MaterializedView> = (0..6)
-        .map(|i| {
-            prepared
-                .materialize(
-                    triangle_db(200 + i, 20),
-                    DeltaOptions::new().max_delta_fraction(1.0),
-                )
-                .unwrap()
-        })
-        .collect();
+    let exec = Executor::with_threads(4);
     let delta = DeltaBatch::new()
         .insert("R", [7, 8])
         .insert("S", [8, 9])
         .insert("T", [9, 7]);
-    let results = apply_delta_batch(&mut views, &delta, 4);
-    assert_eq!(results.len(), 6);
-    for (i, (view, r)) in views.iter().zip(&results).enumerate() {
-        let bs = r.as_ref().unwrap();
+    let handles: Vec<_> = (0..6)
+        .map(|i| {
+            let view = MaterializedView::materialize(
+                Arc::clone(&prepared),
+                triangle_db(200 + i, 20),
+                DeltaOptions::new().max_delta_fraction(1.0),
+            )
+            .unwrap();
+            exec.submit_deltas(view, vec![delta.clone()])
+        })
+        .collect();
+    for (i, handle) in handles.into_iter().enumerate() {
+        let (view, results) = handle.wait().unwrap();
+        assert_eq!(results.len(), 1);
+        let bs = results[0].as_ref().unwrap();
         assert_eq!(bs.batches, 1);
         assert!(view.output().contains_row(&[7, 8, 9]), "view {i}");
-        assert_consistent(view, &format!("fanned view {i}"));
+        assert_consistent(&view, &format!("fanned view {i}"));
     }
 }
 
@@ -367,7 +381,8 @@ fn explicit_algorithms_maintain_too() {
             .exec(ExecOptions::new().algorithm(alg))
             .max_delta_fraction(1.0);
         let prepared = Arc::new(Engine::new().prepare(&q));
-        let mut view = match prepared.materialize(db.clone(), opts) {
+        let materialized = MaterializedView::materialize(Arc::clone(&prepared), db.clone(), opts);
+        let mut view = match materialized {
             Ok(v) => v,
             Err(JoinError::NoGoodChain | JoinError::NoGoodProof) => continue,
             Err(e) => panic!("{alg}: {e}"),
@@ -390,7 +405,8 @@ fn replayed_batches_are_cheap_noops() {
     let q = examples::triangle();
     let db = triangle_db(33, 30);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
 
     // Large enough that its *raw* row count exceeds 25% of the profile.
     let mut batch = DeltaBatch::new();
@@ -459,7 +475,8 @@ fn non_atom_relations_never_trigger_maintenance_work() {
         db.total_tuples() - 200,
         "the size profile covers the atoms only"
     );
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
     let before = view.output().clone();
 
     // 60 Audit rows ≫ 25% of the *database*, but the threshold is measured
@@ -497,9 +514,9 @@ fn error_contract() {
     let q = examples::triangle();
     let db = triangle_db(1, 10);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared
-        .materialize(db.clone(), DeltaOptions::new())
-        .unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db.clone(), DeltaOptions::new())
+            .unwrap();
 
     // Unknown relation.
     let err = view
@@ -517,15 +534,6 @@ fn error_contract() {
     assert_consistent(&view, "after rejected deltas");
     assert_eq!(view.stats().batches, 0);
 
-    // A view can only be driven through its own prepared query.
-    let other = Arc::new(Engine::new().prepare(&q));
-    let err = other
-        .apply_delta(&mut view, &DeltaBatch::new())
-        .unwrap_err();
-    assert!(matches!(err, JoinError::InvalidOptions(_)));
-    // The right prepared query works.
-    prepared.apply_delta(&mut view, &DeltaBatch::new()).unwrap();
-
     // Empty batches are counted no-ops.
     let bs = view.apply_delta(&DeltaBatch::new()).unwrap();
     assert_eq!(
@@ -535,7 +543,7 @@ fn error_contract() {
             ..Default::default()
         }
     );
-    assert_eq!(view.stats().batches, 2);
+    assert_eq!(view.stats().batches, 1);
 
     // refresh() restores the invariant by construction.
     let bs = view.refresh().unwrap();
@@ -553,7 +561,8 @@ fn inserting_into_empty_view_builds_the_output() {
     let prepared = Arc::new(Engine::new().prepare(&q));
     // An empty database always trips the fraction threshold; that is the
     // right call (there is nothing to maintain *from*).
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
     assert!(view.output().is_empty());
     let bs = view
         .apply_delta(

@@ -1,21 +1,14 @@
-//! Batched and fanned-out execution of prepared queries.
+//! Fanned-out execution of prepared queries on the [`Executor`]'s pool.
 //!
-//! Two entry points, one contract:
-//!
-//! - [`ExecuteBatch::execute_batch`] — synchronous: fan one
-//!   [`PreparedQuery`] across a borrowed slice of databases on scoped
-//!   work-stealing workers and collect per-database results;
-//! - [`Executor::submit`] — asynchronous: enqueue the same fan-out on a
-//!   persistent thread pool and get a [`BatchHandle`] to wait on, so a
-//!   serving loop can keep admitting batches while earlier ones run.
-//!
-//! Both return per-database [`JoinResult`]s **in database order** plus
-//! aggregate [`BatchStats`]. Results are bit-identical to a serial
-//! `execute` loop: executions share only the prepared query's plan caches,
-//! whose contents do not depend on scheduling.
+//! [`Executor::submit`] enqueues one job per database on a persistent
+//! thread pool and returns a [`BatchHandle`] to wait on, so a serving loop
+//! can keep admitting batches while earlier ones run. The handle returns
+//! per-database [`JoinResult`]s **in database order** plus aggregate
+//! [`BatchStats`]. Results are bit-identical to a serial `execute` loop:
+//! executions share only the prepared query's plan caches, whose contents
+//! do not depend on scheduling.
 
 use crate::pool::{contain_panic, unreported, Pool};
-use fdjoin_core::run_scoped;
 use fdjoin_core::{ExecOptions, JoinError, JoinResult, PreparedQuery};
 use fdjoin_obs::{Observer, Span, SpanKind};
 use fdjoin_storage::Database;
@@ -95,45 +88,6 @@ impl BatchResult {
             }
         }
         BatchResult { results, stats }
-    }
-}
-
-/// Batch execution over a borrowed database slice; implemented for
-/// [`PreparedQuery`].
-pub trait ExecuteBatch {
-    /// Execute against every database concurrently (one logical task per
-    /// database, work-stealing workers, up to one thread per core) and
-    /// return per-database results in input order.
-    fn execute_batch(&self, dbs: &[Database], opts: &ExecOptions) -> BatchResult;
-
-    /// [`ExecuteBatch::execute_batch`] with an explicit worker count.
-    fn execute_batch_with(
-        &self,
-        dbs: &[Database],
-        opts: &ExecOptions,
-        threads: usize,
-    ) -> BatchResult;
-}
-
-impl ExecuteBatch for PreparedQuery {
-    fn execute_batch(&self, dbs: &[Database], opts: &ExecOptions) -> BatchResult {
-        self.execute_batch_with(dbs, opts, default_threads())
-    }
-
-    fn execute_batch_with(
-        &self,
-        dbs: &[Database],
-        opts: &ExecOptions,
-        threads: usize,
-    ) -> BatchResult {
-        let started = Instant::now();
-        // Contained per task: a panic that unwound through `thread::scope`
-        // would resurface at the caller and take every other database's
-        // finished result with it.
-        let results = run_scoped(dbs.len(), threads, |i| {
-            contain_panic(|| self.execute(&dbs[i], opts))
-        });
-        BatchResult::collect(results, started.elapsed())
     }
 }
 

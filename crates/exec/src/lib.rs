@@ -16,11 +16,10 @@
 //!    are observable via [`PlanCacheStats`] and per-query
 //!    [`PrepStats`](fdjoin_core::PrepStats).
 //!
-//! 2. **Concurrent execution driver**: a std-only work-stealing thread
-//!    pool behind two APIs — [`ExecuteBatch::execute_batch`] (synchronous,
-//!    scoped, borrows the databases) and [`Executor::submit`]
-//!    (asynchronous, persistent pool, `Arc`-shared inputs). Both fan one
-//!    `PreparedQuery` across many databases and return per-database
+//! 2. **Concurrent execution driver**: [`Executor::submit`] fans one
+//!    `PreparedQuery` across many `Arc`-shared databases on a std-only
+//!    work-stealing thread pool and returns a [`BatchHandle`] whose
+//!    [`wait`](BatchHandle::wait) yields per-database
 //!    [`JoinResult`](fdjoin_core::JoinResult)s plus aggregate
 //!    [`BatchStats`] (throughput, totals).
 //!
@@ -38,11 +37,10 @@
 //!    exceeds a `log₂` cap with `JoinError::Budget` — before any cursor,
 //!    trie, or pool slot is spent.
 //!
-//! The raw admission primitives — [`Executor::spawn`] (persistent pool)
-//! and [`run_scoped`] (scoped workers over borrowed data) — are public so
-//! other serving drivers can schedule non-batch workloads on the same
-//! machinery; `fdjoin_delta` uses them to stream incremental update
-//! batches into materialized views.
+//! The raw admission primitive, [`Executor::spawn`], is public so other
+//! serving drivers can schedule non-batch workloads on the same pool;
+//! `fdjoin_delta` uses it to stream incremental update batches into
+//! materialized views.
 //!
 //! Serving results are *auditable*: every per-database
 //! [`JoinResult`](fdjoin_core::JoinResult) in a [`BatchResult`] carries
@@ -58,13 +56,13 @@
 //!
 //! ```
 //! use fdjoin_core::{Engine, ExecOptions, PlanCache};
-//! use fdjoin_exec::ExecuteBatch;
+//! use fdjoin_exec::Executor;
 //! use fdjoin_storage::{Database, Relation};
 //! use std::sync::Arc;
 //!
 //! let cache = Arc::new(PlanCache::new());
 //! let engine = Engine::with_plan_cache(cache.clone());
-//! let prepared = engine.prepare(&fdjoin_query::examples::triangle());
+//! let prepared = Arc::new(engine.prepare(&fdjoin_query::examples::triangle()));
 //!
 //! let mk = |k: u64| {
 //!     let mut db = Database::new();
@@ -73,8 +71,9 @@
 //!     db.insert("T", Relation::from_rows(vec![2, 0], [[3, k]]));
 //!     db
 //! };
-//! let dbs: Vec<Database> = (0..4).map(mk).collect();
-//! let batch = prepared.execute_batch(&dbs, &ExecOptions::new());
+//! let dbs: Arc<Vec<Database>> = Arc::new((0..4).map(mk).collect());
+//! let exec = Executor::with_threads(2);
+//! let batch = exec.submit(&prepared, &dbs, &ExecOptions::new()).wait();
 //! assert_eq!(batch.stats.succeeded, 4);
 //! // One size profile: planned once, reused for every database.
 //! assert_eq!(prepared.prep_stats().chain_searches, 1);
@@ -86,9 +85,7 @@ mod batch;
 mod pool;
 mod streaming;
 
-pub use batch::{BatchHandle, BatchResult, BatchStats, ExecuteBatch, Executor};
-pub use fdjoin_core::run_scoped;
-pub use pool::contain_panic;
+pub use batch::{BatchHandle, BatchResult, BatchStats, Executor};
 pub use streaming::{Admission, StreamBudget, StreamEnd, StreamHandle, StreamOutcome};
 // The cache types live in `fdjoin_core` (they are wired into
 // `Engine::prepare` and relabel crate-private plan structures); this crate

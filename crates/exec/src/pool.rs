@@ -23,7 +23,9 @@ type Job = Box<dyn FnOnce() + Send>;
 /// Run one execution on a worker, turning a panic inside it (a registered
 /// UDF, say) into the typed error its handle reports. Spans opened inside
 /// `work` close as the unwind drops them.
-pub fn contain_panic<T>(work: impl FnOnce() -> Result<T, JoinError>) -> Result<T, JoinError> {
+pub(crate) fn contain_panic<T>(
+    work: impl FnOnce() -> Result<T, JoinError>,
+) -> Result<T, JoinError> {
     catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
         let message = payload
             .downcast_ref::<&str>()

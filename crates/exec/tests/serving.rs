@@ -5,7 +5,7 @@ use fdjoin_core::{
     naive_join, Algorithm, Engine, ExecOptions, JoinError, JoinResult, PlanCache, PreparedQuery,
     UserDegreeBound,
 };
-use fdjoin_exec::{ExecuteBatch, Executor, StreamBudget};
+use fdjoin_exec::{Executor, StreamBudget};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{examples, Query};
 use fdjoin_storage::{Database, Relation};
@@ -384,29 +384,9 @@ fn assert_batch_matches_serial(
     }
 }
 
-/// The acceptance criterion: `execute_batch` over ≥ 4 databases is
-/// bit-identical to a serial `execute` loop.
-#[test]
-fn execute_batch_matches_serial() {
-    let q = examples::triangle();
-    let prepared = Engine::new().prepare(&q);
-    let dbs = triangle_dbs(6);
-    let o = ExecOptions::new();
-    let batch = prepared.execute_batch(&dbs, &o);
-    assert_eq!(batch.stats.databases, 6);
-    assert_eq!(batch.stats.succeeded, 6);
-    assert_eq!(batch.stats.failed, 0);
-    assert_batch_matches_serial(&prepared, &dbs, &o, &batch.results);
-    let expected_tuples: u64 = batch
-        .results
-        .iter()
-        .map(|r| r.as_ref().unwrap().output.len() as u64)
-        .sum();
-    assert_eq!(batch.stats.output_tuples, expected_tuples);
-}
-
-/// Same through the persistent `Executor::submit` API, including errors
-/// (a database missing a relation fails *its* slot only).
+/// The acceptance criterion: `Executor::submit` over ≥ 4 databases is
+/// bit-identical to a serial `execute` loop, errors included (a database
+/// missing a relation fails *its* slot only).
 #[test]
 fn executor_submit_collects_per_database_results() {
     let q = examples::triangle();
@@ -422,6 +402,7 @@ fn executor_submit_collects_per_database_results() {
     let handle = exec.submit(&prepared, &dbs, &ExecOptions::new());
     assert_eq!(handle.len(), 6);
     let batch = handle.wait();
+    assert_eq!(batch.stats.databases, 6);
     assert_eq!(batch.stats.succeeded, 5);
     assert_eq!(batch.stats.failed, 1);
     assert!(matches!(
@@ -434,6 +415,13 @@ fn executor_submit_collects_per_database_results() {
         &ExecOptions::new(),
         &batch.results[..5],
     );
+    let expected_tuples: u64 = batch
+        .results
+        .iter()
+        .flatten()
+        .map(|r| r.output.len() as u64)
+        .sum();
+    assert_eq!(batch.stats.output_tuples, expected_tuples);
 
     // The pool survives its first batch: submit another.
     let batch2 = exec.submit(&prepared, &dbs, &ExecOptions::new()).wait();
@@ -441,15 +429,20 @@ fn executor_submit_collects_per_database_results() {
 }
 
 /// A UDF that panics on a pool worker fails *its* execution with a typed
-/// error — batch slot or stream handle — and neither the waiting thread
-/// nor the pool goes down with it.
+/// error carrying the UDF's message — batch slot or stream handle, on the
+/// worker's own thread or inside an intra-query fan-out block — and
+/// neither the waiting thread, the pool, nor the other databases of the
+/// batch go down with it.
 #[test]
 fn panicking_udf_is_a_typed_error_on_the_waiter() {
+    let explode = |db: &mut Database| {
+        db.udfs.register(VarSet::from_vars([0, 2]), 3, |_| -> u64 {
+            panic!("udf exploded")
+        })
+    };
     let (q, good) = fig1();
     let (_, mut bad) = fig1();
-    bad.udfs.register(VarSet::from_vars([0, 2]), 3, |_| -> u64 {
-        panic!("udf exploded")
-    });
+    explode(&mut bad);
     let prepared = Arc::new(Engine::new().prepare(&q));
     let dbs = Arc::new(vec![good.clone(), bad.clone()]);
     let expected = naive_join(&q, &good).unwrap().output;
@@ -466,7 +459,7 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
     assert_eq!((batch.stats.succeeded, batch.stats.failed), (1, 1));
 
     let streamed = exec
-        .submit_stream(&prepared, &Arc::new(bad), StreamBudget::new())
+        .submit_stream(&prepared, &Arc::new(bad.clone()), StreamBudget::new())
         .wait();
     assert!(
         matches!(streamed, Err(JoinError::WorkerPanicked(_))),
@@ -474,39 +467,43 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
     );
 
     let next = exec
-        .submit(&prepared, &Arc::new(vec![good]), &opts(Algorithm::Chain))
+        .submit(
+            &prepared,
+            &Arc::new(vec![good.clone()]),
+            &opts(Algorithm::Chain),
+        )
         .wait();
     assert_eq!(next.results[0].as_ref().unwrap().output, expected);
-}
 
-/// The scoped fan-out contains the same panic: `execute_batch` reports it in
-/// the panicking database's slot instead of re-throwing it at the caller
-/// (which would discard the other databases' finished results).
-#[test]
-fn execute_batch_contains_a_panicking_udf() {
-    let (q, good) = fig1();
-    let (_, mut bad) = fig1();
-    bad.udfs.register(VarSet::from_vars([0, 2]), 3, |_| -> u64 {
-        panic!("udf exploded")
-    });
-    let prepared = Engine::new().prepare(&q);
-    let options = opts(Algorithm::Chain);
-    let dbs = vec![good.clone(), bad, good.clone()];
-
-    let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prepared.execute_batch_with(&dbs, &options, 2)
-    }))
-    .expect("execute_batch does not unwind into its caller");
-
-    let expected = prepared.execute(&good, &options).unwrap().output;
-    assert_eq!(batch.results[0].as_ref().unwrap().output, expected);
+    // Two workers, the panicking database between two good ones: both
+    // neighbours equal a serial execute.
+    let chain = opts(Algorithm::Chain);
+    let serial = prepared.execute(&good, &chain).unwrap().output;
+    let dbs = Arc::new(vec![good.clone(), bad, good]);
+    let batch = Executor::with_threads(2)
+        .submit(&prepared, &dbs, &chain)
+        .wait();
+    assert_eq!(batch.results[0].as_ref().unwrap().output, serial);
     assert!(
         matches!(&batch.results[1], Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
         "{:?}",
         batch.results[1]
     );
-    assert_eq!(batch.results[2].as_ref().unwrap().output, expected);
+    assert_eq!(batch.results[2].as_ref().unwrap().output, serial);
     assert_eq!((batch.stats.succeeded, batch.stats.failed), (2, 1));
+
+    // Inside a fan-out: Chain's extend step splits the 64-row instance
+    // into two scoped blocks, and the block's own message reaches the slot.
+    let mut wide = fdjoin_instances::fig1_tight(8);
+    explode(&mut wide);
+    let split = exec
+        .submit(&prepared, &Arc::new(vec![wide]), &chain.parallelism(2))
+        .wait();
+    assert!(
+        matches!(&split.results[0], Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
+        "{:?}",
+        split.results[0]
+    );
 }
 
 /// Stress: many databases × several algorithms × repeated rounds, wide
@@ -520,13 +517,15 @@ fn concurrent_execution_stress() {
         (examples::fig4_query(), 6),
     ] {
         let cache = Arc::new(PlanCache::new());
-        let prepared = Engine::with_plan_cache(cache).prepare(&q);
-        let dbs: Vec<Database> = (0..db_count)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(7 * i as u64 + 3);
-                fdjoin_instances::random_instance(&q, &mut rng, 6 + (i % 4), 75)
-            })
-            .collect();
+        let prepared = Arc::new(Engine::with_plan_cache(cache).prepare(&q));
+        let dbs: Arc<Vec<Database>> = Arc::new(
+            (0..db_count)
+                .map(|i| {
+                    let mut rng = StdRng::seed_from_u64(7 * i as u64 + 3);
+                    fdjoin_instances::random_instance(&q, &mut rng, 6 + (i % 4), 75)
+                })
+                .collect(),
+        );
         let o = ExecOptions::new();
         // Serial baseline (also warms the plan caches deterministically).
         let serial: Vec<JoinResult> = dbs
@@ -536,7 +535,9 @@ fn concurrent_execution_stress() {
         let warmed = prepared.prep_stats();
         for round in 0..4 {
             let threads = [1, 2, 4, 8][round % 4];
-            let batch = prepared.execute_batch_with(&dbs, &o, threads);
+            let batch = Executor::with_threads(threads)
+                .submit(&prepared, &dbs, &o)
+                .wait();
             assert_eq!(batch.stats.failed, 0, "{}", q.display_body());
             for (i, r) in batch.results.iter().enumerate() {
                 let r = r.as_ref().unwrap();
@@ -622,9 +623,12 @@ fn batch_results_surface_data_dependent_decisions() {
     };
     let dbs = vec![subset(true), subset(false)];
 
+    let dbs = Arc::new(dbs);
     let cache = Arc::new(PlanCache::new());
-    let prepared = Engine::with_plan_cache(cache).prepare(&q);
-    let batch = prepared.execute_batch(&dbs, &ExecOptions::new());
+    let prepared = Arc::new(Engine::with_plan_cache(cache).prepare(&q));
+    let batch = Executor::with_threads(2)
+        .submit(&prepared, &dbs, &ExecOptions::new())
+        .wait();
     assert_eq!(batch.stats.succeeded, 2);
 
     let decisions: Vec<_> = batch

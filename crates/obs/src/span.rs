@@ -43,7 +43,7 @@ pub enum SpanKind {
     /// resolved algorithm and — under `Algorithm::Auto` — the decision.
     Solve,
     /// One sub-range block of a parallel solve, explicitly parented to its
-    /// `Solve` span (the block may run on any pool worker).
+    /// `Solve` span (the block runs on its own scoped thread).
     SolvePart,
     /// One `ResultStream` descent step that delivered (or failed to
     /// deliver) the next row.
@@ -53,9 +53,9 @@ pub enum SpanKind {
     StreamPause,
     /// One `MaterializedView::apply_delta` batch absorption.
     DeltaApply,
-    /// One per-database task of a batch (scoped or submitted).
+    /// One per-database job of an `Executor::submit` batch.
     Batch,
-    /// One `Executor::submit`/`submit_stream`/`execute_batch` root.
+    /// One `Executor::submit`/`submit_stream` root.
     Submit,
     /// A caller-defined grouping span (e.g. one request serving several
     /// prepares/submits as one tree).

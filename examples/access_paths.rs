@@ -6,8 +6,8 @@
 //! Run with `cargo run --release --example access_paths`.
 
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
-use fdjoin::exec::ExecuteBatch;
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
+use fdjoin::exec::Executor;
 use fdjoin::instances::bounded_degree_triangle;
 use fdjoin::query::examples;
 use std::sync::Arc;
@@ -18,9 +18,11 @@ fn main() {
     let opts = ExecOptions::new().algorithm(Algorithm::GenericJoin);
 
     // A small fleet of databases, as a serving layer would hold per tenant.
-    let dbs: Vec<_> = (1..=4u64)
-        .map(|k| bounded_degree_triangle(64 * k, 8))
-        .collect();
+    let dbs: Arc<Vec<_>> = Arc::new(
+        (1..=4u64)
+            .map(|k| bounded_degree_triangle(64 * k, 8))
+            .collect(),
+    );
 
     println!("== cold pass: every (relation, order) trie is built once ==");
     for (i, db) in dbs.iter().enumerate() {
@@ -42,7 +44,9 @@ fn main() {
     );
 
     println!("== warm batch (4 threads): zero rebuilds, all hits ==");
-    let batch = prepared.execute_batch_with(&dbs, &opts, 4);
+    let batch = Executor::with_threads(4)
+        .submit(&prepared, &dbs, &opts)
+        .wait();
     assert_eq!(batch.stats.failed, 0);
     let window = prepared.prep_stats().since(&warm);
     println!(
@@ -55,8 +59,7 @@ fn main() {
 
     println!("== delta batches: rebuild only what a delta touched ==");
     let view_opts = DeltaOptions::new().exec(ExecOptions::new().algorithm(Algorithm::Chain));
-    let mut view = prepared
-        .materialize(dbs[0].clone(), view_opts)
+    let mut view = MaterializedView::materialize(Arc::clone(&prepared), dbs[0].clone(), view_opts)
         .expect("materialize");
     let before = prepared.prep_stats();
     let delta = DeltaBatch::new().insert("R", [1u64, 2]).delete("R", [2, 3]);

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example cost_model`
 
 use fdjoin::core::{Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::instances::random_instance;
 use fdjoin::storage::{Database, Relation};
 use rand::rngs::StdRng;
@@ -88,15 +88,15 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(4242);
     let db = random_instance(&tri, &mut rng, 400, 90);
     let prepared = Arc::new(Engine::new().prepare(&tri));
-    let mut view = prepared
-        .materialize(db.clone(), DeltaOptions::new())
-        .unwrap();
-    let mut plain = prepared
-        .materialize(
-            db,
-            DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(false)),
-        )
-        .unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db.clone(), DeltaOptions::new())
+            .unwrap();
+    let mut plain = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db,
+        DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(false)),
+    )
+    .unwrap();
     println!("triangle view: {} tuples materialized", view.output().len());
     for step in 0..4u64 {
         let delta = DeltaBatch::new().insert("R", [900 + step, 901 + step]);

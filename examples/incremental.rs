@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example incremental`
 
 use fdjoin::core::{Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::storage::{Database, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,8 +36,7 @@ fn main() {
     // Prepare once; the lattice presentation and all per-profile plans
     // live on this handle for the lifetime of the view.
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared
-        .materialize(db, DeltaOptions::new())
+    let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new())
         .expect("materialize");
     println!(
         "materialized {} triangles over {} edges ({} ran)\n",

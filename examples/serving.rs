@@ -4,13 +4,13 @@
 //! *structurally identical* queries over their own schemas (different
 //! variable and relation names), each against many databases. A shared
 //! `PlanCache` keyed by lattice-presentation isomorphism means only the
-//! first tenant pays for planning; the batch driver then fans each
+//! first tenant pays for planning; the `Executor` then fans each
 //! prepared query across its databases concurrently.
 //!
 //! Run with: `cargo run --example serving`
 
 use fdjoin::core::{Engine, ExecOptions, PlanCache};
-use fdjoin::exec::{ExecuteBatch, Executor};
+use fdjoin::exec::Executor;
 use fdjoin::query::Query;
 use fdjoin::storage::Database;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ fn main() {
     let mut prepared = Vec::new();
     for t in 0..3 {
         let q = tenant_query(t);
-        let p = engine.prepare(&q);
+        let p = Arc::new(engine.prepare(&q));
         prepared.push((q, p));
     }
     for (t, (q, p)) in prepared.iter().enumerate() {
@@ -96,10 +96,11 @@ fn main() {
         cs.shapes, cs.shape_hits, cs.shape_misses
     );
 
-    println!("=== batch execution (scoped work-stealing) ===");
+    println!("=== batch execution (submit / wait) ===");
+    let exec = Executor::new();
     let (q0, p0) = &prepared[0];
-    let dbs = tenant_dbs(q0, 24, 7);
-    let batch = p0.execute_batch(&dbs, &opts);
+    let dbs = Arc::new(tenant_dbs(q0, 24, 7));
+    let batch = exec.submit(p0, &dbs, &opts).wait();
     println!(
         "{} databases: {} ok / {} failed, {} output tuples, {:.1?} wall, {:.0} db/s",
         batch.stats.databases,
@@ -114,8 +115,7 @@ fn main() {
     // (shared_hits), everything else is a pure local-cache read.
     println!("prep stats after batch: {:?}\n", p0.prep_stats());
 
-    println!("=== persistent executor (submit / wait) ===");
-    let exec = Executor::new();
+    println!("=== overlapping batches on one executor ===");
     let (q1, _) = &prepared[1];
     let p1 = Arc::new(engine.prepare(q1));
     let dbs1 = Arc::new(tenant_dbs(q1, 16, 99));

@@ -77,9 +77,10 @@
 //! with the decision recorded in [`core::AutoDecision`]. See
 //! `examples/cost_model.rs` and `tests/cost_model.rs`.
 //!
-//! For serving workloads, [`exec`] adds batched/concurrent execution
-//! ([`exec::ExecuteBatch`], [`exec::Executor`]) and a cross-query plan
-//! cache keyed by lattice-presentation isomorphism
+//! For serving workloads, [`exec`] adds concurrent execution on a
+//! persistent pool ([`exec::Executor::submit`] fans one prepared query
+//! across many databases) and a cross-query plan cache keyed by
+//! lattice-presentation isomorphism
 //! ([`core::PlanCache`] via [`core::Engine::with_plan_cache`]); see
 //! `examples/serving.rs`.
 //!
@@ -104,14 +105,14 @@
 //!
 //! When relations change by small deltas, [`delta`] maintains a
 //! materialized answer instead of re-executing: [`delta::DeltaBatch`]
-//! carries per-relation inserts/deletes, [`delta::ApplyDelta`] puts
-//! `materialize`/`apply_delta` on a prepared query, and
-//! [`delta::DeltaStats`] makes the saved work observable — see
-//! `examples/incremental.rs` and `tests/differential.rs`.
+//! carries per-relation inserts/deletes, [`delta::MaterializedView`]
+//! materializes a prepared query over a database and absorbs batches with
+//! `apply_delta`, and [`delta::DeltaStats`] makes the saved work
+//! observable — see `examples/incremental.rs` and `tests/differential.rs`.
 //!
 //! ```
 //! use fdjoin::core::Engine;
-//! use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+//! use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 //! use fdjoin::storage::{Database, Relation};
 //! use std::sync::Arc;
 //!
@@ -123,7 +124,8 @@
 //! db.insert("T", Relation::from_rows(vec![2, 0], edges));
 //!
 //! let prepared = Arc::new(Engine::new().prepare(&q));
-//! let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+//! let mut view =
+//!     MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
 //!
 //! // One inserted edge closes the triangle 1-2-3: a delta join against
 //! // the current S and T, not a recompute of the whole join.

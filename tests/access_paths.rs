@@ -1,12 +1,12 @@
 //! Acceptance tests for the shared access-path layer: trie indexes are
 //! built once per (relation version, column order) and provably reused —
 //! across repeated executions of one `PreparedQuery`, across
-//! `execute_batch` workers, and across delta batches — with rebuilds
+//! `Executor` pool workers, and across delta batches — with rebuilds
 //! happening exactly when a relation's content version moves.
 
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
-use fdjoin::exec::ExecuteBatch;
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
+use fdjoin::exec::Executor;
 use fdjoin::query::examples;
 use fdjoin::storage::{Database, Relation};
 use std::sync::Arc;
@@ -65,8 +65,8 @@ fn second_execution_builds_zero_indexes() {
     }
 }
 
-/// Index reuse across `execute_batch`: the concurrent batch over already
-/// served databases acquires every index from the cache.
+/// Index reuse across `Executor::submit`: the concurrent batch over
+/// already served databases acquires every index from the cache.
 #[test]
 fn batch_execution_reuses_indexes() {
     let q = examples::triangle();
@@ -81,7 +81,8 @@ fn batch_execution_reuses_indexes() {
         db.insert("T", Relation::from_rows(vec![2, 0], [[3, 1], [1, 2]]));
         dbs.push(db);
     }
-    let prepared = Engine::new().prepare(&q);
+    let dbs = Arc::new(dbs);
+    let prepared = Arc::new(Engine::new().prepare(&q));
     let opts = ExecOptions::new();
     // Warm serially (4 databases × their relation versions).
     let serial: Vec<_> = dbs
@@ -92,7 +93,9 @@ fn batch_execution_reuses_indexes() {
     assert!(warm.index_builds > 0, "first pass builds the tries");
     // Two concurrent batch rounds over the same databases: zero rebuilds.
     for threads in [2, 4] {
-        let batch = prepared.execute_batch_with(&dbs, &opts, threads);
+        let batch = Executor::with_threads(threads)
+            .submit(&prepared, &dbs, &opts)
+            .wait();
         assert_eq!(batch.stats.failed, 0);
         for (r, s) in batch.results.iter().zip(&serial) {
             assert_eq!(r.as_ref().unwrap().output, s.output);
@@ -122,7 +125,7 @@ fn delta_batches_rebuild_only_what_changed() {
     // shape — the reuse below is then exactly "which relations' expanded
     // tries survived the delta".
     let opts = DeltaOptions::new().exec(ExecOptions::new().algorithm(Algorithm::Chain));
-    let mut view = prepared.materialize(db, opts).unwrap();
+    let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, opts).unwrap();
     let after_materialize = prepared.prep_stats();
     assert!(after_materialize.index_builds > 0);
 

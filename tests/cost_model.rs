@@ -6,7 +6,7 @@
 //! visible in `DeltaStats`.
 
 use fdjoin::core::{naive_join, Algorithm, AutoReason, Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::instances::random_instance;
 use fdjoin::query::examples;
 use fdjoin::storage::{Database, Relation};
@@ -158,12 +158,12 @@ fn one_tuple_delta_stops_paying_for_the_full_plan() {
         let prepared = Arc::new(Engine::new().prepare(&q));
 
         let run = |on: bool| {
-            let mut view = prepared
-                .materialize(
-                    db.clone(),
-                    DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(on)),
-                )
-                .unwrap();
+            let mut view = MaterializedView::materialize(
+                Arc::clone(&prepared),
+                db.clone(),
+                DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(on)),
+            )
+            .unwrap();
             let bs = view
                 .apply_delta(&DeltaBatch::new().insert(&atom0, row.clone()))
                 .unwrap();
@@ -208,7 +208,7 @@ fn profile_deterministic_options_disable_delta_specialization() {
     let db = random_instance(&q, &mut rng, 200, 90);
     let prepared = Arc::new(Engine::new().prepare(&q));
     let opts = DeltaOptions::new().exec(ExecOptions::new().cost_tiebreak(false));
-    let mut view = prepared.materialize(db, opts).unwrap();
+    let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, opts).unwrap();
     let bs = view
         .apply_delta(&DeltaBatch::new().insert("R", [11, 12]))
         .unwrap();
@@ -224,7 +224,7 @@ fn pinned_algorithms_never_specialize() {
     let db = random_instance(&q, &mut rng, 200, 90);
     let prepared = Arc::new(Engine::new().prepare(&q));
     let opts = DeltaOptions::new().exec(ExecOptions::new().algorithm(Algorithm::Chain));
-    let mut view = prepared.materialize(db, opts).unwrap();
+    let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, opts).unwrap();
     let bs = view
         .apply_delta(&DeltaBatch::new().insert("R", [11, 12]))
         .unwrap();
@@ -243,9 +243,12 @@ fn bulk_deltas_keep_the_view_plan() {
     let mut rng2 = StdRng::seed_from_u64(9 ^ 0xD1F7);
     let pool = random_instance(&q, &mut rng2, 60, 90);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared
-        .materialize(db, DeltaOptions::new().max_delta_fraction(1.0))
-        .unwrap();
+    let mut view = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db,
+        DeltaOptions::new().max_delta_fraction(1.0),
+    )
+    .unwrap();
     // Insert an entire second instance's R: the delta is as large as the
     // base relation, so the Δ-first estimate cannot beat a base scan.
     let mut delta = DeltaBatch::new();
@@ -274,17 +277,20 @@ fn specialized_views_track_naive_under_random_streams() {
     let mut rng2 = StdRng::seed_from_u64(31337 ^ 0xD1F7);
     let pool = random_instance(&q, &mut rng2, 24, 85);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut spec = prepared
-        .materialize(db.clone(), DeltaOptions::new().max_delta_fraction(1.0))
-        .unwrap();
-    let mut plain = prepared
-        .materialize(
-            db,
-            DeltaOptions::new()
-                .max_delta_fraction(1.0)
-                .exec(ExecOptions::new().cost_tiebreak(false)),
-        )
-        .unwrap();
+    let mut spec = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db.clone(),
+        DeltaOptions::new().max_delta_fraction(1.0),
+    )
+    .unwrap();
+    let mut plain = MaterializedView::materialize(
+        Arc::clone(&prepared),
+        db,
+        DeltaOptions::new()
+            .max_delta_fraction(1.0)
+            .exec(ExecOptions::new().cost_tiebreak(false)),
+    )
+    .unwrap();
     for step in 0..8 {
         let mut delta = DeltaBatch::new();
         for atom in q.atoms() {

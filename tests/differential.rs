@@ -10,7 +10,7 @@
 //! corrupt the database's integrity.
 
 use fdjoin::core::{naive_join, Algorithm, Engine, ExecOptions, JoinError};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions, MaterializedView};
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::instances::random_instance;
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::Database;
@@ -77,12 +77,13 @@ fn run_sequence(q: &Query, alg: Algorithm, seed: u64, rows: usize, batches: usiz
         // the delta-join machinery (not the fallback) is what's tested.
         .max_delta_fraction(1.0);
     let prepared = Arc::new(Engine::new().prepare(q));
-    let mut view: MaterializedView = match prepared.materialize(db, opts) {
-        Ok(v) => v,
-        // Chain/SMA legitimately refuse some lattices (Example 5.31 etc.).
-        Err(JoinError::NoGoodChain | JoinError::NoGoodProof) => return 0,
-        Err(e) => panic!("{alg} on {}: {e}", q.display_body()),
-    };
+    let mut view: MaterializedView =
+        match MaterializedView::materialize(Arc::clone(&prepared), db, opts) {
+            Ok(v) => v,
+            // Chain/SMA legitimately refuse some lattices (Example 5.31 etc.).
+            Err(JoinError::NoGoodChain | JoinError::NoGoodProof) => return 0,
+            Err(e) => panic!("{alg} on {}: {e}", q.display_body()),
+        };
 
     let mut verified = 0;
     for step in 0..batches {
@@ -149,9 +150,8 @@ proptest! {
             let mut rng2 = StdRng::seed_from_u64(seed ^ 0xABCD);
             let pool = random_instance(&q, &mut rng2, rows, 80);
             let prepared = Arc::new(Engine::new().prepare(&q));
-            let mut view = prepared
-                .materialize(db, DeltaOptions::new().max_delta_fraction(1.0))
-                .unwrap();
+            let opts = DeltaOptions::new().max_delta_fraction(1.0);
+            let mut view = MaterializedView::materialize(Arc::clone(&prepared), db, opts).unwrap();
             for step in 0..6 {
                 let delta = random_delta(&mut rng, &q, view.database(), &pool);
                 view.apply_delta(&delta).unwrap();
@@ -177,7 +177,8 @@ fn single_tuple_delta_beats_full_recompute() {
     let mut rng = StdRng::seed_from_u64(4242);
     let db = random_instance(&q, &mut rng, 400, 90);
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
 
     let delta = DeltaBatch::new().insert("R", [123_456, 654_321]);
     let bs = view.apply_delta(&delta).unwrap();
@@ -210,7 +211,8 @@ fn single_tuple_delete_beats_full_recompute() {
     let db = random_instance(&q, &mut rng, 400, 90);
     let victim = db.relation("R").unwrap().row(0).to_vec();
     let prepared = Arc::new(Engine::new().prepare(&q));
-    let mut view = prepared.materialize(db, DeltaOptions::new()).unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
 
     let bs = view
         .apply_delta(&DeltaBatch::new().delete("R", victim))

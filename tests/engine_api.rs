@@ -5,7 +5,7 @@ use fdjoin::core::{
     binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, naive_join, sma_join,
     Algorithm, AutoReason, Engine, ExecOptions, JoinError, JoinResult, UserDegreeBound,
 };
-use fdjoin::delta::{ApplyDelta, DeltaOptions};
+use fdjoin::delta::{DeltaOptions, MaterializedView};
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::{Database, Relation};
 use fdjoin::stream::ResultStream;
@@ -689,7 +689,8 @@ fn schema_mismatch_is_a_join_error_everywhere() {
             ResultStream::open(&prepared, db).err(),
             Some(expect.clone())
         );
-        let view = prepared.materialize(db.clone(), DeltaOptions::new());
+        let view =
+            MaterializedView::materialize(Arc::clone(&prepared), db.clone(), DeltaOptions::new());
         assert_eq!(view.err(), Some(expect.clone()));
         assert!(expect.to_string().contains("stored over variables"));
     }

@@ -4,7 +4,7 @@
 //! EXPLAIN ANALYZE name everything the planner knew.
 
 use fdjoin::core::{Engine, ExecOptions};
-use fdjoin::delta::{ApplyDelta, DeltaBatch, DeltaOptions};
+use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::exec::{Executor, StreamBudget, StreamEnd};
 use fdjoin::instances::random_instance;
 use fdjoin::obs::{
@@ -390,9 +390,9 @@ fn stream_and_delta_metrics_flow_through_one_observer() {
     assert!(outcome.stats.to_string().contains("work="));
 
     // A delta batch through a materialized view.
-    let mut view = prepared
-        .materialize(triangle_db(), DeltaOptions::new())
-        .unwrap();
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), triangle_db(), DeltaOptions::new())
+            .unwrap();
     let ds = view
         .apply_delta(&DeltaBatch::new().insert("R", [3, 1]))
         .unwrap();
