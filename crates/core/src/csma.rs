@@ -17,11 +17,20 @@
 //! only side.
 //!
 //! The answer is the union over all branches of `T(1̂)`, semijoin-reduced
-//! and FD-verified (making the implementation sound unconditionally; the
-//! CLLP budget governs its *running time*).
+//! against every input and FD-verified (making the implementation sound
+//! unconditionally; the CLLP budget governs its *running time*). The
+//! verification is done once per row, by whichever pass can: a table that
+//! a CC or SM join built — or a CD bucket of one — is *verified*, its rows
+//! having passed the fused program of its own element, and the final pass
+//! ([`semijoin_reduce_verified`](crate::par::semijoin_reduce_verified))
+//! runs the verify list only when some branch's non-empty `T(1̂)` is not.
+//! The CSM sequence derives `1̂` from `0̂` by rules, so every branch's
+//! `T(1̂)` comes out of a join and the final pass is only the semijoin; the
+//! flag keeps the pass sound for a table that does not.
 
 use crate::engine::{JoinError, UserDegreeBound};
 use crate::extend::{extend, Side};
+use crate::par::TopTables;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::cllp::{solve_cllp, DegreePair};
@@ -146,33 +155,30 @@ pub(crate) fn execute(
 
     // Initial branch state.
     let mut tables = Tables::new();
-    tables.insert(lat.bottom(), Cow::Owned(Relation::nullary_unit()));
+    tables.insert(
+        lat.bottom(),
+        Table::unverified(Cow::Owned(Relation::nullary_unit())),
+    );
     for (j, &e) in pres.inputs.iter().enumerate() {
         let rel = ex.input(j, &mut stats)?;
-        match tables.get(&e) {
-            None => {
-                tables.insert(e, Cow::Borrowed(rel));
-            }
-            Some(existing) => {
-                // Two atoms with the same closure: intersect.
-                let merged = existing.semijoin(rel);
-                tables.insert(e, Cow::Owned(merged));
-            }
-        }
+        let table = match tables.get(&e) {
+            None => Cow::Borrowed(rel),
+            // Two atoms with the same closure: intersect.
+            Some(existing) => Cow::Owned(existing.rel.semijoin(rel)),
+        };
+        tables.insert(e, Table::unverified(table));
     }
     let mut guard_map: HashMap<(ElemId, ElemId), Arc<TrieIndex>> = HashMap::new();
     for (p, g) in csma.pairs.iter().zip(&guard_rels) {
         guard_map.insert((p.lo, p.hi), Arc::clone(g));
     }
 
-    let nv = q.n_vars();
-    let all: Vec<u32> = (0..nv as u32).collect();
-    let mut out = Relation::new(all);
+    let mut top = TopTables::new(q.n_vars());
     let ctx = Ctx {
         lat,
         pairs: &csma.pairs,
         ex: &ex,
-        nv,
+        nv: q.n_vars(),
         par,
     };
     exec(
@@ -180,26 +186,46 @@ pub(crate) fn execute(
         &csma.seq.rules,
         tables,
         guard_map,
-        &mut out,
+        &mut top,
         &mut stats,
     )?;
 
-    // Soundness pass: dedup, semijoin with every input, verify all FDs.
-    out.sort_dedup();
+    // Soundness pass: dedup, semijoin with every input, verify all FDs
+    // unless every branch's T(1̂) is verified.
     let inputs: Vec<&Relation> = q
         .atoms()
         .iter()
         .map(|a| db.relation(&a.name))
         .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, top, par, &mut stats);
 
     Ok((reduced, stats, csma))
 }
 
-/// Each lattice element's table in one branch. Tables still equal to an
+/// Each lattice element's table in one branch.
+type Tables<'a> = HashMap<ElemId, Table<'a>>;
+
+/// One lattice element's table in one branch. Tables still equal to an
 /// expanded input borrow it, so the per-bucket copies of a branch's state
 /// copy only what the branch derived.
-type Tables<'a> = HashMap<ElemId, Cow<'a, Relation>>;
+#[derive(Clone)]
+struct Table<'a> {
+    rel: Cow<'a, Relation>,
+    /// The rows came out of a [`Expander::compile_fused`] program whose
+    /// target is this table's element (a CC or SM join, or a CD bucket of
+    /// such a table), so every FD within the element holds on them.
+    /// Expanded inputs and their intersections are conservatively not.
+    verified: bool,
+}
+
+impl<'a> Table<'a> {
+    fn unverified(rel: Cow<'a, Relation>) -> Table<'a> {
+        Table {
+            rel,
+            verified: false,
+        }
+    }
+}
 
 struct Ctx<'a> {
     lat: &'a fdjoin_lattice::Lattice,
@@ -214,39 +240,34 @@ fn exec(
     rules: &[CsmRule],
     mut tables: Tables<'_>,
     mut guard_map: HashMap<(ElemId, ElemId), Arc<TrieIndex>>,
-    out: &mut Relation,
+    top: &mut TopTables,
     stats: &mut Stats,
 ) -> Result<(), JoinError> {
     let lat = ctx.lat;
     let Some((rule, rest)) = rules.split_first() else {
-        // Emit T(1̂), realigned to ascending variable order via a one-shot
-        // trie build over the branch's final table.
+        // Emit the branch's T(1̂).
         if let Some(t) = tables.get(&lat.top()) {
-            let all: Vec<u32> = (0..ctx.nv as u32).collect();
-            let ix = TrieIndex::build(t, &all);
-            let mut rows = ix.walk_all();
-            while let Some(row) = rows.next() {
-                out.push_row(row);
-                stats.intermediate_tuples += 1;
-            }
+            top.add(&t.rel, t.verified);
+            stats.intermediate_tuples += t.rel.len() as u64;
         }
         return Ok(());
     };
     match *rule {
         CsmRule::Cd { x, y } => {
-            let t = tables.get(&y).cloned().unwrap_or_else(|| {
-                Cow::Owned(Relation::new(lat.set_of(y).unwrap().iter().collect()))
-            });
+            let (t, verified) = match tables.get(&y) {
+                Some(t) => (Cow::Borrowed(&*t.rel), t.verified),
+                None => (empty(lat, y), false),
+            };
             let x_vars: Vec<u32> = lat.set_of(x).unwrap().iter().collect();
             let mut order = x_vars.clone();
             order.extend(t.vars().iter().copied().filter(|v| !x_vars.contains(v)));
             let sorted = Arc::new(TrieIndex::build(&t, &order));
             if sorted.is_empty() {
                 // Single empty branch.
-                tables.insert(y, Cow::Owned(sorted.to_relation()));
-                tables.insert(x, Cow::Owned(Relation::new(x_vars)));
+                tables.insert(y, Table::unverified(Cow::Owned(Relation::new(order))));
+                tables.insert(x, Table::unverified(Cow::Owned(Relation::new(x_vars))));
                 guard_map.insert((x, y), sorted);
-                return exec(ctx, rest, tables, guard_map, out, stats);
+                return exec(ctx, rest, tables, guard_map, top, stats);
             }
             // Bucket groups by ⌊log₂ degree⌋ (Lemma 5.35).
             let mut buckets: HashMap<u32, Vec<std::ops::Range<usize>>> = HashMap::new();
@@ -257,21 +278,44 @@ fn exec(
             }
             let mut keys: Vec<u32> = buckets.keys().copied().collect();
             keys.sort_unstable();
-            for b in keys {
+            let n_buckets = keys.len();
+            for (i, b) in keys.into_iter().enumerate() {
                 // The bucket's groups are ascending disjoint trie ranges,
-                // so both the bucket and its guard trie materialize
-                // without re-sorting.
-                let bucket = sorted.relation_of_ranges(buckets[&b].iter().cloned());
+                // so the bucket, its guard trie and Π_X(bucket) — the
+                // groups' X-prefixes, the bucket being stored X-first —
+                // materialize without re-sorting.
+                let groups = &buckets[&b];
+                let bucket = sorted.relation_of_ranges(groups.iter().cloned());
+                let mut t_x = Relation::new(x_vars.clone());
+                let mut first = 0;
+                for g in groups {
+                    t_x.push_row(&bucket.row(first)[..x_vars.len()]);
+                    first += g.len();
+                }
+                debug_assert!(t_x.is_sorted(), "group prefixes ascend and are distinct");
                 stats.branches += 1;
-                let mut tables2 = tables.clone();
-                let mut guards2 = guard_map.clone();
+                // The last bucket takes the branch state; the others copy
+                // it. A lone bucket is all of `sorted`, its own guard trie.
+                let (mut tables2, mut guards2) = if i + 1 == n_buckets {
+                    (std::mem::take(&mut tables), std::mem::take(&mut guard_map))
+                } else {
+                    (tables.clone(), guard_map.clone())
+                };
+                let guard = if n_buckets == 1 {
+                    Arc::clone(&sorted)
+                } else {
+                    Arc::new(TrieIndex::build(&bucket, bucket.vars()))
+                };
+                tables2.insert(x, Table::unverified(Cow::Owned(t_x)));
+                guards2.insert((x, y), guard);
                 tables2.insert(
-                    x,
-                    Cow::Owned(TrieIndex::build(&bucket, &x_vars).to_relation()),
+                    y,
+                    Table {
+                        rel: Cow::Owned(bucket),
+                        verified,
+                    },
                 );
-                guards2.insert((x, y), Arc::new(TrieIndex::build(&bucket, bucket.vars())));
-                tables2.insert(y, Cow::Owned(bucket));
-                exec(ctx, rest, tables2, guards2, out, stats)?;
+                exec(ctx, rest, tables2, guards2, top, stats)?;
             }
             Ok(())
         }
@@ -285,16 +329,17 @@ fn exec(
             // Guards are stored with their conditioning attributes (Λlo)
             // first, so the pair's prefix is already the probe prefix.
             let result = join_into(ctx, &tables, p.lo, &guard, lo_len, p.hi, stats)?;
-            tables.insert(p.hi, Cow::Owned(result));
-            exec(ctx, rest, tables, guard_map, out, stats)
+            tables.insert(p.hi, result);
+            exec(ctx, rest, tables, guard_map, top, stats)
         }
         CsmRule::Sm { a, b } => {
             let m = lat.meet(a, b);
             let m_vars: Vec<u32> = lat.set_of(m).unwrap().iter().collect();
             let from_tables = || {
-                let t = tables.get(&b).cloned().unwrap_or_else(|| {
-                    Cow::Owned(Relation::new(lat.set_of(b).unwrap().iter().collect()))
-                });
+                let t = match tables.get(&b) {
+                    Some(t) => Cow::Borrowed(&*t.rel),
+                    None => empty(lat, b),
+                };
                 let mut order = m_vars.clone();
                 order.extend(t.vars().iter().copied().filter(|v| !m_vars.contains(v)));
                 Arc::new(TrieIndex::build(&t, &order))
@@ -316,15 +361,21 @@ fn exec(
             };
             let join = lat.join(a, b);
             let result = join_into(ctx, &tables, a, &guard, m_vars.len(), join, stats)?;
-            tables.insert(join, Cow::Owned(result));
-            exec(ctx, rest, tables, guard_map, out, stats)
+            tables.insert(join, result);
+            exec(ctx, rest, tables, guard_map, top, stats)
         }
     }
 }
 
+/// The empty table of element `e`.
+fn empty(lat: &fdjoin_lattice::Lattice, e: ElemId) -> Cow<'static, Relation> {
+    Cow::Owned(Relation::new(lat.set_of(e).unwrap().iter().collect()))
+}
+
 /// Join `T(a)` with `guard` on the guard's first `prefix_len` columns,
 /// expanding each result to `Λ(target)` and verifying FDs: one
-/// [`extend`] step with the guard as its only side.
+/// [`extend`] step with the guard as its only side. The result is
+/// `T(target)`, verified.
 fn join_into(
     ctx: &Ctx<'_>,
     tables: &Tables<'_>,
@@ -333,11 +384,11 @@ fn join_into(
     prefix_len: usize,
     target: ElemId,
     stats: &mut Stats,
-) -> Result<Relation, JoinError> {
+) -> Result<Table<'static>, JoinError> {
     let lat = ctx.lat;
     let ta = match tables.get(&a) {
-        Some(t) => Cow::Borrowed(&**t),
-        None => Cow::Owned(Relation::new(lat.set_of(a).unwrap().iter().collect())),
+        Some(t) => Cow::Borrowed(&*t.rel),
+        None => empty(lat, a),
     };
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();
@@ -353,15 +404,11 @@ fn join_into(
             .ex
             .compile_fused(ta.var_set().union(guard_set), target_set)?,
     };
-    Ok(extend(
-        ctx.par,
-        &ta,
-        &[side],
-        false,
-        &out_vars,
-        ctx.nv,
-        stats,
-    ))
+    let rel = extend(ctx.par, &ta, &[side], false, &out_vars, ctx.nv, stats);
+    Ok(Table {
+        rel: Cow::Owned(rel),
+        verified: true,
+    })
 }
 
 #[cfg(test)]

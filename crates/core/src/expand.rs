@@ -412,6 +412,16 @@ impl<'a> Expander<'a> {
     /// Expand from `bound` to `target`, then verify every FD within
     /// `target`, as one program: the verify part skips the checks the
     /// expand part made or bound from.
+    ///
+    /// Every tuple it accepts, [`Expander::compile_verify`]`(target)`
+    /// accepts too, on the values it leaves bound: the verify part is
+    /// exactly that list less the checks the expand part already made or
+    /// bound from, which hold by construction (a UDF bind and its check
+    /// apply the same function to the same arguments; a guard bind and its
+    /// check read the same trie slot). SMA's and CSMA's final pass skips
+    /// its verify list on rows that came out of such a program with `target`
+    /// every variable; `tests/expansion_semantics.rs` property-tests the
+    /// guarantee, and debug builds assert it on every row skipped.
     pub fn compile_fused(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
         let (mut ops, mut done) = (Vec::new(), self.nothing_emitted());
         self.push_expand(bound, target, &mut ops, &mut done)?;

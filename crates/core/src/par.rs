@@ -31,6 +31,7 @@
 //!   coherent span tree covers the whole solve regardless of which thread
 //!   ran which block.
 
+use crate::expand::Program;
 use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_obs::{Observer, SpanKind};
@@ -175,26 +176,84 @@ where
         .collect()
 }
 
-/// The shared final pass of SMA and CSMA: semijoin-reduce `out` against
-/// every input relation (one sorted-order membership lookup per input) and
-/// verify FDs, fanning the per-row checks out over sub-range blocks. Rows
-/// survive into the returned relation exactly as in the sequential loop;
+/// The union of one run's `T(1̂)` tables — SMA's and CSMA's answer before
+/// their shared final pass, [`semijoin_reduce_verified`].
+pub(crate) struct TopTables {
+    /// Every table's rows, each scattered into ascending variable order;
+    /// sorted once, by the final pass.
+    rows: Relation,
+    /// Whether every non-empty table added is `verified` (see
+    /// [`TopTables::add`]).
+    verified: bool,
+}
+
+impl TopTables {
+    /// No table yet, for a query over `nv` variables.
+    pub fn new(nv: usize) -> TopTables {
+        TopTables {
+            rows: Relation::new((0..nv as u32).collect()),
+            verified: true,
+        }
+    }
+
+    /// Add one `T(1̂)` (any column order over every variable). `verified`
+    /// says that its rows came out of a [`Expander::compile_fused`]
+    /// program whose target is `1̂`, every variable: then they already
+    /// passed every check of the verify list for `1̂`.
+    pub fn add(&mut self, t: &Relation, verified: bool) {
+        debug_assert_eq!(
+            t.var_set(),
+            self.rows.var_set(),
+            "T(1̂) binds every variable"
+        );
+        self.verified &= verified || t.is_empty();
+        let mut buf = vec![0 as Value; t.arity()];
+        for row in t.rows() {
+            for (&v, &x) in t.vars().iter().zip(row) {
+                buf[v as usize] = x;
+            }
+            self.rows.push_row(&buf);
+        }
+    }
+}
+
+/// The shared final pass of SMA and CSMA: sort and dedup the union of the
+/// `T(1̂)` tables, semijoin-reduce it against every input relation (one
+/// sorted-order membership lookup per input) and verify FDs, fanning the
+/// per-row checks out over sub-range blocks. Rows survive into the
+/// returned relation exactly as in the sequential loop;
 /// `output_tuples`/`probes` are counted per surviving/checked row inside
 /// each block, so totals are parallelism-invariant.
+///
+/// The verify list for all variables ([`Expander::compile_verify`]) runs
+/// only if some non-empty table was added unverified. A verified table's
+/// rows have passed it already: the fused program that made them ran its
+/// expand schedule and then exactly the verify list's checks, less the
+/// ones the schedule had already made or bound from — which hold on its
+/// output by construction. Debug builds re-run the list on every row the
+/// pass keeps without it and assert that the row passes, counting into a
+/// throwaway [`Stats`].
 pub(crate) fn semijoin_reduce_verified(
     inputs: &[&Relation],
     ex: &Expander<'_>,
-    out: &Relation,
+    top: TopTables,
     par: &ParCtx,
     stats: &mut Stats,
 ) -> Relation {
+    let TopTables {
+        rows: mut out,
+        verified,
+    } = top;
+    out.sort_dedup();
     // `out` is over all variables in ascending id: a row is its own value
-    // vector, and the verify list is the one for the full set.
-    let verify = ex.compile_verify(out.var_set());
+    // vector, and the verify list is the one for the full set. Compiled
+    // only where it runs: on unverified tables, and in debug builds.
+    let verify = (!verified || cfg!(debug_assertions)).then(|| ex.compile_verify(out.var_set()));
+    let out = &out;
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Relation::new(out.vars().to_vec());
         let mut vals = vec![0 as Value; out.vars().len()];
-        let mut scratch = verify.scratch();
+        let mut scratch = verify.as_ref().map(Program::scratch);
         // One key buffer for every membership lookup of the block.
         let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
@@ -206,9 +265,14 @@ pub(crate) fn semijoin_reduce_verified(
                     continue 'rows;
                 }
             }
-            vals.copy_from_slice(row);
-            if !verify.run(&mut vals, &mut scratch, stats) {
-                continue;
+            if let (Some(verify), Some(scratch)) = (&verify, &mut scratch) {
+                vals.copy_from_slice(row);
+                if verified {
+                    let holds = verify.run(&mut vals, scratch, &mut Stats::default());
+                    debug_assert!(holds, "a verified T(1̂) row fails the verify list: {row:?}");
+                } else if !verify.run(&mut vals, scratch, stats) {
+                    continue;
+                }
             }
             reduced.push_row(row);
             stats.output_tuples += 1;

@@ -13,6 +13,7 @@
 
 use crate::engine::JoinError;
 use crate::extend::{extend, Side};
+use crate::par::TopTables;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::llp::LlpSolution;
@@ -116,12 +117,14 @@ pub(crate) fn execute(
     // from an atom borrow its R_j⁺ from the expander and remember the atom
     // (`atom: Some(j)`), so their trie indexes come from the access-path
     // cache; step temporaries (`atom: None`) are owned and build one-shot
-    // tries.
+    // tries. `verified`: the rows came out of a fused program targeting
+    // `elem` — a step's `t_join`; inputs and `t_meet` conservatively not.
     struct Entry<'e> {
         elem: usize,
         rel: Cow<'e, Relation>,
         atom: Option<usize>,
         consumed: bool,
+        verified: bool,
     }
     let mut pool: Vec<Entry<'_>> = Vec::new();
     for &(j, m) in &sma.multiset {
@@ -132,6 +135,7 @@ pub(crate) fn execute(
                 rel: Cow::Borrowed(expanded),
                 atom: Some(j),
                 consumed: false,
+                verified: false,
             });
         }
     }
@@ -232,34 +236,29 @@ pub(crate) fn execute(
             rel: Cow::Owned(t_meet),
             atom: None,
             consumed: false,
+            verified: false,
         });
         pool.push(Entry {
             elem: join,
             rel: Cow::Owned(t_join),
             atom: None,
             consumed: false,
+            verified: true,
         });
     }
 
-    // Union the T(1̂) tables, semijoin-reduce with every input, verify FDs.
-    let all: Vec<u32> = (0..nv as u32).collect();
-    let mut out = Relation::new(all.clone());
-    for e in &pool {
-        if e.elem == lat.top() {
-            let ix = TrieIndex::build(&e.rel, &all);
-            let mut rows = ix.walk_all();
-            while let Some(row) = rows.next() {
-                out.push_row(row);
-            }
-        }
+    // Union the T(1̂) tables, semijoin-reduce with every input, verify FDs
+    // (unless every table is a step's `t_join`, verified by its program).
+    let mut top = TopTables::new(nv);
+    for e in pool.iter().filter(|e| e.elem == lat.top()) {
+        top.add(&e.rel, e.verified);
     }
-    out.sort_dedup();
     let inputs: Vec<&Relation> = q
         .atoms()
         .iter()
         .map(|a| db.relation(&a.name))
         .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, top, par, &mut stats);
 
     Ok((reduced, stats))
 }

@@ -573,10 +573,17 @@ impl Relation {
         r.end - r.start
     }
 
-    /// Membership test (requires sorted).
+    /// Membership test (requires sorted): one bisection for the first row
+    /// not below `row`, then one comparison.
     pub fn contains_row(&self, row: &[Value]) -> bool {
         debug_assert_eq!(row.len(), self.arity());
-        !self.prefix_range(row).is_empty()
+        debug_assert!(self.sorted, "contains_row requires a sorted relation");
+        if row.is_empty() {
+            return !self.is_empty();
+        }
+        let n = self.len();
+        let i = self.partition_rows(0, n, |r| r < row);
+        i < n && self.row(i) == row
     }
 
     /// Project onto the given columns (in the given order), sorted + deduped.
@@ -754,6 +761,9 @@ mod tests {
         let r = rel3();
         assert!(r.contains_row(&[1, 11]));
         assert!(!r.contains_row(&[1, 12]));
+        // Both ends: the first and last rows, and keys outside the range.
+        assert!(r.contains_row(&[1, 10]) && r.contains_row(&[3, 30]));
+        assert!(!r.contains_row(&[0, 99]) && !r.contains_row(&[3, 31]));
     }
 
     #[test]

@@ -8,6 +8,21 @@
 //! reproduce these strings character for character. The literals were
 //! printed by the commit *before* the `Expander` took ownership of the
 //! expanded inputs (`94a3087`, one private expand-inputs loop per driver).
+//!
+//! Three of them were re-printed when SMA's and CSMA's final pass stopped
+//! re-running the verify list on rows a fused program had already verified
+//! (rows, intermediates and output unchanged):
+//!
+//! - `fig1/sma`: work 18 414 → 15 346, expansions 6 136 → 3 068;
+//! - `fig1/csma`: work 2 894 836 → 2 891 768, expansions
+//!   1 050 620 → 1 047 552;
+//! - `fig9/csma`: work 39 249 → 22 353, probes 8 401 → 5 329, expansions
+//!   28 800 → 14 976.
+//!
+//! The old values counted each output row's FD checks twice: once in the
+//! fused program of the join that built `T(1̂)`, once more in the final
+//! pass — on Fig. 1, 1 534 rows × 2 UDF checks; on Fig. 9, 512 rows × 27
+//! distinct UDF checks and × 6 guard checks.
 
 use fdjoin::bigint::rat;
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
@@ -43,13 +58,13 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig1/sma",
             &fig1,
             Algorithm::Sma,
-            "rows=1534 work=18414 probes=6140 intermediate=4604 output=1534 expansions=6136 branches=2 index=0b/0h",
+            "rows=1534 work=15346 probes=6140 intermediate=4604 output=1534 expansions=3068 branches=2 index=0b/0h",
         ),
         (
             "fig1/csma",
             &fig1,
             Algorithm::Csma,
-            "rows=1534 work=2894836 probes=788992 intermediate=1053690 output=1534 expansions=1050620 branches=2 index=0b/0h",
+            "rows=1534 work=2891768 probes=788992 intermediate=1053690 output=1534 expansions=1047552 branches=2 index=0b/0h",
         ),
         (
             "fig9/chain",
@@ -67,7 +82,7 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig9/csma",
             &fig9,
             Algorithm::Csma,
-            "rows=512 work=39249 probes=8401 intermediate=1536 output=512 expansions=28800 branches=5 index=0b/0h",
+            "rows=512 work=22353 probes=5329 intermediate=1536 output=512 expansions=14976 branches=5 index=0b/0h",
         ),
     ];
     for (name, (q, db), alg, expect) in cases {

@@ -97,6 +97,46 @@ fn verify_fds_rejects_planted_violations() {
     assert!(!verify.run(&mut [1, 10, 200, 7], &mut scratch, &mut stats));
 }
 
+/// SMA's and CSMA's final pass skips its verify list only when every `T(1̂)`
+/// came out of a fused program targeting `1̂`. Here SMA's `T(1̂)` is an
+/// expanded input instead (a proof of no steps): `R(x,y)⁺` binds
+/// `z = f(x,y)` and never checks `z → x`, which two of its rows violate.
+/// The final pass must still drop them. CSMA derives `T(1̂)` by a CC join
+/// whatever the instance — the CSM sequence reaches `1̂` from `0̂` by rules —
+/// so its half checks the verified path on the same rows.
+#[test]
+fn an_unverified_top_table_is_verified_by_the_final_pass() {
+    use fdjoin::core::{Algorithm, Engine, ExecOptions};
+    let mut b = Query::builder();
+    let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+    b.atom("R", &[x, y]).atom("S", &[z]);
+    b.fd(&[x, y], &[z]).fd(&[z], &[x]);
+    let q = b.build();
+    let mut db = Database::new();
+    db.insert(
+        "R",
+        Relation::from_rows(vec![0, 1], [[1, 0], [1, 1], [2, 0], [2, 3]]),
+    );
+    db.insert("S", Relation::from_rows(vec![2], (0..8).map(|v| [v])));
+    db.udfs
+        .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]); // z = x + y
+    db.udfs.register(VarSet::singleton(2), 0, |v| v[0]); // x = z
+    let expect = naive_join(&q, &db).unwrap().output;
+    assert_eq!(
+        expect,
+        Relation::from_rows(vec![0, 1, 2], [[1, 0, 1], [2, 0, 2]]),
+        "(1,1,2) and (2,3,5) violate z → x"
+    );
+    let prepared = Engine::new().prepare(&q);
+    for alg in [Algorithm::Sma, Algorithm::Csma] {
+        for tasks in [1, 2] {
+            let opts = ExecOptions::new().algorithm(alg).parallelism(tasks);
+            let got = prepared.execute(&db, &opts).unwrap();
+            assert_eq!(got.output, expect, "{alg} x{tasks}");
+        }
+    }
+}
+
 /// An unguarded FD without a registered UDF fails fast and typed: the stuck
 /// expansion schedule is found when programs are compiled, before any tuple
 /// is touched — never a panic on a pool worker, never silently dropped rows.
@@ -497,6 +537,8 @@ mod compiled_vs_interpreted {
         expand: [usize; 3],
         verify: [usize; 2],
         fused: [usize; 3],
+        /// Fused acceptances re-checked by the target's verify list.
+        lemma: usize,
         relations: usize,
         rows_expanded: usize,
         binds: usize,
@@ -515,6 +557,7 @@ mod compiled_vs_interpreted {
         let expand = ex.compile_expand(bound, target);
         let fused = ex.compile_fused(bound, target);
         let verify = ex.compile_verify(bound);
+        let verify_target = ex.compile_verify(target);
         assert_eq!(expand.is_err(), fused.is_err(), "{ctx}");
         if let Err(e) = &expand {
             assert!(
@@ -527,6 +570,7 @@ mod compiled_vs_interpreted {
         // lookup after the first resumes from the previous tuple's key.
         let mut expand_scratch = expand.as_ref().map(Program::scratch);
         let mut verify_scratch = verify.scratch();
+        let mut verify_target_scratch = verify_target.scratch();
         let mut fused_scratch = fused.as_ref().map(Program::scratch);
         for _ in 0..24 {
             let tuple = random_tuple(rng, nv);
@@ -581,16 +625,26 @@ mod compiled_vs_interpreted {
             let survives = reached && it.verify_fds(target, &ref_vals, &mut seen);
             cov.fused[reached as usize + survives as usize] += 1;
             let (mut vals, mut spent) = (tuple.clone(), Stats::default());
-            assert_eq!(
-                p.run(&mut vals, scratch, &mut spent),
-                survives,
-                "{ctx}: fused"
-            );
-            if survives {
+            let accepted = p.run(&mut vals, scratch, &mut spent);
+            assert_eq!(accepted, survives, "{ctx}: fused");
+            if accepted {
                 for v in ref_bound.iter() {
                     assert_eq!(vals[v as usize], ref_vals[v as usize], "{ctx}: v{v}");
                 }
                 assert_same_checks(ctx, p, spent, it, &seen);
+                // What SMA's and CSMA's final pass relies on to skip its
+                // verify list on a fused program's output: the verify list
+                // of the program's target accepts whatever it accepts.
+                let mut bound_vals = vals.clone();
+                assert!(
+                    verify_target.run(
+                        &mut bound_vals,
+                        &mut verify_target_scratch,
+                        &mut Stats::default()
+                    ),
+                    "{ctx}: fused accepts what verify({target}) rejects"
+                );
+                cov.lemma += 1;
             }
         }
     }
@@ -674,6 +728,7 @@ mod compiled_vs_interpreted {
             dangling > 500 && inconsistent > 1500 && survived > 8000,
             "{cov:?}"
         );
+        assert_eq!(cov.lemma, survived, "{cov:?}");
         assert!(
             cov.binds > 6000 && cov.relations > 200 && cov.rows_expanded > 900,
             "{cov:?}"
