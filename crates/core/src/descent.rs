@@ -3,12 +3,12 @@
 //!
 //! Generic-Join (NPRR / LFTJ style — the paper's FD-oblivious
 //! worst-case-optimal baseline, [18, 19, 23]) binds the query's variables
-//! one at a time in a fixed order; at each depth the candidate values are
-//! the intersection of the matching ranges of every atom containing the
-//! variable. A [`Descent`] is the set-up of that search for one
-//! `(query, database)` pair — the binding order, one cached trie per atom
-//! (columns in binding order, so the bound variables always form a prefix),
-//! which atoms take part at which depth — and a [`Position`] is where one
+//! one at a time in ascending variable id; at each depth the candidate
+//! values are the intersection of the matching ranges of every atom
+//! containing the variable. A [`Descent`] is the set-up of that search for
+//! one `(query, database)` pair — the search variables, one cached trie per
+//! atom (columns in binding order, so the bound variables always form a
+//! prefix), which atoms take part at which depth — and a [`Position`] is where one
 //! run of it stands: a cursor per atom per depth, the partial binding, the
 //! current depth. Positions are plain data
 //! ([`ProbeSnapshot`]s navigated in place against the descent's tries), so
@@ -23,14 +23,9 @@
 //! `run(0, stop)` per delivered row. All of them therefore visit the same
 //! leaves in the same order and meter the same deterministic [`Stats`].
 //!
-//! With `bind_fds` (the paper's footnote 1: LFTJ binds a variable by
-//! computing it the moment the bound prefix functionally determines it),
-//! the depths whose variable is determined are known up front —
-//! the bound set is a function of the depth alone — so the flag is computed
-//! once per depth here, not per visited node — and so is the expansion
-//! [`Program`] that computes it, next to the one every leaf runs. This
-//! helps constant factors but provably not the worst-case exponent on the
-//! paper's Fig. 1 instance.
+//! Every depth is a leapfrog intersection, FDs or not: the UDF-only
+//! variables are computed, and every FD verified, by the one expansion
+//! [`Program`] each leaf runs.
 
 use crate::engine::JoinError;
 use crate::expand::{Program, Scratch};
@@ -47,15 +42,11 @@ pub struct Descent {
     /// One trie per atom, columns ordered by the binding order.
     tries: Vec<Arc<TrieIndex>>,
     /// The variables the search binds, in binding order: those occurring in
-    /// some atom. The rest (UDF-only) are filled by expansion at the leaves.
+    /// some atom, ascending. The rest (UDF-only) are filled by expansion at
+    /// the leaves.
     order: Vec<u32>,
     /// Atoms participating at each depth.
     at_depth: Vec<Vec<usize>>,
-    /// Where `order[d]` is computed from `order[..d]` by the FDs instead of
-    /// intersected, the program that computes it (all `None` without
-    /// `bind_fds`). The bound set is a function of the depth, so positions
-    /// never store it.
-    determine: Vec<Option<Program>>,
     /// What every leaf runs: expand the UDF-only variables from the atom
     /// variables, then verify all FDs.
     leaf: Program,
@@ -99,31 +90,17 @@ impl Position {
     }
 }
 
-/// What a caller of [`Descent::run`] keeps from call to call besides its
-/// [`Position`]: the [`Scratch`] of each compiled program, so a leaf's guard
-/// lookups resume from the keys the previous leaf looked up. A cache, not
-/// part of where the search stands: a fresh one (after a checkpoint round
-/// trip, say) changes no answer and no counter.
-pub struct RunScratch {
-    /// Per depth, the scratch of its FD-determining program (`None` where
-    /// the depth is intersected).
-    determine: Vec<Option<Scratch>>,
-    leaf: Scratch,
-}
-
 impl Descent {
     /// Set the search up: acquire the FD-guard tries and one trie per atom
-    /// from the access-path cache (metered into `stats`), in the binding
-    /// order `var_order` (default: ascending variable id), and compile the
-    /// expansion programs. Fails if an atom's relation is absent from the
-    /// database, or a variable the search must compute has no derivation
-    /// through guards and registered UDFs.
+    /// from the access-path cache (metered into `stats`), binding in
+    /// ascending variable id, and compile the leaf's expansion program.
+    /// Fails if an atom's relation is absent from the database, or a
+    /// variable the search must compute has no derivation through guards
+    /// and registered UDFs.
     pub fn open(
         q: &Query,
         db: &Database,
         paths: &AccessPaths<'_>,
-        var_order: Option<&[u32]>,
-        bind_fds: bool,
         stats: &mut Stats,
     ) -> Result<Descent, JoinError> {
         let ex = Expander::new(q, db, paths, stats)?;
@@ -132,19 +109,11 @@ impl Descent {
             .atoms()
             .iter()
             .fold(VarSet::EMPTY, |s, a| s.union(a.var_set()));
-        let mut order: Vec<u32> = match var_order {
-            Some(order) => order.to_vec(),
-            None => (0..nv as u32).collect(),
-        };
-        order.retain(|&v| atom_vars.contains(v));
-        let mut rank = vec![usize::MAX; nv];
-        for (i, &v) in order.iter().enumerate() {
-            rank[v as usize] = i;
-        }
+        let order: Vec<u32> = (0..nv as u32).filter(|&v| atom_vars.contains(v)).collect();
         let mut tries = Vec::with_capacity(q.atoms().len());
         for a in q.atoms() {
             let mut ordered = a.vars.clone();
-            ordered.sort_by_key(|&v| rank[v as usize]);
+            ordered.sort_unstable();
             tries.push(paths.base(&a.name, db.relation(&a.name)?, &ordered, stats));
         }
         let at_depth: Vec<Vec<usize>> = order
@@ -155,45 +124,23 @@ impl Descent {
                     .collect()
             })
             .collect();
-        let mut prefix_bound = vec![VarSet::EMPTY];
-        for &v in &order {
-            prefix_bound.push(prefix_bound[prefix_bound.len() - 1].insert(v));
-        }
-        let determine = order
-            .iter()
-            .zip(prefix_bound.windows(2))
-            .map(|(&v, bound)| {
-                (bind_fds && q.closure(bound[0]).contains(v))
-                    .then(|| ex.compile_expand(bound[0], bound[1]))
-                    .transpose()
-            })
-            .collect::<Result<_, _>>()?;
-        let leaf = ex.compile_fused(prefix_bound[order.len()], VarSet::full(nv as u32))?;
+        let leaf = ex.compile_fused(atom_vars, VarSet::full(nv as u32))?;
         Ok(Descent {
             tries,
             order,
             at_depth,
-            determine,
             leaf,
             n_vars: nv,
         })
     }
 
-    /// Whether `order[d]` is FD-determined (computed, not intersected).
-    fn fd_determined(&self, d: usize) -> bool {
-        self.determine[d].is_some()
-    }
-
-    /// Fresh scratch for running this descent's programs.
-    pub fn scratch(&self) -> RunScratch {
-        RunScratch {
-            determine: self
-                .determine
-                .iter()
-                .map(|p| p.as_ref().map(Program::scratch))
-                .collect(),
-            leaf: self.leaf.scratch(),
-        }
+    /// What a caller of [`Descent::run`] keeps from call to call besides
+    /// its [`Position`]: the leaf program's [`Scratch`], so a leaf's guard
+    /// lookups resume from the keys the previous leaf looked up. A cache,
+    /// not part of where the search stands: a fresh one (after a checkpoint
+    /// round trip, say) changes no answer and no counter.
+    pub fn scratch(&self) -> Scratch {
+        self.leaf.scratch()
     }
 
     /// A position before the first answer: every cursor at its trie's root.
@@ -229,7 +176,7 @@ impl Descent {
     /// with the fewest matching rows.
     fn arrive(&self, pos: &mut Position, d: usize) {
         pos.depth = d;
-        if d < self.order.len() && !self.fd_determined(d) {
+        if d < self.order.len() {
             pos.lead[d] = *self.at_depth[d]
                 .iter()
                 .min_by_key(|&&ai| pos.levels[d][ai].len(&self.tries[ai]))
@@ -237,17 +184,14 @@ impl Descent {
         }
     }
 
-    /// Level `pos.depth` has nothing left: continue at the nearest
-    /// enclosing leapfrog level (an FD-determined level has its one value
-    /// behind it), or finish on reaching `floor`.
+    /// Level `pos.depth` has nothing left: continue at the enclosing
+    /// level, or finish on reaching `floor`.
     fn backtrack(&self, pos: &mut Position, floor: usize) {
-        while pos.depth > floor {
+        if pos.depth > floor {
             pos.depth -= 1;
-            if !self.fd_determined(pos.depth) {
-                return;
-            }
+        } else {
+            pos.done = true;
         }
-        pos.done = true;
     }
 
     /// Leapfrog level `d` forward to the next value all its participating
@@ -312,7 +256,7 @@ impl Descent {
         &self,
         pos: &mut Position,
         floor: usize,
-        scratch: &mut RunScratch,
+        scratch: &mut Scratch,
         stats: &mut Stats,
         mut emit: impl FnMut(&[Value]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
@@ -326,29 +270,16 @@ impl Descent {
                 // FDs in place (expansion writes only unbound slots, which
                 // the search never reads).
                 self.backtrack(pos, floor);
-                if self.leaf.run(&mut pos.vals, &mut scratch.leaf, stats) {
+                if self.leaf.run(&mut pos.vals, scratch, stats) {
                     stats.output_tuples += 1;
                     emit(&pos.vals)?;
                 }
                 continue;
             }
-            let value = match &self.determine[d] {
-                // Footnote 1: compute the single candidate.
-                Some(program) => {
-                    let scratch = scratch.determine[d]
-                        .as_mut()
-                        .expect("another descent's scratch");
-                    program
-                        .run(&mut pos.vals, scratch, stats)
-                        .then(|| pos.vals[self.order[d] as usize])
-                }
-                None => self.leapfrog(&mut pos.levels[d], d, pos.lead[d], stats),
-            };
+            let lead = pos.lead[d];
+            let value = self.leapfrog(&mut pos.levels[d], d, lead, stats);
             if value.is_some_and(|v| self.narrow(pos, d, v, stats)) {
-                if !self.fd_determined(d) {
-                    let lead = pos.lead[d];
-                    pos.levels[d][lead].next_value(&self.tries[lead]);
-                }
+                pos.levels[d][lead].next_value(&self.tries[lead]);
                 self.arrive(pos, d + 1);
             } else {
                 self.backtrack(pos, floor);
@@ -357,12 +288,10 @@ impl Descent {
         ControlFlow::Continue(())
     }
 
-    /// Whether the root level is a leapfrog intersection that
-    /// [`Descent::root_matches`] can enumerate — not when there is no
-    /// search variable, nor when the first one is FD-determined (a single
-    /// computed value: nothing to split).
+    /// Whether there is a root level for [`Descent::root_matches`] to
+    /// enumerate: some search variable.
     pub(crate) fn splits_at_root(&self) -> bool {
-        self.determine.first().is_some_and(Option::is_none)
+        !self.order.is_empty()
     }
 
     /// Depth 0 of the search alone, for fanning out: the values of the
@@ -405,8 +334,9 @@ mod tests {
     use super::*;
     use fdjoin_storage::{IndexSet, Relation};
 
-    /// `Q(x,y,z) :- R(x), S(y), T(x,y,z)` with `xy → z` guarded in `T`:
-    /// under `bind_fds` the last depth is FD-determined.
+    /// `Q(x,y,z) :- R(x), S(y), T(x,y,z)` with `xy → z` guarded in `T`: the
+    /// last depth intersects `T`'s `z` values below the bound `x, y`, and
+    /// the leaf verifies the FD.
     fn composite_key_db() -> (Query, Database) {
         let q = fdjoin_query::examples::composite_key();
         let mut db = Database::new();
@@ -446,9 +376,8 @@ mod tests {
     }
 
     /// `Q(x,y,w,z) :- R(x), S(y), T(w)` with `z = x + y` in no atom and
-    /// `w = 10·z`: under `bind_fds` the last depth is computed by a
-    /// two-step program through the UDF-only `z`; without, `z` is filled
-    /// (and `w` checked) by the leaf program.
+    /// `w = 10·z`: the UDF-only `z` is filled (and `w` checked) by the leaf
+    /// program.
     fn udf_only_db() -> (Query, Database) {
         let mut b = Query::builder();
         let (x, y, w, z) = (b.var("x"), b.var("y"), b.var("w"), b.var("z"));
@@ -468,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn pausing_is_invisible_with_and_without_fd_binding() {
+    fn pausing_is_invisible() {
         let cases = [
             (
                 composite_key_db(),
@@ -486,19 +415,14 @@ mod tests {
         for ((q, db), expect) in cases {
             let set = IndexSet::new();
             let paths = AccessPaths::new(&set, &q, &db).unwrap();
-            for bind_fds in [false, true] {
-                let descent =
-                    Descent::open(&q, &db, &paths, None, bind_fds, &mut Stats::default()).unwrap();
-                let determined: Vec<bool> = (0..3).map(|d| descent.fd_determined(d)).collect();
-                assert_eq!(determined, [false, false, bind_fds]);
-                let (rows, stats) = drain(&descent, 0, false);
-                assert_eq!(rows, expect, "bind_fds {bind_fds}");
-                for (pause_every, fresh) in (1..=3).flat_map(|p| [(p, false), (p, true)]) {
-                    let (paused_rows, paused_stats) = drain(&descent, pause_every, fresh);
-                    let ctx = format!("bind_fds {bind_fds}, pause {pause_every}, fresh {fresh}");
-                    assert_eq!(paused_rows, expect, "{ctx}");
-                    assert_eq!(paused_stats, stats, "{ctx}");
-                }
+            let descent = Descent::open(&q, &db, &paths, &mut Stats::default()).unwrap();
+            let (rows, stats) = drain(&descent, 0, false);
+            assert_eq!(rows, expect);
+            for (pause_every, fresh) in (1..=3).flat_map(|p| [(p, false), (p, true)]) {
+                let (paused_rows, paused_stats) = drain(&descent, pause_every, fresh);
+                let ctx = format!("pause {pause_every}, fresh {fresh}");
+                assert_eq!(paused_rows, expect, "{ctx}");
+                assert_eq!(paused_stats, stats, "{ctx}");
             }
         }
     }

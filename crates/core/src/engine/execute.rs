@@ -150,11 +150,7 @@ impl PreparedQuery {
             Algorithm::Auto => unreachable!("choose() returns a concrete algorithm"),
             Algorithm::Chain | Algorithm::ChainNoArgmin => {
                 let use_argmin = algorithm == Algorithm::Chain;
-                let bound = match &opts.chain {
-                    Some(c) => self.chain_plan(&key.with_chain(c)),
-                    None => self.chain_plan(&key),
-                }
-                .ok_or(JoinError::NoGoodChain)?;
+                let bound = self.chain_plan(&key).ok_or(JoinError::NoGoodChain)?;
                 let (output, stats) =
                     chain_algo::execute(q, db, &self.pres, &bound, use_argmin, &paths, &par)?;
                 let detail = PlanDetail::Chain(bound.chain);
@@ -175,14 +171,7 @@ impl PreparedQuery {
                 (output, stats, Some(plan.log_bound), detail)
             }
             Algorithm::GenericJoin => {
-                let (output, stats) = crate::generic_join::execute(
-                    q,
-                    db,
-                    opts.var_order.as_deref(),
-                    opts.bind_fds,
-                    &paths,
-                    &par,
-                )?;
+                let (output, stats) = crate::generic_join::execute(q, db, &paths, &par)?;
                 (output, stats, None, PlanDetail::None)
             }
             Algorithm::BinaryJoin => {
@@ -208,32 +197,21 @@ impl PreparedQuery {
     fn validate(&self, opts: &ExecOptions) -> Result<(), JoinError> {
         let q = &self.query;
         let nv = q.n_vars();
-        if let Some(order) = &opts.var_order {
-            let mut seen = vec![false; nv];
-            for &v in order {
-                if (v as usize) >= nv || seen[v as usize] {
-                    return Err(JoinError::InvalidOptions(format!(
-                        "var_order must be a set of distinct variable ids < {nv}"
-                    )));
-                }
-                seen[v as usize] = true;
-            }
-            // Every atom variable must be bound by the search order; only
-            // FD-derived variables may be omitted (they are filled by
-            // expansion).
-            for a in q.atoms() {
-                for v in a.var_set().iter() {
-                    if !seen[v as usize] {
-                        return Err(JoinError::InvalidOptions(format!(
-                            "var_order omits variable {} of atom {}",
-                            q.var_name(v),
-                            a.name
-                        )));
-                    }
-                }
-            }
+        // An option the chosen algorithm never reads is an error, not a
+        // silent no-op: degree bounds feed CSMA (and pin Auto to it), an
+        // atom order shapes only a binary join plan.
+        let alg = opts.algorithm;
+        if !opts.degree_bounds.is_empty() && !matches!(alg, Algorithm::Auto | Algorithm::Csma) {
+            return Err(JoinError::InvalidOptions(format!(
+                "degree bounds are read only by CSMA (or Auto), not by {alg}"
+            )));
         }
         if let Some(order) = &opts.atom_order {
+            if alg != Algorithm::BinaryJoin {
+                return Err(JoinError::InvalidOptions(format!(
+                    "atom_order is read only by binary-join, not by {alg}"
+                )));
+            }
             let na = q.atoms().len();
             let mut sorted = order.clone();
             sorted.sort_unstable();

@@ -10,9 +10,10 @@
 //! - [`Algorithm`]: which algorithm to run ([`Algorithm::Auto`] lets the
 //!   planner decide and records its choice — and *why* — as an
 //!   [`AutoDecision`] on the result);
-//! - [`ExecOptions`]: builder-style per-run options, absorbing the old
-//!   per-algorithm option structs (degree bounds, FD-binding, variable and
-//!   atom orders, chain overrides);
+//! - [`ExecOptions`]: builder-style per-run options — the algorithm, the
+//!   parallelism, CSMA's degree bounds, a binary join's atom order and the
+//!   cost tie-break; an option the chosen algorithm never reads is
+//!   rejected;
 //! - [`JoinResult`] / [`JoinError`]: one result and one error type shared
 //!   by every algorithm;
 //! - [`Engine::prepare`] / [`PreparedQuery`]: split the data-independent
@@ -33,8 +34,8 @@
 //!
 //! Layout: `options.rs` holds the request/result vocabulary; `plan.rs`
 //! the Auto rules (`choose`), the one plan key (`PlanKey`: a size profile
-//! plus anything the caller pinned), the plan maps both cache tiers share
-//! and the one cache protocol over them; `execute.rs` validation,
+//! plus any degree bounds the caller pinned), the plan maps both cache
+//! tiers share and the one cache protocol over them; `execute.rs` validation,
 //! dispatch and execution metrics; `shared.rs` / `relabel.rs` the
 //! cross-query tier; `prep.rs` the counters and the sharded map;
 //! `explain.rs` EXPLAIN. This file keeps [`Engine`], [`PreparedQuery`] and

@@ -70,16 +70,13 @@ pub struct UserDegreeBound {
 /// use fdjoin_core::{Algorithm, ExecOptions};
 /// let opts = ExecOptions::new()
 ///     .algorithm(Algorithm::GenericJoin)
-///     .bind_fds(true);
+///     .parallelism(2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     pub(super) algorithm: Algorithm,
     pub(super) degree_bounds: Vec<UserDegreeBound>,
-    pub(super) bind_fds: bool,
-    pub(super) var_order: Option<Vec<u32>>,
     pub(super) atom_order: Option<Vec<usize>>,
-    pub(super) chain: Option<Chain>,
     pub(super) no_cost_tiebreak: bool,
     pub(super) parallelism: Parallelism,
 }
@@ -134,17 +131,12 @@ impl ExecOptions {
     }
 
     /// Whether this is a plain [`Algorithm::Auto`] request with no
-    /// algorithm-pinning or plan-shaping constraints (degree bounds pin
-    /// CSMA, a chain override pins the chain algorithm, and explicit
-    /// variable/atom orders shape whatever runs). Only then may another
-    /// layer — e.g. `fdjoin_delta`'s per-delta specialization — substitute
-    /// a cost-model-chosen algorithm without overriding the caller.
+    /// algorithm-pinning constraint (degree bounds pin CSMA). Only then may
+    /// another layer — e.g. `fdjoin_delta`'s per-delta specialization —
+    /// substitute a cost-model-chosen algorithm without overriding the
+    /// caller.
     pub fn is_plain_auto(&self) -> bool {
-        self.algorithm == Algorithm::Auto
-            && self.degree_bounds.is_empty()
-            && self.chain.is_none()
-            && self.var_order.is_none()
-            && self.atom_order.is_none()
+        self.algorithm == Algorithm::Auto && self.degree_bounds.is_empty()
     }
 
     /// Add one extra degree bound (CSMA only).
@@ -159,29 +151,10 @@ impl ExecOptions {
         self
     }
 
-    /// Bind FD-determined variables eagerly in Generic-Join (the paper's
-    /// footnote 1).
-    pub fn bind_fds(mut self, on: bool) -> Self {
-        self.bind_fds = on;
-        self
-    }
-
-    /// Variable binding order for Generic-Join (default: ascending id).
-    pub fn var_order(mut self, order: Vec<u32>) -> Self {
-        self.var_order = Some(order);
-        self
-    }
-
-    /// Atom order for binary join plans (default: body order).
+    /// Atom order for binary join plans (default: body order;
+    /// [`Algorithm::BinaryJoin`] only).
     pub fn atom_order(mut self, order: Vec<usize>) -> Self {
         self.atom_order = Some(order);
-        self
-    }
-
-    /// Execute the Chain Algorithm on this specific chain instead of the
-    /// best one found by search.
-    pub fn chain(mut self, chain: Chain) -> Self {
-        self.chain = Some(chain);
         self
     }
 
@@ -237,8 +210,9 @@ pub enum JoinError {
     /// CSM proof-sequence construction got stuck (should not happen for
     /// exact dual-feasible solutions; kept as a safe failure mode).
     NoCsmSequence,
-    /// The options are inconsistent with the query (bad variable/atom
-    /// order, out-of-range degree bound, …).
+    /// The options are inconsistent with the query or the algorithm (an
+    /// atom order that is not a permutation, an out-of-range degree bound,
+    /// an option the chosen algorithm never reads, …).
     InvalidOptions(String),
     /// An admission control layer (e.g. `fdjoin_exec`) rejected the
     /// execution before it started: the data-dependent branch estimate
@@ -329,8 +303,6 @@ pub enum AutoReason {
     /// User degree bounds are a CSMA-only constraint; dropping them would
     /// be worse than skipping the bound analysis.
     DegreeBoundsPinCsma,
-    /// A user-supplied chain pins the Chain Algorithm.
-    ChainOverridePinsChain,
     /// The lattice is distributive and a good chain exists — the chain
     /// bound is tight (Cor. 5.15).
     DistributiveTightChain,
@@ -356,7 +328,6 @@ impl fmt::Display for AutoReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             AutoReason::DegreeBoundsPinCsma => "degree bounds pin CSMA",
-            AutoReason::ChainOverridePinsChain => "chain override pins the chain algorithm",
             AutoReason::DistributiveTightChain => "distributive lattice: chain bound is tight",
             AutoReason::ChainMatchesLlpOptimum => "chain bound matches the LLP optimum",
             AutoReason::EstimatedTightChain => {

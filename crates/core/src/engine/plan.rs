@@ -10,29 +10,19 @@ use super::{
 };
 use crate::{csma, sma};
 use fdjoin_bigint::Rational;
-use fdjoin_bounds::chain::{best_chain_bound, chain_bound, Chain, ChainBound};
+use fdjoin_bounds::chain::{best_chain_bound, ChainBound};
 use fdjoin_bounds::llp::{solve_llp, LlpSolution};
-use fdjoin_lattice::ElemId;
 use std::sync::atomic::AtomicU64;
 
 /// The key every plan is cached under: the size profile it was solved for
 /// (raw atom cardinalities for chain/LLP/SMA plans, expanded ones for CSMA
-/// plans) and what the caller pinned on top of it.
+/// plans) and the user degree bounds ([`ExecOptions::degree_bounds`]) a
+/// CSMA plan was solved under. The bounds are in this query's own
+/// coordinates, so a degree-bounded plan never crosses queries.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     lens: Vec<u64>,
-    pin: Pin,
-}
-
-/// What a plan depends on beyond the sizes. Pins are in this query's own
-/// coordinates, so a pinned plan never crosses queries.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum Pin {
-    None,
-    /// A user-supplied chain ([`ExecOptions::chain`]).
-    Chain(Vec<ElemId>),
-    /// User degree bounds ([`ExecOptions::degree_bounds`]); never empty.
-    DegreeBounds(Vec<UserDegreeBound>),
+    degree_bounds: Vec<UserDegreeBound>,
 }
 
 impl PlanKey {
@@ -40,31 +30,22 @@ impl PlanKey {
     pub(super) fn new(lens: Vec<u64>) -> PlanKey {
         PlanKey {
             lens,
-            pin: Pin::None,
-        }
-    }
-
-    /// This profile pinned to a user-supplied chain.
-    pub(super) fn with_chain(&self, chain: &Chain) -> PlanKey {
-        PlanKey {
-            lens: self.lens.clone(),
-            pin: Pin::Chain(chain.elems.clone()),
+            degree_bounds: Vec::new(),
         }
     }
 
     /// A CSMA key: expanded cardinalities plus the user degree bounds.
     pub(super) fn degree_bounded(lens: &[u64], bounds: &[UserDegreeBound]) -> PlanKey {
-        let mut key = PlanKey::new(lens.to_vec());
-        if !bounds.is_empty() {
-            key.pin = Pin::DegreeBounds(bounds.to_vec());
+        PlanKey {
+            lens: lens.to_vec(),
+            degree_bounds: bounds.to_vec(),
         }
-        key
     }
 
     /// Whether plans under this key may be published to, and rehydrated
-    /// from, the cross-query tier: only when nothing query-local is pinned.
+    /// from, the cross-query tier: only when no degree bound is pinned.
     fn shareable(&self) -> bool {
-        self.pin == Pin::None
+        self.degree_bounds.is_empty()
     }
 }
 
@@ -146,9 +127,9 @@ const SOLVES: &str = "fdjoin_plan_solves_total";
 impl PreparedQuery {
     /// Bound- and data-driven automatic algorithm selection:
     ///
-    /// 0. options that only one algorithm honors (degree bounds ⇒ CSMA,
-    ///    a chain override ⇒ chain) pin the choice — silently dropping a
-    ///    user constraint would be worse than skipping the bound analysis;
+    /// 0. degree bounds, which only CSMA honors, pin **CSMA** — silently
+    ///    dropping a user constraint would be worse than skipping the bound
+    ///    analysis;
     /// 1. distributive lattice + good chain ⇒ **chain** (tight by
     ///    Cor. 5.15);
     /// 2. good chain matching the LLP optimum for these sizes ⇒ **chain**
@@ -181,9 +162,6 @@ impl PreparedQuery {
         };
         if !opts.degree_bounds.is_empty() {
             return d.fired(Algorithm::Csma, AutoReason::DegreeBoundsPinCsma);
-        }
-        if opts.chain.is_some() {
-            return d.fired(Algorithm::Chain, AutoReason::ChainOverridePinsChain);
         }
         let chain = self.chain_plan(key);
         d.chain_log_bound = chain.as_ref().map(|cb| cb.log_bound.clone());
@@ -230,7 +208,7 @@ impl PreparedQuery {
 
     /// The one cache protocol behind every plan kind: local read → (under
     /// the local shard write lock) shared probe + relabel on hit, else
-    /// solve + publish. Keys that pin something stay in the local tier.
+    /// solve + publish. Degree-bounded keys stay in the local tier.
     /// Solves, probes and counter bumps all run under the local shard write
     /// lock, so a plan is never double-computed and hit/miss accounting
     /// never double-counts.
@@ -270,17 +248,15 @@ impl PreparedQuery {
         }
     }
 
-    /// The best chain for `key`'s profile — or, under a chain pin, the
-    /// user's chain priced for it.
+    /// The best chain for `key`'s profile.
     pub(super) fn chain_plan(&self, key: &PlanKey) -> Option<ChainBound> {
         self.cached_plan(key, || {
             self.note(&self.counters.chain_searches, SOLVES);
-            let (lattice, inputs) = (&self.pres.lattice, &self.pres.inputs);
-            let logs = log_sizes_of(&key.lens);
-            match &key.pin {
-                Pin::Chain(e) => chain_bound(lattice, inputs, &logs, &Chain { elems: e.clone() }),
-                _ => best_chain_bound(lattice, inputs, &logs),
-            }
+            best_chain_bound(
+                &self.pres.lattice,
+                &self.pres.inputs,
+                &log_sizes_of(&key.lens),
+            )
         })
     }
 
@@ -308,11 +284,12 @@ impl PreparedQuery {
     pub(super) fn csma_plan(&self, key: &PlanKey) -> Result<csma::CsmaPlan, JoinError> {
         self.cached_plan(key, || {
             self.note(&self.counters.cllp_solves, SOLVES);
-            let bounds = match &key.pin {
-                Pin::DegreeBounds(b) => b.as_slice(),
-                _ => &[],
-            };
-            csma::plan(&self.query, &self.pres, &log_sizes_of(&key.lens), bounds)
+            csma::plan(
+                &self.query,
+                &self.pres,
+                &log_sizes_of(&key.lens),
+                &key.degree_bounds,
+            )
         })
     }
 }

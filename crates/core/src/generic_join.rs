@@ -2,7 +2,7 @@
 //! baseline ([18, 19, 23] in the paper).
 //!
 //! The search itself is [`crate::descent`] — variables bound one at a time
-//! in a fixed order, candidates at each level the leapfrog intersection of
+//! in ascending id, candidates at each level the leapfrog intersection of
 //! every atom containing the variable, over cached trie indexes. This
 //! module only materializes it: the sequential run pushes every answer of
 //! `run(0, ..)` into the output, the parallel run fans the root values out.
@@ -16,20 +16,16 @@ use fdjoin_query::Query;
 use fdjoin_storage::{Database, Relation};
 use std::ops::ControlFlow;
 
-/// Evaluate `q` on `db` with Generic-Join, binding variables in `var_order`
-/// (default: ascending id) and, with `bind_fds`, computing FD-determined
-/// ones instead of intersecting (footnote 1 of the paper). Output columns
-/// are all query variables in ascending id.
+/// Evaluate `q` on `db` with Generic-Join. Output columns are all query
+/// variables in ascending id.
 pub(crate) fn execute(
     q: &Query,
     db: &Database,
-    var_order: Option<&[u32]>,
-    bind_fds: bool,
     paths: &AccessPaths<'_>,
     par: &crate::par::ParCtx,
 ) -> Result<(Relation, Stats), crate::engine::JoinError> {
     let mut stats = Stats::default();
-    let descent = Descent::open(q, db, paths, var_order, bind_fds, &mut stats)?;
+    let descent = Descent::open(q, db, paths, &mut stats)?;
     let all: Vec<u32> = (0..q.n_vars() as u32).collect();
 
     // Parallel path: intersect the first variable's domain on this thread
@@ -100,7 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn fig1_with_and_without_fd_binding() {
+    fn fig1_matches_naive() {
         let q = fdjoin_query::examples::fig1_udf();
         let mut db = Database::new();
         db.insert("R", Relation::from_rows(vec![0, 1], [[1, 1], [2, 1]]));
@@ -109,35 +105,7 @@ mod tests {
         db.udfs.register(VarSet::from_vars([0, 2]), 3, |v| v[0]); // u = x
         db.udfs.register(VarSet::from_vars([1, 3]), 0, |v| v[1]); // x = u
         let expect = naive_join(&q, &db).unwrap().output;
-        let plain = generic_join(&q, &db).unwrap();
-        let fdbind = Engine::new()
-            .execute(
-                &q,
-                &db,
-                &ExecOptions::new()
-                    .algorithm(Algorithm::GenericJoin)
-                    .bind_fds(true),
-            )
-            .unwrap();
-        assert_eq!(plain.output, expect);
-        assert_eq!(fdbind.output, expect);
-    }
-
-    #[test]
-    fn respects_variable_order() {
-        let q = fdjoin_query::examples::triangle();
-        let mut db = Database::new();
-        db.insert("R", Relation::from_rows(vec![0, 1], [[1, 2]]));
-        db.insert("S", Relation::from_rows(vec![1, 2], [[2, 3]]));
-        db.insert("T", Relation::from_rows(vec![2, 0], [[3, 1]]));
-        for order in [vec![0, 1, 2], vec![2, 1, 0], vec![1, 0, 2]] {
-            let opts = ExecOptions::new()
-                .algorithm(Algorithm::GenericJoin)
-                .var_order(order);
-            let out = Engine::new().execute(&q, &db, &opts).unwrap();
-            assert_eq!(out.output.len(), 1);
-            assert_eq!(out.output.row(0), &[1, 2, 3]);
-        }
+        assert_eq!(generic_join(&q, &db).unwrap().output, expect);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   block copy per fragment, no per-row work — into the canonical
 //!   (sorted, duplicate-free) relation the sequential run produces, so
 //!   output bytes are identical. Fragments that are sorted and ascend
-//!   across seams (Generic-Join's under its default variable order: it
-//!   enumerates in lexicographic order) are canonical as concatenated;
+//!   across seams (Generic-Join's: it enumerates in lexicographic order
+//!   of ascending variable id) are canonical as concatenated;
 //!   only rows that really arrive out of order are sorted;
 //! - each task counts into a fresh [`Stats`] and the fragments are merged
 //!   in range order, so deterministic counter totals are identical

@@ -165,18 +165,14 @@ fn triangle_pair() -> [(Query, Database); 2] {
     [(examples::triangle(), db), (twin, twin_db)]
 }
 
-/// Plans pinned by a chain override or by user degree bounds are in one
-/// query's own coordinates: they never reach the shared tier — neither
-/// published nor rehydrated — so an isomorphic twin solves its own.
+/// Plans pinned by user degree bounds are in one query's own coordinates:
+/// they never reach the shared tier — neither published nor rehydrated —
+/// so an isomorphic twin solves its own.
 #[test]
 fn pinned_plans_never_reach_the_shared_tier() {
     let engine = Engine::with_plan_cache(Arc::new(PlanCache::new()));
     for (i, (q, db)) in triangle_pair().into_iter().enumerate() {
         let p = engine.prepare(&q);
-        // Unpinned plans first: the first query publishes them, the twin
-        // rehydrates them, and the chain they find becomes the override.
-        let best = p.execute(&db, &opts(Algorithm::Chain)).unwrap();
-        let chain = best.chain().unwrap().clone();
         let atom = q
             .atoms()
             .iter()
@@ -187,32 +183,21 @@ fn pinned_plans_never_reach_the_shared_tier() {
             on: vec![q.atoms()[atom].vars[0]],
             max_degree: 2,
         };
-        let pinned = [
-            opts(Algorithm::Chain).chain(chain),
-            opts(Algorithm::Csma).degree_bound(bound),
-        ];
+        let pinned = opts(Algorithm::Csma).degree_bound(bound);
         let before = p.prep_stats();
-        for o in &pinned {
-            let r = p.execute(&db, o).unwrap();
-            assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
-        }
+        let r = p.execute(&db, &pinned).unwrap();
+        assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
         let first = p.prep_stats().since(&before);
         assert_eq!(
             first.shared_hits + first.shared_misses,
             0,
             "query {i}: pinned plans stay local: {first:?}"
         );
-        // Query 1 is the twin: had query 0 published its pinned plans, the
-        // twin would have rehydrated them instead of solving.
-        assert_eq!(
-            (first.chain_searches, first.cllp_solves),
-            (1, 1),
-            "query {i}: {first:?}"
-        );
+        // Query 1 is the twin: had query 0 published its pinned plan, the
+        // twin would have rehydrated it instead of solving.
+        assert_eq!(first.cllp_solves, 1, "query {i}: {first:?}");
         let after_first = p.prep_stats();
-        for o in &pinned {
-            p.execute(&db, o).unwrap();
-        }
+        p.execute(&db, &pinned).unwrap();
         let repeat = p.prep_stats().since(&after_first);
         assert_eq!(repeat.solves(), 0, "query {i}: pinned plans cache locally");
         assert_eq!(repeat.shared_hits + repeat.shared_misses, 0);

@@ -50,8 +50,8 @@
 
 #![forbid(unsafe_code)]
 
-use fdjoin_core::descent::{Descent, Position, RunScratch};
-use fdjoin_core::{JoinError, PreparedQuery, Stats};
+use fdjoin_core::descent::{Descent, Position};
+use fdjoin_core::{JoinError, PreparedQuery, Scratch, Stats};
 use fdjoin_obs::{Span, SpanKind};
 use fdjoin_storage::{Database, Relation, Value};
 use std::fmt;
@@ -73,7 +73,7 @@ pub struct ResultStream<'a> {
     pos: Position,
     /// The descent's program fingers, kept across rows so each leaf's
     /// guard lookups resume from the previous leaf's keys.
-    scratch: RunScratch,
+    scratch: Scratch,
     /// Content versions of each atom's relation at open time, stamped into
     /// checkpoints so a resume against drifted data is rejected.
     versions: Vec<u64>,
@@ -94,7 +94,7 @@ impl<'a> ResultStream<'a> {
         let mut stats = Stats::default();
         let paths = prepared.access_paths(db)?;
         let q = prepared.query();
-        let descent = Descent::open(q, db, &paths, None, false, &mut stats)?;
+        let descent = Descent::open(q, db, &paths, &mut stats)?;
         let mut versions = Vec::with_capacity(q.atoms().len());
         for a in q.atoms() {
             versions.push(db.relation(&a.name)?.version());

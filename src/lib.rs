@@ -65,8 +65,8 @@
 //! assert!(window.index_hits > 0);
 //! ```
 //!
-//! Explicit algorithms, degree bounds, variable/atom orders, and chain
-//! overrides all go through [`core::ExecOptions`]; every run returns the
+//! Explicit algorithms, degree bounds, atom orders and parallelism all go
+//! through [`core::ExecOptions`]; every run returns the
 //! same [`core::JoinResult`] and fails with the same [`core::JoinError`].
 //!
 //! Auto-selection is not only bound-driven but *data*-driven: storage

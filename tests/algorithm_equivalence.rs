@@ -1,6 +1,5 @@
 //! Cross-algorithm equivalence: on random FD-respecting instances, every
-//! algorithm (Chain, SMA, CSMA, Generic-Join with and without FD binding,
-//! binary join) must produce exactly the naive evaluator's answer.
+//! algorithm (Chain, SMA, CSMA, Generic-Join, binary join) must produce exactly the naive evaluator's answer.
 
 use fdjoin::core::{
     binary_join, chain_join, csma_join, generic_join, naive_join, sma_join, Algorithm, Engine,
@@ -20,17 +19,6 @@ fn check_all(q: &Query, db: &fdjoin::storage::Database) {
         gj.output,
         expect,
         "generic join mismatch on {}",
-        q.display_body()
-    );
-
-    let fd_bind = ExecOptions::new()
-        .algorithm(Algorithm::GenericJoin)
-        .bind_fds(true);
-    let gj_fd = Engine::new().execute(q, db, &fd_bind).unwrap();
-    assert_eq!(
-        gj_fd.output,
-        expect,
-        "FD-binding GJ mismatch on {}",
         q.display_body()
     );
 

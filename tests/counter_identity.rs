@@ -1,5 +1,5 @@
 //! Counter identity: the deterministic work of the three bound-driven
-//! algorithms, pinned as literals.
+//! algorithms and of the Generic-Join baseline, pinned as literals.
 //!
 //! Chain, SMA and CSMA all open with "replace each input by its expansion
 //! `R_j⁺`" (Sec. 2). Who owns that step may move — it has, into
@@ -23,6 +23,10 @@
 //! fused program of the join that built `T(1̂)`, once more in the final
 //! pass — on Fig. 1, 1 534 rows × 2 UDF checks; on Fig. 9, 512 rows × 27
 //! distinct UDF checks and × 6 guard checks.
+//!
+//! The two `generic_join` rows were printed at `948a67f`, before the
+//! descent lost its FD-binding branch and Generic-Join its variable-order
+//! option: the one remaining descent path must reproduce them.
 
 use fdjoin::bigint::rat;
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
@@ -47,7 +51,7 @@ fn bound_driven_algorithms_count_the_pinned_work() {
     let fig9_db = normal_worst_case(&fig9_query, &vec![rat(6, 1); 3], &rat(9, 1))
         .expect("even exponent gives integral coefficients");
     let fig9 = (fig9_query, fig9_db);
-    let cases: [(&str, &(Query, Database), Algorithm, &str); 6] = [
+    let cases: [(&str, &(Query, Database), Algorithm, &str); 8] = [
         (
             "fig1/chain",
             &fig1,
@@ -83,6 +87,18 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             &fig9,
             Algorithm::Csma,
             "rows=512 work=22353 probes=5329 intermediate=1536 output=512 expansions=14976 branches=5 index=0b/0h",
+        ),
+        (
+            "fig1/generic_join",
+            &fig1,
+            Algorithm::GenericJoin,
+            "rows=1534 work=2365430 probes=1576954 intermediate=0 output=1534 expansions=786942 branches=0 index=0b/0h",
+        ),
+        (
+            "fig9/generic_join",
+            &fig9,
+            Algorithm::GenericJoin,
+            "rows=512 work=5290569 probes=1839177 intermediate=0 output=512 expansions=3450880 branches=0 index=0b/0h",
         ),
     ];
     for (name, (q, db), alg, expect) in cases {

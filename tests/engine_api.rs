@@ -305,7 +305,7 @@ fn auto_decision_covers_every_rule_with_bounds_crate_values() {
         }
     }
 
-    // The two option-pinned rules.
+    // The option-pinned rule.
     let q = examples::triangle();
     let db = triangle_db();
     let with_bound = ExecOptions::new().degree_bound(UserDegreeBound {
@@ -318,19 +318,8 @@ fn auto_decision_covers_every_rule_with_bounds_crate_values() {
     assert_eq!((&d.chain_log_bound, &d.llp_log_bound), (&None, &None));
     seen.insert(d.reason.to_string());
 
-    let pres = q.lattice_presentation();
-    let chain = fdjoin::bounds::chain::cor59_chain(&pres.lattice, &pres.inputs);
-    let d = engine
-        .execute(&q, &db, &ExecOptions::new().chain(chain))
-        .unwrap()
-        .auto
-        .unwrap();
-    assert_eq!(d.reason, AutoReason::ChainOverridePinsChain);
-    seen.insert(d.reason.to_string());
-
     let all: BTreeSet<String> = [
         AutoReason::DegreeBoundsPinCsma,
-        AutoReason::ChainOverridePinsChain,
         AutoReason::DistributiveTightChain,
         AutoReason::ChainMatchesLlpOptimum,
         AutoReason::EstimatedTightChain,
@@ -353,8 +342,6 @@ fn auto_decision_record_is_exact_per_rule() {
     let mut rng = StdRng::seed_from_u64(11);
     let db9 = fdjoin::instances::random_instance(&examples::fig9_query(), &mut rng, 8, 85);
     let triangle = examples::triangle();
-    let pres = triangle.lattice_presentation();
-    let chain = fdjoin::bounds::chain::cor59_chain(&pres.lattice, &pres.inputs);
     let degree_bound = UserDegreeBound {
         atom: 0,
         on: vec![0],
@@ -369,21 +356,13 @@ fn auto_decision_record_is_exact_per_rule() {
         Algorithm,
         AutoReason,
         [bool; 4],
-    ); 7] = [
+    ); 6] = [
         (
             triangle.clone(),
             triangle_db(),
             ExecOptions::new().degree_bound(degree_bound),
             Algorithm::Csma,
             AutoReason::DegreeBoundsPinCsma,
-            [false, false, false, false],
-        ),
-        (
-            triangle.clone(),
-            triangle_db(),
-            ExecOptions::new().chain(chain),
-            Algorithm::Chain,
-            AutoReason::ChainOverridePinsChain,
             [false, false, false, false],
         ),
         (
@@ -461,13 +440,6 @@ fn auto_decision_reports_pinning_options() {
     let d = engine.execute(&q, &db, &with_bound).unwrap().auto.unwrap();
     assert_eq!(d.algorithm, Algorithm::Csma);
     assert_eq!(d.reason, AutoReason::DegreeBoundsPinCsma);
-
-    let pres = q.lattice_presentation();
-    let chain = fdjoin::bounds::chain::cor59_chain(&pres.lattice, &pres.inputs);
-    let with_chain = ExecOptions::new().chain(chain);
-    let d = engine.execute(&q, &db, &with_chain).unwrap().auto.unwrap();
-    assert_eq!(d.algorithm, Algorithm::Chain);
-    assert_eq!(d.reason, AutoReason::ChainOverridePinsChain);
 }
 
 #[test]
@@ -711,24 +683,6 @@ fn invalid_options_are_rejected() {
     let db = triangle_db();
     let engine = Engine::new();
 
-    let bad_var = ExecOptions::new()
-        .algorithm(Algorithm::GenericJoin)
-        .var_order(vec![0, 0]);
-    assert!(matches!(
-        engine.execute(&q, &db, &bad_var).unwrap_err(),
-        JoinError::InvalidOptions(_)
-    ));
-
-    // A partial order that omits an atom variable must be rejected, not
-    // panic mid-expansion.
-    let partial_var = ExecOptions::new()
-        .algorithm(Algorithm::GenericJoin)
-        .var_order(vec![0, 1]);
-    assert!(matches!(
-        engine.execute(&q, &db, &partial_var).unwrap_err(),
-        JoinError::InvalidOptions(_)
-    ));
-
     let bad_atom = ExecOptions::new()
         .algorithm(Algorithm::BinaryJoin)
         .atom_order(vec![0, 1]);
@@ -761,6 +715,52 @@ fn invalid_options_are_rejected() {
         engine.execute(&q, &db, &bad_on).unwrap_err(),
         JoinError::InvalidOptions(_)
     ));
+
+    // An option the chosen algorithm never reads is rejected, not dropped:
+    // a valid degree bound with any algorithm but CSMA or Auto, a valid
+    // atom order with any algorithm but binary join (Auto included).
+    let bound = UserDegreeBound {
+        atom: 0,
+        on: vec![0],
+        max_degree: 2,
+    };
+    for alg in [
+        Algorithm::Chain,
+        Algorithm::ChainNoArgmin,
+        Algorithm::Sma,
+        Algorithm::GenericJoin,
+        Algorithm::BinaryJoin,
+        Algorithm::Naive,
+    ] {
+        let unread_bound = ExecOptions::new()
+            .algorithm(alg)
+            .degree_bound(bound.clone());
+        assert!(
+            matches!(
+                engine.execute(&q, &db, &unread_bound).unwrap_err(),
+                JoinError::InvalidOptions(_)
+            ),
+            "degree bound with {alg}"
+        );
+    }
+    for alg in [
+        Algorithm::Auto,
+        Algorithm::Chain,
+        Algorithm::ChainNoArgmin,
+        Algorithm::Sma,
+        Algorithm::Csma,
+        Algorithm::GenericJoin,
+        Algorithm::Naive,
+    ] {
+        let unread_order = ExecOptions::new().algorithm(alg).atom_order(vec![2, 0, 1]);
+        assert!(
+            matches!(
+                engine.execute(&q, &db, &unread_order).unwrap_err(),
+                JoinError::InvalidOptions(_)
+            ),
+            "atom order with {alg}"
+        );
+    }
 }
 
 #[test]
@@ -777,54 +777,11 @@ fn auto_honors_algorithm_specific_options() {
     });
     let r = engine.execute(&q, &db, &with_bound).unwrap();
     assert_eq!(r.algorithm_used, Algorithm::Csma);
-
-    // A chain override pins Auto to the chain algorithm, and the override's
-    // bound is cached across re-executions.
-    let pres = q.lattice_presentation();
-    let chain = fdjoin::bounds::chain::cor59_chain(&pres.lattice, &pres.inputs);
-    let with_chain = ExecOptions::new().chain(chain);
-    let prepared = engine.prepare(&q);
-    let r1 = prepared.execute(&db, &with_chain).unwrap();
-    assert_eq!(r1.algorithm_used, Algorithm::Chain);
-    let after_first = prepared.prep_stats();
-    let r2 = prepared.execute(&db, &with_chain).unwrap();
-    let window = prepared.prep_stats().since(&after_first);
-    assert_eq!(window.solves(), 0, "override plan must be cached");
-    assert_eq!(window.index_builds, 0, "override run reuses cached indexes");
-    assert_eq!(r1.output, r2.output);
 }
 
 // ---------------------------------------------------------------------------
 // Option routing through the one options struct.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn chain_override_is_respected() {
-    use fdjoin::bounds::chain::Chain;
-    // The Fig. 6 chain 0̂ ≺ y ≺ yz ≺ 1̂ on the Fig. 1 query.
-    let q = examples::fig1_udf();
-    let db = fig1_db();
-    let pres = q.lattice_presentation();
-    let lat = &pres.lattice;
-    let vs = |v: &[u32]| fdjoin::lattice::VarSet::from_vars(v.iter().copied());
-    let y = q.var_id("y").unwrap();
-    let z = q.var_id("z").unwrap();
-    let fig6 = Chain::new(
-        lat,
-        vec![
-            lat.bottom(),
-            lat.elem_of_set(vs(&[y])).unwrap(),
-            lat.elem_of_set(vs(&[y, z])).unwrap(),
-            lat.top(),
-        ],
-    );
-    let opts = ExecOptions::new()
-        .algorithm(Algorithm::Chain)
-        .chain(fig6.clone());
-    let r = Engine::new().execute(&q, &db, &opts).unwrap();
-    assert_eq!(r.chain().unwrap().elems, fig6.elems);
-    assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
-}
 
 #[test]
 fn degree_bounds_tighten_the_csma_budget() {

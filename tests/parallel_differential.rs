@@ -52,33 +52,9 @@ fn run(q: &Query, db: &Database, opts: &ExecOptions) -> Option<JoinResult> {
 
 /// Check one (query, instance, algorithm): the sequential run is the
 /// reference; every parallelism level must reproduce it exactly. Returns
-/// whether the algorithm accepted the query. Generic-Join is checked a
-/// second time with footnote-1 FD binding on — the root fan-out is gated on
-/// whether that pins the first variable — against the same answer.
+/// whether the algorithm accepted the query.
 fn check_algorithm(q: &Query, db: &Database, alg: Algorithm, seed: u64) -> bool {
     let opts = ExecOptions::new().algorithm(alg);
-    let seq = check_options(q, db, &alg.to_string(), &opts, seed);
-    if alg == Algorithm::GenericJoin {
-        let bound = check_options(q, db, "generic_join+bind_fds", &opts.bind_fds(true), seed);
-        assert_eq!(
-            bound.map(|r| r.output),
-            seq.as_ref().map(|r| r.output.clone()),
-            "bind_fds changed the answer on {} (seed {seed})",
-            q.display_body()
-        );
-    }
-    seq.is_some()
-}
-
-/// [`check_algorithm`] for one option set (`alg` names it in failures);
-/// returns the sequential result.
-fn check_options(
-    q: &Query,
-    db: &Database,
-    alg: &str,
-    opts: &ExecOptions,
-    seed: u64,
-) -> Option<JoinResult> {
     let seq = run(q, db, &opts.clone().parallelism(1));
     for p in PARALLELISMS {
         let par = run(q, db, &opts.clone().parallelism(p));
@@ -117,7 +93,7 @@ fn check_options(
             ),
         }
     }
-    seq
+    seq.is_some()
 }
 
 /// Under [`Algorithm::Auto`], the planner's decision record must be
