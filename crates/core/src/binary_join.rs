@@ -70,8 +70,10 @@ pub(crate) fn execute(
     }
 
     // Expand to all variables and verify FDs / UDF predicates, fanned out
-    // over blocks of accumulator rows like the join steps above.
-    let program = ex.compile_fused(acc.var_set(), VarSet::full(nv as u32))?;
+    // over blocks of accumulator rows like the join steps above. Every row
+    // holds a row of every atom, so the program leaves out the guard checks
+    // whose guard relation satisfies its FD.
+    let program = ex.compile_leaf(acc.var_set(), VarSet::full(nv as u32))?;
     let all: Vec<u32> = (0..nv as u32).collect();
     let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
         let mut part = Relation::new(all.clone());

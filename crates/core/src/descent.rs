@@ -24,8 +24,13 @@
 //! leaves in the same order and meter the same deterministic [`Stats`].
 //!
 //! Every depth is a leapfrog intersection, FDs or not: the UDF-only
-//! variables are computed, and every FD verified, by the one expansion
-//! [`Program`] each leaf runs.
+//! variables are computed, and the FDs verified, by the one expansion
+//! [`Program`] each leaf runs ([`crate::Expander::compile_leaf`]). At a
+//! leaf every atom variable holds a row of its atom, so a guarded FD's
+//! check can only fail where its guard relation violates the FD; the
+//! program checks exactly those guards whose trie does not
+//! [determine](TrieIndex::determines) the FD, and every UDF. On data that
+//! satisfies its guarded FDs a leaf runs no guard lookup.
 
 use crate::engine::JoinError;
 use crate::expand::{Program, Scratch};
@@ -48,7 +53,8 @@ pub struct Descent {
     /// Atoms participating at each depth.
     at_depth: Vec<Vec<usize>>,
     /// What every leaf runs: expand the UDF-only variables from the atom
-    /// variables, then verify all FDs.
+    /// variables, then verify every FD whose guard relation does not
+    /// certify it.
     leaf: Program,
     n_vars: usize,
 }
@@ -124,7 +130,7 @@ impl Descent {
                     .collect()
             })
             .collect();
-        let leaf = ex.compile_fused(atom_vars, VarSet::full(nv as u32))?;
+        let leaf = ex.compile_leaf(atom_vars, VarSet::full(nv as u32))?;
         Ok(Descent {
             tries,
             order,
@@ -135,12 +141,20 @@ impl Descent {
     }
 
     /// What a caller of [`Descent::run`] keeps from call to call besides
-    /// its [`Position`]: the leaf program's [`Scratch`], so a leaf's guard
-    /// lookups resume from the keys the previous leaf looked up. A cache,
-    /// not part of where the search stands: a fresh one (after a checkpoint
-    /// round trip, say) changes no answer and no counter.
+    /// its [`Position`]: the leaf program's [`Scratch`] — its UDF argument
+    /// buffer, and a finger per guard lookup the leaf still runs (one per
+    /// guard whose relation violates its FD; none on certified data), so
+    /// such a lookup resumes from the key the previous leaf looked up. A
+    /// cache, not part of where the search stands: a fresh one (after a
+    /// checkpoint round trip, say) changes no answer and no counter.
     pub fn scratch(&self) -> Scratch {
         self.leaf.scratch()
+    }
+
+    /// The program every leaf runs: the UDF-only variables expanded, then
+    /// every FD checked that the data does not already certify.
+    pub fn leaf(&self) -> &Program {
+        &self.leaf
     }
 
     /// A position before the first answer: every cursor at its trie's root.

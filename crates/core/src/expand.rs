@@ -12,7 +12,7 @@
 //! *set* of bound attributes, never on a value. So nothing is decided per
 //! tuple: a call site asks its [`Expander`] once, outside its loop, for a
 //! [`Program`] — the straight-line op sequence for the bound set it will
-//! present — and runs that on every tuple. Three kinds are compiled:
+//! present — and runs that on every tuple. Four kinds are compiled:
 //!
 //! - an **expand schedule** ([`Expander::compile_expand`]) for a
 //!   `(bound, target)` pair: guard entries in order, binding the first
@@ -31,7 +31,16 @@
 //!   expand-then-verify call sites: the verify part omits every check the
 //!   expand part already made — in particular the ones it *bound* from,
 //!   which hold trivially (UDFs are functions, Sec. 1.1; a guard bind and
-//!   its check read the same trie slot).
+//!   its check read the same trie slot);
+//! - the **leaf** program ([`Expander::compile_leaf`]) for tuples whose
+//!   atom variables hold a row of every atom — the descent's leaves and
+//!   Binary-Join's final pass: the fused program from the atom variables,
+//!   less every guard check whose guard trie
+//!   [determines](TrieIndex::determines) its FD. Such a check could only
+//!   fail if the guard relation violated the FD, which is a property of
+//!   the relation's version, not of the tuple, so it is decided once per
+//!   compile. On Fig. 4 data that satisfies its FDs, a leaf runs none of
+//!   its 12 guard checks.
 //!
 //! Ops carry what they need resolved — the guard trie and its lhs slots,
 //! the UDF and its argument slots — so [`Program::run`] takes no lock,
@@ -423,7 +432,36 @@ impl<'a> Expander<'a> {
     /// every variable; `tests/expansion_semantics.rs` property-tests the
     /// guarantee, and debug builds assert it on every row skipped.
     pub fn compile_fused(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
-        let (mut ops, mut done) = (Vec::new(), self.nothing_emitted());
+        self.fused(bound, target, self.nothing_emitted())
+    }
+
+    /// [`Expander::compile_fused`] for tuples whose `bound` variables are
+    /// the atom variables, holding a row of every atom (a leaf of the
+    /// descent, a Binary-Join row), less every guard check whose guard trie
+    /// [determines](TrieIndex::determines) its FD. Such a check looks the
+    /// tuple's own guard-atom row up again: the left-hand-side values have
+    /// one value below them in the trie, and the row holds it. A guard whose
+    /// relation violates its FD keeps its check, which accepts only the
+    /// first value below the left-hand side, exactly as the fused program
+    /// does.
+    pub fn compile_leaf(&self, bound: VarSet, target: VarSet) -> Result<Program, JoinError> {
+        let mut done = self.nothing_emitted();
+        for (certified, (lhs, check)) in done.guards.iter_mut().zip(&self.guards) {
+            *certified =
+                matches!(&check.source, Source::Guard(ix, _) if ix.determines(lhs.len() as usize));
+        }
+        self.fused(bound, target, done)
+    }
+
+    /// The expand schedule from `bound` to `target`, then the verify list
+    /// of `target`, leaving out the checks `done` holds.
+    fn fused(
+        &self,
+        bound: VarSet,
+        target: VarSet,
+        mut done: Emitted,
+    ) -> Result<Program, JoinError> {
+        let mut ops = Vec::new();
         self.push_expand(bound, target, &mut ops, &mut done)?;
         self.push_verify(target, &mut ops, &mut done);
         Ok(Program::new(ops))

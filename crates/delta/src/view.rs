@@ -52,7 +52,9 @@ impl DeltaOptions {
     /// large drifts the size profile enough that re-running the join
     /// beats revalidating the whole materialization tuple by tuple; the
     /// per-profile plans it invalidates are local to the `PreparedQuery`
-    /// — the shared `PlanCache` shape entry survives either way.
+    /// — the shared `PlanCache` shape entry survives either way. A NaN or
+    /// negative fraction is [`JoinError::InvalidOptions`] at
+    /// [`MaterializedView::materialize`].
     pub fn max_delta_fraction(mut self, fraction: f64) -> Self {
         self.max_delta_fraction = fraction;
         self
@@ -100,12 +102,21 @@ impl MaterializedView {
     /// Execute the prepared query over `db` and keep the result
     /// maintained. The view holds `prepared` for its whole life: every
     /// later [`MaterializedView::apply_delta`] and
-    /// [`MaterializedView::refresh`] runs through it.
+    /// [`MaterializedView::refresh`] runs through it. A NaN or negative
+    /// [`DeltaOptions::max_delta_fraction`] is [`JoinError::InvalidOptions`].
     pub fn materialize(
         prepared: Arc<PreparedQuery>,
         db: fdjoin_storage::Database,
         opts: DeltaOptions,
     ) -> Result<MaterializedView, JoinError> {
+        // NaN would never fall back; a negative fraction would fall back on
+        // every batch.
+        let fraction = opts.max_delta_fraction;
+        if fraction.is_nan() || fraction < 0.0 {
+            return Err(JoinError::InvalidOptions(format!(
+                "max_delta_fraction must be a non-negative number, not {fraction}"
+            )));
+        }
         let r = prepared.execute(&db, opts.exec_options())?;
         Ok(MaterializedView {
             prepared,

@@ -549,6 +549,16 @@ fn error_contract() {
     let bs = view.refresh().unwrap();
     assert_eq!(bs.full_recomputes, 1);
     assert_consistent(&view, "after refresh");
+
+    // A fallback threshold that is not a non-negative number: NaN never
+    // falls back, a negative one always would.
+    for fraction in [f64::NAN, -0.5] {
+        let opts = DeltaOptions::new().max_delta_fraction(fraction);
+        let err = MaterializedView::materialize(Arc::clone(&prepared), db.clone(), opts)
+            .err()
+            .expect("rejected");
+        assert!(matches!(err, JoinError::InvalidOptions(_)), "{fraction}");
+    }
 }
 
 #[test]

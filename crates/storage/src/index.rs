@@ -353,6 +353,35 @@ impl TrieIndex {
         self.rows
     }
 
+    /// Whether the first `k` columns determine column `k` (0-based): every
+    /// level-`k−1` node has at most one child — for `k = 0`, there is at
+    /// most one root. On a guard trie (an FD's left-hand side, then one
+    /// right-hand-side variable) it says that the guard relation satisfies
+    /// the FD.
+    ///
+    /// Every node above the leaves has a child, so this compares two level
+    /// sizes: a row whose first difference from its predecessor is column
+    /// `k` is the only kind that adds a level-`k` node without a
+    /// level-`k−1` one. The sizes are fixed when the trie is built, so the
+    /// answer is computed with it, once per content version, and a trie
+    /// carried across a delta answers for its own contents.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is not below the arity: there is no column `k` to determine.
+    pub fn determines(&self, k: usize) -> bool {
+        assert!(
+            k < self.arity(),
+            "column {k} of an arity-{} trie",
+            self.arity()
+        );
+        let nodes = self.values[k].len();
+        match k.checked_sub(1) {
+            None => nodes <= 1,
+            Some(parent) => nodes == self.values[parent].len(),
+        }
+    }
+
     /// Whether the index holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
@@ -1684,8 +1713,83 @@ mod tests {
         proptest::collection::vec(proptest::collection::vec(0u64..5, 3), 0..max)
     }
 
+    /// Brute force: whether any two rows of `rel`, read in column order
+    /// `order`, agree on their first `k` columns and differ on column `k`.
+    fn prefix_determines(rel: &Relation, order: &[u32], k: usize) -> bool {
+        let rows: Vec<Vec<Value>> = rel.project(order).rows().map(<[Value]>::to_vec).collect();
+        rows.iter()
+            .all(|x| rows.iter().all(|y| x[..k] != y[..k] || x[k] == y[k]))
+    }
+
+    /// The determination query on hand-made tries, `k = 0` and empty ones
+    /// included.
+    #[test]
+    fn determines_reads_the_fan_out_below_the_prefix() {
+        let branching = TrieIndex::build(&rel(), &[0, 1, 2]);
+        // Roots 1 and 2; 1 has children 10 and 11; (1,10) has 100 and 101.
+        assert!(!branching.determines(0));
+        assert!(!branching.determines(1));
+        assert!(!branching.determines(2));
+        let key = Relation::from_rows(vec![0, 1], [[1, 10], [2, 20], [3, 20]]);
+        let (forward, backward) = (
+            TrieIndex::build(&key, &[0, 1]),
+            TrieIndex::build(&key, &[1, 0]),
+        );
+        assert!(forward.determines(1), "x → y holds");
+        assert!(!backward.determines(1), "y → x does not: 20 has two x");
+        assert!(!forward.determines(0), "three distinct x");
+        let constant = Relation::from_rows(vec![0, 1], [[7, 1], [7, 2]]);
+        let constant = TrieIndex::build(&constant, &[0, 1]);
+        assert!(constant.determines(0), "∅ → x: one root");
+        assert!(!constant.determines(1));
+        let empty = TrieIndex::build(&Relation::new(vec![0, 1]), &[0, 1]);
+        assert!(
+            empty.determines(0) && empty.determines(1),
+            "no rows, no violation"
+        );
+        let nullary = TrieIndex::build(&key, &[]);
+        let asked = std::panic::catch_unwind(|| nullary.determines(0));
+        assert!(asked.is_err(), "a nullary trie has no column 0");
+    }
+
+    /// A trie carried across a delta answers for its own contents: a
+    /// delta that gives a key a second value makes the FD fail, and one
+    /// that takes it away makes it hold again.
+    #[test]
+    fn a_delta_can_break_and_restore_the_determination() {
+        let set = IndexSet::new();
+        let mut r = Relation::from_rows(vec![0, 1], [[1, 10], [2, 20], [3, 30]]);
+        let (ix, _) = set.index_of("R", &r, &[0, 1]);
+        assert!(ix.determines(1));
+        r.apply_delta([[2u64, 21]], [] as [&[Value]; 0]);
+        let (ix, built) = set.index_of("R", &r, &[0, 1]);
+        assert!(built && !ix.determines(1), "2 → {{20, 21}}");
+        r.apply_delta([[4u64, 40]], [[2u64, 20]]);
+        let (ix, _) = set.index_of("R", &r, &[0, 1]);
+        assert!(ix.determines(1), "2 → 21 alone");
+        // One root after the delta: the empty prefix determines x.
+        r.apply_delta([] as [&[Value]; 0], [[1u64, 10], [2, 21], [3, 30]]);
+        let (ix, _) = set.index_of("R", &r, &[0, 1]);
+        assert!(ix.determines(0) && ix.determines(1));
+        assert_eq!(*ix, TrieIndex::build(&r, &[0, 1]));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// [`TrieIndex::determines`] agrees with a brute-force check in
+        /// every order and at every column of every built trie.
+        #[test]
+        fn determines_matches_a_brute_force_check(arity in 1usize..4, rows in rows_strategy(24)) {
+            let vars: Vec<u32> = (0..arity as u32).collect();
+            let rel = Relation::from_rows(vars.clone(), rows.iter().map(|r| &r[..arity]));
+            for order in permutations(&vars) {
+                let ix = TrieIndex::build(&rel, &order);
+                for k in 0..arity {
+                    prop_assert_eq!(ix.determines(k), prefix_determines(&rel, &order, k), "order {:?}, k {}", order, k);
+                }
+            }
+        }
 
         /// A carried trie is the trie of the changed relation, in every
         /// full-arity order, with its level arrays allocated at exactly
@@ -1716,6 +1820,9 @@ mod tests {
             for (order, old) in orders.iter().zip(&before) {
                 let carried = old.apply_delta(&l.plus.project(order), &l.minus.project(order));
                 prop_assert_eq!(&carried, &TrieIndex::build(&rel, order), "order {:?}", order);
+                for k in 0..arity {
+                    prop_assert_eq!(carried.determines(k), prefix_determines(&rel, order, k));
+                }
                 let exact = |v: &Vec<Vec<Value>>| v.iter().all(|l| l.capacity() == l.len());
                 prop_assert!(exact(&carried.values), "values over-allocated");
                 prop_assert!(carried.starts.iter().all(|l| l.capacity() == l.len()), "starts over-allocated");

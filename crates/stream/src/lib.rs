@@ -71,8 +71,10 @@ pub struct ResultStream<'a> {
     descent: Descent,
     /// The suspended search position.
     pos: Position,
-    /// The descent's program fingers, kept across rows so each leaf's
-    /// guard lookups resume from the previous leaf's keys.
+    /// The descent's leaf scratch, kept across rows: the UDF argument
+    /// buffer, and a finger for each guard lookup the leaf still runs (only
+    /// guards whose relation violates its FD), resuming from the previous
+    /// leaf's key.
     scratch: Scratch,
     /// Content versions of each atom's relation at open time, stamped into
     /// checkpoints so a resume against drifted data is rejected.

@@ -27,12 +27,27 @@
 //! The two `generic_join` rows were printed at `948a67f`, before the
 //! descent lost its FD-binding branch and Generic-Join its variable-order
 //! option: the one remaining descent path must reproduce them.
+//!
+//! `fig9/generic_join` was re-printed when the descent's leaf stopped
+//! re-running guard lookups that the guard relation's own trie already
+//! certifies (rows, intermediates and expansions unchanged): work
+//! 5 290 569 → 3 717 705, probes 1 839 177 → 266 313. At a leaf every
+//! atom variable holds a row of its atom, so a guard lookup can only fail
+//! where the guard relation violates its FD; the instance satisfies all
+//! six guarded FDs, and the old value counted six lookups that could not
+//! fail at each of its 262 144 leaves. Fig. 1's FDs are all UDFs, so its
+//! row did not move.
+//!
+//! The Fig. 4 stream row was added with that change; at its parent the
+//! same drain read `probes=89280 probes_per_row=21.7969`, twelve guard
+//! lookups per answer more.
 
 use fdjoin::bigint::rat;
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
 use fdjoin::instances::{fig1_adversarial, normal_worst_case};
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::Database;
+use fdjoin::stream::ResultStream;
 
 /// `Stats::deterministic()` of one cold single-task execution, rendered
 /// (or the planning error, for a query the algorithm does not apply to).
@@ -98,7 +113,7 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig9/generic_join",
             &fig9,
             Algorithm::GenericJoin,
-            "rows=512 work=5290569 probes=1839177 intermediate=0 output=512 expansions=3450880 branches=0 index=0b/0h",
+            "rows=512 work=3717705 probes=266313 intermediate=0 output=512 expansions=3450880 branches=0 index=0b/0h",
         ),
     ];
     for (name, (q, db), alg, expect) in cases {
@@ -128,4 +143,23 @@ fn warm_executions_repeat_the_cold_counters() {
         );
         assert_eq!(warm.output, cold.output, "{alg:?}");
     }
+}
+
+/// A full drain of a `ResultStream` over Fig. 4's worst case (512 rows per
+/// atom), rendered with its probes per delivered row: the per-row cost of
+/// the descent's leaf, which the paging workload pays on every row.
+#[test]
+fn a_fig4_stream_counts_the_pinned_probes_per_row() {
+    let q = examples::fig4_query();
+    let db = normal_worst_case(&q, &vec![rat(9, 1); 4], &rat(12, 1))
+        .expect("exponents divisible by 3 give integral coefficients");
+    let prepared = Engine::new().prepare(&q);
+    let mut stream = ResultStream::open(&prepared, &db).unwrap();
+    let rows = stream.count();
+    let probes = stream.stats().probes;
+    let line = format!(
+        "rows={rows} probes={probes} probes_per_row={:.4}",
+        probes as f64 / rows as f64
+    );
+    assert_eq!(line, "rows=4096 probes=40128 probes_per_row=9.7969");
 }
