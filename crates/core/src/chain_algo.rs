@@ -173,7 +173,8 @@ fn reorder(rel: &Relation, order: &[u32]) -> Relation {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{chain_join, naive_join};
+    use crate::engine::chain_join;
+    use fdjoin_instances::reference_join;
     use fdjoin_lattice::VarSet;
     use fdjoin_storage::{Database, Relation, TrieIndex, Value};
 
@@ -193,7 +194,7 @@ mod tests {
             "T",
             Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [9, 7]]),
         );
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = chain_join(&q, &db).unwrap();
         assert!(got.output.is_sorted());
         assert_eq!(got.output, expect);
@@ -217,7 +218,7 @@ mod tests {
         );
         db.udfs.register(VarSet::from_vars([0, 2]), 3, |v| v[0]); // u = x
         db.udfs.register(VarSet::from_vars([1, 3]), 0, |v| v[1]); // x = u
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = chain_join(&q, &db).unwrap();
         assert!(got.output.is_sorted());
         assert_eq!(
@@ -236,7 +237,7 @@ mod tests {
         db.insert("S", Relation::from_rows(vec![1], [[10], [20]]));
         db.udfs
             .register(VarSet::from_vars([0, 1]), 2, |v| v[0] * 1000 + v[1]);
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         assert_eq!(expect.len(), 6);
         let got = chain_join(&q, &db).unwrap();
         assert!(got.output.is_sorted());
@@ -257,7 +258,7 @@ mod tests {
             "T",
             Relation::from_rows(vec![2, 3], [[5, 9], [6, 8], [7, 7]]),
         );
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = chain_join(&q, &db).unwrap();
         assert!(got.output.is_sorted());
         assert_eq!(got.output, expect);

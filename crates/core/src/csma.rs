@@ -414,7 +414,8 @@ fn join_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{csma_join, naive_join, Algorithm, Engine, ExecOptions};
+    use crate::engine::{csma_join, Algorithm, Engine, ExecOptions};
+    use fdjoin_instances::reference_join;
 
     #[test]
     fn triangle_matches_naive() {
@@ -432,7 +433,7 @@ mod tests {
             "T",
             Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [4, 4], [4, 1]]),
         );
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = csma_join(&q, &db).unwrap();
         assert_eq!(got.output, expect);
     }
@@ -455,7 +456,7 @@ mod tests {
         );
         db.udfs.register(VarSet::from_vars([0, 2]), 3, |v| v[0]); // u = x
         db.udfs.register(VarSet::from_vars([1, 3]), 0, |v| v[1]); // x = u
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = csma_join(&q, &db).unwrap();
         assert_eq!(got.output, expect);
     }
@@ -467,7 +468,7 @@ mod tests {
         db.insert("R", Relation::from_rows(vec![0, 1], [[1, 2], [2, 3]]));
         db.insert("S", Relation::from_rows(vec![1, 2], [[2, 3], [3, 1]]));
         db.insert("T", Relation::from_rows(vec![2, 0], [[3, 1], [1, 2]]));
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let opts = ExecOptions::new()
             .algorithm(Algorithm::Csma)
             .degree_bound(UserDegreeBound {

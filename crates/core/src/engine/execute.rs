@@ -6,7 +6,7 @@ use super::{
     query_label, Algorithm, ExecOptions, JoinError, JoinResult, LazyEstimate, Parallelism,
     PlanDetail, PreparedQuery,
 };
-use crate::{chain_algo, csma, naive, sma, AccessPaths, Stats};
+use crate::{chain_algo, csma, sma, AccessPaths, Stats};
 use fdjoin_obs::{Observer, Registry, SpanKind};
 use fdjoin_storage::Database;
 use std::time::Instant;
@@ -177,10 +177,6 @@ impl PreparedQuery {
             Algorithm::BinaryJoin => {
                 let (output, stats) =
                     crate::binary_join::execute(q, db, opts.atom_order.as_deref(), &paths, &par)?;
-                (output, stats, None, PlanDetail::None)
-            }
-            Algorithm::Naive => {
-                let (output, stats) = naive::execute(q, db, &paths, &par)?;
                 (output, stats, None, PlanDetail::None)
             }
         };

@@ -454,8 +454,3 @@ pub fn generic_join(q: &Query, db: &Database) -> Result<JoinResult, JoinError> {
 pub fn binary_join(q: &Query, db: &Database) -> Result<JoinResult, JoinError> {
     run(q, db, Algorithm::BinaryJoin)
 }
-
-/// Evaluate naively (the correctness oracle).
-pub fn naive_join(q: &Query, db: &Database) -> Result<JoinResult, JoinError> {
-    run(q, db, Algorithm::Naive)
-}

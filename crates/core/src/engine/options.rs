@@ -31,8 +31,6 @@ pub enum Algorithm {
     GenericJoin,
     /// Left-deep binary hash-join plans.
     BinaryJoin,
-    /// The quadratic correctness oracle.
-    Naive,
 }
 
 impl fmt::Display for Algorithm {
@@ -45,7 +43,6 @@ impl fmt::Display for Algorithm {
             Algorithm::Csma => "csma",
             Algorithm::GenericJoin => "generic-join",
             Algorithm::BinaryJoin => "binary-join",
-            Algorithm::Naive => "naive",
         };
         f.write_str(name)
     }
@@ -285,7 +282,7 @@ impl From<MissingRelation> for JoinError {
 /// The plan object the executed algorithm ran from, for introspection.
 #[derive(Clone, Debug, Default)]
 pub enum PlanDetail {
-    /// No data-independent plan (Generic-Join, binary join, naive).
+    /// No data-independent plan (Generic-Join, binary join).
     #[default]
     None,
     /// The chain the Chain Algorithm climbed.

@@ -68,7 +68,8 @@ pub(crate) fn execute(
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{generic_join, naive_join, Algorithm, Engine, ExecOptions};
+    use crate::engine::{generic_join, Algorithm, Engine, ExecOptions};
+    use fdjoin_instances::reference_join;
     use fdjoin_lattice::VarSet;
     use fdjoin_storage::{Database, Relation};
 
@@ -88,7 +89,7 @@ mod tests {
             "T",
             Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [4, 4]]),
         );
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = generic_join(&q, &db).unwrap();
         assert_eq!(got.output, expect);
         assert!(got.stats.probes > 0);
@@ -104,7 +105,7 @@ mod tests {
         db.insert("T", Relation::from_rows(vec![2, 3], [[1, 1], [2, 2]]));
         db.udfs.register(VarSet::from_vars([0, 2]), 3, |v| v[0]); // u = x
         db.udfs.register(VarSet::from_vars([1, 3]), 0, |v| v[1]); // x = u
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         assert_eq!(generic_join(&q, &db).unwrap().output, expect);
     }
 

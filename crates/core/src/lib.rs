@@ -9,7 +9,6 @@
 //! | [`Algorithm::Csma`] | CSMA (Sec. 5.3) | GLVV/CLLP bound up to polylog; supports degree bounds |
 //! | [`Algorithm::GenericJoin`] | WCOJ baseline (NPRR/LFTJ) | AGM bound of the FD-stripped query |
 //! | [`Algorithm::BinaryJoin`] | traditional plans | unbounded intermediates (Sec. 1.1) |
-//! | [`Algorithm::Naive`] | — | correctness oracle |
 //!
 //! [`Algorithm::Auto`] picks among the first three bound-drivenly, the way
 //! the paper's results dictate (chain on distributive/tight lattices, SMA
@@ -22,8 +21,11 @@
 //!    [`PreparedQuery::execute`] — lattice presentation, chain search, LLP
 //!    solve, and proof sequences are computed once and reused;
 //! 3. **free functions**: [`chain_join`], [`sma_join`], [`csma_join`],
-//!    [`generic_join`], [`binary_join`], [`naive_join`] — thin shims over
-//!    the engine.
+//!    [`generic_join`], [`binary_join`] — thin shims over the engine.
+//!
+//! The crate carries no evaluator of its own to check these against: every
+//! suite compares them with `fdjoin_instances::reference_join`, which
+//! shares no code with this crate.
 //!
 //! All algorithms share the [`Expander`] (the Sec. 2 expansion procedure,
 //! compiled once per call site into a straight-line [`Program`]) and
@@ -62,7 +64,6 @@ pub mod engine;
 mod expand;
 mod extend;
 mod generic_join;
-mod naive;
 mod par;
 mod sma;
 mod stats;
@@ -70,10 +71,9 @@ mod stats;
 pub use access::AccessPaths;
 pub use chain_algo::atom_log_sizes;
 pub use engine::{
-    binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, naive_join, sma_join,
-    Algorithm, AutoDecision, AutoReason, Engine, ExecOptions, Explain, ExplainAnalysis, JoinError,
-    JoinResult, Parallelism, PlanCache, PlanCacheStats, PlanDetail, PrepStats, PreparedQuery,
-    UserDegreeBound,
+    binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, sma_join, Algorithm,
+    AutoDecision, AutoReason, Engine, ExecOptions, Explain, ExplainAnalysis, JoinError, JoinResult,
+    Parallelism, PlanCache, PlanCacheStats, PlanDetail, PrepStats, PreparedQuery, UserDegreeBound,
 };
 pub use expand::{Expander, OpKey, Program, Scratch};
 pub use stats::Stats;

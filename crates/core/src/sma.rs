@@ -284,7 +284,8 @@ fn degree_threshold(theta: &Rational) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{naive_join, sma_join};
+    use crate::engine::sma_join;
+    use fdjoin_instances::reference_join;
     use fdjoin_lattice::VarSet;
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
             "T",
             Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [5, 5]]),
         );
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = sma_join(&q, &db).unwrap();
         assert_eq!(
             got.output,
@@ -331,7 +332,7 @@ mod tests {
         );
         db.udfs.register(VarSet::from_vars([0, 2]), 3, |v| v[0]); // u = x
         db.udfs.register(VarSet::from_vars([1, 3]), 0, |v| v[1]); // x = u
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let got = sma_join(&q, &db).unwrap();
         assert_eq!(got.output, expect);
     }

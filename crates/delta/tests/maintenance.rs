@@ -2,10 +2,10 @@
 //! fallback threshold, plan reuse observability, serving-layer streams,
 //! and the error contract.
 
-use fdjoin_core::{naive_join, Algorithm, Engine, ExecOptions, JoinError, PlanCache};
+use fdjoin_core::{Algorithm, Engine, ExecOptions, JoinError, PlanCache};
 use fdjoin_delta::{DeltaBatch, DeltaOptions, MaterializedView, SubmitDeltas};
 use fdjoin_exec::Executor;
-use fdjoin_instances::random_instance;
+use fdjoin_instances::{random_instance, reference_join};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::examples;
 use fdjoin_storage::{Database, Relation};
@@ -21,7 +21,7 @@ fn triangle_db(seed: u64, rows: usize) -> Database {
 
 fn assert_consistent(view: &MaterializedView, ctx: &str) {
     let q = view.prepared().query();
-    let fresh = naive_join(q, view.database()).unwrap().output;
+    let fresh = reference_join(q, view.database());
     assert_eq!(view.output(), &fresh, "{ctx}: view must equal a fresh join");
 }
 
@@ -375,7 +375,6 @@ fn explicit_algorithms_maintain_too() {
         Algorithm::Csma,
         Algorithm::GenericJoin,
         Algorithm::BinaryJoin,
-        Algorithm::Naive,
     ] {
         let opts = DeltaOptions::new()
             .exec(ExecOptions::new().algorithm(alg))

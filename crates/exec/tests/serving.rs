@@ -2,10 +2,11 @@
 //! `PlanCache`, batch execution equivalence, and concurrency stress.
 
 use fdjoin_core::{
-    naive_join, Algorithm, Engine, ExecOptions, JoinError, JoinResult, PlanCache, PreparedQuery,
+    Algorithm, Engine, ExecOptions, JoinError, JoinResult, PlanCache, PreparedQuery,
     UserDegreeBound,
 };
 use fdjoin_exec::{Executor, StreamBudget};
+use fdjoin_instances::reference_join;
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{examples, Query};
 use fdjoin_storage::{Database, Relation};
@@ -88,7 +89,7 @@ const PLANNED_ALGS: [Algorithm; 4] = [
 /// The acceptance criterion: preparing two structurally isomorphic but
 /// differently-named queries through one shared `PlanCache` makes the
 /// second query's planning free — zero chain/LLP/SM/CLLP solves, only
-/// shared-cache hits — while producing correct (naive-verified) output.
+/// shared-cache hits — while producing correct (reference-verified) output.
 #[test]
 fn isomorphic_queries_share_plans() {
     let cache = Arc::new(PlanCache::new());
@@ -98,7 +99,7 @@ fn isomorphic_queries_share_plans() {
     let p1 = engine.prepare(&q1);
     for alg in PLANNED_ALGS {
         let r = p1.execute(&db1, &opts(alg)).unwrap();
-        assert_eq!(r.output, naive_join(&q1, &db1).unwrap().output);
+        assert_eq!(r.output, reference_join(&q1, &db1));
     }
     let s1 = p1.prep_stats();
     assert!(s1.solves() > 0, "first query pays for planning");
@@ -110,7 +111,7 @@ fn isomorphic_queries_share_plans() {
         let r = p2.execute(&db2, &opts(alg)).unwrap();
         assert_eq!(
             r.output,
-            naive_join(&q2, &db2).unwrap().output,
+            reference_join(&q2, &db2),
             "{alg}: rehydrated plan must compute the right answer"
         );
     }
@@ -186,7 +187,7 @@ fn pinned_plans_never_reach_the_shared_tier() {
         let pinned = opts(Algorithm::Csma).degree_bound(bound);
         let before = p.prep_stats();
         let r = p.execute(&db, &pinned).unwrap();
-        assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
+        assert_eq!(r.output, reference_join(&q, &db));
         let first = p.prep_stats().since(&before);
         assert_eq!(
             first.shared_hits + first.shared_misses,
@@ -430,7 +431,7 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
     explode(&mut bad);
     let prepared = Arc::new(Engine::new().prepare(&q));
     let dbs = Arc::new(vec![good.clone(), bad.clone()]);
-    let expected = naive_join(&q, &good).unwrap().output;
+    let expected = reference_join(&q, &good);
 
     // One worker: the thread that caught the panic serves everything after.
     let exec = Executor::with_threads(1);

@@ -187,7 +187,7 @@ mod tests {
         for name in ["R", "S", "T"] {
             assert!(db.relation(name).unwrap().len() <= 4, "{name} within N");
         }
-        let out = fdjoin_core::naive_join(&q, &db).unwrap().output;
+        let out = crate::reference_join(&q, &db);
         assert_eq!(out.len(), 8, "output = 2^{{3/2·2}}");
         // And the chain algorithm computes it.
         let ca = fdjoin_core::chain_join(&q, &db).unwrap();
@@ -201,7 +201,7 @@ mod tests {
         let logs = vec![rat(4, 1); 3];
         let cb = best_chain_bound(&pres.lattice, &pres.inputs, &logs).unwrap();
         let db = chain_worst_case(&q, &cb.chain, &logs).expect("Boolean chains are tight");
-        let out = fdjoin_core::naive_join(&q, &db).unwrap().output;
+        let out = crate::reference_join(&q, &db);
         assert_eq!(out.len(), 64); // 2^6 = N^{3/2}, N = 16.
     }
 

@@ -241,7 +241,7 @@ mod tests {
         for name in ["R", "S", "T"] {
             assert_eq!(db.relation(name).unwrap().len(), 16, "{name}");
         }
-        let out = fdjoin_core::naive_join(&q, &db).unwrap().output;
+        let out = crate::reference_join(&q, &db);
         assert_eq!(out.len(), 64);
     }
 
@@ -253,7 +253,7 @@ mod tests {
         for atom in q.atoms() {
             assert_eq!(db.relation(&atom.name).unwrap().len(), 8, "{}", atom.name);
         }
-        let out = fdjoin_core::naive_join(&q, &db).unwrap().output;
+        let out = crate::reference_join(&q, &db);
         assert_eq!(out.len(), 16);
     }
 
@@ -265,7 +265,7 @@ mod tests {
         for atom in q.atoms() {
             assert_eq!(db.relation(&atom.name).unwrap().len(), 4, "{}", atom.name);
         }
-        let out = fdjoin_core::naive_join(&q, &db).unwrap().output;
+        let out = crate::reference_join(&q, &db);
         assert_eq!(out.len(), 8);
     }
 

@@ -1,12 +1,15 @@
-//! Database instance generators: the paper's worst-case constructions and
-//! random FD-respecting instances for testing.
+//! Test data and its ground truth: the paper's worst-case constructions,
+//! random FD-respecting instances, and the reference evaluator.
 //!
 //! - [`coords`]: canonical quasi-product instances (Definition 4.4 /
 //!   Lemma 4.5) — the universal tight-lower-bound generator for normal
 //!   lattices, with automatic coordinate UDFs for unguarded FDs;
 //! - [`special`]: hand-built instances (M3 parity, the Fig. 1 adversarial
 //!   and tight instances, degree-bounded triangles);
-//! - [`random`]: random instances that satisfy all FDs by construction.
+//! - [`random`]: random instances that satisfy all FDs by construction;
+//! - [`reference`](mod@reference): [`reference_join`], the evaluator
+//!   every suite checks the engine against. It shares no code with
+//!   `fdjoin_core`: this crate names the engine only as a dev-dependency.
 
 #![forbid(unsafe_code)]
 
@@ -15,8 +18,10 @@
 mod chain_inst;
 pub mod coords;
 pub mod random;
+pub mod reference;
 pub mod special;
 
 pub use coords::{materialize, normal_worst_case, CoordScheme};
 pub use random::random_instance;
+pub use reference::reference_join;
 pub use special::{bounded_degree_triangle, fig1_adversarial, fig1_tight, m3_parity};

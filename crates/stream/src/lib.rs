@@ -201,9 +201,9 @@ impl<'a> ResultStream<'a> {
     }
 
     /// Skip up to `n` answers without delivering them, then return `self`
-    /// for chaining (`stream.offset(100).limit(10)`). Skipping still walks
-    /// the descent — constant delay per skipped row on constant-delay
-    /// queries, but never free.
+    /// for chaining (`stream.offset(100).limit(10)`). Skipping walks the
+    /// descent exactly as delivering would: `offset(n)` costs what reading
+    /// `n` rows costs.
     pub fn offset(&mut self, n: usize) -> &mut Self {
         for _ in 0..n {
             if !self.advance() {

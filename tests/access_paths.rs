@@ -44,7 +44,6 @@ fn second_execution_builds_zero_indexes() {
         Algorithm::Csma,
         Algorithm::GenericJoin,
         Algorithm::BinaryJoin,
-        Algorithm::Naive,
         Algorithm::Auto,
     ] {
         let prepared = Engine::new().prepare(&q);

@@ -1,18 +1,18 @@
 //! Cross-algorithm equivalence: on random FD-respecting instances, every
-//! algorithm (Chain, SMA, CSMA, Generic-Join, binary join) must produce exactly the naive evaluator's answer.
+//! algorithm (Chain, SMA, CSMA, Generic-Join, binary join) must produce exactly the reference evaluator's answer.
 
 use fdjoin::core::{
-    binary_join, chain_join, csma_join, generic_join, naive_join, sma_join, Algorithm, Engine,
-    ExecOptions, JoinError,
+    binary_join, chain_join, csma_join, generic_join, sma_join, Algorithm, Engine, ExecOptions,
+    JoinError,
 };
-use fdjoin::instances::random_instance;
+use fdjoin::instances::{random_instance, reference_join};
 use fdjoin::query::{examples, Query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn check_all(q: &Query, db: &fdjoin::storage::Database) {
-    let expect = naive_join(q, db).unwrap().output;
+    let expect = reference_join(q, db);
 
     let gj = generic_join(q, db).unwrap();
     assert_eq!(
@@ -103,11 +103,11 @@ proptest! {
         rows in 3usize..16,
     ) {
         // Fig 9 is the query with no good SM proof: CSMA is the only paper
-        // algorithm that meets its bound; check it against naive.
+        // algorithm that meets its bound; check it against the reference.
         let q = examples::fig9_query();
         let mut rng = StdRng::seed_from_u64(seed);
         let db = random_instance(&q, &mut rng, rows, 85);
-        let expect = naive_join(&q, &db).unwrap().output;
+        let expect = reference_join(&q, &db);
         let csma = csma_join(&q, &db).expect("sequence exists");
         prop_assert_eq!(csma.output, expect);
     }
@@ -153,7 +153,7 @@ fn fig9_worst_case_all_consistent() {
     use fdjoin::bigint::rat;
     let q = examples::fig9_query();
     let db = fdjoin::instances::normal_worst_case(&q, &vec![rat(2, 1); 3], &rat(3, 1)).unwrap();
-    let expect = naive_join(&q, &db).unwrap().output;
+    let expect = reference_join(&q, &db);
     assert_eq!(expect.len(), 8); // 2^{3/2 · 2}
     let csma = csma_join(&q, &db).unwrap();
     assert_eq!(csma.output, expect);

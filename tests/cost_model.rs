@@ -5,9 +5,9 @@
 //! the same model to run delta-specialized plans whose saved work is
 //! visible in `DeltaStats`.
 
-use fdjoin::core::{naive_join, Algorithm, AutoReason, Engine, ExecOptions};
+use fdjoin::core::{Algorithm, AutoReason, Engine, ExecOptions};
 use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
-use fdjoin::instances::random_instance;
+use fdjoin::instances::{random_instance, reference_join};
 use fdjoin::query::examples;
 use fdjoin::storage::{Database, Relation};
 use rand::rngs::StdRng;
@@ -101,8 +101,8 @@ fn same_size_profile_different_skew_flips_the_auto_choice() {
     assert!(ds.estimate_log_max.as_ref().unwrap() > ds.estimate_log_avg.as_ref().unwrap());
 
     // Either way the answers are correct.
-    assert_eq!(ru.output, naive_join(&q, &uniform).unwrap().output);
-    assert_eq!(rs.output, naive_join(&q, &skewed).unwrap().output);
+    assert_eq!(ru.output, reference_join(&q, &uniform));
+    assert_eq!(rs.output, reference_join(&q, &skewed));
 }
 
 #[test]
@@ -176,7 +176,7 @@ fn one_tuple_delta_stops_paying_for_the_full_plan() {
 
         // Identical answers, both equal to a fresh join.
         assert_eq!(spec_view.output(), plain_view.output());
-        let fresh = naive_join(&q, spec_view.database()).unwrap().output;
+        let fresh = reference_join(&q, spec_view.database());
         assert_eq!(spec_view.output(), &fresh, "on {}", q.display_body());
 
         // The specialized view ran a Δ-first binary plan and its recorded
@@ -262,12 +262,12 @@ fn bulk_deltas_keep_the_view_plan() {
             "a base-relation-sized delta must not look like a cheap delta"
         );
     }
-    let fresh = naive_join(&q, view.database()).unwrap().output;
+    let fresh = reference_join(&q, view.database());
     assert_eq!(view.output(), &fresh);
 }
 
 /// Differential guard: specialized and unspecialized views agree with a
-/// fresh naive join across a random insert/delete stream (the cost model
+/// fresh reference join across a random insert/delete stream (the cost model
 /// changes plans, never answers).
 #[test]
 fn specialized_views_track_naive_under_random_streams() {
@@ -307,7 +307,7 @@ fn specialized_views_track_naive_under_random_streams() {
         }
         spec.apply_delta(&delta).unwrap();
         plain.apply_delta(&delta).unwrap();
-        let fresh = naive_join(&q, spec.database()).unwrap().output;
+        let fresh = reference_join(&q, spec.database());
         assert_eq!(spec.output(), &fresh, "specialized view diverged at {step}");
         assert_eq!(plain.output(), &fresh, "plain view diverged at {step}");
     }

@@ -2,10 +2,11 @@
 //! plan reuse, and the shared `JoinResult`/`JoinError` contract.
 
 use fdjoin::core::{
-    binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, naive_join, sma_join,
-    Algorithm, AutoReason, Engine, ExecOptions, JoinError, JoinResult, UserDegreeBound,
+    binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, sma_join, Algorithm,
+    AutoReason, Engine, ExecOptions, JoinError, JoinResult, UserDegreeBound,
 };
 use fdjoin::delta::{DeltaOptions, MaterializedView};
+use fdjoin::instances::reference_join;
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::{Database, Relation};
 use fdjoin::stream::ResultStream;
@@ -63,7 +64,7 @@ fn auto_picks_chain_on_triangle() {
     let r = Engine::new().execute(&q, &db, &ExecOptions::new()).unwrap();
     assert_eq!(r.algorithm_used, Algorithm::Chain);
     assert!(r.chain().is_some(), "chain plan must be recorded");
-    assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
+    assert_eq!(r.output, reference_join(&q, &db));
 }
 
 #[test]
@@ -94,7 +95,7 @@ fn auto_picks_chain_on_fd_examples() {
             "auto must pick chain on {}",
             q.display_body()
         );
-        assert_eq!(r.output, naive_join(&q, &db).unwrap().output);
+        assert_eq!(r.output, reference_join(&q, &db));
     }
 }
 
@@ -113,7 +114,7 @@ fn auto_falls_back_to_sma_then_csma() {
         .unwrap();
     assert_eq!(r4.algorithm_used, Algorithm::Sma);
     assert!(r4.sm_proof().is_some());
-    assert_eq!(r4.output, naive_join(&q4, &db4).unwrap().output);
+    assert_eq!(r4.output, reference_join(&q4, &db4));
 
     // Fig 9: no good SM proof exists (Example 5.31) ⇒ CSMA.
     let q9 = examples::fig9_query();
@@ -124,7 +125,7 @@ fn auto_falls_back_to_sma_then_csma() {
         .unwrap();
     assert_eq!(r9.algorithm_used, Algorithm::Csma);
     assert!(r9.csm_sequence().is_some());
-    assert_eq!(r9.output, naive_join(&q9, &db9).unwrap().output);
+    assert_eq!(r9.output, reference_join(&q9, &db9));
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ fn auto_decision_reports_pinning_options() {
 fn explicit_algorithms_record_no_auto_decision() {
     let q = examples::triangle();
     let db = triangle_db();
-    for alg in [Algorithm::Chain, Algorithm::GenericJoin, Algorithm::Naive] {
+    for alg in [Algorithm::Chain, Algorithm::GenericJoin] {
         let r = Engine::new()
             .execute(&q, &db, &ExecOptions::new().algorithm(alg))
             .unwrap();
@@ -473,7 +474,6 @@ fn explicit_variants_match_free_functions() {
         (Algorithm::Csma, csma_join(&q, &db).unwrap()),
         (Algorithm::GenericJoin, generic_join(&q, &db).unwrap()),
         (Algorithm::BinaryJoin, binary_join(&q, &db).unwrap()),
-        (Algorithm::Naive, naive_join(&q, &db).unwrap()),
     ];
     for (alg, free) in cases {
         let via_engine = engine
@@ -607,7 +607,6 @@ fn missing_relation_is_a_join_error_everywhere() {
         Algorithm::Csma,
         Algorithm::GenericJoin,
         Algorithm::BinaryJoin,
-        Algorithm::Naive,
     ] {
         let err = Engine::new()
             .execute(&q, &db, &ExecOptions::new().algorithm(alg))
@@ -652,7 +651,6 @@ fn schema_mismatch_is_a_join_error_everywhere() {
             Algorithm::Csma,
             Algorithm::GenericJoin,
             Algorithm::BinaryJoin,
-            Algorithm::Naive,
         ] {
             let got = prepared.execute(db, &ExecOptions::new().algorithm(alg));
             assert_eq!(got.err(), Some(expect.clone()), "execute with {alg}");
@@ -730,7 +728,6 @@ fn invalid_options_are_rejected() {
         Algorithm::Sma,
         Algorithm::GenericJoin,
         Algorithm::BinaryJoin,
-        Algorithm::Naive,
     ] {
         let unread_bound = ExecOptions::new()
             .algorithm(alg)
@@ -750,7 +747,6 @@ fn invalid_options_are_rejected() {
         Algorithm::Sma,
         Algorithm::Csma,
         Algorithm::GenericJoin,
-        Algorithm::Naive,
     ] {
         let unread_order = ExecOptions::new().algorithm(alg).atom_order(vec![2, 0, 1]);
         assert!(
@@ -819,7 +815,7 @@ fn engine_matches_naive_across_algorithms_and_queries() {
     for q in &queries {
         let mut rng = StdRng::seed_from_u64(42);
         let db = fdjoin::instances::random_instance(q, &mut rng, 14, 80);
-        let expect = naive_join(q, &db).unwrap().output;
+        let expect = reference_join(q, &db);
         let prepared = engine.prepare(q);
         for alg in [
             Algorithm::Auto,
@@ -829,7 +825,6 @@ fn engine_matches_naive_across_algorithms_and_queries() {
             Algorithm::Csma,
             Algorithm::GenericJoin,
             Algorithm::BinaryJoin,
-            Algorithm::Naive,
         ] {
             match prepared.execute(&db, &ExecOptions::new().algorithm(alg)) {
                 Ok(r) => assert_eq!(r.output, expect, "{alg} mismatch on {}", q.display_body()),

@@ -2,7 +2,8 @@
 //! guarded vs unguarded FDs, dangling-tuple removal, consistency filtering,
 //! and the interaction with each algorithm's final verification.
 
-use fdjoin::core::{naive_join, AccessPaths, Expander, Stats};
+use fdjoin::core::{AccessPaths, Expander, Stats};
+use fdjoin::instances::reference_join;
 use fdjoin::lattice::VarSet;
 use fdjoin::query::Query;
 use fdjoin::storage::IndexSet;
@@ -54,7 +55,7 @@ fn dangling_tuples_dropped_by_expansion() {
 #[test]
 fn full_query_on_four_cycle() {
     let (q, db) = four_cycle();
-    let out = naive_join(&q, &db).unwrap().output;
+    let out = reference_join(&q, &db);
     assert_eq!(out.len(), 2);
     assert!(out.contains_row(&[1, 10, 100, 7]));
     let ca = fdjoin::core::chain_join(&q, &db).unwrap();
@@ -77,7 +78,7 @@ fn udf_consistency_filters_contradictions() {
     db.insert("W", Relation::from_rows(vec![2], [[2], [5]]));
     db.udfs
         .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]);
-    let out = naive_join(&q, &db).unwrap().output;
+    let out = reference_join(&q, &db);
     assert_eq!(out.len(), 1);
     assert_eq!(out.row(0), &[1, 1, 2]);
 }
@@ -121,7 +122,7 @@ fn an_unverified_top_table_is_verified_by_the_final_pass() {
     db.udfs
         .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]); // z = x + y
     db.udfs.register(VarSet::singleton(2), 0, |v| v[0]); // x = z
-    let expect = naive_join(&q, &db).unwrap().output;
+    let expect = reference_join(&q, &db);
     assert_eq!(
         expect,
         Relation::from_rows(vec![0, 1, 2], [[1, 0, 1], [2, 0, 2]]),
@@ -160,7 +161,6 @@ fn missing_udf_backing_is_a_typed_error_everywhere() {
         Algorithm::Csma,
         Algorithm::GenericJoin,
         Algorithm::BinaryJoin,
-        Algorithm::Naive,
     ] {
         for tasks in [1, 2] {
             let opts = ExecOptions::new().algorithm(alg).parallelism(tasks);
@@ -184,7 +184,7 @@ fn missing_udf_backing_is_a_typed_error_everywhere() {
     // Registering the function is all it takes.
     db.udfs
         .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]);
-    assert_eq!(naive_join(&q, &db).unwrap().output.row(0), &[1, 2, 3]);
+    assert_eq!(reference_join(&q, &db).row(0), &[1, 2, 3]);
     assert!(fdjoin::stream::ResultStream::open(&prepared, &db).is_ok());
 }
 

@@ -172,17 +172,10 @@ fn registry_reconciles_with_stats_and_prep_stats() {
     assert_eq!(c("fdjoin_index_hits_total"), hits);
     // Executions split by algorithm sums to the run count, and the
     // latency/work histograms saw exactly one observation per run.
-    let by_alg: u64 = [
-        "chain",
-        "sma",
-        "csma",
-        "generic-join",
-        "binary-join",
-        "naive",
-    ]
-    .iter()
-    .map(|a| m.counter_value("fdjoin_executions_total", &[("algorithm", a)]))
-    .sum();
+    let by_alg: u64 = ["chain", "sma", "csma", "generic-join", "binary-join"]
+        .iter()
+        .map(|a| m.counter_value("fdjoin_executions_total", &[("algorithm", a)]))
+        .sum();
     assert_eq!(by_alg, runs);
     assert_eq!(m.histogram("fdjoin_work", &[]).count(), runs);
     assert_eq!(m.histogram("fdjoin_solve_latency_ns", &[]).count(), runs);

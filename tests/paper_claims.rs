@@ -10,9 +10,9 @@ use fdjoin::bounds::llp::solve_llp;
 use fdjoin::bounds::normal::is_normal_lattice;
 use fdjoin::bounds::smproof::{search_good_sm_proof, search_sm_proof};
 use fdjoin::core::{
-    chain_join, csma_join, generic_join, naive_join, Algorithm, Engine, ExecOptions,
-    UserDegreeBound,
+    chain_join, csma_join, generic_join, Algorithm, Engine, ExecOptions, UserDegreeBound,
 };
+use fdjoin::instances::reference_join;
 use fdjoin::lattice::build::order_ideals;
 use fdjoin::query::examples;
 
@@ -115,7 +115,7 @@ fn e2_degree_bound_tracks_eq2_through_the_engine() {
                 "N = {n}, d = {real_d}: CLLP bound {bound}, Eq. (2) {eq2}"
             );
             assert!(out.output.len() as f64 <= bound.exp2());
-            assert_eq!(out.output, naive_join(&q, &db).unwrap().output);
+            assert_eq!(out.output, reference_join(&q, &db));
         }
     }
 }
@@ -183,7 +183,7 @@ fn e6_m3_parity() {
     assert!(!is_normal_lattice(&pres.lattice, &pres.inputs));
     let n = 8u64;
     let db = fdjoin::instances::m3_parity(n);
-    let out = naive_join(&q, &db).unwrap().output;
+    let out = reference_join(&q, &db);
     assert_eq!(out.len() as u64, n * n);
     // N² > N^{3/2}: the co-atomic cover bound is genuinely violated.
     assert!((out.len() as f64) > (n as f64).powf(1.5));
@@ -208,7 +208,7 @@ fn e7_fig4_gap_and_tightness() {
     let multiset: Vec<(usize, u64)> = pres.inputs.iter().map(|&e| (e, 1)).collect();
     assert!(search_good_sm_proof(&pres.lattice, &multiset, 3).is_some());
     let db = fdjoin::instances::normal_worst_case(&q, &logs, &llp).unwrap();
-    let out = naive_join(&q, &db).unwrap().output;
+    let out = reference_join(&q, &db);
     assert_eq!(out.len(), 16); // 2^4 = N^{4/3} with N = 8.
 }
 
