@@ -119,5 +119,5 @@ mod view;
 
 pub use batch::{DeltaBatch, RelationDelta};
 pub use stats::DeltaStats;
-pub use stream::{DeltaStreamHandle, SubmitDeltas};
+pub use stream::SubmitDeltas;
 pub use view::{DeltaOptions, MaterializedView};

@@ -288,8 +288,9 @@ fn streams_absorb_updates_concurrently() {
 }
 
 /// A UDF that panics while a delta stream applies on a pool worker is a
-/// typed error on the waiter — the job owned the view, so none comes back —
-/// and the worker that caught it serves the next stream.
+/// typed error on the waiter carrying the UDF's own message — the job owned
+/// the view, so none comes back — and the worker that caught it serves the
+/// next stream.
 #[test]
 fn panicking_delta_stream_is_a_typed_error_on_the_waiter() {
     // R(x), S(y), z = f(x, y) by UDF — which gives up on the x a later
@@ -316,7 +317,7 @@ fn panicking_delta_stream_is_a_typed_error_on_the_waiter() {
     let poisoned = DeltaBatch::new().insert("R", [666]);
     let outcome = exec.submit_deltas(fresh_view(), vec![poisoned]).wait();
     assert!(
-        matches!(outcome, Err(JoinError::WorkerPanicked(_))),
+        matches!(&outcome, Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
         "{:?}",
         outcome.map(|(_, results)| results)
     );

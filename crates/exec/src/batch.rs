@@ -8,11 +8,10 @@
 //! executions share only the prepared query's plan caches, whose contents
 //! do not depend on scheduling.
 
-use crate::pool::{contain_panic, unreported, Pool};
+use crate::pool::{contain_panic, JobHandle, Pool};
 use fdjoin_core::{ExecOptions, JoinError, JoinResult, PreparedQuery};
 use fdjoin_obs::{Observer, Span, SpanKind};
 use fdjoin_storage::Database;
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,8 +90,8 @@ impl BatchResult {
     }
 }
 
-/// A persistent work-stealing thread pool that fans prepared queries across
-/// databases.
+/// A persistent thread pool with one FIFO job queue that fans prepared
+/// queries across databases.
 ///
 /// ```
 /// use fdjoin_core::{Engine, ExecOptions};
@@ -157,15 +156,22 @@ impl Executor {
         self.pool.threads()
     }
 
-    /// Run one arbitrary job on the pool. This is the raw admission
-    /// primitive behind higher-level workloads (e.g. `fdjoin_delta`
-    /// streams a view's update batches through one spawned job so batches
-    /// stay ordered per view while distinct views absorb updates
-    /// concurrently). Jobs report back through their own channels; a
-    /// panicking job is contained by the pool and surfaces as that
-    /// channel going dead.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.pool.spawn(Box::new(job));
+    /// Run one job on the pool and return a handle to its result. This is
+    /// the raw admission primitive behind every pool workload: batches,
+    /// streams, and `fdjoin_delta`'s update streams (one job per view, so
+    /// its batches stay ordered while distinct views absorb updates
+    /// concurrently). Jobs start in submission order. A job that panics
+    /// (a registered UDF, say) reports [`JoinError::WorkerPanicked`] with
+    /// the panic's message in its handle, and the pool keeps serving.
+    pub fn spawn<T: Send + 'static>(
+        &self,
+        job: impl FnOnce() -> Result<T, JoinError> + Send + 'static,
+    ) -> JobHandle<T> {
+        let (tx, handle) = JobHandle::channel();
+        self.pool.spawn(Box::new(move || {
+            let _ = tx.send(contain_panic(job));
+        }));
+        handle
     }
 
     /// Fan `prepared` across `dbs` on the pool; returns immediately with a
@@ -210,38 +216,36 @@ impl Executor {
         let mut span = obs.span_detached(SpanKind::Submit, batch_label(prepared));
         span.field("databases", dbs.len());
         let parent = span.id();
-        let (tx, rx) = channel();
-        let n = dbs.len();
-        for i in 0..n {
-            let prepared = prepared.clone();
-            let dbs = dbs.clone();
-            let opts = opts.clone();
-            let admission = admission.clone();
-            let obs = obs.clone();
-            let tx = tx.clone();
-            self.pool.spawn(Box::new(move || {
-                // Explicit parenting: the job runs on a pool worker whose
-                // thread stack knows nothing of the submitting thread.
-                let mut job_span =
-                    obs.span_with_parent(SpanKind::Batch, batch_label(&prepared), parent);
-                job_span.field("db_index", i);
-                let r = contain_panic(|| match &admission {
-                    Some(a) => a
-                        .check(&prepared, &dbs[i])
-                        .and_then(|()| prepared.execute(&dbs[i], &opts)),
-                    None => prepared.execute(&dbs[i], &opts),
-                });
-                match &r {
-                    Ok(jr) => job_span.field("rows", jr.output.len()),
-                    Err(e) => job_span.field("error", e.to_string()),
-                }
-                job_span.finish();
-                let _ = tx.send((i, r));
-            }));
-        }
+        let jobs = (0..dbs.len())
+            .map(|i| {
+                let prepared = prepared.clone();
+                let dbs = dbs.clone();
+                let opts = opts.clone();
+                let admission = admission.clone();
+                let obs = obs.clone();
+                self.spawn(move || {
+                    // Explicit parenting: the job runs on a pool worker whose
+                    // thread stack knows nothing of the submitting thread.
+                    let mut job_span =
+                        obs.span_with_parent(SpanKind::Batch, batch_label(&prepared), parent);
+                    job_span.field("db_index", i);
+                    let r = match &admission {
+                        Some(a) => a
+                            .check(&prepared, &dbs[i])
+                            .and_then(|()| prepared.execute(&dbs[i], &opts)),
+                        None => prepared.execute(&dbs[i], &opts),
+                    };
+                    match &r {
+                        Ok(jr) => job_span.field("rows", jr.output.len()),
+                        Err(e) => job_span.field("error", e.to_string()),
+                    }
+                    job_span.finish();
+                    r
+                })
+            })
+            .collect();
         BatchHandle {
-            rx,
-            n,
+            jobs,
             started,
             span: Some(span),
         }
@@ -267,8 +271,8 @@ impl Default for Executor {
 
 /// An in-flight batch submitted to an [`Executor`].
 pub struct BatchHandle {
-    rx: Receiver<(usize, Result<JoinResult, JoinError>)>,
-    n: usize,
+    /// One job per database, in database order.
+    jobs: Vec<JobHandle<JoinResult>>,
     started: Instant,
     /// The batch's `submit` span, held open until [`BatchHandle::wait`]
     /// has collected every child result.
@@ -278,28 +282,19 @@ pub struct BatchHandle {
 impl BatchHandle {
     /// Number of databases in the batch.
     pub fn len(&self) -> usize {
-        self.n
+        self.jobs.len()
     }
 
     /// Whether the batch was empty on submission.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.jobs.is_empty()
     }
 
     /// Block until every database has been executed. An execution that
     /// panicked on its worker reports [`JoinError::WorkerPanicked`] in its
     /// slot; the others are unaffected.
     pub fn wait(self) -> BatchResult {
-        let mut slots: Vec<Option<Result<JoinResult, JoinError>>> =
-            (0..self.n).map(|_| None).collect();
-        // Ends early only when every job's sender is gone.
-        for (i, r) in self.rx.iter().take(self.n) {
-            slots[i] = Some(r);
-        }
-        let results = slots
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| Err(unreported())))
-            .collect();
+        let results = self.jobs.into_iter().map(JobHandle::wait).collect();
         let batch = BatchResult::collect(results, self.started.elapsed());
         if let Some(mut span) = self.span {
             span.field("succeeded", batch.stats.succeeded);

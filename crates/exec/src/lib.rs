@@ -18,7 +18,7 @@
 //!
 //! 2. **Concurrent execution driver**: [`Executor::submit`] fans one
 //!    `PreparedQuery` across many `Arc`-shared databases on a std-only
-//!    work-stealing thread pool and returns a [`BatchHandle`] whose
+//!    thread pool with one FIFO job queue and returns a [`BatchHandle`] whose
 //!    [`wait`](BatchHandle::wait) yields per-database
 //!    [`JoinResult`](fdjoin_core::JoinResult)s plus aggregate
 //!    [`BatchStats`] (throughput, totals).
@@ -26,7 +26,7 @@
 //! 3. **Budgeted streaming service** ([`Executor::submit_stream`]): serves
 //!    a query through an `fdjoin_stream::ResultStream` cursor instead of a
 //!    materializing run, delivering rows until a [`StreamBudget`] stops it
-//!    — wall-clock deadline, row cap, or byte cap. Because the cursor
+//!    — wall-clock deadline or row cap. Because the cursor
 //!    suspends as plain snapshots over the engine-wide trie cache,
 //!    abandoning a stream mid-flight discards nothing expensive: prepared
 //!    plans and cached trie indexes survive for the next submission.
@@ -40,7 +40,10 @@
 //! The raw admission primitive, [`Executor::spawn`], is public so other
 //! serving drivers can schedule non-batch workloads on the same pool;
 //! `fdjoin_delta` uses it to stream incremental update batches into
-//! materialized views.
+//! materialized views. Every pool job reports through one [`JobHandle`],
+//! whose [`wait`](JobHandle::wait) turns a panic on the worker into
+//! [`JoinError::WorkerPanicked`](fdjoin_core::JoinError::WorkerPanicked)
+//! with the panic's own message.
 //!
 //! Serving results are *auditable*: every per-database
 //! [`JoinResult`](fdjoin_core::JoinResult) in a [`BatchResult`] carries
@@ -86,7 +89,8 @@ mod pool;
 mod streaming;
 
 pub use batch::{BatchHandle, BatchResult, BatchStats, Executor};
-pub use streaming::{Admission, StreamBudget, StreamEnd, StreamHandle, StreamOutcome};
+pub use pool::JobHandle;
+pub use streaming::{Admission, StreamBudget, StreamEnd, StreamOutcome};
 // The cache types live in `fdjoin_core` (they are wired into
 // `Engine::prepare` and relabel crate-private plan structures); this crate
 // is their serving-layer home.

@@ -1,28 +1,27 @@
-//! A small std-only work-stealing thread pool.
+//! A small std-only thread pool: one FIFO job queue shared by every worker.
 //!
-//! Jobs are distributed round-robin onto per-worker deques; a worker pops
-//! its own deque from the front and, when empty, steals from the *back* of
-//! its siblings' deques — the classic Chase–Lev discipline, implemented
-//! with mutex-guarded `VecDeque`s (this build environment has no crossbeam;
-//! join execution dominates the lock cost by orders of magnitude).
+//! `spawn` sends a job down one `mpsc` channel; an idle worker takes the
+//! next job off the shared `Receiver`, which sits behind one mutex held only
+//! while receiving, so jobs start in submission order (join execution
+//! dominates the lock cost by orders of magnitude). Dropping the pool drops
+//! the sender: the workers drain the jobs already queued, see the channel
+//! close, and are joined.
 //!
-//! The pool is deliberately minimal: `spawn` and `Drop` (graceful
-//! shutdown), plus the panic containment every result-reporting job wraps
-//! its work in. Batch orchestration, result collection, and statistics
-//! live in [`crate::Executor`].
+//! Every job reports through a [`JobHandle`]: [`crate::Executor::spawn`]
+//! runs it under [`contain_panic`] and sends the outcome down the handle's
+//! own channel.
 
 use fdjoin_core::JoinError;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// Run one execution on a worker, turning a panic inside it (a registered
-/// UDF, say) into the typed error its handle reports. Spans opened inside
-/// `work` close as the unwind drops them.
+/// Run one job, turning a panic inside it (a registered UDF, say) into the
+/// typed error its handle reports. Spans opened inside `work` close as the
+/// unwind drops them.
 pub(crate) fn contain_panic<T>(
     work: impl FnOnce() -> Result<T, JoinError>,
 ) -> Result<T, JoinError> {
@@ -36,122 +35,99 @@ pub(crate) fn contain_panic<T>(
     })
 }
 
-/// What a handle reports for an execution whose job ended without sending
-/// a result (it panicked outside [`contain_panic`]).
-pub(crate) fn unreported() -> JoinError {
-    JoinError::WorkerPanicked("the job ended without reporting a result".to_string())
+/// An in-flight pool job: what [`Executor::spawn`](crate::Executor::spawn),
+/// [`Executor::submit_stream`](crate::Executor::submit_stream) and
+/// `fdjoin_delta`'s `submit_deltas` return.
+pub struct JobHandle<T> {
+    rx: Receiver<Result<T, JoinError>>,
+}
+
+impl<T> JobHandle<T> {
+    /// A handle and the sender its job reports through. One result, one
+    /// slot: the job's single send never blocks.
+    pub(crate) fn channel() -> (SyncSender<Result<T, JoinError>>, JobHandle<T>) {
+        let (tx, rx) = sync_channel(1);
+        (tx, JobHandle { rx })
+    }
+
+    /// A handle whose job is already decided, with no pool slot spent.
+    pub(crate) fn ready(result: Result<T, JoinError>) -> JobHandle<T> {
+        let (tx, handle) = JobHandle::channel();
+        // The receiver is alive in `handle`, so the send cannot fail.
+        let _ = tx.send(result);
+        handle
+    }
+
+    /// Block until the job ends. A job that panicked on its worker reports
+    /// [`JoinError::WorkerPanicked`] with the panic's message; one that
+    /// ended without reporting at all reports it with a generic message.
+    pub fn wait(self) -> Result<T, JoinError> {
+        self.rx.recv().unwrap_or_else(|_| {
+            Err(JoinError::WorkerPanicked(
+                "the job ended without reporting a result".to_string(),
+            ))
+        })
+    }
 }
 
 pub(crate) struct Pool {
-    inner: Arc<PoolInner>,
+    /// `None` only while dropping: closing the queue stops the workers.
+    queue: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-}
-
-struct PoolInner {
-    /// One deque per worker; `spawn` round-robins pushes across them.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Condvar pair for idle workers. The timeout on waits makes a missed
-    /// notification cost latency, never liveness.
-    gate: Mutex<()>,
-    available: Condvar,
-    pending: AtomicUsize,
-    shutdown: AtomicBool,
-    rr: AtomicUsize,
 }
 
 impl Pool {
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let inner = Arc::new(PoolInner {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(()),
-            available: Condvar::new(),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
-        });
-        let workers = (0..threads)
+        let (queue, jobs) = channel::<Job>();
+        let jobs = Arc::new(Mutex::new(jobs));
+        let workers = (0..threads.max(1))
             .map(|me| {
-                let inner = inner.clone();
+                let jobs = jobs.clone();
                 std::thread::Builder::new()
                     .name(format!("fdjoin-exec-{me}"))
-                    .spawn(move || worker_loop(&inner, me))
+                    .spawn(move || worker_loop(&jobs))
                     .expect("spawn worker thread")
             })
             .collect();
-        Pool { inner, workers }
+        Pool {
+            queue: Some(queue),
+            workers,
+        }
     }
 
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
 
+    /// Queue one job. A job that cannot be queued is dropped, and with it
+    /// the sender its handle waits on.
     pub fn spawn(&self, job: Job) {
-        let n = self.inner.queues.len();
-        let slot = self.inner.rr.fetch_add(1, Ordering::Relaxed) % n;
-        // Increment `pending` before the job is visible: a worker that pops
-        // it immediately must never drive the counter below zero.
-        self.inner.pending.fetch_add(1, Ordering::Release);
-        self.inner.queues[slot].lock().unwrap().push_back(job);
-        // One job, one wakeup. The gate lock makes this race-free against
-        // a worker's pending-check-then-wait (see `worker_loop`); a woken
-        // worker finds the job wherever it landed by stealing.
-        let _g = self.inner.gate.lock().unwrap();
-        self.inner.available.notify_one();
+        if let Some(queue) = &self.queue {
+            let _ = queue.send(job);
+        }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.inner.gate.lock().unwrap();
-            self.inner.available.notify_all();
-        }
+        drop(self.queue.take());
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn worker_loop(inner: &PoolInner, me: usize) {
+fn worker_loop(jobs: &Mutex<Receiver<Job>>) {
     loop {
-        if let Some(job) = find_job(inner, me) {
-            // A panicking job must not kill the worker — the pool would
-            // silently shrink for every later batch. Batch and stream jobs
-            // report their own panics ([`contain_panic`]); anything that
-            // still unwinds to here surfaces to the submitter as the job's
-            // result channel going dead.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Race-free sleep: `pending` is re-checked under the gate lock, and
-        // `spawn` increments it before notifying under that same lock — a
-        // job published after the check is seen either by the check or by
-        // the notification, so an idle pool parks with no polling.
-        let guard = inner.gate.lock().unwrap();
-        if inner.pending.load(Ordering::Acquire) == 0 && !inner.shutdown.load(Ordering::Acquire) {
-            drop(inner.available.wait(guard).unwrap());
-        }
+        // The guard is a temporary of this statement, so the lock is
+        // released before the job runs (a `while let` would hold it through
+        // the body). No job runs under it, so it is never poisoned.
+        let next = jobs.lock().expect("job queue lock poisoned").recv();
+        let Ok(job) = next else { return };
+        // A panicking job must not kill the worker — the pool would
+        // silently shrink for every later submission. `Executor::spawn`
+        // already contains a job's own panic; this catches what is left
+        // (a panicking drop of its result, say).
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
-}
-
-fn find_job(inner: &PoolInner, me: usize) -> Option<Job> {
-    let n = inner.queues.len();
-    // Own deque first (front), then steal from siblings (back).
-    if let Some(job) = inner.queues[me].lock().unwrap().pop_front() {
-        inner.pending.fetch_sub(1, Ordering::AcqRel);
-        return Some(job);
-    }
-    for k in 1..n {
-        let victim = (me + k) % n;
-        if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
-            inner.pending.fetch_sub(1, Ordering::AcqRel);
-            return Some(job);
-        }
-    }
-    None
 }

@@ -3,7 +3,7 @@
 //!
 //! A materializing batch job either finishes or fails; a *stream* job can
 //! also be **abandoned** — the [`StreamBudget`] caps (wall-clock deadline,
-//! row count, byte volume) stop the enumeration between rows, and because
+//! row count) stop the enumeration between rows, and because
 //! a [`ResultStream`] suspends as plain data over the engine-wide trie
 //! cache, abandoning it discards *nothing that was expensive*: the
 //! prepared query's plans and every trie index built so far stay cached
@@ -19,13 +19,12 @@
 //! pool.
 
 use crate::batch::Executor;
-use crate::pool::{contain_panic, unreported};
+use crate::pool::JobHandle;
 use fdjoin_bigint::Rational;
 use fdjoin_core::{JoinError, PreparedQuery, Stats};
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::{Database, Relation, Value};
+use fdjoin_storage::{Database, Relation};
 use fdjoin_stream::ResultStream;
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,7 +42,6 @@ use std::time::{Duration, Instant};
 pub struct StreamBudget {
     deadline: Option<Duration>,
     max_rows: Option<u64>,
-    max_bytes: Option<u64>,
     admission: Option<Admission>,
 }
 
@@ -61,17 +59,11 @@ impl StreamBudget {
         self
     }
 
-    /// Deliver at most this many rows ([`StreamEnd::RowBudget`]).
+    /// Deliver at most this many rows ([`StreamEnd::RowBudget`]). Rows
+    /// are fixed-width (`arity × size_of::<Value>()` bytes), so this is
+    /// also the stream's byte cap.
     pub fn max_rows(mut self, n: u64) -> Self {
         self.max_rows = Some(n);
-        self
-    }
-
-    /// Stop once the delivered rows' payload reaches this many bytes
-    /// ([`StreamEnd::ByteBudget`]); the row that crosses the cap is still
-    /// delivered.
-    pub fn max_bytes(mut self, b: u64) -> Self {
-        self.max_bytes = Some(b);
         self
     }
 
@@ -93,20 +85,17 @@ pub enum StreamEnd {
     Exhausted,
     /// The [`StreamBudget::max_rows`] cap was reached.
     RowBudget,
-    /// The [`StreamBudget::max_bytes`] cap was reached.
-    ByteBudget,
     /// The [`StreamBudget::deadline`] passed; remaining rows abandoned.
     Deadline,
 }
 
 impl StreamEnd {
-    /// Stable lowercase name, used as the `end` label of the
-    /// `fdjoin_stream_endings_total` metric.
+    /// Stable lowercase name (`exhausted`, `row-budget` or `deadline`),
+    /// used as the `end` label of the `fdjoin_stream_endings_total` metric.
     pub fn name(self) -> &'static str {
         match self {
             StreamEnd::Exhausted => "exhausted",
             StreamEnd::RowBudget => "row-budget",
-            StreamEnd::ByteBudget => "byte-budget",
             StreamEnd::Deadline => "deadline",
         }
     }
@@ -147,19 +136,6 @@ impl std::fmt::Display for StreamOutcome {
             self.wall.as_secs_f64() * 1e3,
             self.stats,
         )
-    }
-}
-
-/// An in-flight streaming execution submitted to an [`Executor`].
-pub struct StreamHandle {
-    rx: Receiver<Result<StreamOutcome, JoinError>>,
-}
-
-impl StreamHandle {
-    /// Block until the stream ends (exhaustion, budget, rejection, or
-    /// [`JoinError::WorkerPanicked`] when the drive panicked on its worker).
-    pub fn wait(self) -> Result<StreamOutcome, JoinError> {
-        self.rx.recv().unwrap_or_else(|_| Err(unreported()))
     }
 }
 
@@ -210,27 +186,23 @@ impl Executor {
         prepared: &Arc<PreparedQuery>,
         db: &Arc<Database>,
         budget: StreamBudget,
-    ) -> StreamHandle {
+    ) -> JobHandle<StreamOutcome> {
         let started = Instant::now();
         let obs = self.span_observer(prepared).clone();
         // Detached: the span opens here but closes on the pool worker,
         // after delivery ends.
         let mut span = obs.span_detached(SpanKind::Submit, "stream");
         let parent = span.id();
-        let (tx, rx) = channel();
         if let Some(Err(e)) = budget.admission.as_ref().map(|a| a.check(prepared, db)) {
             span.field("error", e.to_string());
-            let _ = tx.send(Err(e));
-            return StreamHandle { rx };
+            return JobHandle::ready(Err(e));
         }
         let prepared = Arc::clone(prepared);
         let db = Arc::clone(db);
-        let obs2 = obs.clone();
         // The submit span travels to the worker and closes there, after
         // delivery ends — it covers the whole stream's lifetime.
-        let mut span = span;
         self.spawn(move || {
-            let r = contain_panic(|| run_stream(&prepared, &db, &budget, started, &obs2, parent));
+            let r = run_stream(&prepared, &db, &budget, started, &obs, parent);
             match &r {
                 Ok(o) => {
                     span.field("rows", o.rows.len());
@@ -239,9 +211,8 @@ impl Executor {
                 Err(e) => span.field("error", e.to_string()),
             }
             span.finish();
-            let _ = tx.send(r);
-        });
-        StreamHandle { rx }
+            r
+        })
     }
 }
 
@@ -259,17 +230,12 @@ fn run_stream(
     // spans nest under it (no-op when the observer is disabled).
     let mut drive = obs.span_with_parent(SpanKind::Batch, "stream", parent);
     let mut stream = ResultStream::open(prepared, db)?;
-    let row_bytes = std::mem::size_of::<Value>() as u64;
     let mut rows = Relation::new((0..prepared.query().n_vars() as u32).collect());
     let mut delivered = 0u64;
-    let mut bytes = 0u64;
     let mut first_row_ns: Option<u64> = None;
     let end = loop {
         if budget.max_rows.is_some_and(|cap| delivered >= cap) {
             break StreamEnd::RowBudget;
-        }
-        if budget.max_bytes.is_some_and(|cap| bytes >= cap) {
-            break StreamEnd::ByteBudget;
         }
         if budget.deadline.is_some_and(|d| started.elapsed() >= d) {
             break StreamEnd::Deadline;
@@ -279,7 +245,6 @@ fn run_stream(
                 if delivered == 0 {
                     first_row_ns = Some(started.elapsed().as_nanos() as u64);
                 }
-                bytes += row.len() as u64 * row_bytes;
                 delivered += 1;
                 rows.push_row(row);
             }

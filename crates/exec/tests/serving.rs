@@ -12,7 +12,7 @@ use fdjoin_query::{examples, Query};
 use fdjoin_storage::{Database, Relation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Isomorphic query pair: Fig. 1 and a renamed twin. The twin permutes the
@@ -448,7 +448,7 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
         .submit_stream(&prepared, &Arc::new(bad.clone()), StreamBudget::new())
         .wait();
     assert!(
-        matches!(streamed, Err(JoinError::WorkerPanicked(_))),
+        matches!(&streamed, Err(JoinError::WorkerPanicked(m)) if m.contains("udf exploded")),
         "{streamed:?}"
     );
 
@@ -490,6 +490,52 @@ fn panicking_udf_is_a_typed_error_on_the_waiter() {
         "{:?}",
         split.results[0]
     );
+}
+
+/// The pool has one FIFO queue shared by its workers: with both workers
+/// parked, four queued jobs run in submission order on whichever worker is
+/// released first.
+#[test]
+fn jobs_start_in_submission_order() {
+    let exec = Executor::with_threads(2);
+    let (started_tx, started) = mpsc::channel();
+    let mut releases = Vec::new();
+    let mut parked = Vec::new();
+    for _ in 0..2 {
+        let (release, latch) = mpsc::channel::<()>();
+        let started_tx = started_tx.clone();
+        parked.push(exec.spawn(move || {
+            started_tx.send(()).unwrap();
+            latch.recv().unwrap();
+            Ok(())
+        }));
+        releases.push(release);
+    }
+    // Both workers hold a parked job, so nothing below starts yet.
+    started.recv().unwrap();
+    started.recv().unwrap();
+
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let jobs: Vec<_> = ["A", "B", "C", "D"]
+        .into_iter()
+        .map(|name| {
+            let order = Arc::clone(&order);
+            exec.spawn(move || {
+                order.lock().unwrap().push(name);
+                Ok(())
+            })
+        })
+        .collect();
+    releases[0].send(()).unwrap();
+    for job in jobs {
+        job.wait().unwrap();
+    }
+    assert_eq!(*order.lock().unwrap(), ["A", "B", "C", "D"]);
+
+    releases[1].send(()).unwrap();
+    for job in parked {
+        job.wait().unwrap();
+    }
 }
 
 /// Stress: many databases × several algorithms × repeated rounds, wide

@@ -11,7 +11,7 @@
 //!    that `Engine::prepare`, index builds, `PreparedQuery::execute`,
 //!    `ResultStream`, `MaterializedView::apply_delta`, and the
 //!    `Executor` all emit through, with parent/child links that survive
-//!    the work-stealing pool so one `Executor::submit` yields one
+//!    the hand-off to pool workers so one `Executor::submit` yields one
 //!    coherent span tree. Exportable as JSON-lines ([`export_jsonl`]) and
 //!    a compact text tree ([`render_text_tree`]).
 //! 2. **Metrics** ([`Registry`], [`Histogram`]): process-wide atomic

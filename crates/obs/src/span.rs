@@ -15,7 +15,7 @@
 //!    ([`Observer::span_with_parent`]) when a child starts on a different
 //!    thread than its parent — how `fdjoin_exec` links the per-database
 //!    jobs of one `Executor::submit` into a single tree across the
-//!    work-stealing pool.
+//!    pool's worker threads.
 //!
 //! A [`Span`] is an RAII guard: it records its start eagerly and its
 //! duration, fields, and parent link when dropped (or explicitly

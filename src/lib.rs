@@ -97,7 +97,7 @@
 //! if the underlying data changed. The delay between rows is whatever the
 //! descent spends reaching the next answer, which depends on the data; no
 //! constant-delay bound is promised. The serving layer wraps this as
-//! [`exec::Executor::submit_stream`] with deadline/row/byte budgets
+//! [`exec::Executor::submit_stream`] with deadline/row budgets
 //! ([`exec::StreamBudget`]) and estimate-driven admission control; see
 //! `examples/streaming.rs`.
 //!
