@@ -6,10 +6,9 @@ use super::{
     query_label, Algorithm, ExecOptions, JoinError, JoinResult, LazyEstimate, Parallelism,
     PlanDetail, PreparedQuery,
 };
-use crate::{chain_algo, csma, sma, AccessPaths, Stats};
-use fdjoin_obs::{Observer, Registry, SpanKind};
+use crate::{chain_algo, csma, sma, AccessPaths};
+use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::Database;
-use std::time::Instant;
 
 impl PreparedQuery {
     /// Resolve [`ExecOptions::parallelism`] into a concrete
@@ -64,14 +63,11 @@ impl PreparedQuery {
         if !obs.is_enabled() {
             return self.execute_inner(db, opts, &estimate, obs);
         }
-        let started = Instant::now();
         let mut span = obs.span(SpanKind::Solve, query_label(&self.query));
         let result = self.execute_inner(db, opts, &estimate, obs);
-        let m = obs.metrics();
         match &result {
             Ok(r) => {
-                let algorithm = r.algorithm_used.to_string();
-                span.field("algorithm", algorithm.clone());
+                span.field("algorithm", r.algorithm_used.to_string());
                 span.field("rows", r.output.len());
                 span.field("work", r.stats.work());
                 if let Some(bound) = &r.predicted_log_bound {
@@ -85,30 +81,17 @@ impl PreparedQuery {
                     if let Some(b) = &auto.llp_log_bound {
                         span.field("llp_log_bound", b.to_f64());
                     }
-                    if let Some(e) = &auto.estimate_log_max {
-                        span.field("estimate_log_max", e.to_f64());
-                    }
                 }
-                record_execution_metrics(&m, &algorithm, &r.stats, started);
-                // Post-execution index-cache residency, after any builds
-                // and byte-budget evictions this execution triggered.
-                m.set_gauge(
-                    "fdjoin_index_resident_bytes",
-                    &[],
-                    self.indexes.memory_bytes() as u64,
-                );
-                // The ROADMAP calibration loop: estimate vs. observed work,
-                // computed (unless planning already did) only when someone
-                // is listening.
+                // The request's own estimate, beside the work it predicts
+                // (computed here unless planning already read it).
                 if let Ok(est) = estimate.get() {
-                    let observed = (r.stats.work().max(1) as f64).log2();
-                    m.record_estimate_error(est.log_max.to_f64() - observed);
+                    span.field("estimate_log_max", est.log_max.to_f64());
                 }
+                // Index-cache residency after any builds and byte-budget
+                // evictions this execution triggered.
+                span.field("index_resident_bytes", self.indexes.memory_bytes());
             }
-            Err(e) => {
-                span.field("error", e.to_string());
-                m.add("fdjoin_execution_errors_total", &[], 1);
-            }
+            Err(e) => span.field("error", e.to_string()),
         }
         result
     }
@@ -237,29 +220,4 @@ impl PreparedQuery {
         }
         Ok(())
     }
-}
-
-/// Record one successful execution into the registry: the per-algorithm
-/// execution counter, latency and work histograms, and the [`Stats`]-field
-/// totals that reconcile 1:1 against summed per-result counters.
-fn record_execution_metrics(m: &Registry, algorithm: &str, stats: &Stats, started: Instant) {
-    m.add("fdjoin_executions_total", &[("algorithm", algorithm)], 1);
-    m.observe(
-        "fdjoin_solve_latency_ns",
-        &[],
-        started.elapsed().as_nanos() as u64,
-    );
-    m.observe("fdjoin_work", &[], stats.work());
-    m.add("fdjoin_work_total", &[], stats.work());
-    m.add("fdjoin_probes_total", &[], stats.probes);
-    m.add(
-        "fdjoin_intermediate_tuples_total",
-        &[],
-        stats.intermediate_tuples,
-    );
-    m.add("fdjoin_output_tuples_total", &[], stats.output_tuples);
-    m.add("fdjoin_expansions_total", &[], stats.expansions);
-    m.add("fdjoin_branches_total", &[], stats.branches);
-    m.add("fdjoin_index_builds_total", &[], stats.index_builds);
-    m.add("fdjoin_index_hits_total", &[], stats.index_hits);
 }

@@ -36,7 +36,7 @@
 //! the Auto rules (`choose`), the one plan key (`PlanKey`: a size profile
 //! plus any degree bounds the caller pinned), the plan maps both cache
 //! tiers share and the one cache protocol over them; `execute.rs` validation,
-//! dispatch and execution metrics; `shared.rs` / `relabel.rs` the
+//! dispatch and the `solve` span; `shared.rs` / `relabel.rs` the
 //! cross-query tier; `prep.rs` the counters and the sharded map;
 //! `explain.rs` EXPLAIN. This file keeps [`Engine`], [`PreparedQuery`] and
 //! the free functions at the bottom ([`chain_join`], [`sma_join`], …),
@@ -71,7 +71,6 @@ use fdjoin_query::{LatticePresentation, Query};
 use fdjoin_storage::{Database, IndexSet};
 use std::cell::OnceCell;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The engine: the single entry point for executing join queries.
 ///
@@ -122,11 +121,11 @@ impl Engine {
     }
 
     /// Attach an [`Observer`]: every query prepared from now on emits
-    /// `prepare`/`solve`/`index_build` spans and registry metrics through
-    /// it. Pass the *same* observer to an `fdjoin_exec::Executor` (and
-    /// thereby to streams and delta views) to get one coherent span tree
-    /// per submission. The default (disabled) observer costs one branch
-    /// per emit point and records nothing.
+    /// `prepare`/`solve`/`index_build` spans through it. Pass the *same*
+    /// observer to an `fdjoin_exec::Executor` (and thereby to streams and
+    /// delta views) to get one coherent span tree per submission. The
+    /// default (disabled) observer costs one branch per emit point and
+    /// records nothing.
     pub fn observe(mut self, obs: Observer) -> Engine {
         self.obs = obs;
         self
@@ -153,7 +152,6 @@ impl Engine {
     /// canonical fingerprint — and return a handle that caches all further
     /// (size-profile-dependent) planning across executions.
     pub fn prepare(&self, q: &Query) -> PreparedQuery {
-        let started = Instant::now();
         let mut span = self.obs.span(SpanKind::Prepare, query_label(q));
         let pres = q.lattice_presentation();
         let counters = PrepCounters::default();
@@ -169,13 +167,6 @@ impl Engine {
             span.field("fds", q.fds.fds().len());
             span.field("lattice_elems", pres.lattice.len());
             span.field("shared_cache", shared.is_some());
-            let m = self.obs.metrics();
-            m.add("fdjoin_prepares_total", &[], 1);
-            m.observe(
-                "fdjoin_prepare_latency_ns",
-                &[],
-                started.elapsed().as_nanos() as u64,
-            );
         }
         PreparedQuery {
             query: q.clone(),
@@ -248,7 +239,7 @@ pub struct PreparedQuery {
     /// engine-wide cache.
     token: u64,
     /// The preparing engine's observability handle: executions emit
-    /// `solve`/`index_build` spans and per-execution metrics through it.
+    /// `solve`/`index_build` spans through it.
     obs: Observer,
 }
 
@@ -291,8 +282,8 @@ impl PreparedQuery {
     /// The observability handle inherited from the preparing engine
     /// (disabled unless [`Engine::observe`] attached one). Downstream
     /// layers — `fdjoin_stream` cursors, `fdjoin_delta` views — emit their
-    /// spans and metrics through this same handle, which is what makes one
-    /// submission's spans a single tree.
+    /// spans through this same handle, which is what makes one submission's
+    /// spans a single tree.
     pub fn observer(&self) -> &Observer {
         &self.obs
     }
@@ -366,7 +357,7 @@ impl PreparedQuery {
 
 /// One execute's (or EXPLAIN's) [`PreparedQuery::estimate`], computed on
 /// first read and shared by every reader of that request: the Auto
-/// tie-break, [`Parallelism::Auto`] and the calibration metric. The
+/// tie-break, [`Parallelism::Auto`] and the `solve` span. The
 /// estimate is a pure function of `(query, database)`, so reading it once
 /// decides exactly what reading it per reader would.
 struct LazyEstimate<'a> {

@@ -12,7 +12,6 @@ use crate::{csma, sma};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::{best_chain_bound, ChainBound};
 use fdjoin_bounds::llp::{solve_llp, LlpSolution};
-use std::sync::atomic::AtomicU64;
 
 /// The key every plan is cached under: the size profile it was solved for
 /// (raw atom cardinalities for chain/LLP/SMA plans, expanded ones for CSMA
@@ -122,8 +121,6 @@ impl AutoDecision {
     }
 }
 
-const SOLVES: &str = "fdjoin_plan_solves_total";
-
 impl PreparedQuery {
     /// Bound- and data-driven automatic algorithm selection:
     ///
@@ -224,34 +221,20 @@ impl PreparedQuery {
             let kp = sh.canon_key(&key.lens);
             let shared = P::map(&sh.entry.plans);
             if let Some(canon) = shared.get(&kp.key) {
-                self.note(&self.counters.shared_hits, "fdjoin_plan_shared_hits_total");
+                PrepCounters::bump(&self.counters.shared_hits);
                 return canon.relabel(&sh.relabel_to_local(&kp));
             }
-            self.note(
-                &self.counters.shared_misses,
-                "fdjoin_plan_shared_misses_total",
-            );
+            PrepCounters::bump(&self.counters.shared_misses);
             let v = solve();
             let _ = shared.get_or_insert_with(&kp.key, || v.relabel(&sh.relabel_to_canon(&kp)));
             v
         })
     }
 
-    /// Bump one planning counter and the matching registry metric, so
-    /// `fdjoin_plan_solves_total` always equals the sum of
-    /// [`PrepStats::solves`](super::PrepStats::solves) over the executions recorded (the
-    /// reconciliation the observability tests assert).
-    fn note(&self, counter: &AtomicU64, metric: &'static str) {
-        PrepCounters::bump(counter);
-        if self.obs.is_enabled() {
-            self.obs.metrics().add(metric, &[], 1);
-        }
-    }
-
     /// The best chain for `key`'s profile.
     pub(super) fn chain_plan(&self, key: &PlanKey) -> Option<ChainBound> {
         self.cached_plan(key, || {
-            self.note(&self.counters.chain_searches, SOLVES);
+            PrepCounters::bump(&self.counters.chain_searches);
             best_chain_bound(
                 &self.pres.lattice,
                 &self.pres.inputs,
@@ -262,7 +245,7 @@ impl PreparedQuery {
 
     pub(super) fn llp_plan(&self, key: &PlanKey) -> LlpSolution {
         self.cached_plan(key, || {
-            self.note(&self.counters.llp_solves, SOLVES);
+            PrepCounters::bump(&self.counters.llp_solves);
             solve_llp(
                 &self.pres.lattice,
                 &self.pres.inputs,
@@ -276,14 +259,14 @@ impl PreparedQuery {
             // The nested `llp_plan` call locks a *different* map than the
             // sma shard held here — the lock order is strictly sma → llp.
             let llp = self.llp_plan(key);
-            self.note(&self.counters.proof_searches, SOLVES);
+            PrepCounters::bump(&self.counters.proof_searches);
             sma::plan(&self.pres, &llp, &log_sizes_of(&key.lens))
         })
     }
 
     pub(super) fn csma_plan(&self, key: &PlanKey) -> Result<csma::CsmaPlan, JoinError> {
         self.cached_plan(key, || {
-            self.note(&self.counters.cllp_solves, SOLVES);
+            PrepCounters::bump(&self.counters.cllp_solves);
             csma::plan(
                 &self.query,
                 &self.pres,

@@ -2,7 +2,7 @@
 
 use crate::{DeltaBatch, DeltaStats};
 use fdjoin_core::{Algorithm, ExecOptions, JoinError, PreparedQuery};
-use fdjoin_obs::SpanKind;
+use fdjoin_obs::{Span, SpanKind};
 use fdjoin_storage::{Relation, Value};
 use std::sync::Arc;
 
@@ -177,14 +177,12 @@ impl MaterializedView {
             batches: 1,
             ..DeltaStats::default()
         };
-        self.validate(delta)?;
+        // A rejected batch says so on its span, like a failed join does.
+        self.validate(delta).map_err(|e| failed(&mut span, e))?;
         self.delta_algorithms.clear();
         if delta.is_empty() {
             self.stats.merge(&bs);
-            if obs.is_enabled() {
-                span.field("empty", true);
-                obs.metrics().add("fdjoin_delta_batches_total", &[], 1);
-            }
+            span.field("empty", true);
             return Ok(bs);
         }
         // Normalise the batch once; the threshold and every phase below
@@ -202,7 +200,12 @@ impl MaterializedView {
             .filter(|d| self.prepared.query().atom_index(d.name).is_some())
             .map(|d| d.plus.len() + d.minus.len())
             .sum();
-        let total: u64 = self.prepared.size_profile(&self.db)?.iter().sum();
+        let total: u64 = self
+            .prepared
+            .size_profile(&self.db)
+            .map_err(|e| failed(&mut span, e))?
+            .iter()
+            .sum();
         let result = if (atom_rows as f64) > self.opts.max_delta_fraction * total as f64 {
             self.apply_all(&net, &mut bs);
             self.full_execute(&mut bs)
@@ -220,15 +223,8 @@ impl MaterializedView {
             span.field("specialized", bs.specialized_deltas);
             span.field("full_recomputes", bs.full_recomputes);
             span.field("join_work", bs.join_work);
-            if let Err(e) = &result {
-                span.field("error", e.to_string());
-            }
-            let m = obs.metrics();
-            m.add("fdjoin_delta_batches_total", &[], 1);
-            m.add("fdjoin_delta_specialized_total", &[], bs.specialized_deltas);
         }
-        span.finish();
-        result.map(|()| bs)
+        result.map(|()| bs).map_err(|e| failed(&mut span, e))
     }
 
     /// Re-execute the prepared query over the current database and replace
@@ -489,4 +485,13 @@ fn diff_counts(old: &Relation, new: &Relation) -> (u64, u64) {
         }
     }
     (added, removed)
+}
+
+/// Record `e` as the `error` field of `span` (a no-op on a disabled
+/// observer) and hand it back.
+fn failed(span: &mut Span, e: JoinError) -> JoinError {
+    if span.id().is_some() {
+        span.field("error", e.to_string());
+    }
+    e
 }

@@ -91,7 +91,7 @@ pub enum StreamEnd {
 
 impl StreamEnd {
     /// Stable lowercase name (`exhausted`, `row-budget` or `deadline`),
-    /// used as the `end` label of the `fdjoin_stream_endings_total` metric.
+    /// recorded as the `end` field of the stream's drive span.
     pub fn name(self) -> &'static str {
         match self {
             StreamEnd::Exhausted => "exhausted",
@@ -258,19 +258,11 @@ fn run_stream(
             let mut pause = obs.span(SpanKind::StreamPause, "budget");
             pause.field("end", end.name());
         }
-        let m = obs.metrics();
-        m.add("fdjoin_stream_rows_total", &[], delivered);
-        m.add(
-            "fdjoin_stream_pauses_total",
-            &[],
-            stream.stats().stream_pauses,
-        );
-        m.add("fdjoin_stream_endings_total", &[("end", end.name())], 1);
-        if let Some(ns) = first_row_ns {
-            m.observe("fdjoin_first_row_latency_ns", &[], ns);
-        }
         drive.field("rows", delivered);
         drive.field("end", end.name());
+        if let Some(ns) = first_row_ns {
+            drive.field("first_row_ns", ns);
+        }
     }
     let stats = stream.stats();
     drop(stream);

@@ -1,6 +1,6 @@
 //! Export surfaces for drained spans — JSON-lines for machines, a compact
-//! text tree for humans — plus the tiny validators CI uses to check both
-//! formats without any external tooling (no serde, no promtool).
+//! text tree for humans — plus the tiny JSON-lines validator CI uses to
+//! check the machine format without any external tooling (no serde).
 
 use crate::span::{FieldValue, SpanRecord};
 use std::collections::BTreeMap;
@@ -141,7 +141,7 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
 
 /// Validate that `text` is exactly one JSON value (a minimal recursive
 /// parser over objects/arrays/strings/numbers/literals).
-pub fn validate_json(text: &str) -> Result<(), String> {
+fn validate_json(text: &str) -> Result<(), String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
     parse_value(bytes, &mut pos)?;
@@ -255,18 +255,31 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Err("unterminated string".to_string())
 }
 
+/// A JSON number: `-`? then `0` or a nonzero digit and more digits, then
+/// an optional `.` fraction and an optional `e`/`E` exponent, each with at
+/// least one digit.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     let start = *pos;
+    let bad = || format!("bad number at byte {start}");
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
-        *pos += 1;
+    let int_start = *pos;
+    let n = digits(pos);
+    if n == 0 || (n > 1 && b[int_start] == b'0') {
+        return Err(bad());
     }
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
-        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
-            *pos += 1;
+        if digits(pos) == 0 {
+            return Err(bad());
         }
     }
     if matches!(b.get(*pos), Some(b'e' | b'E')) {
@@ -274,12 +287,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
         if matches!(b.get(*pos), Some(b'+' | b'-')) {
             *pos += 1;
         }
-        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
-            *pos += 1;
+        if digits(pos) == 0 {
+            return Err(bad());
         }
-    }
-    if *pos == start || (*pos == start + 1 && b[start] == b'-') {
-        return Err(format!("bad number at byte {start}"));
     }
     Ok(())
 }
@@ -291,94 +301,6 @@ fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     } else {
         Err(format!("bad literal at byte {pos:?}"))
     }
-}
-
-/// Validate a Prometheus text exposition (version 0.0.4 line format):
-/// comment lines start `# `, metric lines are
-/// `name[{labels}] value [timestamp]` with a valid identifier and a
-/// parseable float value. Returns the number of metric (non-comment)
-/// lines.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    let mut n = 0;
-    for (i, line) in text.lines().enumerate() {
-        let err = |msg: &str| format!("line {}: {msg}: {line:?}", i + 1);
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim_start();
-            if !(rest.starts_with("TYPE ") || rest.starts_with("HELP ") || rest.is_empty()) {
-                return Err(err("comment is neither TYPE nor HELP"));
-            }
-            continue;
-        }
-        // Metric name: [a-zA-Z_:][a-zA-Z0-9_:]*
-        let name_end = line
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
-            .unwrap_or(line.len());
-        if name_end == 0 || line.as_bytes()[0].is_ascii_digit() {
-            return Err(err("bad metric name"));
-        }
-        let mut rest = &line[name_end..];
-        if let Some(after_brace) = rest.strip_prefix('{') {
-            let close = after_brace
-                .find('}')
-                .ok_or_else(|| err("unclosed label set"))?;
-            let labels = &after_brace[..close];
-            if !labels.is_empty() {
-                for pair in split_label_pairs(labels).map_err(|m| err(&m))? {
-                    let eq = pair.find('=').ok_or_else(|| err("label without '='"))?;
-                    let (k, v) = (&pair[..eq], &pair[eq + 1..]);
-                    if k.is_empty() || !k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                        return Err(err("bad label name"));
-                    }
-                    if !(v.starts_with('"') && v.ends_with('"') && v.len() >= 2) {
-                        return Err(err("unquoted label value"));
-                    }
-                }
-            }
-            rest = &after_brace[close + 1..];
-        }
-        let mut parts = rest.split_whitespace();
-        let value = parts.next().ok_or_else(|| err("missing value"))?;
-        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
-            return Err(err("unparseable value"));
-        }
-        if let Some(ts) = parts.next() {
-            ts.parse::<i64>().map_err(|_| err("bad timestamp"))?;
-        }
-        if parts.next().is_some() {
-            return Err(err("trailing tokens"));
-        }
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// Split a rendered label set on commas that are *outside* quoted values.
-fn split_label_pairs(labels: &str) -> Result<Vec<&str>, String> {
-    let mut out = Vec::new();
-    let bytes = labels.as_bytes();
-    let mut start = 0;
-    let mut in_quotes = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => in_quotes = !in_quotes,
-            b'\\' if in_quotes => i += 1,
-            b',' if !in_quotes => {
-                out.push(&labels[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if in_quotes {
-        return Err("unterminated label value".to_string());
-    }
-    out.push(&labels[start..]);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -435,15 +357,11 @@ mod tests {
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_jsonl("{\"a\":1}\n\n{\"b\":2}\n").is_ok());
         assert!(validate_jsonl("{\"a\":1}\nnot json\n").is_err());
-    }
-
-    #[test]
-    fn prometheus_validator_accepts_and_rejects() {
-        let good = "# TYPE x counter\nx 1\nx_b{le=\"+Inf\",algorithm=\"a,b\"} 2\n";
-        assert_eq!(validate_prometheus(good).unwrap(), 2);
-        assert!(validate_prometheus("1bad 2\n").is_err());
-        assert!(validate_prometheus("x{le=+Inf} 2\n").is_err());
-        assert!(validate_prometheus("x notanumber\n").is_err());
-        assert!(validate_prometheus("# random comment\n").is_err());
+        for ok in ["0", "-0", "0.5", "1e-3", "-1.5E+2"] {
+            assert!(validate_json(ok).is_ok(), "{ok} is a JSON number");
+        }
+        for bad in ["1.", "1e", "1e+", "-.5", "01", "-", "[1.]", "{\"a\":-.5}"] {
+            assert!(validate_json(bad).is_err(), "{bad} is not JSON");
+        }
     }
 }

@@ -22,7 +22,6 @@
 //! [`Span::finish`]ed). Guards may be moved across threads and closed
 //! there; the record is buffered on whichever thread closes it.
 
-use crate::metrics::Registry;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +243,6 @@ pub(crate) struct ObsCore {
     ring: Mutex<Ring>,
     max_spans: usize,
     buffer_spans: usize,
-    registry: Arc<Registry>,
 }
 
 impl ObsCore {
@@ -266,10 +264,11 @@ impl ObsCore {
 
 /// The one handle every layer emits through.
 ///
-/// Cloning is cheap (an `Option<Arc>`); clones share the same span ring
-/// and metrics [`Registry`]. The default handle is **disabled**: every
-/// recording entry point is a single branch, so leaving observability off
-/// costs nothing measurable (see `benches/probe_ablation.rs`).
+/// Cloning is cheap (an `Option<Arc>`); clones share the same span ring.
+/// The default handle is **disabled**: every recording entry point is a
+/// single branch, so leaving observability off costs nothing measurable.
+/// The benchmark spine's `obs.enabled_overhead_pct` prices the same
+/// requests with an enabled handle against a disabled one.
 #[derive(Clone, Debug, Default)]
 pub struct Observer {
     core: Option<Arc<ObsCore>>,
@@ -283,7 +282,7 @@ impl Observer {
     }
 
     /// An enabled recorder with its own span ring (of `max_spans`, fed by
-    /// per-thread buffers of `buffer_spans`) and metrics registry.
+    /// per-thread buffers of `buffer_spans`).
     fn with_limits(max_spans: usize, buffer_spans: usize) -> Observer {
         Observer {
             core: Some(Arc::new(ObsCore {
@@ -296,7 +295,6 @@ impl Observer {
                 }),
                 max_spans,
                 buffer_spans,
-                registry: Arc::new(Registry::new()),
             })),
         }
     }
@@ -309,17 +307,6 @@ impl Observer {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
-    }
-
-    /// The metrics registry behind this handle. Disabled handles share one
-    /// static no-op-ish registry (recording into it is harmless; nothing
-    /// in the stack does, because every site branches on
-    /// [`Observer::is_enabled`] first).
-    pub fn metrics(&self) -> Arc<Registry> {
-        match &self.core {
-            Some(c) => Arc::clone(&c.registry),
-            None => crate::metrics::detached_registry(),
-        }
     }
 
     /// Open a span whose parent is the innermost span currently open on

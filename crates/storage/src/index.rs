@@ -1339,7 +1339,7 @@ impl IndexSet {
 
     /// Heap footprint of all resident indexes, in bytes — the tracked
     /// per-shard totals, the same accounting the eviction budget uses.
-    /// Exported as the `fdjoin_index_resident_bytes` gauge by the engine.
+    /// Recorded as the `index_resident_bytes` field of each `solve` span.
     pub fn memory_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.read().unwrap().bytes).sum()
     }

@@ -1,31 +1,28 @@
-//! Observability end to end: one traced serving request, exported three
-//! ways, plus EXPLAIN / EXPLAIN ANALYZE.
+//! Observability end to end: one traced serving request, exported two
+//! ways and counted per algorithm, plus EXPLAIN / EXPLAIN ANALYZE.
 //!
 //! The flow mirrors a serving deployment: attach one [`Observer`] to the
 //! engine and the executor, wrap a request in a caller-defined `request`
 //! root span, prepare + submit a batch, and then read everything back —
-//! the span tree (text and JSON-lines), the metrics registry (Prometheus
-//! text and JSON), and the planner's own EXPLAIN report. Every export is
-//! validated with the checkers shipped in `fdjoin::obs`, the same ones CI
-//! runs over this example's output.
+//! the span tree (text and JSON-lines), a per-algorithm count of its
+//! `solve` spans, and the planner's own EXPLAIN report. The JSON-lines
+//! export is validated with the checker shipped in `fdjoin::obs`.
 //!
 //! Run with: `cargo run --example observability`
 
 use fdjoin::core::{Engine, ExecOptions};
 use fdjoin::exec::Executor;
 use fdjoin::instances::random_instance;
-use fdjoin::obs::{
-    export_jsonl, render_text_tree, validate_json, validate_jsonl, validate_prometheus, Observer,
-    SpanKind,
-};
+use fdjoin::obs::{export_jsonl, render_text_tree, validate_jsonl, Observer, SpanKind};
 use fdjoin::query::examples;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn main() {
     // One recorder for the whole stack: engine, prepared queries, and the
-    // executor all emit into it (clones share the ring and the registry).
+    // executor all emit into it (clones share one span ring).
     let obs = Observer::enabled();
 
     // The Fig. 4 query (Examples 5.18–5.20): chain bound N^{3/2}, LLP
@@ -67,15 +64,19 @@ fn main() {
     let lines = validate_jsonl(&jsonl).expect("exported JSONL parses");
     println!("JSON-lines export: {lines} valid records");
 
-    // --- the metrics registry, two exports ------------------------------
-    let prom = obs.metrics().to_prometheus();
-    validate_prometheus(&prom).expect("exposition is well-formed");
-    println!("\nmetrics (Prometheus exposition):");
-    for line in prom.lines().filter(|l| !l.starts_with('#')) {
-        println!("  {line}");
+    // --- executions per algorithm, read off the same spans ---------------
+    let mut solves: BTreeMap<String, usize> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.kind == SpanKind::Solve) {
+        let algorithm = s
+            .field("algorithm")
+            .expect("solve spans name their algorithm");
+        *solves.entry(algorithm.to_string()).or_default() += 1;
     }
-    let json = obs.metrics().to_json();
-    validate_json(&json).expect("JSON snapshot parses");
+    println!("\nsolve spans per algorithm:");
+    for (algorithm, n) in &solves {
+        println!("  {algorithm}: {n}");
+    }
+    assert_eq!(solves.values().sum::<usize>(), batch.results.len());
 
     // --- EXPLAIN / EXPLAIN ANALYZE --------------------------------------
     // Needs no observer at all: ANALYZE traces its one execution under a

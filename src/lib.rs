@@ -139,14 +139,14 @@
 //!
 //! ## Observability
 //!
-//! [`obs`] is the self-contained (std-only, dependency-free) tracing and
-//! metrics layer the whole serving stack emits through. One
-//! [`obs::Observer`] handle — attached with [`core::Engine::observe`] and
-//! carried by every `PreparedQuery` it prepares — turns on structured
-//! spans (`prepare`, `index_build`, `solve`, `batch`/`submit`,
-//! `stream_advance`, `delta_apply`, parent-linked across the worker pool)
-//! and a process-wide metrics registry (counters + log₂-bucketed latency
-//! histograms, exported as Prometheus text or JSON). Disabled — the
+//! [`obs`] is the self-contained (std-only, dependency-free) tracing
+//! layer the whole serving stack emits through. One [`obs::Observer`]
+//! handle — attached with [`core::Engine::observe`] and carried by every
+//! `PreparedQuery` it prepares — turns on structured spans (`prepare`,
+//! `index_build`, `solve`, `batch`/`submit`, `stream_advance`,
+//! `delta_apply`, parent-linked across the worker pool), each carrying
+//! its request's own counters: a `solve` span holds the work, rows,
+//! predicted bound and estimate of one execution. Disabled — the
 //! default — every emit point is one branch. EXPLAIN / EXPLAIN ANALYZE
 //! render the planner's view and a traced execution without any observer
 //! at all:
@@ -176,9 +176,9 @@
 //! assert!(report.contains("solve"));
 //! ```
 //!
-//! See `examples/observability.rs` for the full span-tree / metrics-export
-//! loop and ARCHITECTURE.md § Observability for the span taxonomy, metric
-//! names, and the EXPLAIN grammar.
+//! See `examples/observability.rs` for the full span-tree export loop
+//! and ARCHITECTURE.md § Observability for the span taxonomy, span
+//! fields, and the EXPLAIN grammar.
 //!
 //! ## Crate map
 //!
@@ -196,7 +196,7 @@
 //! | [`stream`] | cursor-based result streaming, pruned aggregates, pagination checkpoints |
 //! | [`exec`] | serving layer: batch/concurrent drivers, budgeted streaming, shared plan cache |
 //! | [`delta`] | incremental maintenance: delta batches, materialized views, delta stats |
-//! | [`obs`] | observability: structured spans, metrics registry, JSONL/Prometheus export |
+//! | [`obs`] | observability: structured spans, JSONL and text-tree export, JSON-lines validator |
 //! | [`instances`] | worst-case and random instance generators |
 
 #![forbid(unsafe_code)]

@@ -1,16 +1,13 @@
 //! Observability acceptance: span trees from concurrent serving are
-//! well-formed, the metrics registry reconciles *exactly* with the
-//! engine's own deterministic counters, exports validate, and EXPLAIN /
-//! EXPLAIN ANALYZE name everything the planner knew.
+//! well-formed, span fields reconcile *exactly* with the engine's own
+//! deterministic counters, exports validate, and EXPLAIN / EXPLAIN
+//! ANALYZE name everything the planner knew.
 
 use fdjoin::core::{Engine, ExecOptions};
 use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
 use fdjoin::exec::{Executor, StreamBudget, StreamEnd};
 use fdjoin::instances::random_instance;
-use fdjoin::obs::{
-    export_jsonl, validate_json, validate_jsonl, validate_prometheus, Observer, SpanKind,
-    SpanRecord,
-};
+use fdjoin::obs::{export_jsonl, validate_jsonl, FieldValue, Observer, SpanKind, SpanRecord};
 use fdjoin::query::examples;
 use fdjoin::storage::{Database, Relation};
 use rand::rngs::StdRng;
@@ -134,67 +131,59 @@ fn one_submit_yields_one_well_formed_span_tree() {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: registry totals reconcile exactly with the engine's own
+// Acceptance: span fields reconcile exactly with the engine's own
 // deterministic counters.
 // ---------------------------------------------------------------------------
 
+/// The `u64` field `key` of `span`.
+fn u64_field(span: &SpanRecord, key: &str) -> u64 {
+    match span.field(key) {
+        Some(FieldValue::U64(v)) => *v,
+        other => panic!("{} span field {key}: {other:?}", span.kind.name()),
+    }
+}
+
 #[test]
-fn registry_reconciles_with_stats_and_prep_stats() {
+fn solve_spans_reconcile_with_stats() {
     let obs = Observer::enabled();
     let q = examples::fig4_query();
     let dbs = fig4_dbs(4, 350);
 
     let engine = Engine::new().observe(obs.clone());
     let prepared = engine.prepare(&q);
-    let mut work = 0u64;
-    let mut probes = 0u64;
-    let mut output = 0u64;
-    let mut builds = 0u64;
-    let mut hits = 0u64;
-    let mut runs = 0u64;
+    let prepares = obs.drain_spans();
+    assert_eq!(
+        prepares
+            .iter()
+            .filter(|s| s.kind == SpanKind::Prepare)
+            .count(),
+        1,
+        "one prepare span per Engine::prepare"
+    );
+
+    let (mut work, mut spanned) = (0u64, 0u64);
     for db in &dbs {
         let r = prepared.execute(db, &ExecOptions::new()).unwrap();
+        let spans = obs.drain_spans();
+        let solves: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Solve).collect();
+        assert_eq!(solves.len(), 1, "one solve span per execution");
+        let s = solves[0];
+        assert_eq!(
+            s.field("algorithm").unwrap().to_string(),
+            r.algorithm_used.to_string()
+        );
+        assert_eq!(u64_field(s, "rows"), r.output.len() as u64);
+        assert_eq!(u64_field(s, "work"), r.stats.work());
+        // The request's own estimate and the index residency it left.
+        assert!(matches!(
+            s.field("estimate_log_max"),
+            Some(FieldValue::F64(_))
+        ));
+        assert!(u64_field(s, "index_resident_bytes") > 0);
         work += r.stats.work();
-        probes += r.stats.probes;
-        output += r.stats.output_tuples;
-        builds += r.stats.index_builds;
-        hits += r.stats.index_hits;
-        runs += 1;
+        spanned += u64_field(s, "work");
     }
-
-    let m = obs.metrics();
-    let c = |name: &str| m.counter_value(name, &[]);
-    assert_eq!(c("fdjoin_prepares_total"), 1);
-    assert_eq!(c("fdjoin_work_total"), work);
-    assert_eq!(c("fdjoin_probes_total"), probes);
-    assert_eq!(c("fdjoin_output_tuples_total"), output);
-    assert_eq!(c("fdjoin_index_builds_total"), builds);
-    assert_eq!(c("fdjoin_index_hits_total"), hits);
-    // Executions split by algorithm sums to the run count, and the
-    // latency/work histograms saw exactly one observation per run.
-    let by_alg: u64 = ["chain", "sma", "csma", "generic-join", "binary-join"]
-        .iter()
-        .map(|a| m.counter_value("fdjoin_executions_total", &[("algorithm", a)]))
-        .sum();
-    assert_eq!(by_alg, runs);
-    assert_eq!(m.histogram("fdjoin_work", &[]).count(), runs);
-    assert_eq!(m.histogram("fdjoin_solve_latency_ns", &[]).count(), runs);
-    // Every execution fed the estimate-calibration loop.
-    assert_eq!(
-        m.histogram("fdjoin_estimate_abs_error_millilog2", &[])
-            .count(),
-        runs
-    );
-    assert!(m.estimate_calibration_log2().is_some());
-    // Plan-solve events were counted at exactly the PrepStats bump sites.
-    assert_eq!(
-        c("fdjoin_plan_solves_total"),
-        prepared.prep_stats().solves()
-    );
-
-    // Both registry exports validate.
-    validate_prometheus(&m.to_prometheus()).unwrap();
-    validate_json(&m.to_json()).unwrap();
+    assert_eq!(spanned, work, "summed span work is the summed Stats");
 }
 
 // ---------------------------------------------------------------------------
@@ -369,14 +358,24 @@ fn stream_and_delta_metrics_flow_through_one_observer() {
         .unwrap();
     assert_eq!(outcome.end, StreamEnd::RowBudget);
     assert_eq!(outcome.rows.len(), 1);
-    let m = obs.metrics();
-    assert_eq!(m.counter_value("fdjoin_stream_rows_total", &[]), 1);
-    assert_eq!(m.counter_value("fdjoin_stream_pauses_total", &[]), 1);
-    assert_eq!(
-        m.counter_value("fdjoin_stream_endings_total", &[("end", "row-budget")]),
-        1
-    );
-    assert_eq!(m.histogram("fdjoin_first_row_latency_ns", &[]).count(), 1);
+    // The drive span says how the stream ended and when its first row
+    // arrived; the budget left one pause marker.
+    let spans = obs.drain_spans();
+    assert_well_formed(&spans);
+    let drive = spans
+        .iter()
+        .find(|s| s.kind == SpanKind::Batch && s.label == "stream")
+        .expect("stream drive span");
+    assert_eq!(u64_field(drive, "rows"), 1);
+    assert_eq!(drive.field("end").unwrap().to_string(), "row-budget");
+    assert!(drive.field("first_row_ns").is_some());
+    let pauses: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::StreamPause)
+        .collect();
+    assert_eq!(pauses.len(), 1);
+    assert_eq!(pauses[0].field("end").unwrap().to_string(), "row-budget");
+    let mut kinds: HashSet<&str> = spans.iter().map(|s| s.kind.name()).collect();
 
     // Display satellites: one-line summaries render non-empty.
     assert!(outcome.to_string().contains("end=row-budget"));
@@ -389,14 +388,49 @@ fn stream_and_delta_metrics_flow_through_one_observer() {
     let ds = view
         .apply_delta(&DeltaBatch::new().insert("R", [3, 1]))
         .unwrap();
-    assert_eq!(m.counter_value("fdjoin_delta_batches_total", &[]), 1);
     assert!(ds.to_string().contains("batches=1"));
 
-    let spans = obs.drain_spans();
-    assert_well_formed(&spans);
-    let kinds: HashSet<&str> = spans.iter().map(|s| s.kind.name()).collect();
+    let delta_spans = obs.drain_spans();
+    assert_well_formed(&delta_spans);
+    let applies: Vec<&SpanRecord> = delta_spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::DeltaApply)
+        .collect();
+    assert_eq!(applies.len(), 1);
+    assert_eq!(u64_field(applies[0], "inserts_applied"), 1);
+    assert!(applies[0].field("error").is_none());
+    kinds.extend(delta_spans.iter().map(|s| s.kind.name()));
     for k in ["submit", "batch", "stream_advance", "delta_apply"] {
         assert!(kinds.contains(k), "missing span kind {k}");
+    }
+}
+
+/// A batch the view rejects before absorbing anything still leaves a
+/// `delta_apply` span, and that span carries the error.
+#[test]
+fn a_rejected_delta_batch_says_so_on_its_span() {
+    let obs = Observer::enabled();
+    let prepared = Arc::new(
+        Engine::new()
+            .observe(obs.clone())
+            .prepare(&examples::triangle()),
+    );
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), triangle_db(), DeltaOptions::new())
+            .unwrap();
+    drop(obs.drain_spans());
+    for bad in [
+        DeltaBatch::new().insert("Missing", [1, 2]),
+        DeltaBatch::new().insert("R", [1, 2, 3]),
+    ] {
+        let err = view.apply_delta(&bad).unwrap_err();
+        let spans = obs.drain_spans();
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        assert_eq!(spans[0].kind, SpanKind::DeltaApply);
+        assert_eq!(
+            spans[0].field("error").map(ToString::to_string),
+            Some(err.to_string())
+        );
     }
 }
 
