@@ -9,8 +9,8 @@
 //! one `(query, database)` pair — the search variables, one cached trie per
 //! atom (columns in binding order, so the bound variables always form a
 //! prefix), which atoms take part at which depth — and a [`Position`] is where one
-//! run of it stands: a cursor per atom per depth, the partial binding, the
-//! current depth. Positions are plain data
+//! run of it stands: a cursor per atom per search depth, the partial
+//! binding, the current depth. Positions are plain data
 //! ([`ProbeSnapshot`]s navigated in place against the descent's tries), so
 //! a search can stop after any row and continue later, in another call or
 //! after a round trip through a checkpoint.
@@ -22,6 +22,8 @@
 //! below them; `fdjoin_stream::ResultStream` is
 //! `run(0, stop)` per delivered row. All of them therefore visit the same
 //! leaves in the same order and meter the same deterministic [`Stats`].
+//! The deepest depth binds and goes straight to the leaf, narrowing no
+//! cursor: the leaf reads only the binding.
 //!
 //! Every depth is a leapfrog intersection, FDs or not: the UDF-only
 //! variables are computed, and the FDs verified, by the one expansion
@@ -65,10 +67,10 @@ pub struct Descent {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Position {
     /// `levels[d][ai]` is atom `ai`'s cursor with its variables among
-    /// `order[..d]` bound. Level `d + 1` is always rewritten from level
-    /// `d`, so backtracking needs no undo. The lead cursor of each level is
-    /// *pre-advanced* past the value last descended into, so continuing the
-    /// loop is all that resuming takes.
+    /// `order[..d]` bound, for each search depth `d < order.len()`. Level
+    /// `d + 1` is always rewritten from level `d`, so backtracking needs no
+    /// undo. The lead cursor of each level is *pre-advanced* past the value
+    /// last bound, so continuing the loop is all that resuming takes.
     levels: Vec<Vec<ProbeSnapshot>>,
     /// The leapfrog lead (smallest-range participating atom) per depth.
     lead: Vec<usize>,
@@ -161,7 +163,7 @@ impl Descent {
     pub fn start(&self) -> Position {
         let root: Vec<ProbeSnapshot> = self.tries.iter().map(|t| t.probe().snapshot()).collect();
         let mut pos = Position {
-            levels: vec![root; self.order.len() + 1],
+            levels: vec![root; self.order.len()],
             lead: vec![0; self.order.len()],
             vals: vec![0; self.n_vars],
             depth: 0,
@@ -177,7 +179,7 @@ impl Descent {
     /// only meaningful against the relation versions they were taken over.
     pub fn admits(&self, pos: &Position) -> bool {
         let n = self.order.len();
-        pos.levels.len() == n + 1
+        pos.levels.len() == n
             && pos.levels.iter().all(|l| l.len() == self.tries.len())
             && pos.lead.len() == n
             && pos.lead.iter().all(|&ai| ai < self.tries.len())
@@ -185,9 +187,9 @@ impl Descent {
             && pos.depth <= n
     }
 
-    /// Move `pos` down to depth `d`, whose level was just narrowed from
-    /// `d - 1`: leapfrog levels pick their lead, the participating cursor
-    /// with the fewest matching rows.
+    /// Move `pos` down to depth `d`: a search depth, whose level was just
+    /// narrowed from `d - 1`, picks its lead, the participating cursor with
+    /// the fewest matching rows; depth `order.len()` is the leaf.
     fn arrive(&self, pos: &mut Position, d: usize) {
         pos.depth = d;
         if d < self.order.len() {
@@ -243,15 +245,18 @@ impl Descent {
         None
     }
 
-    /// Bind `order[d]` to `value`: rewrite level `d + 1` from level `d`
-    /// with every participating cursor narrowed into `value`'s subtrie.
-    /// `false` if some cursor does not hold `value` (never after
-    /// [`Descent::leapfrog`] returned it).
-    fn narrow(&self, pos: &mut Position, d: usize, value: Value, stats: &mut Stats) -> bool {
+    /// Bind `order[d]` to `value` and, above the deepest depth, rewrite
+    /// level `d + 1` from level `d` with every participating cursor
+    /// narrowed into `value`'s subtrie. `false` if some cursor does not
+    /// hold `value` (never after [`Descent::leapfrog`] returned it).
+    fn bind(&self, pos: &mut Position, d: usize, value: Value, stats: &mut Stats) -> bool {
+        pos.vals[self.order[d] as usize] = value;
+        if d + 1 == self.order.len() {
+            return true;
+        }
         let (upper, lower) = pos.levels.split_at_mut(d + 1);
         let next = &mut lower[0];
         next.copy_from_slice(&upper[d]);
-        pos.vals[self.order[d] as usize] = value;
         self.at_depth[d].iter().all(|&ai| {
             stats.probes += 1;
             next[ai].descend(&self.tries[ai], value)
@@ -292,7 +297,7 @@ impl Descent {
             }
             let lead = pos.lead[d];
             let value = self.leapfrog(&mut pos.levels[d], d, lead, stats);
-            if value.is_some_and(|v| self.narrow(pos, d, v, stats)) {
+            if value.is_some_and(|v| self.bind(pos, d, v, stats)) {
                 pos.levels[d][lead].next_value(&self.tries[lead]);
                 self.arrive(pos, d + 1);
             } else {
@@ -332,11 +337,12 @@ impl Descent {
     }
 
     /// Put `pos` below root value `value` (one [`Descent::root_matches`]
-    /// returned), ready for `run(pos, 1, ..)`. The root cursors stay at the
-    /// root: descending from there yields the same child ranges as from a
-    /// seek position, and counts the same probes.
+    /// returned), ready for `run(pos, 1, ..)`: bound as `run` binds it, so a
+    /// root that is the deepest depth narrows nothing here either. The root
+    /// cursors stay at the root: descending from there yields the same
+    /// child ranges as from a seek position, and counts the same probes.
     pub(crate) fn bind_root(&self, pos: &mut Position, value: Value, stats: &mut Stats) {
-        let held = self.narrow(pos, 0, value, stats);
+        let held = self.bind(pos, 0, value, stats);
         debug_assert!(held, "root matches are held by every participating atom");
         pos.done = false;
         self.arrive(pos, 1);
@@ -439,5 +445,21 @@ mod tests {
                 assert_eq!(paused_stats, stats, "{ctx}");
             }
         }
+    }
+
+    /// A position keeps one cursor level per search depth; one with a
+    /// level below the deepest is refused by `admits`, so `resume` reports
+    /// a checkpoint shape error instead of running it.
+    #[test]
+    fn a_level_below_the_deepest_is_not_admitted() {
+        let (q, db) = composite_key_db();
+        let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
+        let descent = Descent::open(&q, &db, &paths, &mut Stats::default()).unwrap();
+        let mut pos = descent.start();
+        assert_eq!(pos.levels.len(), descent.order.len());
+        assert!(descent.admits(&pos));
+        pos.levels.push(pos.levels[0].clone());
+        assert!(!descent.admits(&pos));
     }
 }

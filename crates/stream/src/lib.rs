@@ -6,9 +6,11 @@
 //! access paths, FD-expanding and verifying each full binding) stopped
 //! after every answer. The search loop is resumable by construction — its
 //! [`Position`] is plain data, a `(depth, lo, hi)` cursor per atom per
-//! depth plus the partial binding — so every [`ResultStream::next_row`]
-//! call runs that same loop until it emits one row and returns. Between
-//! calls the stream holds no borrows of its indexes' interiors, so it can
+//! search depth plus the partial binding (the deepest depth binds without
+//! narrowing, so there is no level below it) — so every
+//! [`ResultStream::next_row`] call runs that same loop until it emits one
+//! row and returns. Between calls the stream holds no borrows of its
+//! indexes' interiors, so it can
 //! be paused indefinitely, shipped across threads, or detached as a
 //! [`StreamCheckpoint`] and reattached to an equal-content database later.
 //!
@@ -26,7 +28,7 @@
 //!
 //! The stream promises no bound on the delay between consecutive rows:
 //! the gap is whatever the descent spends finding the next answer, which
-//! depends on the data (649 → 40 969 probes between rows from n = 2^8 to
+//! depends on the data (648 → 40 968 probes between rows from n = 2^8 to
 //! 2^14 on `simple_fd_path`, an acyclic query).
 //!
 //! ```

@@ -41,6 +41,22 @@
 //! The Fig. 4 stream row was added with that change; at its parent the
 //! same drain read `probes=89280 probes_per_row=21.7969`, twelve guard
 //! lookups per answer more.
+//!
+//! The three Generic-Join rows and the stream row were re-printed when the
+//! descent's deepest level stopped narrowing its cursors into a level
+//! below it (rows, intermediates and expansions unchanged). Nothing read
+//! that level — the leaf reads only the binding — so the old values
+//! counted one descend per deepest-level atom per answer:
+//!
+//! - `fig1/generic_join`: work 2 365 430 → 1 580 022, probes
+//!   1 576 954 → 791 546 (`u`'s one atom, `T`, at each of 785 408 leaves);
+//! - `fig9/generic_join`: work 3 717 705 → 3 455 561, probes
+//!   266 313 → 4 169 (one atom at each of 262 144 leaves);
+//! - `triangle/generic_join`: work 17 200 → 9 008, probes 13 104 → 4 912,
+//!   exactly two descends (`S` and `T`) per answer; the row was printed
+//!   at both sides of the change;
+//! - the Fig. 4 stream: `probes=40128 probes_per_row=9.7969` →
+//!   `probes=31936 probes_per_row=7.7969`, two per answer.
 
 use fdjoin::bigint::rat;
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
@@ -107,18 +123,33 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig1/generic_join",
             &fig1,
             Algorithm::GenericJoin,
-            "rows=1534 work=2365430 probes=1576954 intermediate=0 output=1534 expansions=786942 branches=0 index=0b/0h",
+            "rows=1534 work=1580022 probes=791546 intermediate=0 output=1534 expansions=786942 branches=0 index=0b/0h",
         ),
         (
             "fig9/generic_join",
             &fig9,
             Algorithm::GenericJoin,
-            "rows=512 work=3717705 probes=266313 intermediate=0 output=512 expansions=3450880 branches=0 index=0b/0h",
+            "rows=512 work=3455561 probes=4169 intermediate=0 output=512 expansions=3450880 branches=0 index=0b/0h",
         ),
     ];
     for (name, (q, db), alg, expect) in cases {
         assert_eq!(counters(q, db, alg), expect, "{name}");
     }
+}
+
+/// Generic-Join on the FD-free triangle's worst case (256 rows per
+/// relation, 4 096 answers): every probe a leapfrog seek or a descend of
+/// the search itself, with no leaf check.
+#[test]
+fn a_triangle_generic_join_counts_the_pinned_work() {
+    let q = examples::triangle();
+    let db = normal_worst_case(&q, &vec![rat(8, 1); 3], &rat(12, 1))
+        .expect("even exponent gives integral coefficients");
+    assert_eq!(
+        counters(&q, &db, Algorithm::GenericJoin),
+        "rows=4096 work=9008 probes=4912 intermediate=0 output=4096 expansions=0 branches=0 index=0b/0h",
+        "triangle/generic_join"
+    );
 }
 
 /// A warm execution — plans and tries cached by the first — counts exactly
@@ -161,5 +192,5 @@ fn a_fig4_stream_counts_the_pinned_probes_per_row() {
         "rows={rows} probes={probes} probes_per_row={:.4}",
         probes as f64 / rows as f64
     );
-    assert_eq!(line, "rows=4096 probes=40128 probes_per_row=9.7969");
+    assert_eq!(line, "rows=4096 probes=31936 probes_per_row=7.7969");
 }

@@ -10,8 +10,9 @@
 
 use fdjoin::core::{Algorithm, Engine, ExecOptions, JoinError, JoinResult};
 use fdjoin::instances::random_instance;
+use fdjoin::lattice::VarSet;
 use fdjoin::query::{examples, Query};
-use fdjoin::storage::{Database, RelationStats};
+use fdjoin::storage::{Database, Relation, RelationStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,6 +154,35 @@ fn parallel_runs_match_on_larger_instances() {
     for (q, rows) in cases {
         let mut rng = StdRng::seed_from_u64(0xF149);
         let db = random_instance(&q, &mut rng, rows, 85);
+        for alg in ALGORITHMS {
+            check_algorithm(&q, &db, alg, 0);
+        }
+        check_auto(&q, &db, 0);
+    }
+}
+
+/// Queries with one search variable, so the root is also the deepest
+/// depth: Generic-Join's fan-out binds it per root value (`bind_root`),
+/// and must bind it as the sequential run does — without narrowing into a
+/// level below it — or the parallel runs count descends the sequential run
+/// never makes. The second query computes a UDF-only `y = x + 1`, so the
+/// leaf program runs right under the root.
+#[test]
+fn a_root_that_is_the_deepest_depth_fans_out_like_the_sequential_run() {
+    let mut b = Query::builder();
+    let x = b.var("x");
+    b.atom("R", &[x]).atom("S", &[x]);
+    let one_variable = b.build();
+    let mut b = Query::builder();
+    let (x, y) = (b.var("x"), b.var("y"));
+    b.atom("R", &[x]).atom("S", &[x]).fd(&[x], &[y]);
+    let udf_under_root = b.build();
+
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0], (0..100).map(|v| [v])));
+    db.insert("S", Relation::from_rows(vec![0], (0..100).map(|v| [2 * v])));
+    db.udfs.register(VarSet::singleton(x), y, |v| v[0] + 1);
+    for q in [one_variable, udf_under_root] {
         for alg in ALGORITHMS {
             check_algorithm(&q, &db, alg, 0);
         }
