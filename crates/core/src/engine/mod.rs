@@ -27,17 +27,16 @@
 //!   previously served one rehydrates its chain/LLP/SM/CSM plans instead of
 //!   recomputing them.
 //!
-//! Plan lookup is lock-striped end to end: each [`PreparedQuery`] keeps its
-//! per-size-profile plans in sharded reader–writer maps, so concurrent
-//! `execute` calls (e.g. `fdjoin_exec`'s batch driver) do not serialize on
-//! the read path.
+//! Each [`PreparedQuery`] keeps its per-size-profile plans in bounded
+//! reader–writer maps, one lock each, so concurrent `execute` calls (e.g.
+//! `fdjoin_exec`'s batch driver) share the read path.
 //!
 //! Layout: `options.rs` holds the request/result vocabulary; `plan.rs`
 //! the Auto rules (`choose`), the one plan key (`PlanKey`: a size profile
 //! plus any degree bounds the caller pinned), the plan maps both cache
 //! tiers share and the one cache protocol over them; `execute.rs` validation,
 //! dispatch and the `solve` span; `shared.rs` / `relabel.rs` the
-//! cross-query tier; `prep.rs` the counters and the sharded map;
+//! cross-query tier; `prep.rs` the counters and the plan map;
 //! `explain.rs` EXPLAIN. This file keeps [`Engine`], [`PreparedQuery`] and
 //! the free functions at the bottom ([`chain_join`], [`sma_join`], …),
 //! thin shims kept for ergonomic one-shot calls.
@@ -195,10 +194,10 @@ impl Engine {
 /// A query with its preprocessing done once and its per-size-profile plans
 /// (chain bounds, LLP solutions, proof sequences) cached across executions.
 ///
-/// `PreparedQuery` is `Send + Sync`: plans live in sharded reader–writer
-/// maps and the preparation counters are atomics, so one prepared query can
-/// serve concurrent `execute` calls (see `fdjoin_exec` for the batch
-/// driver) without serializing on plan lookup.
+/// `PreparedQuery` is `Send + Sync`: plans live in reader–writer maps and
+/// the preparation counters are atomics, so one prepared query can serve
+/// concurrent `execute` calls (see `fdjoin_exec` for the batch driver)
+/// without serializing on plan lookup.
 ///
 /// ```
 /// use fdjoin_core::{Engine, ExecOptions};

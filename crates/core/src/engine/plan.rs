@@ -2,7 +2,7 @@
 //! through — one key ([`PlanKey`]), one map set per tier ([`Plans`]), one
 //! protocol between the tiers ([`PreparedQuery::cached_plan`]).
 
-use super::prep::{PrepCounters, Sharded};
+use super::prep::{PlanMap, PrepCounters};
 use super::relabel::Relabel;
 use super::{
     Algorithm, AutoDecision, AutoReason, ExecOptions, JoinError, LazyEstimate, PreparedQuery,
@@ -51,19 +51,19 @@ impl PlanKey {
 /// The four plan maps, as both cache tiers hold them.
 #[derive(Debug)]
 pub(crate) struct Plans<K> {
-    chain: Sharded<K, Option<ChainBound>>,
-    llp: Sharded<K, LlpSolution>,
-    sma: Sharded<K, Result<sma::SmaPlan, JoinError>>,
-    csma: Sharded<K, Result<csma::CsmaPlan, JoinError>>,
+    chain: PlanMap<K, Option<ChainBound>>,
+    llp: PlanMap<K, LlpSolution>,
+    sma: PlanMap<K, Result<sma::SmaPlan, JoinError>>,
+    csma: PlanMap<K, Result<csma::CsmaPlan, JoinError>>,
 }
 
 impl<K: std::hash::Hash + Eq + Clone> Default for Plans<K> {
     fn default() -> Self {
         Plans {
-            chain: Sharded::new(),
-            llp: Sharded::new(),
-            sma: Sharded::new(),
-            csma: Sharded::new(),
+            chain: PlanMap::new(),
+            llp: PlanMap::new(),
+            sma: PlanMap::new(),
+            csma: PlanMap::new(),
         }
     }
 }
@@ -72,12 +72,12 @@ impl<K: std::hash::Hash + Eq + Clone> Default for Plans<K> {
 /// carried along a presentation isomorphism. Plan *absence* (no good chain,
 /// no good proof) is itself isomorphism-invariant and passes through.
 pub(crate) trait CachedPlan: Clone {
-    fn map<K>(plans: &Plans<K>) -> &Sharded<K, Self>;
+    fn map<K>(plans: &Plans<K>) -> &PlanMap<K, Self>;
     fn relabel(&self, r: &Relabel) -> Self;
 }
 
 impl CachedPlan for Option<ChainBound> {
-    fn map<K>(plans: &Plans<K>) -> &Sharded<K, Self> {
+    fn map<K>(plans: &Plans<K>) -> &PlanMap<K, Self> {
         &plans.chain
     }
     fn relabel(&self, r: &Relabel) -> Self {
@@ -86,7 +86,7 @@ impl CachedPlan for Option<ChainBound> {
 }
 
 impl CachedPlan for LlpSolution {
-    fn map<K>(plans: &Plans<K>) -> &Sharded<K, Self> {
+    fn map<K>(plans: &Plans<K>) -> &PlanMap<K, Self> {
         &plans.llp
     }
     fn relabel(&self, r: &Relabel) -> Self {
@@ -95,7 +95,7 @@ impl CachedPlan for LlpSolution {
 }
 
 impl CachedPlan for Result<sma::SmaPlan, JoinError> {
-    fn map<K>(plans: &Plans<K>) -> &Sharded<K, Self> {
+    fn map<K>(plans: &Plans<K>) -> &PlanMap<K, Self> {
         &plans.sma
     }
     fn relabel(&self, r: &Relabel) -> Self {
@@ -104,7 +104,7 @@ impl CachedPlan for Result<sma::SmaPlan, JoinError> {
 }
 
 impl CachedPlan for Result<csma::CsmaPlan, JoinError> {
-    fn map<K>(plans: &Plans<K>) -> &Sharded<K, Self> {
+    fn map<K>(plans: &Plans<K>) -> &PlanMap<K, Self> {
         &plans.csma
     }
     fn relabel(&self, r: &Relabel) -> Self {
@@ -204,9 +204,9 @@ impl PreparedQuery {
     }
 
     /// The one cache protocol behind every plan kind: local read → (under
-    /// the local shard write lock) shared probe + relabel on hit, else
+    /// the local map's write lock) shared probe + relabel on hit, else
     /// solve + publish. Degree-bounded keys stay in the local tier.
-    /// Solves, probes and counter bumps all run under the local shard write
+    /// Solves, probes and counter bumps all run under the local map's write
     /// lock, so a plan is never double-computed and hit/miss accounting
     /// never double-counts.
     fn cached_plan<P: CachedPlan>(&self, key: &PlanKey, solve: impl FnOnce() -> P) -> P {
@@ -257,7 +257,7 @@ impl PreparedQuery {
     pub(super) fn sma_plan(&self, key: &PlanKey) -> Result<sma::SmaPlan, JoinError> {
         self.cached_plan(key, || {
             // The nested `llp_plan` call locks a *different* map than the
-            // sma shard held here — the lock order is strictly sma → llp.
+            // sma map held here — the lock order is strictly sma → llp.
             let llp = self.llp_plan(key);
             PrepCounters::bump(&self.counters.proof_searches);
             sma::plan(&self.pres, &llp, &log_sizes_of(&key.lens))

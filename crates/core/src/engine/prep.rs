@@ -1,9 +1,8 @@
-//! Preparation-work accounting and the sharded concurrent plan-map
-//! primitive used by both the per-query and the cross-query caches.
+//! Preparation-work accounting and the bounded plan map used by both the
+//! per-query and the cross-query caches.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -159,58 +158,50 @@ impl PrepCounters {
     }
 }
 
-/// Number of shards per plan map. Plan lookups hash the size-profile key to
-/// a shard, so concurrent executions over *different* size profiles never
-/// contend, and executions over the *same* profile share a read lock.
-const SHARDS: usize = 8;
+/// Entry cap per plan map. Plans are pure functions of their key, so
+/// capping is only a memory bound, never a correctness concern: a
+/// long-lived server cycling through unboundedly many size profiles
+/// replaces an arbitrary resident entry instead of growing without limit.
+const MAX_PLANS: usize = 2048;
 
-/// Per-shard entry cap. Plans are pure functions of their key, so capping
-/// is only a memory bound, never a correctness concern: a long-lived
-/// server cycling through unboundedly many size profiles replaces an
-/// arbitrary resident entry (random replacement) instead of growing
-/// without limit.
-const MAX_PER_SHARD: usize = 256;
-
-/// A sharded `RwLock<HashMap>`: the concurrent map behind every plan cache.
+/// One `RwLock<HashMap>` bounded to [`MAX_PLANS`] entries: the map behind
+/// every plan cache.
 ///
-/// The read path (`get`) takes one shard read lock — concurrent `execute`
-/// calls on warmed plans proceed in parallel. The write path
-/// (`get_or_insert_with`) holds the shard write lock across the compute so
-/// a plan is never double-computed or double-counted; a miss therefore
-/// serializes only same-shard writers, and planning is amortized away.
-/// Each shard is bounded by [`MAX_PER_SHARD`].
+/// The read path (`get`) takes the read lock — concurrent `execute` calls
+/// on warmed plans proceed in parallel. The write path
+/// (`get_or_insert_with`) holds the write lock across the compute so a
+/// plan is never double-computed or double-counted; planning is amortized
+/// away, so misses are rare.
 #[derive(Debug)]
-pub(crate) struct Sharded<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+pub(crate) struct PlanMap<K, V> {
+    map: RwLock<HashMap<K, V>>,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
-    pub fn new() -> Sharded<K, V> {
-        Sharded {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+impl<K: Hash + Eq + Clone, V: Clone> PlanMap<K, V> {
+    pub fn new() -> PlanMap<K, V> {
+        PlanMap {
+            map: RwLock::new(HashMap::new()),
         }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
     }
 
     /// Clone out the cached value, if present.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).read().unwrap().get(key).cloned()
+        self.map
+            .read()
+            .expect("plan map lock poisoned")
+            .get(key)
+            .cloned()
     }
 
-    /// Get the cached value or compute-and-insert it under the shard write
-    /// lock (re-checked, so `f` runs at most once per key across threads).
+    /// Get the cached value or compute-and-insert it under the write lock
+    /// (re-checked, so `f` runs at most once per key across threads).
     pub(crate) fn get_or_insert_with<F: FnOnce() -> V>(&self, key: &K, f: F) -> V {
-        let mut map = self.shard(key).write().unwrap();
+        let mut map = self.map.write().expect("plan map lock poisoned");
         if let Some(hit) = map.get(key) {
             return hit.clone();
         }
         let v = f();
-        if map.len() >= MAX_PER_SHARD {
+        if map.len() >= MAX_PLANS {
             if let Some(victim) = map.keys().next().cloned() {
                 map.remove(&victim);
             }
@@ -220,8 +211,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Default for Sharded<K, V> {
-    fn default() -> Self {
-        Sharded::new()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_plan_map_holds_its_cap_in_total() {
+        let plans = PlanMap::new();
+        for k in 0..=MAX_PLANS as u64 {
+            assert_eq!(plans.get_or_insert_with(&k, || k * 2), k * 2);
+        }
+        assert_eq!(plans.map.read().unwrap().len(), MAX_PLANS);
     }
 }

@@ -12,12 +12,13 @@
 //! plans through the relabeling instead of recomputing them (observable as
 //! [`PrepStats::shared_hits`](super::PrepStats::shared_hits)).
 //!
-//! The cache is sharded (16 shards, lock per shard) and handed around as an
-//! `Arc`, so a serving layer can attach one cache to any number of engines
-//! and worker threads. Memory is bounded at both levels: the shape count is
-//! capped (least-recently-*prepared* shapes evicted first), and each
-//! shape's per-size-profile plan maps are themselves bounded `Sharded`
-//! maps (random replacement past their cap).
+//! The cache is one map under one lock, handed around as an `Arc`, so a
+//! serving layer can attach one cache to any number of engines and worker
+//! threads; a shape is looked up once per prepare, never per execution.
+//! Memory is bounded at both levels: the shape count is capped in total
+//! (least-recently-*prepared* shapes evicted first), and each shape's
+//! per-size-profile plan maps are themselves bounded `PlanMap`s
+//! (arbitrary replacement past their cap).
 
 use super::plan::Plans;
 use super::relabel::Relabel;
@@ -61,8 +62,7 @@ impl PlanCacheStats {
     }
 }
 
-const CACHE_SHARDS: usize = 16;
-const DEFAULT_SHAPES_PER_SHARD: usize = 64;
+const DEFAULT_SHAPES: usize = 1024;
 
 /// An engine-level plan cache shared across queries, keyed by
 /// lattice-presentation isomorphism.
@@ -84,8 +84,8 @@ const DEFAULT_SHAPES_PER_SHARD: usize = 64;
 /// assert_eq!(cache.stats().shapes, 1);
 /// ```
 pub struct PlanCache {
-    shards: Vec<Mutex<HashMap<Vec<u8>, Arc<ShapeEntry>>>>,
-    shapes_per_shard: usize,
+    shapes: Mutex<HashMap<Vec<u8>, Arc<ShapeEntry>>>,
+    max_shapes: usize,
     clock: AtomicU64,
     shape_hits: AtomicU64,
     shape_misses: AtomicU64,
@@ -95,17 +95,15 @@ pub struct PlanCache {
 impl PlanCache {
     /// A cache with the default capacity (1024 shapes).
     pub fn new() -> PlanCache {
-        PlanCache::with_capacity(CACHE_SHARDS * DEFAULT_SHAPES_PER_SHARD)
+        PlanCache::with_capacity(DEFAULT_SHAPES)
     }
 
-    /// A cache bounded to roughly `max_shapes` distinct presentation
-    /// shapes (rounded up to a multiple of the shard count).
+    /// A cache holding at most `max_shapes` distinct presentation shapes
+    /// (at least one).
     pub fn with_capacity(max_shapes: usize) -> PlanCache {
         PlanCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            shapes_per_shard: max_shapes.div_ceil(CACHE_SHARDS).max(1),
+            shapes: Mutex::new(HashMap::new()),
+            max_shapes: max_shapes.max(1),
             clock: AtomicU64::new(0),
             shape_hits: AtomicU64::new(0),
             shape_misses: AtomicU64::new(0),
@@ -119,23 +117,22 @@ impl PlanCache {
             shape_hits: self.shape_hits.load(Ordering::Relaxed),
             shape_misses: self.shape_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            shapes: self.shards.iter().map(|s| s.lock().unwrap().len()).sum(),
+            shapes: self.shapes.lock().expect("plan cache lock poisoned").len(),
         }
     }
 
     /// Get-or-insert the shape entry for a fingerprint, evicting the
-    /// least-recently-prepared shape in the shard when at capacity.
+    /// least-recently-prepared shape when at capacity.
     pub(crate) fn shape(&self, fp: &PresentationFingerprint) -> Arc<ShapeEntry> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let shard = &self.shards[(fp.hash() as usize) % CACHE_SHARDS];
-        let mut map = shard.lock().unwrap();
+        let mut map = self.shapes.lock().expect("plan cache lock poisoned");
         if let Some(entry) = map.get(fp.certificate()) {
             entry.last_used.store(stamp, Ordering::Relaxed);
             self.shape_hits.fetch_add(1, Ordering::Relaxed);
             return entry.clone();
         }
         self.shape_misses.fetch_add(1, Ordering::Relaxed);
-        if map.len() >= self.shapes_per_shard {
+        if map.len() >= self.max_shapes {
             let victim = map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))

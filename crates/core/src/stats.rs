@@ -27,9 +27,6 @@ pub struct Stats {
     /// Tuples delivered through a `fdjoin_stream::ResultStream` cursor
     /// (never bumped by materializing executions).
     pub rows_streamed: u64,
-    /// Times a result stream suspended itself — saved its cursor levels as
-    /// plain-data snapshots and returned control to the caller.
-    pub stream_pauses: u64,
 }
 
 impl Stats {
@@ -69,13 +66,12 @@ impl Stats {
         self.index_builds += other.index_builds;
         self.index_hits += other.index_hits;
         self.rows_streamed += other.rows_streamed;
-        self.stream_pauses += other.stream_pauses;
     }
 }
 
 impl std::fmt::Display for Stats {
-    /// One line, most significant counters first; the streaming counters
-    /// appear only when a cursor was actually involved. Used by the text
+    /// One line, most significant counters first; the streaming counter
+    /// appears only when a cursor was actually involved. Used by the text
     /// span trees and EXPLAIN ANALYZE output of `fdjoin_obs`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -91,12 +87,8 @@ impl std::fmt::Display for Stats {
             self.index_builds,
             self.index_hits,
         )?;
-        if self.rows_streamed > 0 || self.stream_pauses > 0 {
-            write!(
-                f,
-                " streamed={} pauses={}",
-                self.rows_streamed, self.stream_pauses
-            )?;
+        if self.rows_streamed > 0 {
+            write!(f, " streamed={}", self.rows_streamed)?;
         }
         Ok(())
     }
@@ -117,7 +109,6 @@ mod tests {
             index_builds: 6,
             index_hits: 7,
             rows_streamed: 8,
-            stream_pauses: 9,
         };
         let b = Stats {
             probes: 10,
@@ -128,7 +119,6 @@ mod tests {
             index_builds: 60,
             index_hits: 70,
             rows_streamed: 80,
-            stream_pauses: 90,
         };
         a.merge(&b);
         assert_eq!(a.probes, 11);
@@ -136,7 +126,6 @@ mod tests {
         assert_eq!(a.branches, 55);
         assert_eq!(a.index_gets(), 66 + 77);
         assert_eq!(a.rows_streamed, 88);
-        assert_eq!(a.stream_pauses, 99);
         assert_eq!(a.deterministic().index_gets(), 0);
         assert_eq!(a.deterministic().work(), a.work());
         // Streaming counters are deterministic for a fixed driving pattern

@@ -115,8 +115,7 @@ pub struct StreamOutcome {
     /// Rows delivered before the stream ended (all of them iff
     /// [`StreamEnd::Exhausted`]).
     pub rows: Relation,
-    /// The stream's work counters, including [`Stats::rows_streamed`] /
-    /// [`Stats::stream_pauses`].
+    /// The stream's work counters, including [`Stats::rows_streamed`].
     pub stats: Stats,
     /// Why delivery stopped.
     pub end: StreamEnd,

@@ -246,12 +246,10 @@ fn distinct_shapes_get_distinct_entries() {
 /// every prepare is exactly one shape hit or miss, every shape miss
 /// surfaces as a shared-plan miss (and exactly one local solve) on the
 /// query's `PrepStats`, and every inserted shape is either still resident
-/// or counted evicted. This pins the identities whichever way the two
-/// fingerprints land in the 16 shards (same shard ⇒ eviction storm,
-/// different shards ⇒ steady hits).
+/// or counted evicted. One shape fits, so every round evicts the other.
 #[test]
 fn capacity_one_churn_reconciles_with_prep_stats() {
-    let cache = Arc::new(PlanCache::with_capacity(1)); // 1 shape per shard
+    let cache = Arc::new(PlanCache::with_capacity(1));
     let engine = Engine::with_plan_cache(cache.clone());
     let (qa, dba) = fig1();
     let qb = examples::triangle();
@@ -300,15 +298,15 @@ fn capacity_one_churn_reconciles_with_prep_stats() {
     assert_eq!(solves, misses);
     // Every inserted shape is accounted for: still resident or evicted.
     assert_eq!(cs.shapes as u64 + cs.evictions, cs.shape_misses, "{cs:?}");
-    // Both shapes were prepared, so at least the first two rounds missed.
-    assert!(cs.shape_misses >= 2);
-    assert!(cs.shapes <= 2);
+    // Capacity 1 holds one shape: each round evicts the other one.
+    assert_eq!(cs.shape_misses, rounds, "{cs:?}");
+    assert_eq!(cs.evictions, rounds - 1, "{cs:?}");
+    assert_eq!(cs.shapes, 1, "{cs:?}");
 }
 
-/// Capacity bounds hold and evictions are counted.
+/// A capacity is the total it names: eight shapes fit in sixteen.
 #[test]
 fn eviction_respects_capacity() {
-    // Capacity 16 rounds to 1 shape per shard (16 shards).
     let cache = Arc::new(PlanCache::with_capacity(16));
     let engine = Engine::with_plan_cache(cache.clone());
     let queries = [
@@ -327,10 +325,10 @@ fn eviction_respects_capacity() {
         }
     }
     let s = cache.stats();
-    assert!(s.shapes <= 16, "capacity respected: {s:?}");
-    // Either everything fit in distinct shards or evictions were counted.
-    assert_eq!(s.shape_hits + s.shape_misses, 24);
-    assert!(s.shapes + s.evictions as usize >= 8);
+    assert_eq!(s.shape_misses, 8, "{s:?}");
+    assert_eq!(s.shape_hits, 16, "{s:?}");
+    assert_eq!(s.evictions, 0, "{s:?}");
+    assert_eq!(s.shapes, 8, "{s:?}");
 }
 
 // ---------------------------------------------------------------------------

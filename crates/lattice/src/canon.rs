@@ -11,7 +11,6 @@
 //!   plus the per-element input multiplicities). Certificates are exact —
 //!   they are the full structure, not a hash — so using them as cache keys
 //!   can never confuse two non-isomorphic presentations;
-//! - a **hash** of the certificate, for shard selection;
 //! - the **canonical labeling** itself (`labels[e]` = canonical index of
 //!   element `e`), which lets a plan computed for one presentation be
 //!   relabeled into any isomorphic one.
@@ -33,7 +32,6 @@ use crate::{ElemId, Lattice};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PresentationFingerprint {
     certificate: Vec<u8>,
-    hash: u64,
     labelings: Vec<Vec<usize>>,
 }
 
@@ -42,12 +40,6 @@ impl PresentationFingerprint {
     /// isomorphic (same lattice up to relabeling, same input multiset).
     pub fn certificate(&self) -> &[u8] {
         &self.certificate
-    }
-
-    /// A 64-bit hash of the certificate (isomorphism-respecting by
-    /// construction; use for sharding, not for equality).
-    pub fn hash(&self) -> u64 {
-        self.hash
     }
 
     /// The canonical label (index) of element `e` under the primary
@@ -119,10 +111,8 @@ pub fn canonical_fingerprint(lat: &Lattice, inputs: &[ElemId]) -> PresentationFi
     // them deterministically and make `labels()` the lexicographic least.
     labelings.sort_unstable();
     labelings.dedup();
-    let hash = fnv1a(&certificate);
     PresentationFingerprint {
         certificate,
-        hash,
         labelings,
     }
 }
@@ -258,15 +248,6 @@ fn certificate(lat: &Lattice, mult: &[u64], labels: &[usize]) -> Vec<u8> {
         out.extend_from_slice(&mult[inv[i]].to_le_bytes());
     }
     out
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ pub(crate) fn json_escape(s: &str) -> String {
 fn field_json(v: &FieldValue) -> String {
     match v {
         FieldValue::U64(v) => v.to_string(),
-        FieldValue::I64(v) => v.to_string(),
         FieldValue::F64(v) => {
             if v.is_finite() {
                 format!("{v}")

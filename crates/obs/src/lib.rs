@@ -7,10 +7,11 @@
 //! puts those measurements on one request's span tree:
 //!
 //! 1. **Structured tracing** ([`Observer`], [`Span`]): a lock-cheap span
-//!    recorder — atomic span ids, per-thread buffers, one bounded ring —
-//!    that `Engine::prepare`, index builds, `PreparedQuery::execute`,
-//!    `ResultStream`, `MaterializedView::apply_delta`, and the
-//!    `Executor` all emit through, with parent/child links that survive
+//!    recorder — atomic span ids, per-thread open-span stacks, one
+//!    bounded ring — that `Engine::prepare`, index builds,
+//!    `PreparedQuery::execute`, `ResultStream`,
+//!    `MaterializedView::apply_delta`, and the `Executor` all emit
+//!    through, with parent/child links that survive
 //!    the hand-off to pool workers so one `Executor::submit` yields one
 //!    coherent span tree. Each span carries its request's own counters
 //!    as fields: a `solve` span holds the algorithm, rows, work,

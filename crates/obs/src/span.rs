@@ -5,11 +5,10 @@
 //! 1. **Near-zero cost when disabled.** A disabled [`Observer`] is an
 //!    `Option::None`; every entry point is one branch on it. No atomics,
 //!    no thread-locals, no allocation.
-//! 2. **Lock-cheap when enabled.** Span ids come from one atomic;
-//!    finished spans land in a *per-thread* buffer (a plain `RefCell`
-//!    vector, no lock) and are drained into the central bounded ring only
-//!    when the thread's span stack unwinds to empty or the buffer fills —
-//!    one mutex acquisition per tree, not per span.
+//! 2. **Lock-cheap when enabled.** Span ids come from one atomic; a
+//!    finished span takes the central bounded ring's mutex once, to push
+//!    itself. A request emits 1–81 spans, so batching them per thread
+//!    would save little.
 //! 3. **Coherent trees across threads.** Parentage is inferred from a
 //!    per-thread stack of open spans, and can be overridden explicitly
 //!    ([`Observer::span_with_parent`]) when a child starts on a different
@@ -20,7 +19,7 @@
 //! A [`Span`] is an RAII guard: it records its start eagerly and its
 //! duration, fields, and parent link when dropped (or explicitly
 //! [`Span::finish`]ed). Guards may be moved across threads and closed
-//! there; the record is buffered on whichever thread closes it.
+//! there; the record enters the ring from whichever thread closes it.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -90,8 +89,6 @@ impl std::fmt::Display for SpanKind {
 pub enum FieldValue {
     /// Unsigned counter/size.
     U64(u64),
-    /// Signed quantity (e.g. an estimate error in milli-log₂).
-    I64(i64),
     /// Real-valued quantity (e.g. a log₂ bound).
     F64(f64),
     /// Free-form text (escaped on JSON export).
@@ -108,11 +105,6 @@ impl From<u64> for FieldValue {
 impl From<usize> for FieldValue {
     fn from(v: usize) -> FieldValue {
         FieldValue::U64(v as u64)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> FieldValue {
-        FieldValue::I64(v)
     }
 }
 impl From<f64> for FieldValue {
@@ -140,7 +132,6 @@ impl std::fmt::Display for FieldValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
             FieldValue::F64(v) => write!(f, "{v:.3}"),
             FieldValue::Str(v) => f.write_str(v),
             FieldValue::Bool(v) => write!(f, "{v}"),
@@ -186,13 +177,9 @@ impl SpanRecord {
 /// dropped (counted in [`Observer::dropped_spans`]); tracing keeps the
 /// recent past, like a flight recorder.
 const MAX_SPANS: usize = 65_536;
-/// Per-thread buffer length that forces a drain into the ring even while
-/// spans are still open (bounds worst-case buffering on threads with very
-/// deep/long trees).
-const BUFFER_SPANS: usize = 64;
 
-/// Monotonic source of observer identities (thread-local buffers are keyed
-/// by them so two observers never mix their spans).
+/// Monotonic source of observer identities (thread-local span stacks are
+/// keyed by them so two observers never mix their parents).
 static OBSERVER_IDS: AtomicU64 = AtomicU64::new(1);
 /// Monotonic source of opaque thread ids.
 static THREAD_IDS: AtomicU64 = AtomicU64::new(1);
@@ -200,16 +187,15 @@ static THREAD_IDS: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// This thread's opaque id (stable for the thread's lifetime).
     static THREAD_ID: u64 = THREAD_IDS.fetch_add(1, Ordering::Relaxed);
-    /// Per-observer state on this thread: open-span stack (for parent
-    /// inference) and the finished-span buffer. A plain Vec keyed by
-    /// observer id — sessions hold very few observers.
+    /// Per-observer state on this thread: the open-span stack (for parent
+    /// inference). A plain Vec keyed by observer id — sessions hold very
+    /// few observers.
     static TLS: RefCell<Vec<ThreadState>> = const { RefCell::new(Vec::new()) };
 }
 
 struct ThreadState {
     observer: u64,
     stack: Vec<u64>,
-    buf: Vec<SpanRecord>,
 }
 
 fn with_thread_state<R>(observer: u64, f: impl FnOnce(&mut ThreadState) -> R) -> R {
@@ -221,7 +207,6 @@ fn with_thread_state<R>(observer: u64, f: impl FnOnce(&mut ThreadState) -> R) ->
         v.push(ThreadState {
             observer,
             stack: Vec::new(),
-            buf: Vec::new(),
         });
         let last = v.len() - 1;
         f(&mut v[last])
@@ -242,7 +227,6 @@ pub(crate) struct ObsCore {
     next_span: AtomicU64,
     ring: Mutex<Ring>,
     max_spans: usize,
-    buffer_spans: usize,
 }
 
 impl ObsCore {
@@ -250,15 +234,13 @@ impl ObsCore {
         at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    fn flush_locked(&self, buf: &mut Vec<SpanRecord>) {
-        let mut ring = self.ring.lock().unwrap();
-        for rec in buf.drain(..) {
-            if ring.spans.len() >= self.max_spans {
-                ring.spans.pop_front();
-                ring.dropped += 1;
-            }
-            ring.spans.push_back(rec);
+    fn record(&self, rec: SpanRecord) {
+        let mut ring = self.ring.lock().expect("span ring lock poisoned");
+        if ring.spans.len() >= self.max_spans {
+            ring.spans.pop_front();
+            ring.dropped += 1;
         }
+        ring.spans.push_back(rec);
     }
 }
 
@@ -281,9 +263,8 @@ impl Observer {
         Observer { core: None }
     }
 
-    /// An enabled recorder with its own span ring (of `max_spans`, fed by
-    /// per-thread buffers of `buffer_spans`).
-    fn with_limits(max_spans: usize, buffer_spans: usize) -> Observer {
+    /// An enabled recorder with its own span ring of `max_spans`.
+    fn with_limits(max_spans: usize) -> Observer {
         Observer {
             core: Some(Arc::new(ObsCore {
                 id: OBSERVER_IDS.fetch_add(1, Ordering::Relaxed),
@@ -294,14 +275,13 @@ impl Observer {
                     dropped: 0,
                 }),
                 max_spans,
-                buffer_spans,
             })),
         }
     }
 
     /// An enabled recorder.
     pub fn enabled() -> Observer {
-        Observer::with_limits(MAX_SPANS, BUFFER_SPANS)
+        Observer::with_limits(MAX_SPANS)
     }
 
     /// Whether this handle records anything.
@@ -420,11 +400,7 @@ impl Observer {
         with_thread_state(core.id, |t| t.stack.last().copied())
     }
 
-    /// Drain every finished span recorded so far: the central ring plus
-    /// the calling thread's local buffer. Spans finished on *other*
-    /// threads are visible once those threads' span stacks unwound (each
-    /// flush is one mutex acquisition) — in particular, after a
-    /// `BatchHandle::wait` every job's spans have been flushed.
+    /// Drain every span finished so far, on any thread.
     ///
     /// Records come back in no particular global order; the exporters
     /// ([`crate::export_jsonl`], [`crate::render_text_tree`]) sort.
@@ -432,11 +408,6 @@ impl Observer {
         let Some(core) = &self.core else {
             return Vec::new();
         };
-        with_thread_state(core.id, |t| {
-            if !t.buf.is_empty() {
-                core.flush_locked(&mut t.buf);
-            }
-        });
         let mut ring = core.ring.lock().unwrap();
         ring.spans.drain(..).collect()
     }
@@ -500,19 +471,15 @@ impl Drop for Span {
             thread: THREAD_ID.with(|t| *t),
             fields: d.fields,
         };
-        let core = d.core;
-        with_thread_state(core.id, |t| {
+        with_thread_state(d.core.id, |t| {
             // The guard may close on a different thread than it opened on
             // (e.g. a Submit span finishing in `BatchHandle::wait`): the
             // id is then absent from this stack, which is fine.
             if let Some(i) = t.stack.iter().rposition(|&id| id == rec.id) {
                 t.stack.remove(i);
             }
-            t.buf.push(rec);
-            if t.stack.is_empty() || t.buf.len() >= core.buffer_spans {
-                core.flush_locked(&mut t.buf);
-            }
         });
+        d.core.record(rec);
     }
 }
 
@@ -583,7 +550,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let obs = Observer::with_limits(4, 1);
+        let obs = Observer::with_limits(4);
         for i in 0..10 {
             obs.span(SpanKind::Solve, format!("s{i}")).finish();
         }

@@ -34,7 +34,7 @@
 //!   contiguous level array (see `lower_bound`). Searches that suspend
 //!   (`fdjoin_core::descent`) keep bare positions and navigate them in
 //!   place.
-//! - [`IndexSet`] — a concurrent (sharded `RwLock`) cache of
+//! - [`IndexSet`] — a concurrent (one `RwLock`) cache of
 //!   [`TrieIndex`]es keyed by [`IndexKey`]: relation name, content
 //!   [`Relation::version`], and column order. Because versions are
 //!   globally unique content snapshots (see [`Relation::version`]), a hit
@@ -44,7 +44,7 @@
 //!   tries are derived from the predecessor's resident ones (untouched root
 //!   subtries block-copied, touched ones re-pushed) and replace them.
 //!   Every other superseded version stops being touched and ages out
-//!   LRU-wise under a per-slot version cap and a per-shard **byte budget**
+//!   LRU-wise under a per-slot version cap and a total **byte budget**
 //!   ([`TrieIndex::heap_bytes`]-accounted, so eviction pressure tracks
 //!   actual resident memory, not entry counts). Build/hit counters
 //!   ([`IndexSet::stats`]) make reuse observable and testable.
@@ -56,10 +56,8 @@
 
 use crate::relation::{identity_permutation, Relation};
 use crate::Value;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -1023,16 +1021,6 @@ impl IndexKey {
         }
     }
 
-    /// Hash of the content-independent part — shard selector, and the
-    /// identity under which stale versions are evicted.
-    fn slot_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.name.hash(&mut h);
-        std::mem::discriminant(&self.kind).hash(&mut h);
-        self.order.hash(&mut h);
-        h.finish()
-    }
-
     /// Whether `other` indexes the same `(name, base-or-derived, order)`
     /// slot at a different content snapshot — i.e. is a version sibling of
     /// `self`.
@@ -1070,11 +1058,6 @@ impl IndexSetStats {
     }
 }
 
-/// Number of shards. Lookups hash the `(name, kind, order)` slot, so
-/// concurrent executions probing different relations never contend, while
-/// version siblings of one slot colocate for cheap eviction.
-pub(crate) const SHARDS: usize = 8;
-
 /// How many content versions of one `(name, kind, order)` slot stay
 /// resident. A delta-superseded version is dead and ages out under this
 /// cap; several *live* versions (one `PreparedQuery` serving many
@@ -1082,28 +1065,28 @@ pub(crate) const SHARDS: usize = 8;
 /// thrashing.
 const MAX_VERSIONS_PER_SLOT: usize = 16;
 
-/// Resident-byte budget across all shards. Eviction is accounted
+/// Resident-byte budget of one [`IndexSet`]. Eviction is accounted
 /// in [`TrieIndex::heap_bytes`], so the bound tracks actual memory: many
 /// small indexes coexist where few huge ones would thrash.
 const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
 
 /// One cached index plus its last-used tick (LRU bookkeeping; updated with
-/// a relaxed store under the shard *read* lock, so hits never serialize).
+/// a relaxed store under the *read* lock, so hits never serialize).
 #[derive(Debug)]
 struct Entry {
     ix: Arc<TrieIndex>,
     last_used: AtomicU64,
 }
 
-/// One shard's entries plus their tracked resident-byte total, so the
-/// budget check on insert is O(1) rather than a walk of the map.
+/// The resident entries plus their tracked byte total, so the budget
+/// check on insert is O(1) rather than a walk of the map.
 #[derive(Debug, Default)]
-struct Shard {
+struct Resident {
     map: HashMap<IndexKey, Entry>,
     bytes: usize,
 }
 
-impl Shard {
+impl Resident {
     fn remove(&mut self, key: &IndexKey) {
         if let Some(e) = self.map.remove(key) {
             self.bytes -= e.ix.heap_bytes();
@@ -1120,18 +1103,18 @@ impl Shard {
 
 /// A concurrent, self-invalidating cache of [`TrieIndex`]es.
 ///
-/// `get_or_build` is the whole protocol: a shard read lock on the hit
-/// path, and on a miss the build runs *outside* any lock (re-checked on
-/// insert, so a racing duplicate build is possible but harmless — never a
-/// blocked shard). Version bumps invalidate by construction — the new
+/// `get_or_build` is the whole protocol: the read lock on the hit path,
+/// and on a miss the build runs *outside* the lock (re-checked on insert,
+/// so a racing duplicate build is possible but harmless — a build never
+/// blocks a lookup). Version bumps invalidate by construction — the new
 /// version is a different key, so it misses — and a relation fresh from
 /// [`Relation::apply_delta`] derives its successor index from the
 /// resident predecessor, which it replaces ([`IndexSet::index_of`]).
 /// Other superseded versions age out LRU-wise under a per-slot version cap
-/// (`MAX_VERSIONS_PER_SLOT`) and a per-shard **byte budget**: each shard
-/// tracks the [`TrieIndex::heap_bytes`] of its residents and evicts
+/// (`MAX_VERSIONS_PER_SLOT`) and a total **byte budget**: the set tracks
+/// the [`TrieIndex::heap_bytes`] of its residents and evicts
 /// least-recently-used entries until a new index fits (a sole oversized
-/// index is kept — eviction never empties a shard just to admit it).
+/// index is kept — eviction never empties the set just to admit it).
 /// Evicted indexes rebuild on their next use; the budget is a memory
 /// bound, never a correctness concern.
 ///
@@ -1140,9 +1123,9 @@ impl Shard {
 /// caller from owning one directly next to a [`crate::Database`].
 #[derive(Debug)]
 pub struct IndexSet {
-    shards: Vec<RwLock<Shard>>,
-    /// Per-shard slice of the construction-time byte budget.
-    shard_byte_budget: usize,
+    resident: RwLock<Resident>,
+    /// Resident-byte bound, in [`TrieIndex::heap_bytes`].
+    byte_budget: usize,
     tick: AtomicU64,
     builds: AtomicU64,
     hits: AtomicU64,
@@ -1161,21 +1144,17 @@ impl IndexSet {
         IndexSet::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
-    /// An empty cache bounding resident indexes to roughly `total_bytes`
-    /// of [`TrieIndex::heap_bytes`] (split evenly across shards).
+    /// An empty cache bounding resident indexes to `total_bytes` of
+    /// [`TrieIndex::heap_bytes`] (past a sole oversized index).
     fn with_byte_budget(total_bytes: usize) -> IndexSet {
         IndexSet {
-            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
-            shard_byte_budget: (total_bytes / SHARDS).max(1),
+            resident: RwLock::new(Resident::default()),
+            byte_budget: total_bytes,
             tick: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, key: &IndexKey) -> &RwLock<Shard> {
-        &self.shards[(key.slot_hash() as usize) % SHARDS]
     }
 
     fn touch(&self, entry: &Entry) {
@@ -1188,11 +1167,11 @@ impl IndexSet {
     /// Returns the index and whether this call built it (`true`) or hit
     /// the cache (`false`).
     ///
-    /// The build runs *outside* the shard lock: a large sort never blocks
-    /// other lookups hashing to the same shard. Two threads racing on the
-    /// same cold key may both build; the first insert wins and the loser's
-    /// copy is dropped (counted as a hit — indexes are pure functions of
-    /// the key, so which copy survives is unobservable).
+    /// The build runs *outside* the lock: a large sort never blocks other
+    /// lookups. Two threads racing on the same cold key may both build;
+    /// the first insert wins and the loser's copy is dropped (counted as a
+    /// hit — indexes are pure functions of the key, so which copy survives
+    /// is unobservable).
     pub fn get_or_build(
         &self,
         key: IndexKey,
@@ -1212,9 +1191,8 @@ impl IndexSet {
         from: Option<u64>,
         make: impl FnOnce(Option<&TrieIndex>) -> TrieIndex,
     ) -> (Arc<TrieIndex>, bool) {
-        let shard = self.shard(&key);
         let predecessor = {
-            let guard = shard.read().unwrap();
+            let guard = self.resident.read().expect("index set lock poisoned");
             if let Some(hit) = guard.map.get(&key) {
                 self.touch(hit);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -1230,7 +1208,7 @@ impl IndexSet {
             })
         };
         let ix = Arc::new(make(predecessor.as_ref().map(|(_, ix)| &**ix)));
-        let mut guard = shard.write().unwrap();
+        let mut guard = self.resident.write().expect("index set lock poisoned");
         if let Some(hit) = guard.map.get(&key) {
             // Raced with another builder; their copy wins, ours is dropped.
             self.touch(hit);
@@ -1258,12 +1236,12 @@ impl IndexSet {
             guard.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        // Enforce the shard byte budget: evict LRU until the new index
-        // fits, but never clear the shard entirely for an oversized one —
-        // a sole too-big index is still worth keeping resident.
+        // Enforce the byte budget: evict LRU until the new index fits, but
+        // never clear the set entirely for an oversized one — a sole
+        // too-big index is still worth keeping resident.
         let added = ix.heap_bytes();
-        while guard.bytes + added > self.shard_byte_budget && !guard.map.is_empty() {
-            let victim = guard.lru_key().expect("nonempty shard map");
+        while guard.bytes + added > self.byte_budget && !guard.map.is_empty() {
+            let victim = guard.lru_key().expect("nonempty resident map");
             guard.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -1299,10 +1277,11 @@ impl IndexSet {
 
     /// Number of resident indexes.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap().map.len())
-            .sum()
+        self.resident
+            .read()
+            .expect("index set lock poisoned")
+            .map
+            .len()
     }
 
     /// Whether the cache is empty.
@@ -1315,17 +1294,13 @@ impl IndexSet {
     /// this relation version can expect before it runs. `fdjoin_core`'s
     /// EXPLAIN surfaces it per atom.
     pub fn cached_for(&self, name: &str, version: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap()
-                    .map
-                    .keys()
-                    .filter(|k| k.kind == IndexKind::Base(version) && k.name == name)
-                    .count()
-            })
-            .sum()
+        self.resident
+            .read()
+            .expect("index set lock poisoned")
+            .map
+            .keys()
+            .filter(|k| k.kind == IndexKind::Base(version) && k.name == name)
+            .count()
     }
 
     /// Cumulative build/hit/eviction counters.
@@ -1338,10 +1313,10 @@ impl IndexSet {
     }
 
     /// Heap footprint of all resident indexes, in bytes — the tracked
-    /// per-shard totals, the same accounting the eviction budget uses.
+    /// total, the same accounting the eviction budget uses.
     /// Recorded as the `index_resident_bytes` field of each `solve` span.
     pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().bytes).sum()
+        self.resident.read().expect("index set lock poisoned").bytes
     }
 }
 
@@ -1659,9 +1634,9 @@ mod tests {
     fn byte_budget_evicts_by_resident_bytes() {
         let mut r = Relation::from_rows(vec![0, 1], (0..512u64).map(|i| [i, i]));
         let per = TrieIndex::build(&r, &[0, 1]).heap_bytes();
-        // Per-shard budget ≈ one such index: every new version evicts the
-        // previous one, but the sole (slightly oversized) survivor stays.
-        let set = IndexSet::with_byte_budget(per * SHARDS + SHARDS);
+        // Budget ≈ one such index: every new version evicts the previous
+        // one, but the sole (slightly oversized) survivor stays.
+        let set = IndexSet::with_byte_budget(per + 1);
         for i in 0..4u64 {
             set.index_of("R", &r, &[0, 1]);
             // An append, not a delta: a delta's successor would replace its
@@ -1673,7 +1648,7 @@ mod tests {
             set.stats().evictions >= 3,
             "byte budget evicted old versions"
         );
-        assert_eq!(set.len(), 1, "one index fits the shard budget");
+        assert_eq!(set.len(), 1, "one index fits the budget");
         let resident = set.memory_bytes();
         assert!(
             resident >= per && resident < 2 * per + 256,
@@ -1690,6 +1665,17 @@ mod tests {
             "previous survivor evicted to admit the new one"
         );
         assert_eq!(set.stats().hits, tracked_before);
+
+        // The budget is a total, whatever the names: two indexes of `per`
+        // bytes under "R" and "S" (names a hash-partitioned set would put
+        // in different partitions) do not both fit in `per + 1`.
+        let s = Relation::from_rows(vec![0, 1], (0..512u64).map(|i| [i, i]));
+        let set = IndexSet::with_byte_budget(per + 1);
+        set.index_of("R", &s, &[0, 1]);
+        set.index_of("S", &s, &[0, 1]);
+        assert!(set.memory_bytes() <= per + 1, "{}", set.memory_bytes());
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.stats().evictions, 1);
     }
 
     /// Every order of `vars`.
@@ -1856,8 +1842,8 @@ mod tests {
     fn evicted_predecessor_falls_back_to_a_build() {
         let mut r = Relation::from_rows(vec![0, 1], (0..512u64).map(|i| [i, i]));
         let per = TrieIndex::build(&r, &[0, 1]).heap_bytes();
-        // Per-shard budget ≈ one such index: a sibling version evicts r's.
-        let set = IndexSet::with_byte_budget(per * SHARDS + SHARDS);
+        // Budget ≈ one such index: a sibling version evicts r's.
+        let set = IndexSet::with_byte_budget(per + 1);
         set.index_of("R", &r, &[0, 1]);
         let v0 = r.version();
         let mut sibling = r.clone();

@@ -18,7 +18,7 @@
 //! enumeration visits the same leaves in the same order and meters the
 //! same deterministic [`Stats`] — a fully drained stream performs
 //! *exactly* the work of the materializing run (plus the streaming
-//! counters [`Stats::rows_streamed`] / [`Stats::stream_pauses`]). The
+//! counter [`Stats::rows_streamed`]). The
 //! pruning entry points stop early and therefore do strictly less:
 //!
 //! - [`ResultStream::exists`] — suspend after the first answer;
@@ -132,7 +132,6 @@ impl<'a> ResultStream<'a> {
             return None;
         }
         self.stats.rows_streamed += 1;
-        self.stats.stream_pauses += 1;
         Some(self.pos.vals())
     }
 
@@ -165,8 +164,8 @@ impl<'a> ResultStream<'a> {
     }
 
     /// The next answer, or `None` when the enumeration is exhausted. Each
-    /// delivered row suspends the descent ([`Stats::stream_pauses`]) and
-    /// counts into [`Stats::rows_streamed`]. Rows come out in lexicographic
+    /// delivered row suspends the descent and counts into
+    /// [`Stats::rows_streamed`]. Rows come out in lexicographic
     /// order of the atom variables (ascending id) and are distinct; the
     /// slice covers *all* query variables in ascending id, UDF-filled ones
     /// included — the same schema as a materialized `JoinResult::output`.
@@ -402,9 +401,7 @@ mod tests {
         // deterministic work (streaming counters aside).
         let mut ours = s.stats().deterministic();
         assert_eq!(ours.rows_streamed, expect.output.len() as u64);
-        assert_eq!(ours.stream_pauses, ours.rows_streamed);
         ours.rows_streamed = 0;
-        ours.stream_pauses = 0;
         assert_eq!(ours, expect.stats.deterministic());
     }
 
