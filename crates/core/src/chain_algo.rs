@@ -94,25 +94,19 @@ pub(crate) fn execute(
     let mut q_prev = Relation::nullary_unit();
     for i in 1..=k {
         let out_vars = col_order(level_sets[i]);
-        // One side per covering atom: its key columns are the positions in
-        // Q_{i-1} of the shared prefix variables, and its program is
-        // compiled for the candidate's bound set C_{i-1} ∪ vars(Π_{R_j ∧
-        // C_i}) — j varies with the per-tuple argmin. Each expands to the
+        // One side per covering atom, keyed on the shared prefix in Q_{i-1}
+        // and compiled for the candidate's bound set C_{i-1} ∪ vars(Π_{R_j
+        // ∧ C_i}) — j varies with the per-tuple argmin. Each expands to the
         // closure C_i (goodness, Eq. 11, guarantees C_{i-1} ∨ (R_j ∧ C_i)
         // = C_i) and verifies FDs within.
+        debug_assert_eq!(
+            q_prev.var_set(),
+            level_sets[i - 1],
+            "Q_{{i-1}} binds C_{{i-1}}"
+        );
         let sides = proj[i]
             .iter()
-            .map(|(p, plen)| {
-                let p_set = VarSet::from_vars(p.vars().iter().copied());
-                Ok(Side {
-                    trie: p,
-                    key_cols: p.vars()[..*plen]
-                        .iter()
-                        .map(|&v| q_prev.col_of(v).expect("prefix vars bound at i-1"))
-                        .collect(),
-                    program: ex.compile_fused(level_sets[i - 1].union(p_set), level_sets[i])?,
-                })
-            })
+            .map(|(p, plen)| Side::guarded(&ex, &q_prev, p, *plen, level_sets[i]))
             .collect::<Result<Vec<_>, JoinError>>()?;
         debug_assert!(
             !sides.is_empty(),

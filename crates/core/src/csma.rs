@@ -14,7 +14,11 @@
 //!   conditional term and expand to `Λ(A∨B)`.
 //!
 //! Both joins are one [`extend`](crate::extend) step with the guard as its
-//! only side.
+//! only side ([`Side::guarded`], as Chain's and SMA's steps), and the CD's
+//! buckets are SMA's heavy/light split with `⌊log₂ degree⌋` as the class
+//! ([`degree_split`]). A rule reads only tables and guards that an earlier
+//! rule made or that the inputs and degree pairs give: a sequence in which
+//! one is missing is [`JoinError::NoCsmSequence`], never an empty table.
 //!
 //! The answer is the union over all branches of `T(1̂)`, semijoin-reduced
 //! against every input and FD-verified (making the implementation sound
@@ -29,7 +33,7 @@
 //! flag keeps the pass sound for a table that does not.
 
 use crate::engine::{JoinError, UserDegreeBound};
-use crate::extend::{extend, Side};
+use crate::extend::{degree_split, extend, Side};
 use crate::par::TopTables;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
@@ -192,13 +196,7 @@ pub(crate) fn execute(
 
     // Soundness pass: dedup, semijoin with every input, verify all FDs
     // unless every branch's T(1̂) is verified.
-    let inputs: Vec<&Relation> = q
-        .atoms()
-        .iter()
-        .map(|a| db.relation(&a.name))
-        .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, top, par, &mut stats);
-
+    let reduced = crate::par::semijoin_reduce_verified(&ex, top, par, &mut stats)?;
     Ok((reduced, stats, csma))
 }
 
@@ -235,6 +233,10 @@ struct Ctx<'a> {
     par: &'a crate::par::ParCtx,
 }
 
+/// Run `rules` on one branch's `tables` and guards, adding the branch's
+/// `T(1̂)` (or, past a CD, each bucket's) to `top`. Every table and guard
+/// a rule reads is made by an earlier rule or is there from the start;
+/// one that is not means `rules` is no CSM sequence.
 fn exec(
     ctx: &Ctx<'_>,
     rules: &[CsmRule],
@@ -246,22 +248,21 @@ fn exec(
     let lat = ctx.lat;
     let Some((rule, rest)) = rules.split_first() else {
         // Emit the branch's T(1̂).
-        if let Some(t) = tables.get(&lat.top()) {
-            top.add(&t.rel, t.verified);
-            stats.intermediate_tuples += t.rel.len() as u64;
-        }
+        let t = tables.get(&lat.top()).ok_or(JoinError::NoCsmSequence)?;
+        top.add(&t.rel, t.verified);
+        stats.intermediate_tuples += t.rel.len() as u64;
         return Ok(());
     };
-    match *rule {
+    // CC and SM join T(a) with a guard on Λ of the element they meet in,
+    // into T(target).
+    let (a, guard, meet, target) = match *rule {
         CsmRule::Cd { x, y } => {
-            let (t, verified) = match tables.get(&y) {
-                Some(t) => (Cow::Borrowed(&*t.rel), t.verified),
-                None => (empty(lat, y), false),
-            };
+            let t = tables.get(&y).ok_or(JoinError::NoCsmSequence)?;
+            let verified = t.verified;
             let x_vars: Vec<u32> = lat.set_of(x).unwrap().iter().collect();
             let mut order = x_vars.clone();
-            order.extend(t.vars().iter().copied().filter(|v| !x_vars.contains(v)));
-            let sorted = Arc::new(TrieIndex::build(&t, &order));
+            order.extend(t.rel.vars().iter().copied().filter(|v| !x_vars.contains(v)));
+            let sorted = Arc::new(TrieIndex::build(&t.rel, &order));
             if sorted.is_empty() {
                 // Single empty branch.
                 tables.insert(y, Table::unverified(Cow::Owned(Relation::new(order))));
@@ -270,25 +271,16 @@ fn exec(
                 return exec(ctx, rest, tables, guard_map, top, stats);
             }
             // Bucket groups by ⌊log₂ degree⌋ (Lemma 5.35).
-            let mut buckets: HashMap<u32, Vec<std::ops::Range<usize>>> = HashMap::new();
-            for g in sorted.group_ranges(x_vars.len()) {
-                stats.probes += 1;
-                let b = 63 - ((g.end - g.start) as u64).leading_zeros();
-                buckets.entry(b).or_default().push(g);
-            }
-            let mut keys: Vec<u32> = buckets.keys().copied().collect();
-            keys.sort_unstable();
-            let n_buckets = keys.len();
-            for (i, b) in keys.into_iter().enumerate() {
-                // The bucket's groups are ascending disjoint trie ranges,
-                // so the bucket, its guard trie and Π_X(bucket) — the
-                // groups' X-prefixes, the bucket being stored X-first —
-                // materialize without re-sorting.
-                let groups = &buckets[&b];
+            let buckets = degree_split(&sorted, x_vars.len(), |len| len.ilog2(), stats);
+            let n_buckets = buckets.len();
+            for (i, groups) in buckets.into_values().enumerate() {
+                // The bucket, its guard trie and Π_X(bucket) — the groups'
+                // X-prefixes, the bucket being stored X-first — materialize
+                // without re-sorting.
                 let bucket = sorted.relation_of_ranges(groups.iter().cloned());
                 let mut t_x = Relation::new(x_vars.clone());
                 let mut first = 0;
-                for g in groups {
+                for g in &groups {
                     t_x.push_row(&bucket.row(first)[..x_vars.len()]);
                     first += g.len();
                 }
@@ -317,105 +309,57 @@ fn exec(
                 );
                 exec(ctx, rest, tables2, guards2, top, stats)?;
             }
-            Ok(())
+            return Ok(());
         }
         CsmRule::Cc { pair } => {
             let p = &ctx.pairs[pair];
-            let guard = guard_map.get(&(p.lo, p.hi)).cloned().unwrap_or_else(|| {
-                let vars: Vec<u32> = lat.set_of(p.hi).unwrap().iter().collect();
-                Arc::new(TrieIndex::build(&Relation::new(vars.clone()), &vars))
-            });
-            let lo_len = lat.set_of(p.lo).unwrap().len() as usize;
-            // Guards are stored with their conditioning attributes (Λlo)
-            // first, so the pair's prefix is already the probe prefix.
-            let result = join_into(ctx, &tables, p.lo, &guard, lo_len, p.hi, stats)?;
-            tables.insert(p.hi, result);
-            exec(ctx, rest, tables, guard_map, top, stats)
+            (p.lo, guard_map.get(&(p.lo, p.hi)).cloned(), p.lo, p.hi)
         }
         CsmRule::Sm { a, b } => {
             let m = lat.meet(a, b);
-            let m_vars: Vec<u32> = lat.set_of(m).unwrap().iter().collect();
-            let from_tables = || {
-                let t = match tables.get(&b) {
-                    Some(t) => Cow::Borrowed(&*t.rel),
-                    None => empty(lat, b),
-                };
-                let mut order = m_vars.clone();
-                order.extend(t.vars().iter().copied().filter(|v| !m_vars.contains(v)));
-                Arc::new(TrieIndex::build(&t, &order))
-            };
             let guard = if m == lat.bottom() {
-                from_tables()
+                // Λ0̂ is empty: T(b) in any order is keyed on it.
+                let t = &tables.get(&b).ok_or(JoinError::NoCsmSequence)?.rel;
+                Some(Arc::new(TrieIndex::build(t, t.vars())))
             } else {
-                match guard_map.get(&(m, b)) {
-                    // Guard tries are stored conditioning-first, so a hit
-                    // already has Λm as its prefix.
-                    Some(g) if g.vars().starts_with(&m_vars) => Arc::clone(g),
-                    Some(g) => {
-                        let mut order = m_vars.clone();
-                        order.extend(g.vars().iter().copied().filter(|v| !m_vars.contains(v)));
-                        Arc::new(TrieIndex::build(&g.to_relation(), &order))
-                    }
-                    None => from_tables(),
-                }
+                guard_map.get(&(m, b)).cloned()
             };
-            let join = lat.join(a, b);
-            let result = join_into(ctx, &tables, a, &guard, m_vars.len(), join, stats)?;
-            tables.insert(join, result);
-            exec(ctx, rest, tables, guard_map, top, stats)
+            (a, guard, m, lat.join(a, b))
         }
-    }
-}
-
-/// The empty table of element `e`.
-fn empty(lat: &fdjoin_lattice::Lattice, e: ElemId) -> Cow<'static, Relation> {
-    Cow::Owned(Relation::new(lat.set_of(e).unwrap().iter().collect()))
-}
-
-/// Join `T(a)` with `guard` on the guard's first `prefix_len` columns,
-/// expanding each result to `Λ(target)` and verifying FDs: one
-/// [`extend`] step with the guard as its only side. The result is
-/// `T(target)`, verified.
-fn join_into(
-    ctx: &Ctx<'_>,
-    tables: &Tables<'_>,
-    a: ElemId,
-    guard: &TrieIndex,
-    prefix_len: usize,
-    target: ElemId,
-    stats: &mut Stats,
-) -> Result<Table<'static>, JoinError> {
-    let lat = ctx.lat;
-    let ta = match tables.get(&a) {
-        Some(t) => Cow::Borrowed(&*t.rel),
-        None => empty(lat, a),
     };
+    // Every guard is stored with its conditioning variables first: a
+    // pair's as the plan orders it, a CD's X-first.
+    let guard = guard.ok_or(JoinError::NoCsmSequence)?;
+    let meet_set = lat.set_of(meet).unwrap();
+    let prefix_len = meet_set.len() as usize;
+    debug_assert_eq!(
+        VarSet::from_vars(guard.vars()[..prefix_len].iter().copied()),
+        meet_set,
+        "guards are keyed conditioning-first"
+    );
+    let left = &tables.get(&a).ok_or(JoinError::NoCsmSequence)?.rel;
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();
-    // Every candidate binds vars(T(a)) ∪ vars(guard): one program per call.
-    let guard_set = VarSet::from_vars(guard.vars().iter().copied());
-    let side = Side {
-        trie: guard,
-        key_cols: guard.vars()[..prefix_len]
-            .iter()
-            .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
-            .collect(),
-        program: ctx
-            .ex
-            .compile_fused(ta.var_set().union(guard_set), target_set)?,
-    };
-    let rel = extend(ctx.par, &ta, &[side], false, &out_vars, ctx.nv, stats);
-    Ok(Table {
-        rel: Cow::Owned(rel),
-        verified: true,
-    })
+    let side = Side::guarded(ctx.ex, left, &guard, prefix_len, target_set)?;
+    let rel = extend(ctx.par, left, &[side], false, &out_vars, ctx.nv, stats);
+    tables.insert(
+        target,
+        Table {
+            rel: Cow::Owned(rel),
+            verified: true,
+        },
+    );
+    exec(ctx, rest, tables, guard_map, top, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{csma_join, Algorithm, Engine, ExecOptions};
-    use fdjoin_instances::reference_join;
+    use crate::engine::{csma_join, log_sizes_of, Algorithm, Engine, ExecOptions};
+    use crate::par::ParCtx;
+    use fdjoin_bigint::rat;
+    use fdjoin_instances::{normal_worst_case, reference_join};
+    use fdjoin_storage::IndexSet;
 
     #[test]
     fn triangle_matches_naive() {
@@ -481,5 +425,32 @@ mod tests {
         // The degree bound tightens the budget below 3/2·n.
         let plain = csma_join(&q, &db).unwrap();
         assert!(got.predicted_log_bound.unwrap() <= plain.predicted_log_bound.unwrap());
+    }
+
+    #[test]
+    fn an_operand_no_rule_produced_is_no_csm_sequence() {
+        // Fig. 9's sequence with its first CD dropped: the SM rule after it
+        // joins the T(X) that CD would have made. (Its first rule, a CC
+        // re-deriving an input's table, is no such rule.)
+        let q = fdjoin_query::examples::fig9_query();
+        let db = normal_worst_case(&q, &vec![rat(6, 1); 3], &rat(9, 1)).unwrap();
+        let set = IndexSet::new();
+        let paths = AccessPaths::new(&set, &q, &db).unwrap();
+        let pres = q.lattice_presentation();
+        let got = execute(&q, &db, &pres, &paths, &ParCtx::sequential(), |lens| {
+            let mut plan = plan(&q, &pres, &log_sizes_of(lens), &[])?;
+            let cd = plan
+                .seq
+                .rules
+                .iter()
+                .position(|r| matches!(r, CsmRule::Cd { .. }));
+            plan.seq.rules.remove(cd.unwrap());
+            Ok(plan)
+        });
+        assert!(
+            matches!(got, Err(JoinError::NoCsmSequence)),
+            "{:?}",
+            got.map(|(out, _, _)| out.len())
+        );
     }
 }

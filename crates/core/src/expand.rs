@@ -480,7 +480,7 @@ impl<'a> Expander<'a> {
         if let Some(rel) = self.inputs[j].get() {
             return Ok(rel);
         }
-        let base = self.db.relation(&self.query.atoms()[j].name)?;
+        let base = self.base(j)?;
         let expanded = if base.is_sorted() && self.query.closure(base.var_set()) == base.var_set() {
             stats.intermediate_tuples += base.len() as u64;
             Cow::Borrowed(base)
@@ -488,6 +488,17 @@ impl<'a> Expander<'a> {
             Cow::Owned(self.expand_relation(base, stats)?)
         };
         Ok(self.inputs[j].get_or_init(|| expanded))
+    }
+
+    /// Atom `j`'s relation `R_j` as the database stores it.
+    fn base(&self, j: usize) -> Result<&'a Relation, MissingRelation> {
+        self.db.relation(&self.query.atoms()[j].name)
+    }
+
+    /// `R_j` for every atom, in atom order: what SMA's and CSMA's final
+    /// pass semijoin-reduces against.
+    pub(crate) fn bases(&self) -> Result<Vec<&'a Relation>, MissingRelation> {
+        (0..self.inputs.len()).map(|j| self.base(j)).collect()
     }
 
     /// `|R_j⁺|` for every atom, in atom order: the size profile CSMA plans

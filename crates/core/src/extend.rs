@@ -30,10 +30,14 @@
 //! None of this changes what is counted: one [`Stats::probes`] per side
 //! probed or checked, whatever the lookup cost.
 
+use crate::engine::JoinError;
 use crate::expand::{assemble, project, Program, Scratch};
 use crate::par::{for_blocks, merge, ParCtx};
-use crate::Stats;
+use crate::{Expander, Stats};
+use fdjoin_lattice::VarSet;
 use fdjoin_storage::{Finger, Found, ProbeSnapshot, Relation, TrieIndex, Value};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One right-hand side of an [`extend`] step.
 pub(crate) struct Side<'a> {
@@ -45,6 +49,52 @@ pub(crate) struct Side<'a> {
     /// What a candidate extended through this side runs: compiled for the
     /// bound set `vars(left) ∪ vars(trie)`.
     pub program: Program,
+}
+
+impl<'a> Side<'a> {
+    /// The side of a proof step: `trie` joined with `left` on the trie's
+    /// first `prefix_len` variables, every candidate expanded to `target`
+    /// and verified. Chain's per-atom sides, SMA's light part and CSMA's
+    /// guards are all made here.
+    pub fn guarded(
+        ex: &Expander<'_>,
+        left: &Relation,
+        trie: &'a TrieIndex,
+        prefix_len: usize,
+        target: VarSet,
+    ) -> Result<Side<'a>, JoinError> {
+        let bound = left
+            .var_set()
+            .union(VarSet::from_vars(trie.vars().iter().copied()));
+        Ok(Side {
+            trie,
+            key_cols: trie.vars()[..prefix_len]
+                .iter()
+                .map(|&v| left.col_of(v).expect("prefix bound on the left"))
+                .collect(),
+            program: ex.compile_fused(bound, target)?,
+        })
+    }
+}
+
+/// `trie`'s row ranges grouped by their first `prefix_len` values, the
+/// groups split into classes by `class(group size)`: SMA's heavy/light
+/// split and CSMA's degree buckets (Lemma 5.35). Classes come in ascending
+/// order and each holds its groups ascending, so any class materializes
+/// without re-sorting ([`TrieIndex::relation_of_ranges`]). Counts one
+/// [`Stats::probes`] per group.
+pub(crate) fn degree_split<K: Ord>(
+    trie: &TrieIndex,
+    prefix_len: usize,
+    class: impl Fn(usize) -> K,
+    stats: &mut Stats,
+) -> BTreeMap<K, Vec<Range<usize>>> {
+    let mut classes: BTreeMap<K, Vec<Range<usize>>> = BTreeMap::new();
+    for g in trie.group_ranges(prefix_len) {
+        stats.probes += 1;
+        classes.entry(class(g.len())).or_default().push(g);
+    }
+    classes
 }
 
 /// Extend every row of `left` through `sides` into a relation over

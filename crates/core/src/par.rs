@@ -35,7 +35,7 @@ use crate::expand::Program;
 use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::{Relation, Value};
+use fdjoin_storage::{MissingRelation, Relation, Value};
 use std::ops::Range;
 
 /// Per-solve parallelism context, resolved once by the engine (from
@@ -218,10 +218,10 @@ impl TopTables {
 }
 
 /// The shared final pass of SMA and CSMA: sort and dedup the union of the
-/// `T(1̂)` tables, semijoin-reduce it against every input relation (one
-/// sorted-order membership lookup per input) and verify FDs, fanning the
-/// per-row checks out over sub-range blocks. Rows survive into the
-/// returned relation exactly as in the sequential loop;
+/// `T(1̂)` tables, semijoin-reduce it against every input relation of
+/// `ex`'s query (one sorted-order membership lookup per input) and verify
+/// FDs, fanning the per-row checks out over sub-range blocks. Rows survive
+/// into the returned relation exactly as in the sequential loop;
 /// `output_tuples`/`probes` are counted per surviving/checked row inside
 /// each block, so totals are parallelism-invariant.
 ///
@@ -234,12 +234,12 @@ impl TopTables {
 /// pass keeps without it and assert that the row passes, counting into a
 /// throwaway [`Stats`].
 pub(crate) fn semijoin_reduce_verified(
-    inputs: &[&Relation],
     ex: &Expander<'_>,
     top: TopTables,
     par: &ParCtx,
     stats: &mut Stats,
-) -> Relation {
+) -> Result<Relation, MissingRelation> {
+    let inputs = ex.bases()?;
     let TopTables {
         rows: mut out,
         verified,
@@ -257,7 +257,7 @@ pub(crate) fn semijoin_reduce_verified(
         // One key buffer for every membership lookup of the block.
         let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
-            for rel in inputs {
+            for rel in &inputs {
                 stats.probes += 1;
                 key.clear();
                 key.extend(rel.vars().iter().map(|&v| row[v as usize]));
@@ -279,7 +279,7 @@ pub(crate) fn semijoin_reduce_verified(
         }
         reduced
     });
-    merge(parts)
+    Ok(merge(parts))
 }
 
 /// The merge step of every fan-out: the fragments [`for_blocks`] returned,

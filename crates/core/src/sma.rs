@@ -8,11 +8,13 @@
 //! Execution ([`execute`]): run each elementary compression as an
 //! *SM-join*: the light part of `T(Y)` (prefix degree `≤ 2^{h*(Y)−h*(Z)}`)
 //! joins with `T(X)` into `T(X ∨ Y)` — one [`extend`](crate::extend)
-//! step with the light part as its only side; the heavy prefixes become
-//! `T(X ∧ Y)`. Lemma 5.24 keeps every temporary within `2^{h*(·)}`.
+//! step with the light part as its only, guarded side; the heavy prefixes
+//! become `T(X ∧ Y)`. The split is CSMA's degree bucketing with a
+//! two-valued class ([`degree_split`]). Lemma 5.24 keeps every temporary
+//! within `2^{h*(·)}`.
 
 use crate::engine::JoinError;
-use crate::extend::{extend, Side};
+use crate::extend::{degree_split, extend, Side};
 use crate::par::TopTables;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
@@ -181,29 +183,19 @@ pub(crate) fn execute(
         let theta = h.get(step.y) - h.get(z);
         let threshold = degree_threshold(&theta);
 
-        // Partition T(Y) prefixes into light and heavy. The trie groups
-        // are ascending disjoint ranges, so both sides materialize without
-        // re-sorting.
-        let mut light_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut heavy_rows: Vec<usize> = Vec::new();
-        for g in ty.group_ranges(z_vars.len()) {
-            stats.probes += 1;
-            if (g.end - g.start) as u64 <= threshold {
-                light_ranges.push(g);
-            } else {
-                heavy_rows.push(g.start);
-            }
-        }
-        let light = ty.relation_of_ranges(light_ranges);
+        // Split T(Y)'s Z-prefixes into light (`false`) and heavy (`true`).
+        let zlen = z_vars.len();
+        let mut split = degree_split(&ty, zlen, |len| len as u64 > threshold, &mut stats);
+        let light = ty.relation_of_ranges(split.remove(&false).unwrap_or_default());
+        let heavy = split.remove(&true).unwrap_or_default();
         stats.branches += 1;
 
         // T(X ∧ Y) = Π_Z(T(X)) ∩ Π_Z(T(Y)) ∩ Heavy(Z): probe the heavy
         // prefixes against T(X)'s Z-trie, no key materialization.
         let tx_z = trie_of(&pool[xi], &z_vars, &mut stats)?;
-        let zlen = z_vars.len();
         let mut t_meet = Relation::new(z_vars.clone());
-        for &r in &heavy_rows {
-            let row = ty.row(r);
+        for g in &heavy {
+            let row = ty.row(g.start);
             let prefix = &row[..zlen];
             stats.probes += 1;
             if tx_z.contains(prefix) {
@@ -219,16 +211,9 @@ pub(crate) fn execute(
         let tx: &Relation = &pool[xi].rel;
         let out_vars: Vec<u32> = join_set.iter().collect();
         let light_trie = TrieIndex::build(&light, light.vars());
-        let side = Side {
-            trie: &light_trie,
-            key_cols: z_vars
-                .iter()
-                .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
-                .collect(),
-            // Every candidate binds vars(T(X)) ∪ vars(T(Y)): one program
-            // expands it to Λ(X ∨ Y) and verifies the FDs within.
-            program: ex.compile_fused(tx.var_set().union(light.var_set()), join_set)?,
-        };
+        // Every candidate binds vars(T(X)) ∪ vars(T(Y)): one program
+        // expands it to Λ(X ∨ Y) and verifies the FDs within.
+        let side = Side::guarded(&ex, tx, &light_trie, zlen, join_set)?;
         let t_join = extend(par, tx, &[side], false, &out_vars, nv, &mut stats);
 
         pool.push(Entry {
@@ -253,13 +238,7 @@ pub(crate) fn execute(
     for e in pool.iter().filter(|e| e.elem == lat.top()) {
         top.add(&e.rel, e.verified);
     }
-    let inputs: Vec<&Relation> = q
-        .atoms()
-        .iter()
-        .map(|a| db.relation(&a.name))
-        .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, top, par, &mut stats);
-
+    let reduced = crate::par::semijoin_reduce_verified(&ex, top, par, &mut stats)?;
     Ok((reduced, stats))
 }
 

@@ -408,14 +408,14 @@ impl Observer {
         let Some(core) = &self.core else {
             return Vec::new();
         };
-        let mut ring = core.ring.lock().unwrap();
+        let mut ring = core.ring.lock().expect("span ring lock poisoned");
         ring.spans.drain(..).collect()
     }
 
     /// Spans evicted from the bounded ring since creation.
     pub fn dropped_spans(&self) -> u64 {
         match &self.core {
-            Some(core) => core.ring.lock().unwrap().dropped,
+            Some(core) => core.ring.lock().expect("span ring lock poisoned").dropped,
             None => 0,
         }
     }

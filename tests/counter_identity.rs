@@ -57,10 +57,15 @@
 //!   at both sides of the change;
 //! - the Fig. 4 stream: `probes=40128 probes_per_row=9.7969` →
 //!   `probes=31936 probes_per_row=7.7969`, two per answer.
+//!
+//! The triangle's SMA and CSMA rows and the two degree-bound CSMA rows were
+//! printed at `6564c78`, before Chain, SMA and CSMA made their steps' sides
+//! through one constructor and SMA's heavy/light split and CSMA's degree
+//! buckets through one split; both must leave them as they are.
 
 use fdjoin::bigint::rat;
-use fdjoin::core::{Algorithm, Engine, ExecOptions};
-use fdjoin::instances::{fig1_adversarial, normal_worst_case};
+use fdjoin::core::{Algorithm, Engine, ExecOptions, UserDegreeBound};
+use fdjoin::instances::{bounded_degree_triangle, fig1_adversarial, normal_worst_case};
 use fdjoin::query::{examples, Query};
 use fdjoin::storage::Database;
 use fdjoin::stream::ResultStream;
@@ -68,7 +73,12 @@ use fdjoin::stream::ResultStream;
 /// `Stats::deterministic()` of one cold single-task execution, rendered
 /// (or the planning error, for a query the algorithm does not apply to).
 fn counters(q: &Query, db: &Database, alg: Algorithm) -> String {
-    let opts = ExecOptions::new().algorithm(alg).parallelism(1);
+    counters_under(q, db, &ExecOptions::new().algorithm(alg))
+}
+
+/// [`counters`] under `opts`, run on one task.
+fn counters_under(q: &Query, db: &Database, opts: &ExecOptions) -> String {
+    let opts = opts.clone().parallelism(1);
     match Engine::new().prepare(q).execute(db, &opts) {
         Ok(r) => format!("rows={} {}", r.output.len(), r.stats.deterministic()),
         Err(e) => format!("error: {e}"),
@@ -150,6 +160,60 @@ fn a_triangle_generic_join_counts_the_pinned_work() {
         "rows=4096 work=9008 probes=4912 intermediate=0 output=4096 expansions=0 branches=0 index=0b/0h",
         "triangle/generic_join"
     );
+}
+
+/// SMA and CSMA on the same triangle: every proof step a join of a table
+/// with one guarded side, SMA's split heavy/light and CSMA's by
+/// `⌊log₂ degree⌋`.
+#[test]
+fn a_triangle_sma_and_csma_count_the_pinned_work() {
+    let q = examples::triangle();
+    let db = normal_worst_case(&q, &vec![rat(8, 1); 3], &rat(12, 1))
+        .expect("even exponent gives integral coefficients");
+    for (alg, expect) in [
+        (
+            Algorithm::Sma,
+            "rows=4096 work=21521 probes=12561 intermediate=4864 output=4096 expansions=0 branches=2 index=0b/0h",
+        ),
+        (
+            Algorithm::Csma,
+            "rows=4096 work=25890 probes=12322 intermediate=9472 output=4096 expansions=0 branches=1 index=0b/0h",
+        ),
+    ] {
+        assert_eq!(counters(&q, &db, alg), expect, "triangle/{alg:?}");
+    }
+}
+
+/// CSMA under degree bounds the data satisfies: `R(x, y)` has four `y`
+/// per `x` and one `x` per `y`. The bound's pair is guarded by `R`'s trie
+/// ordered conditioning-first: `[x, y]` for the bound on `x` (the atom's
+/// own order), `[y, x]` for the one on `y`.
+#[test]
+fn csma_under_a_satisfied_degree_bound_counts_the_pinned_work() {
+    let q = examples::triangle();
+    let db = bounded_degree_triangle(256, 4);
+    assert_eq!(db.relation("R").unwrap().max_degree(1), 4);
+    for (var, max_degree, expect) in [
+        (
+            "x",
+            4,
+            "rows=4 work=5833 probes=2501 intermediate=3328 output=4 expansions=0 branches=2 index=0b/0h",
+        ),
+        (
+            "y",
+            1,
+            "rows=4 work=3589 probes=1793 intermediate=1792 output=4 expansions=0 branches=2 index=0b/0h",
+        ),
+    ] {
+        let opts = ExecOptions::new()
+            .algorithm(Algorithm::Csma)
+            .degree_bound(UserDegreeBound {
+                atom: 0,
+                on: vec![q.var_id(var).unwrap()],
+                max_degree,
+            });
+        assert_eq!(counters_under(&q, &db, &opts), expect, "bound on {var}");
+    }
 }
 
 /// A warm execution — plans and tries cached by the first — counts exactly
