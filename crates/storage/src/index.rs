@@ -41,8 +41,9 @@
 //!   is always sound — across repeated executions, batch drivers, worker
 //!   threads, and delta batches — and a version bump misses. A bump by
 //!   [`Relation::apply_delta`] misses cheaply: the successor's full-arity
-//!   tries are derived from the predecessor's resident ones (untouched root
-//!   subtries block-copied, touched ones re-pushed) and replace them.
+//!   tries are carried from the predecessor's resident ones, whose level
+//!   arrays are edited in place (touched root subtries re-pushed, untouched
+//!   runs moved within the same buffers), and replace them.
 //!   Every other superseded version stops being touched and ages out
 //!   LRU-wise under a per-slot version cap and a total **byte budget**
 //!   ([`TrieIndex::heap_bytes`]-accounted, so eviction pressure tracks
@@ -54,7 +55,7 @@
 //! per row (an odometer over the `starts` arrays), or [`TrieIndex::row`]
 //! for random access to a single row.
 
-use crate::relation::{identity_permutation, Relation};
+use crate::relation::{identity_permutation, splice_in_place, Relation};
 use crate::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -127,23 +128,6 @@ impl LevelBuilder {
         }
     }
 
-    /// A builder whose level arrays are allocated at exactly `nodes[l]`
-    /// entries (plus the `starts` sentinels), for a caller that knows the
-    /// final shape.
-    fn with_capacity(vars: Vec<u32>, nodes: &[usize]) -> LevelBuilder {
-        let a = nodes.len();
-        LevelBuilder {
-            vars,
-            values: nodes.iter().map(|&n| Vec::with_capacity(n)).collect(),
-            starts: nodes[..a.saturating_sub(1)]
-                .iter()
-                .map(|&n| Vec::with_capacity(n + 1))
-                .collect(),
-            rows: 0,
-            last: Vec::with_capacity(a),
-        }
-    }
-
     /// Append one projected row (must be strictly greater than the
     /// previous one in lexicographic order).
     fn push(&mut self, row: &[Value]) {
@@ -167,30 +151,6 @@ impl LevelBuilder {
         self.last.clear();
         self.last.extend_from_slice(row);
         self.rows += 1;
-    }
-
-    /// Append root subtries `roots` of `ix` wholesale: per level one block
-    /// copy of the node values, and the child offsets shifted from where
-    /// they sat in `ix` to where their children land here. The roots must
-    /// all be greater than every root pushed so far.
-    fn copy_roots(&mut self, ix: &TrieIndex, roots: Range<usize>) {
-        if roots.is_empty() {
-            return;
-        }
-        let a = self.values.len();
-        let (mut lo, mut hi) = (roots.start, roots.end);
-        for l in 0..a {
-            self.values[l].extend_from_slice(&ix.values[l][lo..hi]);
-            if l + 1 < a {
-                let (from, to) = (ix.starts[l][lo], node_offset(self.values[l + 1].len()));
-                let shifted = ix.starts[l][lo..hi].iter().map(|&s| s - from + to);
-                self.starts[l].extend(shifted);
-                (lo, hi) = (from as usize, ix.starts[l][hi] as usize);
-            }
-        }
-        // `lo..hi` now spans the copied leaves, i.e. rows.
-        self.rows += hi - lo;
-        self.last = ix.row(hi - 1);
     }
 
     fn finish(mut self) -> TrieIndex {
@@ -262,18 +222,20 @@ impl TrieIndex {
     /// This index with `plus` added and `minus` removed — `plus` and
     /// `minus` hold rows in this index's column order, sorted, `plus`
     /// disjoint from the indexed rows and `minus` contained in them — equal
-    /// to [`TrieIndex::build`] over the changed relation. Root subtries no
-    /// delta row falls in are copied wholesale ([`LevelBuilder::copy_roots`]);
-    /// only the touched root groups are re-pushed row by row, into level
-    /// arrays reserved at exactly their final sizes.
-    pub(crate) fn apply_delta(&self, plus: &Relation, minus: &Relation) -> TrieIndex {
+    /// to [`TrieIndex::build`] over the changed relation. The level arrays
+    /// are edited in place: at each level, each touched root group's node
+    /// range gives way to the group's re-pushed subtrie, the untouched runs
+    /// move by the net change before them (`splice_in_place`), and their
+    /// child offsets shift by the next level's net change.
+    pub(crate) fn apply_delta(mut self, plus: &Relation, minus: &Relation) -> TrieIndex {
         let a = self.arity();
         debug_assert!(a > 0 && plus.vars() == self.vars && minus.vars() == self.vars);
-        // The touched root groups, ascending: each one's position among
-        // this index's roots, whether its root value is already there, and
-        // its rows after the delta.
+        // The touched root groups, ascending: each one's node range among
+        // this index's roots (empty where its root value is new) and its
+        // subtrie after the delta.
         let roots = &self.values[0];
-        let mut groups: Vec<(usize, bool, Vec<Value>)> = Vec::new();
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let mut subs: Vec<TrieIndex> = Vec::new();
         let first = |rel: &Relation, i: usize| (i < rel.len()).then(|| rel.row(i)[0]);
         let (mut i, mut k) = (0, 0);
         while let Some(v) = [first(plus, i), first(minus, k)]
@@ -284,56 +246,68 @@ impl TrieIndex {
             let (add, drop) = (plus.prefix_range(&[v]), minus.prefix_range(&[v]));
             (i, k) = (add.end, drop.end);
             let root = lower_bound(roots, 0, roots.len(), v);
-            let present = roots.get(root) == Some(&v);
-            let old = if present {
-                self.first_row(0, root)..self.first_row(0, root + 1)
-            } else {
-                0..0
-            };
-            let mut rows = Vec::with_capacity((old.len() + add.len() - drop.len()) * a);
+            let span = root..root + usize::from(roots.get(root) == Some(&v));
+            let old = self.first_row(0, span.start)..self.first_row(0, span.end);
+            let mut sub = LevelBuilder::new(self.vars.clone());
             let (mut w, mut add, mut drop) = (self.walk(old), add.peekable(), drop.peekable());
             while let Some(row) = w.next() {
                 while let Some(j) = add.next_if(|&j| plus.row(j) < row) {
-                    rows.extend_from_slice(plus.row(j));
+                    sub.push(plus.row(j));
                 }
                 if drop.next_if(|&j| minus.row(j) == row).is_none() {
-                    rows.extend_from_slice(row);
+                    sub.push(row);
                 }
             }
-            add.for_each(|j| rows.extend_from_slice(plus.row(j)));
-            groups.push((root, present, rows));
+            add.for_each(|j| sub.push(plus.row(j)));
+            spans.push(span);
+            subs.push(sub.finish());
         }
-        // Exact level sizes: this index's, minus the touched groups' old
-        // nodes, plus their new ones.
-        let mut nodes: Vec<usize> = self.values.iter().map(Vec::len).collect();
-        for (root, present, rows) in &groups {
-            if *present {
-                let (mut lo, mut hi) = (*root, root + 1);
-                for (l, n) in nodes.iter_mut().enumerate() {
-                    *n -= hi - lo;
-                    if l + 1 < a {
-                        (lo, hi) = (self.starts[l][lo] as usize, self.starts[l][hi] as usize);
-                    }
-                }
+        for l in 0..a {
+            let edits: Vec<(Range<usize>, &[Value])> = spans
+                .iter()
+                .zip(&subs)
+                .map(|(span, sub)| (span.clone(), &sub.values[l][..]))
+                .collect();
+            splice_in_place(&mut self.values[l], &edits, |_, _| {});
+            if l + 1 == a {
+                break;
             }
-            // Each row opens one node per level from its first difference
-            // with the previous row on (every level for the group's first).
-            let mut prev: Option<&[Value]> = None;
-            for row in rows.chunks_exact(a) {
-                let d = prev.map_or(0, |p| first_difference(p, row));
-                nodes[d..].iter_mut().for_each(|n| *n += 1);
-                prev = Some(row);
+            // The groups' children one level down, where they start after
+            // the splice there, and how far each untouched run's children
+            // move: the net change of the groups before it.
+            let starts = &self.starts[l];
+            let next: Vec<Range<usize>> = spans
+                .iter()
+                .map(|s| starts[s.start] as usize..starts[s.end] as usize)
+                .collect();
+            // `shift[k]`: the net change of the first `k` groups, wrapping
+            // (a shrink is a negative shift).
+            let (mut shift, mut by) = (Vec::with_capacity(subs.len() + 1), 0u32);
+            let mut offsets: Vec<Vec<u32>> = Vec::with_capacity(subs.len());
+            for (span, sub) in next.iter().zip(&subs) {
+                shift.push(by);
+                let at = node_offset(span.start).wrapping_add(by);
+                let nodes = sub.values[l].len();
+                offsets.push(sub.starts[l][..nodes].iter().map(|&s| s + at).collect());
+                let grown =
+                    node_offset(sub.values[l + 1].len()).wrapping_sub(node_offset(span.len()));
+                by = by.wrapping_add(grown);
             }
+            shift.push(by);
+            let edits: Vec<(Range<usize>, &[u32])> = spans
+                .iter()
+                .zip(&offsets)
+                .map(|(span, o)| (span.clone(), &o[..]))
+                .collect();
+            splice_in_place(&mut self.starts[l], &edits, |run, children| {
+                children
+                    .iter_mut()
+                    .for_each(|s| *s = s.wrapping_add(shift[run]));
+            });
+            spans = next;
         }
-        let mut b = LevelBuilder::with_capacity(self.vars.clone(), &nodes);
-        let mut copied = 0;
-        for (root, present, rows) in &groups {
-            b.copy_roots(self, copied..*root);
-            rows.chunks_exact(a).for_each(|row| b.push(row));
-            copied = root + usize::from(*present);
-        }
-        b.copy_roots(self, copied..roots.len());
-        b.finish()
+        self.rows = self.values[a - 1].len();
+        self
     }
 
     /// The indexed column order.
@@ -1087,10 +1061,10 @@ struct Resident {
 }
 
 impl Resident {
-    fn remove(&mut self, key: &IndexKey) {
-        if let Some(e) = self.map.remove(key) {
-            self.bytes -= e.ix.heap_bytes();
-        }
+    fn remove(&mut self, key: &IndexKey) -> Option<Arc<TrieIndex>> {
+        let e = self.map.remove(key)?;
+        self.bytes -= e.ix.heap_bytes();
+        Some(e.ix)
     }
 
     fn lru_key(&self) -> Option<IndexKey> {
@@ -1108,8 +1082,9 @@ impl Resident {
 /// so a racing duplicate build is possible but harmless — a build never
 /// blocks a lookup). Version bumps invalidate by construction — the new
 /// version is a different key, so it misses — and a relation fresh from
-/// [`Relation::apply_delta`] derives its successor index from the
-/// resident predecessor, which it replaces ([`IndexSet::index_of`]).
+/// [`Relation::apply_delta`] takes the resident predecessor out of the
+/// set and carries it, spliced in place, to the successor that replaces
+/// it ([`IndexSet::index_of`]).
 /// Other superseded versions age out LRU-wise under a per-slot version cap
 /// (`MAX_VERSIONS_PER_SLOT`) and a total **byte budget**: the set tracks
 /// the [`TrieIndex::heap_bytes`] of its residents and evicts
@@ -1182,41 +1157,47 @@ impl IndexSet {
 
     /// [`IndexSet::get_or_build`] whose miss may start from a predecessor:
     /// the resident base index of the same slot at content version `from`.
-    /// `make` receives it when resident, and the index it returns *replaces*
-    /// that entry — a successor is not a sibling, so the predecessor is
-    /// neither left to age out nor counted as an eviction.
+    /// The predecessor leaves the map under the write lock before `make`
+    /// runs, and `make` receives it owned — unwrapped from its `Arc` when
+    /// nobody else holds it, else a clone of it, so a reader holding the
+    /// old version keeps its snapshot. The index `make` returns takes the
+    /// predecessor's place: a successor is not a sibling, so the
+    /// predecessor is neither left to age out nor counted as an eviction.
+    /// A racing builder of the same successor finds no predecessor and
+    /// builds from scratch; the first insert wins.
     fn fetch(
         &self,
         key: IndexKey,
         from: Option<u64>,
-        make: impl FnOnce(Option<&TrieIndex>) -> TrieIndex,
+        make: impl FnOnce(Option<TrieIndex>) -> TrieIndex,
     ) -> (Arc<TrieIndex>, bool) {
-        let predecessor = {
+        {
             let guard = self.resident.read().expect("index set lock poisoned");
             if let Some(hit) = guard.map.get(&key) {
                 self.touch(hit);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return (Arc::clone(&hit.ix), false);
             }
-            from.and_then(|v| {
-                let pred = IndexKey {
-                    kind: IndexKind::Base(v),
-                    ..key.clone()
-                };
-                let ix = Arc::clone(&guard.map.get(&pred)?.ix);
-                Some((pred, ix))
-            })
-        };
-        let ix = Arc::new(make(predecessor.as_ref().map(|(_, ix)| &**ix)));
+        }
+        let predecessor = from.and_then(|v| {
+            let pred = IndexKey {
+                kind: IndexKind::Base(v),
+                ..key.clone()
+            };
+            let ix = self
+                .resident
+                .write()
+                .expect("index set lock poisoned")
+                .remove(&pred)?;
+            Some(Arc::try_unwrap(ix).unwrap_or_else(|shared| TrieIndex::clone(&shared)))
+        });
+        let ix = Arc::new(make(predecessor));
         let mut guard = self.resident.write().expect("index set lock poisoned");
         if let Some(hit) = guard.map.get(&key) {
             // Raced with another builder; their copy wins, ours is dropped.
             self.touch(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(&hit.ix), false);
-        }
-        if let Some((pred, _)) = &predecessor {
-            guard.remove(pred);
         }
         // Age out version siblings past the per-slot cap (superseded
         // versions stop being touched and are the ones that leave).
@@ -1258,12 +1239,14 @@ impl IndexSet {
     /// Index database relation `rel` under `(name, rel.version(), order)`.
     ///
     /// On a miss for a full-arity order of a relation whose last mutation
-    /// was a [`Relation::apply_delta`], the index is *derived* from the
-    /// predecessor version's resident entry in the same order
-    /// (`TrieIndex::apply_delta`: untouched root subtries block-copied,
-    /// touched ones re-pushed) and replaces it; the result equals
-    /// [`TrieIndex::build`]. Projection orders, relations with no lineage
-    /// and evicted predecessors build from scratch.
+    /// was a [`Relation::apply_delta`], the index is *carried* from the
+    /// predecessor version's resident entry in the same order, which leaves
+    /// the map first: `TrieIndex::apply_delta` splices the touched root
+    /// groups into its level arrays in place (into a clone of them when a
+    /// reader still holds the predecessor), and the result, equal to
+    /// [`TrieIndex::build`], replaces it. Projection orders, relations with
+    /// no lineage, evicted predecessors and a racing builder that finds the
+    /// predecessor already taken build from scratch.
     pub fn index_of(&self, name: &str, rel: &Relation, order: &[u32]) -> (Arc<TrieIndex>, bool) {
         let key = IndexKey::base(name, rel, order.to_vec());
         let lineage = rel.lineage().filter(|_| order.len() == rel.arity());
@@ -1803,7 +1786,7 @@ mod tests {
             let Some(l) = rel.lineage() else {
                 return Ok(()); // nothing changed
             };
-            for (order, old) in orders.iter().zip(&before) {
+            for (order, old) in orders.iter().zip(before) {
                 let carried = old.apply_delta(&l.plus.project(order), &l.minus.project(order));
                 prop_assert_eq!(&carried, &TrieIndex::build(&rel, order), "order {:?}", order);
                 for k in 0..arity {
@@ -1836,6 +1819,49 @@ mod tests {
             "a replacement is no eviction"
         );
         assert!(!set.index_of("R", &r, &[1, 0]).1, "the successor hits");
+    }
+
+    /// The level buffers of `ix`, by address.
+    fn level_addresses(ix: &TrieIndex) -> Vec<usize> {
+        let values = ix.values.iter().map(|v| v.as_ptr() as usize);
+        values
+            .chain(ix.starts.iter().map(|s| s.as_ptr() as usize))
+            .collect()
+    }
+
+    #[test]
+    fn an_unshared_predecessor_is_carried_in_its_own_buffers() {
+        let set = IndexSet::new();
+        let mut r = Relation::from_rows(vec![0, 1], (0..64u64).map(|i| [i / 4, i]));
+        set.index_of("R", &r, &[0, 1]);
+        // The first carry fits the built levels to their lengths.
+        r.apply_delta([[3u64, 100]], [[0u64, 0]]);
+        let before = level_addresses(&set.index_of("R", &r, &[0, 1]).0);
+        // As many nodes enter each level as leave it: root 1 loses a child
+        // and root 5 gains one.
+        r.apply_delta([[5u64, 200]], [[1u64, 4]]);
+        let (after, built) = set.index_of("R", &r, &[0, 1]);
+        assert!(built, "a new version misses once");
+        assert_eq!(level_addresses(&after), before, "spliced where it lies");
+        assert_eq!(*after, TrieIndex::build(&r, &[0, 1]));
+    }
+
+    #[test]
+    fn a_held_predecessor_keeps_its_snapshot() {
+        let set = IndexSet::new();
+        let mut r = Relation::from_rows(vec![0, 1], (0..64u64).map(|i| [i / 4, i]));
+        let old = r.clone();
+        let (held, _) = set.index_of("R", &r, &[1, 0]);
+        r.apply_delta([[3u64, 100], [99, 1]], [[0u64, 0], [15, 63]]);
+        let (after, built) = set.index_of("R", &r, &[1, 0]);
+        assert!(built);
+        assert_eq!(
+            *held,
+            TrieIndex::build(&old, &[1, 0]),
+            "the reader's version is intact"
+        );
+        assert_eq!(*after, TrieIndex::build(&r, &[1, 0]));
+        assert_eq!(set.len(), 1, "the clone replaced the predecessor");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Row-major relations with sort-order (trie-equivalent) prefix indexes.
 
 use crate::index::TrieIndex;
-use crate::stats::RelationStats;
+use crate::stats::{RelationStats, TouchedGroups};
 use crate::{Finger, Found, Value};
 use fdjoin_lattice::VarSet;
 use std::cmp::Ordering;
@@ -72,8 +72,8 @@ pub struct Relation {
 
 /// What one [`Relation::apply_delta`] changed: the version it started from
 /// and the net rows it added and removed (sorted, in the relation's column
-/// order). The access-path layer derives the successor's tries from the
-/// predecessor's with it ([`crate::IndexSet::index_of`]).
+/// order). The access-path layer carries the predecessor's tries to the
+/// successor with it ([`crate::IndexSet::index_of`]).
 #[derive(Debug)]
 pub(crate) struct Lineage {
     /// The predecessor's [`Relation::version`].
@@ -317,16 +317,18 @@ impl Relation {
     /// (a row both deleted and inserted in the same delta is present
     /// afterwards). Rows must be in this relation's column order.
     ///
-    /// The cost is the delta's plus one copy of the rows: each key of the
-    /// sorted union of inserts and deletes is located by binary search from
-    /// the previous key's position, and every untouched run of stored rows
-    /// moves with one block copy into a buffer of exactly the new size —
-    /// `O(|delta| log len)` compares and a memcpy, never a per-row merge.
-    /// Cached [`Relation::stats`] are carried to the new rows by recounting
-    /// only the prefix groups the delta touched, and the relation records
+    /// The rows are edited where they lie: each key of the sorted union of
+    /// inserts and deletes is located by binary search from the previous
+    /// key's position, and each untouched run of stored rows moves by the
+    /// net change before it with one `copy_within` inside the same buffer
+    /// (a run with no net change before it stays put) — `O(|delta| log
+    /// len)` compares, no new buffer, never a per-row merge. Cached
+    /// [`Relation::stats`] are carried to the new rows by recounting,
+    /// before and after the splice, only the prefix groups the delta
+    /// touched, and the relation records
     /// its lineage — the predecessor version and the net rows added and
-    /// removed — from which [`crate::IndexSet::index_of`] derives the
-    /// successor's tries instead of rebuilding them.
+    /// removed — with which [`crate::IndexSet::index_of`] carries the
+    /// predecessor's tries to the successor instead of rebuilding them.
     ///
     /// The relation is left sorted + deduplicated, and the returned
     /// [`DeltaApplied`] counts only *actual* changes — deleting an absent
@@ -405,46 +407,44 @@ impl Relation {
             return DeltaApplied::default();
         }
 
-        // Splice: untouched runs move by block copy, edits in between.
-        let added = edits.iter().filter(|e| e.1.is_some()).count();
-        let applied = DeltaApplied {
-            added,
-            removed: edits.len() - added,
-        };
-        let mut data = Vec::with_capacity((n + applied.added - applied.removed) * a);
+        // The net rows, and each edit as a splice of the row buffer.
         let mut plus = Relation::new(self.vars.clone());
         let mut minus = Relation::new(self.vars.clone());
-        let mut copied = 0;
-        for &(at, insert) in &edits {
-            data.extend_from_slice(&self.data[copied * a..at * a]);
-            copied = at;
-            match insert {
+        let splice: Vec<(Range<usize>, &[Value])> = edits
+            .iter()
+            .map(|&(at, insert)| match insert {
                 Some(i) => {
-                    data.extend_from_slice(ins.row(i));
                     plus.push_row(ins.row(i));
+                    (at * a..at * a, ins.row(i))
                 }
                 None => {
                     minus.push_row(self.row(at));
-                    copied = at + 1;
+                    (at * a..(at + 1) * a, &[][..])
                 }
-            }
-        }
-        data.extend_from_slice(&self.data[copied * a..]);
+            })
+            .collect();
+        let applied = DeltaApplied {
+            added: plus.len(),
+            removed: minus.len(),
+        };
 
         let from = self.version();
         let stats = self.stats.take();
-        let old = Relation {
-            data: std::mem::replace(&mut self.data, data),
-            ..Relation::new(self.vars.clone())
-        };
+        // The touched rows in ascending order (the edits' keys), and the
+        // sizes of the groups they fall in before the splice.
+        let mut removed = 0..minus.len();
+        let touched: Vec<&[Value]> = edits
+            .iter()
+            .map(|&(_, insert)| match insert {
+                Some(i) => ins.row(i),
+                None => minus.row(removed.next().expect("one removed row per delete")),
+            })
+            .collect();
+        let before = stats.as_ref().map(|_| TouchedGroups::of(self, &touched));
+        splice_in_place(&mut self.data, &splice, |_, _| {});
         self.touch();
-        if let Some(stats) = stats {
-            // The touched rows in ascending order: the edits' keys.
-            let touched: Vec<&[Value]> = edits
-                .iter()
-                .map(|&(at, insert)| insert.map_or_else(|| old.row(at), |i| ins.row(i)))
-                .collect();
-            if let Some(carried) = stats.carried(&old, self, &touched) {
+        if let (Some(stats), Some(before)) = (stats, before) {
+            if let Some(carried) = stats.carried(&before, &TouchedGroups::of(self, &touched)) {
                 let _ = self.stats.set(carried);
             }
         }
@@ -697,6 +697,54 @@ pub(crate) fn identity_permutation(n: usize) -> Vec<u32> {
     (0..n).collect()
 }
 
+/// Replace each `old` range of `buf` by its `new` slice, in place — the
+/// splice [`Relation::apply_delta`] and [`TrieIndex`]'s carry share.
+/// `edits` ascend and their ranges are disjoint.
+///
+/// Run `k`, the untouched elements after the first `k` edits, moves by the
+/// net size change of those edits with one `copy_within`: runs moving left
+/// first, in ascending order, then runs moving right, in descending order,
+/// so no run is overwritten before it moves. `moved(k, run)` then sees
+/// each run at its new place (a trie's child offsets shift there), and the
+/// edits' slices are written last. Growth reserves exactly and shrinking
+/// gives the slack back, so `capacity == len` holds after every splice.
+pub(crate) fn splice_in_place<T: Copy + Default>(
+    buf: &mut Vec<T>,
+    edits: &[(Range<usize>, &[T])],
+    mut moved: impl FnMut(usize, &mut [T]),
+) {
+    // Each run's old range and how far it moves.
+    let mut runs: Vec<(Range<usize>, isize)> = Vec::with_capacity(edits.len() + 1);
+    let (mut from, mut by) = (0, 0isize);
+    for (old, new) in edits {
+        runs.push((from..old.start, by));
+        by += new.len() as isize - old.len() as isize;
+        from = old.end;
+    }
+    runs.push((from..buf.len(), by));
+    let len = buf.len().wrapping_add_signed(by);
+    if len > buf.len() {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, T::default());
+    }
+    let to = |(run, by): &(Range<usize>, isize)| run.start.wrapping_add_signed(*by);
+    for run in runs.iter().filter(|r| r.1 < 0) {
+        buf.copy_within(run.0.clone(), to(run));
+    }
+    for run in runs.iter().rev().filter(|r| r.1 > 0) {
+        buf.copy_within(run.0.clone(), to(run));
+    }
+    buf.truncate(len);
+    buf.shrink_to_fit();
+    for (k, run) in runs.iter().enumerate() {
+        moved(k, &mut buf[to(run)..to(run) + run.0.len()]);
+    }
+    for ((old, new), (_, by)) in edits.iter().zip(&runs) {
+        let at = old.start.wrapping_add_signed(*by);
+        buf[at..at + new.len()].copy_from_slice(new);
+    }
+}
+
 enum RowIter<'a> {
     Chunks(std::slice::ChunksExact<'a, Value>),
     Nullary(usize),
@@ -722,6 +770,8 @@ impl<'a> Iterator for RowIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn rel3() -> Relation {
         let mut r = Relation::from_rows(vec![0, 1], [[1, 10], [1, 11], [2, 10], [1, 10], [3, 30]]);
@@ -945,6 +995,107 @@ mod tests {
         r.apply_delta([[1u64, 12], [4, 40]], [[2u64, 10]]);
         assert!(r.stats.get().is_some(), "carried, not dropped");
         assert_eq!(r.stats(), Some(&RelationStats::of(&r)));
+    }
+
+    /// Apply `inserts` and `deletes` to the relation of `rows` whose
+    /// statistics are cached, and check the result against the relation
+    /// and statistics computed from scratch over the changed row set.
+    fn assert_delta_matches_a_rebuild(
+        rows: &[[Value; 2]],
+        inserts: &[[Value; 2]],
+        deletes: &[[Value; 2]],
+    ) {
+        let mut rel = Relation::from_rows(vec![0, 1], rows);
+        rel.sort_dedup();
+        rel.stats().expect("sorted");
+        let before: BTreeSet<[Value; 2]> = rows.iter().copied().collect();
+        let mut after = before.clone();
+        after.retain(|r| !deletes.contains(r));
+        after.extend(inserts);
+        let applied = rel.apply_delta(inserts, deletes);
+        let mut want = Relation::from_rows(vec![0, 1], &after);
+        want.sort_dedup();
+        assert_eq!(rel, want, "inserts {inserts:?}, deletes {deletes:?}");
+        assert!(rel.is_sorted());
+        assert_eq!(applied.added, after.difference(&before).count());
+        assert_eq!(applied.removed, before.difference(&after).count());
+        assert_eq!(rel.stats(), Some(&RelationStats::of(&want)));
+        assert_eq!(rel.data.capacity(), rel.data.len(), "no slack kept");
+    }
+
+    /// The splice at the buffer's edges and around its edits, one named
+    /// case each (stored rows all have first value 1..=3).
+    #[test]
+    fn apply_delta_splices_at_the_edges() {
+        let rows = [[1, 1], [1, 2], [2, 1], [2, 5], [3, 3]];
+        let check = |inserts: &[[Value; 2]], deletes: &[[Value; 2]]| {
+            assert_delta_matches_a_rebuild(&rows, inserts, deletes)
+        };
+        check(&[[0, 9]], &[]); // an insert before row 0
+        check(&[], &[[3, 3]]); // the last row deleted
+        check(&[], &[[1, 1]]); // the first row deleted
+        check(&[[2, 2], [2, 6]], &[[2, 5]]); // inserts on both sides of a delete
+        check(&[[0, 0], [1, 3], [4, 4], [9, 9]], &[[2, 1]]); // net growth
+        check(&[[2, 3]], &[[1, 1], [1, 2], [3, 3]]); // net shrink
+        check(&[[7, 7]], &rows); // every row replaced
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random batches over a small value domain: inserts below row 0
+        /// and past the last row (values 0 and 6 are never stored), deletes
+        /// of stored rows picked by position (the last one included) and of
+        /// absent rows, and inserts next to the deleted rows.
+        #[test]
+        fn apply_delta_matches_a_rebuild(
+            rows in proptest::collection::vec((1u64..6, 1u64..6), 0..24),
+            inserts in proptest::collection::vec((0u64..7, 0u64..7), 0..6),
+            picks in proptest::collection::vec(0usize..32, 0..6),
+            absent in proptest::collection::vec((0u64..7, 0u64..7), 0..3),
+            delete_last in any::<bool>(),
+            beside in proptest::collection::vec((0usize..32, 0u64..2), 0..4),
+        ) {
+            let rows: Vec<[Value; 2]> = rows.into_iter().map(|(x, y)| [x, y]).collect();
+            let mut stored = rows.clone();
+            stored.sort();
+            stored.dedup();
+            let pick = |i: usize| stored.get(i % stored.len().max(1)).copied();
+            let mut deletes: Vec<[Value; 2]> = picks.iter().filter_map(|&i| pick(i)).collect();
+            deletes.extend(absent.into_iter().map(|(x, y)| [x, y]));
+            deletes.extend(stored.last().filter(|_| delete_last));
+            let mut inserts: Vec<[Value; 2]> = inserts.into_iter().map(|(x, y)| [x, y]).collect();
+            inserts.extend(beside.iter().filter_map(|&(i, up)| {
+                let [x, y] = pick(i)?;
+                Some([x, if up == 1 { y + 1 } else { y.saturating_sub(1) }])
+            }));
+            assert_delta_matches_a_rebuild(&rows, &inserts, &deletes);
+        }
+    }
+
+    /// A batch with as many inserts as deletes moves the untouched rows
+    /// within the buffer the relation already has.
+    #[test]
+    fn a_balanced_delta_keeps_the_row_buffer() {
+        let mut r = Relation::from_rows(vec![0, 1], (0..64u64).map(|i| [i / 4, i]));
+        // The first splice fits the buffer to its rows (a push-built
+        // relation may hold slack).
+        r.apply_delta([[100u64, 0]], [[0u64, 0]]);
+        let at = r.data.as_ptr();
+        let applied = r.apply_delta(
+            [[0u64, 0], [7, 1000], [200, 1]],
+            [[1u64, 4], [5, 20], [100, 0]],
+        );
+        assert_eq!(
+            applied,
+            DeltaApplied {
+                added: 3,
+                removed: 3
+            }
+        );
+        assert_eq!(r.data.as_ptr(), at, "spliced where it lies");
+        assert_eq!(r.len(), 64);
+        assert!(r.contains_row(&[7, 1000]) && !r.contains_row(&[5, 20]));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! caches them, so relations nobody plans from (intermediates, join
 //! outputs) never pay for them. A cached set follows
 //! [`Relation::apply_delta`](crate::Relation::apply_delta) to the next
-//! version: only the prefix groups the delta touched are recounted, and
+//! version: only the prefix groups the delta touched are recounted (their
+//! sizes read just before and just after the rows are spliced), and
 //! per-level counts of the groups sitting at each maximum keep a shrinking
 //! maximum exact — only when every group at a maximum was touched and all
 //! of them shrank does the next read recompute from scratch. Every other
@@ -80,27 +81,28 @@ impl RelationStats {
         acc.finish()
     }
 
-    /// These statistics carried from `old` to `new`, the same relation
-    /// before and after a delta whose changed rows are `touched` (ascending;
-    /// each present in exactly one of the two). Only the prefix groups the
-    /// touched rows fall in are recounted, by bisection in `old` and `new`.
-    /// `None` when some level's maximum cannot be known without a scan: every
-    /// group at it was touched and all of them shrank.
+    /// These statistics carried across a delta, from the sizes of the
+    /// prefix groups its rows touched before and after it was applied
+    /// ([`TouchedGroups::of`] over the same touched rows). Only those
+    /// groups were recounted; every other group kept its size. `None` when
+    /// some level's maximum cannot be known without a scan: every group at
+    /// it was touched and all of them shrank.
     pub(crate) fn carried(
         &self,
-        old: &Relation,
-        new: &Relation,
-        touched: &[&[Value]],
+        before: &TouchedGroups,
+        after: &TouchedGroups,
     ) -> Option<RelationStats> {
         let mut s = self.clone();
-        s.cardinality = new.len() as u64;
+        s.cardinality = after.rows;
         let mut changes: Vec<(u64, u64)> = Vec::new();
         for k in 0..self.arity() {
             // Degree: the touched (k+1)-prefix groups, before and after.
             changes.clear();
             changes.extend(
-                distinct_prefixes(touched, k + 1)
-                    .map(|p| (old.prefix_count(p) as u64, new.prefix_count(p) as u64)),
+                before.degree[k]
+                    .iter()
+                    .copied()
+                    .zip(after.degree[k].iter().copied()),
             );
             let born = changes.iter().filter(|c| c.0 == 0).count() as u64;
             let gone = changes.iter().filter(|c| c.1 == 0).count() as u64;
@@ -114,8 +116,10 @@ impl RelationStats {
             } else {
                 changes.clear();
                 changes.extend(
-                    distinct_prefixes(touched, k)
-                        .map(|p| (old.fan_out(p) as u64, new.fan_out(p) as u64)),
+                    before.branch[k - 1]
+                        .iter()
+                        .copied()
+                        .zip(after.branch[k - 1].iter().copied()),
                 );
                 carry_max(&mut s.max_branch[k], &mut s.at_max_branch[k], &changes)?;
             }
@@ -188,6 +192,46 @@ impl RelationStats {
         (1..self.arity())
             .map(|len| self.skew(len))
             .fold(1.0, f64::max)
+    }
+}
+
+/// The sizes of the prefix groups a delta's rows fall in, read from one
+/// version of the relation: what [`RelationStats::carried`] compares
+/// before and after the delta is spliced in.
+#[derive(Debug)]
+pub(crate) struct TouchedGroups {
+    /// Rows in the relation.
+    rows: u64,
+    /// `degree[k]` — rows in each distinct `(k+1)`-prefix of the touched
+    /// rows, in order (0 for a group not present).
+    degree: Vec<Vec<u64>>,
+    /// `branch[k - 1]` — distinct `(k+1)`-prefixes below each distinct
+    /// `k`-prefix of the touched rows (`1 ≤ k < arity`).
+    branch: Vec<Vec<u64>>,
+}
+
+impl TouchedGroups {
+    /// Measure the groups of `touched` (ascending rows) in `rel`, by
+    /// bisection.
+    pub(crate) fn of(rel: &Relation, touched: &[&[Value]]) -> TouchedGroups {
+        let a = rel.arity();
+        TouchedGroups {
+            rows: rel.len() as u64,
+            degree: (1..=a)
+                .map(|len| {
+                    distinct_prefixes(touched, len)
+                        .map(|p| rel.prefix_count(p) as u64)
+                        .collect()
+                })
+                .collect(),
+            branch: (1..a)
+                .map(|len| {
+                    distinct_prefixes(touched, len)
+                        .map(|p| rel.fan_out(p) as u64)
+                        .collect()
+                })
+                .collect(),
+        }
     }
 }
 
@@ -415,14 +459,14 @@ mod tests {
         assert!((s.max_skew() - 3.0).abs() < 1e-9);
     }
 
-    /// `old` with `deletes` removed and `inserts` added, and the touched
+    /// `rel` with `deletes` removed and `inserts` added, and the touched
     /// rows in ascending order.
     fn after(
-        old: &Relation,
+        rel: &Relation,
         inserts: &[[Value; 2]],
         deletes: &[[Value; 2]],
     ) -> (Relation, Vec<Vec<Value>>) {
-        let mut new = old.clone();
+        let mut new = rel.clone();
         new.apply_delta(inserts, deletes);
         let mut touched: Vec<Vec<Value>> =
             inserts.iter().chain(deletes).map(|r| r.to_vec()).collect();
@@ -443,7 +487,10 @@ mod tests {
         let (new, touched) = after(&old, &[[3, 2]], &[[1, 3]]);
         let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
         let carried = stats
-            .carried(&old, &new, &touched)
+            .carried(
+                &TouchedGroups::of(&old, &touched),
+                &TouchedGroups::of(&new, &touched),
+            )
             .expect("another group holds the max");
         assert_eq!(carried, RelationStats::of(&new));
         assert_eq!((carried.max_degree(1), carried.at_max_degree[0]), (3, 1));
@@ -457,7 +504,11 @@ mod tests {
         let stats = RelationStats::of(&old);
         let (new, touched) = after(&old, &[], &[[1, 3]]);
         let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
-        assert_eq!(stats.carried(&old, &new, &touched), None);
+        let (before, after) = (
+            TouchedGroups::of(&old, &touched),
+            TouchedGroups::of(&new, &touched),
+        );
+        assert_eq!(stats.carried(&before, &after), None);
         // Through the relation, the dropped cache recounts on next read.
         let mut rel = old.clone();
         rel.stats();
