@@ -20,7 +20,7 @@ use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::ChainBound;
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex};
 use std::sync::Arc;
 
 /// `log₂ |R_j|` (dyadic upper approximation) for each atom.
@@ -115,54 +115,14 @@ pub(crate) fn execute(
         q_prev = extend(par, &q_prev, &sides, use_argmin, &out_vars, nv, &mut stats);
     }
 
-    // Final answer: the last Q_i with its columns in ascending variable id.
+    // Final answer: the last Q_i with its columns in ascending variable id,
+    // reordered in its own buffer. The two orders differ by the variables
+    // of later levels with small ids: for Fig. 1, `[y, z, x, u]` to `[x, y,
+    // z, u]` sorts on `x` only.
     let all: Vec<u32> = (0..nv as u32).collect();
-    let output = reorder(&q_prev, &all);
+    let output = q_prev.reordered(&all);
     stats.output_tuples += output.len() as u64;
     Ok((output, stats))
-}
-
-/// The sorted relation `rel` with its columns in `order`, sorted — the
-/// rows of `TrieIndex::build(rel, order).to_relation()`, moving only what
-/// the new order moves.
-///
-/// Let `P` be the shortest prefix of `order` whose removal leaves the
-/// remaining columns in `rel`'s order. Rows agreeing on `P` are already in
-/// `order` among themselves (`rel` is sorted, and `P` is constant across
-/// them), so a *stable* sort on `P` alone yields `order` exactly; when `P`
-/// is empty nothing is sorted. Chain's final order differs from its level
-/// order by the variables of later levels with small ids: for Fig. 1,
-/// `[y, z, x, u]` to `[x, y, z, u]` sorts on `x` only.
-fn reorder(rel: &Relation, order: &[u32]) -> Relation {
-    debug_assert!(rel.is_sorted(), "reorder reads the stored order");
-    let cols: Vec<usize> = order
-        .iter()
-        .map(|&v| rel.col_of(v).expect("reorder is a column permutation"))
-        .collect();
-    // The columns after P are the ones `rel` stores in ascending position.
-    let p = (0..cols.len())
-        .find(|&p| cols[p..].windows(2).all(|w| w[0] < w[1]))
-        .unwrap_or(0);
-    let mut rows: Vec<usize> = (0..rel.len()).collect();
-    if p > 0 {
-        let keys: Vec<Value> = rel
-            .rows()
-            .flat_map(|row| cols[..p].iter().map(move |&c| row[c]))
-            .collect();
-        let key = |i: usize| &keys[i * p..(i + 1) * p];
-        rows.sort_by(|&i, &j| key(i).cmp(key(j)));
-    }
-    let mut out = Relation::new(order.to_vec());
-    let mut buf = vec![0 as Value; cols.len()];
-    for i in rows {
-        let row = rel.row(i);
-        for (slot, &c) in buf.iter_mut().zip(&cols) {
-            *slot = row[c];
-        }
-        out.push_row(&buf);
-    }
-    debug_assert!(out.is_sorted(), "a stable sort on P yields `order`");
-    out
 }
 
 #[cfg(test)]
@@ -170,7 +130,7 @@ mod tests {
     use crate::engine::chain_join;
     use fdjoin_instances::reference_join;
     use fdjoin_lattice::VarSet;
-    use fdjoin_storage::{Database, Relation, TrieIndex, Value};
+    use fdjoin_storage::{Database, Relation};
 
     #[test]
     fn triangle_matches_naive() {
@@ -268,51 +228,5 @@ mod tests {
         let got = chain_join(&q, &db).unwrap();
         assert!(got.output.is_sorted());
         assert!(got.output.is_empty());
-    }
-
-    /// Every ordering of `0..n`.
-    fn permutations(n: u32) -> Vec<Vec<u32>> {
-        if n == 0 {
-            return vec![vec![]];
-        }
-        let mut out = Vec::new();
-        for p in permutations(n - 1) {
-            for at in 0..=p.len() {
-                let mut q = p.clone();
-                q.insert(at, n - 1);
-                out.push(q);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn reorder_matches_a_trie_rebuild_for_every_permutation() {
-        // Both the stored order and the target range over every column
-        // permutation of arity ≤ 4: P = ∅ (the same order), |P| = 1 and
-        // |P| = arity - 1 (the reversed order) all occur.
-        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed % 4
-        };
-        for arity in 0..=4 {
-            let orders = permutations(arity);
-            for stored in &orders {
-                let rows: Vec<Vec<Value>> = (0..40)
-                    .map(|_| (0..arity).map(|_| next()).collect())
-                    .collect();
-                let mut rel = Relation::from_rows(stored.clone(), &rows);
-                rel.sort_dedup();
-                for order in &orders {
-                    let want = TrieIndex::build(&rel, order).to_relation();
-                    let got = super::reorder(&rel, order);
-                    assert_eq!(got, want, "{stored:?} -> {order:?}");
-                    assert!(got.is_sorted());
-                }
-            }
-        }
     }
 }

@@ -311,16 +311,19 @@ impl TrieIndex {
     }
 
     /// The indexed column order.
+    #[inline]
     pub fn vars(&self) -> &[u32] {
         &self.vars
     }
 
     /// Number of indexed columns.
+    #[inline]
     pub fn arity(&self) -> usize {
         self.vars.len()
     }
 
     /// Number of distinct projected rows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.rows
     }
@@ -355,6 +358,7 @@ impl TrieIndex {
     }
 
     /// Whether the index holds no rows.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.rows == 0
     }
@@ -763,23 +767,27 @@ pub struct ProbeSnapshot {
 
 impl ProbeSnapshot {
     /// Whether the node range is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.lo >= self.hi
     }
 
     /// The current **row** range of `ix`, however deep the cursor is: the
     /// node range translated through the `starts` offset chain.
+    #[inline]
     pub fn range(&self, ix: &TrieIndex) -> Range<usize> {
         ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.hi)
     }
 
     /// Number of rows in the current range.
+    #[inline]
     pub fn len(&self, ix: &TrieIndex) -> usize {
         self.range(ix).len()
     }
 
     /// The value at the current depth of the first node in range — the
     /// smallest un-visited value at this trie level.
+    #[inline]
     pub fn current(&self, ix: &TrieIndex) -> Option<Value> {
         if self.is_empty() || self.depth >= ix.arity() {
             return None;
@@ -791,6 +799,7 @@ impl ProbeSnapshot {
     /// current level and return it. The cursor only moves forward, so a
     /// sorted sequence of seeks over one level is amortized linear in the
     /// range.
+    #[inline]
     pub fn seek(&mut self, ix: &TrieIndex, v: Value) -> Option<Value> {
         debug_assert!(self.depth < ix.arity());
         self.lo = lower_bound(&ix.values[self.depth], self.lo, self.hi, v);
@@ -800,6 +809,7 @@ impl ProbeSnapshot {
     /// Skip past the current value and return the next distinct value at
     /// this level, if any — O(1): one node per distinct value, adjacent in
     /// the level array.
+    #[inline]
     pub fn next_value(&mut self, ix: &TrieIndex) -> Option<Value> {
         self.current(ix)?;
         self.lo += 1;
@@ -807,6 +817,7 @@ impl ProbeSnapshot {
     }
 
     /// The subrange of **rows** carrying the current value at this level.
+    #[inline]
     pub fn group(&self, ix: &TrieIndex) -> Range<usize> {
         let start = ix.first_row(self.depth, self.lo);
         match self.current(ix) {
@@ -818,6 +829,7 @@ impl ProbeSnapshot {
     /// Narrow the range to the subtrie whose next column equals `v` and
     /// move one level down. Returns `false` (leaving the position
     /// unchanged) when no row matches.
+    #[inline]
     pub fn descend(&mut self, ix: &TrieIndex, v: Value) -> bool {
         debug_assert!(self.depth < ix.arity(), "descend below the leaf level");
         let level = &ix.values[self.depth];
@@ -832,6 +844,7 @@ impl ProbeSnapshot {
     /// Step into the current value's subtrie: a child position over
     /// exactly the nodes below [`ProbeSnapshot::current`], one level
     /// deeper (empty when there is no current value).
+    #[inline]
     pub fn enter(&self, ix: &TrieIndex) -> ProbeSnapshot {
         match self.current(ix) {
             Some(_) => ix.children(self.depth, self.lo),
@@ -889,11 +902,13 @@ impl<'a> Probe<'a> {
     }
 
     /// See [`ProbeSnapshot::len`].
+    #[inline]
     pub fn len(&self) -> usize {
         self.pos.len(self.ix)
     }
 
     /// See [`ProbeSnapshot::is_empty`].
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty()
     }

@@ -208,6 +208,7 @@ impl Relation {
     /// Every content mutation ends here: cached statistics, the observed
     /// version and the lineage describe the old rows. Touches only this
     /// relation's fields.
+    #[inline]
     fn touch(&mut self) {
         self.stats.take();
         *self.version.get_mut() = UNASSIGNED;
@@ -221,6 +222,7 @@ impl Relation {
     }
 
     /// Column variables in storage order.
+    #[inline]
     pub fn vars(&self) -> &[u32] {
         &self.vars
     }
@@ -231,11 +233,13 @@ impl Relation {
     }
 
     /// Number of columns.
+    #[inline]
     pub fn arity(&self) -> usize {
         self.vars.len()
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         if self.vars.is_empty() {
             // Zero-arity relation: row count tracked via data sentinel is
@@ -254,6 +258,7 @@ impl Relation {
     /// Append a row. One compare against the previous row keeps
     /// [`Relation::is_sorted`] exact: the relation stays sorted iff the new
     /// row is strictly greater. Touches no shared state.
+    #[inline]
     pub fn push_row(&mut self, row: &[Value]) {
         let a = self.arity();
         assert_eq!(row.len(), a, "row arity mismatch");
@@ -453,6 +458,7 @@ impl Relation {
     }
 
     /// Row accessor.
+    #[inline]
     pub fn row(&self, i: usize) -> &[Value] {
         let a = self.arity();
         if a == 0 {
@@ -534,6 +540,7 @@ impl Relation {
     /// The first row index in `lo..hi` whose row fails `pred`, for a `pred`
     /// that holds on a prefix of that range — a bisection over the sorted
     /// rows.
+    #[inline]
     fn partition_rows(
         &self,
         mut lo: usize,
@@ -575,6 +582,7 @@ impl Relation {
 
     /// Membership test (requires sorted): one bisection for the first row
     /// not below `row`, then one comparison.
+    #[inline]
     pub fn contains_row(&self, row: &[Value]) -> bool {
         debug_assert_eq!(row.len(), self.arity());
         debug_assert!(self.sorted, "contains_row requires a sorted relation");
@@ -676,6 +684,83 @@ impl Relation {
         }
         out.sort_dedup();
         out
+    }
+
+    /// These rows with their columns in `order`, sorted — the rows of
+    /// `TrieIndex::build(&self, order).to_relation()`, moved within this
+    /// relation's own buffer (its address and capacity are kept).
+    ///
+    /// Let `P` be the shortest prefix of `order` whose removal leaves the
+    /// remaining columns in stored order. Rows agreeing on `P` are already
+    /// in `order` among themselves (the rows are sorted, and `P` is
+    /// constant across them), so a *stable* sort on `P` alone yields
+    /// `order` exactly; when `P` is empty nothing moves. Each row then goes
+    /// to its slot with its columns permuted, following the permutation's
+    /// cycles with one scratch row and a visited bit per row. An unsorted
+    /// relation is [`Relation::sort_dedup`]ed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of [`Relation::vars`].
+    pub fn reordered(mut self, order: &[u32]) -> Relation {
+        assert_eq!(order.len(), self.arity(), "reordered: arity mismatch");
+        let cols: Vec<usize> = order
+            .iter()
+            .map(|&v| self.col_of(v).expect("reordered: not a column"))
+            .collect();
+        // The columns after P are the ones stored in ascending position.
+        let p = (0..cols.len())
+            .find(|&p| cols[p..].windows(2).all(|w| w[0] < w[1]))
+            .unwrap_or(0);
+        self.sort_dedup();
+        if p == 0 {
+            // `cols` ascends and is a permutation: the identity.
+            return self;
+        }
+        let (a, n) = (self.arity(), self.len());
+        let data = &mut self.data;
+        let keys: Vec<Value> = data
+            .chunks_exact(a)
+            .flat_map(|row| cols[..p].iter().map(move |&c| row[c]))
+            .collect();
+        let key = |i: u32| &keys[i as usize * p..(i as usize + 1) * p];
+        // from[k]: the stored row that lands in slot k.
+        let mut from = identity_permutation(n);
+        from.sort_by(|&i, &j| key(i).cmp(key(j)));
+        drop(keys);
+
+        let mut scratch = vec![0 as Value; a];
+        let mut visited = vec![0u64; n.div_ceil(64)];
+        for start in 0..n {
+            if visited[start / 64] >> (start % 64) & 1 == 1 {
+                continue;
+            }
+            scratch.copy_from_slice(&data[start * a..(start + 1) * a]);
+            let mut slot = start;
+            loop {
+                visited[slot / 64] |= 1 << (slot % 64);
+                let src = from[slot] as usize;
+                // `slot`'s own row is in `scratch` or already moved on.
+                for (j, &c) in cols.iter().enumerate() {
+                    data[slot * a + j] = if src == start {
+                        scratch[c]
+                    } else {
+                        data[src * a + c]
+                    };
+                }
+                if src == start {
+                    break;
+                }
+                slot = src;
+            }
+        }
+        self.vars = order.to_vec();
+        self.touch();
+        debug_assert!(
+            (1..n).all(|i| self.row(i - 1) < self.row(i)),
+            "a stable sort on P yields `order`"
+        );
+        self
     }
 
     /// The nullary relation containing the single empty tuple (the starting
@@ -1096,6 +1181,89 @@ mod tests {
         assert_eq!(r.data.as_ptr(), at, "spliced where it lies");
         assert_eq!(r.len(), 64);
         assert!(r.contains_row(&[7, 1000]) && !r.contains_row(&[5, 20]));
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: u32) -> Vec<Vec<u32>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reorder_matches_a_trie_rebuild_for_every_permutation() {
+        // Both the stored order and the target range over every column
+        // permutation of arity ≤ 4: P = ∅ (the same order), |P| = 1 and
+        // |P| = arity - 1 (the reversed order) all occur.
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % 4
+        };
+        for arity in 0..=4 {
+            let orders = permutations(arity);
+            for stored in &orders {
+                let rows: Vec<Vec<Value>> = (0..40)
+                    .map(|_| (0..arity).map(|_| next()).collect())
+                    .collect();
+                let mut rel = Relation::from_rows(stored.clone(), &rows);
+                rel.sort_dedup();
+                for order in &orders {
+                    let want = TrieIndex::build(&rel, order).to_relation();
+                    let got = rel.clone().reordered(order);
+                    assert_eq!(got, want, "{stored:?} -> {order:?}");
+                    assert!(got.is_sorted());
+                }
+            }
+        }
+    }
+
+    /// Each row moves within the relation's own buffer: one named case per
+    /// shape of the permutation.
+    #[test]
+    fn reordered_moves_rows_within_their_buffer() {
+        let check = |rel: Relation, order: &[u32]| {
+            assert!(rel.is_sorted(), "a sorted relation is not re-sorted");
+            let want = TrieIndex::build(&rel, order).to_relation();
+            let (at, cap) = (rel.data.as_ptr(), rel.data.capacity());
+            let got = rel.reordered(order);
+            assert_eq!(got, want, "-> {order:?}");
+            assert!(got.is_sorted());
+            assert_eq!(got.data.as_ptr(), at, "the same buffer");
+            assert_eq!(got.data.capacity(), cap, "the same capacity");
+        };
+        let n = 50u64;
+        // The identity order: P = ∅, nothing moves.
+        check(
+            Relation::from_rows(vec![2, 0, 1], (0..n).map(|i| [i / 7, i % 7, i])),
+            &[2, 0, 1],
+        );
+        // Row i lands in slot i + 1 (mod n): one cycle through every row.
+        check(
+            Relation::from_rows(vec![0, 1], (0..n).map(|i| [i, (i + 1) % n])),
+            &[1, 0],
+        );
+        // Rows 0 and 3 stay in their slots (with their columns swapped);
+        // rows 1 and 2 trade places.
+        check(
+            Relation::from_rows(vec![0, 1], [[0, 0], [1, 2], [2, 1], [3, 3]]),
+            &[1, 0],
+        );
+        // Arity 1: the only order is the stored one.
+        check(Relation::from_rows(vec![4], (0..n).map(|i| [i])), &[4]);
+        // The empty relation takes the new schema.
+        check(Relation::new(vec![0, 1, 2]), &[2, 1, 0]);
     }
 
     #[test]
