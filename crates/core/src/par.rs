@@ -75,43 +75,44 @@ impl ParCtx {
     }
 }
 
-/// Split `0..n` items into at most `parts` contiguous non-empty blocks.
-/// With `weights` (one per item), blocks balance total weight greedily:
-/// each block closes once it reaches the average of the *remaining* weight
-/// over the *remaining* blocks, so one heavy item gets a block to itself
-/// and the light tail is spread evenly — never a naive equal-width split.
-/// Without weights, items are balanced by count.
+/// Split `0..n` items into at most `parts` contiguous non-empty blocks
+/// with balanced total weight (one weight per item; without `weights`,
+/// every item weighs one). Greedy: each block closes once it reaches the
+/// ceiling-average of the *remaining* weight over the *remaining* blocks,
+/// so one heavy item (e.g. a root value holding 99% of the rows) gets a
+/// block to itself and the light tail spreads evenly — never a naive
+/// equal-width split. Unweighted, that is `n / parts` items per block with
+/// the remainder on the leading blocks. Deterministic in its inputs.
 pub(crate) fn balanced_blocks(
     n: usize,
     weights: Option<&[u64]>,
     parts: usize,
 ) -> Vec<Range<usize>> {
+    debug_assert!(weights.is_none_or(|w| w.len() == n));
+    let weight = |i: usize| weights.map_or(1, |w| w[i]);
     let parts = parts.clamp(1, n.max(1));
-    if n == 0 {
-        return Vec::new();
-    }
-    match weights {
-        None => {
-            // Counts: n/parts per block, remainder on the leading blocks.
-            let (base, rem) = (n / parts, n % parts);
-            let mut blocks = Vec::with_capacity(parts);
-            let mut start = 0;
-            for b in 0..parts {
-                let len = base + usize::from(b < rem);
-                blocks.push(start..start + len);
-                start += len;
-            }
-            debug_assert_eq!(start, n);
-            blocks
+    let mut remaining: u64 = (0..n).map(weight).sum();
+    let mut blocks = Vec::with_capacity(parts);
+    let mut start = 0;
+    while start < n {
+        let blocks_left = parts - blocks.len();
+        let target = remaining.div_ceil(blocks_left as u64).max(1);
+        let mut end = start;
+        let mut acc = 0u64;
+        // Leave at least one item for every block still owed; the last
+        // block takes the tail.
+        while end < n && (acc < target || end == start) && n - end >= blocks_left {
+            acc += weight(end);
+            end += 1;
         }
-        Some(w) => {
-            debug_assert_eq!(w.len(), n);
-            // One balancing implementation for the whole stack: the same
-            // greedy remaining-average split `TrieIndex::split_ranges`
-            // uses for root-child row ranges.
-            fdjoin_storage::balanced_ranges(w, parts)
+        if blocks_left == 1 {
+            end = n;
         }
+        remaining -= (start..end).map(weight).sum::<u64>();
+        blocks.push(start..end);
+        start = end;
     }
+    blocks
 }
 
 /// Fan `n` items out over at most `par.tasks` contiguous blocks (balanced
@@ -296,16 +297,23 @@ pub(crate) fn merge(parts: Vec<Relation>) -> Relation {
 mod tests {
     use super::*;
 
+    /// Unweighted, the greedy split is the even one: `n / parts` items per
+    /// block, the remainder on the leading blocks, covering `0..n` exactly.
     #[test]
     fn balanced_blocks_by_count_cover_exactly() {
-        for n in 0..20 {
+        for n in 0..64 {
             for parts in 1..10 {
-                let blocks = balanced_blocks(n, None, parts);
-                let covered: usize = blocks.iter().map(|b| b.len()).sum();
-                assert_eq!(covered, n);
-                assert!(blocks.len() <= parts.max(1));
-                assert!(blocks.iter().all(|b| !b.is_empty()) || n == 0);
-                assert!(blocks.windows(2).all(|w| w[0].end == w[1].start));
+                let k = parts.min(n);
+                let mut want = Vec::new();
+                for b in 0..k {
+                    let start = want.last().map_or(0, |r: &Range<usize>| r.end);
+                    want.push(start..start + n / k + usize::from(b < n % k));
+                }
+                assert_eq!(
+                    balanced_blocks(n, None, parts),
+                    want,
+                    "n {n}, parts {parts}"
+                );
             }
         }
     }

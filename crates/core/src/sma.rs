@@ -194,9 +194,9 @@ pub(crate) fn execute(
         // prefixes against T(X)'s Z-trie, no key materialization.
         let tx_z = trie_of(&pool[xi], &z_vars, &mut stats)?;
         let mut t_meet = Relation::new(z_vars.clone());
-        for g in &heavy {
-            let row = ty.row(g.start);
-            let prefix = &row[..zlen];
+        for g in heavy {
+            let mut rows = ty.walk(g);
+            let prefix = &rows.next().expect("a trie group holds a row")[..zlen];
             stats.probes += 1;
             if tx_z.contains(prefix) {
                 stats.intermediate_tuples += 1;

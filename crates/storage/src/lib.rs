@@ -19,9 +19,10 @@
 //!   by a zero-allocation narrowing cursor ([`Probe`] = an index plus a
 //!   plain [`ProbeSnapshot`] position, the one cursor representation),
 //!   keyed by content version so repeated executions, batches, and delta
-//!   joins reuse them (see the [`index`-module docs](IndexSet)); a
-//!   [`Finger`] is the one keyed lookup into such a trie, resumed from the
-//!   last key's path instead of the root;
+//!   joins reuse them (the private `trie`, `cursor` and `cache` modules
+//!   hold the layout, the cursor and the cache); a [`Finger`] is the one
+//!   keyed lookup into such a trie, resumed from the last key's path
+//!   instead of the root;
 //! - [`UdfRegistry`]: user-defined functions backing unguarded FDs
 //!   (Sec. 1.1 of the paper);
 //! - [`Database`]: a named collection of relation instances.
@@ -32,21 +33,22 @@
 
 #![forbid(unsafe_code)]
 
+mod cache;
+mod cursor;
 mod database;
 mod finger;
-mod index;
 mod relation;
 mod stats;
+mod trie;
 mod udf;
 
+pub use cache::{IndexKey, IndexKind, IndexSet, IndexSetStats};
+pub use cursor::{Probe, ProbeSnapshot};
 pub use database::{Database, MissingRelation};
 pub use finger::{Finger, Found};
-pub use index::{
-    balanced_ranges, IndexKey, IndexKind, IndexSet, IndexSetStats, Probe, ProbeSnapshot, RowWalk,
-    TrieIndex,
-};
 pub use relation::{DeltaApplied, Relation};
 pub use stats::RelationStats;
+pub use trie::{RowWalk, TrieIndex};
 pub use udf::{UdfFn, UdfRegistry};
 
 /// The value type stored in relations.

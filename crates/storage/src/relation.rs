@@ -1,7 +1,7 @@
 //! Row-major relations with sort-order (trie-equivalent) prefix indexes.
 
-use crate::index::TrieIndex;
 use crate::stats::{RelationStats, TouchedGroups};
+use crate::trie::TrieIndex;
 use crate::{Finger, Found, Value};
 use fdjoin_lattice::VarSet;
 use std::cmp::Ordering;

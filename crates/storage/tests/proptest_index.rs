@@ -44,9 +44,6 @@ proptest! {
         let ix = TrieIndex::build(&rel, &order);
         let proj = rel.project(&order);
         prop_assert_eq!(ix.len(), proj.len());
-        for i in 0..ix.len() {
-            prop_assert_eq!(ix.row(i), proj.row(i));
-        }
         prop_assert_eq!(&ix.to_relation(), &proj);
         // Group structure agrees at every depth.
         for d in 0..=order.len() {
@@ -68,8 +65,9 @@ proptest! {
         let key = &key[..key.len().min(order.len())];
         let (a, b) = (ix.prefix_range(key), proj.prefix_range(key));
         prop_assert_eq!(a.len(), b.len(), "prefix {:?}", key);
-        for (i, j) in a.zip(b) {
-            prop_assert_eq!(ix.row(i), proj.row(j));
+        let mut w = ix.walk(a);
+        for j in b {
+            prop_assert_eq!(w.next(), Some(proj.row(j)));
         }
         // Membership for full rows.
         if key.len() == order.len() {
@@ -88,7 +86,7 @@ proptest! {
         rel.sort_dedup();
         let ix = TrieIndex::build(&rel, &order);
         // Walking next_value() visits exactly the distinct level-0 values.
-        let expect: BTreeSet<Value> = (0..ix.len()).map(|i| ix.row(i)[0]).collect();
+        let expect: BTreeSet<Value> = rel.project(&order).rows().map(|r| r[0]).collect();
         let mut walked = Vec::new();
         let mut p = ix.probe();
         let mut cur = p.current();
@@ -342,7 +340,7 @@ proptest! {
         rel.sort_dedup();
         let ix = TrieIndex::build(&rel, &order);
         let proj = rel.project(&order);
-        let mut w = ix.walk_all();
+        let mut w = ix.walk(0..ix.len());
         let mut i = 0;
         while let Some(row) = w.next() {
             prop_assert_eq!(row, proj.row(i));
