@@ -55,6 +55,11 @@ enum How {
 /// following Theorem 5.34's constructive proof. Returns `None` if the
 /// reachability argument gets stuck (which Lemma 5.33 rules out for exact
 /// dual-feasible solutions; kept as a safe failure mode).
+///
+/// A pair whose `lo` is `0̂` is a cardinality term: `h(hi | 0̂) = h(hi)`,
+/// and its `hi` is an input element, whose table the executor holds from
+/// the start (CSMA's initial tables hold one per input). Such a term is
+/// available with no rule; a CC along it would only rebuild that table.
 pub fn csm_sequence(
     lat: &Lattice,
     pairs: &[DegreePair],
@@ -135,6 +140,11 @@ pub fn csm_sequence(
             }
             Some(&How::CEdge(pi)) => {
                 let lo = pairs[pi].lo;
+                if lo == lat.bottom() {
+                    // h(hi | 0̂) = h(hi), an input's table: no rule.
+                    avail_h[x] = true;
+                    return true;
+                }
                 if !derive(lat, pairs, how, avail_h, rules, lo, depth + 1) {
                     return false;
                 }

@@ -11,7 +11,8 @@
 //! - **base** indexes ([`AccessPaths::base`]) over database relations,
 //!   keyed by the relation's globally unique
 //!   [`fdjoin_storage::Relation::version`] — Expander guard lookups,
-//!   Generic-Join atom tries and binary-join build sides all live here;
+//!   Generic-Join atom tries, binary-join build sides and the tries SMA's
+//!   and CSMA's final pass looks its inputs up in all live here;
 //! - **expanded** indexes over the FD-expanded atom relations `R_j⁺` that
 //!   chain/SMA/CSMA iterate, handed out by `Expander::input_trie` (the
 //!   expander owns the relations they index) and keyed by every input of
@@ -238,8 +239,10 @@ mod tests {
         let (second, stats) = csma_through(&set, &wide, &db);
         assert_eq!(second, reference_join(&wide, &db));
         assert_eq!(second.len(), 2);
-        // Only S's guard trie, a base index in the order both queries ask
-        // for, is shared; every derived trie was built afresh.
-        assert_eq!(stats.index_hits, 1);
+        // Only base indexes are shared: S's guard trie, in the order both
+        // queries ask for, and the final pass's tries of G, R and S in
+        // their stored orders (S's is its guard trie). Every derived trie
+        // was built afresh.
+        assert_eq!(stats.index_hits, 4);
     }
 }

@@ -28,9 +28,11 @@
 //! having passed the fused program of its own element, and the final pass
 //! ([`semijoin_reduce_verified`](crate::par::semijoin_reduce_verified))
 //! runs the verify list only when some branch's non-empty `T(1̂)` is not.
-//! The CSM sequence derives `1̂` from `0̂` by rules, so every branch's
-//! `T(1̂)` comes out of a join and the final pass is only the semijoin; the
-//! flag keeps the pass sound for a table that does not.
+//! The CSM sequence derives `1̂` by rules from the inputs' tables, which
+//! the branch state holds from the start (no rule rebuilds one), so every
+//! branch's `T(1̂)` comes out of a join and the final pass is only the
+//! semijoin, unless an input's closure is `1̂` itself; the flag keeps the
+//! pass sound for a table that does not.
 
 use crate::engine::{JoinError, UserDegreeBound};
 use crate::extend::{degree_split, extend, Side};
@@ -430,8 +432,7 @@ mod tests {
     #[test]
     fn an_operand_no_rule_produced_is_no_csm_sequence() {
         // Fig. 9's sequence with its first CD dropped: the SM rule after it
-        // joins the T(X) that CD would have made. (Its first rule, a CC
-        // re-deriving an input's table, is no such rule.)
+        // joins the T(X) that CD would have made.
         let q = fdjoin_query::examples::fig9_query();
         let db = normal_worst_case(&q, &vec![rat(6, 1); 3], &rat(9, 1)).unwrap();
         let set = IndexSet::new();

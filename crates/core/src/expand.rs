@@ -495,10 +495,21 @@ impl<'a> Expander<'a> {
         self.db.relation(&self.query.atoms()[j].name)
     }
 
-    /// `R_j` for every atom, in atom order: what SMA's and CSMA's final
-    /// pass semijoin-reduces against.
-    pub(crate) fn bases(&self) -> Result<Vec<&'a Relation>, MissingRelation> {
-        (0..self.inputs.len()).map(|j| self.base(j)).collect()
+    /// The trie of `R_j` in its stored column order for every atom, in atom
+    /// order, from the access-path cache (a base index, built at most once
+    /// per relation version): what SMA's and CSMA's final pass
+    /// semijoin-reduces against.
+    pub(crate) fn base_tries(
+        &self,
+        stats: &mut Stats,
+    ) -> Result<Vec<Arc<TrieIndex>>, MissingRelation> {
+        (0..self.inputs.len())
+            .map(|j| {
+                let rel = self.base(j)?;
+                let name = &self.query.atoms()[j].name;
+                Ok(self.paths.base(name, rel, rel.vars(), stats))
+            })
+            .collect()
     }
 
     /// `|R_j⁺|` for every atom, in atom order: the size profile CSMA plans

@@ -30,12 +30,18 @@
 //!   the enclosing `solve` span ([`Observer::span_with_parent`]), so one
 //!   coherent span tree covers the whole solve regardless of which thread
 //!   ran which block.
+//!
+//! SMA's and CSMA's shared final pass ([`semijoin_reduce_verified`]) fans
+//! out here too: the union of the branches' `T(1̂)` tables is sorted where
+//! its rows lie, then each block checks its rows against every input
+//! through one [`Finger`] per input on the input's trie in stored column
+//! order.
 
 use crate::expand::Program;
 use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::{MissingRelation, Relation, Value};
+use fdjoin_storage::{Finger, Found, MissingRelation, Relation, Value};
 use std::ops::Range;
 
 /// Per-solve parallelism context, resolved once by the engine (from
@@ -220,11 +226,17 @@ impl TopTables {
 
 /// The shared final pass of SMA and CSMA: sort and dedup the union of the
 /// `T(1̂)` tables, semijoin-reduce it against every input relation of
-/// `ex`'s query (one sorted-order membership lookup per input) and verify
-/// FDs, fanning the per-row checks out over sub-range blocks. Rows survive
-/// into the returned relation exactly as in the sequential loop;
-/// `output_tuples`/`probes` are counted per surviving/checked row inside
-/// each block, so totals are parallelism-invariant.
+/// `ex`'s query and verify FDs, fanning the per-row checks out over
+/// sub-range blocks. Rows survive into the returned relation exactly as in
+/// the sequential loop; `output_tuples`/`probes` are counted per
+/// surviving/checked row inside each block, so totals are
+/// parallelism-invariant.
+///
+/// Each input is looked up in its trie in stored column order, a base
+/// index of the access-path cache ([`Expander::base_tries`]), through one
+/// [`Finger`] per input and block. The rows are sorted, so consecutive
+/// keys share prefixes and each lookup resumes where the last one stopped;
+/// each lookup counts one probe.
 ///
 /// The verify list for all variables ([`Expander::compile_verify`]) runs
 /// only if some non-empty table was added unverified. A verified table's
@@ -240,29 +252,37 @@ pub(crate) fn semijoin_reduce_verified(
     par: &ParCtx,
     stats: &mut Stats,
 ) -> Result<Relation, MissingRelation> {
-    let inputs = ex.bases()?;
+    let inputs = ex.base_tries(stats)?;
     let TopTables {
         rows: mut out,
         verified,
     } = top;
     out.sort_dedup();
     // `out` is over all variables in ascending id: a row is its own value
-    // vector, and the verify list is the one for the full set. Compiled
-    // only where it runs: on unverified tables, and in debug builds.
+    // vector, so a finger reads an input's key at its variables' ids, and
+    // the verify list is the one for the full set. Compiled only where it
+    // runs: on unverified tables, and in debug builds.
     let verify = (!verified || cfg!(debug_assertions)).then(|| ex.compile_verify(out.var_set()));
     let out = &out;
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Relation::new(out.vars().to_vec());
         let mut vals = vec![0 as Value; out.vars().len()];
         let mut scratch = verify.as_ref().map(Program::scratch);
-        // One key buffer for every membership lookup of the block.
-        let mut key: Vec<Value> = Vec::new();
+        let mut fingers: Vec<Finger> = inputs
+            .iter()
+            .map(|ix| Finger::new(ix, ix.vars().iter().copied()))
+            .collect();
         'rows: for row in rows.map(|ri| out.row(ri)) {
-            for rel in &inputs {
+            for (ix, finger) in inputs.iter().zip(&mut fingers) {
                 stats.probes += 1;
-                key.clear();
-                key.extend(rel.vars().iter().map(|&v| row[v as usize]));
-                if !rel.contains_row(&key) {
+                // A nullary input holds `()` or nothing; the finger of its
+                // empty key would answer a hit either way.
+                let held = if ix.arity() == 0 {
+                    !ix.is_empty()
+                } else {
+                    finger.seek(ix, row) != Found::Miss
+                };
+                if !held {
                     continue 'rows;
                 }
             }
@@ -296,6 +316,88 @@ pub(crate) fn merge(parts: Vec<Relation>) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AccessPaths;
+    use fdjoin_instances::reference_join;
+    use fdjoin_query::Query;
+    use fdjoin_storage::{Database, IndexSet};
+
+    /// The final pass on inputs stored out of variable order: `R(z, x, y)`,
+    /// `S(w, z)` and `T(x, w)`, each stored in its atom's order. Fed every
+    /// tuple over the domain as two unverified tables (in other column
+    /// orders), it keeps exactly the join, on one block and on two.
+    #[test]
+    fn the_final_pass_reads_inputs_stored_out_of_variable_order() {
+        let mut b = Query::builder();
+        let (x, y, z, w) = (b.var("x"), b.var("y"), b.var("z"), b.var("w"));
+        b.atom("R", &[z, x, y])
+            .atom("S", &[w, z])
+            .atom("T", &[x, w]);
+        let q = b.build();
+        let mut g = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            g ^= g << 13;
+            g ^= g >> 7;
+            g ^= g << 17;
+            g % 3
+        };
+        let mut db = Database::new();
+        for (name, stored, width, rows) in [
+            ("R", vec![z, x, y], 3, 14),
+            ("S", vec![w, z], 2, 6),
+            ("T", vec![x, w], 2, 6),
+        ] {
+            let rows: Vec<Vec<Value>> = (0..rows)
+                .map(|_| (0..width).map(|_| next()).collect())
+                .collect();
+            db.insert(name, Relation::from_rows(stored, rows));
+        }
+        let want = reference_join(&q, &db);
+        assert!(!want.is_empty(), "the instance has answers");
+        // Tuple `i` is `(x, y, z, w) = (i % 3, i / 3 % 3, i / 9 % 3, i / 27)`.
+        let tuple = |i: u64, cols: [u32; 4]| cols.map(|v| i / 3u64.pow(v) % 3);
+        let low = Relation::from_rows(vec![w, y, x, z], (0..40).map(|i| tuple(i, [w, y, x, z])));
+        let high = Relation::from_rows(vec![y, z, w, x], (40..81).map(|i| tuple(i, [y, z, w, x])));
+        for tasks in [1, 2] {
+            let set = IndexSet::new();
+            let paths = AccessPaths::new(&set, &q, &db).unwrap();
+            let mut stats = Stats::default();
+            let ex = Expander::new(&q, &db, &paths, &mut stats).unwrap();
+            let mut top = TopTables::new(q.n_vars());
+            top.add(&low, false);
+            top.add(&high, false);
+            let par = ParCtx::new(tasks, &Observer::disabled());
+            let got = semijoin_reduce_verified(&ex, top, &par, &mut stats).unwrap();
+            assert_eq!(got, want, "{tasks} task(s)");
+            assert_eq!(stats.output_tuples, want.len() as u64);
+            assert_eq!(stats.index_builds, 3, "one stored-order trie per input");
+        }
+    }
+
+    /// A nullary input holds `()` or nothing, and the pass keeps the
+    /// join's rows only in the first case (the finger of an empty key
+    /// would answer a hit in both).
+    #[test]
+    fn a_nullary_input_keeps_rows_only_when_it_holds_the_empty_tuple() {
+        use crate::{Algorithm, Engine, ExecOptions};
+        let mut b = Query::builder();
+        let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+        b.atom("R", &[x, y])
+            .atom("S", &[y, z])
+            .atom("T", &[z, x])
+            .atom("E", &[]);
+        let q = b.build();
+        let mut db = Database::new();
+        db.insert("R", Relation::from_rows(vec![x, y], [[1, 2], [2, 2]]));
+        db.insert("S", Relation::from_rows(vec![y, z], [[2, 3]]));
+        db.insert("T", Relation::from_rows(vec![z, x], [[3, 1], [3, 2]]));
+        for (e, rows) in [(Relation::nullary_unit(), 2), (Relation::new(vec![]), 0)] {
+            db.insert("E", e);
+            let opts = ExecOptions::new().algorithm(Algorithm::Sma);
+            let got = Engine::new().execute(&q, &db, &opts).unwrap().output;
+            assert_eq!(got, reference_join(&q, &db));
+            assert_eq!(got.len(), rows);
+        }
+    }
 
     /// Unweighted, the greedy split is the even one: `n / parts` items per
     /// block, the remainder on the leading blocks, covering `0..n` exactly.

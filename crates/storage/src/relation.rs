@@ -485,13 +485,15 @@ impl Relation {
 
     /// Sort rows lexicographically and remove duplicates. Free on a
     /// relation that is already [`Relation::is_sorted`] — only rows that
-    /// really are out of order or repeated pay the sort. The row *set* is
-    /// unchanged, and so is the version.
+    /// really are out of order or repeated pay the sort. Rows up to nine
+    /// values wide are sorted where they lie (`sort_rows`) and the buffer is
+    /// then fitted to the rows kept. The row *set* is unchanged, and so is
+    /// the version.
     ///
     /// # Panics
     ///
-    /// Panics if an unsorted relation holds 2³² rows or more (the sort
-    /// permutation is `u32`).
+    /// Panics if an unsorted relation with rows more than nine values wide
+    /// holds 2³² rows or more (their sort permutation is `u32`).
     pub fn sort_dedup(&mut self) {
         if self.sorted {
             return;
@@ -501,16 +503,8 @@ impl Relation {
             // Unsorted and zero-arity: several `()`, of which one stays.
             self.data.truncate(1);
         } else {
-            let mut order = identity_permutation(self.len());
-            let data = &self.data;
-            let row = |i: u32| &data[i as usize * a..(i as usize + 1) * a];
-            order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
-            order.dedup_by(|i, kept| row(*i) == row(*kept));
-            let mut new_data = Vec::with_capacity(order.len() * a);
-            for &i in &order {
-                new_data.extend_from_slice(row(i));
-            }
-            self.data = new_data;
+            sort_rows(&mut self.data, a);
+            self.data.shrink_to_fit();
         }
         self.sorted = true;
     }
@@ -687,17 +681,11 @@ impl Relation {
     }
 
     /// These rows with their columns in `order`, sorted — the rows of
-    /// `TrieIndex::build(&self, order).to_relation()`, moved within this
-    /// relation's own buffer (its address and capacity are kept).
-    ///
-    /// Let `P` be the shortest prefix of `order` whose removal leaves the
-    /// remaining columns in stored order. Rows agreeing on `P` are already
-    /// in `order` among themselves (the rows are sorted, and `P` is
-    /// constant across them), so a *stable* sort on `P` alone yields
-    /// `order` exactly; when `P` is empty nothing moves. Each row then goes
-    /// to its slot with its columns permuted, following the permutation's
-    /// cycles with one scratch row and a visited bit per row. An unsorted
-    /// relation is [`Relation::sort_dedup`]ed first.
+    /// `TrieIndex::build(&self, order).to_relation()`. Each row's columns
+    /// are permuted where the row lies, and the rows are then sorted in
+    /// their own buffer (`sort_rows`; its address and capacity are kept for
+    /// rows up to nine values wide). When `order` is the stored order
+    /// nothing moves; an unsorted relation is [`Relation::sort_dedup`]ed.
     ///
     /// # Panics
     ///
@@ -708,58 +696,23 @@ impl Relation {
             .iter()
             .map(|&v| self.col_of(v).expect("reordered: not a column"))
             .collect();
-        // The columns after P are the ones stored in ascending position.
-        let p = (0..cols.len())
-            .find(|&p| cols[p..].windows(2).all(|w| w[0] < w[1]))
-            .unwrap_or(0);
-        self.sort_dedup();
-        if p == 0 {
+        if cols.windows(2).all(|w| w[0] < w[1]) {
             // `cols` ascends and is a permutation: the identity.
+            self.sort_dedup();
             return self;
         }
-        let (a, n) = (self.arity(), self.len());
-        let data = &mut self.data;
-        let keys: Vec<Value> = data
-            .chunks_exact(a)
-            .flat_map(|row| cols[..p].iter().map(move |&c| row[c]))
-            .collect();
-        let key = |i: u32| &keys[i as usize * p..(i as usize + 1) * p];
-        // from[k]: the stored row that lands in slot k.
-        let mut from = identity_permutation(n);
-        from.sort_by(|&i, &j| key(i).cmp(key(j)));
-        drop(keys);
-
+        let a = self.arity();
         let mut scratch = vec![0 as Value; a];
-        let mut visited = vec![0u64; n.div_ceil(64)];
-        for start in 0..n {
-            if visited[start / 64] >> (start % 64) & 1 == 1 {
-                continue;
-            }
-            scratch.copy_from_slice(&data[start * a..(start + 1) * a]);
-            let mut slot = start;
-            loop {
-                visited[slot / 64] |= 1 << (slot % 64);
-                let src = from[slot] as usize;
-                // `slot`'s own row is in `scratch` or already moved on.
-                for (j, &c) in cols.iter().enumerate() {
-                    data[slot * a + j] = if src == start {
-                        scratch[c]
-                    } else {
-                        data[src * a + c]
-                    };
-                }
-                if src == start {
-                    break;
-                }
-                slot = src;
+        for row in self.data.chunks_exact_mut(a) {
+            scratch.copy_from_slice(row);
+            for (slot, &c) in row.iter_mut().zip(&cols) {
+                *slot = scratch[c];
             }
         }
+        sort_rows(&mut self.data, a);
         self.vars = order.to_vec();
+        self.sorted = true;
         self.touch();
-        debug_assert!(
-            (1..n).all(|i| self.row(i - 1) < self.row(i)),
-            "a stable sort on P yields `order`"
-        );
         self
     }
 
@@ -773,13 +726,74 @@ impl Relation {
     }
 }
 
-/// `0..n` as the `u32` row ids [`Relation::sort_dedup`] and
-/// [`TrieIndex::build`] permute.
-pub(crate) fn identity_permutation(n: usize) -> Vec<u32> {
+/// The widest rows [`sort_rows`] sorts where they lie. Every query of the
+/// paper's figures has at most nine variables, Fig. 9's included, so its
+/// answers and `T(1̂)` tables are sorted in place; each width is one
+/// instance of the sort.
+pub(crate) const MAX_IN_PLACE: usize = 9;
+
+/// Sort the rows of `data`, each `a > 0` values wide, lexicographically and
+/// drop repeated rows, leaving the buffer's capacity as it was.
+///
+/// Rows up to [`MAX_IN_PLACE`] wide are sorted where they lie: the buffer
+/// is viewed as `[[Value; a]]` and sorted with the standard library's
+/// stable sort, which finds the sorted runs its input is made of (the
+/// concatenated tables of SMA's and CSMA's final pass are such runs) and
+/// merges them in linear time, and repeats are then compacted towards the
+/// front. Wider rows sort a `u32` permutation of row ids and are copied in
+/// its order into a buffer of exactly their size.
+///
+/// # Panics
+///
+/// Panics if rows wider than [`MAX_IN_PLACE`] number 2³² or more.
+pub(crate) fn sort_rows(data: &mut Vec<Value>, a: usize) {
+    debug_assert!(a > 0 && data.len().is_multiple_of(a));
+    match a {
+        1 => sort_rows_of::<1>(data),
+        2 => sort_rows_of::<2>(data),
+        3 => sort_rows_of::<3>(data),
+        4 => sort_rows_of::<4>(data),
+        5 => sort_rows_of::<5>(data),
+        6 => sort_rows_of::<6>(data),
+        7 => sort_rows_of::<7>(data),
+        8 => sort_rows_of::<8>(data),
+        9 => sort_rows_of::<9>(data),
+        _ => {
+            debug_assert!(a > MAX_IN_PLACE);
+            let mut order = identity_permutation(data.len() / a);
+            let row = |i: u32| &data[i as usize * a..(i as usize + 1) * a];
+            order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+            order.dedup_by(|i, kept| row(*i) == row(*kept));
+            let mut sorted = Vec::with_capacity(order.len() * a);
+            for &i in &order {
+                sorted.extend_from_slice(row(i));
+            }
+            *data = sorted;
+        }
+    }
+}
+
+/// `0..n` as the `u32` row ids [`sort_rows`] permutes for rows wider than
+/// [`MAX_IN_PLACE`].
+fn identity_permutation(n: usize) -> Vec<u32> {
     let n = u32::try_from(n).unwrap_or_else(|_| {
         panic!("{n} rows do not fit the u32 sort permutation (limit 2^32 - 1)")
     });
     (0..n).collect()
+}
+
+/// [`sort_rows`] for rows `N` wide, in place.
+fn sort_rows_of<const N: usize>(data: &mut Vec<Value>) {
+    let (rows, _) = data.as_chunks_mut::<N>();
+    rows.sort();
+    let mut kept = usize::from(!rows.is_empty());
+    for i in 1..rows.len() {
+        if rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    data.truncate(kept * N);
 }
 
 /// Replace each `old` range of `buf` by its `new` slice, in place — the
@@ -1155,6 +1169,59 @@ mod tests {
                 Some([x, if up == 1 { y + 1 } else { y.saturating_sub(1) }])
             }));
             assert_delta_matches_a_rebuild(&rows, &inserts, &deletes);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `sort_dedup` leaves the rows of a `BTreeSet` at every width the
+        /// in-place sort takes and at eight past it, on every shape its
+        /// input takes: random rows with repeats, sorted, reversed, two
+        /// sorted runs one after the other, no row and one row. The buffer
+        /// keeps no slack.
+        #[test]
+        fn sort_dedup_matches_a_set_at_every_width(
+            values in proptest::collection::vec(0u64..3, 0..120),
+            repeats in 0usize..8,
+            cut in 0usize..64,
+        ) {
+            for a in 1..=MAX_IN_PLACE + 8 {
+                let mut random: Vec<Vec<Value>> =
+                    values.chunks_exact(a).map(<[Value]>::to_vec).collect();
+                let copies: Vec<Vec<Value>> = random.iter().take(repeats).cloned().collect();
+                random.extend(copies);
+                let mut sorted = random.clone();
+                sorted.sort();
+                let reversed: Vec<Vec<Value>> = sorted.iter().rev().cloned().collect();
+                let (low, high) = random.split_at(cut.min(random.len()));
+                let (mut low, mut high) = (low.to_vec(), high.to_vec());
+                low.sort();
+                high.sort();
+                let runs: Vec<Vec<Value>> = low.into_iter().chain(high).collect();
+                let one: Vec<Vec<Value>> = random.iter().take(1).cloned().collect();
+                let shapes = [
+                    ("random", random),
+                    ("sorted", sorted),
+                    ("reversed", reversed),
+                    ("two runs", runs),
+                    ("empty", Vec::new()),
+                    ("one row", one),
+                ];
+                for (shape, rows) in shapes {
+                    let want: Vec<Vec<Value>> =
+                        rows.iter().cloned().collect::<BTreeSet<_>>().into_iter().collect();
+                    let mut rel = Relation::from_rows((0..a as u32).collect(), &rows);
+                    // Slack, and a sort even where the rows ascend.
+                    rel.data.reserve(a + 1);
+                    rel.sorted = false;
+                    rel.sort_dedup();
+                    let got: Vec<Vec<Value>> = rel.rows().map(<[Value]>::to_vec).collect();
+                    prop_assert_eq!(got, want, "width {}, {}", a, shape);
+                    prop_assert!(rel.is_sorted());
+                    prop_assert_eq!(rel.data.capacity(), rel.data.len(), "width {}, {}", a, shape);
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 //! per row (an odometer over the `starts` arrays).
 
 use crate::cursor::lower_bound;
-use crate::relation::{identity_permutation, splice_in_place, Relation};
+use crate::relation::{sort_rows, splice_in_place, Relation};
 use crate::{ProbeSnapshot, Value};
 use std::ops::Range;
 
@@ -129,9 +129,9 @@ impl LevelBuilder {
 impl TrieIndex {
     /// Build the index of `rel` for `order` (a duplicate-free subset of
     /// `rel`'s variables, in any order). The build extracts the projected
-    /// sort keys once into a flat buffer — the comparator never re-reads
-    /// source rows — sorts a row-id permutation, and streams the distinct
-    /// projected rows into the level arrays.
+    /// rows once into a flat buffer, sorts and deduplicates that buffer
+    /// where it lies (`sort_rows`), and streams its rows into the level
+    /// arrays. A sorted relation stored in `order` streams its own rows.
     pub fn build(rel: &Relation, order: &[u32]) -> TrieIndex {
         let arity = order.len();
         if arity == 0 {
@@ -154,26 +154,13 @@ impl TrieIndex {
             }
             return b.finish();
         }
-        // Extract per-row keys once (columns gathered a single time), so
-        // each sort comparison is a contiguous slice compare instead of a
-        // re-walk of `cols` over the source row store.
-        let n = rel.len();
-        let mut keys: Vec<Value> = Vec::with_capacity(n * arity);
-        for i in 0..n {
-            let row = rel.row(i);
+        let mut keys: Vec<Value> = Vec::with_capacity(rel.len() * arity);
+        for row in rel.rows() {
             keys.extend(cols.iter().map(|&c| row[c]));
         }
-        let key = |i: u32| &keys[i as usize * arity..(i as usize + 1) * arity];
-        let mut perm = identity_permutation(n);
-        perm.sort_unstable_by(|&i, &j| key(i).cmp(key(j)));
-        let mut prev: Option<&[Value]> = None;
-        for &p in &perm {
-            let k = key(p);
-            if prev == Some(k) {
-                continue;
-            }
-            b.push(k);
-            prev = Some(k);
+        sort_rows(&mut keys, arity);
+        for key in keys.chunks_exact(arity) {
+            b.push(key);
         }
         b.finish()
     }
@@ -557,6 +544,47 @@ pub(crate) mod tests {
             let p = r.project(&order);
             assert_eq!(ix.len(), p.len(), "order {order:?}");
             assert_eq!(ix.to_relation(), p);
+        }
+    }
+
+    /// Orders of every width up to three past the in-place sort's, over a
+    /// relation stored in another order: each build holds the distinct
+    /// projected rows, in order.
+    #[test]
+    fn build_matches_project_inside_and_beyond_the_in_place_widths() {
+        use crate::relation::MAX_IN_PLACE;
+        use std::collections::BTreeSet;
+        let width = MAX_IN_PLACE + 3;
+        let stored: Vec<u32> = (0..width as u32).rev().collect();
+        // Small values, so short projections repeat.
+        let mut g = 0x9e37_79b9_7f4a_7c15_u64;
+        let rows: Vec<Vec<Value>> = (0..200)
+            .map(|_| {
+                (0..width)
+                    .map(|_| {
+                        g ^= g << 13;
+                        g ^= g >> 7;
+                        g ^= g << 17;
+                        g % 3
+                    })
+                    .collect()
+            })
+            .collect();
+        let rel = Relation::from_rows(stored, &rows);
+        for k in 1..=width {
+            // The first `k` variables, odd ids first.
+            let order: Vec<u32> = (0..k as u32)
+                .filter(|v| v % 2 == 1)
+                .chain((0..k as u32).filter(|v| v % 2 == 0))
+                .collect();
+            let want: BTreeSet<Vec<Value>> = rel
+                .rows()
+                .map(|row| order.iter().map(|&v| row[rel.col_of(v).unwrap()]).collect())
+                .collect();
+            let want = Relation::from_rows(order.clone(), &want);
+            let ix = TrieIndex::build(&rel, &order);
+            assert_eq!(ix.to_relation(), want, "width {k}");
+            assert_eq!(ix.to_relation(), rel.project(&order), "width {k}");
         }
     }
 

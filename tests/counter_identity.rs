@@ -62,6 +62,27 @@
 //! printed at `6564c78`, before Chain, SMA and CSMA made their steps' sides
 //! through one constructor and SMA's heavy/light split and CSMA's degree
 //! buckets through one split; both must leave them as they are.
+//!
+//! The five CSMA rows were re-printed when the CSM sequence stopped
+//! emitting a CC rule for each cardinality pair `(0̂, R_j)` (rows and
+//! output unchanged):
+//!
+//! - `fig1/csma`: work 2 891 768 → 2 888 696, probes 788 992 → 788 989,
+//!   intermediate 1 053 690 → 1 050 621;
+//! - `fig9/csma`: work 22 353 → 21 774, probes 5 329 → 4 942, intermediate
+//!   1 536 → 1 344;
+//! - `triangle/Csma`: work 25 890 → 25 376, probes 12 322 → 12 320,
+//!   intermediate 9 472 → 8 960;
+//! - the degree bound on `x`: work 5 833 → 5 576, probes 2 501 → 2 500,
+//!   intermediate 3 328 → 3 072;
+//! - the degree bound on `y`: work 3 589 → 3 332, probes 1 793 → 1 792,
+//!   intermediate 1 792 → 1 536.
+//!
+//! The old values counted one pass over each `R_j⁺` that joined
+//! `T(0̂) = {()}` with it and rebuilt a table `T(R_j)` the branch state
+//! already held. The final pass's lookups moved from bisections to trie
+//! fingers in the same change without moving a counter: it counts one
+//! probe per input per row either way.
 
 use fdjoin::bigint::rat;
 use fdjoin::core::{Algorithm, Engine, ExecOptions, UserDegreeBound};
@@ -109,7 +130,7 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig1/csma",
             &fig1,
             Algorithm::Csma,
-            "rows=1534 work=2891768 probes=788992 intermediate=1053690 output=1534 expansions=1047552 branches=2 index=0b/0h",
+            "rows=1534 work=2888696 probes=788989 intermediate=1050621 output=1534 expansions=1047552 branches=2 index=0b/0h",
         ),
         (
             "fig9/chain",
@@ -127,7 +148,7 @@ fn bound_driven_algorithms_count_the_pinned_work() {
             "fig9/csma",
             &fig9,
             Algorithm::Csma,
-            "rows=512 work=22353 probes=5329 intermediate=1536 output=512 expansions=14976 branches=5 index=0b/0h",
+            "rows=512 work=21774 probes=4942 intermediate=1344 output=512 expansions=14976 branches=5 index=0b/0h",
         ),
         (
             "fig1/generic_join",
@@ -177,7 +198,7 @@ fn a_triangle_sma_and_csma_count_the_pinned_work() {
         ),
         (
             Algorithm::Csma,
-            "rows=4096 work=25890 probes=12322 intermediate=9472 output=4096 expansions=0 branches=1 index=0b/0h",
+            "rows=4096 work=25376 probes=12320 intermediate=8960 output=4096 expansions=0 branches=1 index=0b/0h",
         ),
     ] {
         assert_eq!(counters(&q, &db, alg), expect, "triangle/{alg:?}");
@@ -197,12 +218,12 @@ fn csma_under_a_satisfied_degree_bound_counts_the_pinned_work() {
         (
             "x",
             4,
-            "rows=4 work=5833 probes=2501 intermediate=3328 output=4 expansions=0 branches=2 index=0b/0h",
+            "rows=4 work=5576 probes=2500 intermediate=3072 output=4 expansions=0 branches=2 index=0b/0h",
         ),
         (
             "y",
             1,
-            "rows=4 work=3589 probes=1793 intermediate=1792 output=4 expansions=0 branches=2 index=0b/0h",
+            "rows=4 work=3332 probes=1792 intermediate=1536 output=4 expansions=0 branches=2 index=0b/0h",
         ),
     ] {
         let opts = ExecOptions::new()
