@@ -91,7 +91,13 @@ pub(crate) fn execute(
     }
 
     let nv = q.n_vars();
+    // Q₀ = ⋈_j Π_{R_j ∧ 0̂}(R_j): `{()}` semijoined with every input, so
+    // empty if one is. A nullary atom covers no later step, so this is
+    // where it takes part.
     let mut q_prev = Relation::nullary_unit();
+    for a in q.atoms() {
+        q_prev = q_prev.semijoin(db.relation(&a.name)?);
+    }
     for i in 1..=k {
         let out_vars = col_order(level_sets[i]);
         // One side per covering atom, keyed on the shared prefix in Q_{i-1}

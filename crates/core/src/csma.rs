@@ -80,6 +80,11 @@ pub(crate) fn plan(
     let mut pairs: Vec<DegreePair> = Vec::new();
     let mut guards: Vec<GuardSpec> = Vec::new();
     for (j, log) in expanded_logs.iter().enumerate() {
+        if !lat.lt(lat.bottom(), pres.inputs[j]) {
+            // A nullary input bounds nothing (its closure is 0̂); the final
+            // pass answers it by its emptiness.
+            continue;
+        }
         pairs.push(DegreePair::cardinality(lat, pres.inputs[j], log.clone()));
         guards.push(GuardSpec {
             atom: j,

@@ -160,6 +160,8 @@ impl Descent {
     }
 
     /// A position before the first answer: every cursor at its trie's root.
+    /// A nullary atom takes part at no depth, so an empty one — no `()`,
+    /// hence no answer — leaves the position exhausted from the start.
     pub fn start(&self) -> Position {
         let root: Vec<ProbeSnapshot> = self.tries.iter().map(|t| t.probe().snapshot()).collect();
         let mut pos = Position {
@@ -167,7 +169,7 @@ impl Descent {
             lead: vec![0; self.order.len()],
             vals: vec![0; self.n_vars],
             depth: 0,
-            done: false,
+            done: self.tries.iter().any(|t| t.arity() == 0 && t.is_empty()),
         };
         self.arrive(&mut pos, 0);
         pos
@@ -321,8 +323,11 @@ impl Descent {
     pub(crate) fn root_matches(&self, stats: &mut Stats) -> (Vec<Value>, Vec<u64>) {
         debug_assert!(self.splits_at_root());
         let mut pos = self.start();
-        let (level, lead) = (&mut pos.levels[0], pos.lead[0]);
         let (mut values, mut weights) = (Vec::new(), Vec::new());
+        if pos.done {
+            return (values, weights);
+        }
+        let (level, lead) = (&mut pos.levels[0], pos.lead[0]);
         while let Some(value) = self.leapfrog(level, 0, lead, stats) {
             // Every cursor sits at `value`, so `group` reads two offsets.
             let weight: u64 = self.at_depth[0]

@@ -115,26 +115,30 @@ impl Relabel {
     }
 
     /// Relabel a CSMA plan. Only cardinality-constrained plans are shared
-    /// (one degree pair per atom, trivial guards), which the caller
-    /// guarantees; the slot map then applies to the pair list directly.
+    /// (at most one degree pair per atom, trivial guards), which the caller
+    /// guarantees. The pair list keeps its order — each pair's guard names
+    /// its atom — so the CC rules' pair indices carry over unchanged.
     pub fn csma(&self, p: &csma::CsmaPlan) -> csma::CsmaPlan {
-        debug_assert_eq!(p.pairs.len(), self.slot.len());
-        let mut pairs = p.pairs.clone();
-        for (j, pr) in p.pairs.iter().enumerate() {
-            pairs[self.slot[j]] = fdjoin_bounds::cllp::DegreePair {
+        let pairs = p
+            .pairs
+            .iter()
+            .map(|pr| fdjoin_bounds::cllp::DegreePair {
                 lo: self.elem[pr.lo],
                 hi: self.elem[pr.hi],
                 log_bound: pr.log_bound.clone(),
-            };
-        }
-        let mut guards = p.guards.clone();
-        for (j, g) in p.guards.iter().enumerate() {
-            debug_assert!(g.order.is_none(), "only cardinality plans are shared");
-            guards[self.slot[j]] = csma::GuardSpec {
-                atom: self.slot[g.atom],
-                order: None,
-            };
-        }
+            })
+            .collect();
+        let guards = p
+            .guards
+            .iter()
+            .map(|g| {
+                debug_assert!(g.order.is_none(), "only cardinality plans are shared");
+                csma::GuardSpec {
+                    atom: self.slot[g.atom],
+                    order: None,
+                }
+            })
+            .collect();
         let rules = p
             .seq
             .rules
@@ -144,9 +148,7 @@ impl Relabel {
                     x: self.elem[x],
                     y: self.elem[y],
                 },
-                CsmRule::Cc { pair } => CsmRule::Cc {
-                    pair: self.slot[pair],
-                },
+                CsmRule::Cc { pair } => CsmRule::Cc { pair },
                 CsmRule::Sm { a, b } => CsmRule::Sm {
                     a: self.elem[a],
                     b: self.elem[b],

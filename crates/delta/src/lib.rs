@@ -30,26 +30,30 @@
 //! For a full conjunctive query (output over *all* variables, no
 //! self-joins) a tuple `t` is in the answer iff every atom's projection of
 //! `t` is present in that atom's relation and the FDs/UDFs are consistent
-//! — membership is per-tuple checkable. `apply_delta` normalises the batch
-//! per relation into its net inserts `Δ⁺` (rows not stored yet) and net
-//! deletes `Δ⁻` (stored rows the batch does not re-insert), then:
+//! — membership is per-tuple checkable. `apply_delta` proceeds in three
+//! steps:
 //!
-//! 1. **apply once**: every named relation absorbs its `Δ⁺`/`Δ⁻` in one
-//!    [`Relation::apply_delta`](fdjoin_storage::Relation::apply_delta),
-//!    which costs the delta, not the relation, and carries the relation's
-//!    statistics and trie indexes to the new version;
+//! 1. **apply once**: every named relation absorbs its share of the batch
+//!    in one [`Relation::apply_delta`](fdjoin_storage::Relation::apply_delta),
+//!    which costs the delta, not the relation, carries the relation's
+//!    statistics and trie indexes to the new version, and returns the net
+//!    rows it applied — the inserts `Δ⁺` not stored before and the deletes
+//!    `Δ⁻` stored before and not re-inserted. That is the batch's only
+//!    normalisation: the recompute threshold below and both later steps
+//!    read it;
 //! 2. **Δ⁺ joins on the final versions**, one per updated query relation in
 //!    name order: the relation is swapped for just its `Δ⁺`, the prepared
 //!    query executes against that substituted database — every *other*
 //!    relation at its final version — and the final version is swapped
 //!    back. Every new answer uses some inserted row, so the pass of that
 //!    row's relation produces it; an answer using inserts of several
-//!    relations comes out of several passes, and the union is
-//!    sort-deduplicated;
+//!    relations comes out of several passes;
 //! 3. **revalidation against `Δ⁻`**: every old answer's projections were
 //!    all present before the batch, so it survives iff none of them is in
 //!    its relation's `Δ⁻` — a lookup in the batch, not in the relation. The
-//!    survivors plus the `Δ⁺` joins' outputs are the new answer.
+//!    `Δ⁺` joins' outputs and the answers that did not survive are then
+//!    spliced into the answer where it lies, by one more
+//!    `Relation::apply_delta` — no rebuild and no sort of the whole answer.
 //!
 //! Each `Δ⁺` join runs through the same `PreparedQuery`, so its
 //! per-size-profile plan caches and the cross-query `PlanCache` absorb the

@@ -3,7 +3,7 @@
 use crate::{DeltaBatch, DeltaStats};
 use fdjoin_core::{Algorithm, ExecOptions, JoinError, PreparedQuery};
 use fdjoin_obs::{Span, SpanKind};
-use fdjoin_storage::{Relation, Value};
+use fdjoin_storage::{DeltaApplied, Relation, Value};
 use std::sync::Arc;
 
 /// Maintenance policy for a [`MaterializedView`].
@@ -185,29 +185,27 @@ impl MaterializedView {
             span.field("empty", true);
             return Ok(bs);
         }
-        // Normalise the batch once; the threshold and every phase below
-        // read the same (Δ⁺, Δ⁻) pairs. The threshold compares the
-        // *effective* rows aimed at the query's atoms against the query's
-        // size profile — the tuples the join actually reads. No-op and
-        // duplicate rows (e.g. an at-least-once client replaying an applied
-        // batch) and rows against auxiliary relations cost no join work and
-        // count toward neither side; deduping + membership costs
-        // |delta| log(|delta| + len), negligible next to the recompute it
-        // can avoid.
-        let net = self.net_deltas(delta);
-        let atom_rows: usize = net
-            .iter()
-            .filter(|d| self.prepared.query().atom_index(d.name).is_some())
-            .map(|d| d.plus.len() + d.minus.len())
-            .sum();
+        // The threshold compares the *net* rows aimed at the query's atoms
+        // against the query's size profile before the batch — the tuples
+        // the join actually reads. No-op and duplicate rows (e.g. an
+        // at-least-once client replaying an applied batch) and rows against
+        // auxiliary relations cost no join work and count toward neither
+        // side. The net rows are what applying the batch reports, so the
+        // profile is read first.
         let total: u64 = self
             .prepared
             .size_profile(&self.db)
             .map_err(|e| failed(&mut span, e))?
             .iter()
             .sum();
+        let net = self.apply_all(delta, &mut bs);
+        let q = self.prepared.query();
+        let atom_rows: usize = net
+            .iter()
+            .filter(|(name, _)| q.atom_index(name).is_some())
+            .map(|(_, applied)| applied.changed())
+            .sum();
         let result = if (atom_rows as f64) > self.opts.max_delta_fraction * total as f64 {
-            self.apply_all(&net, &mut bs);
             self.full_execute(&mut bs)
         } else {
             self.incremental(&net, &mut bs)
@@ -255,38 +253,25 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Each relation's share of `delta`, normalised against the stored
-    /// rows, in name order.
-    fn net_deltas<'d>(&self, delta: &'d DeltaBatch) -> Vec<NetDelta<'d>> {
+    /// Apply the whole batch to the stored relations — the one place a
+    /// batch reaches them, on the incremental and the fallback path alike —
+    /// and hand back what each relation absorbed, its net `Δ⁺` and `Δ⁻`, in
+    /// name order.
+    fn apply_all<'d>(
+        &mut self,
+        delta: &'d DeltaBatch,
+        bs: &mut DeltaStats,
+    ) -> Vec<(&'d str, DeltaApplied)> {
         delta
             .relations()
             .map(|(name, d)| {
-                let rel = self.db.relation(name).expect("validated");
-                let ins = sorted_delta_rows(rel.vars(), &d.inserts);
-                let dels = sorted_delta_rows(rel.vars(), &d.deletes);
-                let absent = |i: &usize| !rel.contains_row(ins.row(*i));
-                let doomed = |i: &usize| {
-                    let row = dels.row(*i);
-                    rel.contains_row(row) && !ins.contains_row(row)
-                };
-                NetDelta {
-                    name,
-                    plus: ins.select_rows((0..ins.len()).filter(absent)),
-                    minus: dels.select_rows((0..dels.len()).filter(doomed)),
-                }
+                let rel = self.db.relation_mut(name).expect("validated above");
+                let applied = rel.apply_delta(&d.inserts, &d.deletes);
+                bs.inserts_applied += applied.added as u64;
+                bs.deletes_applied += applied.removed as u64;
+                (name, applied)
             })
             .collect()
-    }
-
-    /// Apply the whole batch to the stored relations — the one place a
-    /// batch reaches them, on the incremental and the fallback path alike.
-    fn apply_all(&mut self, net: &[NetDelta<'_>], bs: &mut DeltaStats) {
-        for d in net {
-            let rel = self.db.relation_mut(d.name).expect("validated above");
-            let applied = rel.apply_delta(d.plus.rows(), d.minus.rows());
-            bs.inserts_applied += applied.added as u64;
-            bs.deletes_applied += applied.removed as u64;
-        }
     }
 
     /// One full execution over the current database, replacing the
@@ -309,11 +294,14 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// The incremental path: the batch applied once, one Δ⁺ join per
-    /// updated query relation against the final versions, then survivors
-    /// revalidated against Δ⁻ and unioned with the joins' outputs.
-    fn incremental(&mut self, net: &[NetDelta<'_>], bs: &mut DeltaStats) -> Result<(), JoinError> {
-        self.apply_all(net, bs);
+    /// The incremental path over the applied batch's net rows: one Δ⁺ join
+    /// per updated query relation against the final versions, then the
+    /// answers revalidated against Δ⁻, and both spliced into the output.
+    fn incremental(
+        &mut self,
+        net: &[(&str, DeltaApplied)],
+        bs: &mut DeltaStats,
+    ) -> Result<(), JoinError> {
         let prepared = Arc::clone(&self.prepared);
         let q = prepared.query();
 
@@ -322,13 +310,13 @@ impl MaterializedView {
         // relation's *final* version. Every new output tuple uses some
         // inserted row, so the pass of that row's relation produces it;
         // tuples using inserts of several relations come out of several
-        // passes and the sort-dedup below keeps one.
+        // passes and the splice below adds one.
         let mut additions: Vec<Relation> = Vec::new();
-        for d in net {
-            let Some(ai) = q.atom_index(d.name).filter(|_| !d.plus.is_empty()) else {
+        for &(name, ref applied) in net {
+            let Some((ai, plus)) = q.atom_index(name).zip(applied.plus()) else {
                 continue;
             };
-            let applied = self.db.replace(d.name, d.plus.clone()).expect("validated");
+            let current = self.db.replace(name, plus.clone()).expect("validated");
             // Ask the cost model whether this delta profile wants a
             // Δ-first specialized plan instead of the view's own
             // algorithm — only for plain-Auto views (an explicitly
@@ -353,7 +341,7 @@ impl MaterializedView {
             let before = prepared.prep_stats();
             let run = prepared.execute(&self.db, &exec_opts);
             let solves = prepared.prep_stats().since(&before).solves();
-            self.db.replace(d.name, applied);
+            self.db.replace(name, current);
             match run {
                 Ok(r) => {
                     bs.delta_joins += 1;
@@ -381,7 +369,7 @@ impl MaterializedView {
             }
         }
 
-        // Survivors: every old output tuple's atom projections were stored
+        // Dropped answers: every old answer's atom projections were stored
         // before the batch, so it survives iff none of them is in its
         // relation's net Δ⁻ — a lookup in the batch, not in the relation.
         // The check is complete because the output covers all variables
@@ -390,19 +378,13 @@ impl MaterializedView {
             .atoms()
             .iter()
             .map(|a| {
-                let d = net.iter().find(|d| d.name == a.name);
+                let applied = net.iter().find(|(name, _)| *name == a.name);
                 let rel = self.db.relation(&a.name).expect("validated");
-                (rel.vars(), d.map(|d| &d.minus).filter(|m| !m.is_empty()))
+                (rel.vars(), applied.and_then(|(_, d)| d.minus()))
             })
             .collect();
-        let nv = q.n_vars();
-        let old_len = self.output.len() as u64;
-        let mut next = Relation::new((0..nv as u32).collect());
-        let mut survivors = 0u64;
-        if minus.iter().all(|(_, m)| m.is_none()) {
-            survivors = old_len;
-            std::mem::swap(&mut next, &mut self.output);
-        } else {
+        let mut dropped = Relation::new(self.output.vars().to_vec());
+        if minus.iter().any(|(_, m)| m.is_some()) {
             let mut key: Vec<Value> = Vec::new();
             for row in self.output.rows() {
                 bs.revalidated += 1;
@@ -414,45 +396,20 @@ impl MaterializedView {
                         !m.contains_row(&key)
                     })
                 });
-                if keep {
-                    next.push_row(row);
-                    survivors += 1;
+                if !keep {
+                    dropped.push_row(row);
                 }
             }
         }
-        bs.tuples_removed += old_len - survivors;
-        for add in &additions {
-            for row in add.rows() {
-                next.push_row(row);
-            }
-        }
-        next.sort_dedup();
-        bs.tuples_added += next.len() as u64 - survivors;
-        self.output = next;
+        // The answer is spliced where it lies: a dropped answer never comes
+        // out of a Δ⁺ join (it reads a row the batch removed), so the counts
+        // are exactly the answers added and dropped.
+        let rows = additions.iter().flat_map(Relation::rows);
+        let spliced = self.output.apply_delta(rows, dropped.rows());
+        bs.tuples_added += spliced.added as u64;
+        bs.tuples_removed += spliced.removed as u64;
         Ok(())
     }
-}
-
-/// One relation's share of a [`DeltaBatch`], normalised against the rows
-/// stored when the batch arrived. Both halves are sorted and duplicate-free.
-struct NetDelta<'d> {
-    name: &'d str,
-    /// Δ⁺: the inserted rows not stored yet.
-    plus: Relation,
-    /// Δ⁻: the deleted rows that are stored and that the same batch does
-    /// not insert again.
-    minus: Relation,
-}
-
-/// The delta rows as a sorted + deduplicated relation over `vars`, for
-/// logarithmic membership tests against row lists.
-fn sorted_delta_rows(vars: &[u32], rows: &[Vec<Value>]) -> Relation {
-    let mut rel = Relation::new(vars.to_vec());
-    for row in rows {
-        rel.push_row(row);
-    }
-    rel.sort_dedup();
-    rel
 }
 
 /// Rows in `new` not in `old` and rows in `old` not in `new` (both sorted

@@ -586,3 +586,78 @@ fn inserting_into_empty_view_builds_the_output() {
     assert_eq!(view.output().len(), 1);
     assert_consistent(&view, "bootstrap");
 }
+
+/// Per-batch counters of a seeded sequence, pinned to literals, for an
+/// `Auto` view (its delta joins specialize) and a `Chain` view (they replay
+/// the view's plans). Every batch deletes and re-inserts a stored row per
+/// atom, names no-op rows (a stored row inserted, an absent row deleted),
+/// inserts edges drawn from stored values, deletes a stored row and edits
+/// the auxiliary `Audit` relation; one batch is large enough to fall back
+/// to a recompute.
+#[test]
+fn a_seeded_sequence_counts_the_pinned_stats() {
+    let q = examples::triangle();
+    let mut db = triangle_db(48, 40);
+    db.insert(
+        "Audit",
+        Relation::from_rows(vec![5], (0..20u64).map(|k| [k])),
+    );
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let mut views: Vec<MaterializedView> = [Algorithm::Auto, Algorithm::Chain]
+        .into_iter()
+        .map(|algorithm| {
+            let exec = ExecOptions::new().algorithm(algorithm);
+            let opts = DeltaOptions::new().exec(exec);
+            MaterializedView::materialize(Arc::clone(&prepared), db.clone(), opts).unwrap()
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(48);
+    let mut counts = Vec::new();
+    for b in 0..8u64 {
+        let db = views[0].database();
+        let row = |rng: &mut StdRng, name: &str| {
+            let rel = db.relation(name).unwrap();
+            rel.row(rng.gen_range(0..rel.len())).to_vec()
+        };
+        let mut delta = DeltaBatch::new();
+        for (name, next) in [("R", "S"), ("S", "T"), ("T", "R")] {
+            let kept = row(&mut rng, name);
+            delta.push_delete(name, kept.clone());
+            delta.push_insert(name, kept);
+            delta.push_insert(name, row(&mut rng, name));
+            delta.push_delete(name, [u64::MAX, u64::MAX]);
+            delta.push_delete(name, row(&mut rng, name));
+            for _ in 0..if b == 5 { 12 } else { 2 } {
+                let edge = [row(&mut rng, name)[0], row(&mut rng, next)[0]];
+                delta.push_insert(name, edge);
+            }
+        }
+        delta.push_insert("Audit", [100 + b]);
+        delta.push_delete("Audit", [b]);
+        for view in &mut views {
+            let bs = view.apply_delta(&delta).unwrap();
+            assert_consistent(view, &format!("batch {b}"));
+            counts.push(bs.to_string());
+        }
+    }
+    // Auto and Chain alternate, batch by batch.
+    let pinned = [
+        "batches=1 rows=7+/4- joins=3 (specialized=3) recomputes=0 revalidated=27 output=0+/2- work=109 solves=0 reused=0",
+        "batches=1 rows=7+/4- joins=3 (specialized=0) recomputes=0 revalidated=27 output=0+/2- work=445 solves=3 reused=0",
+        "batches=1 rows=7+/4- joins=3 (specialized=3) recomputes=0 revalidated=25 output=2+/2- work=107 solves=0 reused=0",
+        "batches=1 rows=7+/4- joins=3 (specialized=0) recomputes=0 revalidated=25 output=2+/2- work=453 solves=3 reused=0",
+        "batches=1 rows=6+/4- joins=3 (specialized=3) recomputes=0 revalidated=25 output=1+/3- work=101 solves=0 reused=0",
+        "batches=1 rows=6+/4- joins=3 (specialized=0) recomputes=0 revalidated=25 output=1+/3- work=422 solves=3 reused=0",
+        "batches=1 rows=7+/4- joins=3 (specialized=3) recomputes=0 revalidated=23 output=0+/2- work=107 solves=0 reused=0",
+        "batches=1 rows=7+/4- joins=3 (specialized=0) recomputes=0 revalidated=23 output=0+/2- work=434 solves=3 reused=0",
+        "batches=1 rows=6+/4- joins=3 (specialized=3) recomputes=0 revalidated=21 output=1+/2- work=94 solves=0 reused=0",
+        "batches=1 rows=6+/4- joins=3 (specialized=0) recomputes=0 revalidated=21 output=1+/2- work=427 solves=3 reused=0",
+        "batches=1 rows=32+/4- joins=0 (specialized=0) recomputes=1 revalidated=0 output=8+/1- work=499 solves=1 reused=0",
+        "batches=1 rows=32+/4- joins=0 (specialized=0) recomputes=1 revalidated=0 output=8+/1- work=499 solves=0 reused=1",
+        "batches=1 rows=6+/4- joins=3 (specialized=3) recomputes=0 revalidated=27 output=5+/1- work=142 solves=0 reused=0",
+        "batches=1 rows=6+/4- joins=3 (specialized=0) recomputes=0 revalidated=27 output=5+/1- work=544 solves=3 reused=0",
+        "batches=1 rows=5+/3- joins=3 (specialized=3) recomputes=0 revalidated=31 output=3+/1- work=122 solves=0 reused=0",
+        "batches=1 rows=5+/3- joins=3 (specialized=0) recomputes=0 revalidated=31 output=3+/1- work=522 solves=3 reused=0",
+    ];
+    assert_eq!(counts, pinned);
+}

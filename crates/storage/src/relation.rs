@@ -73,7 +73,8 @@ pub struct Relation {
 /// What one [`Relation::apply_delta`] changed: the version it started from
 /// and the net rows it added and removed (sorted, in the relation's column
 /// order). The access-path layer carries the predecessor's tries to the
-/// successor with it ([`crate::IndexSet::index_of`]).
+/// successor with it ([`crate::IndexSet::index_of`]), and the call's
+/// [`DeltaApplied`] hands the same net rows to its caller.
 #[derive(Debug)]
 pub(crate) struct Lineage {
     /// The predecessor's [`Relation::version`].
@@ -113,19 +114,49 @@ impl PartialEq for Relation {
 
 impl Eq for Relation {}
 
-/// What [`Relation::apply_delta`] actually changed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What [`Relation::apply_delta`] actually changed: how many rows, and
+/// which.
+#[derive(Clone, Debug, Default)]
 pub struct DeltaApplied {
     /// Rows inserted that were not already present (post-deletion).
     pub added: usize,
     /// Rows removed that were present and not re-inserted.
     pub removed: usize,
+    /// The net rows, shared with the relation's lineage; `None` when the
+    /// call changed nothing.
+    net: Option<Arc<Lineage>>,
 }
 
 impl DeltaApplied {
+    fn of(net: Arc<Lineage>) -> DeltaApplied {
+        DeltaApplied {
+            added: net.plus.len(),
+            removed: net.minus.len(),
+            net: Some(net),
+        }
+    }
+
     /// Total rows whose presence changed.
     pub fn changed(&self) -> usize {
         self.added + self.removed
+    }
+
+    /// The rows the call added — absent before it, present after —
+    /// sorted, in the relation's column order; `None` if it added none.
+    pub fn plus(&self) -> Option<&Relation> {
+        self.net
+            .as_deref()
+            .map(|n| &n.plus)
+            .filter(|r| !r.is_empty())
+    }
+
+    /// The rows the call removed — present before it, absent after —
+    /// sorted, in the relation's column order; `None` if it removed none.
+    pub fn minus(&self) -> Option<&Relation> {
+        self.net
+            .as_deref()
+            .map(|n| &n.minus)
+            .filter(|r| !r.is_empty())
     }
 }
 
@@ -336,9 +367,12 @@ impl Relation {
     /// predecessor's tries to the successor instead of rebuilding them.
     ///
     /// The relation is left sorted + deduplicated, and the returned
-    /// [`DeltaApplied`] counts only *actual* changes — deleting an absent
-    /// row or inserting a present one is a no-op. The version changes iff
-    /// something did; a no-op keeps version, statistics and lineage.
+    /// [`DeltaApplied`] counts and holds only *actual* changes — deleting an
+    /// absent row or inserting a present one is a no-op — sharing its net
+    /// rows with the lineage. The version changes iff something did; a
+    /// no-op keeps version, statistics and lineage. A nullary relation
+    /// (`{()}` or `{}`) reports its net row too but records no lineage:
+    /// its tries cost nothing to build.
     pub fn apply_delta<I, D>(&mut self, inserts: I, deletes: D) -> DeltaApplied
     where
         I: IntoIterator,
@@ -354,18 +388,18 @@ impl Relation {
             let del = deletes.into_iter().next().is_some();
             let ins = inserts.into_iter().next().is_some();
             let present = (had && !del) || ins;
-            let applied = DeltaApplied {
-                added: (!had && present) as usize,
-                removed: (had && !present) as usize,
-            };
-            if applied.changed() > 0 {
-                self.data.clear();
-                if present {
-                    self.data.push(1);
-                }
-                self.touch();
+            if had == present {
+                return DeltaApplied::default();
             }
-            return applied;
+            let from = self.version();
+            self.data.clear();
+            if present {
+                self.data.push(1);
+            }
+            self.touch();
+            let (unit, none) = (Relation::nullary_unit(), Relation::new(Vec::new()));
+            let (plus, minus) = if present { (unit, none) } else { (none, unit) };
+            return DeltaApplied::of(Arc::new(Lineage { from, plus, minus }));
         }
         let mut ins = Relation::from_rows(self.vars.clone(), inserts);
         ins.sort_dedup();
@@ -428,11 +462,6 @@ impl Relation {
                 }
             })
             .collect();
-        let applied = DeltaApplied {
-            added: plus.len(),
-            removed: minus.len(),
-        };
-
         let from = self.version();
         let stats = self.stats.take();
         // The touched rows in ascending order (the edits' keys), and the
@@ -453,8 +482,9 @@ impl Relation {
                 let _ = self.stats.set(carried);
             }
         }
-        self.lineage = Some(Arc::new(Lineage { from, plus, minus }));
-        applied
+        let net = Arc::new(Lineage { from, plus, minus });
+        self.lineage = Some(Arc::clone(&net));
+        DeltaApplied::of(net)
     }
 
     /// Row accessor.
@@ -994,13 +1024,7 @@ mod tests {
             [[0u64, 5], [1, 10], [9, 9]], // (1,10) already present
             [[1u64, 11], [7, 7]],         // (7,7) absent
         );
-        assert_eq!(
-            applied,
-            DeltaApplied {
-                added: 2,
-                removed: 1
-            }
-        );
+        assert_eq!((applied.added, applied.removed), (2, 1));
         assert_eq!(applied.changed(), 3);
         assert!(r.is_sorted());
         assert_eq!(r.len(), 5);
@@ -1017,13 +1041,7 @@ mod tests {
         // Deleting and re-inserting the same row leaves it present and
         // counts as no change; a brand-new row that is also deleted stays.
         let applied = r.apply_delta([[1u64, 10], [5, 50]], [[1u64, 10], [5, 50]]);
-        assert_eq!(
-            applied,
-            DeltaApplied {
-                added: 1,
-                removed: 0
-            }
-        );
+        assert_eq!((applied.added, applied.removed), (1, 0));
         assert!(r.contains_row(&[1, 10]));
         assert!(r.contains_row(&[5, 50]));
     }
@@ -1034,9 +1052,10 @@ mod tests {
         r.sort_dedup();
         let v0 = r.version();
         let none: [&[Value]; 0] = [];
-        assert_eq!(r.apply_delta(none, none), DeltaApplied::default());
+        assert_eq!(r.apply_delta(none, none).changed(), 0);
         let applied = r.apply_delta([[1u64, 10]], [[9u64, 9]]); // both no-ops
-        assert_eq!(applied, DeltaApplied::default());
+        assert_eq!(applied.changed(), 0);
+        assert!(applied.plus().is_none() && applied.minus().is_none());
         assert_eq!(r.version(), v0, "no content change, no version bump");
     }
 
@@ -1098,7 +1117,8 @@ mod tests {
 
     /// Apply `inserts` and `deletes` to the relation of `rows` whose
     /// statistics are cached, and check the result against the relation
-    /// and statistics computed from scratch over the changed row set.
+    /// and statistics computed from scratch over the changed row set, and
+    /// the net rows returned against the set differences.
     fn assert_delta_matches_a_rebuild(
         rows: &[[Value; 2]],
         inserts: &[[Value; 2]],
@@ -1116,10 +1136,37 @@ mod tests {
         want.sort_dedup();
         assert_eq!(rel, want, "inserts {inserts:?}, deletes {deletes:?}");
         assert!(rel.is_sorted());
-        assert_eq!(applied.added, after.difference(&before).count());
-        assert_eq!(applied.removed, before.difference(&after).count());
+        let net = |rel: Option<&Relation>| -> Vec<[Value; 2]> {
+            rel.map_or(Vec::new(), |r| {
+                r.rows().map(|row| [row[0], row[1]]).collect()
+            })
+        };
+        let plus: Vec<[Value; 2]> = after.difference(&before).copied().collect();
+        let minus: Vec<[Value; 2]> = before.difference(&after).copied().collect();
+        assert_eq!(net(applied.plus()), plus);
+        assert_eq!(net(applied.minus()), minus);
+        assert_eq!((applied.added, applied.removed), (plus.len(), minus.len()));
         assert_eq!(rel.stats(), Some(&RelationStats::of(&want)));
         assert_eq!(rel.data.capacity(), rel.data.len(), "no slack kept");
+    }
+
+    /// [`assert_delta_matches_a_rebuild`] on a nullary relation: `{()}` if
+    /// `unit` (else `{}`) takes `ins` inserts and `del` deletes of `()`.
+    fn assert_nullary_delta_matches_a_rebuild(unit: bool, ins: usize, del: usize) {
+        let mut rel = if unit {
+            Relation::nullary_unit()
+        } else {
+            Relation::new(Vec::new())
+        };
+        let row: &[Value] = &[];
+        let applied = rel.apply_delta(vec![row; ins], vec![row; del]);
+        let after = ins > 0 || (unit && del == 0);
+        assert_eq!(rel.len(), usize::from(after));
+        let (plus, minus) = (usize::from(after && !unit), usize::from(unit && !after));
+        assert_eq!(applied.plus().map_or(0, Relation::len), plus);
+        assert_eq!(applied.minus().map_or(0, Relation::len), minus);
+        assert_eq!((applied.added, applied.removed), (plus, minus));
+        assert!(rel.lineage().is_none(), "a nullary relation records none");
     }
 
     /// The splice at the buffer's edges and around its edits, one named
@@ -1145,7 +1192,8 @@ mod tests {
         /// Random batches over a small value domain: inserts below row 0
         /// and past the last row (values 0 and 6 are never stored), deletes
         /// of stored rows picked by position (the last one included) and of
-        /// absent rows, and inserts next to the deleted rows.
+        /// absent rows, and inserts next to the deleted rows; and a nullary
+        /// relation toggled by inserts and deletes of `()`.
         #[test]
         fn apply_delta_matches_a_rebuild(
             rows in proptest::collection::vec((1u64..6, 1u64..6), 0..24),
@@ -1154,6 +1202,8 @@ mod tests {
             absent in proptest::collection::vec((0u64..7, 0u64..7), 0..3),
             delete_last in any::<bool>(),
             beside in proptest::collection::vec((0usize..32, 0u64..2), 0..4),
+            unit in any::<bool>(),
+            unit_edits in (0usize..3, 0usize..3),
         ) {
             let rows: Vec<[Value; 2]> = rows.into_iter().map(|(x, y)| [x, y]).collect();
             let mut stored = rows.clone();
@@ -1169,6 +1219,7 @@ mod tests {
                 Some([x, if up == 1 { y + 1 } else { y.saturating_sub(1) }])
             }));
             assert_delta_matches_a_rebuild(&rows, &inserts, &deletes);
+            assert_nullary_delta_matches_a_rebuild(unit, unit_edits.0, unit_edits.1);
         }
     }
 
@@ -1238,13 +1289,7 @@ mod tests {
             [[0u64, 0], [7, 1000], [200, 1]],
             [[1u64, 4], [5, 20], [100, 0]],
         );
-        assert_eq!(
-            applied,
-            DeltaApplied {
-                added: 3,
-                removed: 3
-            }
-        );
+        assert_eq!((applied.added, applied.removed), (3, 3));
         assert_eq!(r.data.as_ptr(), at, "spliced where it lies");
         assert_eq!(r.len(), 64);
         assert!(r.contains_row(&[7, 1000]) && !r.contains_row(&[5, 20]));
@@ -1338,24 +1383,14 @@ mod tests {
         let mut unit = Relation::nullary_unit();
         let none: [&[Value]; 0] = [];
         let row: [&[Value]; 1] = [&[]];
-        assert_eq!(
-            unit.apply_delta(none, row),
-            DeltaApplied {
-                added: 0,
-                removed: 1
-            }
-        );
+        let applied = unit.apply_delta(none, row);
+        assert_eq!((applied.added, applied.removed), (0, 1));
         assert!(unit.is_empty());
-        assert_eq!(
-            unit.apply_delta(row, none),
-            DeltaApplied {
-                added: 1,
-                removed: 0
-            }
-        );
+        let applied = unit.apply_delta(row, none);
+        assert_eq!((applied.added, applied.removed), (1, 0));
         assert_eq!(unit.len(), 1);
         // Delete + insert in one delta: the insert wins.
-        assert_eq!(unit.apply_delta(row, row), DeltaApplied::default());
+        assert_eq!(unit.apply_delta(row, row).changed(), 0);
         assert_eq!(unit.len(), 1);
     }
 

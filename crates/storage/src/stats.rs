@@ -14,8 +14,10 @@
 //!   i.e. the trie fan-out at depth `from`: the branch counts a join's
 //!   variable-binding loop will actually see;
 //! - `skew(len)` — `max_degree / avg_degree`, 1.0 for perfectly uniform
-//!   data; the indicator `fdjoin_core::cost` uses for data-dependent
-//!   planning tie-breaks.
+//!   data.
+//!
+//! `fdjoin_core::cost` prices a join from `distinct_prefixes` (the average
+//! fan-out) and `max_branch` (the worst one).
 //!
 //! Statistics are *exact*, not sampled, and *lazy*:
 //! [`Relation::stats`](crate::Relation::stats) computes them in one pass

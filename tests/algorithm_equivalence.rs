@@ -160,3 +160,76 @@ fn fig9_worst_case_all_consistent() {
     // SMA must *refuse* (no good proof sequence) — Example 5.31.
     assert_eq!(sma_join(&q, &db).unwrap_err(), JoinError::NoGoodProof);
 }
+
+/// A nullary atom `E()` holds `()` or nothing, and the triangle's answer
+/// survives only in the first case: Sec. 5.1's `Q₀ = ⋈_j Π_{R_j ∧ 0̂}(R_j)`
+/// is `{()}` only when every input is non-empty. Every algorithm at
+/// parallelism 1 and 2, a drained stream and a view that toggles `E`
+/// through its batches agree with the reference evaluator.
+#[test]
+fn a_nullary_atom_gates_the_answer() {
+    use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
+    use fdjoin::storage::{Database, Relation};
+    use fdjoin::stream::ResultStream;
+    use std::sync::Arc;
+
+    let mut b = Query::builder();
+    let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
+    b.atom("R", &[x, y])
+        .atom("S", &[y, z])
+        .atom("T", &[z, x])
+        .atom("E", &[]);
+    let q = b.build();
+    let mut db = Database::new();
+    db.insert(
+        "R",
+        Relation::from_rows(vec![x, y], [[1, 2], [2, 2], [4, 4]]),
+    );
+    db.insert("S", Relation::from_rows(vec![y, z], [[2, 3], [4, 5]]));
+    db.insert(
+        "T",
+        Relation::from_rows(vec![z, x], [[3, 1], [3, 2], [5, 7]]),
+    );
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let algorithms = [
+        Algorithm::Auto,
+        Algorithm::Chain,
+        Algorithm::ChainNoArgmin,
+        Algorithm::Sma,
+        Algorithm::Csma,
+        Algorithm::GenericJoin,
+        Algorithm::BinaryJoin,
+    ];
+    for (e, rows) in [(Relation::new(vec![]), 0), (Relation::nullary_unit(), 2)] {
+        db.insert("E", e);
+        let want = reference_join(&q, &db);
+        assert_eq!(want.len(), rows);
+        for alg in algorithms {
+            for tasks in [1, 2] {
+                let opts = ExecOptions::new().algorithm(alg).parallelism(tasks);
+                let got = prepared.execute(&db, &opts).unwrap().output;
+                assert_eq!(got, want, "{alg} at parallelism {tasks}, {rows} rows");
+            }
+        }
+        let mut stream = ResultStream::open(&prepared, &db).unwrap();
+        assert_eq!(stream.collect_rows(), want, "stream, {rows} rows");
+    }
+
+    db.insert("E", Relation::new(vec![]));
+    let unit = Vec::<u64>::new;
+    for alg in algorithms {
+        let opts = DeltaOptions::new().exec(ExecOptions::new().algorithm(alg));
+        let mut view =
+            MaterializedView::materialize(Arc::clone(&prepared), db.clone(), opts).unwrap();
+        for (batch, rows) in [
+            (DeltaBatch::new().insert("E", unit()), 2),
+            (DeltaBatch::new().delete("E", unit()).delete("R", [2, 2]), 0),
+            (DeltaBatch::new().insert("E", unit()), 1),
+        ] {
+            view.apply_delta(&batch).unwrap();
+            let want = reference_join(&q, view.database());
+            assert_eq!(view.output(), &want, "{alg} view");
+            assert_eq!(want.len(), rows);
+        }
+    }
+}
