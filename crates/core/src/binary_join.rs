@@ -11,6 +11,7 @@ use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
 use fdjoin_storage::{Database, Relation, Value};
+use std::borrow::Cow;
 
 /// Evaluate `q` with pairwise joins in the given atom order (default:
 /// body order), then expansion + FD verification. Output columns are all
@@ -28,15 +29,21 @@ pub(crate) fn execute(
     let order: &[usize] = atom_order.unwrap_or(&default_order);
     let nv = q.n_vars();
 
-    // Left-deep: acc ⋈ atom ⋈ atom ⋈ …
+    // Left-deep: acc ⋈ atom ⋈ atom ⋈ …, from the first atom's rows as
+    // stored when they are sorted in the atom's order (a view's Δ-first
+    // plan starts from its Δ⁺ relation so), else read off its trie.
     let mut acc = match order.first() {
         Some(&first) => {
             let atom = &q.atoms()[first];
-            paths
-                .base(&atom.name, db.relation(&atom.name)?, &atom.vars, &mut stats)
-                .to_relation()
+            let rel = db.relation(&atom.name)?;
+            if rel.is_stored_in(&atom.vars) {
+                Cow::Borrowed(rel)
+            } else {
+                let trie = paths.base(&atom.name, rel, &atom.vars, &mut stats);
+                Cow::Owned(trie.to_relation())
+            }
         }
-        None => Relation::nullary_unit(),
+        None => Cow::Owned(Relation::nullary_unit()),
     };
     for &ai in order.iter().skip(1) {
         let atom = &q.atoms()[ai];
@@ -66,7 +73,7 @@ pub(crate) fn execute(
             key_cols: shared.iter().map(|&v| acc.col_of(v).unwrap()).collect(),
             program: ex.compile_fused(VarSet::EMPTY, VarSet::EMPTY)?,
         };
-        acc = extend(par, &acc, &[side], false, &out_vars, nv, &mut stats);
+        acc = Cow::Owned(extend(par, &acc, &[side], false, &out_vars, nv, &mut stats));
     }
 
     // Expand to all variables and verify FDs / UDF predicates, fanned out
@@ -121,6 +128,35 @@ mod tests {
             .atom_order(vec![2, 0, 1]);
         let got2 = Engine::new().execute(&q, &db, &opts).unwrap();
         assert_eq!(got2.output, expect);
+    }
+
+    /// The first atom's relation is read as stored when it is stored in
+    /// the atom's order; stored in another order, it is read off its trie
+    /// in the atom's order, one more build. The answer is the reference
+    /// join's either way.
+    #[test]
+    fn the_first_atom_is_read_as_stored_only_in_atom_order() {
+        let q = fdjoin_query::examples::triangle();
+        let rows = [[1u64, 2], [1, 3], [2, 3], [3, 1]];
+        let builds = |r: Relation| {
+            let mut db = Database::new();
+            db.insert("R", r);
+            db.insert("S", Relation::from_rows(vec![1, 2], [[2, 3], [3, 1]]));
+            db.insert(
+                "T",
+                Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [1, 2]]),
+            );
+            let opts = ExecOptions::new()
+                .algorithm(Algorithm::BinaryJoin)
+                .atom_order(vec![0, 1, 2]);
+            let got = Engine::new().execute(&q, &db, &opts).unwrap();
+            assert_eq!(got.output, reference_join(&q, &db));
+            got.stats.index_builds
+        };
+        let stored = builds(Relation::from_rows(vec![0, 1], rows));
+        assert_eq!(stored, 2, "S's and T's build sides only");
+        let swapped = rows.iter().map(|&[x, y]| [y, x]);
+        assert_eq!(builds(Relation::from_rows(vec![1, 0], swapped)), 3);
     }
 
     #[test]

@@ -661,3 +661,67 @@ fn a_seeded_sequence_counts_the_pinned_stats() {
     ];
     assert_eq!(counts, pinned);
 }
+
+/// An Auto view's Δ-first plans read each Δ⁺ relation as stored. Over eight
+/// batches of four inserts and four deletes per relation, every delta join
+/// is Δ-first, each batch builds exactly one trie per relation it changed —
+/// the stored-order base trie carried from the predecessor version, which
+/// it replaces, so the resident count stands still — and the index set
+/// evicts nothing.
+#[test]
+fn delta_first_plans_build_only_the_carried_tries() {
+    let q = examples::triangle();
+    let mut rng = StdRng::seed_from_u64(49);
+    let mut edge = move || [rng.gen_range(0..64u64), rng.gen_range(0..64u64)];
+    let mut db = Database::new();
+    for atom in q.atoms() {
+        let rows: Vec<[u64; 2]> = (0..512).map(|_| edge()).collect();
+        db.insert(
+            atom.name.clone(),
+            Relation::from_rows(atom.vars.clone(), rows),
+        );
+    }
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let mut view =
+        MaterializedView::materialize(Arc::clone(&prepared), db, DeltaOptions::new()).unwrap();
+    let set = Arc::clone(prepared.index_set());
+    let start = set.stats();
+    let mut resident = None;
+    for batch in 0..8 {
+        let mut delta = DeltaBatch::new();
+        for atom in q.atoms() {
+            let rel = view.database().relation(&atom.name).unwrap();
+            let mut inserts = Vec::new();
+            while inserts.len() < 4 {
+                let row = edge();
+                if !rel.contains_row(&row) && !inserts.contains(&row) {
+                    inserts.push(row);
+                }
+            }
+            for row in inserts {
+                delta.push_insert(atom.name.clone(), row);
+            }
+            for i in 0..4 {
+                delta.push_delete(atom.name.clone(), rel.row(i * rel.len() / 4).to_vec());
+            }
+        }
+        let before = set.stats();
+        let bs = view.apply_delta(&delta).unwrap();
+        let window = set.stats().since(&before);
+        assert_eq!(
+            (bs.delta_joins, bs.specialized_deltas),
+            (3, 3),
+            "batch {batch}"
+        );
+        assert_eq!(
+            window.builds, 3,
+            "batch {batch}: one carried trie per relation"
+        );
+        assert_eq!(window.evictions, 0, "batch {batch}");
+        // From the second batch on, each build replaced its predecessor.
+        let now = set.len();
+        assert_eq!(*resident.get_or_insert(now), now, "batch {batch}");
+        assert_consistent(&view, "Δ-first batch");
+    }
+    assert_eq!(set.stats().since(&start).evictions, 0);
+}

@@ -7,14 +7,15 @@
 use fdjoin_bigint::{rat, Rational};
 use fdjoin_bounds::llp::solve_llp;
 use fdjoin_lattice::VarSet;
-use fdjoin_query::{Atom, Fd, Query};
+use fdjoin_query::{Fd, Query};
 use fdjoin_storage::{Database, Relation, UdfFn, Value};
 use std::collections::HashMap;
 
 /// Evaluate `q` on `db` from the definition: the natural join of the atoms,
 /// each variable in no atom computed by a UDF, and every unguarded FD that
-/// has a function checked. Columns are all variables in ascending id; rows
-/// are sorted and deduplicated.
+/// has a function checked. Each relation is read by its own column
+/// variables, in whatever order it stores them. Columns are all variables
+/// in ascending id; rows are sorted and deduplicated.
 ///
 /// Panics if a relation is missing, a guarded FD fails on its guard
 /// relation (naming the FD, the relation and two witness rows), a variable
@@ -40,7 +41,7 @@ pub fn reference_join(q: &Query, db: &Database) -> Relation {
         let mut index: HashMap<Vec<Value>, Vec<&[Value]>> = HashMap::new();
         for row in rel.rows() {
             index
-                .entry(project(atom, row, &shared))
+                .entry(project(rel, row, &shared))
                 .or_default()
                 .push(row);
         }
@@ -49,7 +50,7 @@ pub fn reference_join(q: &Query, db: &Database) -> Relation {
             let key: Vec<Value> = shared.iter().map(|&v| t[v as usize]).collect();
             'rows: for row in index.get(&key).into_iter().flatten() {
                 let (mut ext, mut seen) = (t.clone(), bound);
-                for (&v, &x) in atom.vars.iter().zip(row.iter()) {
+                for (&v, &x) in rel.vars().iter().zip(row.iter()) {
                     if seen.contains(v) && ext[v as usize] != x {
                         continue 'rows;
                     }
@@ -116,11 +117,14 @@ fn call(f: &UdfFn, args: VarSet, t: &[Value]) -> Value {
     f(&args.iter().map(|u| t[u as usize]).collect::<Vec<_>>())
 }
 
-/// The values of `vars` in `row`, a row of `atom`'s relation.
-fn project(atom: &Atom, row: &[Value], vars: &[u32]) -> Vec<Value> {
-    let col = |v| atom.vars.iter().position(|&w| w == v);
+/// The values of `vars` in `row`, a row of `rel`.
+fn project(rel: &Relation, row: &[Value], vars: &[u32]) -> Vec<Value> {
     vars.iter()
-        .map(|&v| row[col(v).expect("atom variable")])
+        .map(|&v| {
+            row[rel
+                .col_of(v)
+                .expect("the relation stores the atom's variables")]
+        })
         .collect()
 }
 
@@ -130,8 +134,8 @@ fn assert_fd_holds(q: &Query, j: usize, rel: &Relation, fd: &Fd) {
     let [lhs, rhs] = [fd.lhs, fd.rhs].map(|s| s.iter().collect::<Vec<_>>());
     let mut first: HashMap<Vec<Value>, &[Value]> = HashMap::new();
     for row in rel.rows() {
-        let seen = *first.entry(project(atom, row, &lhs)).or_insert(row);
-        if project(atom, seen, &rhs) != project(atom, row, &rhs) {
+        let seen = *first.entry(project(rel, row, &lhs)).or_insert(row);
+        if project(rel, seen, &rhs) != project(rel, row, &rhs) {
             let [l, r] =
                 [&lhs, &rhs].map(|vs| vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>());
             let (l, r, name) = (l.join(","), r.join(","), &atom.name);
@@ -154,6 +158,29 @@ mod tests {
         db.insert("T", Relation::from_rows(vec![2, 0], [[3, 1]]));
         let out = reference_join(&q, &db);
         assert_eq!(out, Relation::from_rows(vec![0, 1, 2], [[1, 2, 3]]));
+    }
+
+    #[test]
+    fn a_relation_is_read_by_its_own_columns() {
+        let q = examples::triangle();
+        let mut db = Database::new();
+        db.insert("S", Relation::from_rows(vec![1, 2], [[2, 3], [3, 1]]));
+        db.insert(
+            "T",
+            Relation::from_rows(vec![2, 0], [[3, 1], [1, 1], [1, 2]]),
+        );
+        db.insert(
+            "R",
+            Relation::from_rows(vec![0, 1], [[1, 2], [1, 3], [2, 3]]),
+        );
+        let want = reference_join(&q, &db);
+        assert_eq!(want.len(), 3);
+        // R(x, y) stored with its columns swapped: the same rows.
+        db.insert(
+            "R",
+            Relation::from_rows(vec![1, 0], [[2, 1], [3, 1], [3, 2]]),
+        );
+        assert_eq!(reference_join(&q, &db), want);
     }
 
     #[test]

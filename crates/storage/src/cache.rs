@@ -16,6 +16,7 @@
 //! counters ([`IndexSet::stats`]) make reuse observable and testable.
 
 use crate::{Relation, TrieIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -320,16 +321,17 @@ impl IndexSet {
     /// predecessor version's resident entry in the same order, which leaves
     /// the map first: `TrieIndex::apply_delta` splices the touched root
     /// groups into its level arrays in place (into a clone of them when a
-    /// reader still holds the predecessor), and the result, equal to
-    /// [`TrieIndex::build`], replaces it. Projection orders, relations with
-    /// no lineage, evicted predecessors and a racing builder that finds the
-    /// predecessor already taken build from scratch.
+    /// reader still holds the predecessor), reading the lineage's net rows
+    /// as they are in the stored order and projected into any other, and
+    /// the result, equal to [`TrieIndex::build`], replaces it. Projection
+    /// orders, relations with no lineage, evicted predecessors and a racing
+    /// builder that finds the predecessor already taken build from scratch.
     pub fn index_of(&self, name: &str, rel: &Relation, order: &[u32]) -> (Arc<TrieIndex>, bool) {
         let key = IndexKey::base(name, rel, order.to_vec());
         let lineage = rel.lineage().filter(|_| order.len() == rel.arity());
         self.fetch(key, lineage.map(|l| l.from), |pred| match (pred, lineage) {
             (Some(pred), Some(l)) => {
-                pred.apply_delta(&l.plus.project(order), &l.minus.project(order))
+                pred.apply_delta(&in_order(&l.plus, order), &in_order(&l.minus, order))
             }
             _ => TrieIndex::build(rel, order),
         })
@@ -377,6 +379,16 @@ impl IndexSet {
     /// Recorded as the `index_resident_bytes` field of each `solve` span.
     pub fn memory_bytes(&self) -> usize {
         self.resident.read().expect("index set lock poisoned").bytes
+    }
+}
+
+/// The rows of `rel` with their columns in `order`, sorted: `rel` itself
+/// when it is stored so, else its projection.
+fn in_order<'r>(rel: &'r Relation, order: &[u32]) -> Cow<'r, Relation> {
+    if rel.is_stored_in(order) {
+        Cow::Borrowed(rel)
+    } else {
+        Cow::Owned(rel.project(order))
     }
 }
 

@@ -354,16 +354,16 @@ impl Relation {
     /// afterwards). Rows must be in this relation's column order.
     ///
     /// The rows are edited where they lie: each key of the sorted union of
-    /// inserts and deletes is located by binary search from the previous
-    /// key's position, and each untouched run of stored rows moves by the
-    /// net change before it with one `copy_within` inside the same buffer
-    /// (a run with no net change before it stays put) — `O(|delta| log
-    /// len)` compares, no new buffer, never a per-row merge. Cached
+    /// inserts and deletes is located by galloping from the previous key's
+    /// position, and each untouched run of stored rows moves by the net
+    /// change before it with one `copy_within` inside the same buffer (a
+    /// run with no net change before it stays put) — `O(|delta| log len)`
+    /// compares, no new buffer, never a per-row merge. Cached
     /// [`Relation::stats`] are carried to the new rows by recounting,
     /// before and after the splice, only the prefix groups the delta
-    /// touched, and the relation records
-    /// its lineage — the predecessor version and the net rows added and
-    /// removed — with which [`crate::IndexSet::index_of`] carries the
+    /// touched, each found from its edit's position, and the relation
+    /// records its lineage — the predecessor version and the net rows added
+    /// and removed — with which [`crate::IndexSet::index_of`] carries the
     /// predecessor's tries to the successor instead of rebuilding them.
     ///
     /// The relation is left sorted + deduplicated, and the returned
@@ -427,7 +427,7 @@ impl Relation {
             } else {
                 ins.row(i)
             };
-            at = self.partition_rows(at, n, |row| row < key);
+            at = self.gallop_rows(at, |row| row < key);
             let present = at < n && self.row(at) == key;
             if ord == Ordering::Greater {
                 if present {
@@ -464,21 +464,36 @@ impl Relation {
             .collect();
         let from = self.version();
         let stats = self.stats.take();
-        // The touched rows in ascending order (the edits' keys), and the
-        // sizes of the groups they fall in before the splice.
+        // The touched rows in ascending order (the edits' keys), where each
+        // one lies or would lie before the splice (its edit's position) and
+        // after it (that position moved by the net change of the edits
+        // before it), and the sizes of the groups they fall in before the
+        // splice, read from those positions.
         let mut removed = 0..minus.len();
-        let touched: Vec<&[Value]> = edits
-            .iter()
-            .map(|&(_, insert)| match insert {
+        let m = edits.len();
+        let (mut touched, mut was, mut now) = (
+            Vec::with_capacity(m),
+            Vec::with_capacity(m),
+            Vec::with_capacity(m),
+        );
+        let mut shift = 0isize;
+        for &(at, insert) in &edits {
+            touched.push(match insert {
                 Some(i) => ins.row(i),
                 None => minus.row(removed.next().expect("one removed row per delete")),
-            })
-            .collect();
-        let before = stats.as_ref().map(|_| TouchedGroups::of(self, &touched));
+            });
+            was.push(at);
+            now.push(at.wrapping_add_signed(shift));
+            shift += if insert.is_some() { 1 } else { -1 };
+        }
+        let before = stats
+            .as_ref()
+            .map(|_| TouchedGroups::of(self, &touched, &was));
         splice_in_place(&mut self.data, &splice, |_, _| {});
         self.touch();
         if let (Some(stats), Some(before)) = (stats, before) {
-            if let Some(carried) = stats.carried(&before, &TouchedGroups::of(self, &touched)) {
+            let after = TouchedGroups::of(self, &touched, &now);
+            if let Some(carried) = stats.carried(&before, &after) {
                 let _ = self.stats.set(carried);
             }
         }
@@ -547,6 +562,12 @@ impl Relation {
         self.sorted
     }
 
+    /// Whether the rows are sorted with their columns in `order` — when a
+    /// reader that wants them in that order can take them as they are.
+    pub fn is_stored_in(&self, order: &[u32]) -> bool {
+        self.sorted && self.vars == order
+    }
+
     /// The range of row indices whose first `prefix.len()` columns equal
     /// `prefix`. Requires the relation to be sorted.
     pub fn prefix_range(&self, prefix: &[Value]) -> Range<usize> {
@@ -582,20 +603,75 @@ impl Relation {
         lo
     }
 
-    /// Number of distinct `(prefix.len() + 1)`-prefixes extending `prefix`
-    /// — the trie fan-out below it (requires sorted, `prefix.len() <
-    /// arity`). One bisection per child, so it costs the fan-out, not the
-    /// rows under it.
-    pub(crate) fn fan_out(&self, prefix: &[Value]) -> usize {
-        let Range { mut start, end } = self.prefix_range(prefix);
-        let p = prefix.len() + 1;
+    /// [`Relation::prefix_range`] searched outward from row `hint`
+    /// (`gallop_rows`): exact whatever the hint, and a few compares when
+    /// the hint lies in or next to the range — as the position of a row
+    /// extending `prefix` does. Requires the relation to be sorted.
+    pub(crate) fn prefix_range_near(&self, prefix: &[Value], hint: usize) -> Range<usize> {
+        debug_assert!(self.sorted, "prefix_range_near requires a sorted relation");
+        let p = prefix.len();
+        if self.arity() == 0 || p == 0 {
+            return 0..self.len();
+        }
+        debug_assert!(p <= self.arity());
+        let start = self.gallop_rows(hint, |row| row[..p] < *prefix);
+        start..self.gallop_rows(start.max(hint), |row| row[..p] <= *prefix)
+    }
+
+    /// Number of distinct `len`-prefixes among the rows of `group`, a range
+    /// of rows sharing their first `len - 1` values (as
+    /// [`Relation::prefix_range_near`] returns) — the trie fan-out below
+    /// that prefix (requires sorted, `1 ≤ len ≤ arity`). Each child's end is galloped from its
+    /// first row, so a child costs the logarithm of its own size.
+    pub(crate) fn branches(&self, group: Range<usize>, len: usize) -> usize {
+        let Range { mut start, end } = group;
         let mut kids = 0;
         while start < end {
             kids += 1;
-            let child = &self.row(start)[..p];
-            start = self.partition_rows(start, end, |row| row[..p] <= *child);
+            let child = &self.row(start)[..len];
+            start = self.gallop_rows(start, |row| row[..len] <= *child);
         }
         kids
+    }
+
+    /// The first row index whose row fails `pred`, for a `pred` that holds
+    /// on a prefix of the sorted rows, searched outward from row `hint`:
+    /// steps of 1, 2, 4, … away from it bracket the answer, which a
+    /// bisection of the bracket then finds. Exact whatever the hint; an
+    /// answer `d` rows away costs `O(log d)` compares, not `O(log len)`.
+    fn gallop_rows(&self, hint: usize, pred: impl Fn(&[Value]) -> bool) -> usize {
+        let n = self.len();
+        let hint = hint.min(n);
+        let (lo, hi) = if hint < n && pred(self.row(hint)) {
+            // Right of the hint.
+            let (mut lo, mut step) = (hint + 1, 1);
+            loop {
+                let probe = hint + step;
+                if probe >= n {
+                    break (lo, n);
+                }
+                if !pred(self.row(probe)) {
+                    break (lo, probe);
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        } else {
+            // At or left of the hint.
+            let (mut hi, mut step) = (hint, 1);
+            loop {
+                if step > hint {
+                    break (0, hi);
+                }
+                let probe = hint - step;
+                if pred(self.row(probe)) {
+                    break (probe + 1, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        };
+        self.partition_rows(lo, hi, pred)
     }
 
     /// Number of rows matching a prefix (the *degree* of the prefix value).
@@ -933,6 +1009,65 @@ mod tests {
         assert_eq!(r.prefix_count(&[9]), 0);
         assert_eq!(r.prefix_count(&[1, 11]), 1);
         assert_eq!(r.prefix_range(&[]), 0..4);
+    }
+
+    /// From every hint in `0..=n + 1`, the galloping range equals
+    /// `prefix_range` and the galloping fan-out the bisecting count it
+    /// replaced: on an empty and a one-row relation and on one with a heavy
+    /// group, for prefixes of every stored row (the first and last
+    /// included) and for absent ones below, between and above them.
+    #[test]
+    fn a_gallop_from_any_hint_finds_the_prefix_range() {
+        /// One bisection of the prefix's whole range per child.
+        fn bisected_fan_out(rel: &Relation, prefix: &[Value]) -> usize {
+            let Range { mut start, end } = rel.prefix_range(prefix);
+            let p = prefix.len() + 1;
+            let mut kids = 0;
+            while start < end {
+                kids += 1;
+                let child = &rel.row(start)[..p];
+                start = rel.partition_rows(start, end, |row| row[..p] <= *child);
+            }
+            kids
+        }
+        let rows = (0..48u64)
+            .map(|i| [i / 12 + 1, i % 12 / 4, i % 4])
+            .chain((0..30).map(|i| [5, 0, i]))
+            .chain([[6, 6, 6]]);
+        let relations = [
+            Relation::new(vec![0, 1, 2]),
+            Relation::from_rows(vec![0, 1, 2], [[2, 2, 2]]),
+            Relation::from_rows(vec![0, 1, 2], rows),
+        ];
+        let absent: [&[Value]; 9] = [
+            &[0],
+            &[0, 0],
+            &[9],
+            &[9, 0, 0],
+            &[2, 7],
+            &[1, 1, 9],
+            &[3, 5],
+            &[5, 1],
+            &[5, 0, 99],
+        ];
+        for rel in &relations {
+            assert!(rel.is_sorted());
+            let n = rel.len();
+            let stored = rel
+                .rows()
+                .flat_map(|row| (1..=3).map(move |len| &row[..len]));
+            for prefix in stored.chain(absent) {
+                let want = rel.prefix_range(prefix);
+                for hint in 0..=n + 1 {
+                    let got = rel.prefix_range_near(prefix, hint);
+                    assert_eq!(got, want, "{prefix:?} from row {hint} of {n}");
+                    if prefix.len() < 3 {
+                        let fan_out = rel.branches(got, prefix.len() + 1);
+                        assert_eq!(fan_out, bisected_fan_out(rel, prefix), "{prefix:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! caches them, so relations nobody plans from (intermediates, join
 //! outputs) never pay for them. A cached set follows
 //! [`Relation::apply_delta`](crate::Relation::apply_delta) to the next
-//! version: only the prefix groups the delta touched are recounted (their
-//! sizes read just before and just after the rows are spliced), and
-//! per-level counts of the groups sitting at each maximum keep a shrinking
+//! version: only the prefix groups the delta touched are recounted. Their
+//! sizes are read just before and just after the rows are spliced, by
+//! galloping outward from the edit positions (`TouchedGroups`), so a group
+//! costs compares in the logarithm of its own size, not of the relation's.
+//! Per-level counts of the groups sitting at each maximum keep a shrinking
 //! maximum exact — only when every group at a maximum was touched and all
 //! of them shrank does the next read recompute from scratch. Every other
 //! mutation drops the cache. Either way they never drift from the rows: the
@@ -199,7 +201,9 @@ impl RelationStats {
 
 /// The sizes of the prefix groups a delta's rows fall in, read from one
 /// version of the relation: what [`RelationStats::carried`] compares
-/// before and after the delta is spliced in.
+/// before and after the delta is spliced in. Each group is found by
+/// galloping outward from the position of the first touched row inside
+/// it.
 #[derive(Debug)]
 pub(crate) struct TouchedGroups {
     /// Rows in the relation.
@@ -213,38 +217,44 @@ pub(crate) struct TouchedGroups {
 }
 
 impl TouchedGroups {
-    /// Measure the groups of `touched` (ascending rows) in `rel`, by
-    /// bisection.
-    pub(crate) fn of(rel: &Relation, touched: &[&[Value]]) -> TouchedGroups {
+    /// Measure the groups of `touched` (ascending rows) in `rel`, where
+    /// `at[i]` is the position row `touched[i]` holds or would hold in
+    /// `rel` (the position its edit took). The sizes are exact whatever
+    /// the positions; positions in or next to the groups make them cheap.
+    pub(crate) fn of(rel: &Relation, touched: &[&[Value]], at: &[usize]) -> TouchedGroups {
+        debug_assert_eq!(touched.len(), at.len());
         let a = rel.arity();
+        let mut degree = vec![Vec::new(); a];
+        let mut branch = vec![Vec::new(); a.saturating_sub(1)];
+        for len in 1..=a {
+            for (i, prefix) in distinct_prefixes(touched, len) {
+                let group = rel.prefix_range_near(prefix, at[i]);
+                degree[len - 1].push(group.len() as u64);
+                if len < a {
+                    branch[len - 1].push(rel.branches(group, len + 1) as u64);
+                }
+            }
+        }
         TouchedGroups {
             rows: rel.len() as u64,
-            degree: (1..=a)
-                .map(|len| {
-                    distinct_prefixes(touched, len)
-                        .map(|p| rel.prefix_count(p) as u64)
-                        .collect()
-                })
-                .collect(),
-            branch: (1..a)
-                .map(|len| {
-                    distinct_prefixes(touched, len)
-                        .map(|p| rel.fan_out(p) as u64)
-                        .collect()
-                })
-                .collect(),
+            degree,
+            branch,
         }
     }
 }
 
-/// The distinct length-`len` prefixes of ascending `rows`, in order.
-fn distinct_prefixes<'r>(rows: &'r [&[Value]], len: usize) -> impl Iterator<Item = &'r [Value]> {
+/// The distinct length-`len` prefixes of ascending `rows`, in order, each
+/// with the index of the first row that has it.
+fn distinct_prefixes<'r>(
+    rows: &'r [&[Value]],
+    len: usize,
+) -> impl Iterator<Item = (usize, &'r [Value])> {
     let mut last: Option<&[Value]> = None;
-    rows.iter().filter_map(move |row| {
+    rows.iter().enumerate().filter_map(move |(i, row)| {
         let p = &row[..len];
         (last != Some(p)).then(|| {
             last = Some(p);
-            p
+            (i, p)
         })
     })
 }
@@ -461,6 +471,12 @@ mod tests {
         assert!((s.max_skew() - 3.0).abs() < 1e-9);
     }
 
+    /// [`TouchedGroups::of`] with each touched row's own position in `rel`.
+    fn measure(rel: &Relation, touched: &[&[Value]]) -> TouchedGroups {
+        let at: Vec<usize> = touched.iter().map(|r| rel.prefix_range(r).start).collect();
+        TouchedGroups::of(rel, touched, &at)
+    }
+
     /// `rel` with `deletes` removed and `inserts` added, and the touched
     /// rows in ascending order.
     fn after(
@@ -489,10 +505,7 @@ mod tests {
         let (new, touched) = after(&old, &[[3, 2]], &[[1, 3]]);
         let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
         let carried = stats
-            .carried(
-                &TouchedGroups::of(&old, &touched),
-                &TouchedGroups::of(&new, &touched),
-            )
+            .carried(&measure(&old, &touched), &measure(&new, &touched))
             .expect("another group holds the max");
         assert_eq!(carried, RelationStats::of(&new));
         assert_eq!((carried.max_degree(1), carried.at_max_degree[0]), (3, 1));
@@ -506,10 +519,7 @@ mod tests {
         let stats = RelationStats::of(&old);
         let (new, touched) = after(&old, &[], &[[1, 3]]);
         let touched: Vec<&[Value]> = touched.iter().map(Vec::as_slice).collect();
-        let (before, after) = (
-            TouchedGroups::of(&old, &touched),
-            TouchedGroups::of(&new, &touched),
-        );
+        let (before, after) = (measure(&old, &touched), measure(&new, &touched));
         assert_eq!(stats.carried(&before, &after), None);
         // Through the relation, the dropped cache recounts on next read.
         let mut rel = old.clone();

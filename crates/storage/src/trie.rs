@@ -148,7 +148,7 @@ impl TrieIndex {
             .collect();
         let mut b = LevelBuilder::new(order.to_vec());
         // Fast path: the relation is already stored in exactly this order.
-        if rel.is_sorted() && rel.vars() == order {
+        if rel.is_stored_in(order) {
             for row in rel.rows() {
                 b.push(row);
             }

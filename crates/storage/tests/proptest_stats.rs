@@ -3,7 +3,10 @@
 //! *exactly* equal to a from-scratch recomputation — and to brute-force
 //! counts over the rows — under arbitrary random insert/delete sequences,
 //! including skewed ones whose deltas keep shrinking the sole group at a
-//! maximum (the case a carry cannot settle and recounts instead).
+//! maximum (the case a carry cannot settle and recounts instead), and
+//! batches at the edges of the rows and groups, where the positions a carry
+//! measures its groups from sit at row 0, past the last row, or in a group
+//! that appears or vanishes.
 
 use fdjoin_storage::{Relation, RelationStats, Value};
 use proptest::prelude::*;
@@ -78,6 +81,78 @@ fn brute_check(rel: &Relation, stats: &RelationStats) {
             expect,
             "max branch from depth {from}"
         );
+    }
+}
+
+/// One batch aimed where a carry must find its groups right, on a
+/// relation whose stored first values are even and at least 2: `kind` 0
+/// deletes row 0 and inserts a row before it, 1 deletes the last row and
+/// inserts one past it, 2 deletes the whole root group of row `pick`, 3
+/// inserts two rows under an odd (new, unless an earlier batch made it)
+/// root value, and 4 deletes every third row of the heaviest root group
+/// and inserts two rows into it. `(y, z)` are the inserted rows' last two
+/// values.
+fn edge_batch(
+    rel: &Relation,
+    kind: usize,
+    pick: usize,
+    (y, z): (Value, Value),
+) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+    let n = rel.len();
+    let row = |i: usize| rel.row(i).to_vec();
+    let groups = rel.group_ranges(1);
+    let group = |g: Option<&std::ops::Range<usize>>| g.cloned().unwrap_or(0..0);
+    match kind {
+        0 => (vec![vec![0, y, z]], (0..n.min(1)).map(row).collect()),
+        1 => (
+            vec![vec![99, y, z]],
+            (n.saturating_sub(1)..n).map(row).collect(),
+        ),
+        2 => (
+            Vec::new(),
+            group(groups.get(pick % groups.len().max(1)))
+                .map(row)
+                .collect(),
+        ),
+        3 => {
+            let x = 2 * (pick as Value % 10) + 1;
+            (vec![vec![x, y, z], vec![x, z, y]], Vec::new())
+        }
+        _ => {
+            let heavy = group(groups.iter().max_by_key(|g| g.len()));
+            let x = heavy.clone().next().map_or(2, |i| rel.row(i)[0]);
+            let deletes = heavy.step_by(3).map(row).collect();
+            (vec![vec![x, y, z], vec![x, z, y + 1]], deletes)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Batches at the edges of the rows and of the groups — row 0, the
+    /// last row, a whole root group, a new root group, the heaviest group
+    /// — on skewed relations: the statistics after every batch equal a
+    /// from-scratch pass.
+    #[test]
+    fn stats_stay_exact_under_deltas_at_the_edges(
+        initial in skewed_rows(40),
+        batches in proptest::collection::vec(
+            (0usize..5, 0usize..64, (0u64..4, 0u64..4)),
+            1..10,
+        ),
+    ) {
+        let shifted = initial.into_iter().map(|r| vec![2 * r[0] + 2, r[1], r[2]]);
+        let mut rel = Relation::from_rows(vec![0, 1, 2], shifted);
+        rel.sort_dedup();
+        for (kind, pick, yz) in batches {
+            rel.stats();
+            let (inserts, deletes) = edge_batch(&rel, kind, pick, yz);
+            rel.apply_delta(&inserts, &deletes);
+            let maintained = rel.stats().expect("sorted after apply_delta").clone();
+            prop_assert_eq!(&maintained, &RelationStats::of(&rel), "batch kind {}", kind);
+            brute_check(&rel, &maintained);
+        }
     }
 }
 
