@@ -16,9 +16,10 @@ pub struct Chain {
 
 impl Chain {
     /// Construct, verifying it is a strictly increasing chain from `0̂` to
-    /// `1̂`.
+    /// `1̂`. On the one-element lattice (a query with no variables) the
+    /// chain is `0̂ = 1̂` alone, with no step.
     pub fn new(lat: &Lattice, elems: Vec<ElemId>) -> Chain {
-        assert!(elems.len() >= 2, "chain needs at least 0̂ and 1̂");
+        assert!(!elems.is_empty(), "chain needs at least 0̂");
         assert_eq!(elems[0], lat.bottom());
         assert_eq!(*elems.last().unwrap(), lat.top());
         for w in elems.windows(2) {

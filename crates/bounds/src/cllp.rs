@@ -5,10 +5,11 @@
 //! bounds are the special case `X = 0̂`; FDs are degree bounds of 0. This is
 //! how the paper handles input relations with prescribed maximum degrees.
 
+use crate::lattice_lp::{positive_duals, LatticeLp};
 use crate::LatticeFn;
 use fdjoin_bigint::Rational;
 use fdjoin_lattice::{ElemId, Lattice};
-use fdjoin_lp::{solve, Cmp, Lp, Sense};
+use fdjoin_lp::Cmp;
 
 /// One log-degree constraint `h(hi) − h(lo) ≤ log_bound` with `lo < hi`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,103 +48,41 @@ pub struct CllpSolution {
     pub mono_duals: Vec<((ElemId, ElemId), Rational)>,
 }
 
-/// Solve the CLLP for the given degree pairs.
+/// Solve the CLLP for the given degree pairs: the LLP's program with
+/// degree rows in place of cardinality rows, plus monotonicity.
+///
+/// Rows: one degree row per pair, the submodularity rows, then one
+/// monotonicity row per cover pair. On the one-element lattice (a query
+/// with no variables) the optimum is `h ≡ 0`.
 pub fn solve_cllp(lat: &Lattice, pairs: &[DegreePair]) -> CllpSolution {
-    let bottom = lat.bottom();
-    let var_of: Vec<Option<usize>> = {
-        let mut v = vec![None; lat.len()];
-        let mut next = 0;
-        for e in lat.elems() {
-            if e != bottom {
-                v[e] = Some(next);
-                next += 1;
-            }
-        }
-        v
-    };
-    let mut lp = Lp::new(Sense::Max, lat.len() - 1);
-    lp.set_objective(var_of[lat.top()].unwrap(), Rational::one());
-
-    // Degree rows.
+    let mut lp = LatticeLp::new(lat);
     for p in pairs {
         assert!(lat.lt(p.lo, p.hi), "degree pair must satisfy lo < hi");
-        let mut coeffs = Vec::with_capacity(2);
-        if let Some(v) = var_of[p.hi] {
-            coeffs.push((v, Rational::one()));
-        }
-        if let Some(v) = var_of[p.lo] {
-            coeffs.push((v, -Rational::one()));
-        }
-        lp.add_constraint(coeffs, Cmp::Le, p.log_bound.clone());
+        let terms = [(p.hi, Rational::one()), (p.lo, -Rational::one())];
+        lp.row(terms, Cmp::Le, p.log_bound.clone());
     }
-    let n_pairs = pairs.len();
-
-    // Submodularity rows.
-    let mut sm_pairs: Vec<(ElemId, ElemId)> = Vec::new();
-    for x in lat.elems() {
-        for y in lat.elems() {
-            if x < y && lat.incomparable(x, y) {
-                let mut coeffs = Vec::with_capacity(4);
-                let mut add = |e: ElemId, c: Rational| {
-                    if let Some(v) = var_of[e] {
-                        coeffs.push((v, c));
-                    }
-                };
-                add(lat.meet(x, y), Rational::one());
-                add(lat.join(x, y), Rational::one());
-                add(x, -Rational::one());
-                add(y, -Rational::one());
-                lp.add_constraint(coeffs, Cmp::Le, Rational::zero());
-                sm_pairs.push((x, y));
-            }
-        }
-    }
-
+    let sm_pairs = lp.submodularity();
     // Monotonicity rows over cover pairs (h(X) ≤ h(Y) for X ≺ Y).
     let mut mono_pairs: Vec<(ElemId, ElemId)> = Vec::new();
     for y in lat.elems() {
         for x in lat.lower_covers(y) {
-            let mut coeffs = Vec::with_capacity(2);
-            if let Some(v) = var_of[x] {
-                coeffs.push((v, Rational::one()));
-            }
-            if let Some(v) = var_of[y] {
-                coeffs.push((v, -Rational::one()));
-            }
-            lp.add_constraint(coeffs, Cmp::Le, Rational::zero());
+            let terms = [(x, Rational::one()), (y, -Rational::one())];
+            lp.row(terms, Cmp::Le, Rational::zero());
             mono_pairs.push((x, y));
         }
     }
 
-    let sol = solve(&lp).expect("CLLP with cardinality bounds is feasible and bounded");
-
-    let mut h = LatticeFn::zero(lat);
-    for e in lat.elems() {
-        if let Some(v) = var_of[e] {
-            h.set(e, sol.primal[v].clone());
-        }
-    }
-    let pair_duals = sol.dual[..n_pairs].to_vec();
-    let sm_duals = sm_pairs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| sol.dual[n_pairs + i].is_positive())
-        .map(|(i, &p)| (p, sol.dual[n_pairs + i].clone()))
-        .collect();
-    let base = n_pairs + sm_pairs.len();
-    let mono_duals = mono_pairs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| sol.dual[base + i].is_positive())
-        .map(|(i, &p)| (p, sol.dual[base + i].clone()))
-        .collect();
-
+    let opt = lp
+        .solve()
+        .expect("CLLP with cardinality bounds is feasible and bounded");
+    let (pair_duals, rest) = opt.dual.split_at(pairs.len());
+    let (sm, mono) = rest.split_at(sm_pairs.len());
     CllpSolution {
-        value: sol.value,
-        h,
-        pair_duals,
-        sm_duals,
-        mono_duals,
+        pair_duals: pair_duals.to_vec(),
+        sm_duals: positive_duals(&sm_pairs, sm),
+        mono_duals: positive_duals(&mono_pairs, mono),
+        value: opt.value,
+        h: opt.h,
     }
 }
 

@@ -78,6 +78,7 @@ pub mod agm;
 pub mod chain;
 pub mod cllp;
 pub mod csm;
+mod lattice_lp;
 pub mod llp;
 pub mod normal;
 mod polymatroid;

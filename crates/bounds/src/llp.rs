@@ -6,10 +6,11 @@
 //! inequality* `Σ w*_j h(R_j) ≥ h(1̂)` together with the submodularity
 //! steps proving it (Lemma 3.9) — the raw material of SMA and CSMA.
 
+use crate::lattice_lp::{positive_duals, LatticeLp};
 use crate::LatticeFn;
 use fdjoin_bigint::Rational;
 use fdjoin_lattice::{ElemId, Lattice};
-use fdjoin_lp::{solve, Cmp, Lp, Sense};
+use fdjoin_lp::Cmp;
 
 /// Optimal solution of the LLP.
 #[derive(Clone, Debug)]
@@ -18,10 +19,9 @@ pub struct LlpSolution {
     pub value: Rational,
     /// The raw optimal solution (submodular, possibly non-monotone). SMA
     /// relies on the complementary-slackness equalities of this exact
-    /// vertex, so it is returned unmodified.
+    /// vertex, so it is returned unmodified; where a polymatroid with the
+    /// same `h(1̂)` is needed, call [`LatticeFn::lovasz_monotonize`] on it.
     pub h: LatticeFn,
-    /// Lovász monotonization of `h` (a true polymatroid, same `h(1̂)`).
-    pub h_monotone: LatticeFn,
     /// Dual weights `w*_j ≥ 0`, one per input; `Σ w*_j n_j = value`.
     pub input_duals: Vec<Rational>,
     /// Dual submodularity multipliers `s*_{X,Y} > 0` only, keyed by the
@@ -31,90 +31,25 @@ pub struct LlpSolution {
 
 /// Solve the LLP for lattice `lat`, inputs `R_j` (lattice elements) with
 /// log-cardinalities `log_sizes[j] = log₂ N_j`.
+///
+/// Rows: the submodularity rows, then one cardinality row per input.
 pub fn solve_llp(lat: &Lattice, inputs: &[ElemId], log_sizes: &[Rational]) -> LlpSolution {
     assert_eq!(inputs.len(), log_sizes.len());
-    let n = lat.len();
-    let bottom = lat.bottom();
-    if n == 1 {
-        // Trivial lattice (no variables): the only function is h ≡ 0.
-        return LlpSolution {
-            value: Rational::zero(),
-            h: LatticeFn::zero(lat),
-            h_monotone: LatticeFn::zero(lat),
-            input_duals: vec![Rational::zero(); inputs.len()],
-            sm_duals: Vec::new(),
-        };
-    }
-    // Variable per element except 0̂ (h(0̂) ≡ 0).
-    let var_of: Vec<Option<usize>> = {
-        let mut v = vec![None; n];
-        let mut next = 0usize;
-        for e in lat.elems() {
-            if e != bottom {
-                v[e] = Some(next);
-                next += 1;
-            }
-        }
-        v
-    };
-    let nv = n - 1;
-    let mut lp = Lp::new(Sense::Max, nv);
-    lp.set_objective(var_of[lat.top()].unwrap(), Rational::one());
-
-    // Submodularity rows, one per unordered incomparable pair.
-    let mut pairs: Vec<(ElemId, ElemId)> = Vec::new();
-    for x in lat.elems() {
-        for y in lat.elems() {
-            if x < y && lat.incomparable(x, y) {
-                let mut coeffs: Vec<(usize, Rational)> = Vec::with_capacity(4);
-                let mut add = |e: ElemId, c: Rational| {
-                    if let Some(v) = var_of[e] {
-                        coeffs.push((v, c));
-                    }
-                };
-                add(lat.meet(x, y), Rational::one());
-                add(lat.join(x, y), Rational::one());
-                add(x, -Rational::one());
-                add(y, -Rational::one());
-                lp.add_constraint(coeffs, Cmp::Le, Rational::zero());
-                pairs.push((x, y));
-            }
-        }
-    }
-    let n_pairs = pairs.len();
-
-    // Cardinality rows.
+    let mut lp = LatticeLp::new(lat);
+    let pairs = lp.submodularity();
     for (&r, nj) in inputs.iter().zip(log_sizes) {
-        let coeffs = match var_of[r] {
-            Some(v) => vec![(v, Rational::one())],
-            None => Vec::new(), // input is 0̂ (degenerate); 0 ≤ n_j.
-        };
-        lp.add_constraint(coeffs, Cmp::Le, nj.clone());
+        // An input at 0̂ (degenerate) leaves the row `0 ≤ n_j`.
+        lp.row([(r, Rational::one())], Cmp::Le, nj.clone());
     }
-
-    let sol = solve(&lp).expect("LLP is feasible (h=0) and bounded (h(1̂) ≤ Σ n_j)");
-
-    let mut h = LatticeFn::zero(lat);
-    for e in lat.elems() {
-        if let Some(v) = var_of[e] {
-            h.set(e, sol.primal[v].clone());
-        }
-    }
-    let h_monotone = h.lovasz_monotonize(lat);
-    let sm_duals: Vec<((ElemId, ElemId), Rational)> = pairs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| sol.dual[*i].is_positive())
-        .map(|(i, &p)| (p, sol.dual[i].clone()))
-        .collect();
-    let input_duals = sol.dual[n_pairs..].to_vec();
-
+    let opt = lp
+        .solve()
+        .expect("LLP is feasible (h=0) and bounded (h(1̂) ≤ Σ n_j)");
+    let (sm, input_duals) = opt.dual.split_at(pairs.len());
     LlpSolution {
-        value: sol.value,
-        h,
-        h_monotone,
-        input_duals,
-        sm_duals,
+        sm_duals: positive_duals(&pairs, sm),
+        input_duals: input_duals.to_vec(),
+        value: opt.value,
+        h: opt.h,
     }
 }
 
@@ -139,7 +74,10 @@ mod tests {
         assert_eq!(total, rat(15, 1));
         // The optimal h is submodular by construction.
         assert!(sol.h.submodularity_violation(&pres.lattice).is_none());
-        assert!(sol.h_monotone.is_polymatroid(&pres.lattice));
+        assert!(sol
+            .h
+            .lovasz_monotonize(&pres.lattice)
+            .is_polymatroid(&pres.lattice));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! and check each resulting inequality via Lemma 3.9 — is implemented here
 //! with exact rational arithmetic.
 
+use crate::lattice_lp::LatticeLp;
 use fdjoin_bigint::Rational;
 use fdjoin_lattice::{ElemId, Lattice};
-use fdjoin_lp::{solve, Cmp, Lp, LpError, Sense};
+use fdjoin_lp::{Cmp, LpError};
 use fdjoin_query::Hypergraph;
 
 /// The co-atomic hypergraph `H_co` (Definition 4.7): vertices are the
@@ -43,45 +44,11 @@ pub(crate) fn output_inequality_holds(
     inputs: &[ElemId],
     weights: &[Rational],
 ) -> bool {
-    let bottom = lat.bottom();
-    let var_of: Vec<Option<usize>> = {
-        let mut v = vec![None; lat.len()];
-        let mut next = 0;
-        for e in lat.elems() {
-            if e != bottom {
-                v[e] = Some(next);
-                next += 1;
-            }
-        }
-        v
-    };
-    let mut lp = Lp::new(Sense::Max, lat.len() - 1);
-    lp.set_objective(var_of[lat.top()].unwrap(), Rational::one());
-    for x in lat.elems() {
-        for y in lat.elems() {
-            if x < y && lat.incomparable(x, y) {
-                let mut coeffs = Vec::with_capacity(4);
-                let mut add = |e: ElemId, c: Rational| {
-                    if let Some(v) = var_of[e] {
-                        coeffs.push((v, c));
-                    }
-                };
-                add(lat.meet(x, y), Rational::one());
-                add(lat.join(x, y), Rational::one());
-                add(x, -Rational::one());
-                add(y, -Rational::one());
-                lp.add_constraint(coeffs, Cmp::Le, Rational::zero());
-            }
-        }
-    }
-    let mut coeffs: Vec<(usize, Rational)> = Vec::new();
-    for (&r, w) in inputs.iter().zip(weights) {
-        if let Some(v) = var_of[r] {
-            coeffs.push((v, w.clone()));
-        }
-    }
-    lp.add_constraint(coeffs, Cmp::Le, Rational::one());
-    match solve(&lp) {
+    let mut lp = LatticeLp::new(lat);
+    lp.submodularity();
+    let terms = inputs.iter().copied().zip(weights.iter().cloned());
+    lp.row(terms, Cmp::Le, Rational::one());
+    match lp.solve() {
         Ok(sol) => sol.value <= Rational::one(),
         Err(LpError::Unbounded) => false,
         Err(LpError::Infeasible) => unreachable!("h = 0 is feasible"),

@@ -1,5 +1,11 @@
 //! Submodularity proof sequences (Sec. 5.2): search, verification, and the
 //! goodness labeling of Definition 5.26.
+//!
+//! One search serves both questions. [`search_good_sm_proof`] (Def. 5.26)
+//! is the Lemma 3.9 search with an acceptance test, the goodness labeling,
+//! and a depth cap; [`search_sm_proof`] is the same search accepting every
+//! goal, uncapped. The search and [`verify_sm_proof`] expand a multiset and
+//! apply a step through the same two helpers.
 
 use fdjoin_bigint::Rational;
 use fdjoin_lattice::{ElemId, Lattice};
@@ -10,13 +16,15 @@ use std::collections::HashSet;
 ///
 /// Corollary 5.22: on distributive lattices, every co-atomic cover admits an
 /// SM-proof sequence (in any order). This is SMA's fallback when the LLP
-/// dual's multiset admits no good sequence. Returns the proof and its
-/// `log₂` bound `Σ w_j n_j`.
+/// dual's multiset admits no good sequence. Returns the good proof and the
+/// scaled cover weights `q_j = w_j · d`, one per input: SMA seeds `q_j`
+/// copies of input `j`, and the proof's multiset is them merged per lattice
+/// element. Its `log₂` bound is `Σ w_j n_j`, the cover's value.
 pub fn coatomic_cover_proof(
     lat: &Lattice,
     inputs: &[ElemId],
     log_sizes: &[Rational],
-) -> Option<(SmProof, Rational)> {
+) -> Option<(SmProof, Vec<u64>)> {
     let hco = crate::normal::coatomic_hypergraph(lat, inputs);
     let cover = hco.fractional_edge_cover(log_sizes)?;
     let (q, d) = scale_weights(&cover.weights);
@@ -28,7 +36,7 @@ pub fn coatomic_cover_proof(
     }
     let multiset: Vec<(ElemId, u64)> = acc.into_iter().collect();
     let proof = search_good_sm_proof(lat, &multiset, d)?;
-    Some((proof, cover.value))
+    Some((proof, q))
 }
 
 /// One elementary compression: replace incomparable `{X, Y}` in the multiset
@@ -86,114 +94,119 @@ pub fn scale_weights(weights: &[Rational]) -> (Vec<u64>, u64) {
 /// `{R_j with multiplicity q_j}` into a multiset containing `d` copies of
 /// `1̂` with all remaining elements pairwise comparable (a chain).
 ///
-/// DFS over multiset states with memoized failures. Returns `None` if *no*
-/// sequence exists — this exhaustiveness is what certifies Example 5.31's
-/// negative result.
+/// The proof search with every goal accepted and no depth cap. Returns
+/// `None` if *no* sequence exists — this exhaustiveness is what certifies
+/// Example 5.31's negative result.
 pub fn search_sm_proof(lat: &Lattice, multiset: &[(ElemId, u64)], d: u64) -> Option<SmProof> {
-    let mut state: Vec<ElemId> = Vec::new();
-    for &(e, q) in multiset {
-        for _ in 0..q {
-            state.push(e);
-        }
-    }
-    state.sort_unstable();
-    let mut failed: HashSet<Vec<ElemId>> = HashSet::new();
-    let mut steps = Vec::new();
-    if dfs(lat, &mut state, d, &mut steps, &mut failed) {
-        Some(SmProof {
-            multiset: multiset.to_vec(),
-            d,
-            steps,
-        })
-    } else {
-        None
-    }
+    search(lat, multiset, d, usize::MAX, |_| true)
 }
 
 /// Like [`search_sm_proof`], but only accepts proofs that pass the
 /// Definition 5.26 goodness labeling — the precondition of Theorem 5.28
-/// (SMA correctness). Exhausts the sequence space, so `None` means no good
-/// sequence exists under injective fresh-label assignment.
+/// (SMA correctness) — and expands no state more than `4 · |L|` steps
+/// deep. Exhausts the sequence space within that cap, so `None` means no
+/// good sequence exists under injective fresh-label assignment.
 pub fn search_good_sm_proof(lat: &Lattice, multiset: &[(ElemId, u64)], d: u64) -> Option<SmProof> {
-    let mut state: Vec<ElemId> = Vec::new();
-    for &(e, q) in multiset {
-        for _ in 0..q {
-            state.push(e);
-        }
+    search(lat, multiset, d, 4 * lat.len(), |proof| {
+        check_goodness(lat, proof) == Goodness::Good
+    })
+}
+
+/// The one proof search: a DFS over sorted multiset states that tries each
+/// incomparable pair of distinct element values once per state. A goal
+/// state ends the search when `accept` takes the proof that reached it.
+///
+/// Goodness depends on the step history, so a failure is not memoized on
+/// the state alone; a state is remembered only once no goal is reachable
+/// from it at all (an accepted proof can never pass through it). With
+/// every goal accepted that is exactly every failed state.
+fn search(
+    lat: &Lattice,
+    multiset: &[(ElemId, u64)],
+    d: u64,
+    max_steps: usize,
+    accept: impl Fn(&SmProof) -> bool,
+) -> Option<SmProof> {
+    struct Search<'l, F> {
+        lat: &'l Lattice,
+        max_steps: usize,
+        accept: F,
+        /// The steps taken so far.
+        proof: SmProof,
+        /// States from which no goal is reachable.
+        dead: HashSet<Vec<ElemId>>,
     }
-    state.sort_unstable();
-    // Cannot memoize failures on the multiset alone: goodness depends on the
-    // step history. Memoize on state only as a *pruning* of unreachable
-    // goals (a state that cannot reach the goal at all can never be good).
-    let mut unreachable: HashSet<Vec<ElemId>> = HashSet::new();
-    let mut steps = Vec::new();
-    let base = SmProof {
-        multiset: multiset.to_vec(),
-        d,
-        steps: Vec::new(),
-    };
-    fn go(
-        lat: &Lattice,
-        state: &mut Vec<ElemId>,
-        d: u64,
-        steps: &mut Vec<SmStep>,
-        unreachable: &mut HashSet<Vec<ElemId>>,
-        base: &SmProof,
-        depth: usize,
-    ) -> bool {
-        if is_goal(lat, state, d) {
-            let candidate = SmProof {
-                steps: steps.clone(),
-                ..base.clone()
-            };
-            return check_goodness(lat, &candidate) == Goodness::Good;
-        }
-        if depth > 4 * lat.len() || unreachable.contains(state.as_slice()) {
-            return false;
-        }
-        let mut tried: HashSet<(ElemId, ElemId)> = HashSet::new();
-        let snapshot = state.clone();
-        let mut any_path_to_goal = false;
-        for i in 0..snapshot.len() {
-            for j in (i + 1)..snapshot.len() {
-                let (x, y) = (snapshot[i], snapshot[j]);
-                if !lat.incomparable(x, y) || !tried.insert((x.min(y), x.max(y))) {
-                    continue;
-                }
-                let mut next = snapshot.clone();
-                let pi = next.iter().position(|&e| e == x).unwrap();
-                next.remove(pi);
-                let pj = next.iter().position(|&e| e == y).unwrap();
-                next.remove(pj);
-                next.push(lat.meet(x, y));
-                next.push(lat.join(x, y));
-                next.sort_unstable();
-                steps.push(SmStep { x, y });
-                *state = next;
-                if go(lat, state, d, steps, unreachable, base, depth + 1) {
-                    return true;
-                }
-                if !unreachable.contains(state.as_slice()) {
-                    any_path_to_goal = true;
-                }
-                steps.pop();
+    impl<F: Fn(&SmProof) -> bool> Search<'_, F> {
+        fn go(&mut self, state: &mut Vec<ElemId>) -> bool {
+            let lat = self.lat;
+            if is_goal(lat, state, self.proof.d) {
+                return (self.accept)(&self.proof);
             }
+            if self.proof.steps.len() > self.max_steps || self.dead.contains(state.as_slice()) {
+                return false;
+            }
+            let mut tried: HashSet<(ElemId, ElemId)> = HashSet::new();
+            let snapshot = state.clone();
+            let mut reaches_goal = false;
+            for i in 0..snapshot.len() {
+                for j in (i + 1)..snapshot.len() {
+                    let (x, y) = (snapshot[i], snapshot[j]);
+                    if !lat.incomparable(x, y) || !tried.insert((x.min(y), x.max(y))) {
+                        continue;
+                    }
+                    let step = SmStep { x, y };
+                    state.clone_from(&snapshot);
+                    apply_step(lat, state, step).expect("both operands are in the state");
+                    state.sort_unstable();
+                    self.proof.steps.push(step);
+                    if self.go(state) {
+                        return true;
+                    }
+                    reaches_goal |= !self.dead.contains(state.as_slice());
+                    self.proof.steps.pop();
+                }
+            }
+            *state = snapshot;
+            if !reaches_goal {
+                self.dead.insert(state.clone());
+            }
+            false
         }
-        *state = snapshot;
-        if !any_path_to_goal {
-            unreachable.insert(state.clone());
-        }
-        false
     }
-    if go(lat, &mut state, d, &mut steps, &mut unreachable, &base, 0) {
-        Some(SmProof {
+    let mut state = expand(multiset);
+    state.sort_unstable();
+    let mut search = Search {
+        lat,
+        max_steps,
+        accept,
+        proof: SmProof {
             multiset: multiset.to_vec(),
             d,
-            steps,
-        })
-    } else {
-        None
-    }
+            steps: Vec::new(),
+        },
+        dead: HashSet::new(),
+    };
+    search.go(&mut state).then_some(search.proof)
+}
+
+/// The multiset's copies, one entry per unit of multiplicity.
+fn expand(multiset: &[(ElemId, u64)]) -> Vec<ElemId> {
+    multiset
+        .iter()
+        .flat_map(|&(e, q)| (0..q).map(move |_| e))
+        .collect()
+}
+
+/// Replace one copy each of `step.x` and `step.y` in `state` by their meet
+/// and join; `None` if either operand is missing.
+fn apply_step(lat: &Lattice, state: &mut Vec<ElemId>, step: SmStep) -> Option<()> {
+    let pi = state.iter().position(|&e| e == step.x)?;
+    state.remove(pi);
+    let pj = state.iter().position(|&e| e == step.y)?;
+    state.remove(pj);
+    state.push(lat.meet(step.x, step.y));
+    state.push(lat.join(step.x, step.y));
+    Some(())
 }
 
 fn is_goal(lat: &Lattice, state: &[ElemId], d: u64) -> bool {
@@ -211,70 +224,15 @@ fn is_goal(lat: &Lattice, state: &[ElemId], d: u64) -> bool {
     true
 }
 
-fn dfs(
-    lat: &Lattice,
-    state: &mut Vec<ElemId>,
-    d: u64,
-    steps: &mut Vec<SmStep>,
-    failed: &mut HashSet<Vec<ElemId>>,
-) -> bool {
-    if is_goal(lat, state, d) {
-        return true;
-    }
-    if failed.contains(state.as_slice()) {
-        return false;
-    }
-    // Try each incomparable pair of *distinct element values* once.
-    let mut tried: HashSet<(ElemId, ElemId)> = HashSet::new();
-    let snapshot = state.clone();
-    for i in 0..snapshot.len() {
-        for j in (i + 1)..snapshot.len() {
-            let (x, y) = (snapshot[i], snapshot[j]);
-            if !lat.incomparable(x, y) || !tried.insert((x.min(y), x.max(y))) {
-                continue;
-            }
-            let (m, jn) = (lat.meet(x, y), lat.join(x, y));
-            // Apply.
-            let mut next = snapshot.clone();
-            let pi = next.iter().position(|&e| e == x).unwrap();
-            next.remove(pi);
-            let pj = next.iter().position(|&e| e == y).unwrap();
-            next.remove(pj);
-            next.push(m);
-            next.push(jn);
-            next.sort_unstable();
-            steps.push(SmStep { x, y });
-            *state = next;
-            if dfs(lat, state, d, steps, failed) {
-                return true;
-            }
-            steps.pop();
-        }
-    }
-    *state = snapshot;
-    failed.insert(state.clone());
-    false
-}
-
 /// Verify that a proof's steps are applicable in order and produce at least
 /// `d` copies of `1̂` with a chain remainder; returns the final multiset.
 pub fn verify_sm_proof(lat: &Lattice, proof: &SmProof) -> Option<Vec<ElemId>> {
-    let mut state: Vec<ElemId> = Vec::new();
-    for &(e, q) in &proof.multiset {
-        for _ in 0..q {
-            state.push(e);
-        }
-    }
-    for s in &proof.steps {
+    let mut state = expand(&proof.multiset);
+    for &s in &proof.steps {
         if !lat.incomparable(s.x, s.y) {
             return None;
         }
-        let pi = state.iter().position(|&e| e == s.x)?;
-        state.remove(pi);
-        let pj = state.iter().position(|&e| e == s.y)?;
-        state.remove(pj);
-        state.push(lat.meet(s.x, s.y));
-        state.push(lat.join(s.x, s.y));
+        apply_step(lat, &mut state, s)?;
     }
     if is_goal(lat, &state, proof.d) {
         state.sort_unstable();
@@ -308,16 +266,14 @@ pub fn check_goodness(lat: &Lattice, proof: &SmProof) -> Goodness {
         labels: HashSet<u32>,
         consumed: bool,
     }
-    let mut pool: Vec<Copy> = Vec::new();
-    for &(e, q) in &proof.multiset {
-        for _ in 0..q {
-            pool.push(Copy {
-                elem: e,
-                labels: HashSet::from([1]),
-                consumed: false,
-            });
-        }
-    }
+    let mut pool: Vec<Copy> = expand(&proof.multiset)
+        .into_iter()
+        .map(|elem| Copy {
+            elem,
+            labels: HashSet::from([1]),
+            consumed: false,
+        })
+        .collect();
     let mut next_label: u32 = 2;
 
     for (step_no, s) in proof.steps.iter().enumerate() {
@@ -468,6 +424,40 @@ mod tests {
         // Σ h(B) = 6 = 3 h(1̂) requires everything collapse to tops, but
         // meets generate non-top remainders.
         assert!(search_sm_proof(&lat, &inputs, 3).is_none());
+    }
+
+    #[test]
+    fn search_sm_proof_returns_the_pinned_steps() {
+        // Printed before `search_sm_proof` became the acceptance-free case
+        // of the good-proof search: the search order is part of the result.
+        let steps = |lat: &Lattice, multiset: &[(ElemId, u64)], d: u64| {
+            let proof = search_sm_proof(lat, multiset, d).expect("a proof exists");
+            let names: Vec<(&str, &str)> = proof
+                .steps
+                .iter()
+                .map(|s| (lat.name(s.x), lat.name(s.y)))
+                .collect();
+            format!("{names:?}")
+        };
+        let fig4 = build::fig4();
+        let inputs: Vec<(ElemId, u64)> = ["abc", "ade", "bdf", "cef"]
+            .iter()
+            .map(|s| (named(&fig4, s), 1))
+            .collect();
+        assert_eq!(
+            steps(&fig4, &inputs, 3),
+            r#"[("abc", "ade"), ("bdf", "cef"), ("a", "f")]"#
+        );
+        let tri = build::boolean(3);
+        let vs = |v: &[u32]| fdjoin_lattice::VarSet::from_vars(v.iter().copied());
+        let inputs: Vec<(ElemId, u64)> = [&[0, 1][..], &[1, 2], &[0, 2]]
+            .iter()
+            .map(|v| (tri.elem_of_set(vs(v)).unwrap(), 1))
+            .collect();
+        assert_eq!(
+            steps(&tri, &inputs, 2),
+            r#"[("{0,1}", "{0,2}"), ("{0}", "{1,2}")]"#
+        );
     }
 
     #[test]

@@ -68,8 +68,9 @@ proptest! {
         let slack = sol.h.output_inequality_slack(&lat, &inputs, &sol.input_duals);
         prop_assert_eq!(slack, Rational::zero());
         // The monotonization is a true polymatroid with the same top value.
-        prop_assert!(sol.h_monotone.is_polymatroid(&lat));
-        prop_assert_eq!(sol.h_monotone.get(lat.top()), sol.h.get(lat.top()));
+        let monotone = sol.h.lovasz_monotonize(&lat);
+        prop_assert!(monotone.is_polymatroid(&lat));
+        prop_assert_eq!(monotone.get(lat.top()), sol.h.get(lat.top()));
     }
 
     #[test]

@@ -16,25 +16,11 @@
 use crate::engine::JoinError;
 use crate::extend::{extend, Side};
 use crate::{AccessPaths, Expander, Stats};
-use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::ChainBound;
 use fdjoin_lattice::VarSet;
 use fdjoin_query::{LatticePresentation, Query};
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex};
+use fdjoin_storage::{Database, Relation, TrieIndex};
 use std::sync::Arc;
-
-/// `log₂ |R_j|` (dyadic upper approximation) for each atom.
-pub fn atom_log_sizes(q: &Query, db: &Database) -> Result<Vec<Rational>, MissingRelation> {
-    q.atoms()
-        .iter()
-        .map(|a| {
-            Ok(Rational::log2_approx(
-                db.relation(&a.name)?.len().max(1) as u64,
-                16,
-            ))
-        })
-        .collect()
-}
 
 /// Run the chain algorithm over a pre-validated chain bound. `use_argmin`
 /// toggles the per-tuple relation choice (off = the A1 ablation).

@@ -67,7 +67,6 @@ impl Relabel {
         LlpSolution {
             value: s.value.clone(),
             h: self.lattice_fn(&s.h),
-            h_monotone: self.lattice_fn(&s.h_monotone),
             input_duals: self.permute_slots(&s.input_duals),
             sm_duals: s
                 .sm_duals

@@ -69,7 +69,6 @@ mod sma;
 mod stats;
 
 pub use access::AccessPaths;
-pub use chain_algo::atom_log_sizes;
 pub use engine::{
     binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, sma_join, Algorithm,
     AutoDecision, AutoReason, Engine, ExecOptions, Explain, ExplainAnalysis, JoinError, JoinResult,

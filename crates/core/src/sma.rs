@@ -19,7 +19,7 @@ use crate::par::TopTables;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::llp::LlpSolution;
-use fdjoin_bounds::smproof::{scale_weights, search_good_sm_proof, SmProof};
+use fdjoin_bounds::smproof::{coatomic_cover_proof, scale_weights, search_good_sm_proof, SmProof};
 use fdjoin_bounds::LatticeFn;
 use fdjoin_query::{LatticePresentation, Query};
 use fdjoin_storage::{Database, Relation, TrieIndex};
@@ -53,47 +53,29 @@ pub(crate) fn plan(
     let lat = &pres.lattice;
     let (qmul, d) = scale_weights(&llp.input_duals);
 
-    // Multiset of input closures with dual multiplicities.
-    let mut multiset: Vec<(usize, u64)> = Vec::new(); // (atom index, q_j)
+    // Multiset of input closures with dual multiplicities, atoms mapping
+    // to the same lattice element merged.
+    let mut acc: std::collections::BTreeMap<usize, u64> = Default::default();
     for (j, &m) in qmul.iter().enumerate() {
         if m > 0 {
-            multiset.push((j, m));
-        }
-    }
-    let elem_multiset: Vec<(usize, u64)> = {
-        // Merge atoms mapping to the same lattice element.
-        let mut acc: std::collections::BTreeMap<usize, u64> = Default::default();
-        for &(j, m) in &multiset {
             *acc.entry(pres.inputs[j]).or_default() += m;
         }
-        acc.into_iter().collect()
-    };
+    }
+    let elem_multiset: Vec<(usize, u64)> = acc.into_iter().collect();
     // Primary: the LLP dual's inequality. Fallback (Corollary 5.22): a
     // fractional edge cover of the co-atomic hypergraph, whose bound is
     // looser in general but whose multiset may admit a good sequence.
-    let proof = match search_good_sm_proof(lat, &elem_multiset, d) {
-        Some(p) => p,
-        None => {
-            let (p, _cover_bound) =
-                fdjoin_bounds::smproof::coatomic_cover_proof(lat, &pres.inputs, log_sizes)
-                    .ok_or(JoinError::NoGoodProof)?;
-            // Rebuild the atom-level multiset to match the fallback proof.
-            let (qc, _dc) = {
-                let hco = fdjoin_bounds::normal::coatomic_hypergraph(lat, &pres.inputs);
-                let cover = hco
-                    .fractional_edge_cover(log_sizes)
-                    .expect("fallback cover exists");
-                scale_weights(&cover.weights)
-            };
-            multiset = qc
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m > 0)
-                .map(|(j, &m)| (j, m))
-                .collect();
-            p
-        }
+    let (proof, qmul) = match search_good_sm_proof(lat, &elem_multiset, d) {
+        Some(p) => (p, qmul),
+        None => coatomic_cover_proof(lat, &pres.inputs, log_sizes).ok_or(JoinError::NoGoodProof)?,
     };
+    // (atom index, q_j): how many temporary-table copies of each atom to seed.
+    let multiset: Vec<(usize, u64)> = qmul
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| m > 0)
+        .map(|(j, &m)| (j, m))
+        .collect();
     Ok(SmaPlan {
         multiset,
         proof,

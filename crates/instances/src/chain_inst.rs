@@ -31,7 +31,9 @@ pub(crate) fn chain_worst_case(
     if !chain.tightness_condition(lat) {
         return None;
     }
-    let h = solve_llp(lat, &pres.inputs, log_sizes).h_monotone;
+    let h = solve_llp(lat, &pres.inputs, log_sizes)
+        .h
+        .lovasz_monotonize(lat);
 
     // Chain increments g(i) = h(C_i) − h(C_{i-1}), one coordinate per step.
     let mut widths: Vec<u32> = Vec::with_capacity(chain.steps());

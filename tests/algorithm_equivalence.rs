@@ -233,3 +233,92 @@ fn a_nullary_atom_gates_the_answer() {
         }
     }
 }
+
+/// A query with no variables, `Q() :- E(), F()`: its lattice is the one
+/// element `0̂ = 1̂`, so its chain has no step and its LLP and CLLP are
+/// `h ≡ 0`. The answer is `{()}` when both relations hold `()`.
+#[test]
+fn a_query_with_no_variables_answers_the_empty_tuple() {
+    use fdjoin::delta::{DeltaBatch, DeltaOptions, MaterializedView};
+    use fdjoin::storage::{Database, Relation};
+    use fdjoin::stream::ResultStream;
+    use std::sync::Arc;
+
+    let mut b = Query::builder();
+    b.atom("E", &[]).atom("F", &[]);
+    let q = b.build();
+    let algorithms = [
+        Algorithm::Auto,
+        Algorithm::Chain,
+        Algorithm::ChainNoArgmin,
+        Algorithm::Sma,
+        Algorithm::Csma,
+        Algorithm::GenericJoin,
+        Algorithm::BinaryJoin,
+    ];
+    // SMA has no proof to run on `0̂ = 1̂` and may only decline.
+    let declined = |alg: Algorithm, e: &JoinError| {
+        alg == Algorithm::Sma && matches!(e, JoinError::NoGoodProof)
+    };
+    let holds = |unit: bool| {
+        if unit {
+            Relation::nullary_unit()
+        } else {
+            Relation::new(vec![])
+        }
+    };
+    for (e, f) in [(true, true), (true, false), (false, true), (false, false)] {
+        let mut db = Database::new();
+        db.insert("E", holds(e));
+        db.insert("F", holds(f));
+        let want = reference_join(&q, &db);
+        assert_eq!(want.len(), usize::from(e && f));
+        let prepared = Arc::new(Engine::new().prepare(&q));
+        for alg in algorithms {
+            for tasks in [1, 2] {
+                let opts = ExecOptions::new().algorithm(alg).parallelism(tasks);
+                match prepared.execute(&db, &opts) {
+                    Ok(r) => assert_eq!(r.output, want, "{alg} at parallelism {tasks}"),
+                    Err(err) => assert!(declined(alg, &err), "{alg}: {err}"),
+                }
+            }
+        }
+        let mut stream = ResultStream::open(&prepared, &db).unwrap();
+        assert_eq!(stream.collect_rows(), want, "stream, E {e}, F {f}");
+
+        // A plan that panicked while being solved would poison the plan
+        // map for every later request: Auto after Chain on one prepare.
+        let fresh = Engine::new().prepare(&q);
+        for alg in [Algorithm::Chain, Algorithm::Auto] {
+            let opts = ExecOptions::new().algorithm(alg);
+            assert_eq!(fresh.execute(&db, &opts).unwrap().output, want, "{alg}");
+        }
+    }
+
+    let mut db = Database::new();
+    db.insert("E", Relation::new(vec![]));
+    db.insert("F", Relation::nullary_unit());
+    let prepared = Arc::new(Engine::new().prepare(&q));
+    let unit = Vec::<u64>::new;
+    for alg in algorithms {
+        let opts = DeltaOptions::new().exec(ExecOptions::new().algorithm(alg));
+        let mut view = match MaterializedView::materialize(Arc::clone(&prepared), db.clone(), opts)
+        {
+            Ok(view) => view,
+            Err(err) => {
+                assert!(declined(alg, &err), "{alg} view: {err}");
+                continue;
+            }
+        };
+        for (batch, rows) in [
+            (DeltaBatch::new().insert("E", unit()), 1),
+            (DeltaBatch::new().delete("E", unit()), 0),
+            (DeltaBatch::new().insert("E", unit()), 1),
+        ] {
+            view.apply_delta(&batch).unwrap();
+            let want = reference_join(&q, view.database());
+            assert_eq!(view.output(), &want, "{alg} view");
+            assert_eq!(want.len(), rows);
+        }
+    }
+}

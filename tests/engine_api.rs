@@ -195,9 +195,9 @@ fn auto_decision_records_reason_and_bounds() {
 /// decision record is auditable, not just a label.
 #[test]
 fn auto_decision_covers_every_rule_with_bounds_crate_values() {
+    use fdjoin::bigint::Rational;
     use fdjoin::bounds::chain::best_chain_bound;
     use fdjoin::bounds::llp::solve_llp;
-    use fdjoin::core::atom_log_sizes;
     use std::collections::BTreeSet;
 
     let engine = Engine::new();
@@ -267,7 +267,16 @@ fn auto_decision_covers_every_rule_with_bounds_crate_values() {
 
         // Recompute the compared bounds directly from the bounds crate.
         let pres = q.lattice_presentation();
-        let logs = atom_log_sizes(&q, &db).unwrap();
+        // `log₂ |R_j|` rounded up to a multiple of 2⁻¹⁶, as the planner
+        // reads each atom's size.
+        let logs: Vec<Rational> = q
+            .atoms()
+            .iter()
+            .map(|a| {
+                let len = db.relation(&a.name).unwrap().len().max(1) as u64;
+                Rational::log2_approx(len, 16)
+            })
+            .collect();
         let expect_chain =
             best_chain_bound(&pres.lattice, &pres.inputs, &logs).map(|cb| cb.log_bound);
         let expect_llp = solve_llp(&pres.lattice, &pres.inputs, &logs).value;
